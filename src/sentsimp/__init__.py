@@ -3,11 +3,11 @@ knowledge base, then constrained seq2seq generation that guarantees the
 substituted word(s) appear in the output."""
 
 from .corpus import Vocabulary, build_vocab, detokenize, tokenize
-from .decoding import decode_backward, decode_constrained, decode_forward, decode_multi
+from .decoding import decode_multi
 from .lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule, identify_and_substitute, load_kb
 from .metrics import EvalTriple, MetricReport, bleu, evaluate_corpus, fk_grade, ibleu, sari
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
-from .pipeline import PipelineConfig, SimplifyPipeline, parse_config, run_simplify_pipeline
+from .pipeline import PipelineConfig, SimplifyPipeline, parse_config
 from .training import TrainConfig, train, training_loss
 
 __version__ = "0.1.0"
@@ -26,9 +26,6 @@ __all__ = [
     "Vocabulary",
     "bleu",
     "build_vocab",
-    "decode_backward",
-    "decode_constrained",
-    "decode_forward",
     "decode_multi",
     "detokenize",
     "evaluate_corpus",
@@ -38,7 +35,6 @@ __all__ = [
     "load_checkpoint",
     "load_kb",
     "parse_config",
-    "run_simplify_pipeline",
     "sari",
     "save_checkpoint",
     "tokenize",

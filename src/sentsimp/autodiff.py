@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a GRU encoder-decoder with additive attention
-needs: matrix products, elementwise gate arithmetic, softmax, embedding row
-lookup, concatenation/stacking, and a handful of reductions. Gradients are
-recorded on an explicit :class:`Tape` that is rebuilt every forward pass, so
-variable-length sequences need no static graph. With no tape active the same
-functions run as plain numpy computations, which is how decoding executes.
+needs: matrix products, elementwise gate arithmetic, softmax, a fused
+softmax negative log-likelihood, embedding row lookup, concatenation/stacking,
+and a handful of reductions. Gradients are recorded on an explicit
+:class:`Tape` that is rebuilt every forward pass, so variable-length sequences
+need no static graph. With no tape active the same functions run as plain
+numpy computations, which is how decoding executes.
 
 Tensors with computed values are treated as immutable and may be shared
 across threads; a tape is single-threaded (one tape per worker).
@@ -101,10 +102,6 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
@@ -267,22 +264,6 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(out, (a,), back)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0) or not np.all(np.isfinite(a.data)):
-        raise NumericError("log: inputs must be finite and positive")
-    out = np.log(a.data)
-    return _emit(out, (a,), lambda g: (g / a.data,))
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    c = float(factor)
-    return _emit(a.data * c, (a,), lambda g: (g * c,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Stable softmax of a vector; outputs are positive and sum to one."""
     if a.ndim != 1 or a.shape[0] < 1:
@@ -299,20 +280,36 @@ def softmax(a: Tensor) -> Tensor:
     return _emit(out, (a,), back)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Scalar element of a vector, differentiable in the vector."""
-    if a.ndim != 1:
-        raise DimensionError(f"pick: expected a vector, got shape {a.shape}")
-    i = int(index)
-    if not 0 <= i < a.shape[0]:
-        raise ContractError(f"pick: index {i} out of range for length {a.shape[0]}")
+def log_softmax(x: Array) -> Array:
+    """Stable log-softmax of a vector of logits, as a plain array.
+
+    Finite wherever the logits are, even where softmax underflows to zero.
+    """
+    shifted = x - np.max(x)
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def nll(logits: Tensor, target: int) -> Tensor:
+    """Negative log-likelihood of one target under softmax(logits).
+
+    The forward value is logsumexp(x) - x[target]; the gradient is
+    softmax(x) - onehot(target).
+    """
+    if logits.ndim != 1 or logits.shape[0] < 1:
+        raise DimensionError(f"nll: expected a non-empty vector, got shape {logits.shape}")
+    if not np.all(np.isfinite(logits.data)):
+        raise NumericError("nll: logits contain non-finite values")
+    t = int(target)
+    if not 0 <= t < logits.shape[0]:
+        raise ContractError(f"nll: target {t} out of range for length {logits.shape[0]}")
+    log_probs = log_softmax(logits.data)
 
     def back(g: Array):
-        grad = np.zeros_like(a.data)
-        grad[i] = g
-        return (grad,)
+        grad = np.exp(log_probs)
+        grad[t] -= 1.0
+        return (grad * g,)
 
-    return _emit(np.asarray(a.data[i]), (a,), back)
+    return _emit(np.asarray(-log_probs[t]), (logits,), back)
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError, IngestionError
 
@@ -136,11 +136,6 @@ class CorpusSplit:
     test: list[SentencePair] = field(default_factory=list)
 
 
-class LoadResult(NamedTuple):
-    pairs: list[SentencePair]
-    skipped: list[tuple[int, str]]  # (1-based line number, reason)
-
-
 def read_parallel_tokens(
     source_path: str, target_path: str | None = None
 ) -> tuple[list[tuple[list[str], list[str]]], list[tuple[int, str]]]:
@@ -183,16 +178,13 @@ def read_parallel_tokens(
     return pairs, skipped
 
 
-def load_parallel(
-    source_path: str, target_path: str | None, vocab: Vocabulary
-) -> LoadResult:
-    """Tokenize, id-map, and pair up two aligned files (or one TSV)."""
-    token_pairs, skipped = read_parallel_tokens(source_path, target_path)
-    pairs = [
-        SentencePair(tuple(vocab.encode(src)), tuple(vocab.encode(tgt)))
-        for src, tgt in token_pairs
-    ]
-    return LoadResult(pairs, skipped)
+def find_block(haystack: Sequence, block: Sequence) -> int | None:
+    """1-based start of the first contiguous occurrence of block, else None."""
+    block = tuple(block)
+    for i in range(len(haystack) - len(block) + 1):
+        if tuple(haystack[i : i + len(block)]) == block:
+            return i + 1
+    return None
 
 
 def filter_identical(pairs: Sequence[SentencePair]) -> list[SentencePair]:

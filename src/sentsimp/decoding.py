@@ -5,8 +5,9 @@ starts from the constraint block and emits the preceding tokens in reverse
 until it produces the sentence-start boundary; the forward decoder then
 consumes the realized prefix and continues until the end-of-sentence token.
 Splicing reverse(backward) + block + forward makes the constraint's presence
-a construction invariant rather than a search outcome. Multiple constraints
-are handled by re-encoding each pass's output as the next pass's source.
+a construction invariant rather than a search outcome. Each pass encodes its
+source once for both stages; multiple constraints are handled by re-encoding
+each pass's output as the next pass's source.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
-from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS
+from .autodiff import Tensor, log_softmax
+from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS, find_block
 from .errors import ConstraintError, ContractError
 from .model import DecoderParams, Seq2SeqModel, decode_step, encode, init_decoder_state
 
@@ -60,15 +61,6 @@ class DecodeResult:
     passes: tuple[PassTrace, ...]
 
 
-def _find_block(haystack: Sequence[int], block: Sequence[int]) -> int | None:
-    """1-based start of the first contiguous occurrence, else None."""
-    block = tuple(block)
-    for i in range(len(haystack) - len(block) + 1):
-        if tuple(haystack[i : i + len(block)]) == block:
-            return i + 1
-    return None
-
-
 def _check_constraint_ids(constraint_ids: Sequence[int], vocab_size: int) -> None:
     if not constraint_ids:
         raise ContractError("constraint block must be non-empty")
@@ -99,7 +91,7 @@ def beam_search(
 ) -> Hypothesis:
     """Breadth-limited best-first search over token continuations.
 
-    step_fn(prev_token, state) -> (new_state, distribution ndarray). A
+    step_fn(prev_token, state) -> (new_state, log-probability ndarray). A
     hypothesis finishes when it emits boundary_id (scored) or reaches
     max_new generated tokens (length cap, unscored stop). Scores are summed
     log-probabilities; an optional length-normalization exponent divides by
@@ -123,8 +115,7 @@ def beam_search(
         candidates: list[Hypothesis] = []
         for hyp in active:
             prev = hyp.tokens[-1] if hyp.tokens else seed_token
-            state, dist = step_fn(prev, hyp.state)
-            log_dist = np.log(dist)
+            state, log_dist = step_fn(prev, hyp.state)
             # beam 1 is the greedy argmax chain; wider beams expand one extra
             # slot so a boundary token cannot crowd out content candidates
             width = 1 if beam_size == 1 else min(beam_size + 1, log_dist.shape[0])
@@ -154,143 +145,33 @@ def beam_search(
     return min(finished, key=lambda h: _rank_key(h, length_norm))
 
 
-def _teacher_force(
-    tokens: Sequence[int], state: Tensor, annotations: Tensor, params: DecoderParams
-) -> Tensor:
-    for tok in tokens:
-        state, _ = decode_step(tok, state, annotations, params)
-    return state
-
-
-def _stepper(annotations: Tensor, params: DecoderParams):
-    def step(prev_token: int, state: Tensor):
-        new_state, dist = decode_step(prev_token, state, annotations, params)
-        return new_state, dist.data
-
-    return step
-
-
-def decode_backward(
-    source: Sequence[int],
-    constraint_ids: Sequence[int],
-    model: Seq2SeqModel,
-    beam_size: int | None = None,
-    length_norm: float = 0.0,
-) -> Hypothesis:
-    """Tokens before the constraint, generated in reverse order.
-
-    The backward decoder is seeded with the constraint block fed in reverse
-    block order (teacher forcing, unscored) and searches until it emits the
-    sentence-start boundary. The returned tokens read right-to-left.
-    """
-    _check_constraint_ids(constraint_ids, model.config.vocab_size)
-    params = model.backward_decoder
-    annotations, h_mean = encode(source, model.encoder)
-    state = init_decoder_state(h_mean, params)
-    reversed_block = list(reversed(constraint_ids))
-    state = _teacher_force(reversed_block[:-1], state, annotations, params)
-    budget = max(0, model.config.max_decode_len - len(constraint_ids))
-    return beam_search(
-        _stepper(annotations, params),
-        state,
-        seed_token=reversed_block[-1],
-        boundary_id=BOS_ID,
-        beam_size=beam_size or model.config.beam_size,
-        max_new=budget,
-        length_norm=length_norm,
-    )
-
-
-def decode_forward(
-    source: Sequence[int],
-    prefix: Sequence[int],
-    model: Seq2SeqModel,
-    beam_size: int | None = None,
-    length_norm: float = 0.0,
-) -> Hypothesis:
-    """Continuation after a realized prefix, until end-of-sentence.
-
-    The forward decoder consumes BOS plus the prefix with teacher forcing
-    (no search, no scoring over given tokens), then beam-searches the rest.
-    """
-    if not prefix:
-        raise ContractError("forward decoding needs a non-empty prefix")
-    params = model.forward_decoder
-    annotations, h_mean = encode(source, model.encoder)
-    state = init_decoder_state(h_mean, params)
-    state = _teacher_force([BOS_ID, *prefix[:-1]], state, annotations, params)
-    budget = max(0, model.config.max_decode_len - len(prefix))
-    return beam_search(
-        _stepper(annotations, params),
-        state,
-        seed_token=prefix[-1],
-        boundary_id=EOS_ID,
-        beam_size=beam_size or model.config.beam_size,
-        max_new=budget,
-        length_norm=length_norm,
-    )
-
-
-def decode_unconstrained(
-    source: Sequence[int],
-    model: Seq2SeqModel,
-    beam_size: int | None = None,
-    length_norm: float = 0.0,
-) -> Hypothesis:
-    """Plain beam decode with the forward decoder from its initial state."""
-    params = model.forward_decoder
-    annotations, h_mean = encode(source, model.encoder)
-    state = init_decoder_state(h_mean, params)
-    return beam_search(
-        _stepper(annotations, params),
-        state,
-        seed_token=BOS_ID,
-        boundary_id=EOS_ID,
-        beam_size=beam_size or model.config.beam_size,
-        max_new=model.config.max_decode_len,
-        length_norm=length_norm,
-    )
-
-
-def _single_pass(
-    source: Sequence[int],
-    block: Sequence[int],
-    model: Seq2SeqModel,
-    beam_size: int | None,
+def _search(
+    encoded: tuple[Tensor, Tensor],
+    params: DecoderParams,
+    given: Sequence[int],
+    boundary_id: int,
+    max_new: int,
+    beam_size: int,
     length_norm: float,
-) -> PassTrace:
-    back = decode_backward(source, block, model, beam_size, length_norm)
-    prefix = tuple(reversed(back.tokens)) + tuple(block)
-    fwd = decode_forward(source, prefix, model, beam_size, length_norm)
-    output = prefix + fwd.tokens
-    position = len(back.tokens) + 1
-    if tuple(output[position - 1 : position - 1 + len(block)]) != tuple(block):
-        raise AssertionError("constraint block lost during splicing")
-    return PassTrace(
-        constraint=tuple(block),
-        output=output,
-        position=position,
-        backward_log_prob=back.log_prob,
-        forward_log_prob=fwd.log_prob,
-    )
+) -> Hypothesis:
+    """One decoder's stage of a pass over an already encoded source.
 
+    The state starts from the mean annotation; all given tokens but the last
+    are teacher-forced (no search, no scoring), and the last one seeds the
+    beam search, which runs until boundary_id or max_new new tokens.
+    """
+    annotations, h_mean = encoded
+    state = init_decoder_state(h_mean, params)
+    for tok in given[:-1]:
+        state, _ = decode_step(tok, state, annotations, params)
 
-def decode_constrained(
-    source: Sequence[int],
-    constraint_ids: Sequence[int],
-    model: Seq2SeqModel,
-    beam_size: int | None = None,
-    length_norm: float = 0.0,
-) -> DecodeResult:
-    """Single-constraint generation: reverse(backward) + block + forward."""
-    trace = _single_pass(source, constraint_ids, model, beam_size, length_norm)
-    outcome = ConstraintOutcome(
-        block=trace.constraint,
-        skipped=False,
-        pass_index=1,
-        final_position=trace.position,
+    def step(prev_token: int, state: Tensor):
+        new_state, logits = decode_step(prev_token, state, annotations, params)
+        return new_state, log_softmax(logits.data)
+
+    return beam_search(
+        step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new, length_norm=length_norm
     )
-    return DecodeResult(tokens=trace.output, outcomes=(outcome,), passes=(trace,))
 
 
 def decode_multi(
@@ -301,18 +182,26 @@ def decode_multi(
     beam_size: int | None = None,
     length_norm: float = 0.0,
 ) -> DecodeResult:
-    """Multi-constraint generation by repeated re-encoding.
+    """Constrained generation, one encode and two stages per pass.
 
-    Blocks must arrive ordered least-frequent first. Pass 1 decodes the
-    given source with the first constraint; pass i re-encodes the previous
-    output as its source. From the second constraint on, a block already
-    present verbatim in the current output is skipped. At most max_passes
-    (default: the number of constraints) generation passes run; with no
-    constraints this is a plain unconstrained beam decode.
+    Blocks must arrive ordered least-frequent first. Each pass encodes its
+    source once; the backward decoder is seeded with the block fed in
+    reverse and emits the preceding tokens right-to-left until the
+    sentence-start boundary, then the forward decoder consumes BOS, that
+    prefix and the block and continues until end-of-sentence. The pass
+    output is reverse(backward) + block + forward. Pass 1 decodes the given
+    source; pass i re-encodes the previous output. From the second
+    constraint on, a block already present verbatim in the current output
+    is skipped. At most max_passes (default: the number of constraints)
+    passes run; with no constraints this is a plain beam decode with the
+    forward decoder from BOS.
     """
+    cfg = model.config
+    beam = beam_size or cfg.beam_size
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
-        hyp = decode_unconstrained(source, model, beam_size, length_norm)
+        encoded = encode(source, model.encoder)
+        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, beam, length_norm)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
     cap = len(blocks) if max_passes is None else max_passes
     if cap < 1:
@@ -322,22 +211,51 @@ def decode_multi(
     passes: list[PassTrace] = []
     outcomes: list[ConstraintOutcome] = []
     for block in blocks:
-        if passes and _find_block(passes[-1].output, block) is not None:
+        if (passes and find_block(passes[-1].output, block) is not None) or len(passes) >= cap:
             outcomes.append(ConstraintOutcome(block, skipped=True, pass_index=None, final_position=None))
             continue
-        if len(passes) >= cap:
-            outcomes.append(ConstraintOutcome(block, skipped=True, pass_index=None, final_position=None))
-            continue
-        trace = _single_pass(current, block, model, beam_size, length_norm)
-        passes.append(trace)
+        _check_constraint_ids(block, cfg.vocab_size)
+        encoded = encode(current, model.encoder)
+        back = _search(
+            encoded,
+            model.backward_decoder,
+            block[::-1],
+            BOS_ID,
+            max(0, cfg.max_decode_len - len(block)),
+            beam,
+            length_norm,
+        )
+        prefix = back.tokens[::-1] + block
+        fwd = _search(
+            encoded,
+            model.forward_decoder,
+            (BOS_ID, *prefix),
+            EOS_ID,
+            max(0, cfg.max_decode_len - len(prefix)),
+            beam,
+            length_norm,
+        )
+        output = prefix + fwd.tokens
+        position = len(back.tokens) + 1
+        if output[position - 1 : position - 1 + len(block)] != block:
+            raise AssertionError("constraint block lost during splicing")
+        passes.append(
+            PassTrace(
+                constraint=block,
+                output=output,
+                position=position,
+                backward_log_prob=back.log_prob,
+                forward_log_prob=fwd.log_prob,
+            )
+        )
         outcomes.append(
             ConstraintOutcome(block, skipped=False, pass_index=len(passes), final_position=None)
         )
-        current = trace.output
+        current = output
 
     final = passes[-1].output if passes else tuple(source)
     outcomes = [
-        ConstraintOutcome(o.block, o.skipped, o.pass_index, _find_block(final, o.block))
+        ConstraintOutcome(o.block, o.skipped, o.pass_index, find_block(final, o.block))
         for o in outcomes
     ]
     return DecodeResult(tokens=final, outcomes=tuple(outcomes), passes=tuple(passes))

@@ -42,11 +42,3 @@ class CheckpointError(SentsimpError, ValueError):
 
 
 DATA_ERRORS = (IngestionError, ConfigError)
-MODEL_ERRORS = (
-    DimensionError,
-    NumericError,
-    ContractError,
-    ConstraintError,
-    TrainingError,
-    CheckpointError,
-)

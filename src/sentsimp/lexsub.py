@@ -67,9 +67,6 @@ class KnowledgeBase:
                 return rule
         return None
 
-    def simple_sides(self) -> set[tuple[str, ...]]:
-        return {rule.simple for rule in self.rules()}
-
 
 def _parse_row(line: str, lineno: int) -> ParaphraseRule:
     fields = line.split("\t")

@@ -249,7 +249,10 @@ def decode_step(
     annotations: Tensor,
     params: DecoderParams,
 ) -> tuple[Tensor, Tensor]:
-    """One decoder update: new state (dim,) and next-token distribution (V,)."""
+    """One decoder update: new state (dim,) and next-token logits (V,).
+
+    The next-token distribution is the softmax of the logits.
+    """
     e_prev = ad.take_row(params.embedding, prev_token)
     context, _ = attend(s_prev, annotations, params)
     z = ad.sigmoid(
@@ -278,8 +281,8 @@ def decode_step(
     )
     s = ad.add(ad.mul(ad.one_minus(z), s_prev), ad.mul(z, s_tilde))
     features = ad.concat([e_prev, s, context])
-    dist = ad.softmax(ad.add(ad.matmul(params.out_w, features), params.out_b))
-    return s, dist
+    logits = ad.add(ad.matmul(params.out_w, features), params.out_b)
+    return s, logits
 
 
 # ---------------------------------------------------------------------------

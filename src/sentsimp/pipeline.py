@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
 from .decoding import decode_multi
 from .errors import ConfigError, ConstraintError
-from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute
+from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint
 from .training import TrainConfig
 
@@ -257,14 +257,7 @@ def _constraint_blocks(constraints: ConstraintSet, vocab: Vocabulary) -> list[li
 
 
 def load_kb_or_empty(path: str) -> KnowledgeBase:
-    from .lexsub import load_kb
-
     return load_kb(path) if path else KnowledgeBase([])
-
-
-def run_simplify_pipeline(sentence: str, config: PipelineConfig) -> tuple[str, dict]:
-    """Load everything from config paths and simplify one sentence."""
-    return SimplifyPipeline.from_config(config).simplify(sentence)
 
 
 def ensure_out_dir(config: PipelineConfig) -> str:

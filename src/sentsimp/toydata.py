@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import tokenize
+from .errors import ContractError
 
 WORD_RULES = [
     ("key", "important", 0.9),
@@ -45,6 +46,11 @@ _TEMPLATES = [
 ]
 
 
+# pair i > 0 uses template i % 5; template 2 runs out first, its 80 unique
+# fills (8 complex words x 10 nouns) covering pairs 2, 7, ..., 397
+MAX_PAIRS = 402
+
+
 @dataclass
 class ToyData:
     pairs: list[tuple[str, str]]  # (normal, simple) raw sentences
@@ -64,6 +70,8 @@ class ToyData:
 
 def build_toy_corpus(n_pairs: int = 50, seed: int = 17) -> ToyData:
     """n_pairs unique sentence pairs; pair 0 is the showcase sentence."""
+    if n_pairs > MAX_PAIRS:
+        raise ContractError(f"the templates hold at most {MAX_PAIRS} unique pairs, asked for {n_pairs}")
     rng = random.Random(seed)
     pairs: list[tuple[str, str]] = [SHOWCASE_PAIR]
     seen = {SHOWCASE_PAIR[0]}

@@ -3,8 +3,10 @@
 Each pair contributes the negative log-likelihood of its backward sequence
 (target tokens before the constraint position, reversed, ending at the
 sentence-start boundary) plus its forward sequence (tokens after the
-constraint plus end-of-sentence, with the prefix teacher-forced). Batches
-are gradient-accumulation groups; the optimizer step is Adadelta with a
+constraint plus end-of-sentence, with the prefix teacher-forced). Every
+predicted token adds one fused `autodiff.nll` term on the decoder's logits,
+which stays finite when the target's probability underflows. Batches are
+gradient-accumulation groups; the optimizer step is Adadelta with a
 global-norm gradient clip.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary
+from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary, find_block
 from .errors import ContractError, TrainingError
 from .lexsub import FrequencyTable, KnowledgeBase
 from .model import Seq2SeqModel, decode_step, encode, init_decoder_state, save_checkpoint
@@ -118,7 +120,7 @@ def select_training_constraint(
         for rule in kb.rules():
             if len(rule.simple) != 1 or rule.simple[0] not in target_tokens:
                 continue
-            if _occurs(source_tokens, rule.complex):
+            if find_block(source_tokens, rule.complex) is not None:
                 position = target_tokens.index(rule.simple[0]) + 1
                 candidates.append((freq_table.phrase_count(rule.complex), position, rule.complex))
         if candidates:
@@ -132,14 +134,6 @@ def select_training_constraint(
     if not fallback:  # all punctuation: least-frequent token of any kind
         fallback = [(freq_table.count(tok), i + 1) for i, tok in enumerate(target_tokens)]
     return min(fallback)[1]
-
-
-def _occurs(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
-    phrase = tuple(phrase)
-    return any(
-        tuple(tokens[i : i + len(phrase)]) == phrase
-        for i in range(len(tokens) - len(phrase) + 1)
-    )
 
 
 def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Tensor:
@@ -163,8 +157,8 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
     inputs = [target[i] for i in range(position - 1, -1, -1)]
     predictions = inputs[1:] + [BOS_ID]
     for prev, expected in zip(inputs, predictions):
-        state, dist = decode_step(prev, state, annotations, params)
-        total = ad.add(total, ad.neg(ad.log(ad.pick(dist, expected))))
+        state, logits = decode_step(prev, state, annotations, params)
+        total = ad.add(total, ad.nll(logits, expected))
 
     # forward pass: inputs BOS, target[0], ..., target[m-1]
     params = model.forward_decoder
@@ -172,9 +166,9 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
     inputs = [BOS_ID, *target]
     predictions = [*target, EOS_ID]
     for step, (prev, expected) in enumerate(zip(inputs, predictions)):
-        state, dist = decode_step(prev, state, annotations, params)
+        state, logits = decode_step(prev, state, annotations, params)
         if step >= position:  # the prefix y_1..y_s is given, not predicted
-            total = ad.add(total, ad.neg(ad.log(ad.pick(dist, expected))))
+            total = ad.add(total, ad.nll(logits, expected))
     return total
 
 

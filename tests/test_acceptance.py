@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from sentsimp.corpus import BOS_ID, EOS_ID, CorpusSplit, SentencePair, build_vocab
-from sentsimp.decoding import decode_backward, decode_constrained, decode_forward, decode_multi
+from sentsimp.decoding import _search, decode_multi
 from sentsimp.gradcheck import finite_difference, max_relative_error
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
 from sentsimp.model import ModelConfig, Seq2SeqModel, decode_step, encode, init_decoder_state
-from sentsimp.autodiff import Tape
+from sentsimp.autodiff import Tape, softmax
 from sentsimp.training import TrainConfig, select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
@@ -150,11 +150,12 @@ def test_criterion_5_beam_equals_exhaustive_search():
 
         def stepper(params):
             def step(prev, state):
-                new_state, dist = decode_step(prev, state, annotations, params)
-                return new_state, dist.data
+                new_state, logits = decode_step(prev, state, annotations, params)
+                return new_state, softmax(logits).data
             return step
 
-        backward = decode_backward(source, constraint, model, beam_size=beam_size)
+        encoded = (annotations, h_mean)
+        backward = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, 3, beam_size, 0.0)
         state = init_decoder_state(h_mean, model.backward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.backward_decoder), state, 4, BOS_ID,
@@ -162,7 +163,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         )
         back_ok = backward.tokens == tokens and abs(backward.log_prob - score) < 1e-9
 
-        forward = decode_forward(source, [4], model, beam_size=beam_size)
+        forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size, 0.0)
         state = init_decoder_state(h_mean, model.forward_decoder)
         state, _ = decode_step(BOS_ID, state, annotations, model.forward_decoder)
         score, tokens = exhaustive_best(
@@ -207,7 +208,7 @@ def test_criterion_6_overfit_end_to_end(overfit_run):
     for pair in pairs:
         s = select_training_constraint(pair, kb, freq_table, vocab)
         block = [pair.target[s - 1]]
-        decoded = decode_constrained(pair.source, block, model, beam_size=5)
+        decoded = decode_multi(pair.source, [block], model, beam_size=5)
         exact += decoded.tokens == pair.target
     ok = final_loss < 0.1 and exact >= 45
     report(6, "overfit training and constrained reproduction", ok,
@@ -221,7 +222,7 @@ def test_criterion_8_metric_direction(overfit_run):
     for pair in pairs:
         s = select_training_constraint(pair, kb, freq_table, vocab)
         block = [pair.target[s - 1]]
-        decoded = decode_constrained(pair.source, block, model, beam_size=5)
+        decoded = decode_multi(pair.source, [block], model, beam_size=5)
         source_tokens = tuple(vocab.decode(pair.source))
         output_tokens = tuple(vocab.decode(decoded.tokens))
         reference_tokens = tuple(vocab.decode(pair.target))

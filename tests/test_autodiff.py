@@ -19,14 +19,14 @@ def rnd(shape, seed=0):
 
 
 def test_matmul_identity():
-    eye = ad.tensor(np.eye(2))
-    m = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
+    eye = ad.Tensor(np.eye(2))
+    m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert ad.matmul(eye, m).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_matmul_projector():
-    p = ad.tensor([[1.0, 0.0], [0.0, 0.0]])
-    v = ad.tensor([[5.0], [7.0]])
+    p = ad.Tensor([[1.0, 0.0], [0.0, 0.0]])
+    v = ad.Tensor([[5.0], [7.0]])
     assert ad.matmul(p, v).tolist() == [[5.0], [0.0]]
 
 
@@ -61,13 +61,13 @@ def test_matmul_gradients(shape_a, shape_b):
 
 
 def test_sigmoid_and_tanh_at_zero():
-    z = ad.tensor([0.0])
+    z = ad.Tensor([0.0])
     assert ad.sigmoid(z).tolist() == [0.5]
     assert ad.tanh(z).tolist() == [0.0]
 
 
 def test_sigmoid_matches_scalar_oracle():
-    x = ad.tensor([1.0])
+    x = ad.Tensor([1.0])
     assert ad.sigmoid(x).item() == pytest.approx(sigmoid_scalar(1.0), abs=1e-15)
     assert ad.sigmoid(x).item() == pytest.approx(0.7310585786300049, abs=1e-15)
 
@@ -79,8 +79,8 @@ def test_binary_ops_require_equal_shapes():
 
 
 def test_elementwise_values():
-    a = ad.tensor([1.0, 2.0])
-    b = ad.tensor([3.0, 5.0])
+    a = ad.Tensor([1.0, 2.0])
+    b = ad.Tensor([3.0, 5.0])
     assert ad.add(a, b).tolist() == [4.0, 7.0]
     assert ad.sub(a, b).tolist() == [-2.0, -3.0]
     assert ad.mul(a, b).tolist() == [3.0, 10.0]
@@ -97,40 +97,35 @@ def test_unary_gradients(op):
     assert check_gradients(loss, [x]) < 1e-4
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(NumericError):
-        ad.log(ad.tensor([1.0, 0.0]))
-
-
 # ---------------------------------------------------------------- softmax
 
 
 def test_softmax_equal_energies():
-    out = ad.softmax(ad.tensor([0.0, 0.0, 0.0]))
+    out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = ad.softmax(ad.tensor([1000.0, 0.0]))
+    out = ad.softmax(ad.Tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(1.0)
     assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_softmax_matches_scalar_oracle():
-    got = ad.softmax(ad.tensor([1.0, 2.0, 3.0])).tolist()
+    got = ad.softmax(ad.Tensor([1.0, 2.0, 3.0])).tolist()
     assert got == pytest.approx(softmax_loops([1.0, 2.0, 3.0]), abs=1e-15)
 
 
 def test_softmax_rejects_nonfinite():
     with pytest.raises(NumericError):
-        ad.softmax(ad.tensor([0.0, np.inf]))
+        ad.softmax(ad.Tensor([0.0, np.inf]))
 
 
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_sums_to_one(xs):
-    out = ad.softmax(ad.tensor(xs))
+    out = ad.softmax(ad.Tensor(xs))
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert np.all(out.data > 0)
 
@@ -143,31 +138,60 @@ def test_softmax_sums_to_one(xs):
 )
 def test_softmax_permutation_equivariant(case):
     xs, perm = case
-    direct = ad.softmax(ad.tensor([xs[i] for i in perm])).tolist()
-    permuted = ad.softmax(ad.tensor(xs)).tolist()
+    direct = ad.softmax(ad.Tensor([xs[i] for i in perm])).tolist()
+    permuted = ad.softmax(ad.Tensor(xs)).tolist()
     assert direct == pytest.approx([permuted[i] for i in perm], abs=1e-12)
 
 
 def test_softmax_gradient():
     x = rnd((5,), seed=6)
+    weights = ad.Tensor([0.0, -1.0, 2.0, 0.5, 0.0])
 
     def loss():
-        return ad.pick(ad.softmax(x), 2)
+        return ad.tsum(ad.mul(ad.softmax(x), weights))
 
     assert check_gradients(loss, [x]) < 1e-4
+
+
+# ---------------------------------------------------------------- nll
+
+
+def test_nll_matches_scalar_oracle():
+    xs = [1.0, -2.0, 3.0, 0.5]
+    for target in range(len(xs)):
+        got = ad.nll(ad.Tensor(xs), target).item()
+        assert got == pytest.approx(-np.log(softmax_loops(xs)[target]), abs=1e-14)
+
+
+def test_nll_gradient():
+    x = rnd((5,), seed=12)
+
+    def loss():
+        return ad.nll(x, 3)
+
+    assert check_gradients(loss, [x]) < 1e-4
+
+
+def test_nll_rejects_nonfinite_and_bad_target():
+    with pytest.raises(NumericError):
+        ad.nll(ad.Tensor([0.0, np.inf]), 0)
+    with pytest.raises(ContractError):
+        ad.nll(ad.Tensor([0.0, 1.0]), 2)
+    with pytest.raises(DimensionError):
+        ad.nll(ad.Tensor([[0.0, 1.0]]), 0)
 
 
 # ---------------------------------------------------------------- structural ops
 
 
 def test_concat_stack_mean_add_rows_take_row_values():
-    a = ad.tensor([1.0, 2.0])
-    b = ad.tensor([3.0])
+    a = ad.Tensor([1.0, 2.0])
+    b = ad.Tensor([3.0])
     assert ad.concat([a, b]).tolist() == [1.0, 2.0, 3.0]
-    m = ad.stack([ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0])])
+    m = ad.stack([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0])])
     assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert ad.mean_rows(m).tolist() == [2.0, 3.0]
-    assert ad.add_rows(m, ad.tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
+    assert ad.add_rows(m, ad.Tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
     assert ad.take_row(m, 1).tolist() == [3.0, 4.0]
     assert ad.transpose(m).tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
@@ -271,8 +295,8 @@ def test_composite_gru_like_gradcheck():
             ("w_h", (dim, emb)), ("u_h", (dim, dim)), ("b_h", (dim,)),
         ]
     }
-    e = ad.tensor(rng.uniform(-1, 1, size=emb))
-    h_prev = ad.tensor(rng.uniform(-1, 1, size=dim))
+    e = ad.Tensor(rng.uniform(-1, 1, size=emb))
+    h_prev = ad.Tensor(rng.uniform(-1, 1, size=dim))
 
     def loss():
         z = ad.sigmoid(ad.add_all(ad.matmul(params["w_z"], e), ad.matmul(params["u_z"], h_prev), params["b_z"]))

@@ -12,7 +12,7 @@ from sentsimp.corpus import (
     build_vocab,
     detokenize,
     filter_identical,
-    load_parallel,
+    read_parallel_tokens,
     split_corpus,
     tokenize,
 )
@@ -139,40 +139,36 @@ def test_load_parallel_two_files(tmp_path):
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     _write(src, ["The cat sat.", "A big dog"])
     _write(tgt, ["the cat sat", "a dog"])
-    vocab = build_vocab([tokenize("the cat sat . a big dog")], max_size=20)
-    result = load_parallel(str(src), str(tgt), vocab)
-    assert len(result.pairs) == 2
-    assert result.skipped == []
-    assert vocab.decode(result.pairs[0].source) == ["the", "cat", "sat", "."]
+    pairs, skipped = read_parallel_tokens(str(src), str(tgt))
+    assert len(pairs) == 2
+    assert skipped == []
+    assert pairs[0] == (["the", "cat", "sat", "."], ["the", "cat", "sat"])
 
 
 def test_load_parallel_blank_line_rejected_with_line_number(tmp_path):
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     _write(src, ["good line", "", "another"])
     _write(tgt, ["fine", "fine", "fine"])
-    vocab = build_vocab([["good", "line", "another", "fine"]], max_size=20)
-    result = load_parallel(str(src), str(tgt), vocab)
-    assert len(result.pairs) == 2
-    assert result.skipped == [(2, "blank sentence")]
+    pairs, skipped = read_parallel_tokens(str(src), str(tgt))
+    assert len(pairs) == 2
+    assert skipped == [(2, "blank sentence")]
 
 
 def test_load_parallel_unequal_counts(tmp_path):
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     _write(src, ["one", "two"])
     _write(tgt, ["one"])
-    vocab = build_vocab([["one", "two"]], max_size=10)
     with pytest.raises(IngestionError) as err:
-        load_parallel(str(src), str(tgt), vocab)
+        read_parallel_tokens(str(src), str(tgt))
     assert "2" in str(err.value) and "1" in str(err.value)
 
 
 def test_load_parallel_tsv(tmp_path):
     tsv = tmp_path / "data.tsv"
     tsv.write_text("Normal one.\tsimple one\nshort\n", encoding="utf-8")
-    vocab = build_vocab([tokenize("normal one . simple")], max_size=20)
-    result = load_parallel(str(tsv), None, vocab)
-    assert len(result.pairs) == 1
-    assert result.skipped == [(2, "expected two tab-separated fields")]
+    pairs, skipped = read_parallel_tokens(str(tsv))
+    assert pairs == [(["normal", "one", "."], ["simple", "one"])]
+    assert skipped == [(2, "expected two tab-separated fields")]
 
 
 def test_load_roundtrip_renders_lowercased_tokenization(tmp_path):
@@ -183,8 +179,9 @@ def test_load_roundtrip_renders_lowercased_tokenization(tmp_path):
     vocab = build_vocab(
         [tokenize(text), tokenize("parkes was a key place .")], max_size=50
     )
-    result = load_parallel(str(src), str(tgt), vocab)
-    assert vocab.decode(result.pairs[0].source) == tokenize(text)
+    pairs, _ = read_parallel_tokens(str(src), str(tgt))
+    assert pairs[0][0] == tokenize(text)
+    assert vocab.decode(vocab.encode(pairs[0][0])) == tokenize(text)
 
 
 # ---------------------------------------------------------------- filtering / splits

@@ -1,4 +1,7 @@
+import pytest
+
 from sentsimp.corpus import tokenize
+from sentsimp.errors import ContractError
 from sentsimp.lexsub import load_kb
 from sentsimp.toydata import SHOWCASE_PAIR, build_toy_corpus, toy_token_pairs
 
@@ -34,3 +37,9 @@ def test_token_pairs_align():
     pairs = toy_token_pairs(data)
     assert len(pairs) == 10
     assert all(s and t for s, t in pairs)
+
+
+def test_corpus_size_is_capped_at_template_capacity():
+    assert len(set(build_toy_corpus(402, seed=17).pairs)) == 402
+    with pytest.raises(ContractError):
+        build_toy_corpus(403, seed=17)

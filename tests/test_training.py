@@ -194,6 +194,19 @@ def test_training_loss_position_bounds():
         training_loss(pair, 3, model)
 
 
+def test_training_loss_finite_when_target_probability_underflows():
+    from test_decoding import underflow_model
+
+    model = underflow_model(target=6)
+    pair = pair_of([4, 5, 6], [6, 7, 6])  # 6 is predicted by both decoders
+    with Tape() as tape:
+        loss = training_loss(pair, 2, model)
+        tape.backward(loss)
+    assert np.isfinite(loss.item()) and loss.item() > 1600.0
+    for name, t in model.named_parameters():
+        assert t.grad is None or np.all(np.isfinite(t.grad)), name
+
+
 def test_training_loss_matches_scalar_oracle():
     from oracles import decoder_step_loops, encode_loops
     from test_model import decoder_as_dict, gru_as_dict
@@ -354,13 +367,13 @@ def test_train_rejects_empty_split():
 def test_shared_decoder_model_trains_and_decodes():
     import dataclasses
 
-    from sentsimp.decoding import decode_constrained
+    from sentsimp.decoding import decode_multi
 
     cfg = dataclasses.replace(TINY, share_decoders=True)
     model = Seq2SeqModel.create(cfg, seed=2)
     result = train(toy_corpus(), model, TrainConfig(epochs=2, batch_size=2, seed=3), fake_vocab())
     assert len(result.history) == 2
     assert result.history[1].train_loss < result.history[0].train_loss * 1.5
-    decoded = decode_constrained([4, 5, 6], [7], model)
+    decoded = decode_multi([4, 5, 6], [[7]], model)
     pos = decoded.outcomes[0].final_position
     assert decoded.tokens[pos - 1] == 7
