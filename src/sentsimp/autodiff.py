@@ -3,9 +3,10 @@
 The op set is exactly what a GRU encoder-decoder with additive attention
 needs: matrix products, elementwise gate arithmetic, softmax, a fused
 softmax negative log-likelihood, embedding row lookup, concatenation/stacking,
-and a handful of reductions. Gradients are recorded on an explicit
-:class:`Tape` that is rebuilt every forward pass, so variable-length sequences
-need no static graph. With no tape active the same functions run as plain
+vector segments (the gates of a fused pre-activation), and a handful of
+reductions. Gradients are recorded on an explicit :class:`Tape` that is
+rebuilt every forward pass, so variable-length sequences need no static
+graph. With no tape active the same functions run as plain
 numpy computations, which is how decoding executes.
 
 Tensors with computed values are treated as immutable and may be shared
@@ -233,13 +234,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def add_all(first: Tensor, *rest: Tensor) -> Tensor:
-    out = first
-    for t in rest:
-        out = add(out, t)
-    return out
-
-
 def one_minus(a: Tensor) -> Tensor:
     return _emit(1.0 - a.data, (a,), lambda g: (-g,))
 
@@ -331,6 +325,19 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts]), parts, back)
 
 
+def segment(v: Tensor, start: int, stop: int) -> Tensor:
+    """Entries start..stop-1 of a vector, e.g. one gate of a fused pre-activation."""
+    if v.ndim != 1 or not 0 <= start < stop <= v.shape[0]:
+        raise DimensionError(f"segment: bad range [{start}, {stop}) for shape {v.shape}")
+
+    def back(g: Array):
+        grad = np.zeros_like(v.data)
+        grad[start:stop] = g
+        return (grad,)
+
+    return _emit(v.data[start:stop].copy(), (v,), back)
+
+
 def stack(rows: Sequence[Tensor]) -> Tensor:
     """Stack equal-length vectors into a matrix, one vector per row."""
     rows = tuple(rows)
@@ -367,12 +374,6 @@ def add_rows(m: Tensor, v: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return _emit(m.data + v.data, (m, v), back)
-
-
-def transpose(m: Tensor) -> Tensor:
-    if m.ndim != 2:
-        raise DimensionError(f"transpose: expected a matrix, got shape {m.shape}")
-    return _emit(np.ascontiguousarray(m.data.T), (m,), lambda g: (g.T,))
 
 
 def take_row(m: Tensor, index: int) -> Tensor:

@@ -21,7 +21,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import DATA_ERRORS, IngestionError, SentsimpError
-from .lexsub import FrequencyTable, load_kb
+from .lexsub import FrequencyTable, identify_and_substitute, load_kb
 from .metrics import EvalTriple, evaluate_corpus, render_csv, render_text
 from .model import Seq2SeqModel
 from .pipeline import (
@@ -227,8 +227,6 @@ def _cmd_kb_check(args) -> int:
         covered = 0
         matches = 0
         rules_fired = set()
-        from .lexsub import identify_and_substitute
-
         for sentence in sentences:
             constraints, _ = identify_and_substitute(
                 sentence, kb, everything_complex, max_constraints=len(sentence)

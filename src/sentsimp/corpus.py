@@ -95,13 +95,6 @@ class Vocabulary:
             for tok in self.kept_tokens():
                 fh.write(tok + "\n")
 
-    @classmethod
-    def load(cls, path: str, max_size: int | None = None) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.strip()]
-        cap = max_size if max_size is not None else len(tokens) + NUM_SPECIALS
-        return cls(tokens, cap)
-
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     """Keep the (max_size - 4) most frequent tokens; ties break lexicographically."""

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor, log_softmax
 from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS, find_block
 from .errors import ConstraintError, ContractError
-from .model import DecoderParams, Seq2SeqModel, decode_step, encode, init_decoder_state
+from .model import DecoderParams, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
 
 @dataclass(frozen=True)
@@ -158,15 +158,18 @@ def _search(
 
     The state starts from the mean annotation; all given tokens but the last
     are teacher-forced (no search, no scoring), and the last one seeds the
-    beam search, which runs until boundary_id or max_new new tokens.
+    beam search, which runs until boundary_id or max_new new tokens. Every
+    step of the stage, the greedy seeding rollout included, shares one set
+    of attention keys.
     """
     annotations, h_mean = encoded
+    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        state, _ = decode_step(tok, state, annotations, params)
+        state, _ = decode_step(tok, state, annotations, keys, params)
 
     def step(prev_token: int, state: Tensor):
-        new_state, logits = decode_step(prev_token, state, annotations, params)
+        new_state, logits = decode_step(prev_token, state, annotations, keys, params)
         return new_state, log_softmax(logits.data)
 
     return beam_search(

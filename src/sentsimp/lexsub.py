@@ -84,12 +84,12 @@ def _parse_row(line: str, lineno: int) -> ParaphraseRule:
         raise IngestionError(f"line {lineno}: {exc}") from None
 
 
-def load_kb(path: str, strict: bool = False) -> KnowledgeBase:
+def load_kb(path: str) -> KnowledgeBase:
     """Load a complex<TAB>simple<TAB>score table.
 
     Bad rows (wrong field count, unparsable or out-of-range score, oversize
     or identical phrases) are collected into KnowledgeBase.rejected with
-    their line numbers; with strict=True the first bad row raises instead.
+    their line numbers.
     """
     rules: list[ParaphraseRule] = []
     rejected: list[tuple[int, str]] = []
@@ -102,8 +102,6 @@ def load_kb(path: str, strict: bool = False) -> KnowledgeBase:
                 try:
                     rules.append(_parse_row(line, lineno))
                 except IngestionError as exc:
-                    if strict:
-                        raise
                     rejected.append((lineno, str(exc)))
     except OSError as exc:
         raise IngestionError(f"cannot read knowledge base: {exc}") from None

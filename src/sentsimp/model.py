@@ -4,10 +4,17 @@ One shared encoder feeds two independently parameterized decoders: a
 backward decoder that generates the tokens before a constraint word in
 reverse, and a forward decoder that continues after it. Decoder states are
 initialized from the mean encoder annotation through a tanh map.
+
+There is one GRU cell, `_gru_step`, with its gate weights fused: the
+encoder runs it on each token's embedding, a decoder on the previous
+token's embedding joined to its attention context. Attention keys depend
+only on the annotations, so each decoder stage computes them once with
+`attention_keys` and passes them to every step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,7 +26,7 @@ from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
 INIT_SCALE = 0.08
-CHECKPOINT_MAGIC = "seq2seq-ckpt v1"
+CHECKPOINT_MAGIC = "seq2seq-ckpt v2"
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,6 @@ class ModelConfig:
     hidden_dim: int
     beam_size: int = 5
     max_decode_len: int = 100
-    share_decoders: bool = False  # one parameter set serving both directions
 
     def __post_init__(self):
         if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.beam_size) < 1:
@@ -47,17 +53,12 @@ class ModelConfig:
 
 @dataclass
 class GruParams:
-    """Gate weights for one recurrent direction: update, reset, candidate."""
+    """One GRU's weights, gates stacked in the order update, reset, candidate."""
 
-    w_z: Tensor
-    w_r: Tensor
-    w_h: Tensor
-    u_z: Tensor
-    u_r: Tensor
-    u_h: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
+    w: Tensor  # (3dim, input): all three gates on the input
+    u_zr: Tensor  # (2dim, dim): update and reset gates on the previous state
+    u_h: Tensor  # (dim, dim): candidate on the reset-gated previous state
+    b: Tensor  # (3dim,)
 
 
 @dataclass
@@ -70,20 +71,9 @@ class EncoderParams:
 @dataclass
 class DecoderParams:
     embedding: Tensor  # (V, E)
-    w_z: Tensor  # (dim, E)
-    w_r: Tensor
-    w_s: Tensor
-    u_z: Tensor  # (dim, dim)
-    u_r: Tensor
-    u_s: Tensor
-    c_z: Tensor  # (dim, 2dim)
-    c_r: Tensor
-    c_s: Tensor
-    b_z: Tensor  # (dim,)
-    b_r: Tensor
-    b_s: Tensor
+    gru: GruParams  # input is [previous embedding; context], E + 2dim wide
     att_w: Tensor  # (dim, dim)
-    att_u: Tensor  # (dim, 2dim)
+    att_u: Tensor  # (2dim, dim)
     att_v: Tensor  # (dim,)
     att_b: Tensor  # (dim,)
     init_w: Tensor  # (dim, 2dim)
@@ -92,53 +82,52 @@ class DecoderParams:
     out_b: Tensor  # (V,)
 
 
-def _uniform(rng: np.random.Generator, shape, name: str) -> Tensor:
-    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True, name=name)
+def _draw(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
-def _zeros(shape, name: str) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True, name=name)
+def _param(data, name: str) -> Tensor:
+    return Tensor(data, requires_grad=True, name=name)
 
 
-def _gru_params(rng, dim: int, emb: int, prefix: str) -> GruParams:
+def _gru_params(rng, dim: int, emb: int, prefix: str, ctx: int = 0) -> GruParams:
+    """Draws the input weights, the recurrent weights, then (for a decoder)
+    the ctx-wide context weights, each stacked over the three gates."""
+    w = _draw(rng, (3 * dim, emb))
+    u = _draw(rng, (3 * dim, dim))
+    if ctx:
+        w = np.hstack([w, _draw(rng, (3 * dim, ctx))])
     return GruParams(
-        w_z=_uniform(rng, (dim, emb), f"{prefix}.w_z"),
-        w_r=_uniform(rng, (dim, emb), f"{prefix}.w_r"),
-        w_h=_uniform(rng, (dim, emb), f"{prefix}.w_h"),
-        u_z=_uniform(rng, (dim, dim), f"{prefix}.u_z"),
-        u_r=_uniform(rng, (dim, dim), f"{prefix}.u_r"),
-        u_h=_uniform(rng, (dim, dim), f"{prefix}.u_h"),
-        b_z=_zeros((dim,), f"{prefix}.b_z"),
-        b_r=_zeros((dim,), f"{prefix}.b_r"),
-        b_h=_zeros((dim,), f"{prefix}.b_h"),
+        w=_param(w, f"{prefix}.w"),
+        u_zr=_param(u[: 2 * dim], f"{prefix}.u_zr"),
+        u_h=_param(u[2 * dim :], f"{prefix}.u_h"),
+        b=_param(np.zeros(3 * dim), f"{prefix}.b"),
     )
 
 
 def _decoder_params(rng, cfg: ModelConfig, prefix: str) -> DecoderParams:
     v, e, d = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
     return DecoderParams(
-        embedding=_uniform(rng, (v, e), f"{prefix}.embedding"),
-        w_z=_uniform(rng, (d, e), f"{prefix}.w_z"),
-        w_r=_uniform(rng, (d, e), f"{prefix}.w_r"),
-        w_s=_uniform(rng, (d, e), f"{prefix}.w_s"),
-        u_z=_uniform(rng, (d, d), f"{prefix}.u_z"),
-        u_r=_uniform(rng, (d, d), f"{prefix}.u_r"),
-        u_s=_uniform(rng, (d, d), f"{prefix}.u_s"),
-        c_z=_uniform(rng, (d, 2 * d), f"{prefix}.c_z"),
-        c_r=_uniform(rng, (d, 2 * d), f"{prefix}.c_r"),
-        c_s=_uniform(rng, (d, 2 * d), f"{prefix}.c_s"),
-        b_z=_zeros((d,), f"{prefix}.b_z"),
-        b_r=_zeros((d,), f"{prefix}.b_r"),
-        b_s=_zeros((d,), f"{prefix}.b_s"),
-        att_w=_uniform(rng, (d, d), f"{prefix}.att_w"),
-        att_u=_uniform(rng, (d, 2 * d), f"{prefix}.att_u"),
-        att_v=_uniform(rng, (d,), f"{prefix}.att_v"),
-        att_b=_zeros((d,), f"{prefix}.att_b"),
-        init_w=_uniform(rng, (d, 2 * d), f"{prefix}.init_w"),
-        init_b=_zeros((d,), f"{prefix}.init_b"),
-        out_w=_uniform(rng, (v, e + 3 * d), f"{prefix}.out_w"),
-        out_b=_zeros((v,), f"{prefix}.out_b"),
+        embedding=_param(_draw(rng, (v, e)), f"{prefix}.embedding"),
+        gru=_gru_params(rng, d, e, f"{prefix}.gru", ctx=2 * d),
+        att_w=_param(_draw(rng, (d, d)), f"{prefix}.att_w"),
+        att_u=_param(_draw(rng, (d, 2 * d)).T, f"{prefix}.att_u"),
+        att_v=_param(_draw(rng, (d,)), f"{prefix}.att_v"),
+        att_b=_param(np.zeros(d), f"{prefix}.att_b"),
+        init_w=_param(_draw(rng, (d, 2 * d)), f"{prefix}.init_w"),
+        init_b=_param(np.zeros(d), f"{prefix}.init_b"),
+        out_w=_param(_draw(rng, (v, e + 3 * d)), f"{prefix}.out_w"),
+        out_b=_param(np.zeros(v), f"{prefix}.out_b"),
     )
+
+
+def _named_tensors(prefix: str, params) -> Iterator[tuple[str, Tensor]]:
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            yield f"{prefix}.{f.name}", value
+        else:
+            yield from _named_tensors(f"{prefix}.{f.name}", value)
 
 
 @dataclass
@@ -151,14 +140,12 @@ class Seq2SeqModel:
     @classmethod
     def create(cls, config: ModelConfig, seed: int = 0) -> "Seq2SeqModel":
         rng = np.random.default_rng(seed)
+        d, e = config.hidden_dim, config.embed_dim
         encoder = EncoderParams(
-            embedding=_uniform(rng, (config.vocab_size, config.embed_dim), "encoder.embedding"),
-            fwd=_gru_params(rng, config.hidden_dim, config.embed_dim, "encoder.fwd"),
-            bwd=_gru_params(rng, config.hidden_dim, config.embed_dim, "encoder.bwd"),
+            embedding=_param(_draw(rng, (config.vocab_size, e)), "encoder.embedding"),
+            fwd=_gru_params(rng, d, e, "encoder.fwd"),
+            bwd=_gru_params(rng, d, e, "encoder.bwd"),
         )
-        if config.share_decoders:
-            shared = _decoder_params(rng, config, "decoder")
-            return cls(config=config, encoder=encoder, backward_decoder=shared, forward_decoder=shared)
         return cls(
             config=config,
             encoder=encoder,
@@ -167,21 +154,9 @@ class Seq2SeqModel:
         )
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "encoder.embedding", self.encoder.embedding
-        for direction, gru in (("fwd", self.encoder.fwd), ("bwd", self.encoder.bwd)):
-            for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-                yield f"encoder.{direction}.{name}", getattr(gru, name)
-        if self.config.share_decoders:
-            sides = (("decoder", self.backward_decoder),)
-        else:
-            sides = (("backward", self.backward_decoder), ("forward", self.forward_decoder))
-        for side, dec in sides:
-            for name in (
-                "embedding", "w_z", "w_r", "w_s", "u_z", "u_r", "u_s",
-                "c_z", "c_r", "c_s", "b_z", "b_r", "b_s",
-                "att_w", "att_u", "att_v", "att_b", "init_w", "init_b", "out_w", "out_b",
-            ):
-                yield f"{side}.{name}", getattr(dec, name)
+        yield from _named_tensors("encoder", self.encoder)
+        yield from _named_tensors("backward", self.backward_decoder)
+        yield from _named_tensors("forward", self.forward_decoder)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -191,12 +166,14 @@ class Seq2SeqModel:
             t.zero_grad()
 
 
-def _gru_step(embedded: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    z = ad.sigmoid(ad.add_all(ad.matmul(p.w_z, embedded), ad.matmul(p.u_z, h_prev), p.b_z))
-    r = ad.sigmoid(ad.add_all(ad.matmul(p.w_r, embedded), ad.matmul(p.u_r, h_prev), p.b_r))
-    h_tilde = ad.tanh(
-        ad.add_all(ad.matmul(p.w_h, embedded), ad.matmul(p.u_h, ad.mul(r, h_prev)), p.b_h)
-    )
+def _gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
+    """h = (1 - z) * h_prev + z * tanh(W_h x + U_h (r * h_prev) + b_h), with
+    the update and reset gates [z; r] = sigmoid(W_zr x + U_zr h_prev + b_zr)."""
+    d = h_prev.shape[0]
+    gx = ad.add(ad.matmul(p.w, x), p.b)
+    zr = ad.sigmoid(ad.add(ad.segment(gx, 0, 2 * d), ad.matmul(p.u_zr, h_prev)))
+    z, r = ad.segment(zr, 0, d), ad.segment(zr, d, 2 * d)
+    h_tilde = ad.tanh(ad.add(ad.segment(gx, 2 * d, 3 * d), ad.matmul(p.u_h, ad.mul(r, h_prev))))
     return ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
 
 
@@ -209,7 +186,7 @@ def encode(source: Sequence[int], params: EncoderParams) -> tuple[Tensor, Tensor
     """
     if len(source) == 0:
         raise ContractError("cannot encode an empty source")
-    dim = params.fwd.b_z.shape[0]
+    dim = params.fwd.u_h.shape[0]
     embedded = [ad.take_row(params.embedding, tok) for tok in source]
 
     h = ad.zeros((dim,))
@@ -233,10 +210,16 @@ def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
     return ad.tanh(ad.add(ad.matmul(params.init_w, h_mean), params.init_b))
 
 
-def attend(s_prev: Tensor, annotations: Tensor, params: DecoderParams) -> tuple[Tensor, Tensor]:
+def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
+    """U_a h_j for every annotation row (n x dim); fixed for a whole stage."""
+    return ad.matmul(annotations, params.att_u)
+
+
+def attend(
+    s_prev: Tensor, annotations: Tensor, keys: Tensor, params: DecoderParams
+) -> tuple[Tensor, Tensor]:
     """Additive-attention context vector (2dim,) and weights (n,)."""
     query = ad.add(ad.matmul(params.att_w, s_prev), params.att_b)
-    keys = ad.matmul(annotations, ad.transpose(params.att_u))  # (n, dim)
     energies = ad.matmul(ad.tanh(ad.add_rows(keys, query)), params.att_v)  # (n,)
     alpha = ad.softmax(energies)
     context = ad.matmul(alpha, annotations)
@@ -247,39 +230,17 @@ def decode_step(
     prev_token: int,
     s_prev: Tensor,
     annotations: Tensor,
+    keys: Tensor,
     params: DecoderParams,
 ) -> tuple[Tensor, Tensor]:
     """One decoder update: new state (dim,) and next-token logits (V,).
 
-    The next-token distribution is the softmax of the logits.
+    keys are `attention_keys(annotations, params)`. The next-token
+    distribution is the softmax of the logits.
     """
     e_prev = ad.take_row(params.embedding, prev_token)
-    context, _ = attend(s_prev, annotations, params)
-    z = ad.sigmoid(
-        ad.add_all(
-            ad.matmul(params.w_z, e_prev),
-            ad.matmul(params.u_z, s_prev),
-            ad.matmul(params.c_z, context),
-            params.b_z,
-        )
-    )
-    r = ad.sigmoid(
-        ad.add_all(
-            ad.matmul(params.w_r, e_prev),
-            ad.matmul(params.u_r, s_prev),
-            ad.matmul(params.c_r, context),
-            params.b_r,
-        )
-    )
-    s_tilde = ad.tanh(
-        ad.add_all(
-            ad.matmul(params.w_s, e_prev),
-            ad.matmul(params.u_s, ad.mul(r, s_prev)),
-            ad.matmul(params.c_s, context),
-            params.b_s,
-        )
-    )
-    s = ad.add(ad.mul(ad.one_minus(z), s_prev), ad.mul(z, s_tilde))
+    context, _ = attend(s_prev, annotations, keys, params)
+    s = _gru_step(ad.concat([e_prev, context]), s_prev, params.gru)
     features = ad.concat([e_prev, s, context])
     logits = ad.add(ad.matmul(params.out_w, features), params.out_b)
     return s, logits
@@ -302,7 +263,6 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC + "\n")
         for key in ("vocab_size", "embed_dim", "hidden_dim", "beam_size", "max_decode_len"):
             fh.write(f"config {key} {getattr(cfg, key)}\n")
-        fh.write(f"config share_decoders {int(cfg.share_decoders)}\n")
         if freq_threshold is not None:
             fh.write(f"config freq_threshold {freq_threshold!r}\n")
         fh.write(f"vocab {len(vocab_tokens)}\n")
@@ -335,79 +295,78 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a `save_checkpoint` file into a fresh model.
+
+    A missing, truncated or corrupt file raises CheckpointError; a parse
+    failure names the path and the 1-based line.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_MAGIC!r} file")
 
-    pos = 1
-    config_kv: dict[str, str] = {}
-    while pos < len(lines) and lines[pos].startswith("config "):
-        _, key, value = lines[pos].split(" ", 2)
-        config_kv[key] = value
+    pos = 0  # index of the line being parsed
+
+    def next_line() -> str:
+        nonlocal pos
+        if pos + 1 >= len(lines):
+            raise ValueError("unexpected end of file")
         pos += 1
+        return lines[pos]
+
+    def section(word: str) -> int:
+        fields = next_line().split(" ")
+        if len(fields) != 2 or fields[0] != word or int(fields[1]) < 0:
+            raise ValueError(f"expected '{word} <count>'")
+        return int(fields[1])
+
     try:
+        config_kv: dict[str, str] = {}
+        while pos + 1 < len(lines) and lines[pos + 1].startswith("config "):
+            _, key, value = next_line().split(" ", 2)
+            config_kv[key] = value
+        absent = [k for k in ("vocab_size", "embed_dim", "hidden_dim") if k not in config_kv]
+        if absent:
+            raise ValueError(f"missing config {absent}")
         cfg = ModelConfig(
             vocab_size=int(config_kv["vocab_size"]),
             embed_dim=int(config_kv["embed_dim"]),
             hidden_dim=int(config_kv["hidden_dim"]),
             beam_size=int(config_kv.get("beam_size", 5)),
             max_decode_len=int(config_kv.get("max_decode_len", 100)),
-            share_decoders=bool(int(config_kv.get("share_decoders", 0))),
         )
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"bad config block in {path}: {exc}") from None
-    freq_threshold = (
-        float(config_kv["freq_threshold"]) if "freq_threshold" in config_kv else None
-    )
+        freq_threshold = (
+            float(config_kv["freq_threshold"]) if "freq_threshold" in config_kv else None
+        )
+        vocab_tokens = [next_line() for _ in range(section("vocab"))]
+        freq_counts: dict[str, int] = {}
+        for _ in range(section("freq")):
+            tok, count = next_line().rsplit(" ", 1)
+            freq_counts[tok] = int(count)
 
-    def expect(prefix: str) -> list[str]:
-        nonlocal pos
-        if pos >= len(lines) or not lines[pos].startswith(prefix + " "):
-            raise CheckpointError(f"expected {prefix!r} section at line {pos + 1} of {path}")
-        parts = lines[pos].split(" ")
-        pos += 1
-        return parts
-
-    vocab_count = int(expect("vocab")[1])
-    vocab_tokens = lines[pos : pos + vocab_count]
-    pos += vocab_count
-
-    freq_count = int(expect("freq")[1])
-    freq_counts: dict[str, int] = {}
-    for line in lines[pos : pos + freq_count]:
-        tok, count = line.rsplit(" ", 1)
-        freq_counts[tok] = int(count)
-    pos += freq_count
-
-    model = Seq2SeqModel.create(cfg, seed=0)
-    expected = dict(model.named_parameters())
-    seen = set()
-    while pos < len(lines) and lines[pos] != "end":
-        parts = lines[pos].split(" ")
-        if parts[0] != "param":
-            raise CheckpointError(f"unexpected line {pos + 1} in {path}: {lines[pos][:40]!r}")
-        name = parts[1]
-        shape = tuple(int(d) for d in parts[2:])
-        if name not in expected:
-            raise CheckpointError(f"unknown parameter {name!r} in {path}")
-        target = expected[name]
-        if shape != target.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {shape}, expected {target.shape}"
-            )
-        pos += 1
-        values = np.array([float(v) for v in lines[pos].split()], dtype=np.float64)
-        if values.size != target.size:
-            raise CheckpointError(f"parameter {name!r} has {values.size} values, expected {target.size}")
-        target.data = values.reshape(shape)
-        seen.add(name)
-        pos += 1
-    if pos >= len(lines) or lines[pos] != "end":
-        raise CheckpointError(f"missing end marker in {path}")
+        model = Seq2SeqModel.create(cfg, seed=0)
+        expected = dict(model.named_parameters())
+        seen = set()
+        while (header := next_line()) != "end":
+            kind, name, *dims = header.split(" ")
+            if kind != "param" or name not in expected:
+                raise ValueError(f"unexpected line {header[:40]!r}")
+            target = expected[name]
+            shape = tuple(int(d) for d in dims)
+            if shape != target.shape:
+                raise ValueError(f"parameter {name!r} has shape {shape}, expected {target.shape}")
+            values = np.array([float(v) for v in next_line().split()], dtype=np.float64)
+            if values.size != target.size:
+                raise ValueError(f"parameter {name!r} has {values.size} values, expected {target.size}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"parameter {name!r} has non-finite values")
+            target.data = values.reshape(shape)
+            seen.add(name)
+    except (ValueError, ContractError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path} at line {pos + 1}: {exc}") from None
     missing = set(expected) - seen
     if missing:
         raise CheckpointError(f"checkpoint {path} is missing parameters: {sorted(missing)[:3]}")

@@ -36,7 +36,6 @@ class PipelineConfig:
     hidden_dim: int = 128
     beam: int = 5
     max_decode_len: int = 100
-    share_decoders: int = 0  # 1: one decoder parameter set for both directions
     # training
     epochs: int = 10
     batch_size: int = 16
@@ -60,7 +59,6 @@ class PipelineConfig:
             hidden_dim=self.hidden_dim,
             beam_size=self.beam,
             max_decode_len=self.max_decode_len,
-            share_decoders=bool(self.share_decoders),
         )
 
     def train_config(self) -> TrainConfig:
@@ -83,7 +81,6 @@ _RANGE_CHECKS = {
     "hidden_dim": lambda v: v >= 1,
     "beam": lambda v: v >= 1,
     "max_decode_len": lambda v: v >= 2,
-    "share_decoders": lambda v: v in (0, 1),
     "epochs": lambda v: v >= 0,
     "batch_size": lambda v: v >= 1,
     "rho": lambda v: 0.0 < v < 1.0,

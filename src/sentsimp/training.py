@@ -26,7 +26,7 @@ from .autodiff import Tape, Tensor
 from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary, find_block
 from .errors import ContractError, TrainingError
 from .lexsub import FrequencyTable, KnowledgeBase
-from .model import Seq2SeqModel, decode_step, encode, init_decoder_state, save_checkpoint
+from .model import Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state, save_checkpoint
 
 _PUNCT_SET = set(PUNCTUATION)
 
@@ -153,20 +153,22 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
 
     # backward pass: inputs target[s-1], target[s-2], ..., target[0]
     params = model.backward_decoder
+    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     inputs = [target[i] for i in range(position - 1, -1, -1)]
     predictions = inputs[1:] + [BOS_ID]
     for prev, expected in zip(inputs, predictions):
-        state, logits = decode_step(prev, state, annotations, params)
+        state, logits = decode_step(prev, state, annotations, keys, params)
         total = ad.add(total, ad.nll(logits, expected))
 
     # forward pass: inputs BOS, target[0], ..., target[m-1]
     params = model.forward_decoder
+    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     inputs = [BOS_ID, *target]
     predictions = [*target, EOS_ID]
     for step, (prev, expected) in enumerate(zip(inputs, predictions)):
-        state, logits = decode_step(prev, state, annotations, params)
+        state, logits = decode_step(prev, state, annotations, keys, params)
         if step >= position:  # the prefix y_1..y_s is given, not predicted
             total = ad.add(total, ad.nll(logits, expected))
     return total

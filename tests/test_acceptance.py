@@ -15,7 +15,7 @@ from sentsimp.decoding import _search, decode_multi
 from sentsimp.gradcheck import finite_difference, max_relative_error
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
-from sentsimp.model import ModelConfig, Seq2SeqModel, decode_step, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 from sentsimp.autodiff import Tape, softmax
 from sentsimp.training import TrainConfig, select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
@@ -149,8 +149,10 @@ def test_criterion_5_beam_equals_exhaustive_search():
         annotations, h_mean = encode(source, model.encoder)
 
         def stepper(params):
+            keys = attention_keys(annotations, params)
+
             def step(prev, state):
-                new_state, logits = decode_step(prev, state, annotations, params)
+                new_state, logits = decode_step(prev, state, annotations, keys, params)
                 return new_state, softmax(logits).data
             return step
 
@@ -165,7 +167,8 @@ def test_criterion_5_beam_equals_exhaustive_search():
 
         forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size, 0.0)
         state = init_decoder_state(h_mean, model.forward_decoder)
-        state, _ = decode_step(BOS_ID, state, annotations, model.forward_decoder)
+        keys = attention_keys(annotations, model.forward_decoder)
+        state, _ = decode_step(BOS_ID, state, annotations, keys, model.forward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.forward_decoder), state, 4, EOS_ID,
             [i for i in range(5) if i != EOS_ID], max_new=3,

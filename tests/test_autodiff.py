@@ -193,7 +193,21 @@ def test_concat_stack_mean_add_rows_take_row_values():
     assert ad.mean_rows(m).tolist() == [2.0, 3.0]
     assert ad.add_rows(m, ad.Tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
     assert ad.take_row(m, 1).tolist() == [3.0, 4.0]
-    assert ad.transpose(m).tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+
+def test_segment_value_gradient_and_range_checks():
+    v = rnd((6,), seed=4)
+    assert ad.segment(v, 2, 5).tolist() == v.data[2:5].tolist()
+
+    def loss():
+        return ad.tsum(ad.mul(ad.segment(v, 1, 4), ad.segment(v, 3, 6)))
+
+    assert check_gradients(loss, [v]) < 1e-4
+    for start, stop in ((3, 3), (4, 2), (-1, 2), (0, 7)):
+        with pytest.raises(DimensionError):
+            ad.segment(v, start, stop)
+    with pytest.raises(DimensionError):
+        ad.segment(ad.Tensor([[1.0, 2.0]]), 0, 1)
 
 
 def test_structural_gradients():
@@ -204,7 +218,7 @@ def test_structural_gradients():
     def loss():
         rows = ad.add_rows(m, v)
         picked = ad.take_row(rows, 0)
-        mixed = ad.concat([picked, ad.mean_rows(ad.transpose(rows)), w])
+        mixed = ad.concat([picked, ad.segment(ad.mean_rows(rows), 1, 3), w])
         return ad.tsum(ad.mul(mixed, mixed))
 
     assert check_gradients(loss, [m, v, w]) < 1e-4
@@ -299,11 +313,13 @@ def test_composite_gru_like_gradcheck():
     h_prev = ad.Tensor(rng.uniform(-1, 1, size=dim))
 
     def loss():
-        z = ad.sigmoid(ad.add_all(ad.matmul(params["w_z"], e), ad.matmul(params["u_z"], h_prev), params["b_z"]))
-        r = ad.sigmoid(ad.add_all(ad.matmul(params["w_r"], e), ad.matmul(params["u_r"], h_prev), params["b_r"]))
-        h_tilde = ad.tanh(
-            ad.add_all(ad.matmul(params["w_h"], e), ad.matmul(params["u_h"], ad.mul(r, h_prev)), params["b_h"])
-        )
+        def gate(name, state):
+            pre = ad.add(ad.matmul(params[f"w_{name}"], e), ad.matmul(params[f"u_{name}"], state))
+            return ad.add(pre, params[f"b_{name}"])
+
+        z = ad.sigmoid(gate("z", h_prev))
+        r = ad.sigmoid(gate("r", h_prev))
+        h_tilde = ad.tanh(gate("h", ad.mul(r, h_prev)))
         h = ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
         return ad.tsum(ad.mul(h, h))
 

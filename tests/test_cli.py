@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sentsimp.cli import main
-from sentsimp.model import load_checkpoint
+from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.toydata import build_toy_corpus
 
 
@@ -105,6 +105,21 @@ def test_simplify_missing_checkpoint_is_model_error(tmp_path):
     input_file.write_text("hello\n", encoding="utf-8")
     code = main(["simplify", "--model", str(tmp_path / "nope.ckpt"), "--input", str(input_file)])
     assert code == 3
+
+
+def test_simplify_truncated_checkpoint_is_model_error(tmp_path, capsys):
+    # cut just after the last parameter header, before its value line
+    ckpt = tmp_path / "cut.ckpt"
+    save_checkpoint(str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)))
+    lines = ckpt.read_text(encoding="utf-8").splitlines()
+    last_header = max(i for i, line in enumerate(lines) if line.startswith("param "))
+    ckpt.write_text("".join(line + "\n" for line in lines[: last_header + 1]), encoding="utf-8")
+    input_file = tmp_path / "in.txt"
+    input_file.write_text("hello\n", encoding="utf-8")
+    code = main(["simplify", "--model", str(ckpt), "--input", str(input_file)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and str(ckpt) in err
 
 
 def test_evaluate_text_and_csv(tmp_path, capsys):

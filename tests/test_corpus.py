@@ -123,9 +123,11 @@ def test_vocab_file_roundtrip(tmp_path):
     vocab = build_vocab([["one", "two", "three"]], max_size=10)
     path = tmp_path / "vocab.txt"
     vocab.save(path)
-    loaded = Vocabulary.load(path, max_size=10)
-    assert loaded.kept_tokens() == vocab.kept_tokens()
-    assert loaded.lookup("two") == vocab.lookup("two")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == vocab.kept_tokens()
+    for index, tok in enumerate(lines):  # 0-based line index is id minus 4
+        assert vocab.lookup(tok) == index + 4
+    assert Vocabulary(lines, max_size=10).kept_tokens() == vocab.kept_tokens()
 
 
 # ---------------------------------------------------------------- parallel loading

@@ -7,7 +7,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, UNK_ID
 from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, decode_multi
 from sentsimp.errors import ConstraintError, ContractError
-from sentsimp.model import ModelConfig, Seq2SeqModel, decode_step, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
 from oracles import exhaustive_best
 
@@ -52,13 +52,14 @@ def greedy_rollout(source, prefix, model, boundary, max_new):
     """Independent argmax chain used to pin down beam-1 semantics."""
     annotations, h_mean = encode(source, model.encoder)
     params = model.forward_decoder if boundary == EOS_ID else model.backward_decoder
+    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in prefix[:-1]:
-        state, _ = decode_step(tok, state, annotations, params)
+        state, _ = decode_step(tok, state, annotations, keys, params)
     prev = prefix[-1]
     out = []
     for _ in range(max_new):
-        state, logits = decode_step(prev, state, annotations, params)
+        state, logits = decode_step(prev, state, annotations, keys, params)
         prev = int(np.argmax(logits.data))
         if prev == boundary:
             break
@@ -105,14 +106,15 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         (model.backward_decoder, [4], backward, BOS_ID, trace.backward_log_prob),
         (model.forward_decoder, [BOS_ID, *prefix], forward, EOS_ID, trace.forward_log_prob),
     ):
+        keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         for tok in given[:-1]:
-            state, _ = decode_step(tok, state, annotations, params)
+            state, _ = decode_step(tok, state, annotations, keys, params)
         prev = given[-1]
         running = 0.0
         partials = []
         for tok in [*generated, boundary]:
-            state, logits = decode_step(prev, state, annotations, params)
+            state, logits = decode_step(prev, state, annotations, keys, params)
             running += float(np.log(ad.softmax(logits).data[tok]))
             partials.append(running)
             prev = tok
@@ -147,12 +149,13 @@ def test_decode_determinism():
 
 def _oracle_setup(model, params, source, seed_tokens):
     annotations, h_mean = encode(source, model.encoder)
+    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in seed_tokens[:-1]:
-        state, _ = decode_step(tok, state, annotations, params)
+        state, _ = decode_step(tok, state, annotations, keys, params)
 
     def step_fn(prev, st):
-        new_state, logits = decode_step(prev, st, annotations, params)
+        new_state, logits = decode_step(prev, st, annotations, keys, params)
         return new_state, ad.softmax(logits).data
 
     return step_fn, state, seed_tokens[-1]

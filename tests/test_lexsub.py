@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentsimp.errors import ContractError, IngestionError
+from sentsimp.errors import ContractError
 from sentsimp.lexsub import (
     Constraint,
     ConstraintSet,
@@ -61,12 +61,13 @@ def test_load_kb_rejects_bad_rows(tmp_path):
     assert [lineno for lineno, _ in kb.rejected] == [1, 2, 4]
 
 
-def test_load_kb_strict_raises_with_line_number(tmp_path):
+def test_load_kb_rejection_reason_names_line_number(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("good\tfine\t0.5\nhub\tcenter\n", encoding="utf-8")
-    with pytest.raises(IngestionError) as err:
-        load_kb(str(path), strict=True)
-    assert "line 2" in str(err.value)
+    kb = load_kb(str(path))
+    [(lineno, reason)] = kb.rejected
+    assert lineno == 2
+    assert "line 2" in reason
 
 
 # ---------------------------------------------------------------- frequency table

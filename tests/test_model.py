@@ -9,6 +9,7 @@ from sentsimp.model import (
     ModelConfig,
     Seq2SeqModel,
     attend,
+    attention_keys,
     decode_step,
     encode,
     init_decoder_state,
@@ -27,22 +28,32 @@ def model():
 
 
 def gru_as_dict(gru):
+    """The per-gate matrices sliced out of the fused blocks, named as the oracle expects."""
+    d = gru.u_h.shape[0]
+    w, u_zr, b = gru.w.data, gru.u_zr.data, gru.b.data
     return {
-        "w_z": gru.w_z.tolist(), "u_z": gru.u_z.tolist(), "b_z": gru.b_z.tolist(),
-        "w_r": gru.w_r.tolist(), "u_r": gru.u_r.tolist(), "b_r": gru.b_r.tolist(),
-        "w_h": gru.w_h.tolist(), "u_h": gru.u_h.tolist(), "b_h": gru.b_h.tolist(),
+        "w_z": w[:d].tolist(), "u_z": u_zr[:d].tolist(), "b_z": b[:d].tolist(),
+        "w_r": w[d : 2 * d].tolist(), "u_r": u_zr[d:].tolist(), "b_r": b[d : 2 * d].tolist(),
+        "w_h": w[2 * d :].tolist(), "u_h": gru.u_h.tolist(), "b_h": b[2 * d :].tolist(),
     }
 
 
 def decoder_as_dict(dec):
-    return {
-        "w_z": dec.w_z.tolist(), "u_z": dec.u_z.tolist(), "c_z": dec.c_z.tolist(), "b_z": dec.b_z.tolist(),
-        "w_r": dec.w_r.tolist(), "u_r": dec.u_r.tolist(), "c_r": dec.c_r.tolist(), "b_r": dec.b_r.tolist(),
-        "w_s": dec.w_s.tolist(), "u_s": dec.u_s.tolist(), "c_s": dec.c_s.tolist(), "b_s": dec.b_s.tolist(),
-        "att": {"w": dec.att_w.tolist(), "u": dec.att_u.tolist(), "b": dec.att_b.tolist(), "v": dec.att_v.tolist()},
-        "out_w": dec.out_w.tolist(),
-        "out_b": dec.out_b.tolist(),
-    }
+    """As gru_as_dict, with each gate's input block split into the embedding
+    part (w_*) and the context part (c_*); the candidate gate is named s."""
+    e = dec.embedding.shape[1]
+    gates = gru_as_dict(dec.gru)
+    out = {}
+    for gate, name in (("z", "z"), ("r", "r"), ("h", "s")):
+        w = np.array(gates[f"w_{gate}"])
+        out[f"w_{name}"] = w[:, :e].tolist()
+        out[f"c_{name}"] = w[:, e:].tolist()
+        out[f"u_{name}"] = gates[f"u_{gate}"]
+        out[f"b_{name}"] = gates[f"b_{gate}"]
+    out["att"] = {"w": dec.att_w.tolist(), "u": dec.att_u.data.T.tolist(), "b": dec.att_b.tolist(), "v": dec.att_v.tolist()}
+    out["out_w"] = dec.out_w.tolist()
+    out["out_b"] = dec.out_b.tolist()
+    return out
 
 
 # ---------------------------------------------------------------- shapes / config
@@ -58,39 +69,71 @@ def test_config_validation():
 def test_parameter_shapes(model):
     v, e, d = TINY.vocab_size, TINY.embed_dim, TINY.hidden_dim
     shapes = {name: t.shape for name, t in model.named_parameters()}
+    assert len(shapes) == 35
     assert shapes["encoder.embedding"] == (v, e)
-    assert shapes["encoder.fwd.w_z"] == (d, e)
-    assert shapes["encoder.bwd.u_h"] == (d, d)
+    for direction in ("fwd", "bwd"):
+        assert shapes[f"encoder.{direction}.w"] == (3 * d, e)
+        assert shapes[f"encoder.{direction}.u_zr"] == (2 * d, d)
+        assert shapes[f"encoder.{direction}.u_h"] == (d, d)
+        assert shapes[f"encoder.{direction}.b"] == (3 * d,)
     for side in ("backward", "forward"):
-        assert shapes[f"{side}.c_z"] == (d, 2 * d)
-        assert shapes[f"{side}.att_u"] == (d, 2 * d)
+        assert shapes[f"{side}.gru.w"] == (3 * d, e + 2 * d)
+        assert shapes[f"{side}.gru.u_zr"] == (2 * d, d)
+        assert shapes[f"{side}.gru.u_h"] == (d, d)
+        assert shapes[f"{side}.gru.b"] == (3 * d,)
+        assert shapes[f"{side}.att_u"] == (2 * d, d)
         assert shapes[f"{side}.init_w"] == (d, 2 * d)
         assert shapes[f"{side}.out_w"] == (v, e + d + 2 * d)
     assert all(t.requires_grad for t in model.parameters())
 
 
 def test_decoders_are_independent(model):
-    a = model.backward_decoder.w_z.data
-    b = model.forward_decoder.w_z.data
+    a = model.backward_decoder.gru.w.data
+    b = model.forward_decoder.gru.w.data
     assert not np.array_equal(a, b)
 
 
-def test_shared_decoders_option(tmp_path):
-    import dataclasses
+@pytest.mark.parametrize("dims, seed", [((9, 2, 3), 0), ((9, 2, 3), 5), ((9, 2, 3), 13), ((40, 16, 32), 5)])
+def test_seeded_init_equals_stacked_per_gate_draws(dims, seed):
+    # redraw the per-gate layout (one matrix per gate, drawn gate by gate)
+    # and check every fused tensor is exactly those draws stacked
+    v, e, d = dims
+    model = Seq2SeqModel.create(ModelConfig(vocab_size=v, embed_dim=e, hidden_dim=d), seed=seed)
+    rng = np.random.default_rng(seed)
 
-    cfg = dataclasses.replace(TINY, share_decoders=True)
-    model = Seq2SeqModel.create(cfg, seed=5)
-    assert model.backward_decoder is model.forward_decoder
-    names = [name for name, _ in model.named_parameters()]
-    assert sum(name.startswith("decoder.") for name in names) == 21
-    assert not any(name.startswith(("backward.", "forward.")) for name in names)
+    def draw(*shape):
+        return rng.uniform(-0.08, 0.08, size=shape)
 
-    path = tmp_path / "shared.ckpt"
-    save_checkpoint(str(path), model)
-    loaded = load_checkpoint(str(path)).model
-    assert loaded.config.share_decoders
-    assert loaded.backward_decoder is loaded.forward_decoder
-    assert np.array_equal(loaded.backward_decoder.w_z.data, model.backward_decoder.w_z.data)
+    def gates(*shape):  # update, reset, candidate
+        return [draw(*shape) for _ in range(3)]
+
+    expected = {"encoder.embedding": draw(v, e)}
+    for direction in ("fwd", "bwd"):
+        w, u = gates(d, e), gates(d, d)
+        expected[f"encoder.{direction}.w"] = np.vstack(w)
+        expected[f"encoder.{direction}.u_zr"] = np.vstack(u[:2])
+        expected[f"encoder.{direction}.u_h"] = u[2]
+        expected[f"encoder.{direction}.b"] = np.zeros(3 * d)
+    for side in ("backward", "forward"):
+        expected[f"{side}.embedding"] = draw(v, e)
+        w, u, c = gates(d, e), gates(d, d), gates(d, 2 * d)
+        expected[f"{side}.gru.w"] = np.hstack([np.vstack(w), np.vstack(c)])
+        expected[f"{side}.gru.u_zr"] = np.vstack(u[:2])
+        expected[f"{side}.gru.u_h"] = u[2]
+        expected[f"{side}.gru.b"] = np.zeros(3 * d)
+        expected[f"{side}.att_w"] = draw(d, d)
+        expected[f"{side}.att_u"] = draw(d, 2 * d).T
+        expected[f"{side}.att_v"] = draw(d)
+        expected[f"{side}.att_b"] = np.zeros(d)
+        expected[f"{side}.init_w"] = draw(d, 2 * d)
+        expected[f"{side}.init_b"] = np.zeros(d)
+        expected[f"{side}.out_w"] = draw(v, e + 3 * d)
+        expected[f"{side}.out_b"] = np.zeros(v)
+
+    got = dict(model.named_parameters())
+    assert list(got) == list(expected)
+    for name, want in expected.items():
+        assert np.array_equal(got[name].data, want), name
 
 
 def test_seeded_init_is_reproducible():
@@ -149,7 +192,7 @@ def test_attend_identical_annotations_uniform(model):
     row = np.linspace(-0.5, 0.5, 6)
     H = ad.Tensor(np.tile(row, (4, 1)))
     s = ad.Tensor(np.zeros(3))
-    context, alpha = attend(s, H, dec)
+    context, alpha = attend(s, H, attention_keys(H, dec), dec)
     assert np.allclose(alpha.data, 0.25, atol=1e-12)
     assert np.allclose(context.data, row, atol=1e-12)
 
@@ -157,7 +200,8 @@ def test_attend_identical_annotations_uniform(model):
 def test_attend_single_annotation(model):
     H, _ = encode([5], model.encoder)
     s = ad.Tensor(np.zeros(3))
-    context, alpha = attend(s, H, model.backward_decoder)
+    dec = model.backward_decoder
+    context, alpha = attend(s, H, attention_keys(H, dec), dec)
     assert alpha.tolist() == [1.0]
     assert np.allclose(context.data, H.data[0], atol=1e-15)
 
@@ -166,7 +210,8 @@ def test_attend_matches_scalar_loop_oracle(model):
     H, _ = encode([4, 6, 8], model.encoder)
     rng = np.random.default_rng(3)
     s = ad.Tensor(rng.uniform(-1, 1, size=3))
-    context, alpha = attend(s, H, model.forward_decoder)
+    dec = model.forward_decoder
+    context, alpha = attend(s, H, attention_keys(H, dec), dec)
     ctx_o, alpha_o = attention_loops(s.tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
     assert np.allclose(alpha.data, alpha_o, atol=1e-12)
     assert np.allclose(context.data, ctx_o, atol=1e-12)
@@ -175,10 +220,11 @@ def test_attend_matches_scalar_loop_oracle(model):
 def test_attend_permutation_covariant(model):
     H, _ = encode([4, 5, 6, 7], model.encoder)
     s = ad.Tensor(np.random.default_rng(9).uniform(-1, 1, size=3))
-    context, alpha = attend(s, H, model.forward_decoder)
+    dec = model.forward_decoder
+    context, alpha = attend(s, H, attention_keys(H, dec), dec)
     perm = [2, 0, 3, 1]
     H_perm = ad.Tensor(H.data[perm])
-    context_p, alpha_p = attend(s, H_perm, model.forward_decoder)
+    context_p, alpha_p = attend(s, H_perm, attention_keys(H_perm, dec), dec)
     assert np.allclose(alpha_p.data, alpha.data[perm], atol=1e-12)
     assert np.allclose(context_p.data, context.data, atol=1e-12)
 
@@ -190,16 +236,19 @@ def test_decode_step_zero_weights_uniform_dist(model):
     for _, t in model.named_parameters():
         t.data[...] = 0.0
     H, h_mean = encode([4, 5], model.encoder)
-    s0 = init_decoder_state(h_mean, model.forward_decoder)
-    _, logits = decode_step(4, s0, H, model.forward_decoder)
+    dec = model.forward_decoder
+    s0 = init_decoder_state(h_mean, dec)
+    _, logits = decode_step(4, s0, H, attention_keys(H, dec), dec)
     assert np.allclose(ad.softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
 def test_decode_step_dist_sums_to_one(model):
     H, h_mean = encode([4, 5, 6], model.encoder)
-    s = init_decoder_state(h_mean, model.backward_decoder)
+    dec = model.backward_decoder
+    keys = attention_keys(H, dec)
+    s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
-        s, logits = decode_step(tok, s, H, model.backward_decoder)
+        s, logits = decode_step(tok, s, H, keys, dec)
         dist = ad.softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
@@ -210,7 +259,7 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     H, h_mean = encode([5, 7], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    s1, logits = decode_step(6, s0, H, dec)
+    s1, logits = decode_step(6, s0, H, attention_keys(H, dec), dec)
     prev_emb = dec.embedding.tolist()[6]
     s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.tolist(), H.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
@@ -248,23 +297,21 @@ def test_encode_decode_composite_gradcheck(model):
 
     def loss():
         H, h_mean = encode(source, model.encoder)
-        s0 = init_decoder_state(h_mean, model.forward_decoder)
-        s1, logits = decode_step(4, s0, H, model.forward_decoder)
+        dec = model.forward_decoder
+        s0 = init_decoder_state(h_mean, dec)
+        s1, logits = decode_step(4, s0, H, attention_keys(H, dec), dec)
         return ad.nll(logits, 6)
 
     # full parameter sweep is covered by the acceptance suite; here spot-check
-    # a representative subset from every block
+    # a representative subset that includes every fused GRU block
     params = dict(model.named_parameters())
-    subset = [
-        params["encoder.embedding"],
-        params["encoder.fwd.u_h"],
-        params["encoder.bwd.w_z"],
-        params["forward.c_s"],
-        params["forward.att_v"],
-        params["forward.init_w"],
-        params["forward.out_w"],
-        params["forward.embedding"],
+    names = [
+        "encoder.embedding",
+        "encoder.fwd.w", "encoder.bwd.u_zr", "encoder.fwd.u_h", "encoder.bwd.b",
+        "forward.gru.w", "forward.gru.u_zr", "forward.gru.u_h", "forward.gru.b",
+        "forward.att_u", "forward.att_v", "forward.init_w", "forward.out_w", "forward.embedding",
     ]
+    subset = [params[name] for name in names]
     assert check_gradients(loss, subset, eps=1e-5) < 1e-4
 
 
@@ -299,8 +346,9 @@ def test_checkpoint_identical_forward_values(tmp_path, model):
     H1, m1 = encode([4, 5, 6], model.encoder)
     H2, m2 = encode([4, 5, 6], loaded.encoder)
     assert np.array_equal(H1.data, H2.data)
-    s1, d1 = decode_step(4, init_decoder_state(m1, model.forward_decoder), H1, model.forward_decoder)
-    s2, d2 = decode_step(4, init_decoder_state(m2, loaded.forward_decoder), H2, loaded.forward_decoder)
+    f1, f2 = model.forward_decoder, loaded.forward_decoder
+    s1, d1 = decode_step(4, init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
+    s2, d2 = decode_step(4, init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
     assert np.array_equal(d1.data, d2.data)
 
 
@@ -318,5 +366,53 @@ def test_checkpoint_rejects_truncation(tmp_path, model):
     save_checkpoint(str(path), model)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def saved_checkpoint_lines(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(
+        str(path), model,
+        vocab_tokens=["alpha", "beta"],
+        freq_counts={"alpha": 3, "beta": 1},
+        freq_threshold=2.5,
+    )
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_checkpoint_cut_at_every_line_boundary_raises_checkpoint_error(tmp_path, model):
+    path, lines = saved_checkpoint_lines(tmp_path, model)
+    for keep in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:keep]), encoding="utf-8")
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value), keep
+
+
+@pytest.mark.parametrize("corruption", ["value", "nan", "count", "shape", "freq_row"])
+def test_checkpoint_corruption_raises_checkpoint_error_naming_the_line(tmp_path, model, corruption):
+    path, lines = saved_checkpoint_lines(tmp_path, model)
+    header = lines.index("param encoder.embedding 9 2")
+    index, replacement = {
+        "value": (header + 1, "0.5 1.0e " + lines[header + 1].split(" ", 2)[2]),
+        "nan": (header + 1, "0.5 nan " + lines[header + 1].split(" ", 2)[2]),
+        "count": (lines.index("vocab 2"), "vocab two"),
+        "shape": (header, "param encoder.embedding 2 9"),
+        "freq_row": (lines.index("freq 2") + 1, "alpha"),
+    }[corruption]
+    lines[index] = replacement
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
+    assert f"line {index + 1}:" in str(err.value)
+
+
+def test_checkpoint_refuses_v1_header(tmp_path, model):
+    path, lines = saved_checkpoint_lines(tmp_path, model)
+    assert lines[0] == "seq2seq-ckpt v2"
+    lines[0] = "seq2seq-ckpt v1"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))

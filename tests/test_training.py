@@ -256,13 +256,12 @@ def test_training_loss_gradient_matches_finite_differences_subset():
         return training_loss(pair, 1, model)
 
     params = dict(model.named_parameters())
-    subset = [
-        params["encoder.fwd.w_h"],
-        params["backward.u_s"],
-        params["backward.out_b"],
-        params["forward.att_u"],
-        params["forward.w_z"],
+    names = [
+        "encoder.fwd.w", "encoder.bwd.u_zr", "encoder.bwd.u_h", "encoder.fwd.b",
+        "backward.gru.w", "backward.gru.u_zr", "backward.gru.u_h", "backward.gru.b",
+        "backward.out_b", "forward.att_u", "forward.gru.w",
     ]
+    subset = [params[name] for name in names]
     assert check_gradients(loss, subset, eps=1e-5) < 1e-4
 
 
@@ -362,18 +361,3 @@ def test_overfit_single_pair_memorizes():
 def test_train_rejects_empty_split():
     with pytest.raises(ContractError):
         train(CorpusSplit(), Seq2SeqModel.create(TINY, seed=0), TrainConfig(epochs=1), fake_vocab())
-
-
-def test_shared_decoder_model_trains_and_decodes():
-    import dataclasses
-
-    from sentsimp.decoding import decode_multi
-
-    cfg = dataclasses.replace(TINY, share_decoders=True)
-    model = Seq2SeqModel.create(cfg, seed=2)
-    result = train(toy_corpus(), model, TrainConfig(epochs=2, batch_size=2, seed=3), fake_vocab())
-    assert len(result.history) == 2
-    assert result.history[1].train_loss < result.history[0].train_loss * 1.5
-    decoded = decode_multi([4, 5, 6], [[7]], model)
-    pos = decoded.outcomes[0].final_position
-    assert decoded.tokens[pos - 1] == 7
