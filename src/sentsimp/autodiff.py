@@ -1,13 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a GRU encoder-decoder with additive attention
-needs: matrix products, elementwise gate arithmetic, softmax, a fused
-softmax negative log-likelihood, embedding row lookup, concatenation/stacking,
-vector segments (the gates of a fused pre-activation), and a handful of
+needs, in row form: a batch is a (B, width) matrix with one example or
+hypothesis per row. There are matrix products and a fused affine map
+`x @ w.T + b` on weights stored (out, in), elementwise gate arithmetic,
+row-wise softmax and a fused row-wise softmax negative log-likelihood,
+embedding lookup of several rows at once, joining matrices side by side or
+on top of each other, column segments (the gates of a fused
+pre-activation), batched additive-attention energies and a handful of
 reductions. Gradients are recorded on an explicit :class:`Tape` that is
 rebuilt every forward pass, so variable-length sequences need no static
-graph. With no tape active the same functions run as plain
-numpy computations, which is how decoding executes.
+graph. With no tape active the same functions run as plain numpy
+computations, which is how decoding executes.
 
 Tensors with computed values are treated as immutable and may be shared
 across threads; a tape is single-threaded (one tape per worker).
@@ -15,6 +19,7 @@ across threads; a tape is single-threaded (one tape per worker).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Sequence
 
@@ -186,31 +191,35 @@ def _emit(
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; accepts 2-D @ 2-D, 2-D @ 1-D, and 1-D @ 2-D."""
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
+    """Matrix product of two matrices."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul: expected two matrices, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
 
-        def back(g: Array):
-            return g @ b.data.T, a.data.T @ g
+    def back(g: Array):
+        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
+        return g @ b.data.T, np.dot(a.data.T, g)
 
-    elif a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-
-        def back(g: Array):
-            return np.outer(g, b.data), a.data.T @ g
-
-    elif a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-
-        def back(g: Array):
-            return b.data @ g, np.outer(a.data, g)
-
-    else:
-        raise DimensionError(f"matmul: unsupported ranks: {a.shape} @ {b.shape}")
     return _emit(a.data @ b.data, (a, b), back)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b: rows x (B, in) through a weight stored (out, in).
+
+    b is a bias (out,) added to every row, or a (B, out) matrix added row by
+    row (e.g. the input part of a fused pre-activation).
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise DimensionError(f"affine: rows {x.shape} do not fit weight {w.shape}")
+    if b.shape not in ((w.shape[0],), (x.shape[0], w.shape[0])):
+        raise DimensionError(f"affine: bias {b.shape} does not fit output ({x.shape[0]}, {w.shape[0]})")
+
+    def back(g: Array):
+        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
+        return g @ w.data, np.dot(g.T, x.data), (g.sum(axis=0) if b.ndim == 1 else g)
+
+    return _emit(x.data @ w.data.T + b.data, (x, w, b), back)
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -259,51 +268,56 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Stable softmax of a vector; outputs are positive and sum to one."""
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise DimensionError(f"softmax: expected a non-empty vector, got shape {a.shape}")
+    """Stable softmax over the last axis (of each row); outputs are positive
+    and sum to one."""
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise DimensionError(f"softmax: expected non-empty rows, got shape {a.shape}")
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax: input contains non-finite values")
-    shifted = a.data - np.max(a.data)
-    exps = np.exp(shifted)
-    out = exps / exps.sum()
+    exps = np.exp(a.data - np.max(a.data, axis=-1, keepdims=True))
+    out = exps / exps.sum(axis=-1, keepdims=True)
 
     def back(g: Array):
-        return (out * (g - np.dot(g, out)),)
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return _emit(out, (a,), back)
 
 
 def log_softmax(x: Array) -> Array:
-    """Stable log-softmax of a vector of logits, as a plain array.
+    """Stable log-softmax over the last axis (of each row of logits), as a
+    plain array.
 
     Finite wherever the logits are, even where softmax underflows to zero.
     """
-    shifted = x - np.max(x)
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def nll(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of one target under softmax(logits).
+def nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Summed negative log-likelihood of one target per row under the
+    row-wise softmax of logits (B, V).
 
-    The forward value is logsumexp(x) - x[target]; the gradient is
+    Each row contributes logsumexp(x) - x[target]; its gradient is
     softmax(x) - onehot(target).
     """
-    if logits.ndim != 1 or logits.shape[0] < 1:
-        raise DimensionError(f"nll: expected a non-empty vector, got shape {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] < 1:
+        raise DimensionError(f"nll: expected non-empty rows, got shape {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
         raise NumericError("nll: logits contain non-finite values")
-    t = int(target)
-    if not 0 <= t < logits.shape[0]:
-        raise ContractError(f"nll: target {t} out of range for length {logits.shape[0]}")
+    t = [int(i) for i in targets]
+    if not t or len(t) != logits.shape[0]:
+        raise DimensionError(f"nll: {len(t)} targets for {logits.shape[0]} rows")
+    if min(t) < 0 or max(t) >= logits.shape[1]:
+        raise ContractError(f"nll: a target in {t} is out of range for length {logits.shape[1]}")
+    rows = range(len(t))
     log_probs = log_softmax(logits.data)
 
     def back(g: Array):
         grad = np.exp(log_probs)
-        grad[t] -= 1.0
+        grad[rows, t] -= 1.0
         return (grad * g,)
 
-    return _emit(np.asarray(-log_probs[t]), (logits,), back)
+    return _emit(np.asarray(-log_probs[rows, t].sum()), (logits,), back)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -311,50 +325,44 @@ def tsum(a: Tensor) -> Tensor:
     return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
+def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = tuple(parts)
-    if not parts or any(p.ndim != 1 for p in parts):
-        raise DimensionError("concat: expected one or more vectors")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    if not parts or any(p.ndim != 2 for p in parts) or len({p.shape[1 - axis] for p in parts}) != 1:
+        raise DimensionError(f"cannot join {[p.shape for p in parts]} along axis {axis}")
+    stops = list(itertools.accumulate(p.shape[axis] for p in parts))
+    blocks = [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
 
     def back(g: Array):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[block] if axis == 0 else g[:, block] for block in blocks)
 
-    return _emit(np.concatenate([p.data for p in parts]), parts, back)
+    return _emit(np.concatenate([p.data for p in parts], axis=axis), parts, back)
 
 
-def segment(v: Tensor, start: int, stop: int) -> Tensor:
-    """Entries start..stop-1 of a vector, e.g. one gate of a fused pre-activation."""
-    if v.ndim != 1 or not 0 <= start < stop <= v.shape[0]:
-        raise DimensionError(f"segment: bad range [{start}, {stop}) for shape {v.shape}")
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join matrices with one row count side by side (along the last axis)."""
+    return _join(parts, 1)
+
+
+def stack(blocks: Sequence[Tensor]) -> Tensor:
+    """Stack matrices with one width on top of each other (along the first axis)."""
+    return _join(blocks, 0)
+
+
+def segment(m: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start..stop-1 of a matrix, e.g. one gate of fused pre-activations."""
+    if m.ndim != 2 or not 0 <= start < stop <= m.shape[1]:
+        raise DimensionError(f"segment: bad range [{start}, {stop}) for shape {m.shape}")
 
     def back(g: Array):
-        grad = np.zeros_like(v.data)
-        grad[start:stop] = g
+        grad = np.zeros_like(m.data)
+        grad[:, start:stop] = g
         return (grad,)
 
-    return _emit(v.data[start:stop].copy(), (v,), back)
-
-
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one vector per row."""
-    rows = tuple(rows)
-    if not rows or any(r.ndim != 1 for r in rows):
-        raise DimensionError("stack: expected one or more vectors")
-    width = rows[0].shape[0]
-    if any(r.shape[0] != width for r in rows):
-        raise DimensionError("stack: vectors must share one length")
-
-    def back(g: Array):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return _emit(np.stack([r.data for r in rows]), rows, back)
+    return _emit(m.data[:, start:stop].copy(), (m,), back)
 
 
 def mean_rows(m: Tensor) -> Tensor:
-    """Arithmetic mean over the rows of a matrix."""
+    """Arithmetic mean over the rows of a matrix, as one row (1, width)."""
     if m.ndim != 2:
         raise DimensionError(f"mean_rows: expected a matrix, got shape {m.shape}")
     n = m.shape[0]
@@ -362,31 +370,39 @@ def mean_rows(m: Tensor) -> Tensor:
     def back(g: Array):
         return (np.tile(g / n, (n, 1)),)
 
-    return _emit(m.data.mean(axis=0), (m,), back)
+    return _emit(m.data.mean(axis=0, keepdims=True), (m,), back)
 
 
-def add_rows(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DimensionError(f"add_rows: incompatible shapes: {m.shape} and {v.shape}")
-
-    def back(g: Array):
-        return g, g.sum(axis=0)
-
-    return _emit(m.data + v.data, (m, v), back)
-
-
-def take_row(m: Tensor, index: int) -> Tensor:
-    """Row of a matrix (embedding lookup), differentiable in the matrix."""
+def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
+    """Rows ids of a matrix, in order (embedding lookup), differentiable in the matrix."""
     if m.ndim != 2:
-        raise DimensionError(f"take_row: expected a matrix, got shape {m.shape}")
-    i = int(index)
-    if not 0 <= i < m.shape[0]:
-        raise ContractError(f"take_row: row {i} out of range for {m.shape[0]} rows")
+        raise DimensionError(f"take_rows: expected a matrix, got shape {m.shape}")
+    idx = [int(i) for i in ids]
+    if not idx or min(idx) < 0 or max(idx) >= m.shape[0]:
+        raise ContractError(f"take_rows: row ids {idx} empty or out of range for {m.shape[0]} rows")
 
     def back(g: Array):
         grad = np.zeros_like(m.data)
-        grad[i] = g
+        np.add.at(grad, idx, g)
         return (grad,)
 
-    return _emit(m.data[i].copy(), (m,), back)
+    return _emit(m.data[idx], (m,), back)
+
+
+def attention_energies(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+    """Additive-attention energies (B, n): v . tanh(keys[j] + query[b]) for
+    every query row b and key row j."""
+    if (
+        keys.ndim != 2 or query.ndim != 2 or v.ndim != 1
+        or not keys.shape[1] == query.shape[1] == v.shape[0]
+    ):
+        raise DimensionError(
+            f"attention_energies: keys {keys.shape}, query {query.shape} and v {v.shape} disagree"
+        )
+    hidden = np.tanh(keys.data[None, :, :] + query.data[:, None, :])  # (B, n, dim)
+
+    def back(g: Array):
+        d_pre = g[:, :, None] * v.data * (1.0 - hidden * hidden)
+        return d_pre.sum(axis=0), d_pre.sum(axis=1), g.reshape(-1) @ hidden.reshape(g.size, -1)
+
+    return _emit(hidden @ v.data, (keys, query, v), back)

@@ -8,42 +8,51 @@ Splicing reverse(backward) + block + forward makes the constraint's presence
 a construction invariant rather than a search outcome. Each pass encodes its
 source once for both stages; multiple constraints are handled by re-encoding
 each pass's output as the next pass's source.
+
+Beam search keeps one decoder-state row per hypothesis and advances every
+live hypothesis with one batched step per iteration (the batched-beam
+layout of Post & Vilar 2018); each search records why it stopped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, log_softmax
 from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS, find_block
-from .errors import ConstraintError, ContractError
+from .errors import ConstraintError, ContractError, NumericError
 from .model import DecoderParams, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A partial decode: generated tokens, their summed log-prob, the
-    decoder state after the last consumed token, and whether it stopped."""
+    """A partial decode: generated tokens, their summed log-prob, its row
+    of decoder state (dim,) after the last consumed token, and why it
+    stopped: None while live, "boundary" when it emitted the boundary
+    token, "length_cap" when it ran out of token budget."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    state: Tensor
-    finished: bool = False
+    state: np.ndarray
+    stop: str | None = None
 
 
 @dataclass(frozen=True)
 class PassTrace:
     """One generation pass: its constraint block, full output, the block's
-    1-based start position, and the two stage scores."""
+    1-based start position, the two stage scores and why each stage's
+    search stopped ("boundary" or "length_cap")."""
 
     constraint: tuple[int, ...]
     output: tuple[int, ...]
     position: int
     backward_log_prob: float
     forward_log_prob: float
+    backward_stop: str
+    forward_stop: str
 
 
 @dataclass(frozen=True)
@@ -91,18 +100,24 @@ def beam_search(
 ) -> Hypothesis:
     """Breadth-limited best-first search over token continuations.
 
-    step_fn(prev_token, state) -> (new_state, log-probability ndarray). A
-    hypothesis finishes when it emits boundary_id (scored) or reaches
-    max_new generated tokens (length cap, unscored stop). Scores are summed
+    init_state is the one-row start state (1, dim). step_fn(prev_tokens,
+    states) -> (new_states, log_probs) advances every live hypothesis at
+    once: prev_tokens lists each one's last token (the seed token before
+    any is generated), states stacks their state rows into a (B, dim)
+    tensor, and it returns the new states (B, dim) as a tensor and the
+    next-token log-probabilities (B, V) as an array, row b for hypothesis b.
+    Non-finite log-probabilities raise NumericError. A hypothesis finishes
+    when it emits boundary_id (scored, stop "boundary") or reaches max_new
+    generated tokens (unscored, stop "length_cap"). Scores are summed
     log-probabilities; an optional length-normalization exponent divides by
     (length + 1) ** length_norm when ranking.
     """
     if beam_size < 1:
         raise ContractError(f"beam size must be at least 1, got {beam_size}")
     if max_new <= 0:
-        return Hypothesis((), 0.0, init_state, finished=True)
+        return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
 
-    active = [Hypothesis((), 0.0, init_state)]
+    active = [Hypothesis((), 0.0, init_state.data[0])]
     finished: list[Hypothesis] = []
     if beam_size > 1:
         # seed the pool with the greedy rollout so that widening the beam can
@@ -112,20 +127,25 @@ def beam_search(
             beam_search(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
         )
     for _ in range(max_new):
+        prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in active]
+        new_states, log_probs = step_fn(prev, Tensor(np.stack([hyp.state for hyp in active])))
+        if not np.all(np.isfinite(log_probs)):
+            raise NumericError("beam search: a step's log-probabilities are not all finite")
+        # beam 1 is the greedy argmax chain; wider beams expand one extra
+        # slot per hypothesis so a boundary token cannot crowd out content;
+        # each row's slots in descending log-prob order
+        width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
+        rows = np.arange(len(active))[:, None]
+        top = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
+        top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
         candidates: list[Hypothesis] = []
-        for hyp in active:
-            prev = hyp.tokens[-1] if hyp.tokens else seed_token
-            state, log_dist = step_fn(prev, hyp.state)
-            # beam 1 is the greedy argmax chain; wider beams expand one extra
-            # slot so a boundary token cannot crowd out content candidates
-            width = 1 if beam_size == 1 else min(beam_size + 1, log_dist.shape[0])
-            top = np.argpartition(-log_dist, width - 1)[:width]
-            top = top[np.argsort(-log_dist[top], kind="stable")]
-            for tok in top:
-                tok = int(tok)
-                score = hyp.log_prob + float(log_dist[tok])
+        for hyp, state, toks, tok_log_probs in zip(
+            active, new_states.data, top.tolist(), log_probs[rows, top].tolist()
+        ):
+            for tok, log_p in zip(toks, tok_log_probs):
+                score = hyp.log_prob + log_p
                 if tok == boundary_id:
-                    finished.append(Hypothesis(hyp.tokens, score, state, finished=True))
+                    finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
                 else:
                     candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
         candidates.sort(key=lambda h: _rank_key(h, length_norm))
@@ -139,9 +159,8 @@ def beam_search(
             and finished
             and finished[0].log_prob > active[0].log_prob
         ):
-            break  # log-probs only decrease, no active path can catch up
-    for hyp in active:  # length cap: stop without a boundary factor
-        finished.append(Hypothesis(hyp.tokens, hyp.log_prob, hyp.state, finished=True))
+            return finished[0]  # log-probs only decrease, no active path can catch up
+    finished.extend(replace(hyp, stop="length_cap") for hyp in active)
     return min(finished, key=lambda h: _rank_key(h, length_norm))
 
 
@@ -166,11 +185,11 @@ def _search(
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        state, _ = decode_step(tok, state, annotations, keys, params)
+        state, _ = decode_step([tok], state, annotations, keys, params)
 
-    def step(prev_token: int, state: Tensor):
-        new_state, logits = decode_step(prev_token, state, annotations, keys, params)
-        return new_state, log_softmax(logits.data)
+    def step(prev_tokens: list[int], states: Tensor):
+        new_states, logits = decode_step(prev_tokens, states, annotations, keys, params)
+        return new_states, log_softmax(logits.data)
 
     return beam_search(
         step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new, length_norm=length_norm
@@ -249,6 +268,8 @@ def decode_multi(
                 position=position,
                 backward_log_prob=back.log_prob,
                 forward_log_prob=fwd.log_prob,
+                backward_stop=back.stop,
+                forward_stop=fwd.stop,
             )
         )
         outcomes.append(

@@ -5,11 +5,19 @@ backward decoder that generates the tokens before a constraint word in
 reverse, and a forward decoder that continues after it. Decoder states are
 initialized from the mean encoder annotation through a tanh map.
 
+Every layer works on rows: a state, a context or a distribution is a
+(B, width) matrix with one example or hypothesis per row, so beam search
+advances all of its live hypotheses with one `decode_step` call, while
+training and teacher forcing call the same functions with B = 1. Weights
+are stored (out, in) and applied as `x @ w.T + b`.
+
 There is one GRU cell, `_gru_step`, with its gate weights fused: the
 encoder runs it on each token's embedding, a decoder on the previous
-token's embedding joined to its attention context. Attention keys depend
-only on the annotations, so each decoder stage computes them once with
-`attention_keys` and passes them to every step.
+token's embedding joined to its attention context. The encoder computes
+the input pre-activations of a whole source in one product before its
+recurrence. Attention keys depend only on the annotations, so each decoder
+stage computes them once with `attention_keys` and passes them to every
+step.
 """
 
 from __future__ import annotations
@@ -166,48 +174,51 @@ class Seq2SeqModel:
             t.zero_grad()
 
 
-def _gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """h = (1 - z) * h_prev + z * tanh(W_h x + U_h (r * h_prev) + b_h), with
-    the update and reset gates [z; r] = sigmoid(W_zr x + U_zr h_prev + b_zr)."""
-    d = h_prev.shape[0]
-    gx = ad.add(ad.matmul(p.w, x), p.b)
-    zr = ad.sigmoid(ad.add(ad.segment(gx, 0, 2 * d), ad.matmul(p.u_zr, h_prev)))
+def _gru_step(gx: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
+    """One GRU update of B rows: h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) U_h^T),
+    with the update and reset gates [z, r] = sigmoid(gx_zr + h_prev U_zr^T).
+
+    gx (B, 3dim) holds the input pre-activations x W^T + b of all three gates.
+    """
+    d = h_prev.shape[1]
+    zr = ad.sigmoid(ad.affine(h_prev, p.u_zr, ad.segment(gx, 0, 2 * d)))
     z, r = ad.segment(zr, 0, d), ad.segment(zr, d, 2 * d)
-    h_tilde = ad.tanh(ad.add(ad.segment(gx, 2 * d, 3 * d), ad.matmul(p.u_h, ad.mul(r, h_prev))))
+    h_tilde = ad.tanh(ad.affine(ad.mul(r, h_prev), p.u_h, ad.segment(gx, 2 * d, 3 * d)))
     return ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
 
 
+def _run_gru(gx: Tensor, p: GruParams, order: Sequence[int]) -> Tensor:
+    """States (n, dim) of one GRU that reads the rows of gx in the given
+    order from a zero state; row t is its state after reading row t."""
+    h = ad.zeros((1, p.u_h.shape[0]))
+    states = {}
+    for t in order:
+        h = states[t] = _gru_step(ad.take_rows(gx, [t]), h, p)
+    return ad.stack([states[t] for t in range(len(states))])
+
+
 def encode(source: Sequence[int], params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Annotations H (n x 2dim) and their arithmetic mean (2dim,).
+    """Annotations H (n x 2dim) and their arithmetic mean, one row (1 x 2dim).
 
     Row t concatenates the left-to-right state after reading token t with
     the right-to-left state after reading it from the other end; both
-    directions start from zero states.
+    directions start from zero states. The source is looked up in one
+    embedding op and each direction's input pre-activations are one
+    (n x 3dim) product; only the recurrence runs token by token.
     """
     if len(source) == 0:
         raise ContractError("cannot encode an empty source")
-    dim = params.fwd.u_h.shape[0]
-    embedded = [ad.take_row(params.embedding, tok) for tok in source]
-
-    h = ad.zeros((dim,))
-    fwd_states = []
-    for e in embedded:
-        h = _gru_step(e, h, params.fwd)
-        fwd_states.append(h)
-
-    h = ad.zeros((dim,))
-    bwd_states: list[Tensor | None] = [None] * len(source)
-    for i in range(len(source) - 1, -1, -1):
-        h = _gru_step(embedded[i], h, params.bwd)
-        bwd_states[i] = h
-
-    annotations = ad.stack([ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)])
+    embedded = ad.take_rows(params.embedding, source)
+    n = len(source)
+    fwd = _run_gru(ad.affine(embedded, params.fwd.w, params.fwd.b), params.fwd, range(n))
+    bwd = _run_gru(ad.affine(embedded, params.bwd.w, params.bwd.b), params.bwd, range(n - 1, -1, -1))
+    annotations = ad.concat([fwd, bwd])
     return annotations, ad.mean_rows(annotations)
 
 
 def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
-    """s0 = tanh of an affine map of the mean annotation."""
-    return ad.tanh(ad.add(ad.matmul(params.init_w, h_mean), params.init_b))
+    """s0 (1, dim) = tanh of an affine map of the mean annotation row."""
+    return ad.tanh(ad.affine(h_mean, params.init_w, params.init_b))
 
 
 def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
@@ -218,31 +229,31 @@ def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
 def attend(
     s_prev: Tensor, annotations: Tensor, keys: Tensor, params: DecoderParams
 ) -> tuple[Tensor, Tensor]:
-    """Additive-attention context vector (2dim,) and weights (n,)."""
-    query = ad.add(ad.matmul(params.att_w, s_prev), params.att_b)
-    energies = ad.matmul(ad.tanh(ad.add_rows(keys, query)), params.att_v)  # (n,)
-    alpha = ad.softmax(energies)
-    context = ad.matmul(alpha, annotations)
-    return context, alpha
+    """Additive attention for B decoder states (B, dim): context rows
+    (B, 2dim) and attention weights (B, n)."""
+    query = ad.affine(s_prev, params.att_w, params.att_b)
+    alpha = ad.softmax(ad.attention_energies(keys, query, params.att_v))
+    return ad.matmul(alpha, annotations), alpha
 
 
 def decode_step(
-    prev_token: int,
+    prev_tokens: Sequence[int],
     s_prev: Tensor,
     annotations: Tensor,
     keys: Tensor,
     params: DecoderParams,
 ) -> tuple[Tensor, Tensor]:
-    """One decoder update: new state (dim,) and next-token logits (V,).
+    """One decoder update of B rows: row b consumes prev_tokens[b] in state
+    s_prev[b]. Returns the new states (B, dim) and next-token logits (B, V).
 
-    keys are `attention_keys(annotations, params)`. The next-token
-    distribution is the softmax of the logits.
+    keys are `attention_keys(annotations, params)`. Each row's next-token
+    distribution is the softmax of its logits.
     """
-    e_prev = ad.take_row(params.embedding, prev_token)
+    e_prev = ad.take_rows(params.embedding, prev_tokens)
     context, _ = attend(s_prev, annotations, keys, params)
-    s = _gru_step(ad.concat([e_prev, context]), s_prev, params.gru)
-    features = ad.concat([e_prev, s, context])
-    logits = ad.add(ad.matmul(params.out_w, features), params.out_b)
+    gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
+    s = _gru_step(gx, s_prev, params.gru)
+    logits = ad.affine(ad.concat([e_prev, s, context]), params.out_w, params.out_b)
     return s, logits
 
 

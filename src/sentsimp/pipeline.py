@@ -231,6 +231,8 @@ class SimplifyPipeline:
                         "position": t.position,
                         "backward_log_prob": t.backward_log_prob,
                         "forward_log_prob": t.forward_log_prob,
+                        "backward_stop": t.backward_stop,
+                        "forward_stop": t.forward_stop,
                     }
                     for t in result.passes
                 ],

@@ -3,11 +3,11 @@
 Each pair contributes the negative log-likelihood of its backward sequence
 (target tokens before the constraint position, reversed, ending at the
 sentence-start boundary) plus its forward sequence (tokens after the
-constraint plus end-of-sentence, with the prefix teacher-forced). Every
-predicted token adds one fused `autodiff.nll` term on the decoder's logits,
-which stays finite when the target's probability underflows. Batches are
-gradient-accumulation groups; the optimizer step is Adadelta with a
-global-norm gradient clip.
+constraint plus end-of-sentence, with the prefix teacher-forced). The
+decoders step one row at a time; each stage's predicted tokens are scored
+by one fused `autodiff.nll` over the stacked logit rows, which stays finite
+when a target's probability underflows. Batches are gradient-accumulation
+groups; the optimizer step is Adadelta with a global-norm gradient clip.
 """
 
 from __future__ import annotations
@@ -149,29 +149,25 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
         raise ContractError(f"constraint position {position} outside target of length {m}")
 
     annotations, h_mean = encode(pair.source, model.encoder)
-    total = ad.zeros(())
 
-    # backward pass: inputs target[s-1], target[s-2], ..., target[0]
-    params = model.backward_decoder
-    keys = attention_keys(annotations, params)
-    state = init_decoder_state(h_mean, params)
+    def stage_nll(params, inputs, predictions, scored_from):
+        # teacher-forced one-row steps; one fused nll over the scored logits
+        keys = attention_keys(annotations, params)
+        state = init_decoder_state(h_mean, params)
+        scored = []
+        for step, prev in enumerate(inputs):
+            state, logits = decode_step([prev], state, annotations, keys, params)
+            if step >= scored_from:
+                scored.append(logits)
+        return ad.nll(ad.stack(scored), predictions[scored_from:])
+
+    # backward: inputs target[s-1], target[s-2], ..., target[0]; every step scored
     inputs = [target[i] for i in range(position - 1, -1, -1)]
-    predictions = inputs[1:] + [BOS_ID]
-    for prev, expected in zip(inputs, predictions):
-        state, logits = decode_step(prev, state, annotations, keys, params)
-        total = ad.add(total, ad.nll(logits, expected))
-
-    # forward pass: inputs BOS, target[0], ..., target[m-1]
-    params = model.forward_decoder
-    keys = attention_keys(annotations, params)
-    state = init_decoder_state(h_mean, params)
-    inputs = [BOS_ID, *target]
-    predictions = [*target, EOS_ID]
-    for step, (prev, expected) in enumerate(zip(inputs, predictions)):
-        state, logits = decode_step(prev, state, annotations, keys, params)
-        if step >= position:  # the prefix y_1..y_s is given, not predicted
-            total = ad.add(total, ad.nll(logits, expected))
-    return total
+    backward = stage_nll(model.backward_decoder, inputs, inputs[1:] + [BOS_ID], 0)
+    # forward: inputs BOS, target[0], ..., target[m-1]; the prefix y_1..y_s
+    # is given, not predicted
+    forward = stage_nll(model.forward_decoder, [BOS_ID, *target], [*target, EOS_ID], position)
+    return ad.add(backward, forward)
 
 
 def loss_token_count(pair: SentencePair) -> int:

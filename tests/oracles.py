@@ -172,6 +172,57 @@ def exhaustive_best(step_fn, init_state, seed_token, boundary_id, content_ids, m
     return best
 
 
+def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, beam_size, max_new, length_norm=0.0):
+    """Beam search that steps one hypothesis at a time; returns (tokens, log_prob).
+
+    step_fn(prev_token, state) -> (new_state, log-probability list). Same
+    rules as the decoder: a beam-1 greedy rollout seeds the finished pool
+    of wider beams; beam 1 expands the argmax only, wider beams the best
+    beam_size + 1 tokens; a hypothesis ends at the boundary (scored) or at
+    max_new tokens (unscored); ranking is by summed log-prob, optionally
+    divided by (length + 1) ** length_norm, then shorter, then smaller.
+    """
+
+    def key(hyp):
+        tokens, score = hyp[0], hyp[1]
+        if length_norm > 0.0:
+            score /= (len(tokens) + 1) ** length_norm
+        return (-score, len(tokens), tokens)
+
+    if max_new <= 0:
+        return (), 0.0
+    active = [((), 0.0, init_state)]  # (tokens, log_prob, state)
+    finished = []
+    if beam_size > 1:
+        finished.append(
+            beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
+            + (None,)
+        )
+    for _ in range(max_new):
+        candidates = []
+        for tokens, log_prob, state in active:
+            prev = tokens[-1] if tokens else seed_token
+            new_state, log_dist = step_fn(prev, state)
+            width = 1 if beam_size == 1 else min(beam_size + 1, len(log_dist))
+            ranked = sorted(range(len(log_dist)), key=lambda t: -log_dist[t])[:width]
+            for tok in ranked:
+                score = log_prob + log_dist[tok]
+                if tok == boundary_id:
+                    finished.append((tokens, score, new_state))
+                else:
+                    candidates.append((tokens + (tok,), score, new_state))
+        candidates.sort(key=key)
+        active = candidates[:beam_size]
+        finished.sort(key=key)
+        finished = finished[: beam_size * (max_new + 1)]
+        if not active:
+            break
+        if length_norm == 0.0 and finished and finished[0][1] > active[0][1]:
+            break
+    best = min(finished + active, key=key)
+    return best[0], best[1]
+
+
 # ---------------------------------------------------------------- metrics
 
 

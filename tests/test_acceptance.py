@@ -152,8 +152,8 @@ def test_criterion_5_beam_equals_exhaustive_search():
             keys = attention_keys(annotations, params)
 
             def step(prev, state):
-                new_state, logits = decode_step(prev, state, annotations, keys, params)
-                return new_state, softmax(logits).data
+                new_state, logits = decode_step([prev], state, annotations, keys, params)
+                return new_state, softmax(logits).data[0]
             return step
 
         encoded = (annotations, h_mean)
@@ -168,7 +168,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size, 0.0)
         state = init_decoder_state(h_mean, model.forward_decoder)
         keys = attention_keys(annotations, model.forward_decoder)
-        state, _ = decode_step(BOS_ID, state, annotations, keys, model.forward_decoder)
+        state, _ = decode_step([BOS_ID], state, annotations, keys, model.forward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.forward_decoder), state, 4, EOS_ID,
             [i for i in range(5) if i != EOS_ID], max_new=3,

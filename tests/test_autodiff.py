@@ -44,9 +44,15 @@ def test_matmul_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(err.value)
 
 
+def test_matmul_rejects_vectors():
+    for shape_a, shape_b in (((3, 4), (4,)), ((3,), (3, 5)), ((3,), (3,))):
+        with pytest.raises(DimensionError):
+            ad.matmul(rnd(shape_a), rnd(shape_b))
+
+
 @pytest.mark.parametrize(
     "shape_a,shape_b",
-    [((3, 4), (4, 2)), ((3, 4), (4,)), ((3,), (3, 5))],
+    [((3, 4), (4, 2)), ((3, 4), (4, 1)), ((1, 3), (3, 5))],
 )
 def test_matmul_gradients(shape_a, shape_b):
     a, b = rnd(shape_a, seed=3), rnd(shape_b, seed=4)
@@ -55,6 +61,36 @@ def test_matmul_gradients(shape_a, shape_b):
         return ad.tsum(ad.matmul(a, b))
 
     assert check_gradients(loss, [a, b]) < 1e-4
+
+
+# ---------------------------------------------------------------- affine
+
+
+def test_affine_matches_triple_loop_oracle():
+    x, w, b = rnd((3, 4), seed=1), rnd((2, 4), seed=2), rnd((2,), seed=3)
+    product = matmul_loops(x.tolist(), [list(col) for col in zip(*w.tolist())])
+    expected = [[p + bias for p, bias in zip(row, b.tolist())] for row in product]
+    assert np.allclose(ad.affine(x, w, b).data, expected, rtol=0, atol=1e-12)
+    per_row = rnd((3, 2), seed=4)
+    assert np.allclose(ad.affine(x, w, per_row).data, np.array(product) + per_row.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bias_shape", [(2,), (3, 2)])
+def test_affine_gradients(bias_shape):
+    x, w, b = rnd((3, 4), seed=5), rnd((2, 4), seed=6), rnd(bias_shape, seed=7)
+
+    def loss():
+        out = ad.affine(x, w, b)
+        return ad.tsum(ad.mul(out, out))
+
+    assert check_gradients(loss, [x, w, b]) < 1e-4
+
+
+def test_affine_shape_checks():
+    x, w = rnd((3, 4)), rnd((2, 4))
+    for args in ((x, rnd((4, 2)), rnd((2,))), (x, w, rnd((4,))), (x, w, rnd((2, 2))), (rnd((4,)), w, rnd((2,)))):
+        with pytest.raises(DimensionError):
+            ad.affine(*args)
 
 
 # ---------------------------------------------------------------- elementwise
@@ -122,6 +158,24 @@ def test_softmax_rejects_nonfinite():
         ad.softmax(ad.Tensor([0.0, np.inf]))
 
 
+def test_softmax_is_row_wise():
+    rows = [[1.0, 2.0, 3.0], [0.0, -5.0, 40.0]]
+    got = ad.softmax(ad.Tensor(rows)).data
+    for row, want in zip(got, rows):
+        assert row.tolist() == pytest.approx(softmax_loops(want), abs=1e-15)
+    assert np.allclose(np.exp(ad.log_softmax(np.array(rows))), got, rtol=0, atol=1e-15)
+
+
+def test_softmax_rows_gradient():
+    x = rnd((3, 4), seed=13)
+    weights = ad.Tensor(np.arange(12.0).reshape(3, 4) - 5.0)
+
+    def loss():
+        return ad.tsum(ad.mul(ad.softmax(x), weights))
+
+    assert check_gradients(loss, [x]) < 1e-4
+
+
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_sums_to_one(xs):
@@ -159,45 +213,83 @@ def test_softmax_gradient():
 def test_nll_matches_scalar_oracle():
     xs = [1.0, -2.0, 3.0, 0.5]
     for target in range(len(xs)):
-        got = ad.nll(ad.Tensor(xs), target).item()
+        got = ad.nll(ad.Tensor([xs]), [target]).item()
         assert got == pytest.approx(-np.log(softmax_loops(xs)[target]), abs=1e-14)
+    rows = [xs, [0.0, 4.0, -1.0, 2.0], [3.0, 3.0, 3.0, 3.0]]
+    targets = [2, 0, 3]
+    expected = sum(-np.log(softmax_loops(row)[t]) for row, t in zip(rows, targets))
+    assert ad.nll(ad.Tensor(rows), targets).item() == pytest.approx(expected, abs=1e-13)
 
 
 def test_nll_gradient():
-    x = rnd((5,), seed=12)
+    x = rnd((1, 5), seed=12)
 
     def loss():
-        return ad.nll(x, 3)
+        return ad.nll(x, [3])
+
+    assert check_gradients(loss, [x]) < 1e-4
+
+
+def test_nll_rows_gradient():
+    x = rnd((3, 5), seed=14)
+
+    def loss():
+        return ad.nll(x, [3, 0, 3])
 
     assert check_gradients(loss, [x]) < 1e-4
 
 
 def test_nll_rejects_nonfinite_and_bad_target():
     with pytest.raises(NumericError):
-        ad.nll(ad.Tensor([0.0, np.inf]), 0)
+        ad.nll(ad.Tensor([[0.0, np.inf]]), [0])
     with pytest.raises(ContractError):
-        ad.nll(ad.Tensor([0.0, 1.0]), 2)
+        ad.nll(ad.Tensor([[0.0, 1.0]]), [2])
     with pytest.raises(DimensionError):
-        ad.nll(ad.Tensor([[0.0, 1.0]]), 0)
+        ad.nll(ad.Tensor([0.0, 1.0]), [0])
+    with pytest.raises(DimensionError):
+        ad.nll(ad.Tensor([[0.0, 1.0]]), [0, 1])
 
 
 # ---------------------------------------------------------------- structural ops
 
 
-def test_concat_stack_mean_add_rows_take_row_values():
-    a = ad.Tensor([1.0, 2.0])
-    b = ad.Tensor([3.0])
-    assert ad.concat([a, b]).tolist() == [1.0, 2.0, 3.0]
-    m = ad.stack([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0])])
+def test_concat_stack_mean_take_rows_affine_values():
+    a = ad.Tensor([[1.0, 2.0]])
+    b = ad.Tensor([[3.0]])
+    assert ad.concat([a, b]).tolist() == [[1.0, 2.0, 3.0]]
+    m = ad.stack([ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0, 4.0]])])
     assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert ad.mean_rows(m).tolist() == [2.0, 3.0]
-    assert ad.add_rows(m, ad.Tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
-    assert ad.take_row(m, 1).tolist() == [3.0, 4.0]
+    assert ad.mean_rows(m).tolist() == [[2.0, 3.0]]
+    # a bias vector is added to every row
+    assert ad.affine(m, ad.Tensor(np.eye(2)), ad.Tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
+    assert ad.take_rows(m, [1]).tolist() == [[3.0, 4.0]]
+    assert ad.take_rows(m, [1, 0, 1]).tolist() == [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
+    assert ad.concat([m, ad.Tensor([[5.0], [6.0]])]).tolist() == [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]
+
+
+def test_row_ops_reject_bad_shapes_and_ids():
+    m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    one = ad.Tensor([[1.0]])
+    vector = ad.Tensor([1.0])
+    for bad in (
+        lambda: ad.concat([m, one]),
+        lambda: ad.stack([m, one]),
+        lambda: ad.concat([vector]),
+        lambda: ad.concat([]),
+        lambda: ad.stack([vector]),
+        lambda: ad.take_rows(vector, [0]),
+        lambda: ad.mean_rows(vector),
+    ):
+        with pytest.raises(DimensionError):
+            bad()
+    for ids in ([2], [-1], [], [0, 2]):
+        with pytest.raises(ContractError):
+            ad.take_rows(m, ids)
 
 
 def test_segment_value_gradient_and_range_checks():
-    v = rnd((6,), seed=4)
-    assert ad.segment(v, 2, 5).tolist() == v.data[2:5].tolist()
+    v = rnd((2, 6), seed=4)
+    assert ad.segment(v, 2, 5).tolist() == v.data[:, 2:5].tolist()
 
     def loss():
         return ad.tsum(ad.mul(ad.segment(v, 1, 4), ad.segment(v, 3, 6)))
@@ -207,21 +299,64 @@ def test_segment_value_gradient_and_range_checks():
         with pytest.raises(DimensionError):
             ad.segment(v, start, stop)
     with pytest.raises(DimensionError):
-        ad.segment(ad.Tensor([[1.0, 2.0]]), 0, 1)
+        ad.segment(ad.Tensor([1.0, 2.0]), 0, 1)
 
 
 def test_structural_gradients():
     m = rnd((3, 4), seed=7)
     v = rnd((4,), seed=8)
-    w = rnd((3,), seed=9)
+    w = rnd((1, 3), seed=9)
 
     def loss():
-        rows = ad.add_rows(m, v)
-        picked = ad.take_row(rows, 0)
+        rows = ad.affine(m, ad.Tensor(np.eye(4)), v)
+        picked = ad.take_rows(rows, [0])
         mixed = ad.concat([picked, ad.segment(ad.mean_rows(rows), 1, 3), w])
-        return ad.tsum(ad.mul(mixed, mixed))
+        both = ad.stack([mixed, ad.concat([ad.take_rows(rows, [2]), ad.segment(mixed, 0, 5)])])
+        return ad.tsum(ad.mul(both, both))
 
     assert check_gradients(loss, [m, v, w]) < 1e-4
+
+
+def test_take_rows_gradient_accumulates_repeated_ids():
+    m = rnd((4, 3), seed=15)
+    weights = ad.Tensor(np.arange(15.0).reshape(5, 3))
+
+    def loss():
+        return ad.tsum(ad.mul(ad.take_rows(m, [2, 0, 2, 3, 2]), weights))
+
+    assert check_gradients(loss, [m]) < 1e-4
+    with ad.Tape() as tape:
+        tape.backward(loss())
+    assert m.grad.tolist() == [[3.0, 4.0, 5.0], [0.0, 0.0, 0.0], [18.0, 21.0, 24.0], [9.0, 10.0, 11.0]]
+
+
+# ---------------------------------------------------------------- attention energies
+
+
+def test_attention_energies_match_scalar_loops():
+    keys, query, v = rnd((4, 3), seed=16), rnd((2, 3), seed=17), rnd((3,), seed=18)
+    got = ad.attention_energies(keys, query, v).data
+    assert got.shape == (2, 4)
+    for b, q in enumerate(query.tolist()):
+        for j, k in enumerate(keys.tolist()):
+            want = sum(vi * np.tanh(ki + qi) for vi, ki, qi in zip(v.tolist(), k, q))
+            assert got[b, j] == pytest.approx(want, abs=1e-14)
+
+
+def test_attention_energies_gradient():
+    keys, query, v = rnd((4, 3), seed=19), rnd((2, 3), seed=20), rnd((3,), seed=21)
+    weights = ad.Tensor(np.arange(8.0).reshape(2, 4) - 3.0)
+
+    def loss():
+        return ad.tsum(ad.mul(ad.attention_energies(keys, query, v), weights))
+
+    assert check_gradients(loss, [keys, query, v]) < 1e-4
+
+
+def test_attention_energies_shape_checks():
+    for shapes in (((4, 3), (2, 2), (3,)), ((4, 3), (2, 3), (2,)), ((3,), (2, 3), (3,))):
+        with pytest.raises(DimensionError):
+            ad.attention_energies(*(rnd(s) for s in shapes))
 
 
 # ---------------------------------------------------------------- tape / backward
@@ -304,17 +439,17 @@ def test_composite_gru_like_gradcheck():
     params = {
         name: ad.Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
         for name, shape in [
-            ("w_z", (dim, emb)), ("u_z", (dim, dim)), ("b_z", (dim,)),
-            ("w_r", (dim, emb)), ("u_r", (dim, dim)), ("b_r", (dim,)),
-            ("w_h", (dim, emb)), ("u_h", (dim, dim)), ("b_h", (dim,)),
+            ("w_z", (emb, dim)), ("u_z", (dim, dim)), ("b_z", (1, dim)),
+            ("w_r", (emb, dim)), ("u_r", (dim, dim)), ("b_r", (1, dim)),
+            ("w_h", (emb, dim)), ("u_h", (dim, dim)), ("b_h", (1, dim)),
         ]
     }
-    e = ad.Tensor(rng.uniform(-1, 1, size=emb))
-    h_prev = ad.Tensor(rng.uniform(-1, 1, size=dim))
+    e = ad.Tensor(rng.uniform(-1, 1, size=(1, emb)))
+    h_prev = ad.Tensor(rng.uniform(-1, 1, size=(1, dim)))
 
     def loss():
         def gate(name, state):
-            pre = ad.add(ad.matmul(params[f"w_{name}"], e), ad.matmul(params[f"u_{name}"], state))
+            pre = ad.add(ad.matmul(e, params[f"w_{name}"]), ad.matmul(state, params[f"u_{name}"]))
             return ad.add(pre, params[f"b_{name}"])
 
         z = ad.sigmoid(gate("z", h_prev))
@@ -330,7 +465,7 @@ def test_tape_replay_determinism():
     def run():
         rng = np.random.default_rng(42)
         x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
-        v = ad.Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+        v = ad.Tensor(rng.uniform(-1, 1, size=(4, 1)), requires_grad=True)
         with ad.Tape() as tape:
             out = ad.tsum(ad.sigmoid(ad.matmul(x, ad.tanh(v))))
             tape.backward(out)

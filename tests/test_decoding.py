@@ -6,10 +6,10 @@ import pytest
 from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, UNK_ID
 from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, decode_multi
-from sentsimp.errors import ConstraintError, ContractError
+from sentsimp.errors import ConstraintError, ContractError, NumericError
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
-from oracles import exhaustive_best
+from oracles import beam_search_per_hypothesis, exhaustive_best
 
 CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=8)
 
@@ -55,12 +55,12 @@ def greedy_rollout(source, prefix, model, boundary, max_new):
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in prefix[:-1]:
-        state, _ = decode_step(tok, state, annotations, keys, params)
+        state, _ = decode_step([tok], state, annotations, keys, params)
     prev = prefix[-1]
     out = []
     for _ in range(max_new):
-        state, logits = decode_step(prev, state, annotations, keys, params)
-        prev = int(np.argmax(logits.data))
+        state, logits = decode_step([prev], state, annotations, keys, params)
+        prev = int(np.argmax(logits.data[0]))
         if prev == boundary:
             break
         out.append(prev)
@@ -78,13 +78,13 @@ def stages(trace):
 
 
 def test_beam_zero_budget_returns_empty():
-    hyp = beam_search(None, ad.zeros((3,)), 4, EOS_ID, beam_size=3, max_new=0)
-    assert hyp.tokens == () and hyp.finished and hyp.log_prob == 0.0
+    hyp = beam_search(None, ad.zeros((1, 3)), 4, EOS_ID, beam_size=3, max_new=0)
+    assert hyp.tokens == () and hyp.stop == "length_cap" and hyp.log_prob == 0.0
 
 
 def test_beam_rejects_bad_size():
     with pytest.raises(ContractError):
-        beam_search(None, ad.zeros((3,)), 4, EOS_ID, beam_size=0, max_new=3)
+        beam_search(None, ad.zeros((1, 3)), 4, EOS_ID, beam_size=0, max_new=3)
 
 
 def test_beam_one_equals_greedy_forward_and_backward():
@@ -109,13 +109,13 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         for tok in given[:-1]:
-            state, _ = decode_step(tok, state, annotations, keys, params)
+            state, _ = decode_step([tok], state, annotations, keys, params)
         prev = given[-1]
         running = 0.0
         partials = []
         for tok in [*generated, boundary]:
-            state, logits = decode_step(prev, state, annotations, keys, params)
-            running += float(np.log(ad.softmax(logits).data[tok]))
+            state, logits = decode_step([prev], state, annotations, keys, params)
+            running += float(np.log(ad.softmax(logits).data[0, tok]))
             partials.append(running)
             prev = tok
         assert partials[-1] == pytest.approx(log_prob, abs=1e-10)
@@ -152,11 +152,11 @@ def _oracle_setup(model, params, source, seed_tokens):
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in seed_tokens[:-1]:
-        state, _ = decode_step(tok, state, annotations, keys, params)
+        state, _ = decode_step([tok], state, annotations, keys, params)
 
     def step_fn(prev, st):
-        new_state, logits = decode_step(prev, st, annotations, keys, params)
-        return new_state, ad.softmax(logits).data
+        new_state, logits = decode_step([prev], st, annotations, keys, params)
+        return new_state, ad.softmax(logits).data[0]
 
     return step_fn, state, seed_tokens[-1]
 
@@ -183,6 +183,95 @@ def test_beam_matches_exhaustive_search_tiny_vocab(seed):
     score, tokens = exhaustive_best(step_fn, state, seed_tok, EOS_ID, content, max_new)
     assert fwd.tokens == tokens
     assert fwd.log_prob == pytest.approx(score, abs=1e-10)
+
+
+# ---------------------------------------------------------------- batched beam vs per-hypothesis oracle
+
+
+def _one_row_stepper(model, params, source, given):
+    """(step_fn over one hypothesis, initial state) for a stage, as the
+    per-hypothesis oracle steps it: one-row decode_step calls."""
+    annotations, h_mean = encode(source, model.encoder)
+    keys = attention_keys(annotations, params)
+    state = init_decoder_state(h_mean, params)
+    for tok in given[:-1]:
+        state, _ = decode_step([tok], state, annotations, keys, params)
+
+    def step_fn(prev, st):
+        new_state, logits = decode_step([prev], st, annotations, keys, params)
+        return new_state, ad.log_softmax(logits.data)[0].tolist()
+
+    return step_fn, state
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_beam_matches_per_hypothesis_oracle(seed):
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, beam_size=3, max_decode_len=7)
+    model = Seq2SeqModel.create(cfg, seed=seed)
+    source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
+    encoded = encode(source, model.encoder)
+    searches = (
+        (model.backward_decoder, (4 + seed % 8,), BOS_ID),
+        (model.forward_decoder, (BOS_ID, 5, 4 + seed % 8), EOS_ID),
+    )
+    for params, given, boundary in searches:
+        step_fn, state = _one_row_stepper(model, params, source, given)
+        max_new = cfg.max_decode_len - len(given) + 1
+        for beam in range(1, 7):
+            for length_norm in (0.0, 0.7):
+                got = _search(encoded, params, given, boundary, max_new, beam, length_norm)
+                tokens, log_prob = beam_search_per_hypothesis(
+                    step_fn, state, given[-1], boundary, beam, max_new, length_norm
+                )
+                assert got.tokens == tokens, (beam, length_norm, boundary)
+                assert got.log_prob == pytest.approx(log_prob, abs=1e-12)
+
+
+def test_beam_steps_every_live_hypothesis_in_one_call():
+    model = random_model(5)
+    annotations, h_mean = encode([4, 5, 6], model.encoder)
+    params = model.forward_decoder
+    keys = attention_keys(annotations, params)
+    widths = []
+
+    def step(prev_tokens, states):
+        assert states.shape == (len(prev_tokens), CFG.hidden_dim)
+        widths.append(len(prev_tokens))
+        new_states, logits = decode_step(prev_tokens, states, annotations, keys, params)
+        return new_states, ad.log_softmax(logits.data)
+
+    beam_search(step, init_decoder_state(h_mean, params), BOS_ID, EOS_ID, beam_size=4, max_new=5)
+    # at most 5 greedy-seed steps and 5 beam iterations, one call each
+    assert len(widths) <= 10 and max(widths) == 4
+
+
+def test_beam_search_raises_on_nonfinite_log_probs():
+    model = random_model(6)
+    model.forward_decoder.out_b.data[3] = np.nan
+    with pytest.raises(NumericError):
+        decode_multi([4, 5], [[6]], model)
+    model = random_model(6)
+    model.backward_decoder.out_b.data[7] = np.nan
+    with pytest.raises(NumericError):
+        decode_multi([4, 5], [[6]], model)
+
+
+def test_stop_records_boundary_and_length_cap():
+    # backward 5 -> BOS reaches the boundary; forward 5 -> 6 -> 7 -> 6 -> ...
+    # cycles until its token budget is spent
+    model = chain_model(fwd_succ={5: 6, 6: 7, 7: 6}, bwd_succ={5: BOS_ID})
+    trace = decode_multi([4, 5], [[5]], model).passes[0]
+    assert (trace.backward_stop, trace.forward_stop) == ("boundary", "length_cap")
+    assert trace.output == (5, 6, 7, 6, 7, 6, 7, 6)
+    assert len(trace.output) == model.config.max_decode_len
+
+
+def test_stop_of_search_with_zero_budget_and_immediate_boundary():
+    model = chain_model(fwd_succ={5: EOS_ID}, bwd_succ={5: BOS_ID})
+    trace = decode_multi([4, 5], [[5]], model).passes[0]
+    assert (trace.backward_stop, trace.forward_stop) == ("boundary", "boundary")
+    trace = decode_multi([4, 5], [(5,) * CFG.max_decode_len], model).passes[0]
+    assert (trace.backward_stop, trace.forward_stop) == ("length_cap", "length_cap")
 
 
 # ---------------------------------------------------------------- backward/forward
@@ -269,7 +358,9 @@ def test_multi_with_single_constraint_reduces_to_constrained():
         encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, max_len - len(prefix), CFG.beam_size, 0.0
     )
     assert multi.tokens == prefix + fwd.tokens
-    assert multi.passes == (PassTrace((8,), multi.tokens, len(back.tokens) + 1, back.log_prob, fwd.log_prob),)
+    assert multi.passes == (
+        PassTrace((8,), multi.tokens, len(back.tokens) + 1, back.log_prob, fwd.log_prob, back.stop, fwd.stop),
+    )
 
 
 def test_multi_skips_constraint_already_emitted():

@@ -16,8 +16,9 @@ from sentsimp.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from sentsimp.model import _gru_step
 
-from oracles import attention_loops, decoder_step_loops, encode_loops
+from oracles import attention_loops, decoder_step_loops, encode_loops, gru_step_loops
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=6)
 
@@ -151,7 +152,7 @@ def test_encode_zero_weights_gives_zero_states(model):
         t.data[...] = 0.0
     H, h_mean = encode([4, 5, 6], model.encoder)
     assert np.array_equal(H.data, np.zeros((3, 6)))
-    assert np.array_equal(h_mean.data, np.zeros(6))
+    assert np.array_equal(h_mean.data, np.zeros((1, 6)))
 
 
 def test_encode_single_token_mean_equals_annotation(model):
@@ -191,7 +192,7 @@ def test_attend_identical_annotations_uniform(model):
     dec = model.forward_decoder
     row = np.linspace(-0.5, 0.5, 6)
     H = ad.Tensor(np.tile(row, (4, 1)))
-    s = ad.Tensor(np.zeros(3))
+    s = ad.Tensor(np.zeros((1, 3)))
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
     assert np.allclose(alpha.data, 0.25, atol=1e-12)
     assert np.allclose(context.data, row, atol=1e-12)
@@ -199,33 +200,33 @@ def test_attend_identical_annotations_uniform(model):
 
 def test_attend_single_annotation(model):
     H, _ = encode([5], model.encoder)
-    s = ad.Tensor(np.zeros(3))
+    s = ad.Tensor(np.zeros((1, 3)))
     dec = model.backward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
-    assert alpha.tolist() == [1.0]
+    assert alpha.tolist() == [[1.0]]
     assert np.allclose(context.data, H.data[0], atol=1e-15)
 
 
 def test_attend_matches_scalar_loop_oracle(model):
     H, _ = encode([4, 6, 8], model.encoder)
     rng = np.random.default_rng(3)
-    s = ad.Tensor(rng.uniform(-1, 1, size=3))
+    s = ad.Tensor(rng.uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
-    ctx_o, alpha_o = attention_loops(s.tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
+    ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
     assert np.allclose(alpha.data, alpha_o, atol=1e-12)
     assert np.allclose(context.data, ctx_o, atol=1e-12)
 
 
 def test_attend_permutation_covariant(model):
     H, _ = encode([4, 5, 6, 7], model.encoder)
-    s = ad.Tensor(np.random.default_rng(9).uniform(-1, 1, size=3))
+    s = ad.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
     perm = [2, 0, 3, 1]
     H_perm = ad.Tensor(H.data[perm])
     context_p, alpha_p = attend(s, H_perm, attention_keys(H_perm, dec), dec)
-    assert np.allclose(alpha_p.data, alpha.data[perm], atol=1e-12)
+    assert np.allclose(alpha_p.data, alpha.data[:, perm], atol=1e-12)
     assert np.allclose(context_p.data, context.data, atol=1e-12)
 
 
@@ -238,7 +239,7 @@ def test_decode_step_zero_weights_uniform_dist(model):
     H, h_mean = encode([4, 5], model.encoder)
     dec = model.forward_decoder
     s0 = init_decoder_state(h_mean, dec)
-    _, logits = decode_step(4, s0, H, attention_keys(H, dec), dec)
+    _, logits = decode_step([4], s0, H, attention_keys(H, dec), dec)
     assert np.allclose(ad.softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
@@ -248,7 +249,7 @@ def test_decode_step_dist_sums_to_one(model):
     keys = attention_keys(H, dec)
     s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
-        s, logits = decode_step(tok, s, H, keys, dec)
+        s, logits = decode_step([tok], s, H, keys, dec)
         dist = ad.softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
@@ -259,11 +260,73 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     H, h_mean = encode([5, 7], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    s1, logits = decode_step(6, s0, H, attention_keys(H, dec), dec)
+    s1, logits = decode_step([6], s0, H, attention_keys(H, dec), dec)
     prev_emb = dec.embedding.tolist()[6]
-    s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.tolist(), H.tolist(), decoder_as_dict(dec))
+    s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
     assert np.allclose(ad.softmax(logits).data, dist_o, atol=1e-12)
+
+
+def batch_inputs(model, seed=4, rows=4):
+    H, _ = encode([4, 6, 5, 8], model.encoder)
+    rng = np.random.default_rng(seed)
+    states = ad.Tensor(rng.uniform(-1, 1, size=(rows, 3)))
+    tokens = [int(t) for t in rng.integers(0, TINY.vocab_size, size=rows)]
+    return H, states, tokens
+
+
+@pytest.mark.parametrize("side", ["forward", "backward"])
+def test_decode_step_rows_equal_one_row_calls(model, side):
+    dec = getattr(model, f"{side}_decoder")
+    H, states, tokens = batch_inputs(model)
+    keys = attention_keys(H, dec)
+    s_all, logits_all = decode_step(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
+    assert s_all.shape == (5, 3) and logits_all.shape == (5, TINY.vocab_size)
+    for b, tok in enumerate(tokens):
+        s_one, logits_one = decode_step([tok], ad.take_rows(states, [b]), H, keys, dec)
+        assert np.allclose(s_all.data[b], s_one.data[0], rtol=0, atol=1e-12)
+        assert np.allclose(logits_all.data[b], logits_one.data[0], rtol=0, atol=1e-12)
+    assert np.allclose(s_all.data[4], s_all.data[0], rtol=0, atol=1e-12)  # a repeated row
+
+
+def test_attend_rows_equal_one_row_calls_and_oracle(model):
+    dec = model.backward_decoder
+    H, states, _ = batch_inputs(model, seed=6)
+    keys = attention_keys(H, dec)
+    context, alpha = attend(states, H, keys, dec)
+    att = decoder_as_dict(dec)["att"]
+    for b in range(states.shape[0]):
+        ctx_one, alpha_one = attend(ad.take_rows(states, [b]), H, keys, dec)
+        assert np.allclose(context.data[b], ctx_one.data[0], rtol=0, atol=1e-12)
+        assert np.allclose(alpha.data[b], alpha_one.data[0], rtol=0, atol=1e-12)
+        ctx_o, alpha_o = attention_loops(states.data[b].tolist(), H.tolist(), att)
+        assert np.allclose(alpha.data[b], alpha_o, atol=1e-12)
+        assert np.allclose(context.data[b], ctx_o, atol=1e-12)
+
+
+def test_gru_step_rows_match_scalar_loop_oracle(model):
+    gru = model.encoder.fwd
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.uniform(-1, 1, size=(3, TINY.embed_dim)))
+    h_prev = ad.Tensor(rng.uniform(-1, 1, size=(3, 3)))
+    h = _gru_step(ad.affine(x, gru.w, gru.b), h_prev, gru)
+    for b in range(3):
+        want = gru_step_loops(x.data[b].tolist(), h_prev.data[b].tolist(), gru_as_dict(gru))
+        assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
+
+
+def test_decode_step_rows_gradcheck(model):
+    dec = model.forward_decoder
+    H, states, tokens = batch_inputs(model, seed=10, rows=3)
+    states.requires_grad = True
+
+    def loss():
+        s1, logits = decode_step(tokens, states, H, attention_keys(H, dec), dec)
+        return ad.add(ad.nll(logits, [5, 6, 5]), ad.tsum(ad.mul(s1, s1)))
+
+    params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
+              dec.att_w, dec.att_u, dec.att_v, dec.att_b, dec.out_w, dec.out_b]
+    assert check_gradients(loss, params, eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------- init state
@@ -271,11 +334,11 @@ def test_decode_step_matches_scalar_loop_oracle(model):
 
 def test_init_state_zero_cases(model):
     dec = model.forward_decoder
-    assert np.array_equal(init_decoder_state(ad.zeros((6,)), dec).data, np.zeros(3))
+    assert np.array_equal(init_decoder_state(ad.zeros((1, 6)), dec).data, np.zeros((1, 3)))
     dec.init_w.data[...] = 0.0
     dec.init_b.data[...] = 0.0
     H, h_mean = encode([4, 8], model.encoder)
-    assert np.array_equal(init_decoder_state(h_mean, dec).data, np.zeros(3))
+    assert np.array_equal(init_decoder_state(h_mean, dec).data, np.zeros((1, 3)))
 
 
 def test_init_state_matches_oracle_and_range(model):
@@ -284,8 +347,8 @@ def test_init_state_matches_oracle_and_range(model):
     s0 = init_decoder_state(h_mean, dec)
     import math
 
-    pre = np.array(dec.init_w.data) @ h_mean.data + dec.init_b.data
-    assert np.allclose(s0.data, [math.tanh(x) for x in pre], atol=1e-12)
+    pre = np.array(dec.init_w.data) @ h_mean.data[0] + dec.init_b.data
+    assert np.allclose(s0.data, [[math.tanh(x) for x in pre]], atol=1e-12)
     assert np.all(np.abs(s0.data) < 1.0)
 
 
@@ -299,8 +362,8 @@ def test_encode_decode_composite_gradcheck(model):
         H, h_mean = encode(source, model.encoder)
         dec = model.forward_decoder
         s0 = init_decoder_state(h_mean, dec)
-        s1, logits = decode_step(4, s0, H, attention_keys(H, dec), dec)
-        return ad.nll(logits, 6)
+        s1, logits = decode_step([4], s0, H, attention_keys(H, dec), dec)
+        return ad.nll(logits, [6])
 
     # full parameter sweep is covered by the acceptance suite; here spot-check
     # a representative subset that includes every fused GRU block
@@ -347,8 +410,8 @@ def test_checkpoint_identical_forward_values(tmp_path, model):
     H2, m2 = encode([4, 5, 6], loaded.encoder)
     assert np.array_equal(H1.data, H2.data)
     f1, f2 = model.forward_decoder, loaded.forward_decoder
-    s1, d1 = decode_step(4, init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
-    s2, d2 = decode_step(4, init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
+    s1, d1 = decode_step([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
+    s2, d2 = decode_step([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
     assert np.array_equal(d1.data, d2.data)
 
 

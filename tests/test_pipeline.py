@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -124,6 +125,14 @@ def test_simplify_applies_both_steps():
     assert trace["passes"][0]["output"] == "a center town"
     assert out == "important center town"
     assert "center" in out and "important" in out
+
+
+def test_simplify_trace_records_why_each_search_stopped():
+    pipeline, _ = showcase_pipeline()
+    _, trace = pipeline.simplify("a key hub .")
+    stops = [(p["backward_stop"], p["forward_stop"]) for p in trace["passes"]]
+    assert stops == [("boundary", "boundary"), ("boundary", "boundary")]
+    json.dumps(trace)  # still one JSON line
 
 
 def test_simplify_without_matches_is_unconstrained():
