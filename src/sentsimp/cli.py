@@ -20,11 +20,12 @@ from .corpus import (
     split_corpus,
     tokenize,
 )
-from .errors import DATA_ERRORS, IngestionError, SentsimpError
+from .errors import DATA_ERRORS, ConfigError, IngestionError, SentsimpError
 from .lexsub import FrequencyTable, identify_and_substitute, load_kb
 from .metrics import EvalTriple, evaluate_corpus, render_csv, render_text
 from .model import Seq2SeqModel
 from .pipeline import (
+    RANGE_CHECKS,
     PipelineConfig,
     SimplifyPipeline,
     echo_config,
@@ -82,6 +83,8 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> PipelineConfig:
+    """The config file (or the defaults) with the given flags applied; a
+    flag's value must pass the range check of its config key."""
     config = parse_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     overrides = {}
     for attr, key in (
@@ -96,8 +99,12 @@ def _load_config(args) -> PipelineConfig:
         ("max_passes", "max_passes"),
     ):
         value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+        if value is None:
+            continue
+        check = RANGE_CHECKS.get(key)
+        if check is not None and not check(value):
+            raise ConfigError(f"--{attr.replace('_', '-')} has out-of-range value {value}")
+        overrides[key] = value
     return dataclasses.replace(config, **overrides)
 
 

@@ -219,7 +219,7 @@ def decode_multi(
     forward decoder from BOS.
     """
     cfg = model.config
-    beam = beam_size or cfg.beam_size
+    beam = cfg.beam_size if beam_size is None else beam_size
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
         encoded = encode(source, model.encoder)

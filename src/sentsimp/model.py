@@ -23,8 +23,9 @@ step.
 from __future__ import annotations
 
 import dataclasses
+import zipfile
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
 INIT_SCALE = 0.08
-CHECKPOINT_MAGIC = "seq2seq-ckpt v2"
+CHECKPOINT_FORMAT = "seq2seq-ckpt v3"
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,27 @@ def decode_step(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: versioned flat text with named parameters, plus the vocabulary
-# and term-frequency table so `simplify` is self-contained from one file
+# checkpoints: one uncompressed numpy archive (`np.savez`) holding a format
+# string, the config, the vocabulary and term-frequency table (so `simplify`
+# is self-contained from one file) and one member per named parameter. The
+# zip container keeps a CRC-32 per member, so a flipped byte or a cut file is
+# refused on load; nothing is pickled.
+
+_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "beam_size", "max_decode_len")
+
+
+def _token_bytes(tokens: Iterable[str]) -> np.ndarray:
+    """UTF-8 bytes of the tokens joined by newlines. Unlike a fixed-width
+    string array this keeps every token exactly, trailing NULs included."""
+    tokens = list(tokens)
+    if any(not tok or "\n" in tok for tok in tokens):
+        raise ContractError("checkpoint tokens must be non-empty and hold no newline")
+    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
+
+
+def _tokens(data: np.ndarray) -> list[str]:
+    text = data.tobytes().decode("utf-8")
+    return text.split("\n") if text else []
 
 
 def save_checkpoint(
@@ -269,25 +289,19 @@ def save_checkpoint(
     freq_counts: dict[str, int] | None = None,
     freq_threshold: float | None = None,
 ) -> None:
-    cfg = model.config
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        for key in ("vocab_size", "embed_dim", "hidden_dim", "beam_size", "max_decode_len"):
-            fh.write(f"config {key} {getattr(cfg, key)}\n")
-        if freq_threshold is not None:
-            fh.write(f"config freq_threshold {freq_threshold!r}\n")
-        fh.write(f"vocab {len(vocab_tokens)}\n")
-        for tok in vocab_tokens:
-            fh.write(tok + "\n")
-        counts = freq_counts or {}
-        fh.write(f"freq {len(counts)}\n")
-        for tok, count in counts.items():
-            fh.write(f"{tok} {count}\n")
-        for name, t in model.named_parameters():
-            dims = " ".join(str(d) for d in t.shape)
-            fh.write(f"param {name} {dims}\n")
-            fh.write(" ".join(repr(float(v)) for v in t.data.reshape(-1)) + "\n")
-        fh.write("end\n")
+    counts = freq_counts or {}
+    members = {
+        "format": np.array(CHECKPOINT_FORMAT),
+        **{f"config.{key}": np.int64(getattr(model.config, key)) for key in _CONFIG_KEYS},
+        "freq_threshold": np.array([] if freq_threshold is None else [freq_threshold], dtype=np.float64),
+        "vocab": _token_bytes(vocab_tokens),
+        "freq.tokens": _token_bytes(counts),
+        "freq.counts": np.array(list(counts.values()), dtype=np.int64),
+        **{name: t.data for name, t in model.named_parameters()},
+    }
+    # through an open file: given a path string, np.savez would append ".npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
 @dataclass
@@ -306,79 +320,50 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a `save_checkpoint` file into a fresh model.
+    """Read a `save_checkpoint` archive into a fresh model.
 
-    A missing, truncated or corrupt file raises CheckpointError; a parse
-    failure names the path and the 1-based line.
+    A missing, empty, cut, corrupt or foreign file (such as a v1 or v2 text
+    checkpoint) raises CheckpointError naming the path and, where there is
+    one, the archive member.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_MAGIC!r} file")
+    member = None  # the member being read, named in the error
 
-    pos = 0  # index of the line being parsed
-
-    def next_line() -> str:
-        nonlocal pos
-        if pos + 1 >= len(lines):
-            raise ValueError("unexpected end of file")
-        pos += 1
-        return lines[pos]
-
-    def section(word: str) -> int:
-        fields = next_line().split(" ")
-        if len(fields) != 2 or fields[0] != word or int(fields[1]) < 0:
-            raise ValueError(f"expected '{word} <count>'")
-        return int(fields[1])
+    def read(name: str, dtype, shape: tuple | None = None) -> np.ndarray:
+        nonlocal member
+        member = name
+        value = np.asarray(archive[name])  # a member that is not .npy data reads as bytes
+        if value.dtype != dtype or shape is not None and value.shape != shape:
+            expected = np.dtype(dtype) if shape is None else f"{np.dtype(dtype)} {shape}"
+            raise ValueError(f"holds {value.dtype} {value.shape}, expected {expected}")
+        return value
 
     try:
-        config_kv: dict[str, str] = {}
-        while pos + 1 < len(lines) and lines[pos + 1].startswith("config "):
-            _, key, value = next_line().split(" ", 2)
-            config_kv[key] = value
-        absent = [k for k in ("vocab_size", "embed_dim", "hidden_dim") if k not in config_kv]
-        if absent:
-            raise ValueError(f"missing config {absent}")
-        cfg = ModelConfig(
-            vocab_size=int(config_kv["vocab_size"]),
-            embed_dim=int(config_kv["embed_dim"]),
-            hidden_dim=int(config_kv["hidden_dim"]),
-            beam_size=int(config_kv.get("beam_size", 5)),
-            max_decode_len=int(config_kv.get("max_decode_len", 100)),
-        )
-        freq_threshold = (
-            float(config_kv["freq_threshold"]) if "freq_threshold" in config_kv else None
-        )
-        vocab_tokens = [next_line() for _ in range(section("vocab"))]
-        freq_counts: dict[str, int] = {}
-        for _ in range(section("freq")):
-            tok, count = next_line().rsplit(" ", 1)
-            freq_counts[tok] = int(count)
-
-        model = Seq2SeqModel.create(cfg, seed=0)
-        expected = dict(model.named_parameters())
-        seen = set()
-        while (header := next_line()) != "end":
-            kind, name, *dims = header.split(" ")
-            if kind != "param" or name not in expected:
-                raise ValueError(f"unexpected line {header[:40]!r}")
-            target = expected[name]
-            shape = tuple(int(d) for d in dims)
-            if shape != target.shape:
-                raise ValueError(f"parameter {name!r} has shape {shape}, expected {target.shape}")
-            values = np.array([float(v) for v in next_line().split()], dtype=np.float64)
-            if values.size != target.size:
-                raise ValueError(f"parameter {name!r} has {values.size} values, expected {target.size}")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"parameter {name!r} has non-finite values")
-            target.data = values.reshape(shape)
-            seen.add(name)
-    except (ValueError, ContractError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path} at line {pos + 1}: {exc}") from None
-    missing = set(expected) - seen
-    if missing:
-        raise CheckpointError(f"checkpoint {path} is missing parameters: {sorted(missing)[:3]}")
-    return Checkpoint(model, vocab_tokens, freq_counts, freq_threshold)
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as archive:
+            if str(read("format", f"<U{len(CHECKPOINT_FORMAT)}")) != CHECKPOINT_FORMAT:
+                raise ValueError(f"not a {CHECKPOINT_FORMAT!r} archive")
+            config = {key: int(read(f"config.{key}", np.int64, ())) for key in _CONFIG_KEYS}
+            member = None
+            model = Seq2SeqModel.create(ModelConfig(**config), seed=0)
+            params = dict(model.named_parameters())
+            expected = {"format", "freq_threshold", "vocab", "freq.tokens", "freq.counts", *params}
+            expected |= {f"config.{key}" for key in _CONFIG_KEYS}
+            missing, unexpected = sorted(expected - set(archive.files)), sorted(set(archive.files) - expected)
+            if missing or unexpected:
+                raise ValueError(f"missing members {missing[:3]}, unexpected members {unexpected[:3]}")
+            threshold = read("freq_threshold", np.float64)
+            if threshold.shape not in ((0,), (1,)):
+                raise ValueError(f"holds shape {threshold.shape}, expected (0,) or (1,)")
+            vocab_tokens = _tokens(read("vocab", np.uint8))
+            freq_tokens = _tokens(read("freq.tokens", np.uint8))
+            counts = read("freq.counts", np.int64, (len(freq_tokens),))
+            for name, target in params.items():
+                target.data = np.ascontiguousarray(read(name, np.float64, target.shape))
+                if not np.all(np.isfinite(target.data)):
+                    raise ValueError("non-finite values")
+    # zipfile raises RuntimeError (NotImplementedError among them) for header
+    # bits it cannot honour, such as a compression method or encryption flag
+    except (zipfile.BadZipFile, EOFError, ValueError, OSError, KeyError, RuntimeError) as exc:
+        where = f", member {member!r}" if member else ""
+        raise CheckpointError(f"cannot load checkpoint {path}{where}: {exc}") from None
+    threshold_value = float(threshold[0]) if threshold.size else None
+    return Checkpoint(model, vocab_tokens, dict(zip(freq_tokens, counts.tolist())), threshold_value)

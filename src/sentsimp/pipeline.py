@@ -75,7 +75,7 @@ class PipelineConfig:
 
 _PATH_FIELDS = ("source", "target", "kb", "checkpoint", "out_dir")
 
-_RANGE_CHECKS = {
+RANGE_CHECKS = {
     "vocab_size": lambda v: v > 4,
     "embed_dim": lambda v: v >= 1,
     "hidden_dim": lambda v: v >= 1,
@@ -132,7 +132,7 @@ def parse_config(path: str) -> PipelineConfig:
         if key not in fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         value = _convert(key, raw_value, kinds[key], lineno)
-        check = _RANGE_CHECKS.get(key)
+        check = RANGE_CHECKS.get(key)
         if check is not None and not check(value):
             raise ConfigError(f"line {lineno}: key {key!r} has out-of-range value {raw_value}")
         values[key] = value

@@ -201,6 +201,11 @@ def _corpus_loss(
     return total / max(tokens, 1)
 
 
+def _write_log_row(path: str, mode: str, row: list) -> None:
+    with open(path, mode, encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(row)
+
+
 def write_atomic_checkpoint(path: str, model: Seq2SeqModel, **kwargs) -> None:
     tmp = path + ".tmp"
     save_checkpoint(tmp, model, **kwargs)
@@ -215,15 +220,14 @@ def train(
     kb: KnowledgeBase | None = None,
     freq_table: FrequencyTable | None = None,
     out_dir: str | None = None,
-    log_name: str = "training_log.csv",
     checkpoint_kwargs: dict | None = None,
 ) -> TrainResult:
     """Mini-batch training loop over the train split.
 
     Constraint positions are selected once, deterministically. Validation
     loss is computed without gradient updates on the validation split (the
-    train split when empty). Checkpoints and a CSV log are written under
-    out_dir when given; checkpoint writes are atomic.
+    train split when empty). Under out_dir, when given, each epoch appends
+    its row to training_log.csv as it ends, and checkpoint writes are atomic.
     """
     if not corpus.train:
         raise ContractError("training needs a non-empty train split")
@@ -250,6 +254,8 @@ def train(
     ckpt_kwargs = checkpoint_kwargs or {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        log_path = os.path.join(out_dir, "training_log.csv")
+        _write_log_row(log_path, "w", ["epoch", "train_loss", "valid_loss", "seconds"])
 
     for epoch in range(1, config.epochs + 1):
         started = time.monotonic()
@@ -284,17 +290,11 @@ def train(
         )
         result.history.append(stats)
 
-        if out_dir is not None and (
-            epoch % config.checkpoint_every == 0 or epoch == config.epochs
-        ):
-            path = os.path.join(out_dir, f"epoch{epoch:04d}.ckpt")
-            write_atomic_checkpoint(path, model, **ckpt_kwargs)
-            result.checkpoint_paths.append(path)
-
-    if out_dir is not None:
-        with open(os.path.join(out_dir, log_name), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "valid_loss", "seconds"])
-            for s in result.history:
-                writer.writerow([s.epoch, repr(s.train_loss), repr(s.valid_loss), f"{s.seconds:.3f}"])
+        if out_dir is not None:
+            row = [epoch, repr(stats.train_loss), repr(stats.valid_loss), f"{stats.seconds:.3f}"]
+            _write_log_row(log_path, "a", row)
+            if epoch % config.checkpoint_every == 0 or epoch == config.epochs:
+                path = os.path.join(out_dir, f"epoch{epoch:04d}.ckpt")
+                write_atomic_checkpoint(path, model, **ckpt_kwargs)
+                result.checkpoint_paths.append(path)
     return result

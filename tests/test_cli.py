@@ -108,18 +108,47 @@ def test_simplify_missing_checkpoint_is_model_error(tmp_path):
 
 
 def test_simplify_truncated_checkpoint_is_model_error(tmp_path, capsys):
-    # cut just after the last parameter header, before its value line
+    # cut one byte short: the archive's central directory is incomplete
     ckpt = tmp_path / "cut.ckpt"
     save_checkpoint(str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)))
-    lines = ckpt.read_text(encoding="utf-8").splitlines()
-    last_header = max(i for i, line in enumerate(lines) if line.startswith("param "))
-    ckpt.write_text("".join(line + "\n" for line in lines[: last_header + 1]), encoding="utf-8")
+    ckpt.write_bytes(ckpt.read_bytes()[:-1])
     input_file = tmp_path / "in.txt"
     input_file.write_text("hello\n", encoding="utf-8")
     code = main(["simplify", "--model", str(ckpt), "--input", str(input_file)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("model error:") and str(ckpt) in err
+
+
+def test_simplify_flipped_checkpoint_byte_is_model_error(tmp_path, capsys):
+    ckpt = tmp_path / "flipped.ckpt"
+    save_checkpoint(str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)))
+    data = bytearray(ckpt.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    ckpt.write_bytes(bytes(data))
+    input_file = tmp_path / "in.txt"
+    input_file.write_text("hello\n", encoding="utf-8")
+    code = main(["simplify", "--model", str(ckpt), "--input", str(input_file)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and str(ckpt) in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--beam", "0"), ("--beam", "-2"), ("--max-constraints", "-1"), ("--max-passes", "-1")]
+)
+def test_simplify_out_of_range_flag_is_data_error(tmp_path, capsys, flag, value):
+    """A flag is judged by the range check of its config key, as in a config file."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(
+        str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)),
+        vocab_tokens=["hello"], freq_counts={"hello": 1},
+    )
+    input_file = tmp_path / "in.txt"
+    input_file.write_text("hello\n", encoding="utf-8")
+    code = main(["simplify", "--model", str(ckpt), "--input", str(input_file), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {flag} has out-of-range value {value}\n"
 
 
 def test_evaluate_text_and_csv(tmp_path, capsys):

@@ -87,6 +87,13 @@ def test_beam_rejects_bad_size():
         beam_search(None, ad.zeros((1, 3)), 4, EOS_ID, beam_size=0, max_new=3)
 
 
+def test_decode_multi_rejects_beam_zero():
+    model = random_model(1)
+    for blocks in ([], [[5]]):
+        with pytest.raises(ContractError):
+            decode_multi([4, 5], blocks, model, beam_size=0)
+
+
 def test_beam_one_equals_greedy_forward_and_backward():
     model = random_model(21)
     source = [4, 5, 6, 7]

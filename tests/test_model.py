@@ -1,3 +1,6 @@
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -427,13 +430,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_rejects_truncation(tmp_path, model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
 
 
-def saved_checkpoint_lines(tmp_path, model):
+def saved_checkpoint(tmp_path, model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(
         str(path), model,
@@ -441,41 +444,164 @@ def saved_checkpoint_lines(tmp_path, model):
         freq_counts={"alpha": 3, "beta": 1},
         freq_threshold=2.5,
     )
-    return path, path.read_text(encoding="utf-8").splitlines()
+    return path
 
 
-def test_checkpoint_cut_at_every_line_boundary_raises_checkpoint_error(tmp_path, model):
-    path, lines = saved_checkpoint_lines(tmp_path, model)
-    for keep in range(len(lines)):
-        path.write_text("".join(line + "\n" for line in lines[:keep]), encoding="utf-8")
+def rewrite_members(path, **changes):
+    """Rewrite the archive at path with some members replaced (None drops
+    one); every member keeps a valid CRC, so only the loader's own checks
+    can refuse the result."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: value for name, value in members.items() if value is not None})
+
+
+def member_data_spans(path):
+    """{member name: (first, end) byte offsets of its stored .npy bytes}."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        spans = {}
+        for info in zf.infolist():
+            name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26 : info.header_offset + 30])
+            first = info.header_offset + 30 + name_len + extra_len
+            spans[info.filename.removesuffix(".npy")] = (first, first + info.compress_size)
+    return spans
+
+
+def test_checkpoint_cut_at_spread_of_offsets_raises_checkpoint_error(tmp_path, model):
+    path = saved_checkpoint(tmp_path, model)
+    data = path.read_bytes()
+    cuts = {0, 1, len(data) - 1} | set(np.linspace(0, len(data) - 1, 97).astype(int).tolist())
+    cuts |= {end for _, end in member_data_spans(path).values()} - {len(data)}
+    for keep in sorted(cuts):
+        path.write_bytes(data[:keep])
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(path))
         assert str(path) in str(err.value), keep
 
 
-@pytest.mark.parametrize("corruption", ["value", "nan", "count", "shape", "freq_row"])
-def test_checkpoint_corruption_raises_checkpoint_error_naming_the_line(tmp_path, model, corruption):
-    path, lines = saved_checkpoint_lines(tmp_path, model)
-    header = lines.index("param encoder.embedding 9 2")
-    index, replacement = {
-        "value": (header + 1, "0.5 1.0e " + lines[header + 1].split(" ", 2)[2]),
-        "nan": (header + 1, "0.5 nan " + lines[header + 1].split(" ", 2)[2]),
-        "count": (lines.index("vocab 2"), "vocab two"),
-        "shape": (header, "param encoder.embedding 2 9"),
-        "freq_row": (lines.index("freq 2") + 1, "alpha"),
-    }[corruption]
-    lines[index] = replacement
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def test_checkpoint_flipped_byte_in_each_parameter_member_raises(tmp_path, model):
+    path = saved_checkpoint(tmp_path, model)
+    data = path.read_bytes()
+    spans = member_data_spans(path)
+    for name, _ in model.named_parameters():
+        first, end = spans[name]
+        for offset in (first + (end - first) // 2, end - 1):  # a value byte inside the array
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(str(path))
+            assert str(path) in str(err.value) and repr(name) in str(err.value), (name, offset)
+
+
+# corruption -> (member rewritten, its new value from the embedding e or None
+# to drop it, the word the error must name)
+_CORRUPTIONS = {
+    "nan": ("encoder.embedding", lambda e: np.where(e == e.flat[1], np.nan, e), "encoder.embedding"),
+    "count": ("freq.counts", lambda e: np.array([3.0, 1.0]), "freq.counts"),
+    "shape": ("encoder.embedding", lambda e: np.ascontiguousarray(e.T), "encoder.embedding"),
+    "freq_row": ("freq.counts", lambda e: np.array([3], dtype=np.int64), "freq.counts"),
+    "config": ("config.vocab_size", lambda e: np.int64(3), "vocab_size"),
+    "missing": ("forward.out_b", lambda e: None, "forward.out_b"),
+    "unexpected": ("forward.extra", lambda e: np.zeros(2), "forward.extra"),
+    "dtype": ("encoder.embedding", lambda e: e.astype(np.float32), "encoder.embedding"),
+}
+
+
+def test_checkpoint_flipped_bit_in_zip_headers_is_refused_or_harmless(tmp_path, model):
+    """Header fields carry no CRC: every bit flip in one member's local header
+    and central directory entry must raise CheckpointError or load the same
+    parameters (a changed timestamp, say)."""
+    path = saved_checkpoint(tmp_path, model)
+    data = path.read_bytes()
+    name = b"encoder.embedding.npy"
+    local = data.index(name) - 30
+    central = data.index(name, local + 31) - 46
+    first, _ = member_data_spans(path)["encoder.embedding"]
+    offsets = [*range(local, first), *range(central, central + 46 + len(name))]
+    for offset in offsets:
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded = load_checkpoint(str(path)).model
+            except CheckpointError as err:
+                assert str(path) in str(err)
+                continue
+            for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+                assert np.array_equal(a.data, b.data), (offset, bit)
+
+
+@pytest.mark.parametrize("corruption", ["value", *_CORRUPTIONS])
+def test_checkpoint_corruption_raises_checkpoint_error_naming_the_member(tmp_path, model, corruption):
+    path = saved_checkpoint(tmp_path, model)
+    if corruption == "value":  # a flipped bit; the member's CRC-32 no longer matches
+        _, end = member_data_spans(path)["encoder.embedding"]
+        data = bytearray(path.read_bytes())
+        data[end - 3] ^= 0x10
+        path.write_bytes(bytes(data))
+        named = "encoder.embedding"
+    else:
+        member, make, named = _CORRUPTIONS[corruption]
+        rewrite_members(path, **{member: make(model.encoder.embedding.data)})
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(str(path))
-    assert str(path) in str(err.value)
-    assert f"line {index + 1}:" in str(err.value)
+    assert str(path) in str(err.value) and named in str(err.value)
 
 
 def test_checkpoint_refuses_v1_header(tmp_path, model):
-    path, lines = saved_checkpoint_lines(tmp_path, model)
-    assert lines[0] == "seq2seq-ckpt v2"
-    lines[0] = "seq2seq-ckpt v1"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(str(path))
+    """Only a `seq2seq-ckpt v3` archive loads: text checkpoints (v1, v2),
+    a bare .npy, an empty file, a zip of raw bytes and archives with another
+    format are refused."""
+    path = saved_checkpoint(tmp_path, model)
+    with np.load(path, allow_pickle=False) as archive:
+        assert str(archive["format"]) == "seq2seq-ckpt v3"
+    foreign = {
+        "v1.ckpt": b"seq2seq-ckpt v1\nconfig vocab_size 9\n",
+        "v2.ckpt": b"seq2seq-ckpt v2\nconfig vocab_size 9\nvocab 0\nfreq 0\nend\n",
+        "empty.ckpt": b"",
+    }
+    for name, content in foreign.items():
+        (tmp_path / name).write_bytes(content)
+    np.save(tmp_path / "bare.npy", np.zeros(3))
+    np.savez(tmp_path / "other.npz", weights=np.zeros(3))
+    with zipfile.ZipFile(tmp_path / "raw.zip", "w") as zf:
+        zf.writestr("format.npy", b"seq2seq-ckpt v3")
+    rewrite_members(path, format=np.array("seq2seq-ckpt v2"))
+    for name in [*foreign, "bare.npy", "other.npz", "raw.zip", path.name]:
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(tmp_path / name))
+        assert str(tmp_path / name) in str(err.value)
+
+
+def test_checkpoint_token_with_trailing_nul_round_trips(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    tokens = ["a\x00", "\x00b", "é", "c"]
+    save_checkpoint(str(path), model, vocab_tokens=tokens, freq_counts={"a\x00": 2, "c": 1})
+    loaded = load_checkpoint(str(path))
+    assert loaded.vocab_tokens == tokens
+    assert loaded.freq_counts == {"a\x00": 2, "c": 1}
+
+
+def test_checkpoint_refuses_tokens_it_cannot_keep(tmp_path, model):
+    for bad in (["a\nb"], [""]):
+        with pytest.raises(ContractError):
+            save_checkpoint(str(tmp_path / "model.ckpt"), model, vocab_tokens=bad)
+
+
+def test_checkpoint_empty_vocab_and_frequency_table_round_trip(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model, vocab_tokens=[], freq_counts={})
+    loaded = load_checkpoint(str(path))
+    assert loaded.vocab_tokens == [] and loaded.freq_counts == {}
+
+
+@pytest.mark.parametrize("threshold", [None, 0.0, 2.5, 1e-300])
+def test_checkpoint_freq_threshold_round_trips(tmp_path, model, threshold):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model, vocab_tokens=["a"], freq_counts={"a": 1}, freq_threshold=threshold)
+    assert load_checkpoint(str(path)).freq_threshold == threshold

@@ -8,7 +8,7 @@ from sentsimp.corpus import BOS_ID, CorpusSplit, SentencePair, build_vocab
 from sentsimp.errors import ContractError, TrainingError
 from sentsimp.gradcheck import check_gradients
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
-from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint
+from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.training import (
     AdadeltaState,
     TrainConfig,
@@ -331,6 +331,25 @@ def test_training_log_csv_written(tmp_path):
     lines = (out / "training_log.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,valid_loss,seconds"
     assert len(lines) == 3
+
+
+def test_training_log_keeps_rows_of_epochs_before_an_interruption(tmp_path, monkeypatch):
+    from sentsimp import training
+
+    def save_or_fail(path, model, **kwargs):
+        if "epoch0002" in path:
+            raise OSError("disk full")
+        save_checkpoint(path, model, **kwargs)
+
+    monkeypatch.setattr(training, "save_checkpoint", save_or_fail)
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=5, checkpoint_every=1)
+    out = tmp_path / "run"
+    with pytest.raises(OSError):
+        train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), cfg, fake_vocab(), out_dir=str(out))
+    rows = (out / "training_log.csv").read_text().splitlines()
+    assert rows[0] == "epoch,train_loss,valid_loss,seconds"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+    assert sorted(p.name for p in out.glob("*.ckpt")) == ["epoch0001.ckpt"]
 
 
 def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
