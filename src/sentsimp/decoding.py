@@ -11,7 +11,10 @@ each pass's output as the next pass's source.
 
 Beam search keeps one decoder-state row per hypothesis and advances every
 live hypothesis with one batched step per iteration (the batched-beam
-layout of Post & Vilar 2018); each search records why it stopped.
+layout of Post & Vilar 2018). A beam wider than 1 carries its greedy
+hypothesis as one more row of that step. Only the beam's steps compute
+output logits, not the teacher-forced ones; each search records why it
+stopped.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ import numpy as np
 from .autodiff import Tensor, log_softmax
 from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS, find_block
 from .errors import ConstraintError, ContractError, NumericError
-from .model import DecoderParams, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
+from .model import (
+    DecoderParams,
+    Seq2SeqModel,
+    attention_keys,
+    decode_step,
+    encode,
+    init_decoder_state,
+    output_logits,
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,31 @@ def _rank_key(hyp: Hypothesis, length_norm: float):
     return (-score, len(hyp.tokens), hyp.tokens)
 
 
+def _expand(
+    hyps: list[Hypothesis],
+    states: np.ndarray,
+    log_probs: np.ndarray,
+    width: int,
+    boundary_id: int,
+    finished: list[Hypothesis],
+) -> list[Hypothesis]:
+    """Continuations of each hypothesis by its row's width best tokens, in
+    descending log-prob order: a boundary token's goes to finished, the
+    others are returned. states and log_probs hold one row per hypothesis."""
+    rows = np.arange(len(hyps))[:, None]
+    top = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
+    top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
+    candidates: list[Hypothesis] = []
+    for hyp, state, toks, tok_log_probs in zip(hyps, states, top.tolist(), log_probs[rows, top].tolist()):
+        for tok, log_p in zip(toks, tok_log_probs):
+            score = hyp.log_prob + log_p
+            if tok == boundary_id:
+                finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
+            else:
+                candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
+    return candidates
+
+
 def beam_search(
     step_fn,
     init_state: Tensor,
@@ -111,6 +147,12 @@ def beam_search(
     generated tokens (unscored, stop "length_cap"). Scores are summed
     log-probabilities; an optional length-normalization exponent divides by
     (length + 1) ** length_norm when ranking.
+
+    A beam wider than 1 also steps the greedy hypothesis, the beam-1
+    search, as the last row of the same batch, whether or not the beam has
+    pruned its prefix. It finishes like any other, so widening the beam can
+    never fall below the beam-1 score (plain beam search does not guarantee
+    that: the greedy prefix can be pruned mid-way).
     """
     if beam_size < 1:
         raise ContractError(f"beam size must be at least 1, got {beam_size}")
@@ -118,49 +160,37 @@ def beam_search(
         return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
 
     active = [Hypothesis((), 0.0, init_state.data[0])]
+    greedy = active[:] if beam_size > 1 else []  # holds the greedy hypothesis while live
+    # each stepped row adds at most one boundary hypothesis, so this pool
+    # stays small enough to keep whole: no finished hypothesis is dropped
     finished: list[Hypothesis] = []
-    if beam_size > 1:
-        # seed the pool with the greedy rollout so that widening the beam can
-        # never fall below the beam-1 score (plain beam search does not
-        # guarantee that: the greedy prefix can be pruned mid-way)
-        finished.append(
-            beam_search(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
-        )
     for _ in range(max_new):
-        prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in active]
-        new_states, log_probs = step_fn(prev, Tensor(np.stack([hyp.state for hyp in active])))
+        rows = active + greedy
+        prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in rows]
+        new_states, log_probs = step_fn(prev, Tensor(np.stack([hyp.state for hyp in rows])))
         if not np.all(np.isfinite(log_probs)):
             raise NumericError("beam search: a step's log-probabilities are not all finite")
+        n = len(active)
+        if greedy:
+            greedy = _expand(greedy, new_states.data[n:], log_probs[n:], 1, boundary_id, finished)
         # beam 1 is the greedy argmax chain; wider beams expand one extra
-        # slot per hypothesis so a boundary token cannot crowd out content;
-        # each row's slots in descending log-prob order
+        # slot per hypothesis so a boundary token cannot crowd out content
         width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
-        rows = np.arange(len(active))[:, None]
-        top = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
-        top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
-        candidates: list[Hypothesis] = []
-        for hyp, state, toks, tok_log_probs in zip(
-            active, new_states.data, top.tolist(), log_probs[rows, top].tolist()
-        ):
-            for tok, log_p in zip(toks, tok_log_probs):
-                score = hyp.log_prob + log_p
-                if tok == boundary_id:
-                    finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
-                else:
-                    candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
+        candidates = _expand(active, new_states.data[:n], log_probs[:n], width, boundary_id, finished)
         candidates.sort(key=lambda h: _rank_key(h, length_norm))
         active = candidates[:beam_size]
-        finished.sort(key=lambda h: _rank_key(h, length_norm))
-        finished = finished[: beam_size * (max_new + 1)]
-        if not active:
+        if length_norm == 0.0 and finished:
+            # log-probs only decrease, so a live hypothesis scoring below the
+            # best finished one can never win: once the best active one
+            # does, drop the beam; once the greedy one does, drop it too
+            best = max(hyp.log_prob for hyp in finished)
+            if active and active[0].log_prob < best:
+                active = []
+            if greedy and greedy[0].log_prob < best:
+                greedy = []
+        if not active and not greedy:
             break
-        if (
-            length_norm == 0.0
-            and finished
-            and finished[0].log_prob > active[0].log_prob
-        ):
-            return finished[0]  # log-probs only decrease, no active path can catch up
-    finished.extend(replace(hyp, stop="length_cap") for hyp in active)
+    finished.extend(replace(hyp, stop="length_cap") for hyp in active + greedy)
     return min(finished, key=lambda h: _rank_key(h, length_norm))
 
 
@@ -176,20 +206,19 @@ def _search(
     """One decoder's stage of a pass over an already encoded source.
 
     The state starts from the mean annotation; all given tokens but the last
-    are teacher-forced (no search, no scoring), and the last one seeds the
-    beam search, which runs until boundary_id or max_new new tokens. Every
-    step of the stage, the greedy seeding rollout included, shares one set
-    of attention keys.
+    are teacher-forced (no search, no scoring, so no logits), and the last
+    one seeds the beam search, which runs until boundary_id or max_new new
+    tokens. Every step of the stage shares one set of attention keys.
     """
     annotations, h_mean = encoded
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step([tok], state, annotations, keys, params)
 
     def step(prev_tokens: list[int], states: Tensor):
-        new_states, logits = decode_step(prev_tokens, states, annotations, keys, params)
-        return new_states, log_softmax(logits.data)
+        e_prev, new_states, context = decode_step(prev_tokens, states, annotations, keys, params)
+        return new_states, log_softmax(output_logits(e_prev, new_states, context, params).data)
 
     return beam_search(
         step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new, length_norm=length_norm

@@ -17,7 +17,9 @@ token's embedding joined to its attention context. The encoder computes
 the input pre-activations of a whole source in one product before its
 recurrence. Attention keys depend only on the annotations, so each decoder
 stage computes them once with `attention_keys` and passes them to every
-step.
+step. A decoder step is two functions: `decode_step` updates the state,
+and `output_logits` projects a step's rows onto the vocabulary, so a
+teacher-forced step whose prediction nothing scores skips that product.
 """
 
 from __future__ import annotations
@@ -243,19 +245,24 @@ def decode_step(
     annotations: Tensor,
     keys: Tensor,
     params: DecoderParams,
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, Tensor, Tensor]:
     """One decoder update of B rows: row b consumes prev_tokens[b] in state
-    s_prev[b]. Returns the new states (B, dim) and next-token logits (B, V).
+    s_prev[b]. Returns the previous tokens' embeddings (B, E), the new
+    states (B, dim) and the attention contexts (B, 2dim): the inputs of
+    `output_logits`, which only a step whose prediction is scored needs.
 
-    keys are `attention_keys(annotations, params)`. Each row's next-token
-    distribution is the softmax of its logits.
+    keys are `attention_keys(annotations, params)`.
     """
     e_prev = ad.take_rows(params.embedding, prev_tokens)
     context, _ = attend(s_prev, annotations, keys, params)
     gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
-    s = _gru_step(gx, s_prev, params.gru)
-    logits = ad.affine(ad.concat([e_prev, s, context]), params.out_w, params.out_b)
-    return s, logits
+    return e_prev, _gru_step(gx, s_prev, params.gru), context
+
+
+def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderParams) -> Tensor:
+    """Next-token logits (B, V) of a `decode_step`'s rows; each row's
+    next-token distribution is the softmax of its logits."""
+    return ad.affine(ad.concat([e_prev, s, context]), params.out_w, params.out_b)
 
 
 # ---------------------------------------------------------------------------

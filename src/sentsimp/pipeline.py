@@ -81,7 +81,7 @@ RANGE_CHECKS = {
     "hidden_dim": lambda v: v >= 1,
     "beam": lambda v: v >= 1,
     "max_decode_len": lambda v: v >= 2,
-    "epochs": lambda v: v >= 0,
+    "epochs": lambda v: v >= 1,
     "batch_size": lambda v: v >= 1,
     "rho": lambda v: 0.0 < v < 1.0,
     "eps": lambda v: v > 0.0,

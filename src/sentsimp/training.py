@@ -4,9 +4,10 @@ Each pair contributes the negative log-likelihood of its backward sequence
 (target tokens before the constraint position, reversed, ending at the
 sentence-start boundary) plus its forward sequence (tokens after the
 constraint plus end-of-sentence, with the prefix teacher-forced). The
-decoders step one row at a time; each stage's predicted tokens are scored
-by one fused `autodiff.nll` over the stacked logit rows, which stays finite
-when a target's probability underflows. Batches are gradient-accumulation
+decoders step one row at a time; only the steps that predict a scored
+token compute logits, and each stage's are scored by one fused
+`autodiff.nll` over the stacked logit rows, which stays finite when a
+target's probability underflows. Batches are gradient-accumulation
 groups; the optimizer step is Adadelta with a global-norm gradient clip.
 """
 
@@ -26,7 +27,15 @@ from .autodiff import Tape, Tensor
 from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary, find_block
 from .errors import ContractError, TrainingError
 from .lexsub import FrequencyTable, KnowledgeBase
-from .model import Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state, save_checkpoint
+from .model import (
+    Seq2SeqModel,
+    attention_keys,
+    decode_step,
+    encode,
+    init_decoder_state,
+    output_logits,
+    save_checkpoint,
+)
 
 _PUNCT_SET = set(PUNCTUATION)
 
@@ -151,14 +160,15 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
     annotations, h_mean = encode(pair.source, model.encoder)
 
     def stage_nll(params, inputs, predictions, scored_from):
-        # teacher-forced one-row steps; one fused nll over the scored logits
+        # teacher-forced one-row steps; logits only for the scored steps,
+        # then one fused nll over them
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         scored = []
         for step, prev in enumerate(inputs):
-            state, logits = decode_step([prev], state, annotations, keys, params)
+            e_prev, state, context = decode_step([prev], state, annotations, keys, params)
             if step >= scored_from:
-                scored.append(logits)
+                scored.append(output_logits(e_prev, state, context, params))
         return ad.nll(ad.stack(scored), predictions[scored_from:])
 
     # backward: inputs target[s-1], target[s-2], ..., target[0]; every step scored

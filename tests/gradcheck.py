@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from sentsimp.autodiff import Tape, Tensor
 
 REL_ERR_FLOOR = 1e-4
 

@@ -1,14 +1,25 @@
-"""Independent scalar oracles used by the test suite.
+"""Oracles used by the test suite.
 
-Everything here is plain-Python arithmetic over lists and dicts, written
-directly from the defining formulas, and shares no code with the package
-under test.
+Most of them are plain-Python arithmetic over lists and dicts, written
+directly from the defining formulas, and share no code with the package
+under test. The exceptions are marked as reference versions of an earlier
+design: they keep a replaced algorithm, built from the package's own
+primitives, so that its replacement can be checked against it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+
+from sentsimp import autodiff as ad
+from sentsimp.corpus import BOS_ID, EOS_ID
+from sentsimp.decoding import Hypothesis
+from sentsimp.errors import NumericError
+from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
 
 
 # ---------------------------------------------------------------- tensor math
@@ -223,6 +234,60 @@ def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, bea
     return best[0], best[1]
 
 
+def beam_search_nested_greedy(
+    step_fn, init_state, seed_token, boundary_id, beam_size, max_new, length_norm=0.0
+):
+    """Reference version of an earlier design: the batched beam search with
+    the greedy hypothesis found by a nested beam-1 search run to the end
+    before the beam starts, and its result put in the finished pool. Same
+    step-function contract as `decoding.beam_search`; returns a Hypothesis.
+    """
+
+    def rank(hyp):
+        score = hyp.log_prob
+        if length_norm > 0.0:
+            score /= (len(hyp.tokens) + 1) ** length_norm
+        return (-score, len(hyp.tokens), hyp.tokens)
+
+    if max_new <= 0:
+        return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
+    active = [Hypothesis((), 0.0, init_state.data[0])]
+    finished = []
+    if beam_size > 1:
+        finished.append(
+            beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
+        )
+    for _ in range(max_new):
+        prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in active]
+        new_states, log_probs = step_fn(prev, ad.Tensor(np.stack([hyp.state for hyp in active])))
+        if not np.all(np.isfinite(log_probs)):
+            raise NumericError("beam search: a step's log-probabilities are not all finite")
+        width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
+        rows = np.arange(len(active))[:, None]
+        top = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
+        top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
+        candidates = []
+        for hyp, state, toks, tok_log_probs in zip(
+            active, new_states.data, top.tolist(), log_probs[rows, top].tolist()
+        ):
+            for tok, log_p in zip(toks, tok_log_probs):
+                score = hyp.log_prob + log_p
+                if tok == boundary_id:
+                    finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
+                else:
+                    candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
+        candidates.sort(key=rank)
+        active = candidates[:beam_size]
+        finished.sort(key=rank)
+        finished = finished[: beam_size * (max_new + 1)]
+        if not active:
+            break
+        if length_norm == 0.0 and finished and finished[0].log_prob > active[0].log_prob:
+            return finished[0]
+    finished.extend(replace(hyp, stop="length_cap") for hyp in active)
+    return min(finished, key=rank)
+
+
 # ---------------------------------------------------------------- metrics
 
 
@@ -339,3 +404,36 @@ def top_k_tokens(sequences, k):
             counts[tok] = counts.get(tok, 0) + 1
     ordered = sorted(counts, key=lambda t: (-counts[t], t))
     return ordered[:k]
+
+
+# ---------------------------------------------------------------- decoder steps with logits
+
+
+def decode_step_with_logits(prev_tokens, s_prev, annotations, keys, params):
+    """New states and next-token logits of a decoder step in one call:
+    `model.decode_step` followed by `model.output_logits`."""
+    e_prev, s, context = decode_step(prev_tokens, s_prev, annotations, keys, params)
+    return s, output_logits(e_prev, s, context, params)
+
+
+def training_loss_all_logits(pair, position, model):
+    """Reference version of an earlier design: `training.training_loss` with
+    logits computed at every decoder step, the unscored forward prefix
+    included."""
+    target = pair.target
+    annotations, h_mean = encode(pair.source, model.encoder)
+
+    def stage_nll(params, inputs, predictions, scored_from):
+        keys = attention_keys(annotations, params)
+        state = init_decoder_state(h_mean, params)
+        scored = []
+        for step, prev in enumerate(inputs):
+            state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
+            if step >= scored_from:
+                scored.append(logits)
+        return ad.nll(ad.stack(scored), predictions[scored_from:])
+
+    inputs = [target[i] for i in range(position - 1, -1, -1)]
+    backward = stage_nll(model.backward_decoder, inputs, inputs[1:] + [BOS_ID], 0)
+    forward = stage_nll(model.forward_decoder, [BOS_ID, *target], [*target, EOS_ID], position)
+    return ad.add(backward, forward)

@@ -12,7 +12,6 @@ import pytest
 
 from sentsimp.corpus import BOS_ID, EOS_ID, CorpusSplit, SentencePair, build_vocab
 from sentsimp.decoding import _search, decode_multi
-from sentsimp.gradcheck import finite_difference, max_relative_error
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
@@ -20,7 +19,8 @@ from sentsimp.autodiff import Tape, softmax
 from sentsimp.training import TrainConfig, select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
-from oracles import exhaustive_best, fk_from_counts, sari_loops
+from gradcheck import finite_difference, max_relative_error
+from oracles import decode_step_with_logits, exhaustive_best, fk_from_counts, sari_loops
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -152,7 +152,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
             keys = attention_keys(annotations, params)
 
             def step(prev, state):
-                new_state, logits = decode_step([prev], state, annotations, keys, params)
+                new_state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
                 return new_state, softmax(logits).data[0]
             return step
 
@@ -168,7 +168,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size, 0.0)
         state = init_decoder_state(h_mean, model.forward_decoder)
         keys = attention_keys(annotations, model.forward_decoder)
-        state, _ = decode_step([BOS_ID], state, annotations, keys, model.forward_decoder)
+        _, state, _ = decode_step([BOS_ID], state, annotations, keys, model.forward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.forward_decoder), state, 4, EOS_ID,
             [i for i in range(5) if i != EOS_ID], max_new=3,

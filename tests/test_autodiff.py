@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from sentsimp import autodiff as ad
 from sentsimp.errors import ContractError, DimensionError, NumericError
-from sentsimp.gradcheck import check_gradients, finite_difference, max_relative_error
 
+from gradcheck import check_gradients, finite_difference, max_relative_error
 from oracles import matmul_loops, sigmoid_scalar, softmax_loops
 
 

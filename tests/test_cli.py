@@ -151,6 +151,21 @@ def test_simplify_out_of_range_flag_is_data_error(tmp_path, capsys, flag, value)
     assert capsys.readouterr().err == f"data error: {flag} has out-of-range value {value}\n"
 
 
+def test_train_with_zero_epochs_is_config_error(tmp_path, capsys):
+    data = build_toy_corpus(8, seed=2)
+    src, tgt, kb = tmp_path / "n.txt", tmp_path / "s.txt", tmp_path / "kb.tsv"
+    data.write(str(src), str(tgt), str(kb))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("embed_dim = 4\nhidden_dim = 6\nepochs = 0\n", encoding="utf-8")
+    code = main(
+        ["train", "--config", str(cfg), "--source", str(src), "--target", str(tgt),
+         "--out-dir", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "data error: line 3: key 'epochs' has out-of-range value 0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_text_and_csv(tmp_path, capsys):
     (tmp_path / "i.txt").write_text("the big cat sat .\ndogs run very fast .\n", encoding="utf-8")
     (tmp_path / "o.txt").write_text("the cat sat .\ndogs run fast .\n", encoding="utf-8")

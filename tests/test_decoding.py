@@ -9,7 +9,7 @@ from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, dec
 from sentsimp.errors import ConstraintError, ContractError, NumericError
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
-from oracles import beam_search_per_hypothesis, exhaustive_best
+from oracles import beam_search_nested_greedy, beam_search_per_hypothesis, decode_step_with_logits, exhaustive_best
 
 CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=8)
 
@@ -55,11 +55,11 @@ def greedy_rollout(source, prefix, model, boundary, max_new):
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in prefix[:-1]:
-        state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step([tok], state, annotations, keys, params)
     prev = prefix[-1]
     out = []
     for _ in range(max_new):
-        state, logits = decode_step([prev], state, annotations, keys, params)
+        state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
         prev = int(np.argmax(logits.data[0]))
         if prev == boundary:
             break
@@ -116,12 +116,12 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         for tok in given[:-1]:
-            state, _ = decode_step([tok], state, annotations, keys, params)
+            _, state, _ = decode_step([tok], state, annotations, keys, params)
         prev = given[-1]
         running = 0.0
         partials = []
         for tok in [*generated, boundary]:
-            state, logits = decode_step([prev], state, annotations, keys, params)
+            state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
             running += float(np.log(ad.softmax(logits).data[0, tok]))
             partials.append(running)
             prev = tok
@@ -159,10 +159,10 @@ def _oracle_setup(model, params, source, seed_tokens):
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in seed_tokens[:-1]:
-        state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step([tok], state, annotations, keys, params)
 
     def step_fn(prev, st):
-        new_state, logits = decode_step([prev], st, annotations, keys, params)
+        new_state, logits = decode_step_with_logits([prev], st, annotations, keys, params)
         return new_state, ad.softmax(logits).data[0]
 
     return step_fn, state, seed_tokens[-1]
@@ -202,10 +202,10 @@ def _one_row_stepper(model, params, source, given):
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step([tok], state, annotations, keys, params)
 
     def step_fn(prev, st):
-        new_state, logits = decode_step([prev], st, annotations, keys, params)
+        new_state, logits = decode_step_with_logits([prev], st, annotations, keys, params)
         return new_state, ad.log_softmax(logits.data)[0].tolist()
 
     return step_fn, state
@@ -234,6 +234,106 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
                 assert got.log_prob == pytest.approx(log_prob, abs=1e-12)
 
 
+def _batched_stepper(model, params, source, given):
+    """(step_fn over stacked hypotheses, initial state) for a stage, as
+    `_search` builds them."""
+    annotations, h_mean = encode(source, model.encoder)
+    keys = attention_keys(annotations, params)
+    state = init_decoder_state(h_mean, params)
+    for tok in given[:-1]:
+        _, state, _ = decode_step([tok], state, annotations, keys, params)
+
+    def step_fn(prev_tokens, states):
+        new_states, logits = decode_step_with_logits(prev_tokens, states, annotations, keys, params)
+        return new_states, ad.log_softmax(logits.data)
+
+    return step_fn, state
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_folded_greedy_matches_nested_greedy_oracle(seed):
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, beam_size=3, max_decode_len=9)
+    model = Seq2SeqModel.create(cfg, seed=seed)
+    source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
+    searches = (
+        (model.backward_decoder, (4 + seed % 8,), BOS_ID),
+        (model.forward_decoder, (BOS_ID, 5, 4 + seed % 8), EOS_ID),
+    )
+    for params, given, boundary in searches:
+        step_fn, state = _batched_stepper(model, params, source, given)
+        max_new = cfg.max_decode_len - len(given) + 1
+        for beam in range(1, 7):
+            for length_norm in (0.0, 0.5):
+                args = (step_fn, state, given[-1], boundary, beam, max_new, length_norm)
+                got, want = beam_search(*args), beam_search_nested_greedy(*args)
+                assert (got.tokens, got.stop) == (want.tokens, want.stop), (beam, length_norm, boundary)
+                assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
+
+
+def table_stepper(dist, vocab_size, widths):
+    """A step function over a hand-written table: a row's next-token
+    probabilities are dist(depth, prev), a {token: probability} dict, where
+    depth is its number of generated tokens, carried as its one-column
+    state; every token the dict leaves out gets 1e-6. Records each call's
+    row count in widths."""
+
+    def step_fn(prev_tokens, states):
+        widths.append(len(prev_tokens))
+        rows = []
+        for depth, prev in zip(states.data[:, 0].astype(int), prev_tokens):
+            probs = np.full(vocab_size, 1e-6)
+            for tok, p in dist(depth, prev).items():
+                probs[tok] = p
+            rows.append(np.log(probs / probs.sum()))
+        return ad.Tensor(states.data + 1.0), np.array(rows)
+
+    return step_fn
+
+
+def test_greedy_row_below_the_best_finished_is_dropped_with_the_beam():
+    # the greedy chain 1, 1, 1, ... never ends, but at step 2 the beam's
+    # runner-up 2 emits the boundary 0 and beats it and every beam row
+    def dist(depth, prev):
+        if depth == 0:
+            return {1: 0.40, 2: 0.35, 3: 0.25}
+        return {0: 0.90, 3: 0.05, 4: 0.05} if prev == 2 else {1: 0.34, 3: 0.33, 4: 0.33}
+
+    widths = []
+    args = (table_stepper(dist, 6, widths), ad.zeros((1, 1)), 5, 0, 2, 5)
+    got = beam_search(*args)
+    assert widths == [2, 3]
+    want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])
+    assert (got.tokens, got.stop) == (want.tokens, want.stop) == ((2,), "boundary")
+    assert got.log_prob == want.log_prob
+
+
+@pytest.mark.parametrize(
+    "last, max_new, tokens, stop",
+    [({0: 0.99}, 5, (1, 1, 1), "boundary"), ({1: 0.99}, 4, (1, 1, 1, 1), "length_cap")],
+)
+def test_greedy_row_outlives_every_beam_row_and_wins(last, max_new, tokens, stop):
+    # at step 2 the beam prunes the greedy prefix 1, 1 for 2, 3 and 2, 4;
+    # at step 3 those emit the boundary 0, which beats every live beam row
+    # but not the greedy chain, which runs on alone until it emits the
+    # boundary or reaches the length cap
+    def dist(depth, prev):
+        if depth == 0:
+            return {1: 0.40, 2: 0.35, 3: 0.25}
+        if depth == 1:
+            return {3: 0.50, 4: 0.45} if prev == 2 else {1: 0.30, 3: 0.25, 4: 0.25, 5: 0.20}
+        if prev != 1:
+            return {0: 0.5, **{tok: 0.1 for tok in range(1, 6)}}
+        return {1: 0.99} if depth == 2 else last
+
+    widths = []
+    args = (table_stepper(dist, 6, widths), ad.zeros((1, 1)), 5, 0, 2, max_new)
+    got = beam_search(*args)
+    assert widths == [2, 3, 3, 1]
+    want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])
+    assert (got.tokens, got.stop) == (want.tokens, want.stop) == (tokens, stop)
+    assert got.log_prob == want.log_prob
+
+
 def test_beam_steps_every_live_hypothesis_in_one_call():
     model = random_model(5)
     annotations, h_mean = encode([4, 5, 6], model.encoder)
@@ -244,12 +344,42 @@ def test_beam_steps_every_live_hypothesis_in_one_call():
     def step(prev_tokens, states):
         assert states.shape == (len(prev_tokens), CFG.hidden_dim)
         widths.append(len(prev_tokens))
-        new_states, logits = decode_step(prev_tokens, states, annotations, keys, params)
+        new_states, logits = decode_step_with_logits(prev_tokens, states, annotations, keys, params)
         return new_states, ad.log_softmax(logits.data)
 
     beam_search(step, init_decoder_state(h_mean, params), BOS_ID, EOS_ID, beam_size=4, max_new=5)
-    # at most 5 greedy-seed steps and 5 beam iterations, one call each
-    assert len(widths) <= 10 and max(widths) == 4
+    # at most max_new = 5 iterations, one call each; a call steps the live
+    # beam rows plus the greedy row while that is live
+    assert len(widths) <= 5 and max(widths) == 4 + 1
+
+
+def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
+    import sentsimp.decoding as decoding
+
+    calls = {"decode_step": 0, "output_logits": 0, "beam_step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_beam_search = decoding.beam_search
+
+    def beam_search_counting_steps(step_fn, *args, **kwargs):
+        return real_beam_search(counted("beam_step", step_fn), *args, **kwargs)
+
+    for name in ("decode_step", "output_logits"):
+        monkeypatch.setattr(decoding, name, counted(name, getattr(decoding, name)))
+    monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
+    result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8))
+    assert len(result.passes) == 2
+    # teacher-forced: the backward stage's block but its last token, the
+    # forward stage's BOS and realized prefix but its last token
+    forced = sum(2 * len(t.constraint) - 1 + t.position - 1 for t in result.passes)
+    assert calls["output_logits"] == calls["beam_step"] > 0
+    assert calls["decode_step"] == calls["beam_step"] + forced
 
 
 def test_beam_search_raises_on_nonfinite_log_probs():

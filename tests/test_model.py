@@ -6,14 +6,12 @@ import pytest
 
 from sentsimp import autodiff as ad
 from sentsimp.errors import CheckpointError, ContractError
-from sentsimp.gradcheck import check_gradients
 from sentsimp.model import (
     Checkpoint,
     ModelConfig,
     Seq2SeqModel,
     attend,
     attention_keys,
-    decode_step,
     encode,
     init_decoder_state,
     load_checkpoint,
@@ -21,7 +19,8 @@ from sentsimp.model import (
 )
 from sentsimp.model import _gru_step
 
-from oracles import attention_loops, decoder_step_loops, encode_loops, gru_step_loops
+from gradcheck import check_gradients
+from oracles import attention_loops, decode_step_with_logits, decoder_step_loops, encode_loops, gru_step_loops
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=6)
 
@@ -242,7 +241,7 @@ def test_decode_step_zero_weights_uniform_dist(model):
     H, h_mean = encode([4, 5], model.encoder)
     dec = model.forward_decoder
     s0 = init_decoder_state(h_mean, dec)
-    _, logits = decode_step([4], s0, H, attention_keys(H, dec), dec)
+    _, logits = decode_step_with_logits([4], s0, H, attention_keys(H, dec), dec)
     assert np.allclose(ad.softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
@@ -252,7 +251,7 @@ def test_decode_step_dist_sums_to_one(model):
     keys = attention_keys(H, dec)
     s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
-        s, logits = decode_step([tok], s, H, keys, dec)
+        s, logits = decode_step_with_logits([tok], s, H, keys, dec)
         dist = ad.softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
@@ -263,7 +262,7 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     H, h_mean = encode([5, 7], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    s1, logits = decode_step([6], s0, H, attention_keys(H, dec), dec)
+    s1, logits = decode_step_with_logits([6], s0, H, attention_keys(H, dec), dec)
     prev_emb = dec.embedding.tolist()[6]
     s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
@@ -283,10 +282,10 @@ def test_decode_step_rows_equal_one_row_calls(model, side):
     dec = getattr(model, f"{side}_decoder")
     H, states, tokens = batch_inputs(model)
     keys = attention_keys(H, dec)
-    s_all, logits_all = decode_step(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
+    s_all, logits_all = decode_step_with_logits(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
     assert s_all.shape == (5, 3) and logits_all.shape == (5, TINY.vocab_size)
     for b, tok in enumerate(tokens):
-        s_one, logits_one = decode_step([tok], ad.take_rows(states, [b]), H, keys, dec)
+        s_one, logits_one = decode_step_with_logits([tok], ad.take_rows(states, [b]), H, keys, dec)
         assert np.allclose(s_all.data[b], s_one.data[0], rtol=0, atol=1e-12)
         assert np.allclose(logits_all.data[b], logits_one.data[0], rtol=0, atol=1e-12)
     assert np.allclose(s_all.data[4], s_all.data[0], rtol=0, atol=1e-12)  # a repeated row
@@ -324,7 +323,7 @@ def test_decode_step_rows_gradcheck(model):
     states.requires_grad = True
 
     def loss():
-        s1, logits = decode_step(tokens, states, H, attention_keys(H, dec), dec)
+        s1, logits = decode_step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
         return ad.add(ad.nll(logits, [5, 6, 5]), ad.tsum(ad.mul(s1, s1)))
 
     params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
@@ -365,7 +364,7 @@ def test_encode_decode_composite_gradcheck(model):
         H, h_mean = encode(source, model.encoder)
         dec = model.forward_decoder
         s0 = init_decoder_state(h_mean, dec)
-        s1, logits = decode_step([4], s0, H, attention_keys(H, dec), dec)
+        s1, logits = decode_step_with_logits([4], s0, H, attention_keys(H, dec), dec)
         return ad.nll(logits, [6])
 
     # full parameter sweep is covered by the acceptance suite; here spot-check
@@ -413,8 +412,8 @@ def test_checkpoint_identical_forward_values(tmp_path, model):
     H2, m2 = encode([4, 5, 6], loaded.encoder)
     assert np.array_equal(H1.data, H2.data)
     f1, f2 = model.forward_decoder, loaded.forward_decoder
-    s1, d1 = decode_step([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
-    s2, d2 = decode_step([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
+    s1, d1 = decode_step_with_logits([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
+    s2, d2 = decode_step_with_logits([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
     assert np.array_equal(d1.data, d2.data)
 
 

@@ -6,7 +6,6 @@ import pytest
 from sentsimp.autodiff import Tape, Tensor
 from sentsimp.corpus import BOS_ID, CorpusSplit, SentencePair, build_vocab
 from sentsimp.errors import ContractError, TrainingError
-from sentsimp.gradcheck import check_gradients
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.training import (
@@ -19,6 +18,8 @@ from sentsimp.training import (
     train,
     training_loss,
 )
+
+from gradcheck import check_gradients
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=2, max_decode_len=8)
 
@@ -246,6 +247,49 @@ def test_training_loss_matches_scalar_oracle():
     forward_targets = target + [2]
     expected += run_decoder(model.forward_decoder, forward_inputs, forward_targets, s)
     assert got == pytest.approx(expected, abs=1e-10)
+
+
+def test_training_loss_computes_logits_only_for_scored_steps(monkeypatch):
+    import sentsimp.training as training_module
+
+    calls = []
+    real = training_module.output_logits
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(training_module, "output_logits", counting)
+    model = Seq2SeqModel.create(TINY, seed=2)
+    for target in ([5], [6, 7], [4, 8, 6, 5]):
+        for position in range(1, len(target) + 1):
+            calls.clear()
+            training_loss(pair_of([4, 5], target), position, model)
+            assert calls == [1] * (len(target) + 1), (target, position)
+
+
+def test_training_loss_and_gradients_equal_all_logits_oracle():
+    from oracles import training_loss_all_logits
+
+    model = Seq2SeqModel.create(TINY, seed=6)
+    params = model.parameters()
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        target = rng.integers(4, TINY.vocab_size, size=rng.integers(1, 6)).tolist()
+        pair = pair_of(rng.integers(4, TINY.vocab_size, size=3).tolist(), target)
+        position = int(rng.integers(1, len(target) + 1))
+        runs = []
+        for loss_fn in (training_loss, training_loss_all_logits):
+            model.zero_grad()
+            with Tape() as tape:
+                loss = loss_fn(pair, position, model)
+                tape.backward(loss)
+            runs.append((loss.item(), [p.grad.copy() for p in params]))
+        (got, got_grads), (want, want_grads) = runs
+        assert got == want
+        assert len(got_grads) == 35
+        for name, a, b in zip([n for n, _ in model.named_parameters()], got_grads, want_grads):
+            assert np.array_equal(a, b), name
 
 
 def test_training_loss_gradient_matches_finite_differences_subset():
