@@ -13,6 +13,14 @@ rebuilt every forward pass, so variable-length sequences need no static
 graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding executes.
 
+The weight gradient of `affine` is the product `g.T @ x` of its output
+adjoint and its input rows. Its backward returns that product unevaluated,
+as a :class:`WeightGrad`; :meth:`Tape.backward` collects these for each
+leaf weight and evaluates them at the end as one matrix product over all
+the stacked rows, instead of one outer product and one full-size sum per
+step. Each leaf's gradient is its own array, so scaling one in place (as
+gradient clipping does) never changes another.
+
 Tensors with computed values are treated as immutable and may be shared
 across threads; a tape is single-threaded (one tape per worker).
 """
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,20 +38,20 @@ from .errors import ContractError, DimensionError, NumericError
 
 Array = np.ndarray
 
-_STACKS = threading.local()
+
+class _Stacks(threading.local):
+    """Each thread's stack of open tapes; every thread starts with an empty one."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_STACKS, "tapes", None)
-    if stack is None:
-        stack = []
-        _STACKS.tapes = stack
-    return stack
+_STACKS = _Stacks()
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    tapes = _STACKS.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tensor:
@@ -114,6 +123,19 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor._wrap(np.zeros(shape, dtype=np.float64), requires_grad)
 
 
+@dataclass(slots=True)
+class WeightGrad:
+    """The weight gradient `g.T @ x` of an `affine` map, left unevaluated:
+    its output adjoint g (B, out) and its input rows x (B, in)."""
+
+    g: Array
+    x: Array
+
+    def evaluate(self) -> Array:
+        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
+        return np.dot(self.g.T, self.x)
+
+
 class Tape:
     """Ordered record of executed operations, for reverse-order traversal.
 
@@ -128,11 +150,11 @@ class Tape:
         self._output_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _STACKS.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _STACKS.tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
     def __len__(self) -> int:
@@ -143,13 +165,24 @@ class Tape:
         self._output_ids.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
+        """Add d loss / d t to `t.grad` for every requires_grad tensor t that
+        the loss depends on through this tape.
+
+        A tensor that some record produced (an intermediate) gets its
+        adjoint summed as the walk goes, with any :class:`WeightGrad` it
+        receives evaluated at once. A leaf (no record produced it, e.g. a
+        parameter) adds each dense gradient into its own `.grad` array, which
+        no other tensor shares, and keeps its `WeightGrad`s until the walk
+        ends; then they are evaluated as one product of all their stacked
+        rows, `concat(g).T @ concat(x)`.
+        """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
         if id(loss) not in self._output_ids:
             raise ContractError("loss was not recorded on this tape")
 
         adjoints: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        deferred: dict[int, tuple[Tensor, list[WeightGrad]]] = {}
 
         for out, inputs, backward_fn in reversed(self._records):
             out_adj = adjoints.pop(id(out), None)
@@ -160,33 +193,41 @@ class Tape:
             for inp, grad in zip(inputs, backward_fn(out_adj)):
                 if grad is None:
                     continue
-                if not (inp.requires_grad or id(inp) in self._output_ids):
-                    continue
                 key = id(inp)
-                if key in adjoints:
-                    adjoints[key] = adjoints[key] + grad
+                if key in self._output_ids:
+                    if type(grad) is WeightGrad:
+                        grad = grad.evaluate()
+                    adjoints[key] = adjoints[key] + grad if key in adjoints else grad
+                elif not inp.requires_grad:
+                    continue
+                elif type(grad) is WeightGrad:
+                    deferred.setdefault(key, (inp, []))[1].append(grad)
+                elif inp.grad is None:
+                    inp.grad = np.array(grad, dtype=np.float64)
                 else:
-                    adjoints[key] = grad
-                    holders[key] = inp
+                    inp.grad += grad
 
-        # whatever is left belongs to leaves (no producing record)
-        for key, adj in adjoints.items():
-            leaf = holders[key]
-            if leaf.requires_grad:
-                leaf.grad = adj if leaf.grad is None else leaf.grad + adj
+        for leaf, grads in deferred.values():
+            total = np.dot(np.concatenate([d.g for d in grads]).T, np.concatenate([d.x for d in grads]))
+            if leaf.grad is None:
+                leaf.grad = total
+            else:
+                leaf.grad += total
 
 
 def _emit(
     data: Array,
     inputs: tuple[Tensor, ...],
-    backward_fn: Callable[[Array], Sequence[Array | None]],
+    backward_fn: Callable[[Array], Sequence[Array | WeightGrad | None]],
 ) -> Tensor:
     requires = any(t.requires_grad for t in inputs)
     out = Tensor._wrap(data, requires)
     if requires:
-        tape = active_tape()
-        if tape is not None:
-            tape._record(out, inputs, backward_fn)
+        # the stack itself, not active_tape(): this runs for every op, and
+        # decoding runs every op with no tape open
+        tapes = _STACKS.tapes
+        if tapes:
+            tapes[-1]._record(out, inputs, backward_fn)
     return out
 
 
@@ -216,8 +257,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"affine: bias {b.shape} does not fit output ({x.shape[0]}, {w.shape[0]})")
 
     def back(g: Array):
-        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
-        return g @ w.data, np.dot(g.T, x.data), (g.sum(axis=0) if b.ndim == 1 else g)
+        return g @ w.data, WeightGrad(g, x.data), (g.sum(axis=0) if b.ndim == 1 else g)
 
     return _emit(x.data @ w.data.T + b.data, (x, w, b), back)
 

@@ -406,6 +406,38 @@ def top_k_tokens(sequences, k):
     return ordered[:k]
 
 
+# ---------------------------------------------------------------- dense backward
+
+
+def backward_dense(tape, loss):
+    """Reference version of an earlier design: `Tape.backward` with every
+    gradient evaluated where its record is walked, an `affine` weight
+    gradient as one outer product, and summed into one dense adjoint per
+    tensor, one full-size add at a time; leaves take their sums at the end."""
+    adjoints = {id(loss): np.ones_like(loss.data)}
+    holders = {id(loss): loss}
+    for out, inputs, backward_fn in reversed(tape._records):
+        out_adj = adjoints.pop(id(out), None)
+        if out_adj is None:
+            continue
+        out.grad = out_adj if out.grad is None else out.grad + out_adj
+        for inp, grad in zip(inputs, backward_fn(out_adj)):
+            if grad is None or not (inp.requires_grad or id(inp) in tape._output_ids):
+                continue
+            if isinstance(grad, ad.WeightGrad):
+                grad = grad.evaluate()
+            key = id(inp)
+            if key in adjoints:
+                adjoints[key] = adjoints[key] + grad
+            else:
+                adjoints[key] = grad
+                holders[key] = inp
+    for key, adj in adjoints.items():
+        leaf = holders[key]
+        if leaf.requires_grad:
+            leaf.grad = adj if leaf.grad is None else leaf.grad + adj
+
+
 # ---------------------------------------------------------------- decoder steps with logits
 
 

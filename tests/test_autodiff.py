@@ -7,7 +7,7 @@ from sentsimp import autodiff as ad
 from sentsimp.errors import ContractError, DimensionError, NumericError
 
 from gradcheck import check_gradients, finite_difference, max_relative_error
-from oracles import matmul_loops, sigmoid_scalar, softmax_loops
+from oracles import backward_dense, matmul_loops, sigmoid_scalar, softmax_loops
 
 
 def rnd(shape, seed=0):
@@ -412,6 +412,61 @@ def test_fanout_accumulates_within_one_backward():
         loss = ad.tsum(ad.add(y, y))  # d/dw of 2*w^2 = 4w
         tape.backward(loss)
     assert w.grad.tolist() == [8.0]
+
+
+def test_leaf_gradients_never_share_an_array():
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    b = ad.Tensor([3.0, 4.0], requires_grad=True)
+    with ad.Tape() as tape:
+        tape.backward(ad.tsum(ad.add(a, b)))
+    assert a.grad is not b.grad
+    a.grad *= 0.5
+    assert a.grad.tolist() == [0.5, 0.5]
+    assert b.grad.tolist() == [1.0, 1.0]
+
+
+def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
+    x, x1, w, b = rnd((3, 4), seed=21), rnd((1, 4), seed=22), rnd((2, 4), seed=23), rnd((2,), seed=24)
+
+    def loss():
+        many = ad.affine(x, w, b)  # deferred weight gradient, 3 rows
+        one = ad.affine(x1, w, b)  # deferred, 1 row
+        dense = ad.add(ad.matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
+        return ad.add(ad.tsum(ad.mul(many, many)), ad.tsum(ad.mul(dense, dense)))
+
+    grads = []
+    for backward in (ad.Tape.backward, backward_dense):
+        for t in (x, x1, w, b):
+            t.zero_grad()
+        with ad.Tape() as tape:
+            backward(tape, loss())
+        grads.append([t.grad.copy() for t in (x, x1, w, b)])
+    for got, want in zip(*grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert check_gradients(loss, [x, x1, w, b]) < 1e-4
+
+
+def test_affine_with_a_computed_weight_gradcheck():
+    x, x1, w, b = rnd((3, 4), seed=25), rnd((1, 4), seed=26), rnd((2, 4), seed=27), rnd((2,), seed=28)
+
+    def loss():
+        squashed = ad.tanh(w)  # not a leaf: its weight gradients are evaluated at once
+        many, one = ad.affine(x, squashed, b), ad.affine(x1, squashed, b)
+        return ad.add(ad.tsum(ad.mul(many, many)), ad.tsum(ad.mul(one, one)))
+
+    assert check_gradients(loss, [x, x1, w, b]) < 1e-4
+
+
+def test_ops_record_on_the_innermost_tape_only():
+    w = ad.Tensor([1.0], requires_grad=True)
+    with ad.Tape() as outer:
+        ad.mul(w, w)
+        with ad.Tape() as inner:
+            ad.mul(w, w)
+            ad.mul(w, w)
+        ad.mul(w, w)
+    assert (len(outer), len(inner)) == (2, 2)
+    assert ad.active_tape() is None
 
 
 def test_no_tape_means_no_recording():

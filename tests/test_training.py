@@ -292,6 +292,31 @@ def test_training_loss_and_gradients_equal_all_logits_oracle():
             assert np.array_equal(a, b), name
 
 
+@pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
+def test_accumulated_gradients_equal_dense_backward_oracle(embed_dim, hidden_dim):
+    from oracles import backward_dense
+
+    vocab_size = 53
+    model = Seq2SeqModel.create(ModelConfig(vocab_size, embed_dim, hidden_dim), seed=4)
+    rng = np.random.default_rng(4)
+    pairs = []
+    for _ in range(4):
+        target = rng.integers(4, vocab_size, size=rng.integers(1, 9)).tolist()
+        source = rng.integers(4, vocab_size, size=rng.integers(2, 9)).tolist()
+        pairs.append((pair_of(source, target), int(rng.integers(1, len(target) + 1))))
+    runs = []
+    for backward in (Tape.backward, backward_dense):
+        model.zero_grad()
+        for pair, position in pairs:  # accumulated into one .grad, as `train` does
+            with Tape() as tape:
+                backward(tape, training_loss(pair, position, model))
+        runs.append([p.grad.copy() for p in model.parameters()])
+    got, want = runs
+    assert len(got) == 35
+    for (name, _), a, b in zip(model.named_parameters(), got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
 def test_training_loss_gradient_matches_finite_differences_subset():
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4, 5], [6, 7])
