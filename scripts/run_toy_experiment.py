@@ -44,7 +44,6 @@ def main():
             vocab_size=len(vocab),
             embed_dim=args.embed_dim,
             hidden_dim=args.hidden_dim,
-            beam_size=args.beam,
             max_decode_len=30,
         ),
         seed=1,

@@ -62,13 +62,12 @@ class Tensor:
     accumulate until :meth:`zero_grad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self.name = name
 
     @classmethod
     def _wrap(cls, data: Array, requires_grad: bool) -> "Tensor":
@@ -76,7 +75,6 @@ class Tensor:
         out.data = data
         out.requires_grad = requires_grad
         out.grad = None
-        out.name = None
         return out
 
     @property
@@ -103,20 +101,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        label = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
@@ -270,11 +255,6 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

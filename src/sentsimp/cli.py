@@ -15,7 +15,6 @@ import sys
 from .corpus import (
     SentencePair,
     build_vocab,
-    filter_identical,
     read_parallel_tokens,
     split_corpus,
     tokenize,
@@ -124,8 +123,7 @@ def _cmd_train(args) -> int:
     pairs = [
         SentencePair(tuple(vocab.encode(s)), tuple(vocab.encode(t))) for s, t in token_pairs
     ]
-    split = split_corpus(pairs, config.valid_size, config.test_size, config.seed)
-    split.test = filter_identical(split.test)
+    split = split_corpus(pairs, config.valid_size, config.seed)
 
     freq_table = FrequencyTable.from_sequences(
         (s for s, _ in token_pairs), config.complexity_percentile

@@ -126,7 +126,6 @@ class SentencePair:
 class CorpusSplit:
     train: list[SentencePair] = field(default_factory=list)
     validation: list[SentencePair] = field(default_factory=list)
-    test: list[SentencePair] = field(default_factory=list)
 
 
 def read_parallel_tokens(
@@ -180,29 +179,13 @@ def find_block(haystack: Sequence, block: Sequence) -> int | None:
     return None
 
 
-def filter_identical(pairs: Sequence[SentencePair]) -> list[SentencePair]:
-    """Drop pairs whose source and target token sequences are equal."""
-    return [p for p in pairs if p.source != p.target]
-
-
-def split_corpus(
-    pairs: Sequence[SentencePair],
-    valid_size: int,
-    test_size: int,
-    seed: int,
-) -> CorpusSplit:
-    """Seeded random split into disjoint train/validation/test lists."""
-    if valid_size + test_size > len(pairs):
-        raise ContractError(
-            f"cannot hold out {valid_size}+{test_size} pairs from {len(pairs)}"
-        )
+def split_corpus(pairs: Sequence[SentencePair], valid_size: int, seed: int) -> CorpusSplit:
+    """Seeded random split into disjoint train/validation lists."""
+    if valid_size > len(pairs):
+        raise ContractError(f"cannot hold out {valid_size} pairs from {len(pairs)}")
     order = list(range(len(pairs)))
     random.Random(seed).shuffle(order)
-    test_idx = order[:test_size]
-    valid_idx = order[test_size : test_size + valid_size]
-    train_idx = order[test_size + valid_size :]
     return CorpusSplit(
-        train=[pairs[i] for i in sorted(train_idx)],
-        validation=[pairs[i] for i in sorted(valid_idx)],
-        test=[pairs[i] for i in sorted(test_idx)],
+        train=[pairs[i] for i in sorted(order[valid_size:])],
+        validation=[pairs[i] for i in sorted(order[:valid_size])],
     )

@@ -37,6 +37,8 @@ from .model import (
     output_logits,
 )
 
+DEFAULT_BEAM = 5
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -230,7 +232,7 @@ def decode_multi(
     constraint_blocks: Sequence[Sequence[int]],
     model: Seq2SeqModel,
     max_passes: int | None = None,
-    beam_size: int | None = None,
+    beam_size: int = DEFAULT_BEAM,
     length_norm: float = 0.0,
 ) -> DecodeResult:
     """Constrained generation, one encode and two stages per pass.
@@ -248,11 +250,10 @@ def decode_multi(
     forward decoder from BOS.
     """
     cfg = model.config
-    beam = cfg.beam_size if beam_size is None else beam_size
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
         encoded = encode(source, model.encoder)
-        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, beam, length_norm)
+        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, beam_size, length_norm)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
     cap = len(blocks) if max_passes is None else max_passes
     if cap < 1:
@@ -273,7 +274,7 @@ def decode_multi(
             block[::-1],
             BOS_ID,
             max(0, cfg.max_decode_len - len(block)),
-            beam,
+            beam_size,
             length_norm,
         )
         prefix = back.tokens[::-1] + block
@@ -283,7 +284,7 @@ def decode_multi(
             (BOS_ID, *prefix),
             EOS_ID,
             max(0, cfg.max_decode_len - len(prefix)),
-            beam,
+            beam_size,
             length_norm,
         )
         output = prefix + fwd.tokens

@@ -37,7 +37,7 @@ from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
 INIT_SCALE = 0.08
-CHECKPOINT_FORMAT = "seq2seq-ckpt v3"
+CHECKPOINT_FORMAT = "seq2seq-ckpt v4"
 
 
 @dataclass(frozen=True)
@@ -45,21 +45,15 @@ class ModelConfig:
     vocab_size: int
     embed_dim: int
     hidden_dim: int
-    beam_size: int = 5
     max_decode_len: int = 100
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.beam_size) < 1:
+        if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
             raise ContractError("all model dimensions must be positive")
         if self.vocab_size <= 4:
             raise ContractError("vocab_size must exceed the 4 reserved ids")
         if self.max_decode_len < 2:
             raise ContractError("max_decode_len must be at least 2")
-
-    @classmethod
-    def full_scale(cls) -> "ModelConfig":
-        """The original experimental setup's sizes (not a desk-scale default)."""
-        return cls(vocab_size=60000, embed_dim=620, hidden_dim=1000)
 
 
 @dataclass
@@ -97,11 +91,11 @@ def _draw(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
-def _param(data, name: str) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+def _param(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
-def _gru_params(rng, dim: int, emb: int, prefix: str, ctx: int = 0) -> GruParams:
+def _gru_params(rng, dim: int, emb: int, ctx: int = 0) -> GruParams:
     """Draws the input weights, the recurrent weights, then (for a decoder)
     the ctx-wide context weights, each stacked over the three gates."""
     w = _draw(rng, (3 * dim, emb))
@@ -109,26 +103,26 @@ def _gru_params(rng, dim: int, emb: int, prefix: str, ctx: int = 0) -> GruParams
     if ctx:
         w = np.hstack([w, _draw(rng, (3 * dim, ctx))])
     return GruParams(
-        w=_param(w, f"{prefix}.w"),
-        u_zr=_param(u[: 2 * dim], f"{prefix}.u_zr"),
-        u_h=_param(u[2 * dim :], f"{prefix}.u_h"),
-        b=_param(np.zeros(3 * dim), f"{prefix}.b"),
+        w=_param(w),
+        u_zr=_param(u[: 2 * dim]),
+        u_h=_param(u[2 * dim :]),
+        b=_param(np.zeros(3 * dim)),
     )
 
 
-def _decoder_params(rng, cfg: ModelConfig, prefix: str) -> DecoderParams:
+def _decoder_params(rng, cfg: ModelConfig) -> DecoderParams:
     v, e, d = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
     return DecoderParams(
-        embedding=_param(_draw(rng, (v, e)), f"{prefix}.embedding"),
-        gru=_gru_params(rng, d, e, f"{prefix}.gru", ctx=2 * d),
-        att_w=_param(_draw(rng, (d, d)), f"{prefix}.att_w"),
-        att_u=_param(_draw(rng, (d, 2 * d)).T, f"{prefix}.att_u"),
-        att_v=_param(_draw(rng, (d,)), f"{prefix}.att_v"),
-        att_b=_param(np.zeros(d), f"{prefix}.att_b"),
-        init_w=_param(_draw(rng, (d, 2 * d)), f"{prefix}.init_w"),
-        init_b=_param(np.zeros(d), f"{prefix}.init_b"),
-        out_w=_param(_draw(rng, (v, e + 3 * d)), f"{prefix}.out_w"),
-        out_b=_param(np.zeros(v), f"{prefix}.out_b"),
+        embedding=_param(_draw(rng, (v, e))),
+        gru=_gru_params(rng, d, e, ctx=2 * d),
+        att_w=_param(_draw(rng, (d, d))),
+        att_u=_param(_draw(rng, (d, 2 * d)).T),
+        att_v=_param(_draw(rng, (d,))),
+        att_b=_param(np.zeros(d)),
+        init_w=_param(_draw(rng, (d, 2 * d))),
+        init_b=_param(np.zeros(d)),
+        out_w=_param(_draw(rng, (v, e + 3 * d))),
+        out_b=_param(np.zeros(v)),
     )
 
 
@@ -153,15 +147,15 @@ class Seq2SeqModel:
         rng = np.random.default_rng(seed)
         d, e = config.hidden_dim, config.embed_dim
         encoder = EncoderParams(
-            embedding=_param(_draw(rng, (config.vocab_size, e)), "encoder.embedding"),
-            fwd=_gru_params(rng, d, e, "encoder.fwd"),
-            bwd=_gru_params(rng, d, e, "encoder.bwd"),
+            embedding=_param(_draw(rng, (config.vocab_size, e))),
+            fwd=_gru_params(rng, d, e),
+            bwd=_gru_params(rng, d, e),
         )
         return cls(
             config=config,
             encoder=encoder,
-            backward_decoder=_decoder_params(rng, config, "backward"),
-            forward_decoder=_decoder_params(rng, config, "forward"),
+            backward_decoder=_decoder_params(rng, config),
+            forward_decoder=_decoder_params(rng, config),
         )
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
@@ -272,7 +266,7 @@ def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderPar
 # zip container keeps a CRC-32 per member, so a flipped byte or a cut file is
 # refused on load; nothing is pickled.
 
-_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "beam_size", "max_decode_len")
+_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "max_decode_len")
 
 
 def _token_bytes(tokens: Iterable[str]) -> np.ndarray:
@@ -330,8 +324,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a `save_checkpoint` archive into a fresh model.
 
     A missing, empty, cut, corrupt or foreign file (such as a v1 or v2 text
-    checkpoint) raises CheckpointError naming the path and, where there is
-    one, the archive member.
+    checkpoint or a v3 archive) raises CheckpointError naming the path and,
+    where there is one, the archive member.
     """
     member = None  # the member being read, named in the error
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
-from .decoding import decode_multi
+from .decoding import DEFAULT_BEAM, decode_multi
 from .errors import ConfigError, ConstraintError
 from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint
@@ -30,11 +30,10 @@ class PipelineConfig:
     checkpoint: str = ""
     out_dir: str = ""
     # model (desk-scale defaults; the full-scale constants live in
-    # ModelConfig.full_scale and configs/full_scale.cfg)
+    # configs/full_scale.cfg)
     vocab_size: int = 2000
     embed_dim: int = 64
     hidden_dim: int = 128
-    beam: int = 5
     max_decode_len: int = 100
     # training
     epochs: int = 10
@@ -44,8 +43,8 @@ class PipelineConfig:
     clip_norm: float = 5.0
     checkpoint_every: int = 1
     valid_size: int = 0
-    test_size: int = 0
     # decoding / step 1
+    beam: int = DEFAULT_BEAM
     max_constraints: int = 3
     max_passes: int = 0  # 0: one pass per constraint
     length_norm: float = 0.0
@@ -57,7 +56,6 @@ class PipelineConfig:
             vocab_size=self.vocab_size,
             embed_dim=self.embed_dim,
             hidden_dim=self.hidden_dim,
-            beam_size=self.beam,
             max_decode_len=self.max_decode_len,
         )
 
@@ -88,7 +86,6 @@ RANGE_CHECKS = {
     "clip_norm": lambda v: v >= 0.0,
     "checkpoint_every": lambda v: v >= 1,
     "valid_size": lambda v: v >= 0,
-    "test_size": lambda v: v >= 0,
     "max_constraints": lambda v: v >= 0,
     "max_passes": lambda v: v >= 0,
     "length_norm": lambda v: v >= 0.0,
@@ -158,7 +155,7 @@ class SimplifyPipeline:
         vocab: Vocabulary,
         kb: KnowledgeBase,
         freq_table: FrequencyTable,
-        beam: int | None = None,
+        beam: int = DEFAULT_BEAM,
         max_constraints: int = 3,
         max_passes: int | None = None,
         length_norm: float = 0.0,

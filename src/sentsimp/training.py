@@ -55,8 +55,9 @@ class TrainConfig:
             raise ContractError(f"rho must lie in (0, 1), got {self.rho}")
         if self.eps <= 0.0:
             raise ContractError(f"eps must be positive, got {self.eps}")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be at least 1")
+        for name in ("epochs", "batch_size", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class AdadeltaState:

@@ -66,7 +66,7 @@ def test_criterion_2_bleu_identity():
 
 def test_criterion_3_gradient_correctness():
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=12, embed_dim=2, hidden_dim=3, beam_size=2, max_decode_len=8),
+        ModelConfig(vocab_size=12, embed_dim=2, hidden_dim=3, max_decode_len=8),
         seed=42,
     )
     pair = SentencePair((4, 9, 6), (7, 5, 11))
@@ -97,7 +97,7 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_constraint_satisfaction():
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, beam_size=3, max_decode_len=10)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=10)
     rng = random.Random(7)
     content = list(range(4, 12))
     decodes = 0
@@ -114,7 +114,7 @@ def test_criterion_4_constraint_satisfaction():
             for _ in range(k):
                 width = rng.randint(1, 2)
                 blocks.append([rng.choice(content) for _ in range(width)])
-            result = decode_multi(source, blocks, model)
+            result = decode_multi(source, blocks, model, beam_size=3)
             ok = True
             for trace in result.passes:
                 lo = trace.position - 1
@@ -138,7 +138,7 @@ def test_criterion_4_constraint_satisfaction():
 
 
 def test_criterion_5_beam_equals_exhaustive_search():
-    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, beam_size=200, max_decode_len=4)
+    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, max_decode_len=4)
     beam_size = 200  # > 1 + 4 + 16 + 64 complete sequences
     agreements = 0
     for seed in range(50):
@@ -194,7 +194,7 @@ def overfit_run():
     )
     freq_table = FrequencyTable.from_sequences((s for s, _ in token_pairs))
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=32, beam_size=5, max_decode_len=30),
+        ModelConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=32, max_decode_len=30),
         seed=1,
     )
     config = TrainConfig(epochs=170, batch_size=8, seed=13)

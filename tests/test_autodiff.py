@@ -109,7 +109,7 @@ def test_sigmoid_matches_scalar_oracle():
 
 
 def test_binary_ops_require_equal_shapes():
-    for op in (ad.add, ad.sub, ad.mul):
+    for op in (ad.add, ad.mul):
         with pytest.raises(DimensionError):
             op(rnd((2,)), rnd((3,)))
 
@@ -118,7 +118,6 @@ def test_elementwise_values():
     a = ad.Tensor([1.0, 2.0])
     b = ad.Tensor([3.0, 5.0])
     assert ad.add(a, b).tolist() == [4.0, 7.0]
-    assert ad.sub(a, b).tolist() == [-2.0, -3.0]
     assert ad.mul(a, b).tolist() == [3.0, 10.0]
     assert ad.one_minus(a).tolist() == [0.0, -1.0]
 
@@ -492,7 +491,7 @@ def test_composite_gru_like_gradcheck():
     rng = np.random.default_rng(11)
     dim, emb = 3, 2
     params = {
-        name: ad.Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
+        name: ad.Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True)
         for name, shape in [
             ("w_z", (emb, dim)), ("u_z", (dim, dim)), ("b_z", (1, dim)),
             ("w_r", (emb, dim)), ("u_r", (dim, dim)), ("b_r", (1, dim)),

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
+from sentsimp import decoding
 from sentsimp.cli import main
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
+from sentsimp.pipeline import PipelineConfig, SimplifyPipeline
 from sentsimp.toydata import build_toy_corpus
 
 
@@ -62,6 +66,29 @@ def test_train_checkpoint_is_loadable_and_self_contained(trained_run):
     assert ckpt.vocab_tokens  # vocabulary embedded
     assert ckpt.freq_counts  # frequency table embedded
     assert ckpt.model.config.hidden_dim == 12
+
+
+def test_trained_beam_is_not_stored_and_simplify_decodes_at_the_pipeline_beam(trained_run, monkeypatch):
+    """`beam = 3` in the training config is a decoding setting: the
+    checkpoint keeps no width, and a pipeline searches at its own."""
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    with np.load(ckpt, allow_pickle=False) as archive:
+        assert "config.beam_size" not in archive.files
+    widths = []
+    real_beam_search = decoding.beam_search
+
+    def recorded(*args, **kwargs):
+        widths.append(kwargs["beam_size"])
+        return real_beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, "beam_search", recorded)
+    line = build_toy_corpus(12, seed=3).pairs[1][0]
+    base = PipelineConfig(checkpoint=str(ckpt), kb=str(kb))
+    for config in (base, dataclasses.replace(base, beam=2)):
+        widths.clear()
+        SimplifyPipeline.from_config(config).simplify(line)
+        assert widths and set(widths) == {config.beam}
 
 
 def test_simplify_end_to_end(trained_run, tmp_path, capsys):

@@ -11,7 +11,6 @@ from sentsimp.corpus import (
     Vocabulary,
     build_vocab,
     detokenize,
-    filter_identical,
     read_parallel_tokens,
     split_corpus,
     tokenize,
@@ -193,28 +192,13 @@ def _pair(a, b):
     return SentencePair(tuple(a), tuple(b))
 
 
-def test_filter_identical_removes_equal_pairs():
-    same = _pair([5, 6], [5, 6])
-    diff = _pair([5, 6], [5, 7])
-    assert filter_identical([same]) == []
-    assert filter_identical([diff]) == [diff]
-
-
-def test_filter_identical_mixed_keeps_order():
-    pairs = [_pair([i + 4], [i + 4]) if i < 3 else _pair([i + 4], [i + 5]) for i in range(10)]
-    kept = filter_identical(pairs)
-    assert len(kept) == 7
-    assert kept == [p for p in pairs if p.source != p.target]
-
-
 def test_split_corpus_disjoint_and_seeded():
     pairs = [_pair([i + 4], [i + 5]) for i in range(20)]
-    split_a = split_corpus(pairs, valid_size=4, test_size=3, seed=7)
-    split_b = split_corpus(pairs, valid_size=4, test_size=3, seed=7)
-    assert (len(split_a.train), len(split_a.validation), len(split_a.test)) == (13, 4, 3)
+    split_a = split_corpus(pairs, valid_size=4, seed=7)
+    split_b = split_corpus(pairs, valid_size=4, seed=7)
+    assert (len(split_a.train), len(split_a.validation)) == (16, 4)
     ids = lambda lst: {id_ for p in lst for id_ in p.source}
     assert not (ids(split_a.train) & ids(split_a.validation))
-    assert not (ids(split_a.train) & ids(split_a.test))
     assert split_a == split_b
 
 

@@ -11,7 +11,8 @@ from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_ste
 
 from oracles import beam_search_nested_greedy, beam_search_per_hypothesis, decode_step_with_logits, exhaustive_best
 
-CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=8)
+CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=8)
+BEAM = 3
 
 
 def random_model(seed, cfg=CFG):
@@ -26,8 +27,7 @@ def chain_model(fwd_succ, bwd_succ, vocab_size=9, max_decode_len=8):
     the distribution is sharply peaked and independent of state/context.
     """
     cfg = ModelConfig(
-        vocab_size=vocab_size, embed_dim=vocab_size, hidden_dim=3,
-        beam_size=3, max_decode_len=max_decode_len,
+        vocab_size=vocab_size, embed_dim=vocab_size, hidden_dim=3, max_decode_len=max_decode_len,
     )
     model = Seq2SeqModel.create(cfg, seed=0)
     for _, t in model.named_parameters():
@@ -146,8 +146,8 @@ def test_beam_wider_never_scores_worse():
 def test_decode_determinism():
     model = random_model(12)
     source = [5, 6, 7, 8]
-    a = decode_multi(source, [[4], [8]], model)
-    b = decode_multi(source, [[4], [8]], model)
+    a = decode_multi(source, [[4], [8]], model, beam_size=BEAM)
+    b = decode_multi(source, [[4], [8]], model, beam_size=BEAM)
     assert a == b
 
 
@@ -170,7 +170,7 @@ def _oracle_setup(model, params, source, seed_tokens):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_beam_matches_exhaustive_search_tiny_vocab(seed):
-    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, beam_size=100, max_decode_len=4)
+    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, max_decode_len=4)
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4, 4]
     constraint = [4]
@@ -213,7 +213,7 @@ def _one_row_stepper(model, params, source, given):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_beam_matches_per_hypothesis_oracle(seed):
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, beam_size=3, max_decode_len=7)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=7)
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
     encoded = encode(source, model.encoder)
@@ -252,7 +252,7 @@ def _batched_stepper(model, params, source, given):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_folded_greedy_matches_nested_greedy_oracle(seed):
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, beam_size=3, max_decode_len=9)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=9)
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
     searches = (
@@ -373,7 +373,7 @@ def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
     for name in ("decode_step", "output_logits"):
         monkeypatch.setattr(decoding, name, counted(name, getattr(decoding, name)))
     monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
-    result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8))
+    result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM)
     assert len(result.passes) == 2
     # teacher-forced: the backward stage's block but its last token, the
     # forward stage's BOS and realized prefix but its last token
@@ -386,18 +386,18 @@ def test_beam_search_raises_on_nonfinite_log_probs():
     model = random_model(6)
     model.forward_decoder.out_b.data[3] = np.nan
     with pytest.raises(NumericError):
-        decode_multi([4, 5], [[6]], model)
+        decode_multi([4, 5], [[6]], model, beam_size=BEAM)
     model = random_model(6)
     model.backward_decoder.out_b.data[7] = np.nan
     with pytest.raises(NumericError):
-        decode_multi([4, 5], [[6]], model)
+        decode_multi([4, 5], [[6]], model, beam_size=BEAM)
 
 
 def test_stop_records_boundary_and_length_cap():
     # backward 5 -> BOS reaches the boundary; forward 5 -> 6 -> 7 -> 6 -> ...
     # cycles until its token budget is spent
     model = chain_model(fwd_succ={5: 6, 6: 7, 7: 6}, bwd_succ={5: BOS_ID})
-    trace = decode_multi([4, 5], [[5]], model).passes[0]
+    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("boundary", "length_cap")
     assert trace.output == (5, 6, 7, 6, 7, 6, 7, 6)
     assert len(trace.output) == model.config.max_decode_len
@@ -405,9 +405,9 @@ def test_stop_records_boundary_and_length_cap():
 
 def test_stop_of_search_with_zero_budget_and_immediate_boundary():
     model = chain_model(fwd_succ={5: EOS_ID}, bwd_succ={5: BOS_ID})
-    trace = decode_multi([4, 5], [[5]], model).passes[0]
+    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("boundary", "boundary")
-    trace = decode_multi([4, 5], [(5,) * CFG.max_decode_len], model).passes[0]
+    trace = decode_multi([4, 5], [(5,) * CFG.max_decode_len], model, beam_size=BEAM).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("length_cap", "length_cap")
 
 
@@ -417,7 +417,7 @@ def test_stop_of_search_with_zero_budget_and_immediate_boundary():
 def test_backward_immediate_boundary_gives_empty_prefix():
     # backward successor of the constraint is BOS itself
     model = chain_model(fwd_succ={5: EOS_ID}, bwd_succ={5: BOS_ID})
-    result = decode_multi([4, 5], [[5]], model)
+    result = decode_multi([4, 5], [[5]], model, beam_size=BEAM)
     assert result.passes[0].position == 1
     assert result.tokens == (5,)
     assert result.outcomes[0].final_position == 1
@@ -426,17 +426,17 @@ def test_backward_immediate_boundary_gives_empty_prefix():
 def test_backward_rejects_oov_or_reserved_constraints():
     model = random_model(1)
     with pytest.raises(ConstraintError):
-        decode_multi([4, 5], [[UNK_ID]], model)
+        decode_multi([4, 5], [[UNK_ID]], model, beam_size=BEAM)
     with pytest.raises(ConstraintError):
-        decode_multi([4, 5], [[99]], model)
+        decode_multi([4, 5], [[99]], model, beam_size=BEAM)
     with pytest.raises(ContractError):
-        decode_multi([4, 5], [[]], model)
+        decode_multi([4, 5], [[]], model, beam_size=BEAM)
 
 
 def test_forward_prefix_at_cap_generates_nothing():
     model = random_model(2)
     block = (4,) * CFG.max_decode_len
-    result = decode_multi([4, 5], [block], model)
+    result = decode_multi([4, 5], [block], model, beam_size=BEAM)
     assert result.tokens == block
     assert result.passes[0].backward_log_prob == result.passes[0].forward_log_prob == 0.0
 
@@ -447,7 +447,7 @@ def test_multitoken_block_teacher_forced_as_unit():
         fwd_succ={6: 7, 7: EOS_ID},
         bwd_succ={6: 5, 5: 4, 4: BOS_ID},  # reverse-block feed: 6 then 5, then generate
     )
-    result = decode_multi([4, 5, 6, 7], [[5, 6]], model)
+    result = decode_multi([4, 5, 6, 7], [[5, 6]], model, beam_size=BEAM)
     assert result.tokens == (4, 5, 6, 7)
     assert result.outcomes[0].final_position == 2
     assert result.passes[0].position == 2
@@ -458,7 +458,7 @@ def test_position_bookkeeping_matches_backward_length():
         fwd_succ={5: EOS_ID},
         bwd_succ={5: 8, 8: 7, 7: BOS_ID},
     )
-    result = decode_multi([4], [[5]], model)
+    result = decode_multi([4], [[5]], model, beam_size=BEAM)
     trace = result.passes[0]
     backward_len = len(trace.output) - trace.position  # tokens before block? no: after
     assert result.tokens == (7, 8, 5)
@@ -474,7 +474,7 @@ def test_constraint_containment_over_random_models():
         model = random_model(seed + 100)
         source = [4 + (seed % 4), 5, 6]
         block = [4 + ((seed + 1) % 5)]
-        result = decode_multi(source, [block], model)
+        result = decode_multi(source, [block], model, beam_size=BEAM)
         pos = result.outcomes[0].final_position
         assert pos is not None
         assert result.tokens[pos - 1 : pos - 1 + len(block)] == tuple(block)
@@ -485,14 +485,14 @@ def test_constraint_containment_over_random_models():
 def test_multi_with_single_constraint_reduces_to_constrained():
     model = random_model(7)
     source = [4, 5, 6, 7]
-    multi = decode_multi(source, [[8]], model)
+    multi = decode_multi(source, [[8]], model, beam_size=BEAM)
     # one pass is the backward stage, the block, then the forward stage
     encoded = encode(source, model.encoder)
     max_len = CFG.max_decode_len
-    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, max_len - 1, CFG.beam_size, 0.0)
+    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, max_len - 1, BEAM, 0.0)
     prefix = back.tokens[::-1] + (8,)
     fwd = _search(
-        encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, max_len - len(prefix), CFG.beam_size, 0.0
+        encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, max_len - len(prefix), BEAM, 0.0
     )
     assert multi.tokens == prefix + fwd.tokens
     assert multi.passes == (
@@ -506,7 +506,7 @@ def test_multi_skips_constraint_already_emitted():
         fwd_succ={5: 6, 6: EOS_ID},
         bwd_succ={5: BOS_ID, 6: 5},
     )
-    result = decode_multi([4, 5, 6], [[5], [6]], model)
+    result = decode_multi([4, 5, 6], [[5], [6]], model, beam_size=BEAM)
     assert len(result.passes) == 1
     first, second = result.outcomes
     assert not first.skipped and first.pass_index == 1
@@ -521,7 +521,7 @@ def test_multi_two_passes_rewrites_with_second_constraint():
         fwd_succ={5: 6, 6: EOS_ID, 7: EOS_ID},
         bwd_succ={5: BOS_ID, 7: 6, 6: 5},
     )
-    result = decode_multi([4, 5], [[5], [7]], model)
+    result = decode_multi([4, 5], [[5], [7]], model, beam_size=BEAM)
     assert len(result.passes) == 2
     assert result.passes[0].output == (5, 6)
     assert result.passes[1].output == (5, 6, 7)
@@ -534,10 +534,10 @@ def test_multi_two_passes_rewrites_with_second_constraint():
 
 def test_multi_without_constraints_is_plain_beam_decode():
     model = chain_model(fwd_succ={BOS_ID: 6, 6: 7, 7: EOS_ID}, bwd_succ={})
-    result = decode_multi([4, 5], [], model)
+    result = decode_multi([4, 5], [], model, beam_size=BEAM)
     encoded = encode([4, 5], model.encoder)
     cfg = model.config
-    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, cfg.beam_size, 0.0)
+    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, BEAM, 0.0)
     assert result.tokens == plain.tokens == (6, 7)
     assert result.passes == ()
 
@@ -547,7 +547,7 @@ def test_multi_respects_max_passes_cap():
         fwd_succ={5: EOS_ID, 6: EOS_ID, 7: EOS_ID},
         bwd_succ={5: BOS_ID, 6: BOS_ID, 7: BOS_ID},
     )
-    result = decode_multi([4], [[5], [6], [7]], model, max_passes=2)
+    result = decode_multi([4], [[5], [6], [7]], model, max_passes=2, beam_size=BEAM)
     assert len(result.passes) == 2
     assert result.outcomes[2].skipped
 
@@ -557,7 +557,7 @@ def test_decode_result_records_passes_in_order():
         fwd_succ={5: EOS_ID, 6: EOS_ID},
         bwd_succ={5: BOS_ID, 6: BOS_ID},
     )
-    result = decode_multi([4], [[5], [6]], model)
+    result = decode_multi([4], [[5], [6]], model, beam_size=BEAM)
     assert isinstance(result, DecodeResult)
     assert [t.constraint for t in result.passes] == [(5,), (6,)]
     assert result.tokens == result.passes[-1].output
@@ -567,6 +567,6 @@ def test_decode_has_no_warning_when_a_probability_underflows():
     model = underflow_model(target=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = decode_multi([4, 5, 6], [[5], [7]], model)
+        result = decode_multi([4, 5, 6], [[5], [7]], model, beam_size=BEAM)
     assert 6 not in result.tokens
     assert all(np.isfinite([t.backward_log_prob, t.forward_log_prob]).all() for t in result.passes)

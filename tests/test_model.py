@@ -22,7 +22,7 @@ from sentsimp.model import _gru_step
 from gradcheck import check_gradients
 from oracles import attention_loops, decode_step_with_logits, decoder_step_loops, encode_loops, gru_step_loops
 
-TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=3, max_decode_len=6)
+TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=6)
 
 
 @pytest.fixture
@@ -553,12 +553,13 @@ def test_checkpoint_corruption_raises_checkpoint_error_naming_the_member(tmp_pat
 
 
 def test_checkpoint_refuses_v1_header(tmp_path, model):
-    """Only a `seq2seq-ckpt v3` archive loads: text checkpoints (v1, v2),
-    a bare .npy, an empty file, a zip of raw bytes and archives with another
-    format are refused."""
+    """Only a `seq2seq-ckpt v4` archive loads: text checkpoints (v1, v2), a
+    v3 archive (which also held `config.beam_size`), a bare .npy, an empty
+    file, a zip of raw bytes and archives with another format are refused."""
     path = saved_checkpoint(tmp_path, model)
     with np.load(path, allow_pickle=False) as archive:
-        assert str(archive["format"]) == "seq2seq-ckpt v3"
+        assert str(archive["format"]) == "seq2seq-ckpt v4"
+        assert "config.beam_size" not in archive.files
     foreign = {
         "v1.ckpt": b"seq2seq-ckpt v1\nconfig vocab_size 9\n",
         "v2.ckpt": b"seq2seq-ckpt v2\nconfig vocab_size 9\nvocab 0\nfreq 0\nend\n",
@@ -569,9 +570,12 @@ def test_checkpoint_refuses_v1_header(tmp_path, model):
     np.save(tmp_path / "bare.npy", np.zeros(3))
     np.savez(tmp_path / "other.npz", weights=np.zeros(3))
     with zipfile.ZipFile(tmp_path / "raw.zip", "w") as zf:
-        zf.writestr("format.npy", b"seq2seq-ckpt v3")
+        zf.writestr("format.npy", b"seq2seq-ckpt v4")
+    v3 = tmp_path / "v3.ckpt"
+    v3.write_bytes(path.read_bytes())
+    rewrite_members(v3, format=np.array("seq2seq-ckpt v3"), **{"config.beam_size": np.int64(5)})
     rewrite_members(path, format=np.array("seq2seq-ckpt v2"))
-    for name in [*foreign, "bare.npy", "other.npz", "raw.zip", path.name]:
+    for name in [*foreign, "bare.npy", "other.npz", "raw.zip", v3.name, path.name]:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(tmp_path / name))
         assert str(tmp_path / name) in str(err.value)

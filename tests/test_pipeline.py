@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from sentsimp.corpus import BOS_ID, EOS_ID
 from sentsimp.errors import ConfigError, ConstraintError
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.pipeline import (
+    _PATH_FIELDS,
     PipelineConfig,
     SimplifyPipeline,
     echo_config,
@@ -24,6 +26,19 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("", encoding="utf-8")
     assert parse_config(str(path)) == PipelineConfig()
+
+
+def test_shipped_configs_parse_and_desk_cfg_sets_every_non_path_key():
+    """configs/desk.cfg lists every non-path key at its default; the
+    benchmark builds its configs from it, so a stale key must fail here."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    desk = configs / "desk.cfg"
+    lines = (line.split("#", 1)[0] for line in desk.read_text(encoding="utf-8").splitlines())
+    keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
+    fields = [f.name for f in dataclasses.fields(PipelineConfig) if f.name not in _PATH_FIELDS]
+    assert sorted(keys) == sorted(fields)
+    assert parse_config(str(desk)) == PipelineConfig()
+    assert parse_config(str(configs / "full_scale.cfg")).hidden_dim == 1000
 
 
 def test_parse_config_values_and_comments(tmp_path):

@@ -21,11 +21,11 @@ from sentsimp.training import (
 
 from gradcheck import check_gradients
 
-TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, beam_size=2, max_decode_len=8)
+TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=8)
 
 
 def named_tensor(name, values):
-    t = Tensor(values, requires_grad=True, name=name)
+    t = Tensor(values, requires_grad=True)
     return name, t
 
 
@@ -359,7 +359,7 @@ def toy_corpus(vocab_size=9):
         pair_of([6, 7, 8], [6, 8]),
         pair_of([4, 7], [4, 7]),
     ]
-    return CorpusSplit(train=pairs, validation=[pairs[0]], test=[])
+    return CorpusSplit(train=pairs, validation=[pairs[0]])
 
 
 def fake_vocab():
@@ -438,12 +438,18 @@ def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
 def test_overfit_single_pair_memorizes():
     cfg = TrainConfig(epochs=60, batch_size=1, seed=7, clip_norm=5.0)
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=8, beam_size=2, max_decode_len=8),
+        ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=8, max_decode_len=8),
         seed=3,
     )
-    corpus = CorpusSplit(train=[pair_of([4, 5, 6], [7, 8])], validation=[], test=[])
+    corpus = CorpusSplit(train=[pair_of([4, 5, 6], [7, 8])], validation=[])
     result = train(corpus, model, cfg, fake_vocab())
     assert result.history[-1].train_loss < 0.1
+
+
+@pytest.mark.parametrize("field", ["epochs", "checkpoint_every"])
+def test_train_config_rejects_a_count_below_one(field):
+    with pytest.raises(ContractError, match=field):
+        TrainConfig(**{field: 0})
 
 
 def test_train_rejects_empty_split():
