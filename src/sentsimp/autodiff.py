@@ -8,18 +8,26 @@ row-wise softmax and a fused row-wise softmax negative log-likelihood,
 embedding lookup of several rows at once, joining matrices side by side or
 on top of each other, column segments (the gates of a fused
 pre-activation), batched additive-attention energies and a handful of
-reductions. Gradients are recorded on an explicit :class:`Tape` that is
-rebuilt every forward pass, so variable-length sequences need no static
-graph. With no tape active the same functions run as plain numpy
-computations, which is how decoding executes.
+reductions. Two fused ops cover the model's recurrent work, each with a
+hand-written backward pass: `gru_step` is one whole GRU update and
+`attention` one whole additive-attention read, so each costs one dispatch
+and one tape record instead of a dozen. Gradients are recorded on an
+explicit :class:`Tape` that is rebuilt every forward pass, so
+variable-length sequences need no static graph. With no tape active the
+same functions run as plain numpy computations, which is how decoding
+executes.
 
 The weight gradient of `affine` is the product `g.T @ x` of its output
 adjoint and its input rows. Its backward returns that product unevaluated,
 as a :class:`WeightGrad`; :meth:`Tape.backward` collects these for each
 leaf weight and evaluates them at the end as one matrix product over all
 the stacked rows, instead of one outer product and one full-size sum per
-step. Each leaf's gradient is its own array, so scaling one in place (as
-gradient clipping does) never changes another.
+step. The gradient of `take_rows` stays sparse in the same way: its
+backward returns the adjoint rows and their ids as a :class:`RowGrad`, which
+:meth:`Tape.backward` scatters into the input's gradient, so an embedding
+lookup or a one-row read costs the rows it touched, not a zero matrix the
+size of the whole input. Each leaf's gradient is its own array, so scaling
+one in place (as gradient clipping does) never changes another.
 
 Tensors with computed values are treated as immutable and may be shared
 across threads; a tape is single-threaded (one tape per worker).
@@ -121,6 +129,21 @@ class WeightGrad:
         return np.dot(self.g.T, self.x)
 
 
+@dataclass(slots=True)
+class RowGrad:
+    """The gradient of `take_rows`, left sparse: adjoint rows g (k, width)
+    that belong to rows ids of the input, repeats summed."""
+
+    ids: list[int]
+    g: Array
+
+    def scatter_into(self, target: Array) -> None:
+        if len(self.ids) == 1:  # one row: plain indexing, much cheaper than add.at
+            target[self.ids[0]] += self.g[0]
+        else:
+            np.add.at(target, self.ids, self.g)
+
+
 class Tape:
     """Ordered record of executed operations, for reverse-order traversal.
 
@@ -159,7 +182,12 @@ class Tape:
         parameter) adds each dense gradient into its own `.grad` array, which
         no other tensor shares, and keeps its `WeightGrad`s until the walk
         ends; then they are evaluated as one product of all their stacked
-        rows, `concat(g).T @ concat(x)`.
+        rows, `concat(g).T @ concat(x)`. A :class:`RowGrad` is scattered in
+        place, into a leaf's `.grad` or into an adjoint the walk owns: an
+        adjoint received from another record may be a view or shared (`add`
+        passes one array to both inputs), so it is copied before the first
+        scatter and the first dense sum into it makes a new array. Only the
+        walk's own adjoints take sums in place.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -167,6 +195,7 @@ class Tape:
             raise ContractError("loss was not recorded on this tape")
 
         adjoints: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()  # adjoints that are the walk's own arrays
         deferred: dict[int, tuple[Tensor, list[WeightGrad]]] = {}
 
         for out, inputs, backward_fn in reversed(self._records):
@@ -179,14 +208,31 @@ class Tape:
                 if grad is None:
                     continue
                 key = id(inp)
+                kind = type(grad)
                 if key in self._output_ids:
-                    if type(grad) is WeightGrad:
+                    if kind is WeightGrad:
                         grad = grad.evaluate()
-                    adjoints[key] = adjoints[key] + grad if key in adjoints else grad
+                    adj = adjoints.get(key)
+                    if kind is RowGrad:
+                        if key not in owned:
+                            adj = adjoints[key] = np.zeros_like(inp.data) if adj is None else adj.copy()
+                            owned.add(key)
+                        grad.scatter_into(adj)
+                    elif adj is None:
+                        adjoints[key] = grad
+                    elif key in owned:
+                        adj += grad
+                    else:
+                        adjoints[key] = adj + grad
+                        owned.add(key)
                 elif not inp.requires_grad:
                     continue
-                elif type(grad) is WeightGrad:
+                elif kind is WeightGrad:
                     deferred.setdefault(key, (inp, []))[1].append(grad)
+                elif kind is RowGrad:
+                    if inp.grad is None:
+                        inp.grad = np.zeros_like(inp.data)
+                    grad.scatter_into(inp.grad)
                 elif inp.grad is None:
                     inp.grad = np.array(grad, dtype=np.float64)
                 else:
@@ -267,10 +313,15 @@ def one_minus(a: Tensor) -> Tensor:
     return _emit(1.0 - a.data, (a,), lambda g: (-g,))
 
 
+def _sigmoid(x: Array) -> Array:
+    # exp of -|x| only, so neither branch can overflow
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # computed via the positive-branch formulation to avoid overflow of exp
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
 
     def back(g: Array):
         return (g * out * (1.0 - out),)
@@ -292,15 +343,23 @@ def softmax(a: Tensor) -> Tensor:
     and sum to one."""
     if a.ndim < 1 or a.shape[-1] < 1:
         raise DimensionError(f"softmax: expected non-empty rows, got shape {a.shape}")
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax: input contains non-finite values")
-    exps = np.exp(a.data - np.max(a.data, axis=-1, keepdims=True))
-    out = exps / exps.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data, "softmax: input contains non-finite values")
 
     def back(g: Array):
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+        return (_softmax_back(out, g),)
 
     return _emit(out, (a,), back)
+
+
+def _softmax(x: Array, non_finite: str) -> Array:
+    if not np.all(np.isfinite(x)):
+        raise NumericError(non_finite)
+    exps = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def _softmax_back(out: Array, g: Array) -> Array:
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
 def log_softmax(x: Array) -> Array:
@@ -401,12 +460,7 @@ def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
     if not idx or min(idx) < 0 or max(idx) >= m.shape[0]:
         raise ContractError(f"take_rows: row ids {idx} empty or out of range for {m.shape[0]} rows")
 
-    def back(g: Array):
-        grad = np.zeros_like(m.data)
-        np.add.at(grad, idx, g)
-        return (grad,)
-
-    return _emit(m.data[idx], (m,), back)
+    return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
 
 
 def attention_energies(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
@@ -426,3 +480,79 @@ def attention_energies(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
         return d_pre.sum(axis=0), d_pre.sum(axis=1), g.reshape(-1) @ hidden.reshape(g.size, -1)
 
     return _emit(hidden @ v.data, (keys, query, v), back)
+
+
+def gru_step(gx: Tensor, h_prev: Tensor, u_zr: Tensor, u_h: Tensor) -> Tensor:
+    """One GRU update of B rows, fused into one op:
+    h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @ u_h.T), with the
+    update and reset gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T).
+
+    gx (B, 3dim) holds the input pre-activations of the gates in the order
+    update, reset, candidate; u_zr is (2dim, dim) and u_h (dim, dim). The
+    weight gradients are `WeightGrad`s, like those of `affine`.
+    """
+    if h_prev.ndim != 2 or gx.ndim != 2:
+        raise DimensionError(f"gru_step: expected matrices, got gx {gx.shape} and h_prev {h_prev.shape}")
+    rows, d = h_prev.shape
+    if gx.shape != (rows, 3 * d) or u_zr.shape != (2 * d, d) or u_h.shape != (d, d):
+        raise DimensionError(
+            f"gru_step: gx {gx.shape}, h_prev {h_prev.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
+        )
+    h0 = h_prev.data
+    zr = _sigmoid(h0 @ u_zr.data.T + gx.data[:, : 2 * d])
+    z, r = zr[:, :d], zr[:, d:]
+    rh = r * h0
+    h_tilde = np.tanh(rh @ u_h.data.T + gx.data[:, 2 * d :])
+
+    def back(g: Array):
+        d_cand = g * z * (1.0 - h_tilde * h_tilde)
+        d_rh = d_cand @ u_h.data
+        d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
+        d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr.data
+        return np.concatenate([d_zr, d_cand], axis=1), d_h, WeightGrad(d_zr, h0), WeightGrad(d_cand, rh)
+
+    return _emit((1.0 - z) * h0 + z * h_tilde, (gx, h_prev, u_zr, u_h), back)
+
+
+def attention(
+    s: Tensor, keys: Tensor, annotations: Tensor, w: Tensor, b: Tensor, v: Tensor
+) -> tuple[Tensor, Array]:
+    """One additive-attention read for B query states s (B, dim), fused
+    into one op.
+
+    The query rows are s @ w.T + b; the energies of row b are
+    v . tanh(keys[j] + query[b]) over the n key rows; their row-wise softmax
+    alpha (B, n) weighs the n annotation rows. Returns the contexts
+    alpha @ annotations (B, width) and alpha as a plain array. The weight
+    gradient of w is a `WeightGrad`, like that of `affine`. Non-finite
+    energies raise NumericError.
+    """
+    if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1]:
+        raise DimensionError(f"attention: states {s.shape} do not fit weight {w.shape}")
+    dim = w.shape[0]
+    if (
+        b.shape != (dim,) or v.shape != (dim,) or keys.ndim != 2 or keys.shape[1] != dim
+        or annotations.ndim != 2 or annotations.shape[0] != keys.shape[0]
+    ):
+        raise DimensionError(
+            f"attention: weight {w.shape}, bias {b.shape}, v {v.shape}, keys {keys.shape}"
+            f" and annotations {annotations.shape} disagree"
+        )
+    query = s.data @ w.data.T + b.data
+    hidden = np.tanh(keys.data[None, :, :] + query[:, None, :])  # (B, n, dim)
+    alpha = _softmax(hidden @ v.data, "attention: energies contain non-finite values")
+
+    def back(g: Array):
+        d_energy = _softmax_back(alpha, g @ annotations.data.T)
+        d_pre = d_energy[:, :, None] * v.data * (1.0 - hidden * hidden)
+        d_query = d_pre.sum(axis=1)
+        return (
+            d_query @ w.data,
+            d_pre.sum(axis=0),
+            np.dot(alpha.T, g),
+            WeightGrad(d_query, s.data),
+            d_query.sum(axis=0),
+            d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1),
+        )
+
+    return _emit(alpha @ annotations.data, (s, keys, annotations, w, b, v), back), alpha

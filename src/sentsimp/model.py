@@ -13,13 +13,16 @@ are stored (out, in) and applied as `x @ w.T + b`.
 
 There is one GRU cell, `_gru_step`, with its gate weights fused: the
 encoder runs it on each token's embedding, a decoder on the previous
-token's embedding joined to its attention context. The encoder computes
-the input pre-activations of a whole source in one product before its
-recurrence. Attention keys depend only on the annotations, so each decoder
-stage computes them once with `attention_keys` and passes them to every
-step. A decoder step is two functions: `decode_step` updates the state,
-and `output_logits` projects a step's rows onto the vocabulary, so a
-teacher-forced step whose prediction nothing scores skips that product.
+token's embedding joined to its attention context. A GRU update is one
+autodiff op (`autodiff.gru_step`) and so is an attention read
+(`autodiff.attention`), each with a hand-written backward pass. The
+encoder computes the input pre-activations of a whole source in one
+product before its recurrence. Attention keys depend only on the
+annotations, so each decoder stage computes them once with
+`attention_keys` and passes them to every step. A decoder step is two
+functions: `decode_step` updates the state, and `output_logits` projects a
+step's rows onto the vocabulary, so a teacher-forced step whose prediction
+nothing scores skips that product.
 """
 
 from __future__ import annotations
@@ -177,11 +180,7 @@ def _gru_step(gx: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
 
     gx (B, 3dim) holds the input pre-activations x W^T + b of all three gates.
     """
-    d = h_prev.shape[1]
-    zr = ad.sigmoid(ad.affine(h_prev, p.u_zr, ad.segment(gx, 0, 2 * d)))
-    z, r = ad.segment(zr, 0, d), ad.segment(zr, d, 2 * d)
-    h_tilde = ad.tanh(ad.affine(ad.mul(r, h_prev), p.u_h, ad.segment(gx, 2 * d, 3 * d)))
-    return ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
+    return ad.gru_step(gx, h_prev, p.u_zr, p.u_h)
 
 
 def _run_gru(gx: Tensor, p: GruParams, order: Sequence[int]) -> Tensor:
@@ -228,9 +227,8 @@ def attend(
 ) -> tuple[Tensor, Tensor]:
     """Additive attention for B decoder states (B, dim): context rows
     (B, 2dim) and attention weights (B, n)."""
-    query = ad.affine(s_prev, params.att_w, params.att_b)
-    alpha = ad.softmax(ad.attention_energies(keys, query, params.att_v))
-    return ad.matmul(alpha, annotations), alpha
+    context, alpha = ad.attention(s_prev, keys, annotations, params.att_w, params.att_b, params.att_v)
+    return context, Tensor(alpha)
 
 
 def decode_step(

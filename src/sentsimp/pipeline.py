@@ -3,14 +3,16 @@
 Step 1 substitutes complex phrases from the knowledge base; Step 2 runs the
 constrained decoder over the substituted sentence, one pass per surviving
 constraint. Configuration files are flat `key = value` text with `#`
-comments; the effective configuration is echoed next to training outputs so
-runs are reproducible from their artifacts.
+comments (a `#` at the start of a line or after whitespace); the effective
+configuration is echoed next to training outputs so runs are reproducible
+from their artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import re
 from dataclasses import dataclass
 
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
@@ -93,6 +95,11 @@ RANGE_CHECKS = {
 }
 
 
+# a comment starts at a `#` that opens the line or follows whitespace, so a
+# value such as a path may hold a `#` of its own
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def _convert(key: str, raw: str, kind: type, lineno: int):
     try:
         if kind is int:
@@ -118,7 +125,7 @@ def parse_config(path: str) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -137,13 +144,23 @@ def parse_config(path: str) -> PipelineConfig:
 
 
 def echo_config(config: PipelineConfig, path: str) -> None:
-    """Write the effective configuration; parse_config inverts this."""
+    """Write the effective configuration; parse_config inverts this.
+
+    A value that would read back differently (one holding a line break, a
+    `#` that would start a comment, or surrounding whitespace) raises
+    ConfigError naming its key, and nothing is written.
+    """
+    lines = []
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(config, f.name)
+        if f.name in _PATH_FIELDS and value == "":
+            continue
+        text = repr(value) if isinstance(value, float) else str(value)
+        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(text):
+            raise ConfigError(f"cannot write key {f.name!r}: its value {text!r} would not read back")
+        lines.append(f"{f.name} = {text}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(PipelineConfig):
-            value = getattr(config, f.name)
-            if f.name in _PATH_FIELDS and value == "":
-                continue
-            fh.write(f"{f.name} = {value!r}\n" if isinstance(value, float) else f"{f.name} = {value}\n")
+        fh.writelines(lines)
 
 
 class SimplifyPipeline:

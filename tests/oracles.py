@@ -412,8 +412,10 @@ def top_k_tokens(sequences, k):
 def backward_dense(tape, loss):
     """Reference version of an earlier design: `Tape.backward` with every
     gradient evaluated where its record is walked, an `affine` weight
-    gradient as one outer product, and summed into one dense adjoint per
-    tensor, one full-size add at a time; leaves take their sums at the end."""
+    gradient as one outer product and a `take_rows` gradient as a zero
+    matrix the size of its input with the rows added in, and summed into one
+    dense adjoint per tensor, one full-size add at a time; leaves take their
+    sums at the end."""
     adjoints = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
     for out, inputs, backward_fn in reversed(tape._records):
@@ -426,6 +428,10 @@ def backward_dense(tape, loss):
                 continue
             if isinstance(grad, ad.WeightGrad):
                 grad = grad.evaluate()
+            elif isinstance(grad, ad.RowGrad):
+                rows = grad
+                grad = np.zeros_like(inp.data)
+                np.add.at(grad, rows.ids, rows.g)
             key = id(inp)
             if key in adjoints:
                 adjoints[key] = adjoints[key] + grad
@@ -436,6 +442,29 @@ def backward_dense(tape, loss):
         leaf = holders[key]
         if leaf.requires_grad:
             leaf.grad = adj if leaf.grad is None else leaf.grad + adj
+
+
+# ---------------------------------------------------------------- composed GRU step and attention
+
+
+def gru_step_composed(gx, h_prev, u_zr, u_h):
+    """Reference version of an earlier design: `autodiff.gru_step` composed
+    of 13 primitive ops (column segments, two affine maps, the gate
+    nonlinearities and the elementwise update), each with its own backward."""
+    d = h_prev.shape[1]
+    zr = ad.sigmoid(ad.affine(h_prev, u_zr, ad.segment(gx, 0, 2 * d)))
+    z, r = ad.segment(zr, 0, d), ad.segment(zr, d, 2 * d)
+    h_tilde = ad.tanh(ad.affine(ad.mul(r, h_prev), u_h, ad.segment(gx, 2 * d, 3 * d)))
+    return ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
+
+
+def attention_composed(s, keys, annotations, w, b, v):
+    """Reference version of an earlier design: `autodiff.attention` composed
+    of 4 primitive ops (the query affine map, the energies, the softmax and
+    the context product). Returns the context rows and alpha as tensors."""
+    query = ad.affine(s, w, b)
+    alpha = ad.softmax(ad.attention_energies(keys, query, v))
+    return ad.matmul(alpha, annotations), alpha
 
 
 # ---------------------------------------------------------------- decoder steps with logits

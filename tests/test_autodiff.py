@@ -7,7 +7,14 @@ from sentsimp import autodiff as ad
 from sentsimp.errors import ContractError, DimensionError, NumericError
 
 from gradcheck import check_gradients, finite_difference, max_relative_error
-from oracles import backward_dense, matmul_loops, sigmoid_scalar, softmax_loops
+from oracles import (
+    attention_composed,
+    backward_dense,
+    gru_step_composed,
+    matmul_loops,
+    sigmoid_scalar,
+    softmax_loops,
+)
 
 
 def rnd(shape, seed=0):
@@ -358,6 +365,97 @@ def test_attention_energies_shape_checks():
             ad.attention_energies(*(rnd(s) for s in shapes))
 
 
+# ---------------------------------------------------------------- fused GRU step and attention
+
+
+def gru_inputs(rows, seed=0):
+    """gx (rows, 3dim), h_prev (rows, dim), u_zr (2dim, dim), u_h (dim, dim) at dim 3."""
+    return [rnd(shape, seed=seed + i) for i, shape in enumerate([(rows, 9), (rows, 3), (6, 3), (3, 3)])]
+
+
+def attention_inputs(rows, seed=0):
+    """s (rows, 2), keys (5, 3), annotations (5, 4), w (3, 2), b (3,), v (3,):
+    the state, query and annotation widths all differ."""
+    shapes = [(rows, 2), (5, 3), (5, 4), (3, 2), (3,), (3,)]
+    return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
+
+
+# name: (fused op, its composed oracle, its inputs, the width of its output)
+FUSED = {
+    "gru_step": (ad.gru_step, gru_step_composed, gru_inputs, 3),
+    "attention": (lambda *a: ad.attention(*a)[0], lambda *a: attention_composed(*a)[0], attention_inputs, 4),
+}
+
+
+def values_and_gradients(op, inputs, weights):
+    for t in inputs:
+        t.zero_grad()
+    with ad.Tape() as tape:
+        out = op(*inputs)
+        tape.backward(ad.tsum(ad.mul(out, weights)))
+    return out.data, [t.grad.copy() for t in inputs]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", ["gru_step", "attention"])
+def test_fused_op_equals_composed_oracle(name, rows):
+    fused, composed, make_inputs, width = FUSED[name]
+    inputs = make_inputs(rows, seed=30)
+    weights = ad.Tensor(np.random.default_rng(31).uniform(-1, 1, size=(rows, width)))
+    got, got_grads = values_and_gradients(fused, inputs, weights)
+    want, want_grads = values_and_gradients(composed, inputs, weights)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", ["gru_step", "attention"])
+def test_fused_op_gradcheck(name, rows):
+    fused, _, make_inputs, width = FUSED[name]
+    inputs = make_inputs(rows, seed=40)
+    weights = ad.Tensor(np.random.default_rng(41).uniform(-1, 1, size=(rows, width)))
+
+    def loss():
+        return ad.tsum(ad.mul(fused(*inputs), weights))
+
+    assert check_gradients(loss, inputs) < 1e-4
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_attention_alpha_equals_composed_oracle(rows):
+    inputs = attention_inputs(rows, seed=50)
+    _, alpha = ad.attention(*inputs)
+    assert isinstance(alpha, np.ndarray)
+    assert np.array_equal(alpha, attention_composed(*inputs)[1].data)
+
+
+def test_attention_rejects_a_nan_query():
+    s, keys, annotations, w, b, v = attention_inputs(2, seed=60)
+    s.data[1, 0] = np.nan
+    with pytest.raises(NumericError):
+        ad.attention(s, keys, annotations, w, b, v)
+
+
+@pytest.mark.parametrize("position, shape", [(0, (2, 8)), (1, (2, 2)), (1, (1, 3)), (2, (6, 2)), (3, (3, 2))])
+def test_gru_step_rejects_mismatched_shapes(position, shape):
+    inputs = gru_inputs(2, seed=70)
+    inputs[position] = rnd(shape)
+    with pytest.raises(DimensionError):
+        ad.gru_step(*inputs)
+
+
+@pytest.mark.parametrize(
+    "position, shape", [(0, (2, 3)), (1, (5, 2)), (1, (4, 3)), (2, (4, 4)), (3, (2, 3)), (4, (2,)), (5, (3, 1))]
+)
+def test_attention_rejects_mismatched_shapes(position, shape):
+    inputs = attention_inputs(2, seed=80)
+    inputs[position] = rnd(shape)
+    with pytest.raises(DimensionError):
+        ad.attention(*inputs)
+
+
 # ---------------------------------------------------------------- tape / backward
 
 
@@ -443,6 +541,27 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     for got, want in zip(*grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
+
+
+def test_row_gradient_scatters_into_a_copy_of_a_shared_adjoint():
+    x, y = rnd((3, 2), seed=29), rnd((3, 2), seed=30)
+    weights = ad.Tensor(np.arange(6.0).reshape(3, 2) - 2.0)
+
+    def loss():
+        a, b = ad.tanh(x), ad.tanh(y)
+        picked = ad.take_rows(a, [2, 0, 2])
+        both = ad.add(a, b)  # walked first: a and b receive one shared adjoint
+        return ad.add(ad.tsum(ad.mul(both, weights)), ad.tsum(ad.mul(picked, picked)))
+
+    grads = []
+    for backward in (ad.Tape.backward, backward_dense):
+        x.zero_grad(), y.zero_grad()
+        with ad.Tape() as tape:
+            backward(tape, loss())
+        grads.append([x.grad.copy(), y.grad.copy()])
+    for got, want in zip(*grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert check_gradients(loss, [x, y]) < 1e-4
 
 
 def test_affine_with_a_computed_weight_gradcheck():

@@ -12,6 +12,7 @@ from sentsimp.model import (
     Seq2SeqModel,
     attend,
     attention_keys,
+    decode_step,
     encode,
     init_decoder_state,
     load_checkpoint,
@@ -20,7 +21,15 @@ from sentsimp.model import (
 from sentsimp.model import _gru_step
 
 from gradcheck import check_gradients
-from oracles import attention_loops, decode_step_with_logits, decoder_step_loops, encode_loops, gru_step_loops
+from oracles import (
+    attention_composed,
+    attention_loops,
+    decode_step_with_logits,
+    decoder_step_loops,
+    encode_loops,
+    gru_step_composed,
+    gru_step_loops,
+)
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=6)
 
@@ -315,6 +324,52 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
     for b in range(3):
         want = gru_step_loops(x.data[b].tolist(), h_prev.data[b].tolist(), gru_as_dict(gru))
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
+
+
+def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec):
+    """`decode_step`'s new states, with the GRU step and the attention read
+    composed of primitive ops."""
+    e_prev = ad.take_rows(dec.embedding, prev_tokens)
+    context, _ = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_b, dec.att_v)
+    gx = ad.affine(ad.concat([e_prev, context]), dec.gru.w, dec.gru.b)
+    return gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_decode_step_equals_composed_oracle(model, rows):
+    dec = model.forward_decoder
+    _, states, tokens = batch_inputs(model, seed=12, rows=rows)
+    states.requires_grad = True
+    annotations = ad.Tensor(np.random.default_rng(12).uniform(-1, 1, size=(4, 6)), requires_grad=True)
+    weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 3)))
+    leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
+    runs = []
+    for step in (lambda *args: decode_step(*args)[1], decode_step_composed):
+        for t in leaves:
+            t.zero_grad()
+        with ad.Tape() as tape:
+            s1 = step(tokens, states, annotations, attention_keys(annotations, dec), dec)
+            tape.backward(ad.tsum(ad.mul(s1, weights)))
+        runs.append((s1.data, [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]))
+    (got, got_grads), (want, want_grads) = runs
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_untaped_decode_step_dispatches_five_ops(model, monkeypatch, rows):
+    """An embedding lookup, one attention read, a concat, the input product
+    and one GRU step: a split of the cell or of the read fails this."""
+    dec = model.backward_decoder
+    H, states, tokens = batch_inputs(model, seed=14, rows=rows)
+    keys = attention_keys(H, dec)
+    calls = []
+    real = ad._emit
+    monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
+    e_prev, s1, context = decode_step(tokens, states, H, keys, dec)
+    assert len(calls) == 5
+    assert s1.shape == (rows, 3) and context.shape == (rows, 6)
 
 
 def test_decode_step_rows_gradcheck(model):

@@ -99,6 +99,22 @@ def test_config_echo_roundtrip(tmp_path):
     assert parse_config(str(path)) == config
 
 
+def test_config_echo_roundtrip_keeps_a_hash_inside_a_value(tmp_path):
+    config = dataclasses.replace(PipelineConfig(), out_dir="/tmp/x/run#3", kb="rules#2.tsv")
+    path = tmp_path / "echo.cfg"
+    echo_config(config, str(path))
+    assert parse_config(str(path)) == config
+
+
+@pytest.mark.parametrize("out_dir", ["/tmp/x/run #3", "#3", "/tmp/x\nbeam = 2", "/tmp/x/ "])
+def test_config_echo_refuses_a_value_that_would_not_read_back(tmp_path, out_dir):
+    path = tmp_path / "echo.cfg"
+    with pytest.raises(ConfigError) as err:
+        echo_config(dataclasses.replace(PipelineConfig(), out_dir=out_dir), str(path))
+    assert "out_dir" in str(err.value)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------- pipeline
 
 

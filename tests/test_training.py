@@ -292,6 +292,62 @@ def test_training_loss_and_gradients_equal_all_logits_oracle():
             assert np.array_equal(a, b), name
 
 
+def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
+    """At desk dims, the fused GRU step and attention read give the loss of
+    their per-op compositions exactly and all 35 gradients to 1e-12."""
+    import sentsimp.model as model_module
+    from oracles import attention_composed, gru_step_composed
+
+    vocab_size = 53
+    model = Seq2SeqModel.create(ModelConfig(vocab_size, 64, 128), seed=9)
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(3):
+        target = rng.integers(4, vocab_size, size=rng.integers(1, 9)).tolist()
+        source = rng.integers(4, vocab_size, size=rng.integers(2, 9)).tolist()
+        pairs.append((pair_of(source, target), int(rng.integers(1, len(target) + 1))))
+
+    def run():
+        model.zero_grad()
+        losses = []
+        for pair, position in pairs:
+            with Tape() as tape:
+                loss = training_loss(pair, position, model)
+                tape.backward(loss)
+            losses.append(loss.item())
+        return losses, [p.grad.copy() for p in model.parameters()]
+
+    got, got_grads = run()
+    monkeypatch.setattr(model_module, "_gru_step", lambda gx, h, p: gru_step_composed(gx, h, p.u_zr, p.u_h))
+    monkeypatch.setattr(
+        model_module,
+        "attend",
+        lambda s, annotations, keys, p: attention_composed(s, keys, annotations, p.att_w, p.att_b, p.att_v),
+    )
+    want, want_grads = run()
+    assert got == want
+    assert len(got_grads) == 35
+    for (name, _), a, b in zip(model.named_parameters(), got_grads, want_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("n, m, position", [(1, 1, 1), (2, 5, 1), (6, 3, 3), (9, 7, 4)])
+def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
+    """Ops recorded for one pair with an n-token source and an m-token target:
+    the encoder records 4n + 7 (the lookup, two input products, one row read
+    and one GRU step per token and direction, two stacks, a concat and the
+    mean); each decoder stage 5 (keys, initial state, stacked logits, nll)
+    plus 5 per step (lookup, attention, concat, input product, GRU step)
+    plus 2 per scored step (concat, output product); one add joins the
+    stages. The backward stage steps and scores `position` times, the
+    forward stage steps m + 1 times and scores m + 1 - position of them."""
+    model = Seq2SeqModel.create(TINY, seed=3)
+    pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
+    with Tape() as tape:
+        training_loss(pair, position, model)
+    assert len(tape) == 4 * n + 7 * m + 5 * position + 25
+
+
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
 def test_accumulated_gradients_equal_dense_backward_oracle(embed_dim, hidden_dim):
     from oracles import backward_dense
