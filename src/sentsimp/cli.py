@@ -145,11 +145,6 @@ def _cmd_train(args) -> int:
         kb=kb,
         freq_table=freq_table,
         out_dir=out_dir,
-        checkpoint_kwargs=dict(
-            vocab_tokens=vocab.kept_tokens(),
-            freq_counts=freq_table.counts,
-            freq_threshold=freq_table.threshold,
-        ),
     )
     last = result.history[-1]
     print(

@@ -181,7 +181,7 @@ def find_block(haystack: Sequence, block: Sequence) -> int | None:
 
 def split_corpus(pairs: Sequence[SentencePair], valid_size: int, seed: int) -> CorpusSplit:
     """Seeded random split into disjoint train/validation lists."""
-    if valid_size > len(pairs):
+    if not 0 <= valid_size <= len(pairs):
         raise ContractError(f"cannot hold out {valid_size} pairs from {len(pairs)}")
     order = list(range(len(pairs)))
     random.Random(seed).shuffle(order)

@@ -109,37 +109,30 @@ def load_kb(path: str) -> KnowledgeBase:
 
 
 class FrequencyTable:
-    """Token frequencies with a percentile-based complexity threshold.
+    """Token frequencies with a complexity threshold.
 
-    A phrase counts as complex when its head token's frequency falls below
-    the threshold. Unknown tokens have frequency zero and are always complex.
+    A phrase counts as complex when its least term frequency falls below
+    the threshold. Unknown tokens have frequency zero and are always
+    complex. `from_sequences` is where a corpus percentile becomes a
+    threshold; a trained checkpoint stores the table it was trained with.
     """
 
-    def __init__(
-        self,
-        counts: Mapping[str, int],
-        complexity_percentile: float = 30.0,
-        threshold: float | None = None,
-    ):
+    def __init__(self, counts: Mapping[str, int], threshold: float):
         self.counts = dict(counts)
-        self.complexity_percentile = complexity_percentile
-        if threshold is not None:
-            self.threshold = float(threshold)
-        elif self.counts:
-            values = np.array(sorted(self.counts.values()), dtype=np.float64)
-            self.threshold = float(np.percentile(values, complexity_percentile))
-        else:
-            self.threshold = 0.0
+        self.threshold = float(threshold)
 
     @classmethod
     def from_sequences(
         cls, sequences: Iterable[Sequence[str]], complexity_percentile: float = 30.0
     ) -> "FrequencyTable":
+        """Count the tokens; the threshold is the given percentile of the
+        counts (0.0 when there are none)."""
         counts: dict[str, int] = {}
         for seq in sequences:
             for tok in seq:
                 counts[tok] = counts.get(tok, 0) + 1
-        return cls(counts, complexity_percentile)
+        values = np.array(sorted(counts.values()), dtype=np.float64)
+        return cls(counts, float(np.percentile(values, complexity_percentile)) if counts else 0.0)
 
     def count(self, token: str) -> int:
         return self.counts.get(token, 0)

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import Vocabulary
 from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
@@ -259,8 +260,9 @@ def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderPar
 
 # ---------------------------------------------------------------------------
 # checkpoints: one uncompressed numpy archive (`np.savez`) holding a format
-# string, the config, the vocabulary and term-frequency table (so `simplify`
-# is self-contained from one file) and one member per named parameter. The
+# string, the config, the vocabulary and the term-frequency table with its
+# threshold that training used (so `simplify` takes its step-1 resources
+# from this one file) and one member per named parameter. The
 # zip container keeps a CRC-32 per member, so a flipped byte or a cut file is
 # refused on load; nothing is pickled.
 
@@ -281,19 +283,15 @@ def _tokens(data: np.ndarray) -> list[str]:
     return text.split("\n") if text else []
 
 
-def save_checkpoint(
-    path: str,
-    model: Seq2SeqModel,
-    vocab_tokens: Sequence[str] = (),
-    freq_counts: dict[str, int] | None = None,
-    freq_threshold: float | None = None,
-) -> None:
-    counts = freq_counts or {}
+def save_checkpoint(path: str, model: Seq2SeqModel, vocab: Vocabulary, freq_table: FrequencyTable) -> None:
+    if len(vocab) > model.config.vocab_size:
+        raise ContractError(f"{len(vocab)} vocabulary ids do not fit vocab_size {model.config.vocab_size}")
+    counts = freq_table.counts
     members = {
         "format": np.array(CHECKPOINT_FORMAT),
         **{f"config.{key}": np.int64(getattr(model.config, key)) for key in _CONFIG_KEYS},
-        "freq_threshold": np.array([] if freq_threshold is None else [freq_threshold], dtype=np.float64),
-        "vocab": _token_bytes(vocab_tokens),
+        "freq_threshold": np.array([freq_table.threshold], dtype=np.float64),
+        "vocab": _token_bytes(vocab.kept_tokens()),
         "freq.tokens": _token_bytes(counts),
         "freq.counts": np.array(list(counts.values()), dtype=np.int64),
         **{name: t.data for name, t in model.named_parameters()},
@@ -306,16 +304,8 @@ def save_checkpoint(
 @dataclass
 class Checkpoint:
     model: Seq2SeqModel
-    vocab_tokens: list[str]
-    freq_counts: dict[str, int]
-    freq_threshold: float | None = None
-
-    def frequency_table(self, complexity_percentile: float = 30.0) -> FrequencyTable:
-        return FrequencyTable(
-            self.freq_counts,
-            complexity_percentile=complexity_percentile,
-            threshold=self.freq_threshold,
-        )
+    vocab: Vocabulary
+    freq_table: FrequencyTable
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -323,7 +313,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     A missing, empty, cut, corrupt or foreign file (such as a v1 or v2 text
     checkpoint or a v3 archive) raises CheckpointError naming the path and,
-    where there is one, the archive member.
+    where there is one, the archive member; so does a `vocab` member that is
+    not a vocabulary of the model's `vocab_size`, a `freq_threshold` that does
+    not hold exactly one finite value, or a negative count.
     """
     member = None  # the member being read, named in the error
 
@@ -349,12 +341,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             missing, unexpected = sorted(expected - set(archive.files)), sorted(set(archive.files) - expected)
             if missing or unexpected:
                 raise ValueError(f"missing members {missing[:3]}, unexpected members {unexpected[:3]}")
-            threshold = read("freq_threshold", np.float64)
-            if threshold.shape not in ((0,), (1,)):
-                raise ValueError(f"holds shape {threshold.shape}, expected (0,) or (1,)")
-            vocab_tokens = _tokens(read("vocab", np.uint8))
+            threshold = float(read("freq_threshold", np.float64, (1,))[0])
+            if not np.isfinite(threshold):
+                raise ValueError("non-finite value")
+            vocab = Vocabulary(_tokens(read("vocab", np.uint8)), max_size=config["vocab_size"])
             freq_tokens = _tokens(read("freq.tokens", np.uint8))
             counts = read("freq.counts", np.int64, (len(freq_tokens),))
+            if np.any(counts < 0):
+                raise ValueError("negative counts")
             for name, target in params.items():
                 target.data = np.ascontiguousarray(read(name, np.float64, target.shape))
                 if not np.all(np.isfinite(target.data)):
@@ -364,5 +358,4 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (zipfile.BadZipFile, EOFError, ValueError, OSError, KeyError, RuntimeError) as exc:
         where = f", member {member!r}" if member else ""
         raise CheckpointError(f"cannot load checkpoint {path}{where}: {exc}") from None
-    threshold_value = float(threshold[0]) if threshold.size else None
-    return Checkpoint(model, vocab_tokens, dict(zip(freq_tokens, counts.tolist())), threshold_value)
+    return Checkpoint(model, vocab, FrequencyTable(dict(zip(freq_tokens, counts.tolist())), threshold))

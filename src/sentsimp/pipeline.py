@@ -45,7 +45,8 @@ class PipelineConfig:
     clip_norm: float = 5.0
     checkpoint_every: int = 1
     valid_size: int = 0
-    # decoding / step 1
+    # decoding / step 1; the step-1 threshold comes from the checkpoint, so
+    # complexity_percentile (like max_decode_len) is read by training only
     beam: int = DEFAULT_BEAM
     max_constraints: int = 3
     max_passes: int = 0  # 0: one pass per constraint
@@ -189,13 +190,11 @@ class SimplifyPipeline:
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "SimplifyPipeline":
         ckpt = load_checkpoint(config.checkpoint)
-        kb = load_kb_or_empty(config.kb)
-        vocab = Vocabulary(ckpt.vocab_tokens, max_size=ckpt.model.config.vocab_size)
         return cls(
             ckpt.model,
-            vocab,
-            kb,
-            ckpt.frequency_table(config.complexity_percentile),
+            ckpt.vocab,
+            load_kb_or_empty(config.kb),
+            ckpt.freq_table,
             beam=config.beam,
             max_constraints=config.max_constraints,
             max_passes=config.max_passes or None,

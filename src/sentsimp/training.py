@@ -55,6 +55,8 @@ class TrainConfig:
             raise ContractError(f"rho must lie in (0, 1), got {self.rho}")
         if self.eps <= 0.0:
             raise ContractError(f"eps must be positive, got {self.eps}")
+        if self.clip_norm < 0.0:
+            raise ContractError(f"clip_norm must be non-negative, got {self.clip_norm}")
         for name in ("epochs", "batch_size", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -217,9 +219,11 @@ def _write_log_row(path: str, mode: str, row: list) -> None:
         csv.writer(fh).writerow(row)
 
 
-def write_atomic_checkpoint(path: str, model: Seq2SeqModel, **kwargs) -> None:
+def write_atomic_checkpoint(
+    path: str, model: Seq2SeqModel, vocab: Vocabulary, freq_table: FrequencyTable
+) -> None:
     tmp = path + ".tmp"
-    save_checkpoint(tmp, model, **kwargs)
+    save_checkpoint(tmp, model, vocab, freq_table)
     os.replace(tmp, path)
 
 
@@ -231,14 +235,16 @@ def train(
     kb: KnowledgeBase | None = None,
     freq_table: FrequencyTable | None = None,
     out_dir: str | None = None,
-    checkpoint_kwargs: dict | None = None,
 ) -> TrainResult:
     """Mini-batch training loop over the train split.
 
-    Constraint positions are selected once, deterministically. Validation
-    loss is computed without gradient updates on the validation split (the
-    train split when empty). Under out_dir, when given, each epoch appends
-    its row to training_log.csv as it ends, and checkpoint writes are atomic.
+    Constraint positions are selected once, deterministically, with
+    freq_table (when None, the table of the train sources at the default
+    percentile). Validation loss is computed without gradient updates on
+    the validation split (the train split when empty). Under out_dir, when
+    given, each epoch appends its row to training_log.csv as it ends, and
+    each checkpoint is written atomically with vocab and that freq_table,
+    the step-1 resources `simplify` reads back from it.
     """
     if not corpus.train:
         raise ContractError("training needs a non-empty train split")
@@ -262,7 +268,6 @@ def train(
     rng = random.Random(config.seed)
     result = TrainResult()
 
-    ckpt_kwargs = checkpoint_kwargs or {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "training_log.csv")
@@ -306,6 +311,6 @@ def train(
             _write_log_row(log_path, "a", row)
             if epoch % config.checkpoint_every == 0 or epoch == config.epochs:
                 path = os.path.join(out_dir, f"epoch{epoch:04d}.ckpt")
-                write_atomic_checkpoint(path, model, **ckpt_kwargs)
+                write_atomic_checkpoint(path, model, vocab, freq_table)
                 result.checkpoint_paths.append(path)
     return result

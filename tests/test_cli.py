@@ -8,9 +8,13 @@ import pytest
 
 from sentsimp import decoding
 from sentsimp.cli import main
+from sentsimp.corpus import read_parallel_tokens
+from sentsimp.lexsub import FrequencyTable
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.pipeline import PipelineConfig, SimplifyPipeline
 from sentsimp.toydata import build_toy_corpus
+
+from resources import step1_resources
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +64,29 @@ def test_train_writes_artifacts(trained_run):
 
 
 def test_train_checkpoint_is_loadable_and_self_contained(trained_run):
-    _, out_dir, *_ = trained_run
+    _, out_dir, src, tgt, _ = trained_run
     ckpt_path = sorted(out_dir.glob("*.ckpt"))[-1]
     ckpt = load_checkpoint(str(ckpt_path))
-    assert ckpt.vocab_tokens  # vocabulary embedded
-    assert ckpt.freq_counts  # frequency table embedded
+    # the vocabulary written next to it, and the table of the sources at
+    # the default complexity_percentile
+    assert ckpt.vocab.kept_tokens() == (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    token_pairs, _ = read_parallel_tokens(str(src), str(tgt))
+    expected = FrequencyTable.from_sequences(s for s, _ in token_pairs)
+    assert ckpt.freq_table.counts == expected.counts
+    assert ckpt.freq_table.threshold == expected.threshold
     assert ckpt.model.config.hidden_dim == 12
+
+
+@pytest.mark.parametrize("percentile", [0.0, 100.0])
+def test_simplify_takes_the_frequency_threshold_from_the_checkpoint(trained_run, percentile):
+    """`complexity_percentile` is a training setting: a pipeline keeps the
+    threshold training stored, whatever its own config says."""
+    _, out_dir, *_, kb = trained_run
+    ckpt_path = str(sorted(out_dir.glob("*.ckpt"))[-1])
+    stored = load_checkpoint(ckpt_path).freq_table
+    config = PipelineConfig(checkpoint=ckpt_path, kb=str(kb), complexity_percentile=percentile)
+    table = SimplifyPipeline.from_config(config).freq_table
+    assert (table.counts, table.threshold) == (stored.counts, stored.threshold)
 
 
 def test_trained_beam_is_not_stored_and_simplify_decodes_at_the_pipeline_beam(trained_run, monkeypatch):
@@ -137,7 +158,8 @@ def test_simplify_missing_checkpoint_is_model_error(tmp_path):
 def test_simplify_truncated_checkpoint_is_model_error(tmp_path, capsys):
     # cut one byte short: the archive's central directory is incomplete
     ckpt = tmp_path / "cut.ckpt"
-    save_checkpoint(str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)))
+    model = Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3))
+    save_checkpoint(str(ckpt), model, *step1_resources(model))
     ckpt.write_bytes(ckpt.read_bytes()[:-1])
     input_file = tmp_path / "in.txt"
     input_file.write_text("hello\n", encoding="utf-8")
@@ -149,7 +171,8 @@ def test_simplify_truncated_checkpoint_is_model_error(tmp_path, capsys):
 
 def test_simplify_flipped_checkpoint_byte_is_model_error(tmp_path, capsys):
     ckpt = tmp_path / "flipped.ckpt"
-    save_checkpoint(str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)))
+    model = Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3))
+    save_checkpoint(str(ckpt), model, *step1_resources(model))
     data = bytearray(ckpt.read_bytes())
     data[len(data) // 2] ^= 0x01
     ckpt.write_bytes(bytes(data))
@@ -167,10 +190,8 @@ def test_simplify_flipped_checkpoint_byte_is_model_error(tmp_path, capsys):
 def test_simplify_out_of_range_flag_is_data_error(tmp_path, capsys, flag, value):
     """A flag is judged by the range check of its config key, as in a config file."""
     ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(
-        str(ckpt), Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)),
-        vocab_tokens=["hello"], freq_counts={"hello": 1},
-    )
+    model = Seq2SeqModel.create(ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3))
+    save_checkpoint(str(ckpt), model, *step1_resources(model, ["hello"], {"hello": 1}))
     input_file = tmp_path / "in.txt"
     input_file.write_text("hello\n", encoding="utf-8")
     code = main(["simplify", "--model", str(ckpt), "--input", str(input_file), flag, value])

@@ -202,6 +202,13 @@ def test_split_corpus_disjoint_and_seeded():
     assert split_a == split_b
 
 
+@pytest.mark.parametrize("valid_size", [-1, 6])
+def test_split_corpus_rejects_a_valid_size_outside_the_corpus(valid_size):
+    pairs = [_pair([i + 4], [i + 5]) for i in range(5)]
+    with pytest.raises(ContractError, match=f"cannot hold out {valid_size} pairs from 5"):
+        split_corpus(pairs, valid_size=valid_size, seed=7)
+
+
 def test_sentence_pair_rejects_empty():
     with pytest.raises(ContractError):
         _pair([], [4])

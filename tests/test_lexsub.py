@@ -74,8 +74,8 @@ def test_load_kb_rejection_reason_names_line_number(tmp_path):
 
 
 def test_frequency_table_percentile_threshold():
-    counts = {f"t{i}": i for i in range(1, 11)}  # values 1..10
-    table = FrequencyTable(counts, complexity_percentile=30.0)
+    table = FrequencyTable.from_sequences([[f"t{i}"] * i for i in range(1, 11)], 30.0)  # counts 1..10
+    assert table.counts == {f"t{i}": i for i in range(1, 11)}
     assert table.threshold == pytest.approx(3.7)
     assert table.is_complex("t1") and table.is_complex("t3")
     assert not table.is_complex("t5")
@@ -87,6 +87,8 @@ def test_frequency_table_from_sequences():
     assert table.count("a") == 3
     assert table.count("b") == 1
     assert table.count("zzz") == 0
+    assert table.threshold == 2.0  # the median of the counts 3 and 1
+    assert FrequencyTable.from_sequences([], 30.0).threshold == 0.0
 
 
 # ---------------------------------------------------------------- substitution

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sentsimp import autodiff as ad
+from sentsimp.corpus import Vocabulary
 from sentsimp.errors import CheckpointError, ContractError
+from sentsimp.lexsub import FrequencyTable
 from sentsimp.model import (
     Checkpoint,
     ModelConfig,
@@ -21,6 +23,7 @@ from sentsimp.model import (
 from sentsimp.model import _gru_step
 
 from gradcheck import check_gradients
+from resources import step1_resources
 from oracles import (
     attention_composed,
     attention_loops,
@@ -439,19 +442,14 @@ def test_encode_decode_composite_gradcheck(model):
 
 
 def test_checkpoint_roundtrip(tmp_path, model):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(
-        str(path), model,
-        vocab_tokens=["alpha", "beta"],
-        freq_counts={"alpha": 3, "beta": 1},
-        freq_threshold=2.5,
-    )
+    path = saved_checkpoint(tmp_path, model)
     loaded = load_checkpoint(str(path))
     assert isinstance(loaded, Checkpoint)
     assert loaded.model.config == model.config
-    assert loaded.vocab_tokens == ["alpha", "beta"]
-    assert loaded.freq_counts == {"alpha": 3, "beta": 1}
-    assert loaded.frequency_table().threshold == 2.5
+    assert loaded.vocab.kept_tokens() == ["alpha", "beta"]
+    assert loaded.vocab.max_size == model.config.vocab_size
+    assert loaded.freq_table.counts == {"alpha": 3, "beta": 1}
+    assert loaded.freq_table.threshold == 2.5
     for (name_a, a), (name_b, b) in zip(
         model.named_parameters(), loaded.model.named_parameters()
     ):
@@ -461,7 +459,7 @@ def test_checkpoint_roundtrip(tmp_path, model):
 
 def test_checkpoint_identical_forward_values(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), model)
+    save_checkpoint(str(path), model, *step1_resources(model))
     loaded = load_checkpoint(str(path)).model
     H1, m1 = encode([4, 5, 6], model.encoder)
     H2, m2 = encode([4, 5, 6], loaded.encoder)
@@ -483,7 +481,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_rejects_truncation(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), model)
+    save_checkpoint(str(path), model, *step1_resources(model))
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CheckpointError):
@@ -492,12 +490,7 @@ def test_checkpoint_rejects_truncation(tmp_path, model):
 
 def saved_checkpoint(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(
-        str(path), model,
-        vocab_tokens=["alpha", "beta"],
-        freq_counts={"alpha": 3, "beta": 1},
-        freq_threshold=2.5,
-    )
+    save_checkpoint(str(path), model, *step1_resources(model, ["alpha", "beta"], {"alpha": 3, "beta": 1}, 2.5))
     return path
 
 
@@ -558,6 +551,12 @@ _CORRUPTIONS = {
     "count": ("freq.counts", lambda e: np.array([3.0, 1.0]), "freq.counts"),
     "shape": ("encoder.embedding", lambda e: np.ascontiguousarray(e.T), "encoder.embedding"),
     "freq_row": ("freq.counts", lambda e: np.array([3], dtype=np.int64), "freq.counts"),
+    "empty_threshold": ("freq_threshold", lambda e: np.array([], dtype=np.float64), "member 'freq_threshold'"),
+    "two_thresholds": ("freq_threshold", lambda e: np.array([1.0, 2.0]), "member 'freq_threshold'"),
+    "nan_threshold": ("freq_threshold", lambda e: np.array([np.nan]), "member 'freq_threshold'"),
+    "negative_count": ("freq.counts", lambda e: np.array([3, -1]), "member 'freq.counts'"),
+    "reserved_token": ("vocab", lambda e: np.frombuffer(b"alpha\n<s>", dtype=np.uint8), "member 'vocab'"),
+    "vocab_overflow": ("vocab", lambda e: np.frombuffer(b"a\nb\nc\nd\ne\nf", dtype=np.uint8), "member 'vocab'"),
     "config": ("config.vocab_size", lambda e: np.int64(3), "vocab_size"),
     "missing": ("forward.out_b", lambda e: None, "forward.out_b"),
     "unexpected": ("forward.extra", lambda e: np.zeros(2), "forward.extra"),
@@ -639,27 +638,34 @@ def test_checkpoint_refuses_v1_header(tmp_path, model):
 def test_checkpoint_token_with_trailing_nul_round_trips(tmp_path, model):
     path = tmp_path / "model.ckpt"
     tokens = ["a\x00", "\x00b", "é", "c"]
-    save_checkpoint(str(path), model, vocab_tokens=tokens, freq_counts={"a\x00": 2, "c": 1})
+    save_checkpoint(str(path), model, *step1_resources(model, tokens, {"a\x00": 2, "c": 1}))
     loaded = load_checkpoint(str(path))
-    assert loaded.vocab_tokens == tokens
-    assert loaded.freq_counts == {"a\x00": 2, "c": 1}
+    assert loaded.vocab.kept_tokens() == tokens
+    assert loaded.freq_table.counts == {"a\x00": 2, "c": 1}
 
 
 def test_checkpoint_refuses_tokens_it_cannot_keep(tmp_path, model):
     for bad in (["a\nb"], [""]):
         with pytest.raises(ContractError):
-            save_checkpoint(str(tmp_path / "model.ckpt"), model, vocab_tokens=bad)
+            save_checkpoint(str(tmp_path / "model.ckpt"), model, *step1_resources(model, bad))
 
 
 def test_checkpoint_empty_vocab_and_frequency_table_round_trip(tmp_path, model):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), model, vocab_tokens=[], freq_counts={})
+    save_checkpoint(str(path), model, *step1_resources(model, [], {}))
     loaded = load_checkpoint(str(path))
-    assert loaded.vocab_tokens == [] and loaded.freq_counts == {}
+    assert loaded.vocab.kept_tokens() == [] and loaded.freq_table.counts == {}
 
 
-@pytest.mark.parametrize("threshold", [None, 0.0, 2.5, 1e-300])
+@pytest.mark.parametrize("threshold", [0.0, 2.5, 1e-300])
 def test_checkpoint_freq_threshold_round_trips(tmp_path, model, threshold):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), model, vocab_tokens=["a"], freq_counts={"a": 1}, freq_threshold=threshold)
-    assert load_checkpoint(str(path)).freq_threshold == threshold
+    save_checkpoint(str(path), model, *step1_resources(model, ["a"], {"a": 1}, threshold))
+    assert load_checkpoint(str(path)).freq_table.threshold == threshold
+
+
+def test_checkpoint_refuses_a_vocabulary_larger_than_the_model(tmp_path, model):
+    vocab = Vocabulary(list("abcdef"), max_size=10)  # 10 ids; the model's output layer has 9
+    with pytest.raises(ContractError, match="vocab_size"):
+        save_checkpoint(str(tmp_path / "model.ckpt"), model, vocab, FrequencyTable({}, 0.0))
+    assert not (tmp_path / "model.ckpt").exists()

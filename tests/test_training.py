@@ -461,10 +461,10 @@ def test_training_log_csv_written(tmp_path):
 def test_training_log_keeps_rows_of_epochs_before_an_interruption(tmp_path, monkeypatch):
     from sentsimp import training
 
-    def save_or_fail(path, model, **kwargs):
+    def save_or_fail(path, *args):
         if "epoch0002" in path:
             raise OSError("disk full")
-        save_checkpoint(path, model, **kwargs)
+        save_checkpoint(path, *args)
 
     monkeypatch.setattr(training, "save_checkpoint", save_or_fail)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=5, checkpoint_every=1)
@@ -477,6 +477,24 @@ def test_training_log_keeps_rows_of_epochs_before_an_interruption(tmp_path, monk
     assert sorted(p.name for p in out.glob("*.ckpt")) == ["epoch0001.ckpt"]
 
 
+@pytest.mark.parametrize("given", [True, False])
+def test_train_saves_the_vocabulary_and_frequency_table_it_trained_with(tmp_path, given):
+    """Each checkpoint carries train's own vocab and freq_table; without a
+    table, the one train built from the train sources."""
+    vocab = fake_vocab()
+    corpus = toy_corpus()
+    freqs = FrequencyTable({"w4": 5, "w6": 1}, 2.5) if given else None
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1)
+    result = train(corpus, Seq2SeqModel.create(TINY, seed=2), cfg, vocab, freq_table=freqs, out_dir=str(tmp_path))
+    expected = freqs or FrequencyTable.from_sequences(vocab.decode(p.source) for p in corpus.train)
+    assert len(result.checkpoint_paths) == 2
+    for path in result.checkpoint_paths:
+        ckpt = load_checkpoint(path)
+        assert ckpt.vocab.kept_tokens() == vocab.kept_tokens()
+        assert ckpt.freq_table.counts == expected.counts
+        assert ckpt.freq_table.threshold == expected.threshold
+
+
 def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
     from sentsimp.training import _corpus_loss, write_atomic_checkpoint
 
@@ -485,7 +503,7 @@ def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
     positions = [1] * len(corpus.train)
     before = _corpus_loss(corpus.train, positions, model)
     path = tmp_path / "model.ckpt"
-    write_atomic_checkpoint(str(path), model)
+    write_atomic_checkpoint(str(path), model, fake_vocab(), FrequencyTable({"w4": 2}, 1.5))
     reloaded = load_checkpoint(str(path)).model
     after = _corpus_loss(corpus.train, positions, reloaded)
     assert abs(after - before) <= 1e-12
@@ -506,6 +524,12 @@ def test_overfit_single_pair_memorizes():
 def test_train_config_rejects_a_count_below_one(field):
     with pytest.raises(ContractError, match=field):
         TrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field, value", [("rho", 0.0), ("rho", 1.0), ("eps", 0.0), ("clip_norm", -1.0)])
+def test_train_config_rejects_an_out_of_range_value(field, value):
+    with pytest.raises(ContractError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_train_rejects_empty_split():
