@@ -40,12 +40,7 @@ def main():
     freq_table = FrequencyTable.from_sequences(s for s, _ in token_pairs)
 
     model = Seq2SeqModel.create(
-        ModelConfig(
-            vocab_size=len(vocab),
-            embed_dim=args.embed_dim,
-            hidden_dim=args.hidden_dim,
-            max_decode_len=30,
-        ),
+        ModelConfig(vocab_size=len(vocab), embed_dim=args.embed_dim, hidden_dim=args.hidden_dim),
         seed=1,
     )
     started = time.monotonic()
@@ -70,8 +65,8 @@ def main():
             rows.append(EvalTriple(tuple(src_tokens), tuple(system(src_tokens)), tuple(ref_tokens)))
         return evaluate_corpus(rows)
 
-    single = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=1)
-    multi = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=3)
+    single = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=1, max_decode_len=30)
+    multi = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=3, max_decode_len=30)
 
     def substitute_only(tokens):
         _, out = identify_and_substitute(tokens, kb, lexsub_high_recall, max_constraints=5)

@@ -1,21 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what a GRU encoder-decoder with additive attention
-needs, in row form: a batch is a (B, width) matrix with one example or
-hypothesis per row. There are matrix products and a fused affine map
-`x @ w.T + b` on weights stored (out, in), elementwise gate arithmetic,
-row-wise softmax and a fused row-wise softmax negative log-likelihood,
-embedding lookup of several rows at once, joining matrices side by side or
-on top of each other, column segments (the gates of a fused
-pre-activation), batched additive-attention energies and a handful of
-reductions. Two fused ops cover the model's recurrent work, each with a
-hand-written backward pass: `gru_step` is one whole GRU update and
-`attention` one whole additive-attention read, so each costs one dispatch
-and one tape record instead of a dozen. Gradients are recorded on an
-explicit :class:`Tape` that is rebuilt every forward pass, so
-variable-length sequences need no static graph. With no tape active the
-same functions run as plain numpy computations, which is how decoding
-executes.
+The op set is exactly what the model runs, in row form: a batch is a
+(B, width) matrix with one example or hypothesis per row. There are a
+matrix product and a fused affine map `x @ w.T + b` on weights stored
+(out, in), elementwise addition and tanh, a fused row-wise softmax negative
+log-likelihood (and `log_softmax`, its plain-array helper, which decoding
+uses too), embedding lookup of several rows at once, joining matrices
+side by side or on top of each other, and the mean of a matrix's rows. Two
+fused ops cover the model's recurrent work, each with a hand-written
+backward pass: `gru_step` is one whole GRU update and `attention` one
+whole additive-attention read, so each costs one dispatch and one tape
+record instead of a dozen. Gradients are recorded on an explicit
+:class:`Tape` that is rebuilt every forward pass, so variable-length
+sequences need no static graph. With no tape active the same functions
+run as plain numpy computations, which is how decoding executes.
 
 The weight gradient of `affine` is the product `g.T @ x` of its output
 adjoint and its input rows. Its backward returns that product unevaluated,
@@ -293,24 +291,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(x.data @ w.data.T + b.data, (x, w, b), back)
 
 
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard (entrywise) product."""
-    _require_same_shape("mul", a, b)
-    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def one_minus(a: Tensor) -> Tensor:
-    return _emit(1.0 - a.data, (a,), lambda g: (-g,))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -320,33 +304,11 @@ def _sigmoid(x: Array) -> Array:
     return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def back(g: Array):
-        return (g * out * (1.0 - out),)
-
-    return _emit(out, (a,), back)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def back(g: Array):
         return (g * (1.0 - out * out),)
-
-    return _emit(out, (a,), back)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis (of each row); outputs are positive
-    and sum to one."""
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise DimensionError(f"softmax: expected non-empty rows, got shape {a.shape}")
-    out = _softmax(a.data, "softmax: input contains non-finite values")
-
-    def back(g: Array):
-        return (_softmax_back(out, g),)
 
     return _emit(out, (a,), back)
 
@@ -399,11 +361,6 @@ def nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return _emit(np.asarray(-log_probs[rows, t].sum()), (logits,), back)
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
-
-
 def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = tuple(parts)
     if not parts or any(p.ndim != 2 for p in parts) or len({p.shape[1 - axis] for p in parts}) != 1:
@@ -427,19 +384,6 @@ def stack(blocks: Sequence[Tensor]) -> Tensor:
     return _join(blocks, 0)
 
 
-def segment(m: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start..stop-1 of a matrix, e.g. one gate of fused pre-activations."""
-    if m.ndim != 2 or not 0 <= start < stop <= m.shape[1]:
-        raise DimensionError(f"segment: bad range [{start}, {stop}) for shape {m.shape}")
-
-    def back(g: Array):
-        grad = np.zeros_like(m.data)
-        grad[:, start:stop] = g
-        return (grad,)
-
-    return _emit(m.data[:, start:stop].copy(), (m,), back)
-
-
 def mean_rows(m: Tensor) -> Tensor:
     """Arithmetic mean over the rows of a matrix, as one row (1, width)."""
     if m.ndim != 2:
@@ -461,25 +405,6 @@ def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"take_rows: row ids {idx} empty or out of range for {m.shape[0]} rows")
 
     return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
-
-
-def attention_energies(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
-    """Additive-attention energies (B, n): v . tanh(keys[j] + query[b]) for
-    every query row b and key row j."""
-    if (
-        keys.ndim != 2 or query.ndim != 2 or v.ndim != 1
-        or not keys.shape[1] == query.shape[1] == v.shape[0]
-    ):
-        raise DimensionError(
-            f"attention_energies: keys {keys.shape}, query {query.shape} and v {v.shape} disagree"
-        )
-    hidden = np.tanh(keys.data[None, :, :] + query.data[:, None, :])  # (B, n, dim)
-
-    def back(g: Array):
-        d_pre = g[:, :, None] * v.data * (1.0 - hidden * hidden)
-        return d_pre.sum(axis=0), d_pre.sum(axis=1), g.reshape(-1) @ hidden.reshape(g.size, -1)
-
-    return _emit(hidden @ v.data, (keys, query, v), back)
 
 
 def gru_step(gx: Tensor, h_prev: Tensor, u_zr: Tensor, u_h: Tensor) -> Tensor:

@@ -175,6 +175,9 @@ def _cmd_simplify(args) -> int:
     try:
         for text in outputs:
             sink.write(text + "\n")
+        sink.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head -3` does
+        _discard_stdout()
     finally:
         if args.output:
             sink.close()
@@ -183,6 +186,18 @@ def _cmd_simplify(args) -> int:
             for trace in traces:
                 fh.write(json.dumps(trace) + "\n")
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that flushing
+    what is still buffered at exit cannot raise a second BrokenPipeError."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _read_token_lines(path: str) -> list[list[str]]:

@@ -38,6 +38,7 @@ from .model import (
 )
 
 DEFAULT_BEAM = 5
+DEFAULT_MAX_DECODE_LEN = 100
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,7 @@ def decode_multi(
     max_passes: int | None = None,
     beam_size: int = DEFAULT_BEAM,
     length_norm: float = 0.0,
+    max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
 ) -> DecodeResult:
     """Constrained generation, one encode and two stages per pass.
 
@@ -247,13 +249,15 @@ def decode_multi(
     constraint on, a block already present verbatim in the current output
     is skipped. At most max_passes (default: the number of constraints)
     passes run; with no constraints this is a plain beam decode with the
-    forward decoder from BOS.
+    forward decoder from BOS. A pass's output holds at most max_decode_len
+    tokens, or just its block when the block alone is longer.
     """
-    cfg = model.config
+    if max_decode_len < 2:
+        raise ContractError(f"max_decode_len must be at least 2, got {max_decode_len}")
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
         encoded = encode(source, model.encoder)
-        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, beam_size, length_norm)
+        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, max_decode_len, beam_size, length_norm)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
     cap = len(blocks) if max_passes is None else max_passes
     if cap < 1:
@@ -266,14 +270,14 @@ def decode_multi(
         if (passes and find_block(passes[-1].output, block) is not None) or len(passes) >= cap:
             outcomes.append(ConstraintOutcome(block, skipped=True, pass_index=None, final_position=None))
             continue
-        _check_constraint_ids(block, cfg.vocab_size)
+        _check_constraint_ids(block, model.config.vocab_size)
         encoded = encode(current, model.encoder)
         back = _search(
             encoded,
             model.backward_decoder,
             block[::-1],
             BOS_ID,
-            max(0, cfg.max_decode_len - len(block)),
+            max(0, max_decode_len - len(block)),
             beam_size,
             length_norm,
         )
@@ -283,7 +287,7 @@ def decode_multi(
             model.forward_decoder,
             (BOS_ID, *prefix),
             EOS_ID,
-            max(0, cfg.max_decode_len - len(prefix)),
+            max(0, max_decode_len - len(prefix)),
             beam_size,
             length_norm,
         )

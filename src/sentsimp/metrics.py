@@ -181,12 +181,16 @@ def fk_counts(tokens: Tokens) -> tuple[int, int, int]:
     return len(words), sentences, syllables
 
 
+def _fk_from_counts(words: int, sentences: int, syllables: int, no_words: str) -> float:
+    """The Flesch-Kincaid grade formula; no words raises ContractError(no_words)."""
+    if words == 0:
+        raise ContractError(no_words)
+    return 0.39 * words / sentences + 11.8 * syllables / words - 15.59
+
+
 def fk_grade(tokens: Tokens) -> float:
     """Flesch-Kincaid grade level of tokenized text."""
-    words, sentences, syllables = fk_counts(tokens)
-    if words == 0:
-        raise ContractError("fk_grade needs at least one non-punctuation word")
-    return 0.39 * words / sentences + 11.8 * syllables / words - 15.59
+    return _fk_from_counts(*fk_counts(tokens), "fk_grade needs at least one non-punctuation word")
 
 
 @dataclass(frozen=True)
@@ -233,9 +237,7 @@ def evaluate_corpus(triples: Sequence[EvalTriple], alpha: float = IBLEU_ALPHA) -
     for out in outputs:
         w, s, y = fk_counts(out)
         words, sentences, syllables = words + w, sentences + s, syllables + y
-    if words == 0:
-        raise ContractError("outputs contain no countable words")
-    fk = 0.39 * words / sentences + 11.8 * syllables / words - 15.59
+    fk = _fk_from_counts(words, sentences, syllables, "outputs contain no countable words")
 
     bleu_or = bleu(outputs, references)
     bleu_oi = bleu(outputs, inputs)

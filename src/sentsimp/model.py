@@ -11,18 +11,18 @@ advances all of its live hypotheses with one `decode_step` call, while
 training and teacher forcing call the same functions with B = 1. Weights
 are stored (out, in) and applied as `x @ w.T + b`.
 
-There is one GRU cell, `_gru_step`, with its gate weights fused: the
-encoder runs it on each token's embedding, a decoder on the previous
-token's embedding joined to its attention context. A GRU update is one
-autodiff op (`autodiff.gru_step`) and so is an attention read
-(`autodiff.attention`), each with a hand-written backward pass. The
-encoder computes the input pre-activations of a whole source in one
-product before its recurrence. Attention keys depend only on the
-annotations, so each decoder stage computes them once with
-`attention_keys` and passes them to every step. A decoder step is two
+There is one GRU cell, the autodiff op `autodiff.gru_step`, with its gate
+weights fused: the encoder runs it on each token's embedding, a decoder on
+the previous token's embedding joined to its attention context. An
+attention read is one op too (`autodiff.attention`); each has a
+hand-written backward pass. The encoder computes the input pre-activations
+of a whole source in one product before its recurrence. Attention keys
+depend only on the annotations, so each decoder stage computes them once
+with `attention_keys` and passes them to every step. A decoder step is two
 functions: `decode_step` updates the state, and `output_logits` projects a
 step's rows onto the vocabulary, so a teacher-forced step whose prediction
-nothing scores skips that product.
+nothing scores skips that product. The model holds no decoding setting:
+the beam width and the length cap belong to `decoding.decode_multi`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
 INIT_SCALE = 0.08
-CHECKPOINT_FORMAT = "seq2seq-ckpt v4"
+CHECKPOINT_FORMAT = "seq2seq-ckpt v5"
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,12 @@ class ModelConfig:
     vocab_size: int
     embed_dim: int
     hidden_dim: int
-    max_decode_len: int = 100
 
     def __post_init__(self):
         if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
             raise ContractError("all model dimensions must be positive")
         if self.vocab_size <= 4:
             raise ContractError("vocab_size must exceed the 4 reserved ids")
-        if self.max_decode_len < 2:
-            raise ContractError("max_decode_len must be at least 2")
 
 
 @dataclass
@@ -175,22 +172,13 @@ class Seq2SeqModel:
             t.zero_grad()
 
 
-def _gru_step(gx: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One GRU update of B rows: h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) U_h^T),
-    with the update and reset gates [z, r] = sigmoid(gx_zr + h_prev U_zr^T).
-
-    gx (B, 3dim) holds the input pre-activations x W^T + b of all three gates.
-    """
-    return ad.gru_step(gx, h_prev, p.u_zr, p.u_h)
-
-
 def _run_gru(gx: Tensor, p: GruParams, order: Sequence[int]) -> Tensor:
     """States (n, dim) of one GRU that reads the rows of gx in the given
     order from a zero state; row t is its state after reading row t."""
     h = ad.zeros((1, p.u_h.shape[0]))
     states = {}
     for t in order:
-        h = states[t] = _gru_step(ad.take_rows(gx, [t]), h, p)
+        h = states[t] = ad.gru_step(ad.take_rows(gx, [t]), h, p.u_zr, p.u_h)
     return ad.stack([states[t] for t in range(len(states))])
 
 
@@ -225,11 +213,10 @@ def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
 
 def attend(
     s_prev: Tensor, annotations: Tensor, keys: Tensor, params: DecoderParams
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Additive attention for B decoder states (B, dim): context rows
-    (B, 2dim) and attention weights (B, n)."""
-    context, alpha = ad.attention(s_prev, keys, annotations, params.att_w, params.att_b, params.att_v)
-    return context, Tensor(alpha)
+    (B, 2dim) and attention weights (B, n), the latter a plain array."""
+    return ad.attention(s_prev, keys, annotations, params.att_w, params.att_b, params.att_v)
 
 
 def decode_step(
@@ -249,7 +236,7 @@ def decode_step(
     e_prev = ad.take_rows(params.embedding, prev_tokens)
     context, _ = attend(s_prev, annotations, keys, params)
     gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
-    return e_prev, _gru_step(gx, s_prev, params.gru), context
+    return e_prev, ad.gru_step(gx, s_prev, params.gru.u_zr, params.gru.u_h), context
 
 
 def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderParams) -> Tensor:
@@ -266,7 +253,7 @@ def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderPar
 # zip container keeps a CRC-32 per member, so a flipped byte or a cut file is
 # refused on load; nothing is pickled.
 
-_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "max_decode_len")
+_CONFIG_KEYS = ("vocab_size", "embed_dim", "hidden_dim")
 
 
 def _token_bytes(tokens: Iterable[str]) -> np.ndarray:
@@ -312,10 +299,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a `save_checkpoint` archive into a fresh model.
 
     A missing, empty, cut, corrupt or foreign file (such as a v1 or v2 text
-    checkpoint or a v3 archive) raises CheckpointError naming the path and,
-    where there is one, the archive member; so does a `vocab` member that is
-    not a vocabulary of the model's `vocab_size`, a `freq_threshold` that does
-    not hold exactly one finite value, or a negative count.
+    checkpoint, or a v3 or v4 archive) raises CheckpointError naming the
+    path and, where there is one, the archive member; so does a `vocab`
+    member that is not a vocabulary of the model's `vocab_size`, a
+    `freq_threshold` that does not hold exactly one finite value, or a
+    negative count.
     """
     member = None  # the member being read, named in the error
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
-from .decoding import DEFAULT_BEAM, decode_multi
+from .decoding import DEFAULT_BEAM, DEFAULT_MAX_DECODE_LEN, decode_multi
 from .errors import ConfigError, ConstraintError
 from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint
@@ -36,7 +36,6 @@ class PipelineConfig:
     vocab_size: int = 2000
     embed_dim: int = 64
     hidden_dim: int = 128
-    max_decode_len: int = 100
     # training
     epochs: int = 10
     batch_size: int = 16
@@ -46,8 +45,10 @@ class PipelineConfig:
     checkpoint_every: int = 1
     valid_size: int = 0
     # decoding / step 1; the step-1 threshold comes from the checkpoint, so
-    # complexity_percentile (like max_decode_len) is read by training only
+    # complexity_percentile is read by training only, and training reads
+    # neither beam nor max_decode_len
     beam: int = DEFAULT_BEAM
+    max_decode_len: int = DEFAULT_MAX_DECODE_LEN
     max_constraints: int = 3
     max_passes: int = 0  # 0: one pass per constraint
     length_norm: float = 0.0
@@ -59,7 +60,6 @@ class PipelineConfig:
             vocab_size=self.vocab_size,
             embed_dim=self.embed_dim,
             hidden_dim=self.hidden_dim,
-            max_decode_len=self.max_decode_len,
         )
 
     def train_config(self) -> TrainConfig:
@@ -177,6 +177,7 @@ class SimplifyPipeline:
         max_constraints: int = 3,
         max_passes: int | None = None,
         length_norm: float = 0.0,
+        max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
     ):
         self.model = model
         self.vocab = vocab
@@ -186,6 +187,7 @@ class SimplifyPipeline:
         self.max_constraints = max_constraints
         self.max_passes = max_passes
         self.length_norm = length_norm
+        self.max_decode_len = max_decode_len
 
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "SimplifyPipeline":
@@ -199,6 +201,7 @@ class SimplifyPipeline:
             max_constraints=config.max_constraints,
             max_passes=config.max_passes or None,
             length_norm=config.length_norm,
+            max_decode_len=config.max_decode_len,
         )
 
     def simplify(self, sentence: str) -> tuple[str, dict]:
@@ -221,6 +224,7 @@ class SimplifyPipeline:
             max_passes=self.max_passes,
             beam_size=self.beam,
             length_norm=self.length_norm,
+            max_decode_len=self.max_decode_len,
         )
         output = detokenize(self.vocab.decode(result.tokens))
         trace.update(

@@ -232,15 +232,14 @@ def train(
     model: Seq2SeqModel,
     config: TrainConfig,
     vocab: Vocabulary,
+    freq_table: FrequencyTable,
     kb: KnowledgeBase | None = None,
-    freq_table: FrequencyTable | None = None,
     out_dir: str | None = None,
 ) -> TrainResult:
     """Mini-batch training loop over the train split.
 
     Constraint positions are selected once, deterministically, with
-    freq_table (when None, the table of the train sources at the default
-    percentile). Validation loss is computed without gradient updates on
+    freq_table. Validation loss is computed without gradient updates on
     the validation split (the train split when empty). Under out_dir, when
     given, each epoch appends its row to training_log.csv as it ends, and
     each checkpoint is written atomically with vocab and that freq_table,
@@ -248,10 +247,6 @@ def train(
     """
     if not corpus.train:
         raise ContractError("training needs a non-empty train split")
-    if freq_table is None:
-        freq_table = FrequencyTable.from_sequences(
-            vocab.decode(p.source) for p in corpus.train
-        )
     positions = [
         select_training_constraint(pair, kb, freq_table, vocab) for pair in corpus.train
     ]

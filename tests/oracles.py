@@ -4,7 +4,10 @@ Most of them are plain-Python arithmetic over lists and dicts, written
 directly from the defining formulas, and share no code with the package
 under test. The exceptions are marked as reference versions of an earlier
 design: they keep a replaced algorithm, built from the package's own
-primitives, so that its replacement can be checked against it.
+primitives, so that its replacement can be checked against it. The
+autodiff ops that only the tests use (entrywise products, sigmoid,
+softmax, sums, column segments and attention energies) live here too,
+recorded on the package's tape through `autodiff._emit`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID
 from sentsimp.decoding import Hypothesis
-from sentsimp.errors import NumericError
+from sentsimp.errors import DimensionError, NumericError
 from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
 
 
@@ -444,6 +447,79 @@ def backward_dense(tape, loss):
             leaf.grad = adj if leaf.grad is None else leaf.grad + adj
 
 
+# ---------------------------------------------------------------- test-only autodiff ops
+
+
+def mul(a, b):
+    """Hadamard (entrywise) product."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shapes differ: {a.shape} vs {b.shape}")
+    return ad._emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def one_minus(a):
+    return ad._emit(1.0 - a.data, (a,), lambda g: (-g,))
+
+
+def sigmoid(a):
+    out = ad._sigmoid(a.data)
+
+    def back(g):
+        return (g * out * (1.0 - out),)
+
+    return ad._emit(out, (a,), back)
+
+
+def softmax(a):
+    """Stable softmax over the last axis (of each row); outputs are positive
+    and sum to one."""
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise DimensionError(f"softmax: expected non-empty rows, got shape {a.shape}")
+    out = ad._softmax(a.data, "softmax: input contains non-finite values")
+
+    def back(g):
+        return (ad._softmax_back(out, g),)
+
+    return ad._emit(out, (a,), back)
+
+
+def tsum(a):
+    """Sum of all entries, as a scalar tensor."""
+    return ad._emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
+
+
+def segment(m, start, stop):
+    """Columns start..stop-1 of a matrix, e.g. one gate of fused pre-activations."""
+    if m.ndim != 2 or not 0 <= start < stop <= m.shape[1]:
+        raise DimensionError(f"segment: bad range [{start}, {stop}) for shape {m.shape}")
+
+    def back(g):
+        grad = np.zeros_like(m.data)
+        grad[:, start:stop] = g
+        return (grad,)
+
+    return ad._emit(m.data[:, start:stop].copy(), (m,), back)
+
+
+def attention_energies(keys, query, v):
+    """Additive-attention energies (B, n): v . tanh(keys[j] + query[b]) for
+    every query row b and key row j."""
+    if (
+        keys.ndim != 2 or query.ndim != 2 or v.ndim != 1
+        or not keys.shape[1] == query.shape[1] == v.shape[0]
+    ):
+        raise DimensionError(
+            f"attention_energies: keys {keys.shape}, query {query.shape} and v {v.shape} disagree"
+        )
+    hidden = np.tanh(keys.data[None, :, :] + query.data[:, None, :])  # (B, n, dim)
+
+    def back(g):
+        d_pre = g[:, :, None] * v.data * (1.0 - hidden * hidden)
+        return d_pre.sum(axis=0), d_pre.sum(axis=1), g.reshape(-1) @ hidden.reshape(g.size, -1)
+
+    return ad._emit(hidden @ v.data, (keys, query, v), back)
+
+
 # ---------------------------------------------------------------- composed GRU step and attention
 
 
@@ -452,10 +528,10 @@ def gru_step_composed(gx, h_prev, u_zr, u_h):
     of 13 primitive ops (column segments, two affine maps, the gate
     nonlinearities and the elementwise update), each with its own backward."""
     d = h_prev.shape[1]
-    zr = ad.sigmoid(ad.affine(h_prev, u_zr, ad.segment(gx, 0, 2 * d)))
-    z, r = ad.segment(zr, 0, d), ad.segment(zr, d, 2 * d)
-    h_tilde = ad.tanh(ad.affine(ad.mul(r, h_prev), u_h, ad.segment(gx, 2 * d, 3 * d)))
-    return ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
+    zr = sigmoid(ad.affine(h_prev, u_zr, segment(gx, 0, 2 * d)))
+    z, r = segment(zr, 0, d), segment(zr, d, 2 * d)
+    h_tilde = ad.tanh(ad.affine(mul(r, h_prev), u_h, segment(gx, 2 * d, 3 * d)))
+    return ad.add(mul(one_minus(z), h_prev), mul(z, h_tilde))
 
 
 def attention_composed(s, keys, annotations, w, b, v):
@@ -463,7 +539,7 @@ def attention_composed(s, keys, annotations, w, b, v):
     of 4 primitive ops (the query affine map, the energies, the softmax and
     the context product). Returns the context rows and alpha as tensors."""
     query = ad.affine(s, w, b)
-    alpha = ad.softmax(ad.attention_energies(keys, query, v))
+    alpha = softmax(attention_energies(keys, query, v))
     return ad.matmul(alpha, annotations), alpha
 
 

@@ -15,12 +15,12 @@ from sentsimp.decoding import _search, decode_multi
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
-from sentsimp.autodiff import Tape, softmax
+from sentsimp.autodiff import Tape
 from sentsimp.training import TrainConfig, select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
 from gradcheck import finite_difference, max_relative_error
-from oracles import decode_step_with_logits, exhaustive_best, fk_from_counts, sari_loops
+from oracles import decode_step_with_logits, exhaustive_best, fk_from_counts, sari_loops, softmax
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -66,7 +66,7 @@ def test_criterion_2_bleu_identity():
 
 def test_criterion_3_gradient_correctness():
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=12, embed_dim=2, hidden_dim=3, max_decode_len=8),
+        ModelConfig(vocab_size=12, embed_dim=2, hidden_dim=3),
         seed=42,
     )
     pair = SentencePair((4, 9, 6), (7, 5, 11))
@@ -97,7 +97,7 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_constraint_satisfaction():
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=10)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4)
     rng = random.Random(7)
     content = list(range(4, 12))
     decodes = 0
@@ -114,7 +114,7 @@ def test_criterion_4_constraint_satisfaction():
             for _ in range(k):
                 width = rng.randint(1, 2)
                 blocks.append([rng.choice(content) for _ in range(width)])
-            result = decode_multi(source, blocks, model, beam_size=3)
+            result = decode_multi(source, blocks, model, beam_size=3, max_decode_len=10)
             ok = True
             for trace in result.passes:
                 lo = trace.position - 1
@@ -138,7 +138,7 @@ def test_criterion_4_constraint_satisfaction():
 
 
 def test_criterion_5_beam_equals_exhaustive_search():
-    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, max_decode_len=4)
+    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2)
     beam_size = 200  # > 1 + 4 + 16 + 64 complete sequences
     agreements = 0
     for seed in range(50):
@@ -181,6 +181,9 @@ def test_criterion_5_beam_equals_exhaustive_search():
 # ----------------------------------------------------------- criteria 6 & 8
 
 
+OVERFIT_MAX_LEN = 30  # the decode cap of the overfit model
+
+
 @pytest.fixture(scope="module")
 def overfit_run():
     data = build_toy_corpus(50, seed=17)
@@ -194,7 +197,7 @@ def overfit_run():
     )
     freq_table = FrequencyTable.from_sequences((s for s, _ in token_pairs))
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=32, max_decode_len=30),
+        ModelConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=32),
         seed=1,
     )
     config = TrainConfig(epochs=170, batch_size=8, seed=13)
@@ -211,7 +214,7 @@ def test_criterion_6_overfit_end_to_end(overfit_run):
     for pair in pairs:
         s = select_training_constraint(pair, kb, freq_table, vocab)
         block = [pair.target[s - 1]]
-        decoded = decode_multi(pair.source, [block], model, beam_size=5)
+        decoded = decode_multi(pair.source, [block], model, beam_size=5, max_decode_len=OVERFIT_MAX_LEN)
         exact += decoded.tokens == pair.target
     ok = final_loss < 0.1 and exact >= 45
     report(6, "overfit training and constrained reproduction", ok,
@@ -225,7 +228,7 @@ def test_criterion_8_metric_direction(overfit_run):
     for pair in pairs:
         s = select_training_constraint(pair, kb, freq_table, vocab)
         block = [pair.target[s - 1]]
-        decoded = decode_multi(pair.source, [block], model, beam_size=5)
+        decoded = decode_multi(pair.source, [block], model, beam_size=5, max_decode_len=OVERFIT_MAX_LEN)
         source_tokens = tuple(vocab.decode(pair.source))
         output_tokens = tuple(vocab.decode(decoded.tokens))
         reference_tokens = tuple(vocab.decode(pair.target))
@@ -249,7 +252,7 @@ def test_showcase_two_constraints_both_in_final_output(overfit_run):
     data, vocab, pairs, kb, freq_table, model, result = overfit_run
     showcase = pairs[0]
     blocks = [[vocab.lookup("center")], [vocab.lookup("important")]]
-    decoded = decode_multi(showcase.source, blocks, model, beam_size=5)
+    decoded = decode_multi(showcase.source, blocks, model, beam_size=5, max_decode_len=OVERFIT_MAX_LEN)
     words = vocab.decode(decoded.tokens)
     assert "center" in words and "important" in words
     assert 1 <= len(decoded.passes) <= 2

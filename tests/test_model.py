@@ -20,7 +20,6 @@ from sentsimp.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from sentsimp.model import _gru_step
 
 from gradcheck import check_gradients
 from resources import step1_resources
@@ -32,9 +31,12 @@ from oracles import (
     encode_loops,
     gru_step_composed,
     gru_step_loops,
+    mul,
+    softmax,
+    tsum,
 )
 
-TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=6)
+TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
 
 
 @pytest.fixture
@@ -78,7 +80,7 @@ def test_config_validation():
     with pytest.raises(ContractError):
         ModelConfig(vocab_size=4, embed_dim=2, hidden_dim=2)
     with pytest.raises(ContractError):
-        ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=2, max_decode_len=1)
+        ModelConfig(vocab_size=9, embed_dim=0, hidden_dim=2)
 
 
 def test_parameter_shapes(model):
@@ -208,7 +210,8 @@ def test_attend_identical_annotations_uniform(model):
     H = ad.Tensor(np.tile(row, (4, 1)))
     s = ad.Tensor(np.zeros((1, 3)))
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
-    assert np.allclose(alpha.data, 0.25, atol=1e-12)
+    assert isinstance(alpha, np.ndarray)
+    assert np.allclose(alpha, 0.25, atol=1e-12)
     assert np.allclose(context.data, row, atol=1e-12)
 
 
@@ -228,7 +231,7 @@ def test_attend_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
     ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
-    assert np.allclose(alpha.data, alpha_o, atol=1e-12)
+    assert np.allclose(alpha, alpha_o, atol=1e-12)
     assert np.allclose(context.data, ctx_o, atol=1e-12)
 
 
@@ -240,7 +243,7 @@ def test_attend_permutation_covariant(model):
     perm = [2, 0, 3, 1]
     H_perm = ad.Tensor(H.data[perm])
     context_p, alpha_p = attend(s, H_perm, attention_keys(H_perm, dec), dec)
-    assert np.allclose(alpha_p.data, alpha.data[:, perm], atol=1e-12)
+    assert np.allclose(alpha_p, alpha[:, perm], atol=1e-12)
     assert np.allclose(context_p.data, context.data, atol=1e-12)
 
 
@@ -254,7 +257,7 @@ def test_decode_step_zero_weights_uniform_dist(model):
     dec = model.forward_decoder
     s0 = init_decoder_state(h_mean, dec)
     _, logits = decode_step_with_logits([4], s0, H, attention_keys(H, dec), dec)
-    assert np.allclose(ad.softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
+    assert np.allclose(softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
 def test_decode_step_dist_sums_to_one(model):
@@ -264,7 +267,7 @@ def test_decode_step_dist_sums_to_one(model):
     s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
         s, logits = decode_step_with_logits([tok], s, H, keys, dec)
-        dist = ad.softmax(logits)
+        dist = softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
         assert np.all(np.abs(s.data) < 1.0)  # convex combination of tanh values
@@ -278,7 +281,7 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     prev_emb = dec.embedding.tolist()[6]
     s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
-    assert np.allclose(ad.softmax(logits).data, dist_o, atol=1e-12)
+    assert np.allclose(softmax(logits).data, dist_o, atol=1e-12)
 
 
 def batch_inputs(model, seed=4, rows=4):
@@ -312,9 +315,9 @@ def test_attend_rows_equal_one_row_calls_and_oracle(model):
     for b in range(states.shape[0]):
         ctx_one, alpha_one = attend(ad.take_rows(states, [b]), H, keys, dec)
         assert np.allclose(context.data[b], ctx_one.data[0], rtol=0, atol=1e-12)
-        assert np.allclose(alpha.data[b], alpha_one.data[0], rtol=0, atol=1e-12)
+        assert np.allclose(alpha[b], alpha_one[0], rtol=0, atol=1e-12)
         ctx_o, alpha_o = attention_loops(states.data[b].tolist(), H.tolist(), att)
-        assert np.allclose(alpha.data[b], alpha_o, atol=1e-12)
+        assert np.allclose(alpha[b], alpha_o, atol=1e-12)
         assert np.allclose(context.data[b], ctx_o, atol=1e-12)
 
 
@@ -323,7 +326,7 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.uniform(-1, 1, size=(3, TINY.embed_dim)))
     h_prev = ad.Tensor(rng.uniform(-1, 1, size=(3, 3)))
-    h = _gru_step(ad.affine(x, gru.w, gru.b), h_prev, gru)
+    h = ad.gru_step(ad.affine(x, gru.w, gru.b), h_prev, gru.u_zr, gru.u_h)
     for b in range(3):
         want = gru_step_loops(x.data[b].tolist(), h_prev.data[b].tolist(), gru_as_dict(gru))
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
@@ -352,7 +355,7 @@ def test_decode_step_equals_composed_oracle(model, rows):
             t.zero_grad()
         with ad.Tape() as tape:
             s1 = step(tokens, states, annotations, attention_keys(annotations, dec), dec)
-            tape.backward(ad.tsum(ad.mul(s1, weights)))
+            tape.backward(tsum(mul(s1, weights)))
         runs.append((s1.data, [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]))
     (got, got_grads), (want, want_grads) = runs
     assert np.array_equal(got, want)
@@ -382,7 +385,7 @@ def test_decode_step_rows_gradcheck(model):
 
     def loss():
         s1, logits = decode_step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
-        return ad.add(ad.nll(logits, [5, 6, 5]), ad.tsum(ad.mul(s1, s1)))
+        return ad.add(ad.nll(logits, [5, 6, 5]), tsum(mul(s1, s1)))
 
     params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
               dec.att_w, dec.att_u, dec.att_v, dec.att_b, dec.out_w, dec.out_b]
@@ -607,13 +610,14 @@ def test_checkpoint_corruption_raises_checkpoint_error_naming_the_member(tmp_pat
 
 
 def test_checkpoint_refuses_v1_header(tmp_path, model):
-    """Only a `seq2seq-ckpt v4` archive loads: text checkpoints (v1, v2), a
-    v3 archive (which also held `config.beam_size`), a bare .npy, an empty
-    file, a zip of raw bytes and archives with another format are refused."""
+    """Only a `seq2seq-ckpt v5` archive loads: text checkpoints (v1, v2), a
+    v3 archive (which also held `config.beam_size`), a v4 archive (which
+    also held `config.max_decode_len`), a bare .npy, an empty file, a zip of
+    raw bytes and archives with another format are refused."""
     path = saved_checkpoint(tmp_path, model)
     with np.load(path, allow_pickle=False) as archive:
-        assert str(archive["format"]) == "seq2seq-ckpt v4"
-        assert "config.beam_size" not in archive.files
+        assert str(archive["format"]) == "seq2seq-ckpt v5"
+        assert not {"config.beam_size", "config.max_decode_len"} & set(archive.files)
     foreign = {
         "v1.ckpt": b"seq2seq-ckpt v1\nconfig vocab_size 9\n",
         "v2.ckpt": b"seq2seq-ckpt v2\nconfig vocab_size 9\nvocab 0\nfreq 0\nend\n",
@@ -624,15 +628,22 @@ def test_checkpoint_refuses_v1_header(tmp_path, model):
     np.save(tmp_path / "bare.npy", np.zeros(3))
     np.savez(tmp_path / "other.npz", weights=np.zeros(3))
     with zipfile.ZipFile(tmp_path / "raw.zip", "w") as zf:
-        zf.writestr("format.npy", b"seq2seq-ckpt v4")
-    v3 = tmp_path / "v3.ckpt"
-    v3.write_bytes(path.read_bytes())
-    rewrite_members(v3, format=np.array("seq2seq-ckpt v3"), **{"config.beam_size": np.int64(5)})
+        zf.writestr("format.npy", b"seq2seq-ckpt v5")
+    older = {
+        "v3.ckpt": {"format": np.array("seq2seq-ckpt v3"), "config.beam_size": np.int64(5),
+                    "config.max_decode_len": np.int64(100)},
+        "v4.ckpt": {"format": np.array("seq2seq-ckpt v4"), "config.max_decode_len": np.int64(100)},
+    }
+    for name, members in older.items():
+        (tmp_path / name).write_bytes(path.read_bytes())
+        rewrite_members(tmp_path / name, **members)
     rewrite_members(path, format=np.array("seq2seq-ckpt v2"))
-    for name in [*foreign, "bare.npy", "other.npz", "raw.zip", v3.name, path.name]:
+    for name in [*foreign, "bare.npy", "other.npz", "raw.zip", *older, path.name]:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(tmp_path / name))
         assert str(tmp_path / name) in str(err.value)
+        if name in older:
+            assert "member 'format'" in str(err.value) and "seq2seq-ckpt v5" in str(err.value)
 
 
 def test_checkpoint_token_with_trailing_nul_round_trips(tmp_path, model):

@@ -142,8 +142,8 @@ def showcase_pipeline():
         tok("a"): BOS_ID,
         tok("important"): BOS_ID,
     }
-    model = chain_model(fwd, bwd, vocab_size=len(vocab), max_decode_len=12)
-    return SimplifyPipeline(model, vocab, kb, freqs, beam=3, max_constraints=3), vocab
+    model = chain_model(fwd, bwd, vocab_size=len(vocab))
+    return SimplifyPipeline(model, vocab, kb, freqs, beam=3, max_constraints=3, max_decode_len=12), vocab
 
 
 def test_simplify_applies_both_steps():

@@ -21,7 +21,7 @@ from sentsimp.training import (
 
 from gradcheck import check_gradients
 
-TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3, max_decode_len=8)
+TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
 
 
 def named_tensor(name, values):
@@ -318,7 +318,7 @@ def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
         return losses, [p.grad.copy() for p in model.parameters()]
 
     got, got_grads = run()
-    monkeypatch.setattr(model_module, "_gru_step", lambda gx, h, p: gru_step_composed(gx, h, p.u_zr, p.u_h))
+    monkeypatch.setattr(model_module.ad, "gru_step", gru_step_composed)
     monkeypatch.setattr(
         model_module,
         "attend",
@@ -422,13 +422,19 @@ def fake_vocab():
     return build_vocab([["w4", "w5", "w6", "w7", "w8"]], max_size=9)
 
 
+def source_table(corpus, vocab):
+    """The step-1 table of the train sources at the default percentile."""
+    return FrequencyTable.from_sequences(vocab.decode(p.source) for p in corpus.train)
+
+
 def test_train_returns_history_and_is_deterministic(tmp_path):
     cfg = TrainConfig(epochs=3, batch_size=2, seed=5, checkpoint_every=2)
     vocab = fake_vocab()
 
     def run(out_dir):
         model = Seq2SeqModel.create(TINY, seed=2)
-        return train(toy_corpus(), model, cfg, vocab, out_dir=out_dir)
+        corpus = toy_corpus()
+        return train(corpus, model, cfg, vocab, source_table(corpus, vocab), out_dir=out_dir)
 
     r1 = run(str(tmp_path / "a"))
     r2 = run(str(tmp_path / "b"))
@@ -452,7 +458,8 @@ def test_training_log_csv_written(tmp_path):
     cfg = TrainConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1)
     model = Seq2SeqModel.create(TINY, seed=2)
     out = tmp_path / "run"
-    train(toy_corpus(), model, cfg, fake_vocab(), out_dir=str(out))
+    corpus, vocab = toy_corpus(), fake_vocab()
+    train(corpus, model, cfg, vocab, source_table(corpus, vocab), out_dir=str(out))
     lines = (out / "training_log.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,valid_loss,seconds"
     assert len(lines) == 3
@@ -469,30 +476,33 @@ def test_training_log_keeps_rows_of_epochs_before_an_interruption(tmp_path, monk
     monkeypatch.setattr(training, "save_checkpoint", save_or_fail)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=5, checkpoint_every=1)
     out = tmp_path / "run"
+    corpus, vocab = toy_corpus(), fake_vocab()
     with pytest.raises(OSError):
-        train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), cfg, fake_vocab(), out_dir=str(out))
+        train(corpus, Seq2SeqModel.create(TINY, seed=2), cfg, vocab, source_table(corpus, vocab), out_dir=str(out))
     rows = (out / "training_log.csv").read_text().splitlines()
     assert rows[0] == "epoch,train_loss,valid_loss,seconds"
     assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
     assert sorted(p.name for p in out.glob("*.ckpt")) == ["epoch0001.ckpt"]
 
 
-@pytest.mark.parametrize("given", [True, False])
-def test_train_saves_the_vocabulary_and_frequency_table_it_trained_with(tmp_path, given):
-    """Each checkpoint carries train's own vocab and freq_table; without a
-    table, the one train built from the train sources."""
+def test_train_saves_the_vocabulary_and_frequency_table_it_trained_with(tmp_path):
+    """Each checkpoint carries train's own vocab and freq_table."""
     vocab = fake_vocab()
-    corpus = toy_corpus()
-    freqs = FrequencyTable({"w4": 5, "w6": 1}, 2.5) if given else None
+    freqs = FrequencyTable({"w4": 5, "w6": 1}, 2.5)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1)
-    result = train(corpus, Seq2SeqModel.create(TINY, seed=2), cfg, vocab, freq_table=freqs, out_dir=str(tmp_path))
-    expected = freqs or FrequencyTable.from_sequences(vocab.decode(p.source) for p in corpus.train)
+    result = train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), cfg, vocab, freqs, out_dir=str(tmp_path))
     assert len(result.checkpoint_paths) == 2
     for path in result.checkpoint_paths:
         ckpt = load_checkpoint(path)
         assert ckpt.vocab.kept_tokens() == vocab.kept_tokens()
-        assert ckpt.freq_table.counts == expected.counts
-        assert ckpt.freq_table.threshold == expected.threshold
+        assert ckpt.freq_table.counts == freqs.counts
+        assert ckpt.freq_table.threshold == freqs.threshold
+
+
+def test_train_requires_a_frequency_table():
+    """The step-1 table has one owner, the caller: train builds none."""
+    with pytest.raises(TypeError, match="freq_table"):
+        train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), TrainConfig(epochs=1), fake_vocab())
 
 
 def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
@@ -512,11 +522,12 @@ def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
 def test_overfit_single_pair_memorizes():
     cfg = TrainConfig(epochs=60, batch_size=1, seed=7, clip_norm=5.0)
     model = Seq2SeqModel.create(
-        ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=8, max_decode_len=8),
+        ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=8),
         seed=3,
     )
     corpus = CorpusSplit(train=[pair_of([4, 5, 6], [7, 8])], validation=[])
-    result = train(corpus, model, cfg, fake_vocab())
+    vocab = fake_vocab()
+    result = train(corpus, model, cfg, vocab, source_table(corpus, vocab))
     assert result.history[-1].train_loss < 0.1
 
 
@@ -534,4 +545,5 @@ def test_train_config_rejects_an_out_of_range_value(field, value):
 
 def test_train_rejects_empty_split():
     with pytest.raises(ContractError):
-        train(CorpusSplit(), Seq2SeqModel.create(TINY, seed=0), TrainConfig(epochs=1), fake_vocab())
+        model = Seq2SeqModel.create(TINY, seed=0)
+        train(CorpusSplit(), model, TrainConfig(epochs=1), fake_vocab(), FrequencyTable({}, 0.0))
