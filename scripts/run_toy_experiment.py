@@ -15,9 +15,9 @@ from sentsimp.corpus import CorpusSplit, SentencePair, build_vocab, detokenize, 
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule, identify_and_substitute
 from sentsimp.metrics import EvalTriple, evaluate_corpus, render_rows
 from sentsimp.model import ModelConfig, Seq2SeqModel
-from sentsimp.pipeline import SimplifyPipeline
+from sentsimp.pipeline import PipelineConfig, SimplifyPipeline
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
-from sentsimp.training import TrainConfig, train
+from sentsimp.training import train
 
 
 def main():
@@ -47,7 +47,7 @@ def main():
     result = train(
         CorpusSplit(train=pairs),
         model,
-        TrainConfig(epochs=args.epochs, batch_size=8, seed=args.seed),
+        PipelineConfig(epochs=args.epochs, batch_size=8, seed=args.seed),
         vocab,
         kb=kb,
         freq_table=freq_table,

@@ -8,7 +8,7 @@ from .lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule, identify_and_
 from .metrics import EvalTriple, MetricReport, bleu, evaluate_corpus, fk_grade, ibleu, sari
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, SimplifyPipeline, parse_config
-from .training import TrainConfig, train, training_loss
+from .training import train, training_loss
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "PipelineConfig",
     "Seq2SeqModel",
     "SimplifyPipeline",
-    "TrainConfig",
     "Vocabulary",
     "bleu",
     "build_vocab",

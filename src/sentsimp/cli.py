@@ -1,12 +1,14 @@
 """Command-line entry point: train, simplify, evaluate, kb-check.
 
-Exit codes: 0 success, 1 usage, 2 data error (corpus/KB/config), 3 model
-error (shapes, checkpoints, constraints, training).
+Exit codes: 0 success, 1 usage, 2 data error (corpus/KB/config, or an output
+path that cannot be written), 3 model error (shapes, checkpoints,
+constraints, training).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -57,7 +59,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("simplify", help="simplify sentences from a file")
-    p.add_argument("--model", required=True, help="checkpoint path")
+    p.add_argument("--config", help="key = value configuration file; the flags below override it")
+    p.add_argument("--model", dest="checkpoint", required=True, help="checkpoint path")
     p.add_argument("--kb", help="paraphrase rule TSV")
     p.add_argument("--input", required=True, help="sentences to simplify, one per line")
     p.add_argument("--output", help="write results here instead of stdout")
@@ -82,28 +85,20 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> PipelineConfig:
-    """The config file (or the defaults) with the given flags applied; a
-    flag's value must pass the range check of its config key."""
-    config = parse_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    """The config file (or the defaults) with the given flags applied. A
+    flag's dest is its config key, and its value must pass that key's range
+    check."""
+    config = parse_config(args.config) if args.config else PipelineConfig()
     overrides = {}
-    for attr, key in (
-        ("source", "source"),
-        ("target", "target"),
-        ("kb", "kb"),
-        ("out_dir", "out_dir"),
-        ("model", "checkpoint"),
-        ("seed", "seed"),
-        ("beam", "beam"),
-        ("max_constraints", "max_constraints"),
-        ("max_passes", "max_passes"),
-    ):
-        value = getattr(args, attr, None)
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is None:
             continue
-        check = RANGE_CHECKS.get(key)
+        check = RANGE_CHECKS.get(f.name)
         if check is not None and not check(value):
-            raise ConfigError(f"--{attr.replace('_', '-')} has out-of-range value {value}")
-        overrides[key] = value
+            # every range-checked flag is spelt as its key
+            raise ConfigError(f"--{f.name.replace('_', '-')} has out-of-range value {value}")
+        overrides[f.name] = value
     return dataclasses.replace(config, **overrides)
 
 
@@ -137,15 +132,7 @@ def _cmd_train(args) -> int:
     # corpus the configured cap would leave trainable ids no token can render
     model_config = dataclasses.replace(config.model_config(), vocab_size=len(vocab))
     model = Seq2SeqModel.create(model_config, seed=config.seed)
-    result = train(
-        split,
-        model,
-        config.train_config(),
-        vocab,
-        kb=kb,
-        freq_table=freq_table,
-        out_dir=out_dir,
-    )
+    result = train(split, model, config, vocab, kb=kb, freq_table=freq_table)
     last = result.history[-1]
     print(
         f"trained {config.epochs} epochs on {len(split.train)} pairs: "
@@ -164,28 +151,29 @@ def _cmd_simplify(args) -> int:
     except OSError as exc:
         raise IngestionError(f"cannot read {args.input}: {exc}") from None
 
-    outputs = []
-    traces = []
-    for line in lines:
-        text, trace = pipeline.simplify(line)
-        outputs.append(text)
-        traces.append(trace)
-
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for text in outputs:
-            sink.write(text + "\n")
-        sink.flush()
-    except BrokenPipeError:  # the reader stopped early, as `| head -3` does
-        _discard_stdout()
-    finally:
-        if args.output:
-            sink.close()
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for trace in traces:
-                fh.write(json.dumps(trace) + "\n")
+    # both sinks open before the first line is decoded, so a path that
+    # cannot be written fails at once
+    with contextlib.ExitStack() as files:
+        sink = files.enter_context(_open_for_writing(args.output)) if args.output else sys.stdout
+        trace_sink = files.enter_context(_open_for_writing(args.trace)) if args.trace else None
+        results = [pipeline.simplify(line) for line in lines]
+        try:
+            for text, _ in results:
+                sink.write(text + "\n")
+            sink.flush()
+        except BrokenPipeError:  # the reader stopped early, as `| head -3` does
+            _discard_stdout()
+        if trace_sink is not None:
+            for _, trace in results:
+                trace_sink.write(json.dumps(trace) + "\n")
     return 0
+
+
+def _open_for_writing(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise IngestionError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _discard_stdout() -> None:

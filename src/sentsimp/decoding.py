@@ -96,11 +96,8 @@ def _check_constraint_ids(constraint_ids: Sequence[int], vocab_size: int) -> Non
             )
 
 
-def _rank_key(hyp: Hypothesis, length_norm: float):
-    score = hyp.log_prob
-    if length_norm > 0.0:
-        score /= (len(hyp.tokens) + 1) ** length_norm
-    return (-score, len(hyp.tokens), hyp.tokens)
+def _rank_key(hyp: Hypothesis):
+    return (-hyp.log_prob, len(hyp.tokens), hyp.tokens)
 
 
 def _expand(
@@ -135,7 +132,6 @@ def beam_search(
     boundary_id: int,
     beam_size: int,
     max_new: int,
-    length_norm: float = 0.0,
 ) -> Hypothesis:
     """Breadth-limited best-first search over token continuations.
 
@@ -147,9 +143,9 @@ def beam_search(
     next-token log-probabilities (B, V) as an array, row b for hypothesis b.
     Non-finite log-probabilities raise NumericError. A hypothesis finishes
     when it emits boundary_id (scored, stop "boundary") or reaches max_new
-    generated tokens (unscored, stop "length_cap"). Scores are summed
-    log-probabilities; an optional length-normalization exponent divides by
-    (length + 1) ** length_norm when ranking.
+    generated tokens (unscored, stop "length_cap"). Hypotheses rank by
+    summed log-probability, then fewer tokens, then the smaller token
+    sequence.
 
     A beam wider than 1 also steps the greedy hypothesis, the beam-1
     search, as the last row of the same batch, whether or not the beam has
@@ -180,9 +176,9 @@ def beam_search(
         # slot per hypothesis so a boundary token cannot crowd out content
         width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
         candidates = _expand(active, new_states.data[:n], log_probs[:n], width, boundary_id, finished)
-        candidates.sort(key=lambda h: _rank_key(h, length_norm))
+        candidates.sort(key=_rank_key)
         active = candidates[:beam_size]
-        if length_norm == 0.0 and finished:
+        if finished:
             # log-probs only decrease, so a live hypothesis scoring below the
             # best finished one can never win: once the best active one
             # does, drop the beam; once the greedy one does, drop it too
@@ -194,7 +190,7 @@ def beam_search(
         if not active and not greedy:
             break
     finished.extend(replace(hyp, stop="length_cap") for hyp in active + greedy)
-    return min(finished, key=lambda h: _rank_key(h, length_norm))
+    return min(finished, key=_rank_key)
 
 
 def _search(
@@ -204,7 +200,6 @@ def _search(
     boundary_id: int,
     max_new: int,
     beam_size: int,
-    length_norm: float,
 ) -> Hypothesis:
     """One decoder's stage of a pass over an already encoded source.
 
@@ -223,9 +218,7 @@ def _search(
         e_prev, new_states, context = decode_step(prev_tokens, states, annotations, keys, params)
         return new_states, log_softmax(output_logits(e_prev, new_states, context, params).data)
 
-    return beam_search(
-        step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new, length_norm=length_norm
-    )
+    return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 
 
 def decode_multi(
@@ -234,7 +227,6 @@ def decode_multi(
     model: Seq2SeqModel,
     max_passes: int | None = None,
     beam_size: int = DEFAULT_BEAM,
-    length_norm: float = 0.0,
     max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
 ) -> DecodeResult:
     """Constrained generation, one encode and two stages per pass.
@@ -257,7 +249,7 @@ def decode_multi(
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
         encoded = encode(source, model.encoder)
-        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, max_decode_len, beam_size, length_norm)
+        hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, max_decode_len, beam_size)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
     cap = len(blocks) if max_passes is None else max_passes
     if cap < 1:
@@ -273,23 +265,11 @@ def decode_multi(
         _check_constraint_ids(block, model.config.vocab_size)
         encoded = encode(current, model.encoder)
         back = _search(
-            encoded,
-            model.backward_decoder,
-            block[::-1],
-            BOS_ID,
-            max(0, max_decode_len - len(block)),
-            beam_size,
-            length_norm,
+            encoded, model.backward_decoder, block[::-1], BOS_ID, max(0, max_decode_len - len(block)), beam_size
         )
         prefix = back.tokens[::-1] + block
         fwd = _search(
-            encoded,
-            model.forward_decoder,
-            (BOS_ID, *prefix),
-            EOS_ID,
-            max(0, max_decode_len - len(prefix)),
-            beam_size,
-            length_norm,
+            encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, max(0, max_decode_len - len(prefix)), beam_size
         )
         output = prefix + fwd.tokens
         position = len(back.tokens) + 1

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: data problems (corpus, KB, config) exit 2,
-model problems (shapes, checkpoints, constraints, training) exit 3.
+The CLI maps these onto exit codes: data problems (corpus, KB, config, output
+paths) exit 2, model problems (shapes, checkpoints, constraints, training)
+exit 3.
 """
 
 
@@ -22,7 +23,8 @@ class ContractError(SentsimpError, ValueError):
 
 
 class IngestionError(SentsimpError, ValueError):
-    """Corpus or knowledge-base files could not be read as specified."""
+    """Corpus, knowledge-base or output files could not be read or written
+    as specified."""
 
 
 class ConfigError(SentsimpError, ValueError):

@@ -141,11 +141,6 @@ class FrequencyTable:
         """Least term frequency across the phrase's tokens."""
         return min(self.count(tok) for tok in phrase)
 
-    def is_complex(self, phrase: Sequence[str] | str) -> bool:
-        if isinstance(phrase, str):
-            return self.count(phrase) < self.threshold
-        return self.phrase_count(phrase) < self.threshold
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -203,9 +198,10 @@ def identify_and_substitute(
     i = 0
     while i < len(tokens):
         rule = kb.match_at(tokens, i)
-        if rule is not None and freq_table.is_complex(rule.complex):
+        freq = freq_table.phrase_count(rule.complex) if rule is not None else None
+        if freq is not None and freq < freq_table.threshold:
             end = i + len(rule.complex)
-            matches.append((i, end, rule, freq_table.phrase_count(rule.complex)))
+            matches.append((i, end, rule, freq))
             i = end
         else:
             i += 1

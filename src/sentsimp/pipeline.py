@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
 from .decoding import DEFAULT_BEAM, DEFAULT_MAX_DECODE_LEN, decode_multi
-from .errors import ConfigError, ConstraintError
+from .errors import ConfigError, ConstraintError, ContractError, IngestionError
 from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint
-from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,14 @@ class PipelineConfig:
     max_decode_len: int = DEFAULT_MAX_DECODE_LEN
     max_constraints: int = 3
     max_passes: int = 0  # 0: one pass per constraint
-    length_norm: float = 0.0
     complexity_percentile: float = 30.0
     seed: int = 13
+
+    def __post_init__(self):
+        for name, check in RANGE_CHECKS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ContractError(f"{name} has out-of-range value {value}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -62,20 +66,12 @@ class PipelineConfig:
             hidden_dim=self.hidden_dim,
         )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rho=self.rho,
-            eps=self.eps,
-            clip_norm=self.clip_norm,
-            seed=self.seed,
-            checkpoint_every=self.checkpoint_every,
-        )
-
 
 _PATH_FIELDS = ("source", "target", "kb", "checkpoint", "out_dir")
 
+# the one owner of every range rule: PipelineConfig raises ContractError on a
+# value outside it, and parse_config and the CLI flags raise ConfigError first,
+# naming the line or the flag
 RANGE_CHECKS = {
     "vocab_size": lambda v: v > 4,
     "embed_dim": lambda v: v >= 1,
@@ -91,7 +87,6 @@ RANGE_CHECKS = {
     "valid_size": lambda v: v >= 0,
     "max_constraints": lambda v: v >= 0,
     "max_passes": lambda v: v >= 0,
-    "length_norm": lambda v: v >= 0.0,
     "complexity_percentile": lambda v: 0.0 <= v <= 100.0,
 }
 
@@ -176,7 +171,6 @@ class SimplifyPipeline:
         beam: int = DEFAULT_BEAM,
         max_constraints: int = 3,
         max_passes: int | None = None,
-        length_norm: float = 0.0,
         max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
     ):
         self.model = model
@@ -186,7 +180,6 @@ class SimplifyPipeline:
         self.beam = beam
         self.max_constraints = max_constraints
         self.max_passes = max_passes
-        self.length_norm = length_norm
         self.max_decode_len = max_decode_len
 
     @classmethod
@@ -200,7 +193,6 @@ class SimplifyPipeline:
             beam=config.beam,
             max_constraints=config.max_constraints,
             max_passes=config.max_passes or None,
-            length_norm=config.length_norm,
             max_decode_len=config.max_decode_len,
         )
 
@@ -223,7 +215,6 @@ class SimplifyPipeline:
             self.model,
             max_passes=self.max_passes,
             beam_size=self.beam,
-            length_norm=self.length_norm,
             max_decode_len=self.max_decode_len,
         )
         output = detokenize(self.vocab.decode(result.tokens))
@@ -279,5 +270,8 @@ def load_kb_or_empty(path: str) -> KnowledgeBase:
 def ensure_out_dir(config: PipelineConfig) -> str:
     if not config.out_dir:
         raise ConfigError("out_dir is required")
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IngestionError(f"cannot create out_dir {config.out_dir}: {exc.strerror}") from None
     return config.out_dir

@@ -36,30 +36,9 @@ from .model import (
     output_logits,
     save_checkpoint,
 )
+from .pipeline import PipelineConfig
 
 _PUNCT_SET = set(PUNCTUATION)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 16
-    rho: float = 0.95
-    eps: float = 1e-6
-    clip_norm: float = 5.0
-    seed: int = 13
-    checkpoint_every: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ContractError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.eps <= 0.0:
-            raise ContractError(f"eps must be positive, got {self.eps}")
-        if self.clip_norm < 0.0:
-            raise ContractError(f"clip_norm must be non-negative, got {self.clip_norm}")
-        for name in ("epochs", "batch_size", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class AdadeltaState:
@@ -230,20 +209,22 @@ def write_atomic_checkpoint(
 def train(
     corpus: CorpusSplit,
     model: Seq2SeqModel,
-    config: TrainConfig,
+    config: PipelineConfig,
     vocab: Vocabulary,
     freq_table: FrequencyTable,
     kb: KnowledgeBase | None = None,
-    out_dir: str | None = None,
 ) -> TrainResult:
     """Mini-batch training loop over the train split.
 
-    Constraint positions are selected once, deterministically, with
-    freq_table. Validation loss is computed without gradient updates on
-    the validation split (the train split when empty). Under out_dir, when
-    given, each epoch appends its row to training_log.csv as it ends, and
-    each checkpoint is written atomically with vocab and that freq_table,
-    the step-1 resources `simplify` reads back from it.
+    Reads the training settings of config (epochs, batch_size, rho, eps,
+    clip_norm, checkpoint_every, seed) and its out_dir; the model's
+    dimensions are the model's own. Constraint positions are selected once,
+    deterministically, with freq_table. Validation loss is computed without
+    gradient updates on the validation split (the train split when empty).
+    Under config.out_dir, unless it is "", each epoch appends its row to
+    training_log.csv as it ends, and each checkpoint is written atomically
+    with vocab and that freq_table, the step-1 resources `simplify` reads
+    back from it.
     """
     if not corpus.train:
         raise ContractError("training needs a non-empty train split")
@@ -263,7 +244,8 @@ def train(
     rng = random.Random(config.seed)
     result = TrainResult()
 
-    if out_dir is not None:
+    out_dir = config.out_dir
+    if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "training_log.csv")
         _write_log_row(log_path, "w", ["epoch", "train_loss", "valid_loss", "seconds"])
@@ -301,7 +283,7 @@ def train(
         )
         result.history.append(stats)
 
-        if out_dir is not None:
+        if out_dir:
             row = [epoch, repr(stats.train_loss), repr(stats.valid_loss), f"{stats.seconds:.3f}"]
             _write_log_row(log_path, "a", row)
             if epoch % config.checkpoint_every == 0 or epoch == config.epochs:

@@ -186,21 +186,19 @@ def exhaustive_best(step_fn, init_state, seed_token, boundary_id, content_ids, m
     return best
 
 
-def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, beam_size, max_new, length_norm=0.0):
+def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, beam_size, max_new):
     """Beam search that steps one hypothesis at a time; returns (tokens, log_prob).
 
     step_fn(prev_token, state) -> (new_state, log-probability list). Same
     rules as the decoder: a beam-1 greedy rollout seeds the finished pool
     of wider beams; beam 1 expands the argmax only, wider beams the best
     beam_size + 1 tokens; a hypothesis ends at the boundary (scored) or at
-    max_new tokens (unscored); ranking is by summed log-prob, optionally
-    divided by (length + 1) ** length_norm, then shorter, then smaller.
+    max_new tokens (unscored); ranking is by summed log-prob, then
+    shorter, then smaller.
     """
 
     def key(hyp):
         tokens, score = hyp[0], hyp[1]
-        if length_norm > 0.0:
-            score /= (len(tokens) + 1) ** length_norm
         return (-score, len(tokens), tokens)
 
     if max_new <= 0:
@@ -209,7 +207,7 @@ def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, bea
     finished = []
     if beam_size > 1:
         finished.append(
-            beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
+            beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, 1, max_new)
             + (None,)
         )
     for _ in range(max_new):
@@ -231,15 +229,13 @@ def beam_search_per_hypothesis(step_fn, init_state, seed_token, boundary_id, bea
         finished = finished[: beam_size * (max_new + 1)]
         if not active:
             break
-        if length_norm == 0.0 and finished and finished[0][1] > active[0][1]:
+        if finished and finished[0][1] > active[0][1]:
             break
     best = min(finished + active, key=key)
     return best[0], best[1]
 
 
-def beam_search_nested_greedy(
-    step_fn, init_state, seed_token, boundary_id, beam_size, max_new, length_norm=0.0
-):
+def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam_size, max_new):
     """Reference version of an earlier design: the batched beam search with
     the greedy hypothesis found by a nested beam-1 search run to the end
     before the beam starts, and its result put in the finished pool. Same
@@ -247,10 +243,7 @@ def beam_search_nested_greedy(
     """
 
     def rank(hyp):
-        score = hyp.log_prob
-        if length_norm > 0.0:
-            score /= (len(hyp.tokens) + 1) ** length_norm
-        return (-score, len(hyp.tokens), hyp.tokens)
+        return (-hyp.log_prob, len(hyp.tokens), hyp.tokens)
 
     if max_new <= 0:
         return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
@@ -258,7 +251,7 @@ def beam_search_nested_greedy(
     finished = []
     if beam_size > 1:
         finished.append(
-            beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, 1, max_new, length_norm)
+            beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, 1, max_new)
         )
     for _ in range(max_new):
         prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in active]
@@ -285,7 +278,7 @@ def beam_search_nested_greedy(
         finished = finished[: beam_size * (max_new + 1)]
         if not active:
             break
-        if length_norm == 0.0 and finished and finished[0].log_prob > active[0].log_prob:
+        if finished and finished[0].log_prob > active[0].log_prob:
             return finished[0]
     finished.extend(replace(hyp, stop="length_cap") for hyp in active)
     return min(finished, key=rank)

@@ -15,8 +15,9 @@ from sentsimp.decoding import _search, decode_multi
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
+from sentsimp.pipeline import PipelineConfig
 from sentsimp.autodiff import Tape
-from sentsimp.training import TrainConfig, select_training_constraint, train, training_loss
+from sentsimp.training import select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
 from gradcheck import finite_difference, max_relative_error
@@ -157,7 +158,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
             return step
 
         encoded = (annotations, h_mean)
-        backward = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, 3, beam_size, 0.0)
+        backward = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, 3, beam_size)
         state = init_decoder_state(h_mean, model.backward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.backward_decoder), state, 4, BOS_ID,
@@ -165,7 +166,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         )
         back_ok = backward.tokens == tokens and abs(backward.log_prob - score) < 1e-9
 
-        forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size, 0.0)
+        forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size)
         state = init_decoder_state(h_mean, model.forward_decoder)
         keys = attention_keys(annotations, model.forward_decoder)
         _, state, _ = decode_step([BOS_ID], state, annotations, keys, model.forward_decoder)
@@ -200,7 +201,7 @@ def overfit_run():
         ModelConfig(vocab_size=len(vocab), embed_dim=16, hidden_dim=32),
         seed=1,
     )
-    config = TrainConfig(epochs=170, batch_size=8, seed=13)
+    config = PipelineConfig(epochs=170, batch_size=8, seed=13)
     result = train(
         CorpusSplit(train=pairs), model, config, vocab, kb=kb, freq_table=freq_table
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentsimp import decoding
+from sentsimp import cli, decoding
 from sentsimp.cli import main
 from sentsimp.corpus import read_parallel_tokens, tokenize
 from sentsimp.lexsub import FrequencyTable
@@ -53,6 +53,19 @@ def trained_run(tmp_path_factory):
     )
     assert code == 0
     return root, out_dir, src, tgt, kb
+
+
+def record_searches(monkeypatch):
+    """The keyword arguments of every beam search run from here on."""
+    calls = []
+    real_beam_search = decoding.beam_search
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return real_beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, "beam_search", recorded)
+    return calls
 
 
 def test_train_writes_artifacts(trained_run):
@@ -100,20 +113,13 @@ def test_trained_beam_is_not_stored_and_simplify_decodes_at_the_pipeline_beam(tr
     ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
     with np.load(ckpt, allow_pickle=False) as archive:
         assert "config.beam_size" not in archive.files
-    widths = []
-    real_beam_search = decoding.beam_search
-
-    def recorded(*args, **kwargs):
-        widths.append(kwargs["beam_size"])
-        return real_beam_search(*args, **kwargs)
-
-    monkeypatch.setattr(decoding, "beam_search", recorded)
+    searches = record_searches(monkeypatch)
     line = build_toy_corpus(12, seed=3).pairs[1][0]
     base = PipelineConfig(checkpoint=str(ckpt), kb=str(kb))
     for config in (base, dataclasses.replace(base, beam=2)):
-        widths.clear()
+        searches.clear()
         SimplifyPipeline.from_config(config).simplify(line)
-        assert widths and set(widths) == {config.beam}
+        assert searches and {call["beam_size"] for call in searches} == {config.beam}
 
 
 @pytest.mark.parametrize("cap", [5, 40])
@@ -125,22 +131,71 @@ def test_simplify_decodes_at_the_pipeline_cap_not_a_stored_one(trained_run, monk
     ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
     with np.load(ckpt, allow_pickle=False) as archive:
         assert "config.max_decode_len" not in archive.files
-    budgets = []
-    real_beam_search = decoding.beam_search
-
-    def recorded(*args, **kwargs):
-        budgets.append(kwargs["max_new"])
-        return real_beam_search(*args, **kwargs)
-
-    monkeypatch.setattr(decoding, "beam_search", recorded)
+    searches = record_searches(monkeypatch)
     pipeline = SimplifyPipeline.from_config(PipelineConfig(checkpoint=str(ckpt), kb=str(kb), max_decode_len=cap))
     for normal, _ in build_toy_corpus(12, seed=3).pairs[:6]:
         output, trace = pipeline.simplify(normal)
         assert len(tokenize(output)) <= cap
         assert all(len(tokenize(p["output"])) <= cap for p in trace["passes"])
+    budgets = [call["max_new"] for call in searches]
     assert budgets and max(budgets) <= cap
     if cap > 16:
         assert max(budgets) > 16
+
+
+def test_simplify_reads_a_config_file_and_its_flags_override_it(trained_run, tmp_path, monkeypatch, capsys):
+    """`simplify --config` sets the decode cap, which no flag sets, and a
+    flag overrides the width the file gives."""
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    cfg = tmp_path / "simplify.cfg"
+    cfg.write_text("max_decode_len = 5\nbeam = 2\n", encoding="utf-8")
+    lines = [normal for normal, _ in build_toy_corpus(12, seed=3).pairs[:6]]
+    input_file = tmp_path / "in.txt"
+    input_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    searches = record_searches(monkeypatch)
+    code = main(
+        ["simplify", "--config", str(cfg), "--model", str(ckpt), "--kb", str(kb),
+         "--input", str(input_file), "--beam", "3"]
+    )
+    assert code == 0
+    outputs = capsys.readouterr().out.splitlines()
+    assert len(outputs) == len(lines)
+    assert all(len(tokenize(text)) <= 5 for text in outputs)
+    assert searches and {call["beam_size"] for call in searches} == {3}
+
+
+@pytest.mark.parametrize("sink", ["--output", "--trace"])
+def test_simplify_to_an_unwritable_path_is_data_error_before_any_line_is_decoded(
+    trained_run, tmp_path, monkeypatch, capsys, sink
+):
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    input_file = tmp_path / "in.txt"
+    input_file.write_text(build_toy_corpus(12, seed=3).pairs[1][0] + "\n", encoding="utf-8")
+    decoded = []
+    monkeypatch.setattr(SimplifyPipeline, "simplify", lambda self, line: decoded.append(line))
+    target = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = main(["simplify", "--model", str(ckpt), "--kb", str(kb), "--input", str(input_file), sink, str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(target) in err and len(err.splitlines()) == 1
+    assert decoded == []
+
+
+def test_train_into_an_out_dir_under_a_regular_file_is_data_error(tmp_path, monkeypatch, capsys):
+    data = build_toy_corpus(8, seed=2)
+    src, tgt = tmp_path / "n.txt", tmp_path / "s.txt"
+    data.write(str(src), str(tgt), str(tmp_path / "kb.tsv"))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "run"
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+    code = main(["train", "--source", str(src), "--target", str(tgt), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out) in err and len(err.splitlines()) == 1
+    assert trained == []
 
 
 class ClosedStdout:

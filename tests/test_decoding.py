@@ -160,8 +160,8 @@ def test_beam_wider_never_scores_worse():
             (model.forward_decoder, (BOS_ID, 7), EOS_ID),
         ):
             max_new = MAX_LEN - 1
-            narrow = _search(encoded, params, given, boundary, max_new, 1, 0.0)
-            wide = _search(encoded, params, given, boundary, max_new, 4, 0.0)
+            narrow = _search(encoded, params, given, boundary, max_new, 1)
+            wide = _search(encoded, params, given, boundary, max_new, 4)
             assert wide.log_prob >= narrow.log_prob - 1e-12
 
 
@@ -199,14 +199,14 @@ def test_beam_matches_exhaustive_search_tiny_vocab(seed):
     max_new = 4 - 1  # cap 4: 3 generated tokens after the 1-token block
 
     encoded = encode(source, model.encoder)
-    bwd = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, max_new, 100, 0.0)
+    bwd = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, max_new, 100)
     step_fn, state, seed_tok = _oracle_setup(model, model.backward_decoder, source, [4])
     content = [i for i in range(5) if i != BOS_ID]
     score, tokens = exhaustive_best(step_fn, state, seed_tok, BOS_ID, content, max_new)
     assert bwd.tokens == tokens
     assert bwd.log_prob == pytest.approx(score, abs=1e-10)
 
-    fwd = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, max_new, 100, 0.0)
+    fwd = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, max_new, 100)
     step_fn, state, seed_tok = _oracle_setup(model, model.forward_decoder, source, [BOS_ID, 4])
     content = [i for i in range(5) if i != EOS_ID]
     score, tokens = exhaustive_best(step_fn, state, seed_tok, EOS_ID, content, max_new)
@@ -248,13 +248,10 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
         step_fn, state = _one_row_stepper(model, params, source, given)
         max_new = max_len - len(given) + 1
         for beam in range(1, 7):
-            for length_norm in (0.0, 0.7):
-                got = _search(encoded, params, given, boundary, max_new, beam, length_norm)
-                tokens, log_prob = beam_search_per_hypothesis(
-                    step_fn, state, given[-1], boundary, beam, max_new, length_norm
-                )
-                assert got.tokens == tokens, (beam, length_norm, boundary)
-                assert got.log_prob == pytest.approx(log_prob, abs=1e-12)
+            got = _search(encoded, params, given, boundary, max_new, beam)
+            tokens, log_prob = beam_search_per_hypothesis(step_fn, state, given[-1], boundary, beam, max_new)
+            assert got.tokens == tokens, (beam, boundary)
+            assert got.log_prob == pytest.approx(log_prob, abs=1e-12)
 
 
 def _batched_stepper(model, params, source, given):
@@ -287,11 +284,10 @@ def test_folded_greedy_matches_nested_greedy_oracle(seed):
         step_fn, state = _batched_stepper(model, params, source, given)
         max_new = max_len - len(given) + 1
         for beam in range(1, 7):
-            for length_norm in (0.0, 0.5):
-                args = (step_fn, state, given[-1], boundary, beam, max_new, length_norm)
-                got, want = beam_search(*args), beam_search_nested_greedy(*args)
-                assert (got.tokens, got.stop) == (want.tokens, want.stop), (beam, length_norm, boundary)
-                assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
+            args = (step_fn, state, given[-1], boundary, beam, max_new)
+            got, want = beam_search(*args), beam_search_nested_greedy(*args)
+            assert (got.tokens, got.stop) == (want.tokens, want.stop), (beam, boundary)
+            assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
 
 
 def table_stepper(dist, vocab_size, widths):
@@ -512,11 +508,9 @@ def test_multi_with_single_constraint_reduces_to_constrained():
     multi = decode_multi(source, [[8]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     # one pass is the backward stage, the block, then the forward stage
     encoded = encode(source, model.encoder)
-    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, MAX_LEN - 1, BEAM, 0.0)
+    back = _search(encoded, model.backward_decoder, (8,), BOS_ID, MAX_LEN - 1, BEAM)
     prefix = back.tokens[::-1] + (8,)
-    fwd = _search(
-        encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, MAX_LEN - len(prefix), BEAM, 0.0
-    )
+    fwd = _search(encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, MAX_LEN - len(prefix), BEAM)
     assert multi.tokens == prefix + fwd.tokens
     assert multi.passes == (
         PassTrace((8,), multi.tokens, len(back.tokens) + 1, back.log_prob, fwd.log_prob, back.stop, fwd.stop),
@@ -559,7 +553,7 @@ def test_multi_without_constraints_is_plain_beam_decode():
     model = chain_model(fwd_succ={BOS_ID: 6, 6: 7, 7: EOS_ID}, bwd_succ={})
     result = decode_multi([4, 5], [], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     encoded = encode([4, 5], model.encoder)
-    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, MAX_LEN, BEAM, 0.0)
+    plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, MAX_LEN, BEAM)
     assert result.tokens == plain.tokens == (6, 7)
     assert result.passes == ()
 

@@ -77,9 +77,9 @@ def test_frequency_table_percentile_threshold():
     table = FrequencyTable.from_sequences([[f"t{i}"] * i for i in range(1, 11)], 30.0)  # counts 1..10
     assert table.counts == {f"t{i}": i for i in range(1, 11)}
     assert table.threshold == pytest.approx(3.7)
-    assert table.is_complex("t1") and table.is_complex("t3")
-    assert not table.is_complex("t5")
-    assert table.is_complex("unseen-token")
+    assert table.phrase_count(["t1"]) < table.threshold and table.phrase_count(["t3"]) < table.threshold
+    assert not table.phrase_count(["t5"]) < table.threshold
+    assert table.phrase_count(["unseen-token"]) < table.threshold
 
 
 def test_frequency_table_from_sequences():

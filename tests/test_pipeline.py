@@ -29,15 +29,17 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
 
 
 def test_shipped_configs_parse_and_desk_cfg_sets_every_non_path_key():
-    """configs/desk.cfg lists every non-path key at its default; the
-    benchmark builds its configs from it, so a stale key must fail here."""
+    """Both shipped configs list every non-path key, and configs/desk.cfg
+    sets each at its default; the benchmark builds its configs from it, so
+    a stale key in either must fail here."""
     configs = Path(__file__).resolve().parents[1] / "configs"
-    desk = configs / "desk.cfg"
-    lines = (line.split("#", 1)[0] for line in desk.read_text(encoding="utf-8").splitlines())
-    keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
     fields = [f.name for f in dataclasses.fields(PipelineConfig) if f.name not in _PATH_FIELDS]
-    assert sorted(keys) == sorted(fields)
-    assert parse_config(str(desk)) == PipelineConfig()
+    for name in ("desk.cfg", "full_scale.cfg"):
+        text = (configs / name).read_text(encoding="utf-8")
+        lines = (line.split("#", 1)[0] for line in text.splitlines())
+        keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
+        assert sorted(keys) == sorted(fields), name
+    assert parse_config(str(configs / "desk.cfg")) == PipelineConfig()
     assert parse_config(str(configs / "full_scale.cfg")).hidden_dim == 1000
 
 
@@ -66,6 +68,16 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     assert "beem" in str(err.value) and "line 1" in str(err.value)
 
 
+def test_parse_config_refuses_the_removed_length_norm_key(tmp_path):
+    """Beam search ranks by summed log-probability only: a config that
+    still sets length_norm is refused, as one setting share_decoders is."""
+    path = tmp_path / "old.cfg"
+    path.write_text("beam = 4\nlength_norm = 0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert str(err.value) == "line 2: unknown key 'length_norm'"
+
+
 def test_parse_config_rejects_bad_type_and_range(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("epochs = fast\n", encoding="utf-8")
@@ -91,7 +103,7 @@ def test_config_echo_roundtrip(tmp_path):
         beam=9,
         rho=0.875,
         eps=3e-7,
-        length_norm=0.5,
+        max_passes=2,
         seed=99,
     )
     path = tmp_path / "echo.cfg"

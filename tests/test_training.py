@@ -8,9 +8,9 @@ from sentsimp.corpus import BOS_ID, CorpusSplit, SentencePair, build_vocab
 from sentsimp.errors import ContractError, TrainingError
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
+from sentsimp.pipeline import PipelineConfig
 from sentsimp.training import (
     AdadeltaState,
-    TrainConfig,
     adadelta_step,
     clip_gradients,
     loss_token_count,
@@ -428,13 +428,13 @@ def source_table(corpus, vocab):
 
 
 def test_train_returns_history_and_is_deterministic(tmp_path):
-    cfg = TrainConfig(epochs=3, batch_size=2, seed=5, checkpoint_every=2)
     vocab = fake_vocab()
 
     def run(out_dir):
+        cfg = PipelineConfig(epochs=3, batch_size=2, seed=5, checkpoint_every=2, out_dir=out_dir)
         model = Seq2SeqModel.create(TINY, seed=2)
         corpus = toy_corpus()
-        return train(corpus, model, cfg, vocab, source_table(corpus, vocab), out_dir=out_dir)
+        return train(corpus, model, cfg, vocab, source_table(corpus, vocab))
 
     r1 = run(str(tmp_path / "a"))
     r2 = run(str(tmp_path / "b"))
@@ -455,11 +455,11 @@ def test_validation_does_not_change_parameters():
 
 
 def test_training_log_csv_written(tmp_path):
-    cfg = TrainConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1)
-    model = Seq2SeqModel.create(TINY, seed=2)
     out = tmp_path / "run"
+    cfg = PipelineConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1, out_dir=str(out))
+    model = Seq2SeqModel.create(TINY, seed=2)
     corpus, vocab = toy_corpus(), fake_vocab()
-    train(corpus, model, cfg, vocab, source_table(corpus, vocab), out_dir=str(out))
+    train(corpus, model, cfg, vocab, source_table(corpus, vocab))
     lines = (out / "training_log.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,valid_loss,seconds"
     assert len(lines) == 3
@@ -474,11 +474,11 @@ def test_training_log_keeps_rows_of_epochs_before_an_interruption(tmp_path, monk
         save_checkpoint(path, *args)
 
     monkeypatch.setattr(training, "save_checkpoint", save_or_fail)
-    cfg = TrainConfig(epochs=3, batch_size=4, seed=5, checkpoint_every=1)
     out = tmp_path / "run"
+    cfg = PipelineConfig(epochs=3, batch_size=4, seed=5, checkpoint_every=1, out_dir=str(out))
     corpus, vocab = toy_corpus(), fake_vocab()
     with pytest.raises(OSError):
-        train(corpus, Seq2SeqModel.create(TINY, seed=2), cfg, vocab, source_table(corpus, vocab), out_dir=str(out))
+        train(corpus, Seq2SeqModel.create(TINY, seed=2), cfg, vocab, source_table(corpus, vocab))
     rows = (out / "training_log.csv").read_text().splitlines()
     assert rows[0] == "epoch,train_loss,valid_loss,seconds"
     assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
@@ -489,8 +489,8 @@ def test_train_saves_the_vocabulary_and_frequency_table_it_trained_with(tmp_path
     """Each checkpoint carries train's own vocab and freq_table."""
     vocab = fake_vocab()
     freqs = FrequencyTable({"w4": 5, "w6": 1}, 2.5)
-    cfg = TrainConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1)
-    result = train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), cfg, vocab, freqs, out_dir=str(tmp_path))
+    cfg = PipelineConfig(epochs=2, batch_size=4, seed=5, checkpoint_every=1, out_dir=str(tmp_path))
+    result = train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), cfg, vocab, freqs)
     assert len(result.checkpoint_paths) == 2
     for path in result.checkpoint_paths:
         ckpt = load_checkpoint(path)
@@ -502,7 +502,7 @@ def test_train_saves_the_vocabulary_and_frequency_table_it_trained_with(tmp_path
 def test_train_requires_a_frequency_table():
     """The step-1 table has one owner, the caller: train builds none."""
     with pytest.raises(TypeError, match="freq_table"):
-        train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), TrainConfig(epochs=1), fake_vocab())
+        train(toy_corpus(), Seq2SeqModel.create(TINY, seed=2), PipelineConfig(epochs=1), fake_vocab())
 
 
 def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
@@ -520,7 +520,7 @@ def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
 
 
 def test_overfit_single_pair_memorizes():
-    cfg = TrainConfig(epochs=60, batch_size=1, seed=7, clip_norm=5.0)
+    cfg = PipelineConfig(epochs=60, batch_size=1, seed=7, clip_norm=5.0)
     model = Seq2SeqModel.create(
         ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=8),
         seed=3,
@@ -533,17 +533,19 @@ def test_overfit_single_pair_memorizes():
 
 @pytest.mark.parametrize("field", ["epochs", "checkpoint_every"])
 def test_train_config_rejects_a_count_below_one(field):
+    """The training settings live in PipelineConfig, which applies the
+    RANGE_CHECKS table when it is built."""
     with pytest.raises(ContractError, match=field):
-        TrainConfig(**{field: 0})
+        PipelineConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("field, value", [("rho", 0.0), ("rho", 1.0), ("eps", 0.0), ("clip_norm", -1.0)])
 def test_train_config_rejects_an_out_of_range_value(field, value):
     with pytest.raises(ContractError, match=field):
-        TrainConfig(**{field: value})
+        PipelineConfig(**{field: value})
 
 
 def test_train_rejects_empty_split():
     with pytest.raises(ContractError):
         model = Seq2SeqModel.create(TINY, seed=0)
-        train(CorpusSplit(), model, TrainConfig(epochs=1), fake_vocab(), FrequencyTable({}, 0.0))
+        train(CorpusSplit(), model, PipelineConfig(epochs=1), fake_vocab(), FrequencyTable({}, 0.0))
