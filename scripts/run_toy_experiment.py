@@ -10,6 +10,7 @@ the default settings on one core.
 
 import argparse
 import time
+from dataclasses import replace
 
 from sentsimp.corpus import CorpusSplit, SentencePair, build_vocab, detokenize, tokenize
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule, identify_and_substitute
@@ -43,15 +44,9 @@ def main():
         ModelConfig(vocab_size=len(vocab), embed_dim=args.embed_dim, hidden_dim=args.hidden_dim),
         seed=1,
     )
+    config = PipelineConfig(epochs=args.epochs, batch_size=8, seed=args.seed, beam=args.beam, max_decode_len=30)
     started = time.monotonic()
-    result = train(
-        CorpusSplit(train=pairs),
-        model,
-        PipelineConfig(epochs=args.epochs, batch_size=8, seed=args.seed),
-        vocab,
-        kb=kb,
-        freq_table=freq_table,
-    )
+    result = train(CorpusSplit(train=pairs), model, config, vocab, kb=kb, freq_table=freq_table)
     print(
         f"trained {args.epochs} epochs in {time.monotonic() - started:.0f}s, "
         f"final per-token loss {result.history[-1].train_loss:.4f}\n"
@@ -65,8 +60,8 @@ def main():
             rows.append(EvalTriple(tuple(src_tokens), tuple(system(src_tokens)), tuple(ref_tokens)))
         return evaluate_corpus(rows)
 
-    single = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=1, max_decode_len=30)
-    multi = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, beam=args.beam, max_constraints=3, max_decode_len=30)
+    single = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, replace(config, max_constraints=1))
+    multi = SimplifyPipeline(model, vocab, kb, lexsub_high_recall, replace(config, max_constraints=3))
 
     def substitute_only(tokens):
         _, out = identify_and_substitute(tokens, kb, lexsub_high_recall, max_constraints=5)

@@ -3,10 +3,10 @@
 The op set is exactly what the model runs, in row form: a batch is a
 (B, width) matrix with one example or hypothesis per row. There are a
 matrix product and a fused affine map `x @ w.T + b` on weights stored
-(out, in), elementwise addition and tanh, a fused row-wise softmax negative
-log-likelihood (and `log_softmax`, its plain-array helper, which decoding
-uses too), embedding lookup of several rows at once, joining matrices
-side by side or on top of each other, and the mean of a matrix's rows. Two
+(out, in), tanh, a fused row-wise softmax negative log-likelihood (and
+`log_softmax`, its plain-array helper, which decoding uses too), embedding
+lookup of several rows at once, joining matrices side by side or on top of
+each other, and the mean of a matrix's rows. Two
 fused ops cover the model's recurrent work, each with a hand-written
 backward pass: `gru_step` is one whole GRU update and `attention` one
 whole additive-attention read, so each costs one dispatch and one tape
@@ -182,10 +182,10 @@ class Tape:
         ends; then they are evaluated as one product of all their stacked
         rows, `concat(g).T @ concat(x)`. A :class:`RowGrad` is scattered in
         place, into a leaf's `.grad` or into an adjoint the walk owns: an
-        adjoint received from another record may be a view or shared (`add`
-        passes one array to both inputs), so it is copied before the first
-        scatter and the first dense sum into it makes a new array. Only the
-        walk's own adjoints take sums in place.
+        adjoint received from another record may be a view (a join passes
+        slices of its own) or shared with another input, so it is copied
+        before the first scatter and the first dense sum into it makes a new
+        array. Only the walk's own adjoints take sums in place.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -275,26 +275,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b: rows x (B, in) through a weight stored (out, in).
-
-    b is a bias (out,) added to every row, or a (B, out) matrix added row by
-    row (e.g. the input part of a fused pre-activation).
-    """
+    """x @ w.T + b: rows x (B, in) through a weight stored (out, in), and
+    the bias b (out,) added to every row."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: rows {x.shape} do not fit weight {w.shape}")
-    if b.shape not in ((w.shape[0],), (x.shape[0], w.shape[0])):
-        raise DimensionError(f"affine: bias {b.shape} does not fit output ({x.shape[0]}, {w.shape[0]})")
+    if b.shape != (w.shape[0],):
+        raise DimensionError(f"affine: bias {b.shape} does not fit output width {w.shape[0]}")
 
     def back(g: Array):
-        return g @ w.data, WeightGrad(g, x.data), (g.sum(axis=0) if b.ndim == 1 else g)
+        return g @ w.data, WeightGrad(g, x.data), g.sum(axis=0)
 
     return _emit(x.data @ w.data.T + b.data, (x, w, b), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ: {a.shape} vs {b.shape}")
-    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def _sigmoid(x: Array) -> Array:

@@ -54,19 +54,18 @@ def build_parser() -> _Parser:
     p.add_argument("--source", help="normal sentences, one per line (or a TSV when --target is omitted)")
     p.add_argument("--target", help="simple sentences, one per line")
     p.add_argument("--kb", help="paraphrase rules used for constraint selection")
-    p.add_argument("--out-dir", help="directory for checkpoints, logs, vocab")
+    p.add_argument("--out-dir", help="directory for checkpoints and logs")
     p.add_argument("--seed", type=int, help="overrides the config seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("simplify", help="simplify sentences from a file")
     p.add_argument("--config", help="key = value configuration file; the flags below override it")
-    p.add_argument("--model", dest="checkpoint", required=True, help="checkpoint path")
+    p.add_argument("--model", dest="checkpoint", help="checkpoint path")
     p.add_argument("--kb", help="paraphrase rule TSV")
     p.add_argument("--input", required=True, help="sentences to simplify, one per line")
     p.add_argument("--output", help="write results here instead of stdout")
     p.add_argument("--beam", type=int, help="beam width")
     p.add_argument("--max-constraints", type=int, help="most constraints applied per sentence")
-    p.add_argument("--max-passes", type=int, help="cap on generation passes")
     p.add_argument("--trace", help="write a JSON-lines trace of per-pass outputs here")
     p.set_defaults(func=_cmd_simplify)
 
@@ -118,6 +117,11 @@ def _cmd_train(args) -> int:
     pairs = [
         SentencePair(tuple(vocab.encode(s)), tuple(vocab.encode(t))) for s, t in token_pairs
     ]
+    if config.valid_size >= len(pairs):
+        raise ConfigError(
+            f"valid_size {config.valid_size} leaves no training pair: "
+            f"the corpus has {len(pairs)} usable pairs"
+        )
     split = split_corpus(pairs, config.valid_size, config.seed)
 
     freq_table = FrequencyTable.from_sequences(
@@ -126,7 +130,6 @@ def _cmd_train(args) -> int:
     kb = load_kb(config.kb) if config.kb else None
 
     echo_config(config, os.path.join(out_dir, "config.echo"))
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
 
     # size the output layer to the vocabulary actually built: with a small
     # corpus the configured cap would leave trainable ids no token can render
@@ -144,6 +147,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_simplify(args) -> int:
     config = _load_config(args)
+    if not config.checkpoint:
+        raise UsageError("simplify needs --model (or a config with checkpoint =)")
     pipeline = SimplifyPipeline.from_config(config)
     try:
         with open(args.input, encoding="utf-8") as fh:

@@ -89,12 +89,6 @@ class Vocabulary:
     def kept_tokens(self) -> list[str]:
         return self._id_to_token[NUM_SPECIALS:]
 
-    def save(self, path: str) -> None:
-        """One kept token per line; line index (0-based) is id minus 4."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.kept_tokens():
-                fh.write(tok + "\n")
-
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     """Keep the (max_size - 4) most frequent tokens; ties break lexicographically."""

@@ -37,10 +37,6 @@ from .model import (
     output_logits,
 )
 
-DEFAULT_BEAM = 5
-DEFAULT_MAX_DECODE_LEN = 100
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """A partial decode: generated tokens, their summed log-prob, its row
@@ -72,7 +68,7 @@ class PassTrace:
 @dataclass(frozen=True)
 class ConstraintOutcome:
     block: tuple[int, ...]
-    skipped: bool
+    skipped: bool  # already present verbatim in the previous pass's output
     pass_index: int | None  # 1-based pass that applied it, None when skipped
     final_position: int | None  # 1-based start in the final output, None if absent
 
@@ -225,9 +221,8 @@ def decode_multi(
     source: Sequence[int],
     constraint_blocks: Sequence[Sequence[int]],
     model: Seq2SeqModel,
-    max_passes: int | None = None,
-    beam_size: int = DEFAULT_BEAM,
-    max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
+    beam_size: int,
+    max_decode_len: int,
 ) -> DecodeResult:
     """Constrained generation, one encode and two stages per pass.
 
@@ -239,10 +234,11 @@ def decode_multi(
     output is reverse(backward) + block + forward. Pass 1 decodes the given
     source; pass i re-encodes the previous output. From the second
     constraint on, a block already present verbatim in the current output
-    is skipped. At most max_passes (default: the number of constraints)
-    passes run; with no constraints this is a plain beam decode with the
-    forward decoder from BOS. A pass's output holds at most max_decode_len
-    tokens, or just its block when the block alone is longer.
+    is skipped, so at most one pass runs per constraint; with no
+    constraints this is a plain beam decode with the forward decoder from
+    BOS. Every search keeps beam_size hypotheses. A pass's output holds at
+    most max_decode_len tokens, or just its block when the block alone is
+    longer.
     """
     if max_decode_len < 2:
         raise ContractError(f"max_decode_len must be at least 2, got {max_decode_len}")
@@ -251,15 +247,12 @@ def decode_multi(
         encoded = encode(source, model.encoder)
         hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, max_decode_len, beam_size)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
-    cap = len(blocks) if max_passes is None else max_passes
-    if cap < 1:
-        raise ContractError(f"max_passes must be at least 1, got {cap}")
 
     current = tuple(source)
     passes: list[PassTrace] = []
     outcomes: list[ConstraintOutcome] = []
     for block in blocks:
-        if (passes and find_block(passes[-1].output, block) is not None) or len(passes) >= cap:
+        if passes and find_block(passes[-1].output, block) is not None:
             outcomes.append(ConstraintOutcome(block, skipped=True, pass_index=None, final_position=None))
             continue
         _check_constraint_ids(block, model.config.vocab_size)

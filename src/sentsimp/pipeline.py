@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
-from .decoding import DEFAULT_BEAM, DEFAULT_MAX_DECODE_LEN, decode_multi
+from .decoding import decode_multi
 from .errors import ConfigError, ConstraintError, ContractError, IngestionError
 from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
 from .model import ModelConfig, Seq2SeqModel, load_checkpoint
@@ -46,10 +46,9 @@ class PipelineConfig:
     # decoding / step 1; the step-1 threshold comes from the checkpoint, so
     # complexity_percentile is read by training only, and training reads
     # neither beam nor max_decode_len
-    beam: int = DEFAULT_BEAM
-    max_decode_len: int = DEFAULT_MAX_DECODE_LEN
+    beam: int = 5
+    max_decode_len: int = 100
     max_constraints: int = 3
-    max_passes: int = 0  # 0: one pass per constraint
     complexity_percentile: float = 30.0
     seed: int = 13
 
@@ -86,7 +85,6 @@ RANGE_CHECKS = {
     "checkpoint_every": lambda v: v >= 1,
     "valid_size": lambda v: v >= 0,
     "max_constraints": lambda v: v >= 0,
-    "max_passes": lambda v: v >= 0,
     "complexity_percentile": lambda v: 0.0 <= v <= 100.0,
 }
 
@@ -160,7 +158,11 @@ def echo_config(config: PipelineConfig, path: str) -> None:
 
 
 class SimplifyPipeline:
-    """Loaded model plus Step-1 resources, reusable across input lines."""
+    """Loaded model plus Step-1 resources, reusable across input lines.
+
+    config supplies the decoding settings: max_constraints for step 1, beam
+    and max_decode_len for step 2. Its paths are read by from_config only.
+    """
 
     def __init__(
         self,
@@ -168,33 +170,19 @@ class SimplifyPipeline:
         vocab: Vocabulary,
         kb: KnowledgeBase,
         freq_table: FrequencyTable,
-        beam: int = DEFAULT_BEAM,
-        max_constraints: int = 3,
-        max_passes: int | None = None,
-        max_decode_len: int = DEFAULT_MAX_DECODE_LEN,
+        config: PipelineConfig,
     ):
         self.model = model
         self.vocab = vocab
         self.kb = kb
         self.freq_table = freq_table
-        self.beam = beam
-        self.max_constraints = max_constraints
-        self.max_passes = max_passes
-        self.max_decode_len = max_decode_len
+        self.config = config
 
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "SimplifyPipeline":
         ckpt = load_checkpoint(config.checkpoint)
-        return cls(
-            ckpt.model,
-            ckpt.vocab,
-            load_kb_or_empty(config.kb),
-            ckpt.freq_table,
-            beam=config.beam,
-            max_constraints=config.max_constraints,
-            max_passes=config.max_passes or None,
-            max_decode_len=config.max_decode_len,
-        )
+        kb = load_kb(config.kb) if config.kb else KnowledgeBase([])
+        return cls(ckpt.model, ckpt.vocab, kb, ckpt.freq_table, config)
 
     def simplify(self, sentence: str) -> tuple[str, dict]:
         """One line through both steps; returns (output text, trace)."""
@@ -205,17 +193,15 @@ class SimplifyPipeline:
             return "", trace
 
         constraints, substituted = identify_and_substitute(
-            tokens, self.kb, self.freq_table, self.max_constraints
+            tokens, self.kb, self.freq_table, self.config.max_constraints
         )
         blocks = _constraint_blocks(constraints, self.vocab)
-        source_ids = self.vocab.encode(substituted)
         result = decode_multi(
-            source_ids,
+            self.vocab.encode(substituted),
             blocks,
             self.model,
-            max_passes=self.max_passes,
-            beam_size=self.beam,
-            max_decode_len=self.max_decode_len,
+            beam_size=self.config.beam,
+            max_decode_len=self.config.max_decode_len,
         )
         output = detokenize(self.vocab.decode(result.tokens))
         trace.update(
@@ -261,10 +247,6 @@ def _constraint_blocks(constraints: ConstraintSet, vocab: Vocabulary) -> list[li
             )
         blocks.append(ids)
     return blocks
-
-
-def load_kb_or_empty(path: str) -> KnowledgeBase:
-    return load_kb(path) if path else KnowledgeBase([])
 
 
 def ensure_out_dir(config: PipelineConfig) -> str:

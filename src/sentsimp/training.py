@@ -5,10 +5,10 @@ Each pair contributes the negative log-likelihood of its backward sequence
 sentence-start boundary) plus its forward sequence (tokens after the
 constraint plus end-of-sentence, with the prefix teacher-forced). The
 decoders step one row at a time; only the steps that predict a scored
-token compute logits, and each stage's are scored by one fused
-`autodiff.nll` over the stacked logit rows, which stays finite when a
-target's probability underflows. Batches are gradient-accumulation
-groups; the optimizer step is Adadelta with a global-norm gradient clip.
+token compute logits, and the logit rows of both stages are scored by one
+fused `autodiff.nll` over their stack, which stays finite when a target's
+probability underflows. Batches are gradient-accumulation groups; the
+optimizer step is Adadelta with a global-norm gradient clip.
 """
 
 from __future__ import annotations
@@ -141,9 +141,8 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
 
     annotations, h_mean = encode(pair.source, model.encoder)
 
-    def stage_nll(params, inputs, predictions, scored_from):
-        # teacher-forced one-row steps; logits only for the scored steps,
-        # then one fused nll over them
+    def stage_logits(params, inputs, scored_from):
+        # teacher-forced one-row steps; logits only for the scored steps
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         scored = []
@@ -151,15 +150,15 @@ def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Ten
             e_prev, state, context = decode_step([prev], state, annotations, keys, params)
             if step >= scored_from:
                 scored.append(output_logits(e_prev, state, context, params))
-        return ad.nll(ad.stack(scored), predictions[scored_from:])
+        return scored
 
     # backward: inputs target[s-1], target[s-2], ..., target[0]; every step scored
     inputs = [target[i] for i in range(position - 1, -1, -1)]
-    backward = stage_nll(model.backward_decoder, inputs, inputs[1:] + [BOS_ID], 0)
+    backward = stage_logits(model.backward_decoder, inputs, 0)
     # forward: inputs BOS, target[0], ..., target[m-1]; the prefix y_1..y_s
     # is given, not predicted
-    forward = stage_nll(model.forward_decoder, [BOS_ID, *target], [*target, EOS_ID], position)
-    return ad.add(backward, forward)
+    forward = stage_logits(model.forward_decoder, [BOS_ID, *target], position)
+    return ad.nll(ad.stack(backward + forward), inputs[1:] + [BOS_ID, *target[position:], EOS_ID])
 
 
 def loss_token_count(pair: SentencePair) -> int:

@@ -443,6 +443,13 @@ def backward_dense(tape, loss):
 # ---------------------------------------------------------------- test-only autodiff ops
 
 
+def add(a, b):
+    """Entrywise sum."""
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ: {a.shape} vs {b.shape}")
+    return ad._emit(a.data + b.data, (a, b), lambda g: (g, g))
+
+
 def mul(a, b):
     """Hadamard (entrywise) product."""
     if a.shape != b.shape:
@@ -518,13 +525,14 @@ def attention_energies(keys, query, v):
 
 def gru_step_composed(gx, h_prev, u_zr, u_h):
     """Reference version of an earlier design: `autodiff.gru_step` composed
-    of 13 primitive ops (column segments, two affine maps, the gate
-    nonlinearities and the elementwise update), each with its own backward."""
+    of 15 primitive ops (column segments, two bias-free affine maps, each
+    plus its segment of gx, the gate nonlinearities and the elementwise
+    update), each with its own backward."""
     d = h_prev.shape[1]
-    zr = sigmoid(ad.affine(h_prev, u_zr, segment(gx, 0, 2 * d)))
+    zr = sigmoid(add(ad.affine(h_prev, u_zr, ad.zeros((2 * d,))), segment(gx, 0, 2 * d)))
     z, r = segment(zr, 0, d), segment(zr, d, 2 * d)
-    h_tilde = ad.tanh(ad.affine(mul(r, h_prev), u_h, segment(gx, 2 * d, 3 * d)))
-    return ad.add(mul(one_minus(z), h_prev), mul(z, h_tilde))
+    h_tilde = ad.tanh(add(ad.affine(mul(r, h_prev), u_h, ad.zeros((d,))), segment(gx, 2 * d, 3 * d)))
+    return add(mul(one_minus(z), h_prev), mul(z, h_tilde))
 
 
 def attention_composed(s, keys, annotations, w, b, v):
@@ -553,7 +561,7 @@ def training_loss_all_logits(pair, position, model):
     target = pair.target
     annotations, h_mean = encode(pair.source, model.encoder)
 
-    def stage_nll(params, inputs, predictions, scored_from):
+    def stage_logits(params, inputs, scored_from):
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         scored = []
@@ -561,9 +569,9 @@ def training_loss_all_logits(pair, position, model):
             state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
             if step >= scored_from:
                 scored.append(logits)
-        return ad.nll(ad.stack(scored), predictions[scored_from:])
+        return scored
 
     inputs = [target[i] for i in range(position - 1, -1, -1)]
-    backward = stage_nll(model.backward_decoder, inputs, inputs[1:] + [BOS_ID], 0)
-    forward = stage_nll(model.forward_decoder, [BOS_ID, *target], [*target, EOS_ID], position)
-    return ad.add(backward, forward)
+    backward = stage_logits(model.backward_decoder, inputs, 0)
+    forward = stage_logits(model.forward_decoder, [BOS_ID, *target], position)
+    return ad.nll(ad.stack(backward + forward), inputs[1:] + [BOS_ID, *target[position:], EOS_ID])

@@ -8,6 +8,7 @@ from sentsimp.errors import ContractError, DimensionError, NumericError
 
 from gradcheck import check_gradients, finite_difference, max_relative_error
 from oracles import (
+    add,
     attention_composed,
     attention_energies,
     backward_dense,
@@ -85,13 +86,10 @@ def test_affine_matches_triple_loop_oracle():
     product = matmul_loops(x.tolist(), [list(col) for col in zip(*w.tolist())])
     expected = [[p + bias for p, bias in zip(row, b.tolist())] for row in product]
     assert np.allclose(ad.affine(x, w, b).data, expected, rtol=0, atol=1e-12)
-    per_row = rnd((3, 2), seed=4)
-    assert np.allclose(ad.affine(x, w, per_row).data, np.array(product) + per_row.data, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("bias_shape", [(2,), (3, 2)])
-def test_affine_gradients(bias_shape):
-    x, w, b = rnd((3, 4), seed=5), rnd((2, 4), seed=6), rnd(bias_shape, seed=7)
+def test_affine_gradients():
+    x, w, b = rnd((3, 4), seed=5), rnd((2, 4), seed=6), rnd((2,), seed=7)
 
     def loss():
         out = ad.affine(x, w, b)
@@ -102,7 +100,9 @@ def test_affine_gradients(bias_shape):
 
 def test_affine_shape_checks():
     x, w = rnd((3, 4)), rnd((2, 4))
-    for args in ((x, rnd((4, 2)), rnd((2,))), (x, w, rnd((4,))), (x, w, rnd((2, 2))), (rnd((4,)), w, rnd((2,)))):
+    # the bias is one row (out,), never a matrix, even one of the output's shape
+    for args in ((x, rnd((4, 2)), rnd((2,))), (x, w, rnd((4,))), (x, w, rnd((2, 2))), (x, w, rnd((3, 2))),
+                 (rnd((4,)), w, rnd((2,)))):
         with pytest.raises(DimensionError):
             ad.affine(*args)
 
@@ -123,7 +123,7 @@ def test_sigmoid_matches_scalar_oracle():
 
 
 def test_binary_ops_require_equal_shapes():
-    for op in (ad.add, mul):
+    for op in (add, mul):
         with pytest.raises(DimensionError):
             op(rnd((2,)), rnd((3,)))
 
@@ -131,7 +131,7 @@ def test_binary_ops_require_equal_shapes():
 def test_elementwise_values():
     a = ad.Tensor([1.0, 2.0])
     b = ad.Tensor([3.0, 5.0])
-    assert ad.add(a, b).tolist() == [4.0, 7.0]
+    assert add(a, b).tolist() == [4.0, 7.0]
     assert mul(a, b).tolist() == [3.0, 10.0]
     assert one_minus(a).tolist() == [0.0, -1.0]
 
@@ -513,7 +513,7 @@ def test_fanout_accumulates_within_one_backward():
     w = ad.Tensor([2.0], requires_grad=True)
     with ad.Tape() as tape:
         y = mul(w, w)
-        loss = tsum(ad.add(y, y))  # d/dw of 2*w^2 = 4w
+        loss = tsum(add(y, y))  # d/dw of 2*w^2 = 4w
         tape.backward(loss)
     assert w.grad.tolist() == [8.0]
 
@@ -522,7 +522,7 @@ def test_leaf_gradients_never_share_an_array():
     a = ad.Tensor([1.0, 2.0], requires_grad=True)
     b = ad.Tensor([3.0, 4.0], requires_grad=True)
     with ad.Tape() as tape:
-        tape.backward(tsum(ad.add(a, b)))
+        tape.backward(tsum(add(a, b)))
     assert a.grad is not b.grad
     a.grad *= 0.5
     assert a.grad.tolist() == [0.5, 0.5]
@@ -535,8 +535,8 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     def loss():
         many = ad.affine(x, w, b)  # deferred weight gradient, 3 rows
         one = ad.affine(x1, w, b)  # deferred, 1 row
-        dense = ad.add(ad.matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
-        return ad.add(tsum(mul(many, many)), tsum(mul(dense, dense)))
+        dense = add(ad.matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
+        return add(tsum(mul(many, many)), tsum(mul(dense, dense)))
 
     grads = []
     for backward in (ad.Tape.backward, backward_dense):
@@ -557,8 +557,8 @@ def test_row_gradient_scatters_into_a_copy_of_a_shared_adjoint():
     def loss():
         a, b = ad.tanh(x), ad.tanh(y)
         picked = ad.take_rows(a, [2, 0, 2])
-        both = ad.add(a, b)  # walked first: a and b receive one shared adjoint
-        return ad.add(tsum(mul(both, weights)), tsum(mul(picked, picked)))
+        both = add(a, b)  # walked first: a and b receive one shared adjoint
+        return add(tsum(mul(both, weights)), tsum(mul(picked, picked)))
 
     grads = []
     for backward in (ad.Tape.backward, backward_dense):
@@ -577,7 +577,7 @@ def test_affine_with_a_computed_weight_gradcheck():
     def loss():
         squashed = ad.tanh(w)  # not a leaf: its weight gradients are evaluated at once
         many, one = ad.affine(x, squashed, b), ad.affine(x1, squashed, b)
-        return ad.add(tsum(mul(many, many)), tsum(mul(one, one)))
+        return add(tsum(mul(many, many)), tsum(mul(one, one)))
 
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
 
@@ -629,13 +629,13 @@ def test_composite_gru_like_gradcheck():
 
     def loss():
         def gate(name, state):
-            pre = ad.add(ad.matmul(e, params[f"w_{name}"]), ad.matmul(state, params[f"u_{name}"]))
-            return ad.add(pre, params[f"b_{name}"])
+            pre = add(ad.matmul(e, params[f"w_{name}"]), ad.matmul(state, params[f"u_{name}"]))
+            return add(pre, params[f"b_{name}"])
 
         z = sigmoid(gate("z", h_prev))
         r = sigmoid(gate("r", h_prev))
         h_tilde = ad.tanh(gate("h", mul(r, h_prev)))
-        h = ad.add(mul(one_minus(z), h_prev), mul(z, h_tilde))
+        h = add(mul(one_minus(z), h_prev), mul(z, h_tilde))
         return tsum(mul(h, h))
 
     assert check_gradients(loss, list(params.values()), eps=1e-5) < 1e-4

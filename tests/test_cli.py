@@ -12,7 +12,7 @@ import pytest
 
 from sentsimp import cli, decoding
 from sentsimp.cli import main
-from sentsimp.corpus import read_parallel_tokens, tokenize
+from sentsimp.corpus import build_vocab, read_parallel_tokens, tokenize
 from sentsimp.lexsub import FrequencyTable
 from sentsimp.model import ModelConfig, Seq2SeqModel, load_checkpoint, save_checkpoint
 from sentsimp.pipeline import PipelineConfig, SimplifyPipeline
@@ -70,11 +70,10 @@ def record_searches(monkeypatch):
 
 def test_train_writes_artifacts(trained_run):
     root, out_dir, *_ = trained_run
-    names = {p.name for p in out_dir.iterdir()}
-    assert "training_log.csv" in names
-    assert "vocab.txt" in names
-    assert "config.echo" in names
-    assert any(name.endswith(".ckpt") for name in names)
+    # the checkpoints hold the vocabulary: no vocab.txt is written next to them
+    assert {p.name for p in out_dir.iterdir()} == {
+        "training_log.csv", "config.echo", "epoch0001.ckpt", "epoch0002.ckpt"
+    }
     log = (out_dir / "training_log.csv").read_text().splitlines()
     assert log[0] == "epoch,train_loss,valid_loss,seconds"
     assert len(log) == 3
@@ -84,10 +83,10 @@ def test_train_checkpoint_is_loadable_and_self_contained(trained_run):
     _, out_dir, src, tgt, _ = trained_run
     ckpt_path = sorted(out_dir.glob("*.ckpt"))[-1]
     ckpt = load_checkpoint(str(ckpt_path))
-    # the vocabulary written next to it, and the table of the sources at
-    # the default complexity_percentile
-    assert ckpt.vocab.kept_tokens() == (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    # the vocabulary of the corpus at the config's cap, and the table of the
+    # sources at the default complexity_percentile
     token_pairs, _ = read_parallel_tokens(str(src), str(tgt))
+    assert ckpt.vocab.kept_tokens() == build_vocab((s + t for s, t in token_pairs), 120).kept_tokens()
     expected = FrequencyTable.from_sequences(s for s, _ in token_pairs)
     assert ckpt.freq_table.counts == expected.counts
     assert ckpt.freq_table.threshold == expected.threshold
@@ -163,6 +162,23 @@ def test_simplify_reads_a_config_file_and_its_flags_override_it(trained_run, tmp
     assert len(outputs) == len(lines)
     assert all(len(tokenize(text)) <= 5 for text in outputs)
     assert searches and {call["beam_size"] for call in searches} == {3}
+
+
+def test_simplify_takes_the_checkpoint_from_a_config_file(trained_run, tmp_path, capsys):
+    """`--model` may be left out when the config names the checkpoint; with
+    neither, simplify is a usage error."""
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    input_file = tmp_path / "in.txt"
+    input_file.write_text(build_toy_corpus(12, seed=3).pairs[1][0] + "\n", encoding="utf-8")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"checkpoint = {ckpt}\nkb = {kb}\n", encoding="utf-8")
+    assert main(["simplify", "--config", str(cfg), "--input", str(input_file)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+    cfg.write_text(f"kb = {kb}\n", encoding="utf-8")
+    assert main(["simplify", "--config", str(cfg), "--input", str(input_file)]) == 1
+    assert capsys.readouterr().err == "usage error: simplify needs --model (or a config with checkpoint =)\n"
 
 
 @pytest.mark.parametrize("sink", ["--output", "--trace"])
@@ -324,7 +340,7 @@ def test_simplify_flipped_checkpoint_byte_is_model_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--beam", "0"), ("--beam", "-2"), ("--max-constraints", "-1"), ("--max-passes", "-1")]
+    "flag, value", [("--beam", "0"), ("--beam", "-2"), ("--max-constraints", "-1")]
 )
 def test_simplify_out_of_range_flag_is_data_error(tmp_path, capsys, flag, value):
     """A flag is judged by the range check of its config key, as in a config file."""
@@ -351,6 +367,22 @@ def test_train_with_zero_epochs_is_config_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "data error: line 3: key 'epochs' has out-of-range value 0\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_train_with_a_valid_size_that_leaves_no_training_pair_is_config_error(tmp_path, capsys):
+    data = build_toy_corpus(8, seed=2)
+    src, tgt = tmp_path / "n.txt", tmp_path / "s.txt"
+    data.write(str(src), str(tgt), str(tmp_path / "kb.tsv"))
+    usable = len(read_parallel_tokens(str(src), str(tgt))[0])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"embed_dim = 4\nhidden_dim = 6\nvalid_size = {usable}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--source", str(src), "--target", str(tgt), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: valid_size {usable} leaves no training pair: the corpus has {usable} usable pairs\n"
+    )
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_evaluate_text_and_csv(tmp_path, capsys):

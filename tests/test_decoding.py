@@ -558,16 +558,6 @@ def test_multi_without_constraints_is_plain_beam_decode():
     assert result.passes == ()
 
 
-def test_multi_respects_max_passes_cap():
-    model = chain_model(
-        fwd_succ={5: EOS_ID, 6: EOS_ID, 7: EOS_ID},
-        bwd_succ={5: BOS_ID, 6: BOS_ID, 7: BOS_ID},
-    )
-    result = decode_multi([4], [[5], [6], [7]], model, max_passes=2, beam_size=BEAM, max_decode_len=MAX_LEN)
-    assert len(result.passes) == 2
-    assert result.outcomes[2].skipped
-
-
 def test_decode_result_records_passes_in_order():
     model = chain_model(
         fwd_succ={5: EOS_ID, 6: EOS_ID},

@@ -24,6 +24,7 @@ from sentsimp.model import (
 from gradcheck import check_gradients
 from resources import step1_resources
 from oracles import (
+    add,
     attention_composed,
     attention_loops,
     decode_step_with_logits,
@@ -385,7 +386,7 @@ def test_decode_step_rows_gradcheck(model):
 
     def loss():
         s1, logits = decode_step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
-        return ad.add(ad.nll(logits, [5, 6, 5]), tsum(mul(s1, s1)))
+        return add(ad.nll(logits, [5, 6, 5]), tsum(mul(s1, s1)))
 
     params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
               dec.att_w, dec.att_u, dec.att_v, dec.att_b, dec.out_w, dec.out_b]

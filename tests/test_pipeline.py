@@ -78,6 +78,16 @@ def test_parse_config_refuses_the_removed_length_norm_key(tmp_path):
     assert str(err.value) == "line 2: unknown key 'length_norm'"
 
 
+def test_parse_config_refuses_the_removed_max_passes_key(tmp_path):
+    """Step 2 runs one pass per constraint: a config that still caps the
+    passes is refused, as one setting length_norm is."""
+    path = tmp_path / "old.cfg"
+    path.write_text("beam = 4\nmax_passes = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert str(err.value) == "line 2: unknown key 'max_passes'"
+
+
 def test_parse_config_rejects_bad_type_and_range(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("epochs = fast\n", encoding="utf-8")
@@ -103,7 +113,7 @@ def test_config_echo_roundtrip(tmp_path):
         beam=9,
         rho=0.875,
         eps=3e-7,
-        max_passes=2,
+        max_constraints=2,
         seed=99,
     )
     path = tmp_path / "echo.cfg"
@@ -155,7 +165,8 @@ def showcase_pipeline():
         tok("important"): BOS_ID,
     }
     model = chain_model(fwd, bwd, vocab_size=len(vocab))
-    return SimplifyPipeline(model, vocab, kb, freqs, beam=3, max_constraints=3, max_decode_len=12), vocab
+    config = PipelineConfig(beam=3, max_constraints=3, max_decode_len=12)
+    return SimplifyPipeline(model, vocab, kb, freqs, config), vocab
 
 
 def test_simplify_applies_both_steps():

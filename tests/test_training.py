@@ -336,16 +336,17 @@ def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
     """Ops recorded for one pair with an n-token source and an m-token target:
     the encoder records 4n + 7 (the lookup, two input products, one row read
     and one GRU step per token and direction, two stacks, a concat and the
-    mean); each decoder stage 5 (keys, initial state, stacked logits, nll)
-    plus 5 per step (lookup, attention, concat, input product, GRU step)
-    plus 2 per scored step (concat, output product); one add joins the
-    stages. The backward stage steps and scores `position` times, the
-    forward stage steps m + 1 times and scores m + 1 - position of them."""
+    mean); each decoder stage 3 (keys and the two ops of the initial
+    state) plus 5 per step (lookup, attention, concat, input product, GRU
+    step) plus 2 per scored step (concat, output product); one stack and
+    one nll score the logit rows of both stages. The backward stage steps
+    and scores `position` times, the forward stage steps m + 1 times and
+    scores m + 1 - position of them."""
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
     with Tape() as tape:
         training_loss(pair, position, model)
-    assert len(tape) == 4 * n + 7 * m + 5 * position + 25
+    assert len(tape) == 4 * n + 7 * m + 5 * position + 22
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
