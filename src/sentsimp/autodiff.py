@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the model runs, in row form: a batch is a
-(B, width) matrix with one example or hypothesis per row. There are a
-matrix product and a fused affine map `x @ w.T + b` on weights stored
-(out, in), tanh, a fused row-wise softmax negative log-likelihood (and
+(B, width) matrix with one example or hypothesis per row. There is one
+weight product, the fused affine map `x @ w.T + b` on weights stored
+(out, in); then tanh, a fused row-wise softmax negative log-likelihood (and
 `log_softmax`, its plain-array helper, which decoding uses too), embedding
 lookup of several rows at once, joining matrices side by side or on top of
 each other, and the mean of a matrix's rows. Two
@@ -90,10 +90,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -200,8 +196,7 @@ class Tape:
             out_adj = adjoints.pop(id(out), None)
             if out_adj is None:
                 continue
-            if out.requires_grad:
-                out.grad = out_adj if out.grad is None else out.grad + out_adj
+            out.grad = out_adj if out.grad is None else out.grad + out_adj
             for inp, grad in zip(inputs, backward_fn(out_adj)):
                 if grad is None:
                     continue
@@ -258,20 +253,6 @@ def _emit(
         if tapes:
             tapes[-1]._record(out, inputs, backward_fn)
     return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul: expected two matrices, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def back(g: Array):
-        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
-        return g @ b.data.T, np.dot(a.data.T, g)
-
-    return _emit(a.data @ b.data, (a, b), back)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -430,31 +411,30 @@ def gru_step(gx: Tensor, h_prev: Tensor, u_zr: Tensor, u_h: Tensor) -> Tensor:
     return _emit((1.0 - z) * h0 + z * h_tilde, (gx, h_prev, u_zr, u_h), back)
 
 
-def attention(
-    s: Tensor, keys: Tensor, annotations: Tensor, w: Tensor, b: Tensor, v: Tensor
-) -> tuple[Tensor, Array]:
+def attention(s: Tensor, keys: Tensor, annotations: Tensor, w: Tensor, v: Tensor) -> tuple[Tensor, Array]:
     """One additive-attention read for B query states s (B, dim), fused
     into one op.
 
-    The query rows are s @ w.T + b; the energies of row b are
-    v . tanh(keys[j] + query[b]) over the n key rows; their row-wise softmax
-    alpha (B, n) weighs the n annotation rows. Returns the contexts
-    alpha @ annotations (B, width) and alpha as a plain array. The weight
-    gradient of w is a `WeightGrad`, like that of `affine`. Non-finite
-    energies raise NumericError.
+    The query rows are s @ w.T; the energies of row b are
+    v . tanh(keys[j] + query[b]) over the n key rows, so any bias of the
+    energies belongs in the keys; their row-wise softmax alpha (B, n) weighs
+    the n annotation rows. Returns the contexts alpha @ annotations
+    (B, width) and alpha as a plain array. The weight gradient of w is a
+    `WeightGrad`, like that of `affine`. Non-finite energies raise
+    NumericError.
     """
     if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1]:
         raise DimensionError(f"attention: states {s.shape} do not fit weight {w.shape}")
     dim = w.shape[0]
     if (
-        b.shape != (dim,) or v.shape != (dim,) or keys.ndim != 2 or keys.shape[1] != dim
+        v.shape != (dim,) or keys.ndim != 2 or keys.shape[1] != dim
         or annotations.ndim != 2 or annotations.shape[0] != keys.shape[0]
     ):
         raise DimensionError(
-            f"attention: weight {w.shape}, bias {b.shape}, v {v.shape}, keys {keys.shape}"
+            f"attention: weight {w.shape}, v {v.shape}, keys {keys.shape}"
             f" and annotations {annotations.shape} disagree"
         )
-    query = s.data @ w.data.T + b.data
+    query = s.data @ w.data.T
     hidden = np.tanh(keys.data[None, :, :] + query[:, None, :])  # (B, n, dim)
     alpha = _softmax(hidden @ v.data, "attention: energies contain non-finite values")
 
@@ -467,8 +447,7 @@ def attention(
             d_pre.sum(axis=0),
             np.dot(alpha.T, g),
             WeightGrad(d_query, s.data),
-            d_query.sum(axis=0),
             d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1),
         )
 
-    return _emit(alpha @ annotations.data, (s, keys, annotations, w, b, v), back), alpha
+    return _emit(alpha @ annotations.data, (s, keys, annotations, w, v), back), alpha

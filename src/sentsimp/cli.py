@@ -105,7 +105,6 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     if not config.source:
         raise UsageError("train needs --source (or a config with source =)")
-    out_dir = ensure_out_dir(config)
 
     token_pairs, skipped = read_parallel_tokens(config.source, config.target or None)
     for lineno, reason in skipped:
@@ -129,6 +128,8 @@ def _cmd_train(args) -> int:
     )
     kb = load_kb(config.kb) if config.kb else None
 
+    # only once every input has been read, so a data error leaves no out_dir
+    out_dir = ensure_out_dir(config)
     echo_config(config, os.path.join(out_dir, "config.echo"))
 
     # size the output layer to the vocabulary actually built: with a small

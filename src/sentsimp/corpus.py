@@ -19,8 +19,7 @@ PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<s>", "</s>", "unk"
 SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 NUM_SPECIALS = 4
 
-PUNCTUATION = (".", ",", ";", ":", "!", "?", '"', "'", "(", ")")
-_PUNCT_SET = set(PUNCTUATION)
+PUNCTUATION = frozenset({".", ",", ";", ":", "!", "?", '"', "'", "(", ")"})
 
 
 def tokenize(text: str) -> list[str]:
@@ -28,7 +27,7 @@ def tokenize(text: str) -> list[str]:
     lowered = text.lower()
     pieces = []
     for ch in lowered:
-        if ch in _PUNCT_SET:
+        if ch in PUNCTUATION:
             pieces.append(f" {ch} ")
         else:
             pieces.append(ch)
@@ -39,7 +38,7 @@ def detokenize(tokens: Sequence[str]) -> str:
     """Cosmetic inverse of tokenize: punctuation reattaches to the left."""
     out: list[str] = []
     for tok in tokens:
-        if out and tok in _PUNCT_SET:
+        if out and tok in PUNCTUATION:
             out[-1] += tok
         else:
             out.append(tok)

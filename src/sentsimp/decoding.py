@@ -250,10 +250,10 @@ def decode_multi(
 
     current = tuple(source)
     passes: list[PassTrace] = []
-    outcomes: list[ConstraintOutcome] = []
+    pass_indices: list[int | None] = []  # per block: the 1-based pass that applied it, or None
     for block in blocks:
         if passes and find_block(passes[-1].output, block) is not None:
-            outcomes.append(ConstraintOutcome(block, skipped=True, pass_index=None, final_position=None))
+            pass_indices.append(None)
             continue
         _check_constraint_ids(block, model.config.vocab_size)
         encoded = encode(current, model.encoder)
@@ -279,14 +279,12 @@ def decode_multi(
                 forward_stop=fwd.stop,
             )
         )
-        outcomes.append(
-            ConstraintOutcome(block, skipped=False, pass_index=len(passes), final_position=None)
-        )
+        pass_indices.append(len(passes))
         current = output
 
-    final = passes[-1].output if passes else tuple(source)
-    outcomes = [
-        ConstraintOutcome(o.block, o.skipped, o.pass_index, find_block(final, o.block))
-        for o in outcomes
-    ]
-    return DecodeResult(tokens=final, outcomes=tuple(outcomes), passes=tuple(passes))
+    final = passes[-1].output
+    outcomes = tuple(
+        ConstraintOutcome(block, index is None, index, find_block(final, block))
+        for block, index in zip(blocks, pass_indices)
+    )
+    return DecodeResult(tokens=final, outcomes=outcomes, passes=tuple(passes))

@@ -9,7 +9,7 @@ constraint set handed to the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,19 +53,13 @@ class KnowledgeBase:
     def __len__(self) -> int:
         return self._size
 
-    def rules(self) -> list[ParaphraseRule]:
-        return [rule for bucket in self._by_head.values() for rule in bucket]
-
-    def match_at(self, tokens: Sequence[str], start: int) -> ParaphraseRule | None:
-        """Longest-match rule whose complex side equals tokens[start:...]."""
-        bucket = self._by_head.get(tokens[start])
-        if not bucket:
-            return None
-        for rule in bucket:
+    def matches_at(self, tokens: Sequence[str], start: int) -> Iterator[ParaphraseRule]:
+        """Every rule whose complex side equals tokens[start:...]: longest
+        first, then best score, then shorter simple side."""
+        for rule in self._by_head.get(tokens[start], ()):
             end = start + len(rule.complex)
             if end <= len(tokens) and tuple(tokens[start:end]) == rule.complex:
-                return rule
-        return None
+                yield rule
 
 
 def _parse_row(line: str, lineno: int) -> ParaphraseRule:
@@ -197,7 +191,7 @@ def identify_and_substitute(
     matches: list[tuple[int, int, ParaphraseRule, int]] = []  # (start, end, rule, freq)
     i = 0
     while i < len(tokens):
-        rule = kb.match_at(tokens, i)
+        rule = next(kb.matches_at(tokens, i), None)
         freq = freq_table.phrase_count(rule.complex) if rule is not None else None
         if freq is not None and freq < freq_table.threshold:
             end = i + len(rule.complex)

@@ -22,7 +22,6 @@ from .errors import ContractError
 Tokens = Sequence[str]
 
 IBLEU_ALPHA = 0.9
-_PUNCT_SET = set(PUNCTUATION)
 _SENTENCE_END = {".", "!", "?"}
 _VOWELS = set("aeiouy")
 
@@ -175,7 +174,7 @@ def count_syllables(word: str) -> int:
 def fk_counts(tokens: Tokens) -> tuple[int, int, int]:
     """(words, sentences, syllables) with punctuation tokens excluded from
     the word count and sentences split on . ! ? (at least one)."""
-    words = [t for t in tokens if t not in _PUNCT_SET]
+    words = [t for t in tokens if t not in PUNCTUATION]
     sentences = max(1, sum(1 for t in tokens if t in _SENTENCE_END))
     syllables = sum(count_syllables(w) for w in words)
     return len(words), sentences, syllables

@@ -16,9 +16,10 @@ weights fused: the encoder runs it on each token's embedding, a decoder on
 the previous token's embedding joined to its attention context. An
 attention read is one op too (`autodiff.attention`); each has a
 hand-written backward pass. The encoder computes the input pre-activations
-of a whole source in one product before its recurrence. Attention keys
-depend only on the annotations, so each decoder stage computes them once
-with `attention_keys` and passes them to every step. A decoder step is two
+of a whole source in one product before its recurrence. Attention keys,
+the attention bias included, depend only on the annotations, so each
+decoder stage computes them once, as one `affine` map in
+`attention_keys`, and passes them to every step. A decoder step is two
 functions: `decode_step` updates the state, and `output_logits` projects a
 step's rows onto the vocabulary, so a teacher-forced step whose prediction
 nothing scores skips that product. The model holds no decoding setting:
@@ -41,7 +42,7 @@ from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
 INIT_SCALE = 0.08
-CHECKPOINT_FORMAT = "seq2seq-ckpt v5"
+CHECKPOINT_FORMAT = "seq2seq-ckpt v6"
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class DecoderParams:
     embedding: Tensor  # (V, E)
     gru: GruParams  # input is [previous embedding; context], E + 2dim wide
     att_w: Tensor  # (dim, dim)
-    att_u: Tensor  # (2dim, dim)
+    att_u: Tensor  # (dim, 2dim)
     att_v: Tensor  # (dim,)
     att_b: Tensor  # (dim,)
     init_w: Tensor  # (dim, 2dim)
@@ -117,7 +118,7 @@ def _decoder_params(rng, cfg: ModelConfig) -> DecoderParams:
         embedding=_param(_draw(rng, (v, e))),
         gru=_gru_params(rng, d, e, ctx=2 * d),
         att_w=_param(_draw(rng, (d, d))),
-        att_u=_param(_draw(rng, (d, 2 * d)).T),
+        att_u=_param(_draw(rng, (d, 2 * d))),
         att_v=_param(_draw(rng, (d,))),
         att_b=_param(np.zeros(d)),
         init_w=_param(_draw(rng, (d, 2 * d))),
@@ -207,8 +208,10 @@ def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
 
 
 def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
-    """U_a h_j for every annotation row (n x dim); fixed for a whole stage."""
-    return ad.matmul(annotations, params.att_u)
+    """U_a h_j + b_a for every annotation row (n x dim). They are fixed for
+    a whole stage, so the attention bias is added here once, not to every
+    step's query."""
+    return ad.affine(annotations, params.att_u, params.att_b)
 
 
 def attend(
@@ -216,7 +219,7 @@ def attend(
 ) -> tuple[Tensor, np.ndarray]:
     """Additive attention for B decoder states (B, dim): context rows
     (B, 2dim) and attention weights (B, n), the latter a plain array."""
-    return ad.attention(s_prev, keys, annotations, params.att_w, params.att_b, params.att_v)
+    return ad.attention(s_prev, keys, annotations, params.att_w, params.att_v)
 
 
 def decode_step(
@@ -299,7 +302,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a `save_checkpoint` archive into a fresh model.
 
     A missing, empty, cut, corrupt or foreign file (such as a v1 or v2 text
-    checkpoint, or a v3 or v4 archive) raises CheckpointError naming the
+    checkpoint, or a v3, v4 or v5 archive) raises CheckpointError naming the
     path and, where there is one, the archive member; so does a `vocab`
     member that is not a vocabulary of the model's `vocab_size`, a
     `freq_threshold` that does not hold exactly one finite value, or a

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary, find_block
+from .corpus import BOS_ID, EOS_ID, PUNCTUATION, CorpusSplit, SentencePair, Vocabulary
 from .errors import ContractError, TrainingError
 from .lexsub import FrequencyTable, KnowledgeBase
 from .model import (
@@ -37,8 +37,6 @@ from .model import (
     save_checkpoint,
 )
 from .pipeline import PipelineConfig
-
-_PUNCT_SET = set(PUNCTUATION)
 
 
 class AdadeltaState:
@@ -107,20 +105,19 @@ def select_training_constraint(
     target_tokens = vocab.decode(pair.target)
 
     if kb is not None:
-        candidates = []
-        for rule in kb.rules():
-            if len(rule.simple) != 1 or rule.simple[0] not in target_tokens:
-                continue
-            if find_block(source_tokens, rule.complex) is not None:
-                position = target_tokens.index(rule.simple[0]) + 1
-                candidates.append((freq_table.phrase_count(rule.complex), position, rule.complex))
+        candidates = [
+            (freq_table.phrase_count(rule.complex), target_tokens.index(rule.simple[0]) + 1, rule.complex)
+            for start in range(len(source_tokens))
+            for rule in kb.matches_at(source_tokens, start)
+            if len(rule.simple) == 1 and rule.simple[0] in target_tokens
+        ]
         if candidates:
             return min(candidates)[1]
 
     fallback = [
         (freq_table.count(tok), i + 1)
         for i, tok in enumerate(target_tokens)
-        if tok not in _PUNCT_SET
+        if tok not in PUNCTUATION
     ]
     if not fallback:  # all punctuation: least-frequent token of any kind
         fallback = [(freq_table.count(tok), i + 1) for i, tok in enumerate(target_tokens)]

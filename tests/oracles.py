@@ -5,8 +5,8 @@ directly from the defining formulas, and share no code with the package
 under test. The exceptions are marked as reference versions of an earlier
 design: they keep a replaced algorithm, built from the package's own
 primitives, so that its replacement can be checked against it. The
-autodiff ops that only the tests use (entrywise products, sigmoid,
-softmax, sums, column segments and attention energies) live here too,
+autodiff ops that only the tests use (matrix and entrywise products,
+sigmoid, softmax, sums, column segments and attention energies) live here too,
 recorded on the package's tape through `autodiff._emit`.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from sentsimp import autodiff as ad
-from sentsimp.corpus import BOS_ID, EOS_ID
+from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
 from sentsimp.decoding import Hypothesis
 from sentsimp.errors import DimensionError, NumericError
 from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
@@ -284,6 +284,30 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
     return min(finished, key=rank)
 
 
+# ---------------------------------------------------------------- constraint choice
+
+
+def select_training_constraint_scan(pair, rules, freq_table, vocab):
+    """Reference version of an earlier design: `training.select_training_constraint`
+    scanning every rule of the knowledge base for each pair, rules given as
+    a list, with a whole-source search for each rule's complex side."""
+    source_tokens = vocab.decode(pair.source)
+    target_tokens = vocab.decode(pair.target)
+    candidates = []
+    for rule in rules:
+        if len(rule.simple) != 1 or rule.simple[0] not in target_tokens:
+            continue
+        if find_block(source_tokens, rule.complex) is not None:
+            position = target_tokens.index(rule.simple[0]) + 1
+            candidates.append((freq_table.phrase_count(rule.complex), position, rule.complex))
+    if candidates:
+        return min(candidates)[1]
+    fallback = [(freq_table.count(tok), i + 1) for i, tok in enumerate(target_tokens) if tok not in PUNCTUATION]
+    if not fallback:
+        fallback = [(freq_table.count(tok), i + 1) for i, tok in enumerate(target_tokens)]
+    return min(fallback)[1]
+
+
 # ---------------------------------------------------------------- metrics
 
 
@@ -443,6 +467,15 @@ def backward_dense(tape, loss):
 # ---------------------------------------------------------------- test-only autodiff ops
 
 
+def matmul(a, b):
+    """Matrix product of two matrices."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul: expected two matrices, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
+    return ad._emit(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
 def add(a, b):
     """Entrywise sum."""
     if a.shape != b.shape:
@@ -535,13 +568,14 @@ def gru_step_composed(gx, h_prev, u_zr, u_h):
     return add(mul(one_minus(z), h_prev), mul(z, h_tilde))
 
 
-def attention_composed(s, keys, annotations, w, b, v):
+def attention_composed(s, keys, annotations, w, v):
     """Reference version of an earlier design: `autodiff.attention` composed
-    of 4 primitive ops (the query affine map, the energies, the softmax and
-    the context product). Returns the context rows and alpha as tensors."""
-    query = ad.affine(s, w, b)
+    of 4 primitive ops (the bias-free query affine map, the energies, the
+    softmax and the context product). Returns the context rows and alpha as
+    tensors."""
+    query = ad.affine(s, w, ad.zeros((w.shape[0],)))
     alpha = softmax(attention_energies(keys, query, v))
-    return ad.matmul(alpha, annotations), alpha
+    return matmul(alpha, annotations), alpha
 
 
 # ---------------------------------------------------------------- decoder steps with logits

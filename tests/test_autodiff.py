@@ -13,6 +13,7 @@ from oracles import (
     attention_energies,
     backward_dense,
     gru_step_composed,
+    matmul,
     matmul_loops,
     mul,
     one_minus,
@@ -36,33 +37,33 @@ def rnd(shape, seed=0):
 def test_matmul_identity():
     eye = ad.Tensor(np.eye(2))
     m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert ad.matmul(eye, m).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert matmul(eye, m).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_matmul_projector():
     p = ad.Tensor([[1.0, 0.0], [0.0, 0.0]])
     v = ad.Tensor([[5.0], [7.0]])
-    assert ad.matmul(p, v).tolist() == [[5.0], [0.0]]
+    assert matmul(p, v).tolist() == [[5.0], [0.0]]
 
 
 def test_matmul_matches_triple_loop_oracle():
     a = rnd((3, 4), seed=1)
     b = rnd((4, 2), seed=2)
     expected = matmul_loops(a.tolist(), b.tolist())
-    got = ad.matmul(a, b).tolist()
+    got = matmul(a, b).tolist()
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as err:
-        ad.matmul(rnd((2, 3)), rnd((2, 3)))
+        matmul(rnd((2, 3)), rnd((2, 3)))
     assert "(2, 3)" in str(err.value)
 
 
 def test_matmul_rejects_vectors():
     for shape_a, shape_b in (((3, 4), (4,)), ((3,), (3, 5)), ((3,), (3,))):
         with pytest.raises(DimensionError):
-            ad.matmul(rnd(shape_a), rnd(shape_b))
+            matmul(rnd(shape_a), rnd(shape_b))
 
 
 @pytest.mark.parametrize(
@@ -73,7 +74,7 @@ def test_matmul_gradients(shape_a, shape_b):
     a, b = rnd(shape_a, seed=3), rnd(shape_b, seed=4)
 
     def loss():
-        return tsum(ad.matmul(a, b))
+        return tsum(matmul(a, b))
 
     assert check_gradients(loss, [a, b]) < 1e-4
 
@@ -381,9 +382,9 @@ def gru_inputs(rows, seed=0):
 
 
 def attention_inputs(rows, seed=0):
-    """s (rows, 2), keys (5, 3), annotations (5, 4), w (3, 2), b (3,), v (3,):
-    the state, query and annotation widths all differ."""
-    shapes = [(rows, 2), (5, 3), (5, 4), (3, 2), (3,), (3,)]
+    """s (rows, 2), keys (5, 3), annotations (5, 4), w (3, 2), v (3,): the
+    state, query and annotation widths all differ."""
+    shapes = [(rows, 2), (5, 3), (5, 4), (3, 2), (3,)]
     return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
 
 
@@ -439,10 +440,10 @@ def test_attention_alpha_equals_composed_oracle(rows):
 
 
 def test_attention_rejects_a_nan_query():
-    s, keys, annotations, w, b, v = attention_inputs(2, seed=60)
+    s, keys, annotations, w, v = attention_inputs(2, seed=60)
     s.data[1, 0] = np.nan
     with pytest.raises(NumericError):
-        ad.attention(s, keys, annotations, w, b, v)
+        ad.attention(s, keys, annotations, w, v)
 
 
 @pytest.mark.parametrize("position, shape", [(0, (2, 8)), (1, (2, 2)), (1, (1, 3)), (2, (6, 2)), (3, (3, 2))])
@@ -453,8 +454,14 @@ def test_gru_step_rejects_mismatched_shapes(position, shape):
         ad.gru_step(*inputs)
 
 
+# v was the sixth input while attention still took a bias; its rank-2 case
+# keeps the id it had then.
 @pytest.mark.parametrize(
-    "position, shape", [(0, (2, 3)), (1, (5, 2)), (1, (4, 3)), (2, (4, 4)), (3, (2, 3)), (4, (2,)), (5, (3, 1))]
+    "position, shape",
+    [
+        (0, (2, 3)), (1, (5, 2)), (1, (4, 3)), (2, (4, 4)), (3, (2, 3)), (4, (2,)),
+        pytest.param(4, (3, 1), id="5-shape6"),
+    ],
 )
 def test_attention_rejects_mismatched_shapes(position, shape):
     inputs = attention_inputs(2, seed=80)
@@ -535,7 +542,7 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     def loss():
         many = ad.affine(x, w, b)  # deferred weight gradient, 3 rows
         one = ad.affine(x1, w, b)  # deferred, 1 row
-        dense = add(ad.matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
+        dense = add(matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
         return add(tsum(mul(many, many)), tsum(mul(dense, dense)))
 
     grads = []
@@ -629,7 +636,7 @@ def test_composite_gru_like_gradcheck():
 
     def loss():
         def gate(name, state):
-            pre = add(ad.matmul(e, params[f"w_{name}"]), ad.matmul(state, params[f"u_{name}"]))
+            pre = add(matmul(e, params[f"w_{name}"]), matmul(state, params[f"u_{name}"]))
             return add(pre, params[f"b_{name}"])
 
         z = sigmoid(gate("z", h_prev))
@@ -647,7 +654,7 @@ def test_tape_replay_determinism():
         x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
         v = ad.Tensor(rng.uniform(-1, 1, size=(4, 1)), requires_grad=True)
         with ad.Tape() as tape:
-            out = tsum(sigmoid(ad.matmul(x, ad.tanh(v))))
+            out = tsum(sigmoid(matmul(x, ad.tanh(v))))
             tape.backward(out)
         return out.item(), x.grad.copy(), v.grad.copy()
 

@@ -382,7 +382,15 @@ def test_train_with_a_valid_size_that_leaves_no_training_pair_is_config_error(tm
     assert capsys.readouterr().err == (
         f"data error: valid_size {usable} leaves no training pair: the corpus has {usable} usable pairs\n"
     )
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_train_with_a_missing_source_is_data_error_and_creates_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--source", str(tmp_path / "missing.txt"), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
 
 
 def test_evaluate_text_and_csv(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_load_kb_basic_rows(tmp_path):
     kb = load_kb(str(path))
     assert len(kb) == 2
     assert kb.rejected == []
-    rule = kb.match_at(["a", "great", "deal", "of"], 0)
+    (rule,) = kb.matches_at(["a", "great", "deal", "of"], 0)
     assert rule.simple == ("many",)
     assert rule.complex == ("a", "great", "deal", "of")
 

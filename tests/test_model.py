@@ -68,7 +68,7 @@ def decoder_as_dict(dec):
         out[f"c_{name}"] = w[:, e:].tolist()
         out[f"u_{name}"] = gates[f"u_{gate}"]
         out[f"b_{name}"] = gates[f"b_{gate}"]
-    out["att"] = {"w": dec.att_w.tolist(), "u": dec.att_u.data.T.tolist(), "b": dec.att_b.tolist(), "v": dec.att_v.tolist()}
+    out["att"] = {"w": dec.att_w.tolist(), "u": dec.att_u.tolist(), "b": dec.att_b.tolist(), "v": dec.att_v.tolist()}
     out["out_w"] = dec.out_w.tolist()
     out["out_b"] = dec.out_b.tolist()
     return out
@@ -99,7 +99,7 @@ def test_parameter_shapes(model):
         assert shapes[f"{side}.gru.u_zr"] == (2 * d, d)
         assert shapes[f"{side}.gru.u_h"] == (d, d)
         assert shapes[f"{side}.gru.b"] == (3 * d,)
-        assert shapes[f"{side}.att_u"] == (2 * d, d)
+        assert shapes[f"{side}.att_u"] == (d, 2 * d)
         assert shapes[f"{side}.init_w"] == (d, 2 * d)
         assert shapes[f"{side}.out_w"] == (v, e + d + 2 * d)
     assert all(t.requires_grad for t in model.parameters())
@@ -140,7 +140,7 @@ def test_seeded_init_equals_stacked_per_gate_draws(dims, seed):
         expected[f"{side}.gru.u_h"] = u[2]
         expected[f"{side}.gru.b"] = np.zeros(3 * d)
         expected[f"{side}.att_w"] = draw(d, d)
-        expected[f"{side}.att_u"] = draw(d, 2 * d).T
+        expected[f"{side}.att_u"] = draw(d, 2 * d)
         expected[f"{side}.att_v"] = draw(d)
         expected[f"{side}.att_b"] = np.zeros(d)
         expected[f"{side}.init_w"] = draw(d, 2 * d)
@@ -230,6 +230,7 @@ def test_attend_matches_scalar_loop_oracle(model):
     rng = np.random.default_rng(3)
     s = ad.Tensor(rng.uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
+    dec.att_b.data[...] = rng.uniform(-1, 1, size=3)  # a bias the zero init would hide
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
     ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
     assert np.allclose(alpha, alpha_o, atol=1e-12)
@@ -337,7 +338,7 @@ def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec):
     """`decode_step`'s new states, with the GRU step and the attention read
     composed of primitive ops."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
-    context, _ = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_b, dec.att_v)
+    context, _ = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
     gx = ad.affine(ad.concat([e_prev, context]), dec.gru.w, dec.gru.b)
     return gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h)
 
@@ -611,13 +612,14 @@ def test_checkpoint_corruption_raises_checkpoint_error_naming_the_member(tmp_pat
 
 
 def test_checkpoint_refuses_v1_header(tmp_path, model):
-    """Only a `seq2seq-ckpt v5` archive loads: text checkpoints (v1, v2), a
+    """Only a `seq2seq-ckpt v6` archive loads: text checkpoints (v1, v2), a
     v3 archive (which also held `config.beam_size`), a v4 archive (which
-    also held `config.max_decode_len`), a bare .npy, an empty file, a zip of
-    raw bytes and archives with another format are refused."""
+    also held `config.max_decode_len`), a v5 archive (which stored each
+    `att_u` as (2H, H)), a bare .npy, an empty file, a zip of raw bytes and
+    archives with another format are refused."""
     path = saved_checkpoint(tmp_path, model)
     with np.load(path, allow_pickle=False) as archive:
-        assert str(archive["format"]) == "seq2seq-ckpt v5"
+        assert str(archive["format"]) == "seq2seq-ckpt v6"
         assert not {"config.beam_size", "config.max_decode_len"} & set(archive.files)
     foreign = {
         "v1.ckpt": b"seq2seq-ckpt v1\nconfig vocab_size 9\n",
@@ -629,11 +631,13 @@ def test_checkpoint_refuses_v1_header(tmp_path, model):
     np.save(tmp_path / "bare.npy", np.zeros(3))
     np.savez(tmp_path / "other.npz", weights=np.zeros(3))
     with zipfile.ZipFile(tmp_path / "raw.zip", "w") as zf:
-        zf.writestr("format.npy", b"seq2seq-ckpt v5")
+        zf.writestr("format.npy", b"seq2seq-ckpt v6")
     older = {
         "v3.ckpt": {"format": np.array("seq2seq-ckpt v3"), "config.beam_size": np.int64(5),
                     "config.max_decode_len": np.int64(100)},
         "v4.ckpt": {"format": np.array("seq2seq-ckpt v4"), "config.max_decode_len": np.int64(100)},
+        "v5.ckpt": {"format": np.array("seq2seq-ckpt v5"), "backward.att_u": model.backward_decoder.att_u.data.T,
+                    "forward.att_u": model.forward_decoder.att_u.data.T},
     }
     for name, members in older.items():
         (tmp_path / name).write_bytes(path.read_bytes())
@@ -644,7 +648,7 @@ def test_checkpoint_refuses_v1_header(tmp_path, model):
             load_checkpoint(str(tmp_path / name))
         assert str(tmp_path / name) in str(err.value)
         if name in older:
-            assert "member 'format'" in str(err.value) and "seq2seq-ckpt v5" in str(err.value)
+            assert "member 'format'" in str(err.value) and "seq2seq-ckpt v6" in str(err.value)
 
 
 def test_checkpoint_token_with_trailing_nul_round_trips(tmp_path, model):

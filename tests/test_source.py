@@ -1,0 +1,42 @@
+"""Checks on the package source itself, read with `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sentsimp"
+
+
+def unused_imports(source):
+    """Names bound by the module-level imports of source that the module
+    neither reads nor lists in `__all__`. A name read only inside a string
+    annotation counts as unused; the package quotes only its own classes."""
+    tree = ast.parse(source)
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_finder_sees_reads_and_exports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\nimport numpy as np\nfrom a import B, C, D\n"
+        "__all__ = ['C']\n"
+        "def f(x) -> np.ndarray:\n    return B\n"
+    )
+    assert unused_imports(source) == ["D (line 4)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

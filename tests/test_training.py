@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentsimp.autodiff import Tape, Tensor
 from sentsimp.corpus import BOS_ID, CorpusSplit, SentencePair, build_vocab
@@ -20,6 +22,7 @@ from sentsimp.training import (
 )
 
 from gradcheck import check_gradients
+from oracles import select_training_constraint_scan
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
 
@@ -140,6 +143,29 @@ def test_select_constraint_fallback_least_frequent_non_punctuation():
     )
     s = select_training_constraint(pair, None, freqs, vocab)
     assert s == 1  # "later" has the lowest count among non-punctuation tokens
+
+
+WORDS = ("a", "b", "c", "d", "e", ".", ",")
+
+
+def phrases(max_size):
+    return st.lists(st.sampled_from(WORDS), min_size=1, max_size=max_size).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(phrases(3), phrases(2), st.sampled_from([0.2, 0.5, 0.9])), max_size=12),
+    source=phrases(8),
+    target=phrases(8),
+    counts=st.lists(st.integers(0, 6), min_size=len(WORDS), max_size=len(WORDS)),
+)
+def test_select_constraint_equals_the_full_kb_scan(rows, source, target, counts):
+    rules = [ParaphraseRule(c, s, score) for c, s, score in rows if c != s]
+    vocab = build_vocab([WORDS], max_size=len(WORDS) + 4)
+    freqs = FrequencyTable(dict(zip(WORDS, counts)), threshold=3)
+    pair = SentencePair(tuple(vocab.encode(source)), tuple(vocab.encode(target)))
+    want = select_training_constraint_scan(pair, rules, freqs, vocab)
+    assert select_training_constraint(pair, KnowledgeBase(rules), freqs, vocab) == want
 
 
 def test_select_constraint_deterministic():
@@ -322,7 +348,7 @@ def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
     monkeypatch.setattr(
         model_module,
         "attend",
-        lambda s, annotations, keys, p: attention_composed(s, keys, annotations, p.att_w, p.att_b, p.att_v),
+        lambda s, annotations, keys, p: attention_composed(s, keys, annotations, p.att_w, p.att_v),
     )
     want, want_grads = run()
     assert got == want
