@@ -1,23 +1,29 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the model runs, in row form: a batch is a
-(B, width) matrix with one example or hypothesis per row. There is one
-weight product, the fused affine map `x @ w.T + b` on weights stored
-(out, in); then tanh, a fused row-wise softmax negative log-likelihood (and
-`log_softmax`, its plain-array helper, which decoding uses too), embedding
-lookup of several rows at once, joining matrices side by side or on top of
-each other, and the mean of a matrix's rows. Two
-fused ops cover the model's recurrent work, each with a hand-written
-backward pass: `gru_step` is one whole GRU update and `attention` one
-whole additive-attention read, so each costs one dispatch and one tape
-record instead of a dozen. Gradients are recorded on an explicit
-:class:`Tape` that is rebuilt every forward pass, so variable-length
-sequences need no static graph. With no tape active the same functions
-run as plain numpy computations, which is how decoding executes.
+(B, width) matrix with one example or hypothesis per row, and a padded
+batch of sequences is B equal blocks of rows, one block per sequence,
+with the sequences' lengths beside it. There is one weight product, the
+fused affine map `x @ w.T + b` on weights stored (out, in); then tanh, a
+fused row-wise softmax negative log-likelihood (and `log_softmax`, its
+plain-array helper, which decoding uses too), lookup of several rows at
+once, joining matrices side by side or on top of each other, and the mean
+of a matrix's rows or of each block's real rows. Two fused ops cover the
+model's recurrent work, each one op per recurrence with a hand-written
+backward pass through time and per-row length masks: `gru_scan` runs a
+whole GRU direction, and `decoder_scan` a whole decoder stage over given
+inputs (per step an additive-attention read, the GRU input product and
+the GRU update), so a recurrence costs one dispatch and one tape record
+however long it is. Gradients are recorded on an explicit :class:`Tape`
+that is rebuilt every forward pass, so variable-length sequences need no
+static graph. With no tape active the same functions run as plain numpy
+computations, which is how decoding and validation execute; the scans
+then keep no intermediates for a backward pass.
 
 The weight gradient of `affine` is the product `g.T @ x` of its output
 adjoint and its input rows. Its backward returns that product unevaluated,
-as a :class:`WeightGrad`; :meth:`Tape.backward` collects these for each
+as a :class:`WeightGrad` (the scans return one per weight, every step's
+rows stacked); :meth:`Tape.backward` collects these for each
 leaf weight and evaluates them at the end as one matrix product over all
 the stacked rows, instead of one outer product and one full-size sum per
 step. The gradient of `take_rows` stays sparse in the same way: its
@@ -285,9 +291,13 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(out, (a,), back)
 
 
-def _softmax(x: Array, non_finite: str) -> Array:
+def _softmax(x: Array, non_finite: str, pad: Array | None = None) -> Array:
+    """Row-wise softmax of finite x; entries where pad is True get weight
+    exactly 0 (each row needs one entry that is not a pad)."""
     if not np.all(np.isfinite(x)):
         raise NumericError(non_finite)
+    if pad is not None:
+        x = np.where(pad, -np.inf, x)
     exps = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return exps / exps.sum(axis=-1, keepdims=True)
 
@@ -356,16 +366,43 @@ def stack(blocks: Sequence[Tensor]) -> Tensor:
     return _join(blocks, 0)
 
 
-def mean_rows(m: Tensor) -> Tensor:
-    """Arithmetic mean over the rows of a matrix, as one row (1, width)."""
+def _blocks(rows: int, lengths: Sequence[int], op: str) -> tuple[int, Array | None]:
+    """The block size n of `rows` rows split into one equal block per
+    length, and the (B, n) mask of each block's first lengths[b] rows, or
+    None when every block is full."""
+    n = rows // max(len(lengths), 1)
+    if not lengths or n * len(lengths) != rows:
+        raise DimensionError(f"{op}: {rows} rows do not split into {len(lengths)} equal blocks")
+    if min(lengths) < 1 or max(lengths) > n:
+        raise ContractError(f"{op}: lengths {list(lengths)} outside 1..{n}")
+    if min(lengths) == n:
+        return n, None
+    return n, np.arange(n)[None, :] < np.asarray(lengths)[:, None]
+
+
+def mean_rows(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Arithmetic mean over the rows of a matrix, as one row (1, width).
+
+    With lengths, the rows are len(lengths) equal blocks of a padded batch,
+    and row b of the result (B, width) is the mean of the first lengths[b]
+    rows of block b."""
     if m.ndim != 2:
         raise DimensionError(f"mean_rows: expected a matrix, got shape {m.shape}")
-    n = m.shape[0]
+    lengths = [m.shape[0]] if lengths is None else [int(k) for k in lengths]
+    n, real = _blocks(m.shape[0], lengths, "mean_rows")
+    blocks = m.data.reshape(len(lengths), n, -1)
+    counts = np.asarray(lengths, dtype=np.float64)[:, None]
+    if real is not None:  # pad rows add exact zeros, so a row's sum is its own
+        blocks = np.where(real[:, :, None], blocks, 0.0)
 
     def back(g: Array):
-        return (np.tile(g / n, (n, 1)),)
+        grad = np.empty(blocks.shape)
+        grad[...] = (g / counts)[:, None, :]
+        if real is not None:
+            grad = np.where(real[:, :, None], grad, 0.0)
+        return (grad.reshape(m.shape),)
 
-    return _emit(m.data.mean(axis=0, keepdims=True), (m,), back)
+    return _emit(blocks.sum(axis=1) / counts, (m,), back)
 
 
 def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
@@ -379,75 +416,225 @@ def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
     return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
 
 
-def gru_step(gx: Tensor, h_prev: Tensor, u_zr: Tensor, u_h: Tensor) -> Tensor:
-    """One GRU update of B rows, fused into one op:
-    h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @ u_h.T), with the
-    update and reset gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T).
 
-    gx (B, 3dim) holds the input pre-activations of the gates in the order
-    update, reset, candidate; u_zr is (2dim, dim) and u_h (dim, dim). The
-    weight gradients are `WeightGrad`s, like those of `affine`.
-    """
-    if h_prev.ndim != 2 or gx.ndim != 2:
-        raise DimensionError(f"gru_step: expected matrices, got gx {gx.shape} and h_prev {h_prev.shape}")
-    rows, d = h_prev.shape
-    if gx.shape != (rows, 3 * d) or u_zr.shape != (2 * d, d) or u_h.shape != (d, d):
-        raise DimensionError(
-            f"gru_step: gx {gx.shape}, h_prev {h_prev.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
-        )
-    h0 = h_prev.data
-    zr = _sigmoid(h0 @ u_zr.data.T + gx.data[:, : 2 * d])
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether `_emit` will record an op on these inputs, so that its
+    backward pass needs the forward pass's intermediates."""
+    return bool(_STACKS.tapes) and any(t.requires_grad for t in inputs)
+
+
+def _gru_update(h0: Array, gx: Array, u_zr: Array, u_h: Array, live: Array | None):
+    """One GRU update of the states h0 (B, dim) by the input
+    pre-activations gx (B, 3dim): h = (1 - z) * h0 + z * tanh(gx_h +
+    (r * h0) @ u_h.T), with the gates [z, r] = sigmoid(gx_zr + h0 @ u_zr.T).
+    Rows where live (B, 1) is False keep h0. Returns the new states and
+    what `_gru_update_back` needs."""
+    d = h0.shape[1]
+    zr = _sigmoid(h0 @ u_zr.T + gx[:, : 2 * d])
+    z = zr[:, :d]
+    rh = zr[:, d:] * h0
+    h_tilde = np.tanh(rh @ u_h.T + gx[:, 2 * d :])
+    h = (1.0 - z) * h0 + z * h_tilde
+    if live is not None:
+        h = np.where(live, h, h0)
+    return h, (h0, zr, rh, h_tilde, live)
+
+
+def _gru_update_back(g: Array, saved: tuple, u_zr: Array, u_h: Array) -> tuple[Array, Array, Array]:
+    """For the adjoint g of a `_gru_update`'s new states: the adjoints of
+    its gate pre-activations d_zr (B, 2dim) and candidate pre-activations
+    d_cand (B, dim), the rows of the weight gradients of u_zr (on h0) and
+    u_h (on r * h0), and the adjoint of h0."""
+    h0, zr, rh, h_tilde, live = saved
+    d = h0.shape[1]
     z, r = zr[:, :d], zr[:, d:]
-    rh = r * h0
-    h_tilde = np.tanh(rh @ u_h.data.T + gx.data[:, 2 * d :])
+    d_cand = g * z * (1.0 - h_tilde * h_tilde)
+    d_rh = d_cand @ u_h
+    d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
+    d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr
+    if live is not None:  # a row that kept its state passes its adjoint through
+        d_cand = np.where(live, d_cand, 0.0)
+        d_zr = np.where(live, d_zr, 0.0)
+        d_h = np.where(live, d_h, g)
+    return d_zr, d_cand, d_h
+
+
+def gru_scan(gx: Tensor, u_zr: Tensor, u_h: Tensor, lengths: Sequence[int], reverse: bool) -> Tensor:
+    """A whole GRU direction over a padded batch, fused into one op.
+
+    gx (B*n, 3dim) holds the input pre-activations of the gates, in the
+    order update, reset, candidate, for B rows of n steps each, row b in
+    block b*n .. b*n + n - 1; u_zr is (2dim, dim) and u_h (dim, dim). Every
+    row starts from a zero state and steps left to right, or right to left
+    when reverse; a step is the GRU update
+    h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @ u_h.T), with the
+    gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T). Row b reads only its
+    first lengths[b] steps: on the others its state stays as it is, so
+    right to left it is still zero when it reaches its last real step.
+    Returns the states (B*n, dim), each in the row of the step that made
+    it. The backward pass runs through time by hand; the weight gradients
+    are one `WeightGrad` each, all steps stacked.
+    """
+    if gx.ndim != 2 or u_h.ndim != 2:
+        raise DimensionError(f"gru_scan: expected matrices, got gx {gx.shape} and u_h {u_h.shape}")
+    d = u_h.shape[0]
+    if gx.shape[1] != 3 * d or u_zr.shape != (2 * d, d) or u_h.shape != (d, d):
+        raise DimensionError(f"gru_scan: gx {gx.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree")
+    lengths = [int(k) for k in lengths]
+    n, real = _blocks(gx.shape[0], lengths, "gru_scan")
+    rows = len(lengths)
+    x = gx.data.reshape(rows, n, 3 * d)
+    keep = _recording((gx, u_zr, u_h))
+    saved = []
+    states = np.empty((rows, n, d))
+    h = np.zeros((rows, d))
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        h, step = _gru_update(h, x[:, t], u_zr.data, u_h.data, None if real is None else real[:, t, None])
+        states[:, t] = h
+        if keep:
+            saved.append((t, step))
 
     def back(g: Array):
-        d_cand = g * z * (1.0 - h_tilde * h_tilde)
-        d_rh = d_cand @ u_h.data
-        d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
-        d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr.data
-        return np.concatenate([d_zr, d_cand], axis=1), d_h, WeightGrad(d_zr, h0), WeightGrad(d_cand, rh)
+        g = g.reshape(rows, n, d)
+        d_gx = np.zeros_like(x)
+        d_h = np.zeros((rows, d))
+        rows_of = []
+        for t, step in reversed(saved):
+            d_zr, d_cand, d_h = _gru_update_back(g[:, t] + d_h, step, u_zr.data, u_h.data)
+            d_gx[:, t, : 2 * d] = d_zr
+            d_gx[:, t, 2 * d :] = d_cand
+            rows_of.append((d_zr, step[0], d_cand, step[2]))
+        d_zr, h0, d_cand, rh = (np.concatenate(part) for part in zip(*rows_of))
+        return d_gx.reshape(gx.shape), WeightGrad(d_zr, h0), WeightGrad(d_cand, rh)
 
-    return _emit((1.0 - z) * h0 + z * h_tilde, (gx, h_prev, u_zr, u_h), back)
+    return _emit(states.reshape(rows * n, d), (gx, u_zr, u_h), back)
 
 
-def attention(s: Tensor, keys: Tensor, annotations: Tensor, w: Tensor, v: Tensor) -> tuple[Tensor, Array]:
-    """One additive-attention read for B query states s (B, dim), fused
-    into one op.
+def decoder_scan(
+    e: Tensor,
+    s0: Tensor,
+    keys: Tensor,
+    annotations: Tensor,
+    att_w: Tensor,
+    att_v: Tensor,
+    w: Tensor,
+    b: Tensor,
+    u_zr: Tensor,
+    u_h: Tensor,
+    steps: Sequence[int],
+    source_lengths: Sequence[int] | None = None,
+) -> tuple[Tensor, Array]:
+    """A decoder stage over given inputs, fused into one op.
 
-    The query rows are s @ w.T; the energies of row b are
-    v . tanh(keys[j] + query[b]) over the n key rows, so any bias of the
-    energies belongs in the keys; their row-wise softmax alpha (B, n) weighs
-    the n annotation rows. Returns the contexts alpha @ annotations
-    (B, width) and alpha as a plain array. The weight gradient of w is a
-    `WeightGrad`, like that of `affine`. Non-finite energies raise
-    NumericError.
+    Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
+    step t reads e[b*T + t], the embedding of the row's t-th given token,
+    where T is the longest row. A step is one additive-attention read by
+    the state before it, the GRU input product on [embedding; context] with
+    w (3dim, E + width) and b (3dim,), and the GRU update of `gru_scan`.
+    The attention energies of a state s are v . tanh(keys[j] + s @ att_w.T)
+    over the key rows j; their softmax weighs the annotation rows into the
+    context (width wide). With source_lengths None, keys (n, ·) and
+    annotations (n, width) belong to one source that every row reads;
+    otherwise they hold one block of n rows per row, of which row b reads
+    the first source_lengths[b]: the others get weight exactly 0.
+
+    Returns the rows [state; context] (B*T, dim + width), row b*T + t after
+    step t, and the attention weights (B*T, n) as a plain array. Past its
+    last step a row's state stays as it is. The backward pass runs through
+    time by hand; each weight gradient of a product is one `WeightGrad`,
+    all steps stacked. Non-finite energies raise NumericError.
     """
-    if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1]:
-        raise DimensionError(f"attention: states {s.shape} do not fit weight {w.shape}")
-    dim = w.shape[0]
+    steps = [int(k) for k in steps]
+    rows = len(steps)
+    if not steps or min(steps) < 1:
+        raise ContractError(f"decoder_scan: step counts {steps} empty or below 1")
+    T = max(steps)
+    if s0.ndim != 2 or e.ndim != 2 or s0.shape[0] != rows or e.shape[0] != rows * T:
+        raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit steps {steps}")
+    d, width, emb = s0.shape[1], annotations.shape[-1], e.shape[1]
     if (
-        v.shape != (dim,) or keys.ndim != 2 or keys.shape[1] != dim
-        or annotations.ndim != 2 or annotations.shape[0] != keys.shape[0]
+        u_zr.shape != (2 * d, d) or u_h.shape != (d, d) or w.shape != (3 * d, emb + width) or b.shape != (3 * d,)
+        or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],)
+        or keys.ndim != 2 or annotations.ndim != 2 or keys.shape != (annotations.shape[0], att_w.shape[0])
     ):
         raise DimensionError(
-            f"attention: weight {w.shape}, v {v.shape}, keys {keys.shape}"
-            f" and annotations {annotations.shape} disagree"
+            f"decoder_scan: states {s0.shape}, inputs {e.shape}, keys {keys.shape}, annotations"
+            f" {annotations.shape}, att_w {att_w.shape}, att_v {att_v.shape}, w {w.shape}, b {b.shape},"
+            f" u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
         )
-    query = s.data @ w.data.T
-    hidden = np.tanh(keys.data[None, :, :] + query[:, None, :])  # (B, n, dim)
-    alpha = _softmax(hidden @ v.data, "attention: energies contain non-finite values")
+    shared = source_lengths is None
+    if shared:
+        n, pad = keys.shape[0], None
+        k, ann = keys.data[None, :, :], annotations.data
+    else:
+        if len(source_lengths) != rows:
+            raise DimensionError(f"decoder_scan: {len(source_lengths)} source lengths for {rows} rows")
+        n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder_scan")
+        pad = None if real is None else ~real
+        k, ann = keys.data.reshape(rows, n, -1), annotations.data.reshape(rows, n, width)
+    live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
+    inputs = (e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h)
+    keep = _recording(inputs)
+    saved = []
+    x_in = e.data.reshape(rows, T, emb)
+    out = np.empty((rows, T, d + width))
+    alphas = np.empty((rows, T, n))
+    s = s0.data
+    for t in range(T):
+        hidden = np.tanh(k + (s @ att_w.data.T)[:, None, :])
+        alpha = _softmax(hidden @ att_v.data, "decoder_scan: attention energies contain non-finite values", pad)
+        context = alpha @ ann if shared else (alpha[:, None, :] @ ann)[:, 0]
+        x = np.concatenate([x_in[:, t], context], axis=1)
+        row_live = None if live is None else live[:, t, None]
+        s, step = _gru_update(s, x @ w.data.T + b.data, u_zr.data, u_h.data, row_live)
+        out[:, t, :d] = s
+        out[:, t, d:] = context
+        alphas[:, t] = alpha
+        if keep:
+            saved.append((x, hidden, alpha, step))
 
     def back(g: Array):
-        d_energy = _softmax_back(alpha, g @ annotations.data.T)
-        d_pre = d_energy[:, :, None] * v.data * (1.0 - hidden * hidden)
-        d_query = d_pre.sum(axis=1)
+        g = g.reshape(rows, T, d + width)
+        d_e = np.zeros_like(x_in)
+        d_keys = np.zeros(k.shape)
+        d_ann = np.zeros(ann.shape)
+        d_v = np.zeros(att_v.shape)
+        d_s = np.zeros((rows, d))
+        rows_of = []
+        for t in range(T - 1, -1, -1):
+            x, hidden, alpha, step = saved[t]
+            d_zr, d_cand, d_h = _gru_update_back(g[:, t, :d] + d_s, step, u_zr.data, u_h.data)
+            d_gx = np.concatenate([d_zr, d_cand], axis=1)
+            d_x = d_gx @ w.data
+            d_e[:, t] = d_x[:, :emb]
+            gc = g[:, t, d:] + d_x[:, emb:]  # the context's adjoint
+            if shared:
+                d_energy = _softmax_back(alpha, gc @ ann.T)
+            else:
+                d_energy = _softmax_back(alpha, (ann @ gc[:, :, None])[:, :, 0])
+            d_pre = d_energy[:, :, None] * att_v.data * (1.0 - hidden * hidden)
+            d_query = d_pre.sum(axis=1)
+            d_s = d_h + d_query @ att_w.data
+            if shared:
+                d_keys += d_pre.sum(axis=0)
+                d_ann += np.dot(alpha.T, gc)
+            else:
+                d_keys += d_pre
+                d_ann += alpha[:, :, None] * gc[:, None, :]
+            d_v += d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1)
+            rows_of.append((d_query, step[0], d_gx, x, d_zr, d_cand, step[2]))
+        d_query, h0, d_gx, x, d_zr, d_cand, rh = (np.concatenate(part) for part in zip(*rows_of))
         return (
-            d_query @ w.data,
-            d_pre.sum(axis=0),
-            np.dot(alpha.T, g),
-            WeightGrad(d_query, s.data),
-            d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1),
+            d_e.reshape(e.shape),
+            d_s,
+            d_keys.reshape(keys.shape),
+            d_ann.reshape(annotations.shape),
+            WeightGrad(d_query, h0),
+            d_v,
+            WeightGrad(d_gx, x),
+            d_gx.sum(axis=0),
+            WeightGrad(d_zr, h0),
+            WeightGrad(d_cand, rh),
         )
 
-    return _emit(alpha @ annotations.data, (s, keys, annotations, w, v), back), alpha
+    return _emit(out.reshape(rows * T, d + width), inputs, back), alphas.reshape(rows * T, n)

@@ -200,19 +200,22 @@ def _search(
     """One decoder's stage of a pass over an already encoded source.
 
     The state starts from the mean annotation; all given tokens but the last
-    are teacher-forced (no search, no scoring, so no logits), and the last
-    one seeds the beam search, which runs until boundary_id or max_new new
-    tokens. Every step of the stage shares one set of attention keys.
+    are teacher-forced in one `decode_step` (no search, no scoring, so no
+    logits), and the last one seeds the beam search, which runs until
+    boundary_id or max_new new tokens, one `decode_step` per iteration.
+    Every step of the stage shares one set of attention keys.
     """
     annotations, h_mean = encoded
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
-    for tok in given[:-1]:
-        _, state, _ = decode_step([tok], state, annotations, keys, params)
+    dim = state.shape[1]
+    if len(given) > 1:
+        _, out = decode_step([given[:-1]], state, annotations, keys, params)
+        state = Tensor(out.data[-1:, :dim])
 
     def step(prev_tokens: list[int], states: Tensor):
-        e_prev, new_states, context = decode_step(prev_tokens, states, annotations, keys, params)
-        return new_states, log_softmax(output_logits(e_prev, new_states, context, params).data)
+        e_prev, out = decode_step([[tok] for tok in prev_tokens], states, annotations, keys, params)
+        return Tensor(out.data[:, :dim]), log_softmax(output_logits(e_prev, out, params).data)
 
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 
@@ -244,7 +247,7 @@ def decode_multi(
         raise ContractError(f"max_decode_len must be at least 2, got {max_decode_len}")
     blocks = [tuple(b) for b in constraint_blocks]
     if not blocks:
-        encoded = encode(source, model.encoder)
+        encoded = encode([source], model.encoder)
         hyp = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, max_decode_len, beam_size)
         return DecodeResult(tokens=hyp.tokens, outcomes=(), passes=())
 
@@ -256,7 +259,7 @@ def decode_multi(
             pass_indices.append(None)
             continue
         _check_constraint_ids(block, model.config.vocab_size)
-        encoded = encode(current, model.encoder)
+        encoded = encode([current], model.encoder)
         back = _search(
             encoded, model.backward_decoder, block[::-1], BOS_ID, max(0, max_decode_len - len(block)), beam_size
         )

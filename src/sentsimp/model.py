@@ -7,23 +7,27 @@ initialized from the mean encoder annotation through a tanh map.
 
 Every layer works on rows: a state, a context or a distribution is a
 (B, width) matrix with one example or hypothesis per row, so beam search
-advances all of its live hypotheses with one `decode_step` call, while
-training and teacher forcing call the same functions with B = 1. Weights
-are stored (out, in) and applied as `x @ w.T + b`.
+advances all of its live hypotheses with one `decode_step` call. A batch
+of sequences is padded: source b owns block b of the annotation rows, and
+each row carries its own length, so training and validation score several
+pairs with the same calls. Weights are stored (out, in) and applied as
+`x @ w.T + b`.
 
-There is one GRU cell, the autodiff op `autodiff.gru_step`, with its gate
-weights fused: the encoder runs it on each token's embedding, a decoder on
-the previous token's embedding joined to its attention context. An
-attention read is one op too (`autodiff.attention`); each has a
-hand-written backward pass. The encoder computes the input pre-activations
-of a whole source in one product before its recurrence. Attention keys,
-the attention bias included, depend only on the annotations, so each
-decoder stage computes them once, as one `affine` map in
-`attention_keys`, and passes them to every step. A decoder step is two
-functions: `decode_step` updates the state, and `output_logits` projects a
-step's rows onto the vocabulary, so a teacher-forced step whose prediction
-nothing scores skips that product. The model holds no decoding setting:
-the beam width and the length cap belong to `decoding.decode_multi`.
+There is one GRU cell with its gate weights fused, and each recurrence is
+one autodiff op with a hand-written backward pass through time: the
+encoder runs `autodiff.gru_scan` once per direction over the input
+pre-activations of a whole batch, computed in one product, and a decoder
+runs `autodiff.decoder_scan`, whose steps each read attention, take the
+GRU input product of the previous token's embedding joined to the
+context, and update the state. Attention keys, the attention bias
+included, depend only on the annotations, so each decoder stage computes
+them once, as one `affine` map in `attention_keys`. A decoder stage is two
+functions: `decode_step` runs T given steps of every row (the beam passes
+one token per row, teacher forcing a stage's whole given sequence), and
+`output_logits` projects the rows of the steps it is given onto the
+vocabulary, so a teacher-forced step whose prediction nothing scores
+skips that product. The model holds no decoding setting: the beam width
+and the length cap belong to `decoding.decode_multi`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Vocabulary
+from .corpus import PAD_ID, Vocabulary
 from .errors import CheckpointError, ContractError
 from .lexsub import FrequencyTable
 
@@ -173,37 +177,39 @@ class Seq2SeqModel:
             t.zero_grad()
 
 
-def _run_gru(gx: Tensor, p: GruParams, order: Sequence[int]) -> Tensor:
-    """States (n, dim) of one GRU that reads the rows of gx in the given
-    order from a zero state; row t is its state after reading row t."""
-    h = ad.zeros((1, p.u_h.shape[0]))
-    states = {}
-    for t in order:
-        h = states[t] = ad.gru_step(ad.take_rows(gx, [t]), h, p.u_zr, p.u_h)
-    return ad.stack([states[t] for t in range(len(states))])
+def _joined(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The rows of ids end to end, each padded with PAD_ID to the longest,
+    and the row lengths."""
+    lengths = [len(row) for row in rows]
+    width = max(lengths, default=0)
+    return [tok for row in rows for tok in (*row, *(PAD_ID,) * (width - len(row)))], lengths
 
 
-def encode(source: Sequence[int], params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Annotations H (n x 2dim) and their arithmetic mean, one row (1 x 2dim).
+def encode(sources: Sequence[Sequence[int]], params: EncoderParams) -> tuple[Tensor, Tensor]:
+    """Annotations and their mean for a batch of B sources, padded to the
+    longest, n tokens: source b owns annotation rows b*n .. b*n + n - 1
+    (B*n x 2dim), of which the first len(sources[b]) are real.
 
-    Row t concatenates the left-to-right state after reading token t with
-    the right-to-left state after reading it from the other end; both
-    directions start from zero states. The source is looked up in one
-    embedding op and each direction's input pre-activations are one
-    (n x 3dim) product; only the recurrence runs token by token.
+    Real row b*n + t concatenates the left-to-right state after reading
+    token t with the right-to-left state after reading it from the other
+    end; both directions start from zero states and skip the pads. Row b
+    of the mean (B x 2dim) averages source b's real rows. The sources are
+    looked up in one embedding op, each direction's input pre-activations
+    are one (B*n x 3dim) product, and its recurrence is one `gru_scan`.
     """
-    if len(source) == 0:
+    ids, lengths = _joined(sources)
+    if not lengths or min(lengths) == 0:
         raise ContractError("cannot encode an empty source")
-    embedded = ad.take_rows(params.embedding, source)
-    n = len(source)
-    fwd = _run_gru(ad.affine(embedded, params.fwd.w, params.fwd.b), params.fwd, range(n))
-    bwd = _run_gru(ad.affine(embedded, params.bwd.w, params.bwd.b), params.bwd, range(n - 1, -1, -1))
-    annotations = ad.concat([fwd, bwd])
-    return annotations, ad.mean_rows(annotations)
+    embedded = ad.take_rows(params.embedding, ids)
+    fwd, bwd = params.fwd, params.bwd
+    fwd_states = ad.gru_scan(ad.affine(embedded, fwd.w, fwd.b), fwd.u_zr, fwd.u_h, lengths, reverse=False)
+    bwd_states = ad.gru_scan(ad.affine(embedded, bwd.w, bwd.b), bwd.u_zr, bwd.u_h, lengths, reverse=True)
+    annotations = ad.concat([fwd_states, bwd_states])
+    return annotations, ad.mean_rows(annotations, lengths)
 
 
 def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
-    """s0 (1, dim) = tanh of an affine map of the mean annotation row."""
+    """s0 (B, dim) = tanh of an affine map of the mean annotation rows."""
     return ad.tanh(ad.affine(h_mean, params.init_w, params.init_b))
 
 
@@ -214,38 +220,41 @@ def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
     return ad.affine(annotations, params.att_u, params.att_b)
 
 
-def attend(
-    s_prev: Tensor, annotations: Tensor, keys: Tensor, params: DecoderParams
-) -> tuple[Tensor, np.ndarray]:
-    """Additive attention for B decoder states (B, dim): context rows
-    (B, 2dim) and attention weights (B, n), the latter a plain array."""
-    return ad.attention(s_prev, keys, annotations, params.att_w, params.att_v)
-
-
 def decode_step(
-    prev_tokens: Sequence[int],
+    tokens: Sequence[Sequence[int]],
     s_prev: Tensor,
     annotations: Tensor,
     keys: Tensor,
     params: DecoderParams,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """One decoder update of B rows: row b consumes prev_tokens[b] in state
-    s_prev[b]. Returns the previous tokens' embeddings (B, E), the new
-    states (B, dim) and the attention contexts (B, 2dim): the inputs of
-    `output_logits`, which only a step whose prediction is scored needs.
+    source_lengths: Sequence[int] | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Decoder updates of B rows over given tokens: row b starts in state
+    s_prev[b] (B, dim) and consumes tokens[b] in order, one step each, as
+    one `autodiff.decoder_scan`. With T the longest row, returns the
+    consumed tokens' embeddings (B*T, E) and the rows [state; context]
+    (B*T, 3dim), row b*T + t after token t: the inputs of `output_logits`,
+    which only a step whose prediction is scored needs. A shorter row keeps
+    its last state over the rest.
 
-    keys are `attention_keys(annotations, params)`.
+    keys are `attention_keys(annotations, params)`. The annotations are one
+    source's, read by every row, or, with source_lengths, an `encode` batch
+    of B sources, one per row.
     """
-    e_prev = ad.take_rows(params.embedding, prev_tokens)
-    context, _ = attend(s_prev, annotations, keys, params)
-    gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
-    return e_prev, ad.gru_step(gx, s_prev, params.gru.u_zr, params.gru.u_h), context
+    ids, lengths = _joined(tokens)
+    e_prev = ad.take_rows(params.embedding, ids)
+    gru = params.gru
+    out, _ = ad.decoder_scan(
+        e_prev, s_prev, keys, annotations, params.att_w, params.att_v,
+        gru.w, gru.b, gru.u_zr, gru.u_h, lengths, source_lengths,
+    )
+    return e_prev, out
 
 
-def output_logits(e_prev: Tensor, s: Tensor, context: Tensor, params: DecoderParams) -> Tensor:
-    """Next-token logits (B, V) of a `decode_step`'s rows; each row's
-    next-token distribution is the softmax of its logits."""
-    return ad.affine(ad.concat([e_prev, s, context]), params.out_w, params.out_b)
+def output_logits(e_prev: Tensor, out: Tensor, params: DecoderParams) -> Tensor:
+    """Next-token logits (B, V) of rows of a `decode_step`: embeddings
+    e_prev and [state; context] rows out. Each row's next-token
+    distribution is the softmax of its logits."""
+    return ad.affine(ad.concat([e_prev, out]), params.out_w, params.out_b)
 
 
 # ---------------------------------------------------------------------------

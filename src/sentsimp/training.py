@@ -3,12 +3,16 @@
 Each pair contributes the negative log-likelihood of its backward sequence
 (target tokens before the constraint position, reversed, ending at the
 sentence-start boundary) plus its forward sequence (tokens after the
-constraint plus end-of-sentence, with the prefix teacher-forced). The
-decoders step one row at a time; only the steps that predict a scored
-token compute logits, and the logit rows of both stages are scored by one
-fused `autodiff.nll` over their stack, which stays finite when a target's
-probability underflows. Batches are gradient-accumulation groups; the
-optimizer step is Adadelta with a global-norm gradient clip.
+constraint plus end-of-sentence, with the prefix teacher-forced).
+`training_loss` scores a padded batch of pairs: one encode, one
+`decode_step` per decoder stage over all of its given tokens, and one
+`output_logits` per stage over the steps that predict a scored token
+only; the logit rows of both stages are scored by one fused
+`autodiff.nll` over their stack, which stays finite when a target's
+probability underflows. Training records one tape per pair, and a batch
+is a gradient-accumulation group; the validation pass runs the same loss
+untaped over padded batches of similar lengths. The optimizer step is
+Adadelta with a global-norm gradient clip.
 """
 
 from __future__ import annotations
@@ -124,38 +128,45 @@ def select_training_constraint(
     return min(fallback)[1]
 
 
-def training_loss(pair: SentencePair, position: int, model: Seq2SeqModel) -> Tensor:
-    """Joint NLL of the backward and forward sequences at a constraint position.
+def training_loss(
+    pairs: Sequence[SentencePair], positions: Sequence[int], model: Seq2SeqModel
+) -> Tensor:
+    """Summed joint NLL of the backward and forward sequences of a batch of
+    pairs, pair b at its constraint position positions[b].
 
     Backward: predict target[s-2]..target[0] then BOS from inputs starting
     at the constraint token. Forward: teacher-force BOS..target[s-1] without
-    loss, then predict the remaining tokens and EOS.
+    loss, then predict the remaining tokens and EOS. The batch is padded:
+    one `encode`, and per decoder stage one `decode_step` over every row's
+    inputs and one `output_logits` over the scored steps only.
     """
-    target = pair.target
-    m = len(target)
-    if not 1 <= position <= m:
-        raise ContractError(f"constraint position {position} outside target of length {m}")
+    if len(pairs) != len(positions):
+        raise ContractError(f"{len(pairs)} pairs but {len(positions)} constraint positions")
+    for pair, position in zip(pairs, positions):
+        if not 1 <= position <= len(pair.target):
+            raise ContractError(f"constraint position {position} outside target of length {len(pair.target)}")
 
-    annotations, h_mean = encode(pair.source, model.encoder)
+    source_lengths = [len(pair.source) for pair in pairs]
+    annotations, h_mean = encode([pair.source for pair in pairs], model.encoder)
 
     def stage_logits(params, inputs, scored_from):
-        # teacher-forced one-row steps; logits only for the scored steps
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
-        scored = []
-        for step, prev in enumerate(inputs):
-            e_prev, state, context = decode_step([prev], state, annotations, keys, params)
-            if step >= scored_from:
-                scored.append(output_logits(e_prev, state, context, params))
-        return scored
+        _, out = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        steps = max(len(row) for row in inputs)
+        scored = [(b * steps + t, row[t]) for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
+        e_prev = ad.take_rows(params.embedding, [tok for _, tok in scored])
+        return output_logits(e_prev, ad.take_rows(out, [i for i, _ in scored]), params)
 
     # backward: inputs target[s-1], target[s-2], ..., target[0]; every step scored
-    inputs = [target[i] for i in range(position - 1, -1, -1)]
-    backward = stage_logits(model.backward_decoder, inputs, 0)
+    backward_inputs = [pair.target[position - 1 :: -1] for pair, position in zip(pairs, positions)]
+    backward = stage_logits(model.backward_decoder, backward_inputs, [0] * len(pairs))
     # forward: inputs BOS, target[0], ..., target[m-1]; the prefix y_1..y_s
     # is given, not predicted
-    forward = stage_logits(model.forward_decoder, [BOS_ID, *target], position)
-    return ad.nll(ad.stack(backward + forward), inputs[1:] + [BOS_ID, *target[position:], EOS_ID])
+    forward = stage_logits(model.forward_decoder, [(BOS_ID, *pair.target) for pair in pairs], positions)
+    targets = [tok for row in backward_inputs for tok in (*row[1:], BOS_ID)]
+    targets += [tok for pair, position in zip(pairs, positions) for tok in (*pair.target[position:], EOS_ID)]
+    return ad.nll(ad.stack([backward, forward]), targets)
 
 
 def loss_token_count(pair: SentencePair) -> int:
@@ -178,15 +189,16 @@ class TrainResult:
 
 
 def _corpus_loss(
-    pairs: Sequence[SentencePair], positions: Sequence[int], model: Seq2SeqModel
+    pairs: Sequence[SentencePair], positions: Sequence[int], model: Seq2SeqModel, batch_size: int
 ) -> float:
-    """Per-token loss without gradient recording or parameter updates."""
+    """Per-token loss without gradient recording or parameter updates, over
+    padded batches of batch_size pairs of similar lengths."""
+    order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i].source), len(pairs[i].target)))
     total = 0.0
-    tokens = 0
-    for pair, pos in zip(pairs, positions):
-        total += training_loss(pair, pos, model).item()
-        tokens += loss_token_count(pair)
-    return total / max(tokens, 1)
+    for lo in range(0, len(order), batch_size):
+        batch = order[lo : lo + batch_size]
+        total += training_loss([pairs[i] for i in batch], [positions[i] for i in batch], model).item()
+    return total / max(sum(loss_token_count(pair) for pair in pairs), 1)
 
 
 def _write_log_row(path: str, mode: str, row: list) -> None:
@@ -258,7 +270,7 @@ def train(
             for idx in batch:
                 pair = corpus.train[idx]
                 with Tape() as tape:
-                    loss = training_loss(pair, positions[idx], model)
+                    loss = training_loss([pair], [positions[idx]], model)
                     tape.backward(loss)
                 epoch_nll += loss.item()
                 epoch_tokens += loss_token_count(pair)
@@ -270,7 +282,7 @@ def train(
             adadelta_step(named, state, config.rho, config.eps)
         model.zero_grad()
 
-        valid_loss = _corpus_loss(valid_pairs, valid_positions, model)
+        valid_loss = _corpus_loss(valid_pairs, valid_positions, model, config.batch_size)
         stats = EpochStats(
             epoch=epoch,
             train_loss=epoch_nll / max(epoch_tokens, 1),

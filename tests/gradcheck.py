@@ -50,7 +50,10 @@ def check_gradients(
     """Worst relative error between tape gradients and central differences.
 
     Runs f() once under a fresh tape to obtain analytic gradients, then
-    perturbs every entry of every parameter. Existing grads are cleared.
+    perturbs every entry of every parameter. Existing grads are cleared. A
+    listed parameter that gets no tape gradient fails the check: its
+    central differences would be zero too if f() no longer read it, so a
+    missing gradient is not taken for a zero one.
     """
     params = list(params)
     for p in params:
@@ -58,7 +61,10 @@ def check_gradients(
     with Tape() as tape:
         loss = f()
         tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    missing = [f"#{i} {p.shape}" for i, p in enumerate(params) if p.grad is None]
+    if missing:
+        raise AssertionError(f"no tape gradient for listed parameters {', '.join(missing)}")
+    analytic = [p.grad.copy() for p in params]
     for p in params:
         p.zero_grad()
 

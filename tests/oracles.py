@@ -6,8 +6,9 @@ under test. The exceptions are marked as reference versions of an earlier
 design: they keep a replaced algorithm, built from the package's own
 primitives, so that its replacement can be checked against it. The
 autodiff ops that only the tests use (matrix and entrywise products,
-sigmoid, softmax, sums, column segments and attention energies) live here too,
-recorded on the package's tape through `autodiff._emit`.
+sigmoid, softmax, sums, column segments and attention energies, and the
+per-step GRU update and attention read that the fused scans replaced) live
+here too, recorded on the package's tape through `autodiff._emit`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
 from sentsimp.decoding import Hypothesis
 from sentsimp.errors import DimensionError, NumericError
-from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
+from sentsimp.model import attention_keys, init_decoder_state, output_logits
 
 
 # ---------------------------------------------------------------- tensor math
@@ -578,34 +579,185 @@ def attention_composed(s, keys, annotations, w, v):
     return matmul(alpha, annotations), alpha
 
 
-# ---------------------------------------------------------------- decoder steps with logits
+# ---------------------------------------------------------------- per-step GRU and attention ops
+
+
+def gru_step(gx, h_prev, u_zr, u_h):
+    """Reference version of an earlier design: one GRU update of B rows,
+    fused into one op (the step that `autodiff.gru_scan` repeats):
+    h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @ u_h.T), with the
+    update and reset gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T).
+
+    gx (B, 3dim) holds the input pre-activations of the gates in the order
+    update, reset, candidate; u_zr is (2dim, dim) and u_h (dim, dim). The
+    weight gradients are `WeightGrad`s, like those of `affine`.
+    """
+    if h_prev.ndim != 2 or gx.ndim != 2:
+        raise DimensionError(f"gru_step: expected matrices, got gx {gx.shape} and h_prev {h_prev.shape}")
+    rows, d = h_prev.shape
+    if gx.shape != (rows, 3 * d) or u_zr.shape != (2 * d, d) or u_h.shape != (d, d):
+        raise DimensionError(
+            f"gru_step: gx {gx.shape}, h_prev {h_prev.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
+        )
+    h0 = h_prev.data
+    zr = ad._sigmoid(h0 @ u_zr.data.T + gx.data[:, : 2 * d])
+    z, r = zr[:, :d], zr[:, d:]
+    rh = r * h0
+    h_tilde = np.tanh(rh @ u_h.data.T + gx.data[:, 2 * d :])
+
+    def back(g):
+        d_cand = g * z * (1.0 - h_tilde * h_tilde)
+        d_rh = d_cand @ u_h.data
+        d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
+        d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr.data
+        return np.concatenate([d_zr, d_cand], axis=1), d_h, ad.WeightGrad(d_zr, h0), ad.WeightGrad(d_cand, rh)
+
+    return ad._emit((1.0 - z) * h0 + z * h_tilde, (gx, h_prev, u_zr, u_h), back)
+
+
+def attention(s, keys, annotations, w, v):
+    """Reference version of an earlier design: one additive-attention read
+    for B query states s (B, dim), fused into one op (the read that
+    `autodiff.decoder_scan` makes at every step).
+
+    The query rows are s @ w.T; the energies of row b are
+    v . tanh(keys[j] + query[b]) over the n key rows; their row-wise softmax
+    alpha (B, n) weighs the n annotation rows. Returns the contexts
+    alpha @ annotations (B, width) and alpha as a plain array.
+    """
+    if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1]:
+        raise DimensionError(f"attention: states {s.shape} do not fit weight {w.shape}")
+    dim = w.shape[0]
+    if (
+        v.shape != (dim,) or keys.ndim != 2 or keys.shape[1] != dim
+        or annotations.ndim != 2 or annotations.shape[0] != keys.shape[0]
+    ):
+        raise DimensionError(
+            f"attention: weight {w.shape}, v {v.shape}, keys {keys.shape}"
+            f" and annotations {annotations.shape} disagree"
+        )
+    query = s.data @ w.data.T
+    hidden = np.tanh(keys.data[None, :, :] + query[:, None, :])  # (B, n, dim)
+    alpha = ad._softmax(hidden @ v.data, "attention: energies contain non-finite values")
+
+    def back(g):
+        d_energy = ad._softmax_back(alpha, g @ annotations.data.T)
+        d_pre = d_energy[:, :, None] * v.data * (1.0 - hidden * hidden)
+        d_query = d_pre.sum(axis=1)
+        return (
+            d_query @ w.data,
+            d_pre.sum(axis=0),
+            np.dot(alpha.T, g),
+            ad.WeightGrad(d_query, s.data),
+            d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1),
+        )
+
+    return ad._emit(alpha @ annotations.data, (s, keys, annotations, w, v), back), alpha
+
+
+# ---------------------------------------------------------------- per-step encoder and decoder
+
+
+def run_gru(gx, p, order):
+    """Reference version of an earlier design: the states (n, dim) of one
+    GRU that reads the rows of gx in the given order from a zero state, one
+    `gru_step` per row; row t is its state after reading row t."""
+    h = ad.zeros((1, p.u_h.shape[0]))
+    states = {}
+    for t in order:
+        h = states[t] = gru_step(ad.take_rows(gx, [t]), h, p.u_zr, p.u_h)
+    return ad.stack([states[t] for t in range(len(states))])
+
+
+def encode_per_step(source, params):
+    """Reference version of an earlier design: `model.encode` of one source
+    (annotations n x 2dim and their mean, 1 x 2dim), each direction's
+    recurrence stepped token by token with `run_gru`."""
+    embedded = ad.take_rows(params.embedding, source)
+    n = len(source)
+    fwd = run_gru(ad.affine(embedded, params.fwd.w, params.fwd.b), params.fwd, range(n))
+    bwd = run_gru(ad.affine(embedded, params.bwd.w, params.bwd.b), params.bwd, range(n - 1, -1, -1))
+    annotations = ad.concat([fwd, bwd])
+    return annotations, ad.mean_rows(annotations)
+
+
+def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params):
+    """Reference version of an earlier design: one decoder update of B rows
+    sharing one source's annotations, row b consuming prev_tokens[b] in
+    state s_prev[b], as five ops (lookup, `attention`, concat, input
+    product, `gru_step`). Returns the previous tokens' embeddings (B, E),
+    the new states (B, dim) and the attention contexts (B, 2dim)."""
+    e_prev = ad.take_rows(params.embedding, prev_tokens)
+    context, _ = attention(s_prev, keys, annotations, params.att_w, params.att_v)
+    gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
+    return e_prev, gru_step(gx, s_prev, params.gru.u_zr, params.gru.u_h), context
 
 
 def decode_step_with_logits(prev_tokens, s_prev, annotations, keys, params):
-    """New states and next-token logits of a decoder step in one call:
-    `model.decode_step` followed by `model.output_logits`."""
-    e_prev, s, context = decode_step(prev_tokens, s_prev, annotations, keys, params)
-    return s, output_logits(e_prev, s, context, params)
+    """New states and next-token logits of one per-step decoder update:
+    `decode_step_per_step` followed by `model.output_logits`."""
+    e_prev, s, context = decode_step_per_step(prev_tokens, s_prev, annotations, keys, params)
+    return s, output_logits(e_prev, ad.concat([s, context]), params)
+
+
+# ---------------------------------------------------------------- per-pair training losses
+
+
+def _per_step_stages(pair, position, model):
+    """Per stage of one pair: its decoder, its per-step feature rows
+    [embedding; state; context] from one-row `decode_step_per_step` calls,
+    and the first scored step; plus the targets of the scored steps."""
+    annotations, h_mean = encode_per_step(pair.source, model.encoder)
+    target = pair.target
+    backward_inputs = [target[i] for i in range(position - 1, -1, -1)]
+    stages = []
+    for params, inputs, scored_from in (
+        (model.backward_decoder, backward_inputs, 0),
+        (model.forward_decoder, [BOS_ID, *target], position),
+    ):
+        keys = attention_keys(annotations, params)
+        state = init_decoder_state(h_mean, params)
+        rows = []
+        for prev in inputs:
+            e_prev, state, context = decode_step_per_step([prev], state, annotations, keys, params)
+            rows.append(ad.concat([e_prev, state, context]))
+        stages.append((params, rows, scored_from))
+    return stages, backward_inputs[1:] + [BOS_ID, *target[position:], EOS_ID]
+
+
+def training_loss_per_step(pair, position, model):
+    """Reference version of an earlier design: `training.training_loss` of
+    one pair with the encoder and both decoder stages stepped one token at
+    a time by the per-step ops. As in training, each stage projects its
+    scored rows onto the vocabulary in one product."""
+    stages, targets = _per_step_stages(pair, position, model)
+    logits = [ad.affine(ad.stack(rows[scored_from:]), p.out_w, p.out_b) for p, rows, scored_from in stages]
+    return ad.nll(ad.stack(logits), targets)
 
 
 def training_loss_all_logits(pair, position, model):
-    """Reference version of an earlier design: `training.training_loss` with
-    logits computed at every decoder step, the unscored forward prefix
-    included."""
-    target = pair.target
-    annotations, h_mean = encode(pair.source, model.encoder)
+    """Reference version of an earlier design: `training_loss_per_step`
+    with logits computed at every decoder step, the unscored forward prefix
+    included: one product over a stage's unscored rows, whose logits go
+    unused, and one over its scored rows, which are the stage's logits."""
+    stages, targets = _per_step_stages(pair, position, model)
+    logits = []
+    for p, rows, scored_from in stages:
+        if scored_from:
+            ad.affine(ad.stack(rows[:scored_from]), p.out_w, p.out_b)
+        logits.append(ad.affine(ad.stack(rows[scored_from:]), p.out_w, p.out_b))
+    return ad.nll(ad.stack(logits), targets)
 
-    def stage_logits(params, inputs, scored_from):
-        keys = attention_keys(annotations, params)
-        state = init_decoder_state(h_mean, params)
-        scored = []
-        for step, prev in enumerate(inputs):
-            state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
-            if step >= scored_from:
-                scored.append(logits)
-        return scored
 
-    inputs = [target[i] for i in range(position - 1, -1, -1)]
-    backward = stage_logits(model.backward_decoder, inputs, 0)
-    forward = stage_logits(model.forward_decoder, [BOS_ID, *target], position)
-    return ad.nll(ad.stack(backward + forward), inputs[1:] + [BOS_ID, *target[position:], EOS_ID])
+def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h):
+    """Reference version of an earlier design: `autodiff.decoder_scan` of
+    one row over one source's keys and annotations, as one `attention`, one
+    input product and one `gru_step` per row of e; returns the rows
+    [state; context] (T, dim + width)."""
+    s = s0
+    rows = []
+    for t in range(e.shape[0]):
+        context, _ = attention(s, keys, annotations, att_w, att_v)
+        s = gru_step(ad.affine(ad.concat([ad.take_rows(e, [t]), context]), w, b), s, u_zr, u_h)
+        rows.append(ad.concat([s, context]))
+    return ad.stack(rows)

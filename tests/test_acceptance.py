@@ -14,14 +14,14 @@ from sentsimp.corpus import BOS_ID, EOS_ID, CorpusSplit, SentencePair, build_voc
 from sentsimp.decoding import _search, decode_multi
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
-from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, encode, init_decoder_state
 from sentsimp.pipeline import PipelineConfig
 from sentsimp.autodiff import Tape
 from sentsimp.training import select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
 from gradcheck import finite_difference, max_relative_error
-from oracles import decode_step_with_logits, exhaustive_best, fk_from_counts, sari_loops, softmax
+from oracles import decode_step_per_step, decode_step_with_logits, exhaustive_best, fk_from_counts, sari_loops, softmax
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -74,7 +74,7 @@ def test_criterion_3_gradient_correctness():
     position = 2
 
     def loss():
-        return training_loss(pair, position, model)
+        return training_loss([pair], [position], model)
 
     named = list(model.named_parameters())
     model.zero_grad()
@@ -147,7 +147,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         source = [4, 4, 4]
         constraint = [4]
 
-        annotations, h_mean = encode(source, model.encoder)
+        annotations, h_mean = encode([source], model.encoder)
 
         def stepper(params):
             keys = attention_keys(annotations, params)
@@ -169,7 +169,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size)
         state = init_decoder_state(h_mean, model.forward_decoder)
         keys = attention_keys(annotations, model.forward_decoder)
-        _, state, _ = decode_step([BOS_ID], state, annotations, keys, model.forward_decoder)
+        _, state, _ = decode_step_per_step([BOS_ID], state, annotations, keys, model.forward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.forward_decoder), state, 4, EOS_ID,
             [i for i in range(5) if i != EOS_ID], max_new=3,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,18 @@ from sentsimp.errors import ContractError, DimensionError, NumericError
 from gradcheck import check_gradients, finite_difference, max_relative_error
 from oracles import (
     add,
+    attention,
     attention_composed,
     attention_energies,
     backward_dense,
+    decoder_scan_per_step,
+    gru_step,
     gru_step_composed,
     matmul,
     matmul_loops,
     mul,
     one_minus,
+    run_gru,
     segment,
     sigmoid,
     sigmoid_scalar,
@@ -390,8 +396,8 @@ def attention_inputs(rows, seed=0):
 
 # name: (fused op, its composed oracle, its inputs, the width of its output)
 FUSED = {
-    "gru_step": (ad.gru_step, gru_step_composed, gru_inputs, 3),
-    "attention": (lambda *a: ad.attention(*a)[0], lambda *a: attention_composed(*a)[0], attention_inputs, 4),
+    "gru_step": (gru_step, gru_step_composed, gru_inputs, 3),
+    "attention": (lambda *a: attention(*a)[0], lambda *a: attention_composed(*a)[0], attention_inputs, 4),
 }
 
 
@@ -434,7 +440,7 @@ def test_fused_op_gradcheck(name, rows):
 @pytest.mark.parametrize("rows", [1, 4])
 def test_attention_alpha_equals_composed_oracle(rows):
     inputs = attention_inputs(rows, seed=50)
-    _, alpha = ad.attention(*inputs)
+    _, alpha = attention(*inputs)
     assert isinstance(alpha, np.ndarray)
     assert np.array_equal(alpha, attention_composed(*inputs)[1].data)
 
@@ -443,7 +449,7 @@ def test_attention_rejects_a_nan_query():
     s, keys, annotations, w, v = attention_inputs(2, seed=60)
     s.data[1, 0] = np.nan
     with pytest.raises(NumericError):
-        ad.attention(s, keys, annotations, w, v)
+        attention(s, keys, annotations, w, v)
 
 
 @pytest.mark.parametrize("position, shape", [(0, (2, 8)), (1, (2, 2)), (1, (1, 3)), (2, (6, 2)), (3, (3, 2))])
@@ -451,7 +457,7 @@ def test_gru_step_rejects_mismatched_shapes(position, shape):
     inputs = gru_inputs(2, seed=70)
     inputs[position] = rnd(shape)
     with pytest.raises(DimensionError):
-        ad.gru_step(*inputs)
+        gru_step(*inputs)
 
 
 # v was the sixth input while attention still took a bias; its rank-2 case
@@ -467,7 +473,181 @@ def test_attention_rejects_mismatched_shapes(position, shape):
     inputs = attention_inputs(2, seed=80)
     inputs[position] = rnd(shape)
     with pytest.raises(DimensionError):
-        ad.attention(*inputs)
+        attention(*inputs)
+
+
+# ---------------------------------------------------------------- GRU and decoder scans
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
+
+
+def gru_scan_inputs(rows, n, seed):
+    """gx (rows*n, 9), u_zr (6, 3), u_h (3, 3): dim 3."""
+    return [rnd(shape, seed=seed + i) for i, shape in enumerate([(rows * n, 9), (6, 3), (3, 3)])]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
+def test_gru_scan_equals_per_step_oracle(reverse):
+    """One row: the states of the per-step oracle bit for bit, every
+    gradient within 1e-12 of its largest entry."""
+    inputs = gru_scan_inputs(1, 5, seed=90)
+    weights = ad.Tensor(np.random.default_rng(93).uniform(-1, 1, size=(5, 3)))
+    order = range(4, -1, -1) if reverse else range(5)
+    got, got_grads = values_and_gradients(lambda *a: ad.gru_scan(*a, [5], reverse), inputs, weights)
+    want, want_grads = values_and_gradients(
+        lambda gx, u_zr, u_h: run_gru(gx, SimpleNamespace(u_zr=u_zr, u_h=u_h), order), inputs, weights
+    )
+    assert np.array_equal(got, want)
+    assert_grads_close(got_grads, want_grads)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
+def test_gru_scan_rows_of_a_padded_batch_equal_one_row_scans(reverse):
+    """Each row of a padded batch has the states and the gradients of its
+    own scan; its pad steps change nothing: left to right they hold its
+    last state, right to left its zero start."""
+    lengths, n = [3, 5, 1], 5
+    gx, u_zr, u_h = gru_scan_inputs(3, n, seed=94)
+    weights = np.random.default_rng(97).uniform(-1, 1, size=(3, n, 3))
+    weights[np.arange(n)[None, :] >= np.array(lengths)[:, None]] = 0.0  # no loss on pad steps
+    batch, batch_grads = values_and_gradients(
+        lambda *a: ad.gru_scan(*a, lengths, reverse), [gx, u_zr, u_h], ad.Tensor(weights.reshape(-1, 3))
+    )
+    batch = batch.reshape(3, n, 3)
+    summed = [np.zeros_like(u_zr.data), np.zeros_like(u_h.data)]
+    for b, k in enumerate(lengths):
+        row = ad.Tensor(gx.data[b * n : b * n + k], requires_grad=True)
+        one, (d_row, *d_weights) = values_and_gradients(
+            lambda *a: ad.gru_scan(*a, [k], reverse), [row, u_zr, u_h], ad.Tensor(weights[b, :k])
+        )
+        assert np.allclose(batch[b, :k], one, rtol=0, atol=1e-12)
+        assert np.array_equal(batch[b, k:], np.zeros((n - k, 3)) if reverse else np.tile(batch[b, k - 1], (n - k, 1)))
+        assert np.allclose(batch_grads[0][b * n : b * n + k], d_row, rtol=0, atol=1e-12)
+        assert not np.any(batch_grads[0][b * n + k : (b + 1) * n])
+        summed = [acc + d for acc, d in zip(summed, d_weights)]
+    assert_grads_close(batch_grads[1:], summed)
+
+
+@pytest.mark.parametrize("lengths", [[4], [4, 4], [4, 2, 1]], ids=["one-row", "rows", "masked"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
+def test_gru_scan_gradcheck(lengths, reverse):
+    inputs = gru_scan_inputs(len(lengths), 4, seed=100)
+    weights = ad.Tensor(np.random.default_rng(103).uniform(-1, 1, size=(4 * len(lengths), 3)))
+
+    def loss():
+        return tsum(mul(ad.gru_scan(*inputs, lengths, reverse), weights))
+
+    assert check_gradients(loss, inputs) < 1e-4
+
+
+def decoder_scan_inputs(rows, steps, n, shared, seed):
+    """e (rows*T, 2), s0 (rows, 3), keys (., 4), annotations (., 5),
+    att_w (4, 3), att_v (4,), w (9, 7), b (9,), u_zr (6, 3), u_h (3, 3):
+    the embedding, state, key and context widths all differ, and b is not
+    zero. Shared keys and annotations have n rows, per-row ones rows*n."""
+    blocks = 1 if shared else rows
+    shapes = [
+        (rows * steps, 2), (rows, 3), (blocks * n, 4), (blocks * n, 5),
+        (4, 3), (4,), (9, 7), (9,), (6, 3), (3, 3),
+    ]
+    return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "source-per-row"])
+def test_decoder_scan_equals_per_step_oracle(shared):
+    """One row over 4 steps: the rows [state; context] of the per-step
+    oracle bit for bit, every gradient within 1e-12 of its largest entry."""
+    inputs = decoder_scan_inputs(1, 4, 3, shared, seed=110)
+    weights = ad.Tensor(np.random.default_rng(111).uniform(-1, 1, size=(4, 8)))
+    source_lengths = None if shared else [3]
+    got, got_grads = values_and_gradients(
+        lambda *a: ad.decoder_scan(*a, [4], source_lengths)[0], inputs, weights
+    )
+    want, want_grads = values_and_gradients(decoder_scan_per_step, inputs, weights)
+    assert np.array_equal(got, want)
+    assert_grads_close(got_grads, want_grads)
+
+
+def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
+    """Rows of 2, 4 and 1 steps over sources of 3, 1 and 2 of 3 rows: each
+    has the rows [state; context] and attention weights of its own scan,
+    its pad columns weight exactly 0, and past its last step its state
+    stays."""
+    steps, source_lengths, n, T = [2, 4, 1], [3, 1, 2], 3, 4
+    e, s0, keys, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
+    out, alpha = ad.decoder_scan(e, s0, keys, annotations, *weights, steps, source_lengths)
+    out, alpha = out.data.reshape(3, T, 8), alpha.reshape(3, T, n)
+    for b, (k, m) in enumerate(zip(steps, source_lengths)):
+        one, one_alpha = ad.decoder_scan(
+            ad.Tensor(e.data[b * T : b * T + k]), ad.Tensor(s0.data[b : b + 1]),
+            ad.Tensor(keys.data[b * n : b * n + m]), ad.Tensor(annotations.data[b * n : b * n + m]),
+            *weights, [k],
+        )
+        assert np.allclose(out[b, :k], one.data, rtol=0, atol=1e-12)
+        assert np.allclose(alpha[b, :k, :m], one_alpha, rtol=0, atol=1e-12)
+        assert np.all(alpha[b, :, m:] == 0.0)
+        assert np.allclose(alpha[b].sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.array_equal(out[b, k:, :3], np.tile(out[b, k - 1, :3], (T - k, 1)))
+
+
+@pytest.mark.parametrize(
+    "steps, source_lengths",
+    [([3], None), ([3, 3], None), ([3, 3], [3, 3]), ([3, 1, 2], [3, 1, 2])],
+    ids=["one-row", "shared-source", "source-per-row", "masked"],
+)
+def test_decoder_scan_gradcheck(steps, source_lengths):
+    inputs = decoder_scan_inputs(len(steps), max(steps), 3, source_lengths is None, seed=130)
+    weights = ad.Tensor(np.random.default_rng(131).uniform(-1, 1, size=(len(steps) * max(steps), 8)))
+
+    def loss():
+        return tsum(mul(ad.decoder_scan(*inputs, steps, source_lengths)[0], weights))
+
+    assert check_gradients(loss, inputs) < 1e-4
+
+
+def test_decoder_scan_rejects_a_nan_energy():
+    inputs = decoder_scan_inputs(2, 2, 3, True, seed=140)
+    inputs[2].data[1, 0] = np.nan  # a key
+    with pytest.raises(NumericError):
+        ad.decoder_scan(*inputs, [2, 2])
+
+
+@pytest.mark.parametrize(
+    "steps, source_lengths, error",
+    [([2], None, DimensionError), ([2, 2, 2], None, DimensionError), ([2, 0], None, ContractError),
+     ([2, 2], [3], DimensionError), ([2, 2], [3, 4], ContractError), ([2, 3], None, DimensionError)],
+)
+def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths, error):
+    inputs = decoder_scan_inputs(2, 2, 3, source_lengths is None, seed=150)
+    with pytest.raises(error):
+        ad.decoder_scan(*inputs, steps, source_lengths)
+
+
+@pytest.mark.parametrize(
+    "lengths, error", [([1, 1, 1], DimensionError), ([2, 0], ContractError), ([3, 2], ContractError)]
+)
+def test_gru_scan_rejects_lengths_that_do_not_fit(lengths, error):
+    gx, u_zr, u_h = gru_scan_inputs(2, 2, seed=160)
+    with pytest.raises(error):
+        ad.gru_scan(gx, u_zr, u_h, lengths, False)
+
+
+def test_mean_rows_of_a_padded_batch_averages_each_blocks_real_rows():
+    m = rnd((6, 2), seed=170)
+    got = ad.mean_rows(m, [3, 1]).data
+    assert np.array_equal(got[0], m.data[:3].mean(axis=0)) and np.array_equal(got[1], m.data[3])
+    weights = ad.Tensor(np.arange(4.0).reshape(2, 2) - 1.0)
+
+    def loss():
+        return tsum(mul(ad.mean_rows(m, [3, 1]), weights))
+
+    assert check_gradients(loss, [m]) < 1e-4
+    with pytest.raises(DimensionError):
+        ad.mean_rows(m, [1, 1, 1, 1])
 
 
 # ---------------------------------------------------------------- tape / backward

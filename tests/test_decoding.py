@@ -7,11 +7,12 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, UNK_ID
 from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, decode_multi
 from sentsimp.errors import ConstraintError, ContractError, NumericError
-from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, decode_step, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, encode, init_decoder_state
 
 from oracles import (
     beam_search_nested_greedy,
     beam_search_per_hypothesis,
+    decode_step_per_step,
     decode_step_with_logits,
     exhaustive_best,
     softmax,
@@ -54,12 +55,12 @@ def underflow_model(target, seed=4):
 
 def greedy_rollout(source, prefix, model, boundary, max_new):
     """Independent argmax chain used to pin down beam-1 semantics."""
-    annotations, h_mean = encode(source, model.encoder)
+    annotations, h_mean = encode([source], model.encoder)
     params = model.forward_decoder if boundary == EOS_ID else model.backward_decoder
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in prefix[:-1]:
-        _, state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
     prev = prefix[-1]
     out = []
     for _ in range(max_new):
@@ -130,7 +131,7 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
     source = [4, 8, 6]
     trace = decode_multi(source, [[4]], model, beam_size=3, max_decode_len=MAX_LEN).passes[0]
     backward, prefix, forward = stages(trace)
-    annotations, h_mean = encode(source, model.encoder)
+    annotations, h_mean = encode([source], model.encoder)
     for params, given, generated, boundary, log_prob in (
         (model.backward_decoder, [4], backward, BOS_ID, trace.backward_log_prob),
         (model.forward_decoder, [BOS_ID, *prefix], forward, EOS_ID, trace.forward_log_prob),
@@ -138,7 +139,7 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
         for tok in given[:-1]:
-            _, state, _ = decode_step([tok], state, annotations, keys, params)
+            _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
         prev = given[-1]
         running = 0.0
         partials = []
@@ -154,7 +155,7 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
 def test_beam_wider_never_scores_worse():
     for seed in range(8):
         model = random_model(seed)
-        encoded = encode([4, 5, 6], model.encoder)
+        encoded = encode([[4, 5, 6]], model.encoder)
         for params, given, boundary in (
             (model.backward_decoder, (7,), BOS_ID),
             (model.forward_decoder, (BOS_ID, 7), EOS_ID),
@@ -177,11 +178,11 @@ def test_decode_determinism():
 
 
 def _oracle_setup(model, params, source, seed_tokens):
-    annotations, h_mean = encode(source, model.encoder)
+    annotations, h_mean = encode([source], model.encoder)
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in seed_tokens[:-1]:
-        _, state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
 
     def step_fn(prev, st):
         new_state, logits = decode_step_with_logits([prev], st, annotations, keys, params)
@@ -198,7 +199,7 @@ def test_beam_matches_exhaustive_search_tiny_vocab(seed):
     constraint = [4]
     max_new = 4 - 1  # cap 4: 3 generated tokens after the 1-token block
 
-    encoded = encode(source, model.encoder)
+    encoded = encode([source], model.encoder)
     bwd = _search(encoded, model.backward_decoder, tuple(constraint), BOS_ID, max_new, 100)
     step_fn, state, seed_tok = _oracle_setup(model, model.backward_decoder, source, [4])
     content = [i for i in range(5) if i != BOS_ID]
@@ -219,12 +220,12 @@ def test_beam_matches_exhaustive_search_tiny_vocab(seed):
 
 def _one_row_stepper(model, params, source, given):
     """(step_fn over one hypothesis, initial state) for a stage, as the
-    per-hypothesis oracle steps it: one-row decode_step calls."""
-    annotations, h_mean = encode(source, model.encoder)
+    per-hypothesis oracle steps it: one-row per-step decoder updates."""
+    annotations, h_mean = encode([source], model.encoder)
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        _, state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
 
     def step_fn(prev, st):
         new_state, logits = decode_step_with_logits([prev], st, annotations, keys, params)
@@ -239,7 +240,7 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
     max_len = 7
     model = Seq2SeqModel.create(cfg, seed=seed)
     source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
-    encoded = encode(source, model.encoder)
+    encoded = encode([source], model.encoder)
     searches = (
         (model.backward_decoder, (4 + seed % 8,), BOS_ID),
         (model.forward_decoder, (BOS_ID, 5, 4 + seed % 8), EOS_ID),
@@ -257,11 +258,11 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
 def _batched_stepper(model, params, source, given):
     """(step_fn over stacked hypotheses, initial state) for a stage, as
     `_search` builds them."""
-    annotations, h_mean = encode(source, model.encoder)
+    annotations, h_mean = encode([source], model.encoder)
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
-        _, state, _ = decode_step([tok], state, annotations, keys, params)
+        _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
 
     def step_fn(prev_tokens, states):
         new_states, logits = decode_step_with_logits(prev_tokens, states, annotations, keys, params)
@@ -356,7 +357,7 @@ def test_greedy_row_outlives_every_beam_row_and_wins(last, max_new, tokens, stop
 
 def test_beam_steps_every_live_hypothesis_in_one_call():
     model = random_model(5)
-    annotations, h_mean = encode([4, 5, 6], model.encoder)
+    annotations, h_mean = encode([[4, 5, 6]], model.encoder)
     params = model.forward_decoder
     keys = attention_keys(annotations, params)
     widths = []
@@ -395,9 +396,10 @@ def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
     monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
     result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
-    # teacher-forced: the backward stage's block but its last token, the
+    # one teacher-forced call per stage with tokens to force: the backward
+    # stage's block but its last token (none for a one-token block), the
     # forward stage's BOS and realized prefix but its last token
-    forced = sum(2 * len(t.constraint) - 1 + t.position - 1 for t in result.passes)
+    forced = sum((len(t.constraint) > 1) + 1 for t in result.passes)
     assert calls["output_logits"] == calls["beam_step"] > 0
     assert calls["decode_step"] == calls["beam_step"] + forced
 
@@ -507,7 +509,7 @@ def test_multi_with_single_constraint_reduces_to_constrained():
     source = [4, 5, 6, 7]
     multi = decode_multi(source, [[8]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
     # one pass is the backward stage, the block, then the forward stage
-    encoded = encode(source, model.encoder)
+    encoded = encode([source], model.encoder)
     back = _search(encoded, model.backward_decoder, (8,), BOS_ID, MAX_LEN - 1, BEAM)
     prefix = back.tokens[::-1] + (8,)
     fwd = _search(encoded, model.forward_decoder, (BOS_ID, *prefix), EOS_ID, MAX_LEN - len(prefix), BEAM)
@@ -552,7 +554,7 @@ def test_multi_two_passes_rewrites_with_second_constraint():
 def test_multi_without_constraints_is_plain_beam_decode():
     model = chain_model(fwd_succ={BOS_ID: 6, 6: 7, 7: EOS_ID}, bwd_succ={})
     result = decode_multi([4, 5], [], model, beam_size=BEAM, max_decode_len=MAX_LEN)
-    encoded = encode([4, 5], model.encoder)
+    encoded = encode([[4, 5]], model.encoder)
     plain = _search(encoded, model.forward_decoder, (BOS_ID,), EOS_ID, MAX_LEN, BEAM)
     assert result.tokens == plain.tokens == (6, 7)
     assert result.passes == ()

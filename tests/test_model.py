@@ -12,27 +12,28 @@ from sentsimp.model import (
     Checkpoint,
     ModelConfig,
     Seq2SeqModel,
-    attend,
     attention_keys,
     decode_step,
     encode,
     init_decoder_state,
     load_checkpoint,
+    output_logits,
     save_checkpoint,
 )
 
 from gradcheck import check_gradients
-from resources import step1_resources
+from resources import draw_biases, step1_resources
 from oracles import (
     add,
     attention_composed,
     attention_loops,
-    decode_step_with_logits,
     decoder_step_loops,
     encode_loops,
+    gru_step,
     gru_step_composed,
     gru_step_loops,
     mul,
+    segment,
     softmax,
     tsum,
 )
@@ -167,25 +168,25 @@ def test_seeded_init_is_reproducible():
 def test_encode_zero_weights_gives_zero_states(model):
     for _, t in model.named_parameters():
         t.data[...] = 0.0
-    H, h_mean = encode([4, 5, 6], model.encoder)
+    H, h_mean = encode([[4, 5, 6]], model.encoder)
     assert np.array_equal(H.data, np.zeros((3, 6)))
     assert np.array_equal(h_mean.data, np.zeros((1, 6)))
 
 
 def test_encode_single_token_mean_equals_annotation(model):
-    H, h_mean = encode([7], model.encoder)
+    H, h_mean = encode([[7]], model.encoder)
     assert H.shape == (1, 6)
     assert np.allclose(H.data[0], h_mean.data, atol=0, rtol=0)
 
 
 def test_encode_rejects_empty(model):
     with pytest.raises(ContractError):
-        encode([], model.encoder)
+        encode([[]], model.encoder)
 
 
 def test_encode_matches_scalar_loop_oracle(model):
     source = [4, 8, 5, 7]
-    H, h_mean = encode(source, model.encoder)
+    H, h_mean = encode([source], model.encoder)
     ann, mean = encode_loops(
         source,
         model.encoder.embedding.tolist(),
@@ -196,13 +197,56 @@ def test_encode_matches_scalar_loop_oracle(model):
     assert np.allclose(h_mean.data, mean, atol=1e-12, rtol=0)
 
 
+def test_encode_matches_scalar_loop_oracle_with_biases(model):
+    draw_biases(model, seed=21)
+    source = [4, 8, 5, 7]
+    H, h_mean = encode([source], model.encoder)
+    ann, mean = encode_loops(
+        source,
+        model.encoder.embedding.tolist(),
+        gru_as_dict(model.encoder.fwd),
+        gru_as_dict(model.encoder.bwd),
+    )
+    assert np.allclose(H.data, ann, atol=1e-12, rtol=0)
+    assert np.allclose(h_mean.data, mean, atol=1e-12, rtol=0)
+
+
+def test_encode_rows_of_a_padded_batch_equal_one_source_encodes(model):
+    """Each source of a padded batch has the annotations and mean of its own
+    encode; on its pad rows the left-to-right half holds its last state and
+    the right-to-left half is zero."""
+    draw_biases(model, seed=22)
+    sources = [[4, 8, 5], [6, 7, 4, 4, 5], [8]]
+    H, h_mean = encode(sources, model.encoder)
+    assert H.shape == (15, 6) and h_mean.shape == (3, 6)
+    for b, source in enumerate(sources):
+        k = len(source)
+        H_one, mean_one = encode([source], model.encoder)
+        block = H.data[b * 5 : b * 5 + 5]
+        assert np.allclose(block[:k], H_one.data, rtol=0, atol=1e-12)
+        assert np.allclose(h_mean.data[b], mean_one.data[0], rtol=0, atol=1e-12)
+        assert np.array_equal(block[k:, :3], np.tile(block[k - 1, :3], (5 - k, 1)))
+        assert not np.any(block[k:, 3:])
+
+
 def test_encoder_gates_stay_in_range(model):
     # states are convex combinations of tanh outputs, so they stay in (-1, 1)
-    H, _ = encode([4, 5, 6, 7, 8], model.encoder)
+    H, _ = encode([[4, 5, 6, 7, 8]], model.encoder)
     assert np.all(np.abs(H.data) < 1.0)
 
 
 # ---------------------------------------------------------------- attention
+
+
+def attend(s, annotations, keys, dec):
+    """The attention read of the states s (B, dim) that the first step of a
+    `decoder_scan` makes: the contexts (B, 2dim) and the weights (B, n)."""
+    rows = s.shape[0]
+    out, alpha = ad.decoder_scan(
+        ad.take_rows(dec.embedding, [4] * rows), s, keys, annotations, dec.att_w, dec.att_v,
+        dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows,
+    )
+    return ad.Tensor(out.data[:, s.shape[1] :]), alpha
 
 
 def test_attend_identical_annotations_uniform(model):
@@ -217,7 +261,7 @@ def test_attend_identical_annotations_uniform(model):
 
 
 def test_attend_single_annotation(model):
-    H, _ = encode([5], model.encoder)
+    H, _ = encode([[5]], model.encoder)
     s = ad.Tensor(np.zeros((1, 3)))
     dec = model.backward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
@@ -226,7 +270,7 @@ def test_attend_single_annotation(model):
 
 
 def test_attend_matches_scalar_loop_oracle(model):
-    H, _ = encode([4, 6, 8], model.encoder)
+    H, _ = encode([[4, 6, 8]], model.encoder)
     rng = np.random.default_rng(3)
     s = ad.Tensor(rng.uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
@@ -238,7 +282,7 @@ def test_attend_matches_scalar_loop_oracle(model):
 
 
 def test_attend_permutation_covariant(model):
-    H, _ = encode([4, 5, 6, 7], model.encoder)
+    H, _ = encode([[4, 5, 6, 7]], model.encoder)
     s = ad.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
@@ -252,23 +296,31 @@ def test_attend_permutation_covariant(model):
 # ---------------------------------------------------------------- decode_step
 
 
+def step_with_logits(tokens, s_prev, annotations, keys, dec):
+    """One `decode_step` of B rows, one token each, and `output_logits` of
+    its rows, as the beam steps: the new states (B, dim) and the logits
+    (B, V)."""
+    e_prev, out = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec)
+    return segment(out, 0, s_prev.shape[1]), output_logits(e_prev, out, dec)
+
+
 def test_decode_step_zero_weights_uniform_dist(model):
     for _, t in model.named_parameters():
         t.data[...] = 0.0
-    H, h_mean = encode([4, 5], model.encoder)
+    H, h_mean = encode([[4, 5]], model.encoder)
     dec = model.forward_decoder
     s0 = init_decoder_state(h_mean, dec)
-    _, logits = decode_step_with_logits([4], s0, H, attention_keys(H, dec), dec)
+    _, logits = step_with_logits([4], s0, H, attention_keys(H, dec), dec)
     assert np.allclose(softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
 def test_decode_step_dist_sums_to_one(model):
-    H, h_mean = encode([4, 5, 6], model.encoder)
+    H, h_mean = encode([[4, 5, 6]], model.encoder)
     dec = model.backward_decoder
     keys = attention_keys(H, dec)
     s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
-        s, logits = decode_step_with_logits([tok], s, H, keys, dec)
+        s, logits = step_with_logits([tok], s, H, keys, dec)
         dist = softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
@@ -277,17 +329,55 @@ def test_decode_step_dist_sums_to_one(model):
 
 def test_decode_step_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
-    H, h_mean = encode([5, 7], model.encoder)
+    H, h_mean = encode([[5, 7]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    s1, logits = decode_step_with_logits([6], s0, H, attention_keys(H, dec), dec)
+    s1, logits = step_with_logits([6], s0, H, attention_keys(H, dec), dec)
     prev_emb = dec.embedding.tolist()[6]
     s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
     assert np.allclose(softmax(logits).data, dist_o, atol=1e-12)
 
 
+def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
+    """Three given tokens in one `decode_step`: each row's state and
+    next-token distribution are the scalar-loop oracle's."""
+    draw_biases(model, seed=23)
+    dec = model.backward_decoder
+    H, h_mean = encode([[5, 7, 4]], model.encoder)
+    s0 = init_decoder_state(h_mean, dec)
+    tokens = [6, 4, 8]
+    e_prev, out = decode_step([tokens], s0, H, attention_keys(H, dec), dec)
+    dist = softmax(output_logits(e_prev, out, dec)).data
+    state = s0.data[0].tolist()
+    for t, tok in enumerate(tokens):
+        state, dist_o, _ = decoder_step_loops(dec.embedding.tolist()[tok], state, H.tolist(), decoder_as_dict(dec))
+        assert np.allclose(out.data[t, :3], state, atol=1e-12)
+        assert np.allclose(dist[t], dist_o, atol=1e-12)
+
+
+def test_decode_step_over_given_tokens_equals_one_token_calls(model):
+    """Rows of 3 and 1 given tokens in one call: bit for bit the states and
+    contexts of one-token calls, and the shorter row keeps its last state."""
+    dec = model.forward_decoder
+    H, h_mean = encode([[4, 6, 5]], model.encoder)
+    keys = attention_keys(H, dec)
+    s0 = init_decoder_state(h_mean, dec)
+    _, out = decode_step([[7, 4, 8]], s0, H, keys, dec)
+    state = s0
+    for t, tok in enumerate([7, 4, 8]):
+        _, one = decode_step([[tok]], state, H, keys, dec)
+        assert np.array_equal(out.data[t], one.data[0])
+        state = ad.Tensor(one.data[:, :3])
+    rows = ad.stack([s0, state])
+    _, ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec)
+    _, five = decode_step([[5]], state, H, keys, dec)
+    assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
+    assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
+    assert np.array_equal(ragged.data[4:, :3], np.tile(ragged.data[3, :3], (2, 1)))
+
+
 def batch_inputs(model, seed=4, rows=4):
-    H, _ = encode([4, 6, 5, 8], model.encoder)
+    H, _ = encode([[4, 6, 5, 8]], model.encoder)
     rng = np.random.default_rng(seed)
     states = ad.Tensor(rng.uniform(-1, 1, size=(rows, 3)))
     tokens = [int(t) for t in rng.integers(0, TINY.vocab_size, size=rows)]
@@ -299,10 +389,10 @@ def test_decode_step_rows_equal_one_row_calls(model, side):
     dec = getattr(model, f"{side}_decoder")
     H, states, tokens = batch_inputs(model)
     keys = attention_keys(H, dec)
-    s_all, logits_all = decode_step_with_logits(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
+    s_all, logits_all = step_with_logits(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
     assert s_all.shape == (5, 3) and logits_all.shape == (5, TINY.vocab_size)
     for b, tok in enumerate(tokens):
-        s_one, logits_one = decode_step_with_logits([tok], ad.take_rows(states, [b]), H, keys, dec)
+        s_one, logits_one = step_with_logits([tok], ad.take_rows(states, [b]), H, keys, dec)
         assert np.allclose(s_all.data[b], s_one.data[0], rtol=0, atol=1e-12)
         assert np.allclose(logits_all.data[b], logits_one.data[0], rtol=0, atol=1e-12)
     assert np.allclose(s_all.data[4], s_all.data[0], rtol=0, atol=1e-12)  # a repeated row
@@ -328,19 +418,19 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.uniform(-1, 1, size=(3, TINY.embed_dim)))
     h_prev = ad.Tensor(rng.uniform(-1, 1, size=(3, 3)))
-    h = ad.gru_step(ad.affine(x, gru.w, gru.b), h_prev, gru.u_zr, gru.u_h)
+    h = gru_step(ad.affine(x, gru.w, gru.b), h_prev, gru.u_zr, gru.u_h)
     for b in range(3):
         want = gru_step_loops(x.data[b].tolist(), h_prev.data[b].tolist(), gru_as_dict(gru))
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
 
 
 def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec):
-    """`decode_step`'s new states, with the GRU step and the attention read
-    composed of primitive ops."""
+    """One-token `decode_step`'s rows [state; context], with the GRU step
+    and the attention read composed of primitive ops."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
     context, _ = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
     gx = ad.affine(ad.concat([e_prev, context]), dec.gru.w, dec.gru.b)
-    return gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h)
+    return ad.concat([gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h), context])
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -349,10 +439,14 @@ def test_decode_step_equals_composed_oracle(model, rows):
     _, states, tokens = batch_inputs(model, seed=12, rows=rows)
     states.requires_grad = True
     annotations = ad.Tensor(np.random.default_rng(12).uniform(-1, 1, size=(4, 6)), requires_grad=True)
-    weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 3)))
+    weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 9)))
     leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
     runs = []
-    for step in (lambda *args: decode_step(*args)[1], decode_step_composed):
+
+    def one_token_step(tokens, *args):
+        return decode_step([[tok] for tok in tokens], *args)[1]
+
+    for step in (one_token_step, decode_step_composed):
         for t in leaves:
             t.zero_grad()
         with ad.Tape() as tape:
@@ -366,18 +460,20 @@ def test_decode_step_equals_composed_oracle(model, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 4])
-def test_untaped_decode_step_dispatches_five_ops(model, monkeypatch, rows):
-    """An embedding lookup, one attention read, a concat, the input product
-    and one GRU step: a split of the cell or of the read fails this."""
+def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
+    """An embedding lookup and one `decoder_scan`, for one token per row as
+    for three: a split of the scan fails this."""
     dec = model.backward_decoder
     H, states, tokens = batch_inputs(model, seed=14, rows=rows)
     keys = attention_keys(H, dec)
     calls = []
     real = ad._emit
     monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
-    e_prev, s1, context = decode_step(tokens, states, H, keys, dec)
-    assert len(calls) == 5
-    assert s1.shape == (rows, 3) and context.shape == (rows, 6)
+    for width in (1, 3):
+        calls.clear()
+        e_prev, out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec)
+        assert len(calls) == 2
+        assert e_prev.shape == (rows * width, 2) and out.shape == (rows * width, 9)
 
 
 def test_decode_step_rows_gradcheck(model):
@@ -386,7 +482,7 @@ def test_decode_step_rows_gradcheck(model):
     states.requires_grad = True
 
     def loss():
-        s1, logits = decode_step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
+        s1, logits = step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
         return add(ad.nll(logits, [5, 6, 5]), tsum(mul(s1, s1)))
 
     params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
@@ -402,13 +498,13 @@ def test_init_state_zero_cases(model):
     assert np.array_equal(init_decoder_state(ad.zeros((1, 6)), dec).data, np.zeros((1, 3)))
     dec.init_w.data[...] = 0.0
     dec.init_b.data[...] = 0.0
-    H, h_mean = encode([4, 8], model.encoder)
+    H, h_mean = encode([[4, 8]], model.encoder)
     assert np.array_equal(init_decoder_state(h_mean, dec).data, np.zeros((1, 3)))
 
 
 def test_init_state_matches_oracle_and_range(model):
     dec = model.backward_decoder
-    _, h_mean = encode([4, 5, 6], model.encoder)
+    _, h_mean = encode([[4, 5, 6]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     import math
 
@@ -424,10 +520,10 @@ def test_encode_decode_composite_gradcheck(model):
     source = [4, 7, 5]
 
     def loss():
-        H, h_mean = encode(source, model.encoder)
+        H, h_mean = encode([source], model.encoder)
         dec = model.forward_decoder
         s0 = init_decoder_state(h_mean, dec)
-        s1, logits = decode_step_with_logits([4], s0, H, attention_keys(H, dec), dec)
+        s1, logits = step_with_logits([4], s0, H, attention_keys(H, dec), dec)
         return ad.nll(logits, [6])
 
     # full parameter sweep is covered by the acceptance suite; here spot-check
@@ -466,12 +562,12 @@ def test_checkpoint_identical_forward_values(tmp_path, model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model, *step1_resources(model))
     loaded = load_checkpoint(str(path)).model
-    H1, m1 = encode([4, 5, 6], model.encoder)
-    H2, m2 = encode([4, 5, 6], loaded.encoder)
+    H1, m1 = encode([[4, 5, 6]], model.encoder)
+    H2, m2 = encode([[4, 5, 6]], loaded.encoder)
     assert np.array_equal(H1.data, H2.data)
     f1, f2 = model.forward_decoder, loaded.forward_decoder
-    s1, d1 = decode_step_with_logits([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
-    s2, d2 = decode_step_with_logits([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
+    s1, d1 = step_with_logits([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
+    s2, d2 = step_with_logits([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
     assert np.array_equal(d1.data, d2.data)
 
 

@@ -22,6 +22,7 @@ from sentsimp.training import (
 )
 
 from gradcheck import check_gradients
+from resources import draw_biases
 from oracles import select_training_constraint_scan
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
@@ -192,7 +193,7 @@ def test_training_loss_uniform_model_is_tokens_times_log_v():
         t.data[...] = 0.0
     pair = pair_of([4, 5], [6, 7, 8])
     for s in (1, 2, 3):
-        loss = training_loss(pair, s, model)
+        loss = training_loss([pair], [s], model)
         expected = (len(pair.target) + 1) * math.log(TINY.vocab_size)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
     assert loss_token_count(pair) == 4
@@ -208,7 +209,7 @@ def test_training_loss_near_zero_for_peaked_model():
         vocab_size=9,
     )
     pair = pair_of([4], [5, 6])
-    loss = training_loss(pair, 1, model)
+    loss = training_loss([pair], [1], model)
     assert loss.item() < 1e-6
 
 
@@ -216,9 +217,9 @@ def test_training_loss_position_bounds():
     model = Seq2SeqModel.create(TINY, seed=1)
     pair = pair_of([4], [5, 6])
     with pytest.raises(ContractError):
-        training_loss(pair, 0, model)
+        training_loss([pair], [0], model)
     with pytest.raises(ContractError):
-        training_loss(pair, 3, model)
+        training_loss([pair], [3], model)
 
 
 def test_training_loss_finite_when_target_probability_underflows():
@@ -227,21 +228,18 @@ def test_training_loss_finite_when_target_probability_underflows():
     model = underflow_model(target=6)
     pair = pair_of([4, 5, 6], [6, 7, 6])  # 6 is predicted by both decoders
     with Tape() as tape:
-        loss = training_loss(pair, 2, model)
+        loss = training_loss([pair], [2], model)
         tape.backward(loss)
     assert np.isfinite(loss.item()) and loss.item() > 1600.0
     for name, t in model.named_parameters():
         assert t.grad is None or np.all(np.isfinite(t.grad)), name
 
 
-def test_training_loss_matches_scalar_oracle():
+def scalar_loop_loss(model, pair, s):
+    """The joint NLL of a pair at constraint position s, from the
+    scalar-loop oracles of the encoder and one decoder step."""
     from oracles import decoder_step_loops, encode_loops
     from test_model import decoder_as_dict, gru_as_dict
-
-    model = Seq2SeqModel.create(TINY, seed=9)
-    pair = pair_of([4, 7, 5], [6, 8, 4])
-    s = 2
-    got = training_loss(pair, s, model).item()
 
     ann, mean = encode_loops(
         list(pair.source),
@@ -266,13 +264,27 @@ def test_training_loss_matches_scalar_oracle():
         return total
 
     target = list(pair.target)
-    backward_inputs = [target[1], target[0]]
-    backward_targets = [target[0], BOS_ID]
+    backward_inputs = target[s - 1 :: -1]
+    backward_targets = backward_inputs[1:] + [BOS_ID]
     expected = run_decoder(model.backward_decoder, backward_inputs, backward_targets, 0)
     forward_inputs = [BOS_ID] + target
     forward_targets = target + [2]
-    expected += run_decoder(model.forward_decoder, forward_inputs, forward_targets, s)
-    assert got == pytest.approx(expected, abs=1e-10)
+    return expected + run_decoder(model.forward_decoder, forward_inputs, forward_targets, s)
+
+
+def test_training_loss_matches_scalar_oracle():
+    model = Seq2SeqModel.create(TINY, seed=9)
+    pair = pair_of([4, 7, 5], [6, 8, 4])
+    got = training_loss([pair], [2], model).item()
+    assert got == pytest.approx(scalar_loop_loss(model, pair, 2), abs=1e-10)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_training_loss_matches_scalar_oracle_with_biases(s):
+    model = draw_biases(Seq2SeqModel.create(TINY, seed=9), seed=31)
+    pair = pair_of([4, 7, 5], [6, 8, 4])
+    got = training_loss([pair], [s], model).item()
+    assert got == pytest.approx(scalar_loop_loss(model, pair, s), abs=1e-10)
 
 
 def test_training_loss_computes_logits_only_for_scored_steps(monkeypatch):
@@ -290,38 +302,51 @@ def test_training_loss_computes_logits_only_for_scored_steps(monkeypatch):
     for target in ([5], [6, 7], [4, 8, 6, 5]):
         for position in range(1, len(target) + 1):
             calls.clear()
-            training_loss(pair_of([4, 5], target), position, model)
-            assert calls == [1] * (len(target) + 1), (target, position)
+            training_loss([pair_of([4, 5], target)], [position], model)
+            # one call per stage: m + 1 scored rows in all
+            assert calls == [position, len(target) + 1 - position], (target, position)
+
+
+def loss_and_gradients(model, loss_fn):
+    """loss_fn()'s value and the gradients of all 35 parameters, under a fresh tape."""
+    model.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    return loss.item(), [p.grad.copy() for p in model.parameters()]
+
+
+def assert_gradients_close(model, got, want, rel=1e-12):
+    """Each gradient within rel of the largest entry of the wanted one."""
+    assert len(got) == len(want) == 35
+    for (name, _), a, b in zip(model.named_parameters(), got, want):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b)), name
 
 
 def test_training_loss_and_gradients_equal_all_logits_oracle():
+    """Logits for the scored steps only give the loss of the per-step
+    oracle that computes every step's logits, and its gradients to 1e-12 of
+    each one's largest entry: the scans sum the backward pass through time
+    in another order than the per-step tape."""
     from oracles import training_loss_all_logits
 
     model = Seq2SeqModel.create(TINY, seed=6)
-    params = model.parameters()
     rng = np.random.default_rng(6)
     for _ in range(4):
         target = rng.integers(4, TINY.vocab_size, size=rng.integers(1, 6)).tolist()
         pair = pair_of(rng.integers(4, TINY.vocab_size, size=3).tolist(), target)
         position = int(rng.integers(1, len(target) + 1))
-        runs = []
-        for loss_fn in (training_loss, training_loss_all_logits):
-            model.zero_grad()
-            with Tape() as tape:
-                loss = loss_fn(pair, position, model)
-                tape.backward(loss)
-            runs.append((loss.item(), [p.grad.copy() for p in params]))
-        (got, got_grads), (want, want_grads) = runs
+        got, got_grads = loss_and_gradients(model, lambda: training_loss([pair], [position], model))
+        want, want_grads = loss_and_gradients(model, lambda: training_loss_all_logits(pair, position, model))
         assert got == want
-        assert len(got_grads) == 35
-        for name, a, b in zip([n for n, _ in model.named_parameters()], got_grads, want_grads):
-            assert np.array_equal(a, b), name
+        assert_gradients_close(model, got_grads, want_grads)
 
 
 def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
-    """At desk dims, the fused GRU step and attention read give the loss of
-    their per-op compositions exactly and all 35 gradients to 1e-12."""
-    import sentsimp.model as model_module
+    """At desk dims, the scans give the loss of the per-step oracle whose
+    GRU step and attention read are per-op compositions exactly, and all 35
+    gradients to 1e-12."""
+    import oracles
     from oracles import attention_composed, gru_step_composed
 
     vocab_size = 53
@@ -333,46 +358,134 @@ def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
         source = rng.integers(4, vocab_size, size=rng.integers(2, 9)).tolist()
         pairs.append((pair_of(source, target), int(rng.integers(1, len(target) + 1))))
 
-    def run():
+    def run(loss_fn):
         model.zero_grad()
         losses = []
         for pair, position in pairs:
             with Tape() as tape:
-                loss = training_loss(pair, position, model)
+                loss = loss_fn(pair, position)
                 tape.backward(loss)
             losses.append(loss.item())
         return losses, [p.grad.copy() for p in model.parameters()]
 
-    got, got_grads = run()
-    monkeypatch.setattr(model_module.ad, "gru_step", gru_step_composed)
-    monkeypatch.setattr(
-        model_module,
-        "attend",
-        lambda s, annotations, keys, p: attention_composed(s, keys, annotations, p.att_w, p.att_v),
-    )
-    want, want_grads = run()
+    got, got_grads = run(lambda pair, position: training_loss([pair], [position], model))
+    monkeypatch.setattr(oracles, "gru_step", gru_step_composed)
+    monkeypatch.setattr(oracles, "attention", attention_composed)
+    want, want_grads = run(lambda pair, position: oracles.training_loss_per_step(pair, position, model))
     assert got == want
-    assert len(got_grads) == 35
-    for (name, _), a, b in zip(model.named_parameters(), got_grads, want_grads):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    assert_gradients_close(model, got_grads, want_grads)
+
+
+def random_pairs(rng, count, vocab_size, max_source=9, max_target=8):
+    """count pairs of random lengths (sources 1..max_source, targets
+    1..max_target tokens) and a random constraint position for each."""
+    pairs, positions = [], []
+    for _ in range(count):
+        source = rng.integers(4, vocab_size, size=rng.integers(1, max_source + 1)).tolist()
+        target = rng.integers(4, vocab_size, size=rng.integers(1, max_target + 1)).tolist()
+        pairs.append(pair_of(source, target))
+        positions.append(int(rng.integers(1, len(target) + 1)))
+    return pairs, positions
+
+
+@pytest.mark.parametrize("dims", [(9, 2, 3), (53, 16, 32)], ids=["tiny", "toy"])
+def test_training_loss_equals_per_step_oracle_with_biases(dims):
+    """One pair: the scans give the per-step oracle's loss bit for bit and
+    every gradient within 1e-12 of its largest entry."""
+    from oracles import training_loss_per_step
+
+    model = draw_biases(Seq2SeqModel.create(ModelConfig(*dims), seed=12), seed=12)
+    pairs, positions = random_pairs(np.random.default_rng(12), 4, dims[0])
+    for pair, position in zip(pairs, positions):
+        got, got_grads = loss_and_gradients(model, lambda: training_loss([pair], [position], model))
+        want, want_grads = loss_and_gradients(model, lambda: training_loss_per_step(pair, position, model))
+        assert got == want
+        assert_gradients_close(model, got_grads, want_grads)
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one-pair", "padded-batch"])
+def test_training_loss_gradcheck_with_biases(count):
+    """All 35 parameters, for one pair and for a batch whose sources,
+    targets and positions differ, so that every mask is in use."""
+    model = draw_biases(Seq2SeqModel.create(TINY, seed=13), seed=13)
+    pairs = [pair_of([4, 7, 5], [6, 8, 4]), pair_of([8], [5]), pair_of([6, 5], [4, 7, 8, 6])][:count]
+    positions = [2, 1, 3][:count]
+    assert check_gradients(lambda: training_loss(pairs, positions, model), model.parameters()) < 1e-4
+
+
+@pytest.mark.parametrize("count", [2, 5, 16])
+def test_batch_loss_equals_sum_of_per_pair_oracle_losses(count):
+    """A padded batch of pairs with mixed source lengths, target lengths
+    and positions scores the sum of the per-step oracle's per-pair losses
+    to 1e-12, and its gradients are the sums of theirs."""
+    from oracles import training_loss_per_step
+
+    model = draw_biases(Seq2SeqModel.create(ModelConfig(53, 16, 32), seed=count), seed=count)
+    pairs, positions = random_pairs(np.random.default_rng(count), count, 53)
+    got, got_grads = loss_and_gradients(model, lambda: training_loss(pairs, positions, model))
+    want, want_grads = 0.0, [np.zeros_like(p.data) for p in model.parameters()]
+    for pair, position in zip(pairs, positions):
+        loss, grads = loss_and_gradients(model, lambda: training_loss_per_step(pair, position, model))
+        want += loss
+        want_grads = [acc + g for acc, g in zip(want_grads, grads)]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert_gradients_close(model, got_grads, want_grads)
+
+
+def test_a_longer_pair_leaves_a_shorter_pairs_loss_and_gradients_unchanged():
+    """Batched with a pair that is longer in source, target and position,
+    a pair adds its own loss and gradients to the other's, to 1e-12,
+    though every one of its rows is now padded."""
+    model = draw_biases(Seq2SeqModel.create(ModelConfig(53, 16, 32), seed=14), seed=14)
+    short, long = pair_of([4, 9, 7], [5, 6]), pair_of([8, 4, 12, 30, 7, 5, 6], [9, 10, 11, 12, 13])
+    alone, alone_grads = loss_and_gradients(model, lambda: training_loss([short], [2], model))
+    other, other_grads = loss_and_gradients(model, lambda: training_loss([long], [4], model))
+    both, both_grads = loss_and_gradients(model, lambda: training_loss([short, long], [2, 4], model))
+    assert both == pytest.approx(alone + other, rel=1e-12, abs=0)
+    assert_gradients_close(model, both_grads, [a + o for a, o in zip(alone_grads, other_grads)])
+
+
+def test_every_parameter_is_live():
+    """Moving one entry of any of the 35 parameters changes the loss of one
+    pair; in an embedding, the entry is in a row the pair reads. A
+    parameter that the loss does not read leaves it bit for bit as it was."""
+    model = draw_biases(Seq2SeqModel.create(TINY, seed=15), seed=15)
+    pair, position = pair_of([4, 7, 5], [6, 8, 4]), 2
+    read_rows = {"encoder.embedding": 4, "backward.embedding": 8, "forward.embedding": BOS_ID}
+    before = training_loss([pair], [position], model).item()
+    for name, t in model.named_parameters():
+        entry = (read_rows[name], 0) if name in read_rows else (0,) * t.ndim
+        saved = t.data[entry]
+        t.data[entry] = saved + 0.5
+        moved = training_loss([pair], [position], model).item()
+        t.data[entry] = saved
+        assert moved != before, name
+
+
+def test_validation_loss_in_padded_batches_equals_one_pair_at_a_time():
+    from sentsimp.training import _corpus_loss
+
+    model = draw_biases(Seq2SeqModel.create(ModelConfig(53, 16, 32), seed=16), seed=16)
+    pairs, positions = random_pairs(np.random.default_rng(16), 20, 53)
+    one_at_a_time = _corpus_loss(pairs, positions, model, batch_size=1)
+    for batch_size in (3, 16, 40):
+        assert _corpus_loss(pairs, positions, model, batch_size) == pytest.approx(one_at_a_time, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n, m, position", [(1, 1, 1), (2, 5, 1), (6, 3, 3), (9, 7, 4)])
 def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
-    """Ops recorded for one pair with an n-token source and an m-token target:
-    the encoder records 4n + 7 (the lookup, two input products, one row read
-    and one GRU step per token and direction, two stacks, a concat and the
-    mean); each decoder stage 3 (keys and the two ops of the initial
-    state) plus 5 per step (lookup, attention, concat, input product, GRU
-    step) plus 2 per scored step (concat, output product); one stack and
-    one nll score the logit rows of both stages. The backward stage steps
-    and scores `position` times, the forward stage steps m + 1 times and
-    scores m + 1 - position of them."""
+    """Ops recorded for one pair, whatever its source length n, target
+    length m and constraint position: the encoder records 7 (the lookup,
+    two input products, one `gru_scan` per direction, a concat and the
+    mean); each decoder stage 9 (keys, the two ops of the initial state,
+    the lookup of its inputs and one `decoder_scan`, then the lookups of
+    the scored steps' embeddings and rows, a concat and one output
+    product); one stack and one nll score the logit rows of both stages."""
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
     with Tape() as tape:
-        training_loss(pair, position, model)
-    assert len(tape) == 4 * n + 7 * m + 5 * position + 22
+        training_loss([pair], [position], model)
+    assert len(tape) == 7 + 2 * 9 + 2
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
@@ -392,7 +505,7 @@ def test_accumulated_gradients_equal_dense_backward_oracle(embed_dim, hidden_dim
         model.zero_grad()
         for pair, position in pairs:  # accumulated into one .grad, as `train` does
             with Tape() as tape:
-                backward(tape, training_loss(pair, position, model))
+                backward(tape, training_loss([pair], [position], model))
         runs.append([p.grad.copy() for p in model.parameters()])
     got, want = runs
     assert len(got) == 35
@@ -405,7 +518,7 @@ def test_training_loss_gradient_matches_finite_differences_subset():
     pair = pair_of([4, 5], [6, 7])
 
     def loss():
-        return training_loss(pair, 1, model)
+        return training_loss([pair], [1], model)
 
     params = dict(model.named_parameters())
     names = [
@@ -422,13 +535,13 @@ def test_single_step_decreases_loss_without_clipping():
     pair = pair_of([4, 6, 8], [5, 7])
     named = list(model.named_parameters())
     state = AdadeltaState(named)
-    before = training_loss(pair, 1, model).item()
+    before = training_loss([pair], [1], model).item()
     with Tape() as tape:
-        loss = training_loss(pair, 1, model)
+        loss = training_loss([pair], [1], model)
         tape.backward(loss)
     adadelta_step(named, state, rho=0.95, eps=1e-6)
     model.zero_grad()
-    after = training_loss(pair, 1, model).item()
+    after = training_loss([pair], [1], model).item()
     assert after < before
 
 
@@ -476,7 +589,7 @@ def test_validation_does_not_change_parameters():
 
     model = Seq2SeqModel.create(TINY, seed=4)
     snapshot = [t.data.copy() for t in model.parameters()]
-    _corpus_loss(toy_corpus().train, [1, 1, 1, 1], model)
+    _corpus_loss(toy_corpus().train, [1, 1, 1, 1], model, batch_size=3)
     for before, after in zip(snapshot, model.parameters()):
         assert np.array_equal(before, after.data)
 
@@ -538,11 +651,11 @@ def test_checkpoint_roundtrip_preserves_validation_loss(tmp_path):
     model = Seq2SeqModel.create(TINY, seed=6)
     corpus = toy_corpus()
     positions = [1] * len(corpus.train)
-    before = _corpus_loss(corpus.train, positions, model)
+    before = _corpus_loss(corpus.train, positions, model, batch_size=3)
     path = tmp_path / "model.ckpt"
     write_atomic_checkpoint(str(path), model, fake_vocab(), FrequencyTable({"w4": 2}, 1.5))
     reloaded = load_checkpoint(str(path)).model
-    after = _corpus_loss(corpus.train, positions, reloaded)
+    after = _corpus_loss(corpus.train, positions, reloaded, batch_size=3)
     assert abs(after - before) <= 1e-12
 
 
