@@ -562,6 +562,8 @@ def decoder_scan(
             f" {annotations.shape}, att_w {att_w.shape}, att_v {att_v.shape}, w {w.shape}, b {b.shape},"
             f" u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
         )
+    # one source read by every row, as in the beam: one context product per
+    # step serves all rows, cheaper than a copy of the source per row
     shared = source_lengths is None
     if shared:
         n, pad = keys.shape[0], None

@@ -23,7 +23,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
 from sentsimp.decoding import Hypothesis
 from sentsimp.errors import DimensionError, NumericError
-from sentsimp.model import attention_keys, init_decoder_state, output_logits
+from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
 
 
 # ---------------------------------------------------------------- tensor math
@@ -735,18 +735,38 @@ def training_loss_per_step(pair, position, model):
     return ad.nll(ad.stack(logits), targets)
 
 
-def training_loss_all_logits(pair, position, model):
-    """Reference version of an earlier design: `training_loss_per_step`
+def training_loss_all_logits(pairs, positions, model):
+    """Reference version of an earlier design: `training.training_loss`
     with logits computed at every decoder step, the unscored forward prefix
-    included: one product over a stage's unscored rows, whose logits go
-    unused, and one over its scored rows, which are the stage's logits."""
-    stages, targets = _per_step_stages(pair, position, model)
-    logits = []
-    for p, rows, scored_from in stages:
-        if scored_from:
-            ad.affine(ad.stack(rows[:scored_from]), p.out_w, p.out_b)
-        logits.append(ad.affine(ad.stack(rows[scored_from:]), p.out_w, p.out_b))
-    return ad.nll(ad.stack(logits), targets)
+    included. It runs the package's `encode` and `decode_step` over the
+    padded batch, then per stage one `output_logits` over the unscored
+    rows, whose logits go unused, and one over the scored rows, which are
+    the stage's logits."""
+    source_lengths = [len(pair.source) for pair in pairs]
+    annotations, h_mean = encode([pair.source for pair in pairs], model.encoder)
+
+    def stage_logits(params, inputs, scored_from):
+        keys = attention_keys(annotations, params)
+        state = init_decoder_state(h_mean, params)
+        _, out = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        steps = max(len(row) for row in inputs)
+        every = [[(b * steps + t, row[t]) for t in range(len(row))] for b, row in enumerate(inputs)]
+        logits = []
+        for rows in (
+            [step for b, row in enumerate(every) for step in row[: scored_from[b]]],
+            [step for b, row in enumerate(every) for step in row[scored_from[b] :]],
+        ):
+            if rows:
+                e_prev = ad.take_rows(params.embedding, [tok for _, tok in rows])
+                logits.append(output_logits(e_prev, ad.take_rows(out, [i for i, _ in rows]), params))
+        return logits[-1]
+
+    backward_inputs = [pair.target[position - 1 :: -1] for pair, position in zip(pairs, positions)]
+    backward = stage_logits(model.backward_decoder, backward_inputs, [0] * len(pairs))
+    forward = stage_logits(model.forward_decoder, [(BOS_ID, *pair.target) for pair in pairs], positions)
+    targets = [tok for row in backward_inputs for tok in (*row[1:], BOS_ID)]
+    targets += [tok for pair, position in zip(pairs, positions) for tok in (*pair.target[position:], EOS_ID)]
+    return ad.nll(ad.stack([backward, forward]), targets)
 
 
 def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h):

@@ -324,22 +324,26 @@ def assert_gradients_close(model, got, want, rel=1e-12):
 
 
 def test_training_loss_and_gradients_equal_all_logits_oracle():
-    """Logits for the scored steps only give the loss of the per-step
-    oracle that computes every step's logits, and its gradients to 1e-12 of
-    each one's largest entry: the scans sum the backward pass through time
-    in another order than the per-step tape."""
+    """Logits for the scored steps only give exactly the loss and the 35
+    gradients of the same batch with logits at every step: the unscored
+    logits feed nothing."""
     from oracles import training_loss_all_logits
 
     model = Seq2SeqModel.create(TINY, seed=6)
+    draw_biases(model, 60)
     rng = np.random.default_rng(6)
-    for _ in range(4):
-        target = rng.integers(4, TINY.vocab_size, size=rng.integers(1, 6)).tolist()
-        pair = pair_of(rng.integers(4, TINY.vocab_size, size=3).tolist(), target)
-        position = int(rng.integers(1, len(target) + 1))
-        got, got_grads = loss_and_gradients(model, lambda: training_loss([pair], [position], model))
-        want, want_grads = loss_and_gradients(model, lambda: training_loss_all_logits(pair, position, model))
+    for rows in (1, 1, 3, 5):
+        pairs, positions = [], []
+        for _ in range(rows):
+            target = rng.integers(4, TINY.vocab_size, size=rng.integers(1, 6)).tolist()
+            pairs.append(pair_of(rng.integers(4, TINY.vocab_size, size=rng.integers(1, 5)).tolist(), target))
+            positions.append(int(rng.integers(1, len(target) + 1)))
+        got, got_grads = loss_and_gradients(model, lambda: training_loss(pairs, positions, model))
+        want, want_grads = loss_and_gradients(model, lambda: training_loss_all_logits(pairs, positions, model))
         assert got == want
-        assert_gradients_close(model, got_grads, want_grads)
+        assert len(got_grads) == 35
+        for (name, _), a, b in zip(model.named_parameters(), got_grads, want_grads):
+            assert np.array_equal(a, b), name
 
 
 def test_training_loss_and_gradients_equal_composed_cell_oracle(monkeypatch):
