@@ -152,7 +152,7 @@ def _cmd_simplify(args) -> int:
         raise UsageError("simplify needs --model (or a config with checkpoint =)")
     pipeline = SimplifyPipeline.from_config(config)
     try:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IngestionError(f"cannot read {args.input}: {exc}") from None
@@ -196,7 +196,7 @@ def _discard_stdout() -> None:
 
 def _read_token_lines(path: str) -> list[list[str]]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return [tokenize(line) for line in fh.read().splitlines()]
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None

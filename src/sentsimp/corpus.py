@@ -131,15 +131,15 @@ def read_parallel_tokens(
     """
     try:
         if target_path is None:
-            with open(source_path, encoding="utf-8") as fh:
+            with open(source_path, encoding="utf-8-sig") as fh:
                 rows = []
                 for raw in fh:
                     parts = raw.rstrip("\n").split("\t")
                     rows.append((parts[0], parts[1]) if len(parts) == 2 else None)
         else:
-            with open(source_path, encoding="utf-8") as fh:
+            with open(source_path, encoding="utf-8-sig") as fh:
                 src_lines = fh.read().splitlines()
-            with open(target_path, encoding="utf-8") as fh:
+            with open(target_path, encoding="utf-8-sig") as fh:
                 tgt_lines = fh.read().splitlines()
             if len(src_lines) != len(tgt_lines):
                 raise IngestionError(

@@ -3,7 +3,8 @@
 The first simplification step: greedy leftmost-longest matching of complex
 phrases against a (complex, simple, score) rule table, gated by a corpus
 frequency test, producing both the substituted sentence and the ordered
-constraint set handed to the generator.
+constraint set handed to the generator. The table is indexed by each rule's
+whole complex phrase, so a position costs one lookup per candidate length.
 """
 
 from __future__ import annotations
@@ -36,17 +37,18 @@ class ParaphraseRule:
 
 
 class KnowledgeBase:
-    """Rules indexed by the first token of the complex phrase."""
+    """Rules indexed by their whole complex phrase."""
 
     def __init__(self, rules: Iterable[ParaphraseRule], rejected: Sequence[tuple[int, str]] = ()):
-        self._by_head: dict[str, list[ParaphraseRule]] = {}
+        self._by_complex: dict[tuple[str, ...], list[ParaphraseRule]] = {}
         count = 0
         for rule in rules:
-            self._by_head.setdefault(rule.complex[0], []).append(rule)
+            self._by_complex.setdefault(rule.complex, []).append(rule)
             count += 1
-        for bucket in self._by_head.values():
-            # longest complex first, then best score, then shorter simple side
-            bucket.sort(key=lambda r: (-len(r.complex), -r.score, len(r.simple), r.simple))
+        for bucket in self._by_complex.values():
+            if len(bucket) > 1:
+                # best score first, then shorter simple side; stable, so ties keep file order
+                bucket.sort(key=lambda r: (-r.score, len(r.simple), r.simple))
         self._size = count
         self.rejected = list(rejected)
 
@@ -56,10 +58,8 @@ class KnowledgeBase:
     def matches_at(self, tokens: Sequence[str], start: int) -> Iterator[ParaphraseRule]:
         """Every rule whose complex side equals tokens[start:...]: longest
         first, then best score, then shorter simple side."""
-        for rule in self._by_head.get(tokens[start], ()):
-            end = start + len(rule.complex)
-            if end <= len(tokens) and tuple(tokens[start:end]) == rule.complex:
-                yield rule
+        for end in range(min(len(tokens), start + MAX_PHRASE_TOKENS), start, -1):
+            yield from self._by_complex.get(tuple(tokens[start:end]), ())
 
 
 def _parse_row(line: str, lineno: int) -> ParaphraseRule:
@@ -88,7 +88,7 @@ def load_kb(path: str) -> KnowledgeBase:
     rules: list[ParaphraseRule] = []
     rejected: list[tuple[int, str]] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line.strip():

@@ -118,36 +118,38 @@ def sari(
     numref = len(references)
     total = 0.0
     for n in range(1, max_n + 1):
-        in_rep = Counter({g: c * numref for g, c in _ngrams(input_tokens, n).items()})
-        out_rep = Counter({g: c * numref for g, c in _ngrams(output_tokens, n).items()})
+        in_rep = {g: c * numref for g, c in _ngrams(input_tokens, n).items()}
+        out_rep = {g: c * numref for g, c in _ngrams(output_tokens, n).items()}
         ref_all = Counter()
         for ref in references:
             ref_all.update(_ngrams(ref, n))
 
-        kept = in_rep & out_rep
-        kept_good = kept & ref_all
-        kept_all = in_rep & ref_all
+        # multiset intersection and difference: every count is positive, so
+        # a key absent from the right operand counts zero there
+        kept = {g: min(c, out_rep[g]) for g, c in in_rep.items() if g in out_rep}
+        kept_good = {g: min(c, ref_all[g]) for g, c in kept.items() if g in ref_all}
+        kept_all = {g: min(c, ref_all[g]) for g, c in in_rep.items() if g in ref_all}
         keep_p = (
-            sum(kept_good[g] / kept[g] for g in kept) / len(kept) if kept else vacuous
+            sum(kept_good.get(g, 0) / kept[g] for g in kept) / len(kept) if kept else vacuous
         )
         keep_r = (
-            sum(kept_good[g] / kept_all[g] for g in kept_all) / len(kept_all)
+            sum(kept_good.get(g, 0) / kept_all[g] for g in kept_all) / len(kept_all)
             if kept_all
             else vacuous
         )
         keep = _f1(keep_p, keep_r)
 
-        deleted = in_rep - out_rep
-        deleted_good = deleted - ref_all
+        deleted = {g: d for g, c in in_rep.items() if (d := c - out_rep.get(g, 0)) > 0}
+        deleted_good = {g: d for g, c in deleted.items() if (d := c - ref_all.get(g, 0)) > 0}
         delete = (
             sum(deleted_good[g] / deleted[g] for g in deleted_good) / len(deleted)
             if deleted
             else vacuous
         )
 
-        added = set(out_rep) - set(in_rep)
-        added_good = added & set(ref_all)
-        added_all = set(ref_all) - set(in_rep)
+        added = out_rep.keys() - in_rep.keys()
+        added_good = added & ref_all.keys()
+        added_all = ref_all.keys() - in_rep.keys()
         add_p = len(added_good) / len(added) if added else vacuous
         add_r = len(added_good) / len(added_all) if added_all else vacuous
         add = _f1(add_p, add_r)

@@ -114,7 +114,7 @@ def parse_config(path: str) -> PipelineConfig:
     kinds = {name: (int if t == "int" else float if t == "float" else str) for name, t in fields.items()}
     values: dict[str, object] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

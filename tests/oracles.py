@@ -285,6 +285,27 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
     return min(finished, key=rank)
 
 
+# ---------------------------------------------------------------- rule lookup
+
+
+def matches_at_scan(rules, tokens, start):
+    """Reference version of an earlier design: `KnowledgeBase.matches_at`
+    over rules bucketed by the first token of their complex side, each
+    bucket sorted longest complex side first, then best score, then shorter
+    simple side (stable, so ties keep their order in `rules`), and scanned
+    in full at each position."""
+    bucket = sorted(
+        (rule for rule in rules if rule.complex[0] == tokens[start]),
+        key=lambda r: (-len(r.complex), -r.score, len(r.simple), r.simple),
+    )
+    matches = []
+    for rule in bucket:
+        end = start + len(rule.complex)
+        if end <= len(tokens) and tuple(tokens[start:end]) == rule.complex:
+            matches.append(rule)
+    return matches
+
+
 # ---------------------------------------------------------------- constraint choice
 
 
@@ -396,6 +417,41 @@ def sari_loops(input_toks, output_toks, references, max_n=4, vacuous=1.0):
 
         per_n.append((keep + dele + addn) / 3.0)
     return 100.0 * sum(per_n) / len(per_n)
+
+
+def sari_counter(input_tokens, output_tokens, references, max_n=4, vacuous=1.0):
+    """Reference version of an earlier design: `metrics.sari` on `Counter`
+    multiset algebra (`&` for intersection, `-` for difference), with the
+    same float terms summed in the same order, so it agrees bit for bit."""
+    numref = len(references)
+    total = 0.0
+    for n in range(1, max_n + 1):
+        in_rep = Counter({g: c * numref for g, c in Counter(ngrams_list(input_tokens, n)).items()})
+        out_rep = Counter({g: c * numref for g, c in Counter(ngrams_list(output_tokens, n)).items()})
+        ref_all = Counter()
+        for ref in references:
+            ref_all.update(Counter(ngrams_list(ref, n)))
+
+        kept = in_rep & out_rep
+        kept_good = kept & ref_all
+        kept_all = in_rep & ref_all
+        keep_p = sum(kept_good[g] / kept[g] for g in kept) / len(kept) if kept else vacuous
+        keep_r = sum(kept_good[g] / kept_all[g] for g in kept_all) / len(kept_all) if kept_all else vacuous
+        keep = 0.0 if keep_p + keep_r == 0.0 else 2.0 * keep_p * keep_r / (keep_p + keep_r)
+
+        deleted = in_rep - out_rep
+        deleted_good = deleted - ref_all
+        delete = sum(deleted_good[g] / deleted[g] for g in deleted_good) / len(deleted) if deleted else vacuous
+
+        added = set(out_rep) - set(in_rep)
+        added_good = added & set(ref_all)
+        added_all = set(ref_all) - set(in_rep)
+        add_p = len(added_good) / len(added) if added else vacuous
+        add_r = len(added_good) / len(added_all) if added_all else vacuous
+        add = 0.0 if add_p + add_r == 0.0 else 2.0 * add_p * add_r / (add_p + add_r)
+
+        total += (add + keep + delete) / 3.0
+    return 100.0 * total / max_n
 
 
 def syllables_heuristic(word: str) -> int:

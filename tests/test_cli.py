@@ -303,6 +303,21 @@ def test_simplify_end_to_end(trained_run, tmp_path, capsys):
         assert words[pos : pos + len(trace_pass["constraint"])] == trace_pass["constraint"]
 
 
+def test_simplify_input_drops_a_leading_byte_order_mark(trained_run, tmp_path, capsys):
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    line = build_toy_corpus(12, seed=3).pairs[1][0]
+    input_file = tmp_path / "input.txt"
+    input_file.write_text("\ufeff" + line + "\n", encoding="utf-8")
+    trace_file = tmp_path / "trace.jsonl"
+    code = main(["simplify", "--model", str(ckpt), "--kb", str(kb), "--input", str(input_file),
+                 "--trace", str(trace_file)])
+    assert code == 0
+    capsys.readouterr()
+    (trace,) = [json.loads(row) for row in trace_file.read_text(encoding="utf-8").splitlines()]
+    assert trace["tokens"] == line.split()
+
+
 def test_simplify_missing_checkpoint_is_model_error(tmp_path):
     input_file = tmp_path / "in.txt"
     input_file.write_text("hello\n", encoding="utf-8")
@@ -414,6 +429,19 @@ def test_evaluate_text_and_csv(tmp_path, capsys):
     header, values = rows
     assert header[1:] == ["FK", "BLEU(O, R)", "BLEU(O, I)", "iBLEU", "SARI"]
     assert float(values[2]) == 100.0  # BLEU(O, R): outputs equal references
+
+
+def test_evaluate_drops_a_leading_byte_order_mark(tmp_path, capsys):
+    (tmp_path / "i.txt").write_text("\ufeffthe big cat sat .\n", encoding="utf-8")
+    (tmp_path / "o.txt").write_text("\ufeffthe cat sat .\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("the cat sat .\n", encoding="utf-8")
+    code = main(
+        ["evaluate", "--input", str(tmp_path / "i.txt"), "--output", str(tmp_path / "o.txt"),
+         "--reference", str(tmp_path / "r.txt"), "--report", "csv"]
+    )
+    assert code == 0
+    _, values = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert float(values[2]) == 100.0  # BLEU(O, R): the output's first token matches
 
 
 def test_evaluate_malformed_rows_exit_2(tmp_path, capsys):

@@ -159,6 +159,16 @@ def test_load_parallel_tsv(tmp_path):
     assert skipped == [(2, "expected two tab-separated fields")]
 
 
+def test_load_parallel_drops_a_leading_byte_order_mark(tmp_path):
+    src, tgt, tsv = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "data.tsv"
+    src.write_text("\ufeffWe left.\n", encoding="utf-8")
+    tgt.write_text("\ufeffwe went .\n", encoding="utf-8")
+    tsv.write_text("\ufeffWe left.\twe went .\n", encoding="utf-8")
+    want = [(["we", "left", "."], ["we", "went", "."])]
+    assert read_parallel_tokens(str(src), str(tgt)) == (want, [])
+    assert read_parallel_tokens(str(tsv)) == (want, [])
+
+
 def test_load_roundtrip_renders_lowercased_tokenization(tmp_path):
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     text = "Parkes became a KEY location, serving well."

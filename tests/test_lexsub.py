@@ -15,6 +15,8 @@ from sentsimp.lexsub import (
     load_kb,
 )
 
+from oracles import matches_at_scan
+
 
 def kb_from(rows):
     return KnowledgeBase([ParaphraseRule(tuple(c.split()), tuple(s.split()), sc) for c, s, sc in rows])
@@ -68,6 +70,49 @@ def test_load_kb_rejection_reason_names_line_number(tmp_path):
     [(lineno, reason)] = kb.rejected
     assert lineno == 2
     assert "line 2" in reason
+
+
+def test_load_kb_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("\ufeffutilize\tuse\t0.9\nhub\tcenter\t0.8\n", encoding="utf-8")
+    kb = load_kb(str(path))
+    assert kb.rejected == []
+    assert [rule.complex for rule in kb.matches_at(["utilize", "hub"], 0)] == [("utilize",)]
+
+
+# ---------------------------------------------------------------- rule lookup
+
+LOOKUP_TOKENS = ["a", "b", "c"]
+rule_rows = st.tuples(
+    st.lists(st.sampled_from(LOOKUP_TOKENS), min_size=1, max_size=5).map(tuple),
+    st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2).map(tuple),
+    st.sampled_from([0.25, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(rule_rows, min_size=1, max_size=25),
+    st.lists(st.integers(min_value=0, max_value=24), max_size=6),
+    st.lists(st.integers(min_value=0, max_value=24), max_size=4),
+    st.lists(st.sampled_from(LOOKUP_TOKENS + ["z"]), max_size=4),
+    st.integers(min_value=0, max_value=4),
+)
+def test_matches_at_equals_the_head_bucket_scan(rows, copies, picks, noise, cut):
+    """Same rule objects in the same order at every start. Three tokens give
+    shared heads and repeated complex sides; the copied rows tie on score
+    and simple side with an earlier row, so only file order separates them;
+    the sentence strings complex sides together and cuts its tail, so some
+    matches would run past its end."""
+    rows = rows + [rows[i % len(rows)] for i in copies]
+    rules = [ParaphraseRule(c, s, sc) for c, s, sc in rows]
+    kb = KnowledgeBase(rules)
+    tokens = noise + [tok for i in picks for tok in rows[i % len(rows)][0]]
+    tokens = tokens[: len(tokens) - cut]
+    for start in range(len(tokens)):
+        got = list(kb.matches_at(tokens, start))
+        want = matches_at_scan(rules, tokens, start)
+        assert [id(rule) for rule in got] == [id(rule) for rule in want]
 
 
 # ---------------------------------------------------------------- frequency table

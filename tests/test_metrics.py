@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentsimp.corpus import PUNCTUATION
 from sentsimp.errors import ContractError
 from sentsimp.metrics import (
     EvalTriple,
@@ -21,7 +22,7 @@ from sentsimp.metrics import (
     sari,
 )
 
-from oracles import bleu_loops, fk_from_counts, sari_loops, syllables_heuristic
+from oracles import bleu_loops, fk_from_counts, sari_counter, sari_loops, syllables_heuristic
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dogs", "run", "fast", "."]
 corpora = st.lists(
@@ -168,6 +169,21 @@ def test_sari_bounds_and_oracle_agreement(i, o, refs):
     assert got == pytest.approx(sari_loops(i, o, refs), abs=1e-9)
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(WORDS[:3]), min_size=1, max_size=10),
+    st.lists(st.sampled_from(WORDS[:3]), min_size=1, max_size=10),
+    st.lists(st.lists(st.sampled_from(WORDS[:4]), min_size=1, max_size=10), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1.0, 0.0, 0.5, 0.3]),
+)
+def test_sari_equals_the_counter_oracle_bit_for_bit(i, o, refs, max_n, vacuous):
+    """Three words repeat n-grams, and a short output has no n-grams at the
+    higher orders, so empty components take `vacuous`."""
+    got = sari(i, o, refs, max_n=max_n, vacuous=vacuous)
+    assert got == sari_counter(i, o, refs, max_n=max_n, vacuous=vacuous)
+
+
 @settings(max_examples=30)
 @given(
     st.lists(st.sampled_from(WORDS[:6]), min_size=1, max_size=5),
@@ -247,6 +263,28 @@ def test_evaluate_corpus_columns_and_copy_penalty():
         0.9 * copy_report.bleu_output_reference - 10.0, abs=1e-9
     )
     assert report.ibleu > copy_report.ibleu
+
+
+sentences = st.lists(st.sampled_from(WORDS[:4] + ["."]), min_size=1, max_size=8)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(sentences, sentences, sentences), min_size=1, max_size=5))
+def test_evaluate_corpus_equals_the_oracle_composition_exactly(rows):
+    rows = [(i, ["cat"] + o, r) for i, o, r in rows]  # every output has a word
+    report = evaluate_corpus([EvalTriple(tuple(i), tuple(o), tuple(r)) for i, o, r in rows])
+    inputs, outputs, references = (list(column) for column in zip(*rows))
+
+    words = [[tok for tok in out if tok not in PUNCTUATION] for out in outputs]
+    fk = fk_from_counts(
+        sum(len(w) for w in words),
+        sum(max(1, sum(tok in {".", "!", "?"} for tok in out)) for out in outputs),
+        sum(syllables_heuristic(tok) for w in words for tok in w),
+    )
+    bleu_or = bleu_loops(outputs, references)
+    bleu_oi = bleu_loops(outputs, inputs)
+    sari_mean = sum(sari_counter(i, o, [r]) for i, o, r in rows) / len(rows)
+    assert report.values() == (fk, bleu_or, bleu_oi, 0.9 * bleu_or - (1.0 - 0.9) * bleu_oi, sari_mean)
 
 
 def test_report_csv_roundtrips_to_identical_floats():

@@ -60,6 +60,12 @@ def test_parse_config_values_and_comments(tmp_path):
     assert config.epochs == PipelineConfig().epochs
 
 
+def test_parse_config_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeffbeam = 3\n", encoding="utf-8")
+    assert parse_config(str(path)).beam == 3
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("beem = 7\n", encoding="utf-8")
