@@ -17,6 +17,7 @@ import sys
 from .corpus import (
     SentencePair,
     build_vocab,
+    read_lines,
     read_parallel_tokens,
     split_corpus,
     tokenize,
@@ -152,8 +153,7 @@ def _cmd_simplify(args) -> int:
         raise UsageError("simplify needs --model (or a config with checkpoint =)")
     pipeline = SimplifyPipeline.from_config(config)
     try:
-        with open(args.input, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+        lines = read_lines(args.input)
     except OSError as exc:
         raise IngestionError(f"cannot read {args.input}: {exc}") from None
 
@@ -196,8 +196,7 @@ def _discard_stdout() -> None:
 
 def _read_token_lines(path: str) -> list[list[str]]:
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return [tokenize(line) for line in fh.read().splitlines()]
+        return [tokenize(line) for line in read_lines(path)]
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
 

@@ -1,9 +1,10 @@
 """Tokenization, vocabulary, and parallel-corpus ingestion.
 
-Text is lowercased and punctuation marks are detached into separate tokens
-before whitespace splitting. Vocabularies reserve ids 0..3 for the padding,
-sentence-start, sentence-end, and unknown tokens; out-of-vocabulary tokens
-map to "unk".
+Every text file of the package is read through `read_lines`, so one line
+rule holds for all of them (see `split_lines`). Text is lowercased and
+punctuation marks are detached into separate tokens before whitespace
+splitting. Vocabularies reserve ids 0..3 for the padding, sentence-start,
+sentence-end, and unknown tokens; out-of-vocabulary tokens map to "unk".
 """
 
 from __future__ import annotations
@@ -20,6 +21,25 @@ SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 NUM_SPECIALS = 4
 
 PUNCTUATION = frozenset({".", ",", ";", ":", "!", "?", '"', "'", "(", ")"})
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, each ended by "\n", "\r\n" or "\r" (the last
+    line may have no end). Unlike str.splitlines, a vertical tab, a form
+    feed, U+001C-U+001E, U+0085, U+2028 and U+2029 stay inside their line."""
+    if "\r" in text:  # a scan is cheaper than two replaces on a file that has none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path: str) -> list[str]:
+    """`split_lines` of a UTF-8 file, a leading byte-order mark dropped;
+    OSError propagates."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return split_lines(fh.read())
 
 
 def tokenize(text: str) -> list[str]:
@@ -131,16 +151,12 @@ def read_parallel_tokens(
     """
     try:
         if target_path is None:
-            with open(source_path, encoding="utf-8-sig") as fh:
-                rows = []
-                for raw in fh:
-                    parts = raw.rstrip("\n").split("\t")
-                    rows.append((parts[0], parts[1]) if len(parts) == 2 else None)
+            rows = []
+            for line in read_lines(source_path):
+                parts = line.split("\t")
+                rows.append((parts[0], parts[1]) if len(parts) == 2 else None)
         else:
-            with open(source_path, encoding="utf-8-sig") as fh:
-                src_lines = fh.read().splitlines()
-            with open(target_path, encoding="utf-8-sig") as fh:
-                tgt_lines = fh.read().splitlines()
+            src_lines, tgt_lines = read_lines(source_path), read_lines(target_path)
             if len(src_lines) != len(tgt_lines):
                 raise IngestionError(
                     f"line counts differ: {len(src_lines)} source lines vs {len(tgt_lines)} target lines"

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_lines
 from .errors import ContractError, IngestionError
 
 MAX_PHRASE_TOKENS = 5
@@ -88,17 +89,16 @@ def load_kb(path: str) -> KnowledgeBase:
     rules: list[ParaphraseRule] = []
     rejected: list[tuple[int, str]] = []
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                try:
-                    rules.append(_parse_row(line, lineno))
-                except IngestionError as exc:
-                    rejected.append((lineno, str(exc)))
+        lines = read_lines(path)
     except OSError as exc:
         raise IngestionError(f"cannot read knowledge base: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rules.append(_parse_row(line, lineno))
+        except IngestionError as exc:
+            rejected.append((lineno, str(exc)))
     return KnowledgeBase(rules, rejected)
 
 

@@ -5,6 +5,12 @@ combines BLEU against the reference and against the input with weight
 alpha = 0.9. SARI averages add/keep/delete components over n-gram orders
 1..4, with empty component sets scoring a configurable vacuous value
 (1.0 by default). FK uses a deterministic vowel-group syllable heuristic.
+
+`evaluate_corpus` makes one pass over its rows. It counts each row's input,
+output and reference n-grams once, at orders 1..4, and feeds those counts
+to both BLEU accumulators and to the row's SARI before moving on. `bleu` and
+`sari` count their own sentences with the same helper and score them with
+the same private cores, so each metric has one code path.
 """
 
 from __future__ import annotations
@@ -24,13 +30,56 @@ Tokens = Sequence[str]
 IBLEU_ALPHA = 0.9
 _SENTENCE_END = {".", "!", "?"}
 _VOWELS = set("aeiouy")
+MAX_N = 4  # the highest n-gram order of BLEU and SARI
 
 
-def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _count_ngrams(tokens: Tokens, max_n: int) -> list[Counter]:
+    """One sentence's n-gram counts at orders 1..max_n (item n - 1 for order
+    n), each keyed in order of first occurrence; empty past its length."""
+    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, max_n + 1)]
 
 
-def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens], max_n: int = 4) -> float:
+class _BleuStats:
+    """Corpus BLEU's sufficient statistics, added one row at a time: clipped
+    and total candidate n-grams per order, and both corpus lengths."""
+
+    def __init__(self, max_n: int):
+        self.clipped = [0] * max_n
+        self.totals = [0] * max_n
+        self.cand_len = 0
+        self.ref_len = 0
+
+    def add(
+        self, cand_len: int, ref_len: int, cand_counts: list[Counter], ref_counts: list[Counter]
+    ) -> None:
+        self.cand_len += cand_len
+        self.ref_len += ref_len
+        for n, (cgrams, rgrams) in enumerate(zip(cand_counts, ref_counts)):
+            if not cgrams:
+                break  # the candidate is shorter than this order and every higher one
+            self.totals[n] += cand_len - n
+            self.clipped[n] += sum(min(c, rgrams[g]) for g, c in cgrams.items() if g in rgrams)
+
+    def score(self) -> float:
+        if self.cand_len == 0:
+            return 0.0
+        log_sum = 0.0
+        orders = 0
+        for clipped, total in zip(self.clipped, self.totals):
+            if total == 0:
+                continue
+            if clipped == 0:
+                return 0.0
+            orders += 1
+            log_sum += math.log(clipped / total)
+        if orders == 0:
+            return 0.0
+        cand_len, ref_len = self.cand_len, self.ref_len
+        brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+        return 100.0 * brevity * math.exp(log_sum / orders)
+
+
+def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens], max_n: int = MAX_N) -> float:
     """Corpus BLEU in [0, 100]: geometric mean of modified n-gram precisions
     times the brevity penalty, no smoothing.
 
@@ -44,37 +93,10 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens], max_n: int 
         )
     if not candidates:
         raise ContractError("bleu needs a non-empty corpus")
-
-    clipped = [0] * max_n
-    totals = [0] * max_n
-    cand_len = 0
-    ref_len = 0
+    stats = _BleuStats(max_n)
     for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            cgrams = _ngrams(cand, n)
-            if not cgrams:
-                continue
-            rgrams = _ngrams(ref, n)
-            totals[n - 1] += sum(cgrams.values())
-            clipped[n - 1] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
-
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    orders = 0
-    for n in range(max_n):
-        if totals[n] == 0:
-            continue
-        if clipped[n] == 0:
-            return 0.0
-        orders += 1
-        log_sum += math.log(clipped[n] / totals[n])
-    if orders == 0:
-        return 0.0
-    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * brevity * math.exp(log_sum / orders)
+        stats.add(len(cand), len(ref), _count_ngrams(cand, max_n), _count_ngrams(ref, max_n))
+    return stats.score()
 
 
 def ibleu_from_bleu(bleu_output_reference: float, bleu_output_input: float, alpha: float = IBLEU_ALPHA) -> float:
@@ -101,7 +123,7 @@ def sari(
     input_tokens: Tokens,
     output_tokens: Tokens,
     references: Sequence[Tokens],
-    max_n: int = 4,
+    max_n: int = MAX_N,
     vacuous: float = 1.0,
 ) -> float:
     """Sentence SARI in [0, 100].
@@ -115,14 +137,27 @@ def sari(
     """
     if not references:
         raise ContractError("sari needs at least one reference")
-    numref = len(references)
+    ref_counts = _count_ngrams(references[0], max_n)
+    for ref in references[1:]:
+        for ref_all, counts in zip(ref_counts, _count_ngrams(ref, max_n)):
+            ref_all.update(counts)
+    in_counts, out_counts = _count_ngrams(input_tokens, max_n), _count_ngrams(output_tokens, max_n)
+    return _sari(in_counts, out_counts, ref_counts, len(references), vacuous)
+
+
+def _sari(
+    in_counts: list[Counter],
+    out_counts: list[Counter],
+    ref_counts: list[Counter],
+    numref: int,
+    vacuous: float,
+) -> float:
+    """`sari` from per-order n-gram counts; `ref_counts` sums the references'."""
     total = 0.0
-    for n in range(1, max_n + 1):
-        in_rep = {g: c * numref for g, c in _ngrams(input_tokens, n).items()}
-        out_rep = {g: c * numref for g, c in _ngrams(output_tokens, n).items()}
-        ref_all = Counter()
-        for ref in references:
-            ref_all.update(_ngrams(ref, n))
+    for in_rep, out_rep, ref_all in zip(in_counts, out_counts, ref_counts):
+        if numref > 1:
+            in_rep = {g: c * numref for g, c in in_rep.items()}
+            out_rep = {g: c * numref for g, c in out_rep.items()}
 
         # multiset intersection and difference: every count is positive, so
         # a key absent from the right operand counts zero there
@@ -155,7 +190,7 @@ def sari(
         add = _f1(add_p, add_r)
 
         total += (add + keep + delete) / 3.0
-    return 100.0 * total / max_n
+    return 100.0 * total / len(in_counts)
 
 
 def count_syllables(word: str) -> int:
@@ -226,29 +261,31 @@ def evaluate_corpus(triples: Sequence[EvalTriple], alpha: float = IBLEU_ALPHA) -
 
     FK comes from summed word/sentence/syllable counts over the outputs
     (each row counts as at least one sentence); SARI is the mean of
-    per-sentence scores; BLEU merges n-gram statistics corpus-wide.
+    per-sentence scores; BLEU merges n-gram statistics corpus-wide. Each
+    row's n-gram counts are made once and dropped after the row.
     """
     if not triples:
         raise ContractError("evaluate_corpus needs at least one row")
-    outputs = [t.output for t in triples]
-    references = [t.reference for t in triples]
-    inputs = [t.input for t in triples]
-
     words = sentences = syllables = 0
-    for out in outputs:
-        w, s, y = fk_counts(out)
+    or_stats, oi_stats = _BleuStats(MAX_N), _BleuStats(MAX_N)
+    saris = []
+    for t in triples:
+        w, s, y = fk_counts(t.output)
         words, sentences, syllables = words + w, sentences + s, syllables + y
+        in_counts = _count_ngrams(t.input, MAX_N)
+        out_counts = _count_ngrams(t.output, MAX_N)
+        ref_counts = _count_ngrams(t.reference, MAX_N)
+        or_stats.add(len(t.output), len(t.reference), out_counts, ref_counts)
+        oi_stats.add(len(t.output), len(t.input), out_counts, in_counts)
+        saris.append(_sari(in_counts, out_counts, ref_counts, numref=1, vacuous=1.0))
     fk = _fk_from_counts(words, sentences, syllables, "outputs contain no countable words")
-
-    bleu_or = bleu(outputs, references)
-    bleu_oi = bleu(outputs, inputs)
-    sari_mean = sum(sari(t.input, t.output, [t.reference]) for t in triples) / len(triples)
+    bleu_or, bleu_oi = or_stats.score(), oi_stats.score()
     return MetricReport(
         fk=fk,
         bleu_output_reference=bleu_or,
         bleu_output_input=bleu_oi,
         ibleu=ibleu_from_bleu(bleu_or, bleu_oi, alpha),
-        sari=sari_mean,
+        sari=sum(saris) / len(triples),
     )
 
 

@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .corpus import UNK_ID, Vocabulary, detokenize, tokenize
+from .corpus import UNK_ID, Vocabulary, detokenize, read_lines, split_lines, tokenize
 from .decoding import decode_multi
 from .errors import ConfigError, ConstraintError, ContractError, IngestionError
 from .lexsub import ConstraintSet, FrequencyTable, KnowledgeBase, identify_and_substitute, load_kb
@@ -114,8 +114,7 @@ def parse_config(path: str) -> PipelineConfig:
     kinds = {name: (int if t == "int" else float if t == "float" else str) for name, t in fields.items()}
     values: dict[str, object] = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -140,9 +139,9 @@ def parse_config(path: str) -> PipelineConfig:
 def echo_config(config: PipelineConfig, path: str) -> None:
     """Write the effective configuration; parse_config inverts this.
 
-    A value that would read back differently (one holding a line break, a
-    `#` that would start a comment, or surrounding whitespace) raises
-    ConfigError naming its key, and nothing is written.
+    A value that would read back differently (one holding a line break
+    under `split_lines`, a `#` that would start a comment, or surrounding
+    whitespace) raises ConfigError naming its key, and nothing is written.
     """
     lines = []
     for f in dataclasses.fields(PipelineConfig):
@@ -150,7 +149,7 @@ def echo_config(config: PipelineConfig, path: str) -> None:
         if f.name in _PATH_FIELDS and value == "":
             continue
         text = repr(value) if isinstance(value, float) else str(value)
-        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(text):
+        if text != text.strip() or len(split_lines(text)) > 1 or _COMMENT.search(text):
             raise ConfigError(f"cannot write key {f.name!r}: its value {text!r} would not read back")
         lines.append(f"{f.name} = {text}\n")
     with open(path, "w", encoding="utf-8") as fh:

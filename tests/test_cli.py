@@ -318,6 +318,23 @@ def test_simplify_input_drops_a_leading_byte_order_mark(trained_run, tmp_path, c
     assert trace["tokens"] == line.split()
 
 
+def test_simplify_writes_one_line_for_an_input_line_holding_a_line_separator(
+    trained_run, tmp_path, capsys
+):
+    _, out_dir, *_, kb = trained_run
+    ckpt = sorted(out_dir.glob("*.ckpt"))[-1]
+    first, second = build_toy_corpus(12, seed=3).pairs[1][0].split(" ", 1)
+    input_file = tmp_path / "input.txt"
+    input_file.write_text(first + "\u2028" + second + "\nthe cat sat .\n", encoding="utf-8")
+    trace_file = tmp_path / "trace.jsonl"
+    code = main(["simplify", "--model", str(ckpt), "--kb", str(kb), "--input", str(input_file),
+                 "--trace", str(trace_file)])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    traces = [json.loads(row) for row in trace_file.read_text(encoding="utf-8").split("\n")[:-1]]
+    assert [trace["tokens"] for trace in traces] == [[first, *second.split()], ["the", "cat", "sat", "."]]
+
+
 def test_simplify_missing_checkpoint_is_model_error(tmp_path):
     input_file = tmp_path / "in.txt"
     input_file.write_text("hello\n", encoding="utf-8")
@@ -442,6 +459,19 @@ def test_evaluate_drops_a_leading_byte_order_mark(tmp_path, capsys):
     assert code == 0
     _, values = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert float(values[2]) == 100.0  # BLEU(O, R): the output's first token matches
+
+
+def test_evaluate_keeps_a_line_separator_inside_its_row(tmp_path, capsys):
+    (tmp_path / "i.txt").write_text("the big cat sat .\ndogs run .\n", encoding="utf-8")
+    (tmp_path / "o.txt").write_text("the cat\u2028sat .\ndogs run .\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("the cat sat .\ndogs run .\n", encoding="utf-8")
+    code = main(
+        ["evaluate", "--input", str(tmp_path / "i.txt"), "--output", str(tmp_path / "o.txt"),
+         "--reference", str(tmp_path / "r.txt"), "--report", "csv"]
+    )
+    assert code == 0
+    _, values = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert float(values[2]) == 100.0  # BLEU(O, R): U+2028 separates two tokens of one row
 
 
 def test_evaluate_malformed_rows_exit_2(tmp_path, capsys):

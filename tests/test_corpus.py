@@ -12,6 +12,7 @@ from sentsimp.corpus import (
     detokenize,
     read_parallel_tokens,
     split_corpus,
+    split_lines,
     tokenize,
 )
 from sentsimp.errors import ContractError, IngestionError
@@ -165,6 +166,38 @@ def test_load_parallel_drops_a_leading_byte_order_mark(tmp_path):
     tgt.write_text("\ufeffwe went .\n", encoding="utf-8")
     tsv.write_text("\ufeffWe left.\twe went .\n", encoding="utf-8")
     want = [(["we", "left", "."], ["we", "went", "."])]
+    assert read_parallel_tokens(str(src), str(tgt)) == (want, [])
+    assert read_parallel_tokens(str(tsv)) == (want, [])
+
+
+# characters that str.splitlines breaks at but the package's line rule does not
+NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_split_lines_breaks_only_at_newline_sequences():
+    text = "".join(f"a{ch}b" for ch in NOT_LINE_BREAKS) + "\nc\r\nd\re\n\nf"
+    assert split_lines(text) == ["".join(f"a{ch}b" for ch in NOT_LINE_BREAKS), "c", "d", "e", "", "f"]
+    assert split_lines("") == []
+    assert split_lines("a\n") == split_lines("a") == ["a"]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.text(st.characters(blacklist_characters="\r\n")), max_size=5))
+def test_split_lines_inverts_joining_with_newlines(lines):
+    assert split_lines("".join(line + "\n" for line in lines)) == lines
+
+
+def test_load_parallel_keeps_a_line_separator_inside_its_sentence(tmp_path):
+    """U+2028 is whitespace to the tokenizer, not a line break: the two-file
+    form reads two pairs here, as the TSV form does. "\r\n" and "\r" end lines."""
+    src, tgt, tsv = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "data.tsv"
+    src.write_text("We left\u2028early.\nThey stayed.\n", encoding="utf-8")
+    tgt.write_bytes("we went .\r\nthey stayed .\r".encode("utf-8"))
+    tsv.write_text("We left\u2028early.\twe went .\nThey stayed.\tthey stayed .\n", encoding="utf-8")
+    want = [
+        (["we", "left", "early", "."], ["we", "went", "."]),
+        (["they", "stayed", "."], ["they", "stayed", "."]),
+    ]
     assert read_parallel_tokens(str(src), str(tgt)) == (want, [])
     assert read_parallel_tokens(str(tsv)) == (want, [])
 

@@ -1,11 +1,13 @@
 import csv
 import io
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentsimp import metrics
 from sentsimp.corpus import PUNCTUATION
 from sentsimp.errors import ContractError
 from sentsimp.metrics import (
@@ -22,12 +24,47 @@ from sentsimp.metrics import (
     sari,
 )
 
-from oracles import bleu_loops, fk_from_counts, sari_counter, sari_loops, syllables_heuristic
+from oracles import bleu_loops, fk_from_counts, ngrams_list, sari_counter, sari_loops, syllables_heuristic
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dogs", "run", "fast", "."]
 corpora = st.lists(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=8), min_size=1, max_size=6
 )
+
+
+# ---------------------------------------------------------------- n-gram counts
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(WORDS[:3]), max_size=8),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_count_ngrams_equals_the_counter_oracle_in_key_order(tokens, max_n, as_tuple):
+    """Three words repeat n-grams, and sentences shorter than n have none."""
+    tokens = tuple(tokens) if as_tuple else tokens
+    counts = metrics._count_ngrams(tokens, max_n)
+    assert len(counts) == max_n
+    for n, got in enumerate(counts, start=1):
+        want = Counter(ngrams_list(tokens, n))
+        assert got == want
+        assert list(got.items()) == list(want.items())
+
+
+def test_evaluate_corpus_counts_each_sentence_once(monkeypatch):
+    counted = []
+    count_ngrams = metrics._count_ngrams
+
+    def spy(tokens, max_n):
+        counted.append(tuple(tokens))
+        return count_ngrams(tokens, max_n)
+
+    monkeypatch.setattr(metrics, "_count_ngrams", spy)
+    triples = _triples() * 3
+    evaluate_corpus(triples)
+    assert len(counted) == 3 * len(triples)
+    assert Counter(counted) == Counter(s for t in triples for s in (t.input, t.output, t.reference))
 
 
 # ---------------------------------------------------------------- BLEU
@@ -84,6 +121,21 @@ def test_bleu_identity_and_oracle_agreement(corpus):
     assert bleu(corpus, corpus) == 100.0
     shifted = [row[::-1] for row in corpus]
     assert bleu(corpus, shifted) == pytest.approx(bleu_loops(corpus, shifted), abs=1e-9)
+
+
+short_sentences = st.lists(st.sampled_from(WORDS[:3]), max_size=6)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(short_sentences, short_sentences), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=4),
+)
+def test_bleu_equals_the_loop_oracle_exactly(rows, max_n):
+    """Three words repeat n-grams, and candidates shorter than n (or empty)
+    leave orders unpopulated, so every branch of the score is reached."""
+    candidates, references = (list(column) for column in zip(*rows))
+    assert bleu(candidates, references, max_n) == bleu_loops(candidates, references, max_n)
 
 
 @settings(max_examples=30)

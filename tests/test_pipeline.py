@@ -66,6 +66,13 @@ def test_parse_config_drops_a_leading_byte_order_mark(tmp_path):
     assert parse_config(str(path)).beam == 3
 
 
+def test_parse_config_keeps_a_line_separator_inside_its_line(tmp_path):
+    path = tmp_path / "sep.cfg"
+    path.write_text("out_dir = runs\u2028a\nbeam = 3\n", encoding="utf-8")
+    config = parse_config(str(path))
+    assert (config.out_dir, config.beam) == ("runs\u2028a", 3)
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("beem = 7\n", encoding="utf-8")
@@ -134,7 +141,16 @@ def test_config_echo_roundtrip_keeps_a_hash_inside_a_value(tmp_path):
     assert parse_config(str(path)) == config
 
 
-@pytest.mark.parametrize("out_dir", ["/tmp/x/run #3", "#3", "/tmp/x\nbeam = 2", "/tmp/x/ "])
+def test_config_echo_roundtrip_keeps_a_line_separator_inside_a_value(tmp_path):
+    config = dataclasses.replace(PipelineConfig(), out_dir="runs\u2028a", kb="rules\x0c.tsv")
+    path = tmp_path / "echo.cfg"
+    echo_config(config, str(path))
+    assert parse_config(str(path)) == config
+
+
+@pytest.mark.parametrize(
+    "out_dir", ["/tmp/x/run #3", "#3", "/tmp/x\nbeam = 2", "/tmp/x\rbeam = 2", "/tmp/x/ "]
+)
 def test_config_echo_refuses_a_value_that_would_not_read_back(tmp_path, out_dir):
     path = tmp_path / "echo.cfg"
     with pytest.raises(ConfigError) as err:

@@ -40,3 +40,31 @@ def test_unused_import_finder_sees_reads_and_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def splitlines_calls(source):
+    """Line numbers of the `.splitlines()` calls in source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "splitlines"
+    ]
+
+
+def test_splitlines_finder_sees_calls_only():
+    source = (
+        "lines = text.splitlines()\n"
+        "rows = open(p).read().splitlines(True)\n"
+        "doc = 'text.splitlines()'\n"
+        "split = str.splitlines\n"
+    )
+    assert splitlines_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_breaks_lines_only_through_split_lines(path):
+    """str.splitlines also breaks at U+2028, a form feed and other
+    characters; every reader uses `corpus.split_lines` instead."""
+    assert splitlines_calls(path.read_text(encoding="utf-8")) == []
