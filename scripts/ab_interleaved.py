@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of two checkouts' packages in one process.
+
+    python3 scripts/ab_interleaved.py OLD NEW --workload score --seed 1 --units 400
+    python3 scripts/ab_interleaved.py OLD NEW --workload simplify --seed 1 --units 300 \\
+        --checkpoint path/to/epoch0003.ckpt
+
+OLD and NEW are checkout roots. Each one's src/sentsimp is copied into a
+temporary directory under its own package name, so both load side by side.
+The units are built by OLD's perfbench/inputs.py (read as a file, its
+sentsimp imports bound to OLD's copy), so a change in NEW cannot change the
+work. A unit is a block of score rows (lexical substitution over a large KB,
+then evaluate_corpus, as in perfbench's score workload) or one held-out line
+simplified at beam 5 with up to 3 constraints (simplify needs a checkpoint
+that both trees can load, such as the one perfbench's simplify-beam5
+preparation caches). Each unit runs on both sides in turn, the side that goes
+first flipping every unit, and the two outputs must be equal.
+
+Prints the total-time ratio NEW / OLD and the median per-unit ratio. Both
+sides share the process and its phases of host speed, which a comparison of
+separate processes does not.
+"""
+
+import argparse
+import dataclasses
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+import types
+from pathlib import Path
+
+SCORE_ROWS, KB_RULES, BLOCK_ROWS = 2000, 4000, 50  # perfbench's score sizes
+BEAM, MAX_CONSTRAINTS = 5, 3  # perfbench's simplify-beam5 settings
+
+
+def load_package(root: Path, name: str, into: Path) -> dict:
+    """`root`'s src/sentsimp copied under `name` and imported; its modules by short name."""
+    shutil.copytree(root / "src" / "sentsimp", into / name)
+    modules = ("corpus", "lexsub", "metrics", "pipeline")
+    return {m: importlib.import_module(f"{name}.{m}") for m in modules}
+
+
+def load_inputs(root: Path, package: str) -> types.ModuleType:
+    """`root`'s perfbench/inputs.py as a module whose sentsimp imports read `package`."""
+    source = (root / "perfbench" / "inputs.py").read_text(encoding="utf-8")
+    module = sys.modules["ab_inputs"] = types.ModuleType("ab_inputs")  # dataclasses look it up
+    exec(compile(source.replace("from sentsimp.", f"from {package}."), "inputs.py", "exec"),
+         module.__dict__)
+    return module
+
+
+def score_side(pkg: dict, paths: dict):
+    """Set-up on the written files, then a unit function: block index -> outputs."""
+    lexsub, metrics = pkg["lexsub"], pkg["metrics"]
+    kb = lexsub.load_kb(paths["rules.tsv"])
+    pairs, _ = pkg["corpus"].read_parallel_tokens(paths["normal.txt"], paths["simple.txt"])
+    everything_complex = lexsub.FrequencyTable({}, threshold=float("inf"))
+
+    def unit(n: int):
+        triples = []
+        for j in range(BLOCK_ROWS):
+            src, ref = pairs[(n * BLOCK_ROWS + j) % len(pairs)]
+            _, out = lexsub.identify_and_substitute(src, kb, everything_complex, len(src))
+            triples.append(metrics.EvalTriple(tuple(src), tuple(out), tuple(ref)))
+        return [t.output for t in triples], metrics.evaluate_corpus(triples).values()
+
+    return unit
+
+
+def simplify_side(pkg: dict, checkpoint: str, kb_path: str, lines):
+    pipeline = pkg["pipeline"]
+    config = dataclasses.replace(pipeline.PipelineConfig(), checkpoint=checkpoint, kb=kb_path,
+                                 beam=BEAM, max_constraints=MAX_CONSTRAINTS)
+    pipe = pipeline.SimplifyPipeline.from_config(config)
+    return lambda n: pipe.simplify(lines[n % len(lines)].normal)[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--workload", choices=("score", "simplify"), required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--units", type=int, default=200)
+    parser.add_argument("--checkpoint", help="checkpoint for --workload simplify")
+    args = parser.parse_args(argv)
+    if args.workload == "simplify" and not args.checkpoint:
+        parser.error("--workload simplify needs --checkpoint")
+
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        old, new = load_package(args.old, "ab_old", tmp), load_package(args.new, "ab_new", tmp)
+        inputs = load_inputs(args.old, "ab_old")
+        if args.workload == "score":
+            rows = inputs.make_lines(args.seed, "score", SCORE_ROWS)
+            paths = {name: str(tmp / name) for name in ("normal.txt", "simple.txt", "rules.tsv")}
+            inputs.write_lines(paths["normal.txt"], (r.normal for r in rows))
+            inputs.write_lines(paths["simple.txt"], (r.simple for r in rows))
+            inputs.write_kb(paths["rules.tsv"], inputs.large_kb_rows(args.seed, rows, KB_RULES))
+            sides = [score_side(pkg, paths) for pkg in (old, new)]
+        else:
+            lines = inputs.make_lines(args.seed, "heldout", args.units)
+            kb_path = str(tmp / "rules.tsv")
+            inputs.write_kb(kb_path, inputs.toy_kb_rows())
+            sides = [simplify_side(pkg, args.checkpoint, kb_path, lines) for pkg in (old, new)]
+
+        seconds = ([], [])
+        for n in range(args.units):
+            outputs = [None, None]
+            for side in ((0, 1) if n % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                outputs[side] = sides[side](n)
+                seconds[side].append(time.perf_counter() - t0)
+            if outputs[0] != outputs[1]:
+                raise SystemExit(f"unit {n}: outputs differ\nold: {outputs[0]}\nnew: {outputs[1]}")
+
+    total_old, total_new = sum(seconds[0]), sum(seconds[1])
+    per_unit = statistics.median(b / a for a, b in zip(*seconds))
+    print(f"{args.workload}, seed {args.seed}, {args.units} units, equal outputs")
+    print(f"old {1e3 * total_old / args.units:.3f} ms/unit, new {1e3 * total_new / args.units:.3f} ms/unit")
+    print(f"total-time ratio new/old {total_new / total_old:.4f}")
+    print(f"median per-unit ratio new/old {per_unit:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

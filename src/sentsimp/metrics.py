@@ -7,10 +7,13 @@ alpha = 0.9. SARI averages add/keep/delete components over n-gram orders
 (1.0 by default). FK uses a deterministic vowel-group syllable heuristic.
 
 `evaluate_corpus` makes one pass over its rows. It counts each row's input,
-output and reference n-grams once, at orders 1..4, and feeds those counts
-to both BLEU accumulators and to the row's SARI before moving on. `bleu` and
-`sari` count their own sentences with the same helper and score them with
-the same private cores, so each metric has one code path.
+output and reference n-grams once, at orders 1..4, and scores each order in
+two walks. The walk over the output n-grams adds to the clipped matches of
+BLEU(O, R) and of BLEU(O, I) and counts SARI's added n-grams; the walk over
+the input n-grams gives SARI's keep and deletion terms and the input
+n-grams the reference holds, so no intermediate multiset is built. `bleu`
+and `sari` count their own sentences with the same helper and score them
+through the same walks, so each count is written once.
 """
 
 from __future__ import annotations
@@ -49,16 +52,13 @@ class _BleuStats:
         self.cand_len = 0
         self.ref_len = 0
 
-    def add(
-        self, cand_len: int, ref_len: int, cand_counts: list[Counter], ref_counts: list[Counter]
-    ) -> None:
+    def add(self, cand_len: int, ref_len: int, clipped: list[int]) -> None:
+        """One row: its lengths and its clipped matches per order."""
         self.cand_len += cand_len
         self.ref_len += ref_len
-        for n, (cgrams, rgrams) in enumerate(zip(cand_counts, ref_counts)):
-            if not cgrams:
-                break  # the candidate is shorter than this order and every higher one
-            self.totals[n] += cand_len - n
-            self.clipped[n] += sum(min(c, rgrams[g]) for g, c in cgrams.items() if g in rgrams)
+        for n, c in enumerate(clipped):
+            self.clipped[n] += c
+            self.totals[n] += max(cand_len - n, 0)
 
     def score(self) -> float:
         if self.cand_len == 0:
@@ -79,6 +79,91 @@ class _BleuStats:
         return 100.0 * brevity * math.exp(log_sum / orders)
 
 
+def _walk_output(out: Counter, ref: Counter, inp: Counter) -> tuple[int, int, int, int]:
+    """One pass over an order's output n-grams: BLEU's clipped matches
+    against `ref` and against `inp`, SARI's added n-grams (those absent
+    from `inp`), and how many of the added ones `ref` holds."""
+    clip_ref = clip_in = added = added_good = 0
+    for g, c in out.items():
+        r = ref.get(g, 0)
+        i = inp.get(g, 0)
+        if r:
+            clip_ref += c if c < r else r
+        if i:
+            clip_in += c if c < i else i
+        else:
+            added += 1
+            if r:
+                added_good += 1
+    return clip_ref, clip_in, added, added_good
+
+
+def _f1(p: float, r: float) -> float:
+    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+
+
+def _walk_input(
+    inp: Counter, out: Counter, ref: Counter, numref: int, vacuous: float
+) -> tuple[float, float, int]:
+    """One pass over an order's input n-grams: SARI's keep F1 and deletion
+    precision, and how many distinct input n-grams `ref` holds.
+
+    Input and output counts are replicated `numref` times against the
+    summed references `ref`. Per input n-gram, kept = min(in, out),
+    kept_good = min(kept, ref) and deleted = in - out. Each component's
+    float terms are collected in input key order and added with `sum`, as
+    the multiset form of SARI adds them: from Python 3.12 on `sum`
+    compensates and `+=` does not, so a `+=` loop would round differently.
+    """
+    p_terms, r_terms, d_terms = [], [], []
+    deleted = in_ref = 0
+    for g, c in inp.items():
+        o = out.get(g, 0)
+        r = ref.get(g, 0)
+        kept_good = 0
+        if o:
+            kept = (c if c < o else o) * numref
+            kept_good = kept if kept < r else r
+            p_terms.append(kept_good / kept)
+        if r:
+            in_ref += 1
+            c_rep = c * numref
+            r_terms.append(kept_good / (c_rep if c_rep < r else r))
+        if c > o:
+            deleted += 1
+            d = (c - o) * numref
+            if d > r:
+                d_terms.append((d - r) / d)
+    keep_p = sum(p_terms) / len(p_terms) if p_terms else vacuous
+    keep_r = sum(r_terms) / len(r_terms) if r_terms else vacuous
+    delete = sum(d_terms) / deleted if deleted else vacuous
+    return _f1(keep_p, keep_r), delete, in_ref
+
+
+def _score_row(
+    in_counts: list[Counter],
+    out_counts: list[Counter],
+    ref_counts: list[Counter],
+    numref: int,
+    vacuous: float,
+) -> tuple[float, list[int], list[int]]:
+    """A row's SARI from per-order n-gram counts (`ref_counts` sums the
+    references'), and per order the output's clipped matches against
+    `ref_counts` and against the input: BLEU(O, R)'s and BLEU(O, I)'s."""
+    total = 0.0
+    clip_ref, clip_in = [], []
+    for inp, out, ref in zip(in_counts, out_counts, ref_counts):
+        c_ref, c_in, added, added_good = _walk_output(out, ref, inp)
+        clip_ref.append(c_ref)
+        clip_in.append(c_in)
+        keep, delete, in_ref = _walk_input(inp, out, ref, numref, vacuous)
+        added_all = len(ref) - in_ref  # reference n-grams absent from the input
+        add_p = added_good / added if added else vacuous
+        add_r = added_good / added_all if added_all else vacuous
+        total += (_f1(add_p, add_r) + keep + delete) / 3.0
+    return 100.0 * total / len(in_counts), clip_ref, clip_in
+
+
 def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens], max_n: int = MAX_N) -> float:
     """Corpus BLEU in [0, 100]: geometric mean of modified n-gram precisions
     times the brevity penalty, no smoothing.
@@ -95,7 +180,8 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens], max_n: int 
         raise ContractError("bleu needs a non-empty corpus")
     stats = _BleuStats(max_n)
     for cand, ref in zip(candidates, references):
-        stats.add(len(cand), len(ref), _count_ngrams(cand, max_n), _count_ngrams(ref, max_n))
+        counts = zip(_count_ngrams(cand, max_n), _count_ngrams(ref, max_n))
+        stats.add(len(cand), len(ref), [_walk_output(c, r, {})[0] for c, r in counts])
     return stats.score()
 
 
@@ -113,10 +199,6 @@ def ibleu(
 ) -> float:
     """alpha * BLEU(O, R) - (1 - alpha) * BLEU(O, I)."""
     return ibleu_from_bleu(bleu(outputs, references), bleu(outputs, inputs), alpha)
-
-
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
 
 
 def sari(
@@ -142,55 +224,7 @@ def sari(
         for ref_all, counts in zip(ref_counts, _count_ngrams(ref, max_n)):
             ref_all.update(counts)
     in_counts, out_counts = _count_ngrams(input_tokens, max_n), _count_ngrams(output_tokens, max_n)
-    return _sari(in_counts, out_counts, ref_counts, len(references), vacuous)
-
-
-def _sari(
-    in_counts: list[Counter],
-    out_counts: list[Counter],
-    ref_counts: list[Counter],
-    numref: int,
-    vacuous: float,
-) -> float:
-    """`sari` from per-order n-gram counts; `ref_counts` sums the references'."""
-    total = 0.0
-    for in_rep, out_rep, ref_all in zip(in_counts, out_counts, ref_counts):
-        if numref > 1:
-            in_rep = {g: c * numref for g, c in in_rep.items()}
-            out_rep = {g: c * numref for g, c in out_rep.items()}
-
-        # multiset intersection and difference: every count is positive, so
-        # a key absent from the right operand counts zero there
-        kept = {g: min(c, out_rep[g]) for g, c in in_rep.items() if g in out_rep}
-        kept_good = {g: min(c, ref_all[g]) for g, c in kept.items() if g in ref_all}
-        kept_all = {g: min(c, ref_all[g]) for g, c in in_rep.items() if g in ref_all}
-        keep_p = (
-            sum(kept_good.get(g, 0) / kept[g] for g in kept) / len(kept) if kept else vacuous
-        )
-        keep_r = (
-            sum(kept_good.get(g, 0) / kept_all[g] for g in kept_all) / len(kept_all)
-            if kept_all
-            else vacuous
-        )
-        keep = _f1(keep_p, keep_r)
-
-        deleted = {g: d for g, c in in_rep.items() if (d := c - out_rep.get(g, 0)) > 0}
-        deleted_good = {g: d for g, c in deleted.items() if (d := c - ref_all.get(g, 0)) > 0}
-        delete = (
-            sum(deleted_good[g] / deleted[g] for g in deleted_good) / len(deleted)
-            if deleted
-            else vacuous
-        )
-
-        added = out_rep.keys() - in_rep.keys()
-        added_good = added & ref_all.keys()
-        added_all = ref_all.keys() - in_rep.keys()
-        add_p = len(added_good) / len(added) if added else vacuous
-        add_r = len(added_good) / len(added_all) if added_all else vacuous
-        add = _f1(add_p, add_r)
-
-        total += (add + keep + delete) / 3.0
-    return 100.0 * total / len(in_counts)
+    return _score_row(in_counts, out_counts, ref_counts, len(references), vacuous)[0]
 
 
 def count_syllables(word: str) -> int:
@@ -275,9 +309,10 @@ def evaluate_corpus(triples: Sequence[EvalTriple], alpha: float = IBLEU_ALPHA) -
         in_counts = _count_ngrams(t.input, MAX_N)
         out_counts = _count_ngrams(t.output, MAX_N)
         ref_counts = _count_ngrams(t.reference, MAX_N)
-        or_stats.add(len(t.output), len(t.reference), out_counts, ref_counts)
-        oi_stats.add(len(t.output), len(t.input), out_counts, in_counts)
-        saris.append(_sari(in_counts, out_counts, ref_counts, numref=1, vacuous=1.0))
+        row_sari, clip_ref, clip_in = _score_row(in_counts, out_counts, ref_counts, 1, 1.0)
+        or_stats.add(len(t.output), len(t.reference), clip_ref)
+        oi_stats.add(len(t.output), len(t.input), clip_in)
+        saris.append(row_sari)
     fk = _fk_from_counts(words, sentences, syllables, "outputs contain no countable words")
     bleu_or, bleu_oi = or_stats.score(), oi_stats.score()
     return MetricReport(

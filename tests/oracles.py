@@ -285,6 +285,19 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
     return min(finished, key=rank)
 
 
+# ---------------------------------------------------------------- tokenization
+
+
+def tokenize_chars(text):
+    """Reference version of an earlier design: `corpus.tokenize` walking the
+    lowercased text one character at a time, a listed mark padded with a
+    space on each side."""
+    pieces = []
+    for ch in text.lower():
+        pieces.append(f" {ch} " if ch in PUNCTUATION else ch)
+    return "".join(pieces).split()
+
+
 # ---------------------------------------------------------------- rule lookup
 
 

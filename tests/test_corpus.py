@@ -6,6 +6,7 @@ from sentsimp.corpus import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    PUNCTUATION,
     UNK_ID,
     SentencePair,
     build_vocab,
@@ -17,7 +18,7 @@ from sentsimp.corpus import (
 )
 from sentsimp.errors import ContractError, IngestionError
 
-from oracles import top_k_tokens
+from oracles import tokenize_chars, top_k_tokens
 
 
 # ---------------------------------------------------------------- tokenize
@@ -49,6 +50,14 @@ def test_tokenize_deterministic_and_no_blanks(text):
     toks = tokenize(text)
     assert toks == tokenize(text)
     assert all(tok and not tok.isspace() for tok in toks)
+
+
+@settings(max_examples=300)
+@given(st.text() | st.text(st.sampled_from(sorted(PUNCTUATION) + [" ", "\t", "\n", "a", "B", "\u0130"])))
+def test_tokenize_equals_the_per_character_oracle(text):
+    """Any text, and text dense in marks, whitespace and "\u0130" (whose
+    lowercase is two characters long)."""
+    assert tokenize(text) == tokenize_chars(text)
 
 
 def test_detokenize_reattaches_punctuation():

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from sentsimp.metrics import (
     render_text,
     sari,
 )
+from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
 from oracles import bleu_loops, fk_from_counts, ngrams_list, sari_counter, sari_loops, syllables_heuristic
 
@@ -236,6 +238,22 @@ def test_sari_equals_the_counter_oracle_bit_for_bit(i, o, refs, max_n, vacuous):
     assert got == sari_counter(i, o, refs, max_n=max_n, vacuous=vacuous)
 
 
+@pytest.mark.parametrize(
+    "i, o, refs",
+    [
+        ("b a c d a b c b c", "c b b d c b b d d a d a c", ["d a b", "a d c b c a", "c d d b b c b d a"]),
+        ("c a c b b b d c d", "d d a b d", ["d b d c d d a c a b a c", "d b b a d c a b", "b d"]),
+    ],
+    ids=["long-output", "short-output"],
+)
+def test_sari_sums_its_terms_in_the_oracles_order(i, o, refs):
+    """Cases whose SARI, on Python 3.11, comes out as another float when the
+    terms are sorted first or summed with math.fsum: only `sum` over them in
+    input key order matches the oracle."""
+    i, o, refs = i.split(), o.split(), [r.split() for r in refs]
+    assert sari(i, o, refs) == sari_counter(i, o, refs)
+
+
 @settings(max_examples=30)
 @given(
     st.lists(st.sampled_from(WORDS[:6]), min_size=1, max_size=5),
@@ -320,11 +338,9 @@ def test_evaluate_corpus_columns_and_copy_penalty():
 sentences = st.lists(st.sampled_from(WORDS[:4] + ["."]), min_size=1, max_size=8)
 
 
-@settings(max_examples=60)
-@given(st.lists(st.tuples(sentences, sentences, sentences), min_size=1, max_size=5))
-def test_evaluate_corpus_equals_the_oracle_composition_exactly(rows):
-    rows = [(i, ["cat"] + o, r) for i, o, r in rows]  # every output has a word
-    report = evaluate_corpus([EvalTriple(tuple(i), tuple(o), tuple(r)) for i, o, r in rows])
+def _oracle_values(rows):
+    """The five report values of (input, output, reference) rows, composed
+    from the oracles."""
     inputs, outputs, references = (list(column) for column in zip(*rows))
 
     words = [[tok for tok in out if tok not in PUNCTUATION] for out in outputs]
@@ -336,7 +352,55 @@ def test_evaluate_corpus_equals_the_oracle_composition_exactly(rows):
     bleu_or = bleu_loops(outputs, references)
     bleu_oi = bleu_loops(outputs, inputs)
     sari_mean = sum(sari_counter(i, o, [r]) for i, o, r in rows) / len(rows)
-    assert report.values() == (fk, bleu_or, bleu_oi, 0.9 * bleu_or - (1.0 - 0.9) * bleu_oi, sari_mean)
+    return (fk, bleu_or, bleu_oi, 0.9 * bleu_or - (1.0 - 0.9) * bleu_oi, sari_mean)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(sentences, sentences, sentences), min_size=1, max_size=5))
+def test_evaluate_corpus_equals_the_oracle_composition_exactly(rows):
+    rows = [(i, ["cat"] + o, r) for i, o, r in rows]  # every output has a word
+    report = evaluate_corpus([EvalTriple(tuple(i), tuple(o), tuple(r)) for i, o, r in rows])
+    assert report.values() == _oracle_values(rows)
+
+
+def _edited(tokens, vocabulary, rng):
+    """`tokens` with some dropped, repeated or substituted; now and then cut
+    to 1-3 tokens, shorter than the highest order."""
+    out = []
+    for tok in tokens:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        if roll < 0.25:
+            out += [tok, tok]
+        elif roll < 0.35:
+            out.append(rng.choice(vocabulary))
+        else:
+            out.append(tok)
+    if rng.random() < 0.1:
+        out = out[: rng.randint(1, 3)]
+    return out or tokens[:1]
+
+
+def test_evaluate_corpus_equals_the_oracle_composition_on_toy_blocks():
+    """Blocks of 50 rows at the score benchmark's scale: inputs and
+    references join 1-3 toy sentences (5-39 tokens), and the outputs edit
+    the inputs, so they repeat n-grams and some are shorter than 4 tokens."""
+    rng = random.Random(20)
+    pairs = toy_token_pairs(build_toy_corpus(200, seed=5))
+    vocabulary = sorted({tok for pair in pairs for side in pair for tok in side})
+    lengths = set()
+    for _ in range(4):
+        rows = []
+        for _ in range(50):
+            picked = rng.sample(pairs, rng.randint(1, 3))
+            source = [tok for s, _ in picked for tok in s]
+            reference = [tok for _, t in picked for tok in t]
+            rows.append((source, _edited(source, vocabulary, rng), reference))
+            lengths.update((len(source), len(rows[-1][1])))
+        report = evaluate_corpus([EvalTriple(tuple(i), tuple(o), tuple(r)) for i, o, r in rows])
+        assert report.values() == _oracle_values(rows)
+    assert min(lengths) < 4 and max(lengths) >= 30
 
 
 def test_report_csv_roundtrips_to_identical_floats():

@@ -35,3 +35,14 @@ def test_run_toy_experiment_prints_the_metric_table(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.split() == " ".join(MetricReport.COLUMNS).split() for line in lines), proc.stdout
+
+
+def test_ab_interleaved_times_the_checkout_against_itself(tmp_path):
+    proc = run_script(
+        "ab_interleaved.py", str(ROOT), str(ROOT), "--workload", "score", "--seed", "2", "--units", "3",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "3 units, equal outputs" in proc.stdout
+    assert "total-time ratio new/old" in proc.stdout and "median per-unit ratio new/old" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
