@@ -4,17 +4,22 @@
     python3 scripts/ab_interleaved.py OLD NEW --workload score --seed 1 --units 400
     python3 scripts/ab_interleaved.py OLD NEW --workload simplify --seed 1 --units 300 \\
         --checkpoint path/to/epoch0003.ckpt
+    python3 scripts/ab_interleaved.py OLD NEW --workload train --seed 1 --units 480
 
 OLD and NEW are checkout roots. Each one's src/sentsimp is copied into a
 temporary directory under its own package name, so both load side by side.
 The units are built by OLD's perfbench/inputs.py (read as a file, its
 sentsimp imports bound to OLD's copy), so a change in NEW cannot change the
 work. A unit is a block of score rows (lexical substitution over a large KB,
-then evaluate_corpus, as in perfbench's score workload) or one held-out line
+then evaluate_corpus, as in perfbench's score workload), one held-out line
 simplified at beam 5 with up to 3 constraints (simplify needs a checkpoint
 that both trees can load, such as the one perfbench's simplify-beam5
-preparation caches). Each unit runs on both sides in turn, the side that goes
-first flipping every unit, and the two outputs must be equal.
+preparation caches), or one taped training pair: `training_loss` and
+`Tape.backward` on perfbench's train-desk pairs, each side with a model made
+as `sentsimp train` makes it from OLD's configs/desk.cfg (E64/H128, its
+seed), whose parameters never change. Each unit runs on both sides in turn,
+the side that goes first flipping every unit, and the two outputs must be
+equal: a train unit's loss and every gradient byte for byte.
 
 Prints the total-time ratio NEW / OLD and the median per-unit ratio. Both
 sides share the process and its phases of host speed, which a comparison of
@@ -23,6 +28,7 @@ separate processes does not.
 
 import argparse
 import dataclasses
+import hashlib
 import importlib
 import shutil
 import statistics
@@ -34,12 +40,13 @@ from pathlib import Path
 
 SCORE_ROWS, KB_RULES, BLOCK_ROWS = 2000, 4000, 50  # perfbench's score sizes
 BEAM, MAX_CONSTRAINTS = 5, 3  # perfbench's simplify-beam5 settings
+TRAIN_PAIRS = 48  # perfbench's train-desk corpus
 
 
 def load_package(root: Path, name: str, into: Path) -> dict:
     """`root`'s src/sentsimp copied under `name` and imported; its modules by short name."""
     shutil.copytree(root / "src" / "sentsimp", into / name)
-    modules = ("corpus", "lexsub", "metrics", "pipeline")
+    modules = ("corpus", "lexsub", "metrics", "model", "pipeline", "training")
     return {m: importlib.import_module(f"{name}.{m}") for m in modules}
 
 
@@ -78,11 +85,43 @@ def simplify_side(pkg: dict, checkpoint: str, kb_path: str, lines):
     return lambda n: pipe.simplify(lines[n % len(lines)].normal)[0]
 
 
+def train_side(pkg: dict, paths: dict, config_path: str):
+    """Set-up as `sentsimp train` does it, then a unit function: pair index
+    -> the loss and every parameter's gradient of one taped pair."""
+    corpus, lexsub, training = pkg["corpus"], pkg["lexsub"], pkg["training"]
+    config = pkg["pipeline"].parse_config(config_path)
+    token_pairs, _ = corpus.read_parallel_tokens(paths["normal.txt"], paths["simple.txt"])
+    vocab = corpus.build_vocab((s + t for s, t in token_pairs), config.vocab_size)
+    pairs = [corpus.SentencePair(tuple(vocab.encode(s)), tuple(vocab.encode(t))) for s, t in token_pairs]
+    train = corpus.split_corpus(pairs, config.valid_size, config.seed).train
+    freq_table = lexsub.FrequencyTable.from_sequences((s for s, _ in token_pairs), config.complexity_percentile)
+    kb = lexsub.load_kb(paths["rules.tsv"])
+    positions = [training.select_training_constraint(p, kb, freq_table, vocab) for p in train]
+    model_config = dataclasses.replace(config.model_config(), vocab_size=len(vocab))
+    net = pkg["model"].Seq2SeqModel.create(model_config, seed=config.seed)
+    named = list(net.named_parameters())
+
+    def unit(n: int):
+        k = n % len(train)
+        net.zero_grad()
+        with training.Tape() as tape:
+            loss = training.training_loss([train[k]], [positions[k]], net)
+            tape.backward(loss)
+        return [("loss", loss.data)] + [(name, t.grad) for name, t in named]
+
+    return unit
+
+
+def digests(named_arrays) -> list:
+    """A train unit's output as the SHA-256 of each array's bytes."""
+    return [(name, None if a is None else hashlib.sha256(a.tobytes()).hexdigest()) for name, a in named_arrays]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--workload", choices=("score", "simplify"), required=True)
+    parser.add_argument("--workload", choices=("score", "simplify", "train"), required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--units", type=int, default=200)
     parser.add_argument("--checkpoint", help="checkpoint for --workload simplify")
@@ -95,6 +134,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(tmp))
         old, new = load_package(args.old, "ab_old", tmp), load_package(args.new, "ab_new", tmp)
         inputs = load_inputs(args.old, "ab_old")
+        comparable = digests if args.workload == "train" else (lambda output: output)
         if args.workload == "score":
             rows = inputs.make_lines(args.seed, "score", SCORE_ROWS)
             paths = {name: str(tmp / name) for name in ("normal.txt", "simple.txt", "rules.tsv")}
@@ -102,6 +142,14 @@ def main(argv=None) -> int:
             inputs.write_lines(paths["simple.txt"], (r.simple for r in rows))
             inputs.write_kb(paths["rules.tsv"], inputs.large_kb_rows(args.seed, rows, KB_RULES))
             sides = [score_side(pkg, paths) for pkg in (old, new)]
+        elif args.workload == "train":
+            lines = inputs.make_lines(args.seed, "train", TRAIN_PAIRS)
+            paths = {name: str(tmp / name) for name in ("normal.txt", "simple.txt", "rules.tsv")}
+            inputs.write_lines(paths["normal.txt"], (line.normal for line in lines))
+            inputs.write_lines(paths["simple.txt"], (line.simple for line in lines))
+            inputs.write_kb(paths["rules.tsv"], inputs.toy_kb_rows())
+            config_path = str(args.old / "configs" / "desk.cfg")
+            sides = [train_side(pkg, paths, config_path) for pkg in (old, new)]
         else:
             lines = inputs.make_lines(args.seed, "heldout", args.units)
             kb_path = str(tmp / "rules.tsv")
@@ -115,8 +163,9 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 outputs[side] = sides[side](n)
                 seconds[side].append(time.perf_counter() - t0)
-            if outputs[0] != outputs[1]:
-                raise SystemExit(f"unit {n}: outputs differ\nold: {outputs[0]}\nnew: {outputs[1]}")
+            old_output, new_output = comparable(outputs[0]), comparable(outputs[1])
+            if old_output != new_output:
+                raise SystemExit(f"unit {n}: outputs differ\nold: {old_output}\nnew: {new_output}")
 
     total_old, total_new = sum(seconds[0]), sum(seconds[1])
     per_unit = statistics.median(b / a for a, b in zip(*seconds))

@@ -23,10 +23,10 @@ then keep no intermediates for a backward pass.
 The weight gradient of `affine` is the product `g.T @ x` of its output
 adjoint and its input rows. Its backward returns that product unevaluated,
 as a :class:`WeightGrad` (the scans return one per weight, every step's
-rows stacked); :meth:`Tape.backward` collects these for each
-leaf weight and evaluates them at the end as one matrix product over all
-the stacked rows, instead of one outer product and one full-size sum per
-step. The gradient of `take_rows` stays sparse in the same way: its
+rows stacked, so a recurrence's weight costs one matrix product, not one
+outer product per step). :meth:`Tape.backward` evaluates it where the walk
+receives it, and only for a tensor that takes a gradient, so a frozen
+weight costs no product. The gradient of `take_rows` stays sparse: its
 backward returns the adjoint rows and their ids as a :class:`RowGrad`, which
 :meth:`Tape.backward` scatters into the input's gradient, so an embedding
 lookup or a one-row read costs the rows it touched, not a zero matrix the
@@ -119,7 +119,8 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 @dataclass(slots=True)
 class WeightGrad:
     """The weight gradient `g.T @ x` of an `affine` map, left unevaluated:
-    its output adjoint g (B, out) and its input rows x (B, in)."""
+    its output adjoint g (B, out) and its input rows x (B, in). `evaluate`
+    returns a fresh array, which no other tensor holds."""
 
     g: Array
     x: Array
@@ -132,16 +133,14 @@ class WeightGrad:
 @dataclass(slots=True)
 class RowGrad:
     """The gradient of `take_rows`, left sparse: adjoint rows g (k, width)
-    that belong to rows ids of the input, repeats summed."""
+    that belong to rows ids of the input. `scatter_into` adds each row to
+    its id's row of a target, in place, repeats summed."""
 
     ids: list[int]
     g: Array
 
     def scatter_into(self, target: Array) -> None:
-        if len(self.ids) == 1:  # one row: plain indexing, much cheaper than add.at
-            target[self.ids[0]] += self.g[0]
-        else:
-            np.add.at(target, self.ids, self.g)
+        np.add.at(target, self.ids, self.g)
 
 
 class Tape:
@@ -177,17 +176,17 @@ class Tape:
         the loss depends on through this tape.
 
         A tensor that some record produced (an intermediate) gets its
-        adjoint summed as the walk goes, with any :class:`WeightGrad` it
-        receives evaluated at once. A leaf (no record produced it, e.g. a
-        parameter) adds each dense gradient into its own `.grad` array, which
-        no other tensor shares, and keeps its `WeightGrad`s until the walk
-        ends; then they are evaluated as one product of all their stacked
-        rows, `concat(g).T @ concat(x)`. A :class:`RowGrad` is scattered in
-        place, into a leaf's `.grad` or into an adjoint the walk owns: an
-        adjoint received from another record may be a view (a join passes
-        slices of its own) or shared with another input, so it is copied
-        before the first scatter and the first dense sum into it makes a new
-        array. Only the walk's own adjoints take sums in place.
+        adjoint summed as the walk goes. A leaf (no record produced it, e.g. a
+        parameter) adds each gradient into its own `.grad` array, which no
+        other tensor shares. A :class:`WeightGrad` is evaluated as soon as the
+        walk receives it, unless it goes to a leaf without `requires_grad`;
+        the product is fresh, so a leaf with no `.grad` yet takes it as it
+        is, while a dense gradient is copied first. A :class:`RowGrad` is
+        scattered in place, into a leaf's `.grad` or into an adjoint the walk
+        owns: an adjoint received from another record may be a view (a join
+        passes slices of its own) or shared with another input, so it is
+        copied before the first scatter and the first dense sum into it makes
+        a new array. Only the walk's own adjoints take sums in place.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -196,7 +195,6 @@ class Tape:
 
         adjoints: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
         owned: set[int] = set()  # adjoints that are the walk's own arrays
-        deferred: dict[int, tuple[Tensor, list[WeightGrad]]] = {}
 
         for out, inputs, backward_fn in reversed(self._records):
             out_adj = adjoints.pop(id(out), None)
@@ -207,10 +205,13 @@ class Tape:
                 if grad is None:
                     continue
                 key = id(inp)
+                leaf = key not in self._output_ids
+                if leaf and not inp.requires_grad:
+                    continue
                 kind = type(grad)
-                if key in self._output_ids:
-                    if kind is WeightGrad:
-                        grad = grad.evaluate()
+                if kind is WeightGrad:
+                    grad = grad.evaluate()
+                if not leaf:
                     adj = adjoints.get(key)
                     if kind is RowGrad:
                         if key not in owned:
@@ -224,25 +225,14 @@ class Tape:
                     else:
                         adjoints[key] = adj + grad
                         owned.add(key)
-                elif not inp.requires_grad:
-                    continue
-                elif kind is WeightGrad:
-                    deferred.setdefault(key, (inp, []))[1].append(grad)
                 elif kind is RowGrad:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     grad.scatter_into(inp.grad)
                 elif inp.grad is None:
-                    inp.grad = np.array(grad, dtype=np.float64)
+                    inp.grad = grad if kind is WeightGrad else np.array(grad, dtype=np.float64)
                 else:
                     inp.grad += grad
-
-        for leaf, grads in deferred.values():
-            total = np.dot(np.concatenate([d.g for d in grads]).T, np.concatenate([d.x for d in grads]))
-            if leaf.grad is None:
-                leaf.grad = total
-            else:
-                leaf.grad += total
 
 
 def _emit(

@@ -237,11 +237,11 @@ def decode_multi(
     output is reverse(backward) + block + forward. Pass 1 decodes the given
     source; pass i re-encodes the previous output. From the second
     constraint on, a block already present verbatim in the current output
-    is skipped, so at most one pass runs per constraint; with no
-    constraints this is a plain beam decode with the forward decoder from
-    BOS. Every search keeps beam_size hypotheses. A pass's output holds at
-    most max_decode_len tokens, or just its block when the block alone is
-    longer.
+    is skipped (its ids are checked all the same), so at most one pass runs
+    per constraint; with no constraints this is a plain beam decode with the
+    forward decoder from BOS. Every search keeps beam_size hypotheses. A
+    pass's output holds at most max_decode_len tokens, or just its block
+    when the block alone is longer.
     """
     if max_decode_len < 2:
         raise ContractError(f"max_decode_len must be at least 2, got {max_decode_len}")
@@ -255,10 +255,10 @@ def decode_multi(
     passes: list[PassTrace] = []
     pass_indices: list[int | None] = []  # per block: the 1-based pass that applied it, or None
     for block in blocks:
+        _check_constraint_ids(block, model.config.vocab_size)
         if passes and find_block(passes[-1].output, block) is not None:
             pass_indices.append(None)
             continue
-        _check_constraint_ids(block, model.config.vocab_size)
         encoded = encode([current], model.encoder)
         back = _search(
             encoded, model.backward_decoder, block[::-1], BOS_ID, max(0, max_decode_len - len(block)), beam_size

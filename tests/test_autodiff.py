@@ -720,8 +720,8 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     x, x1, w, b = rnd((3, 4), seed=21), rnd((1, 4), seed=22), rnd((2, 4), seed=23), rnd((2,), seed=24)
 
     def loss():
-        many = ad.affine(x, w, b)  # deferred weight gradient, 3 rows
-        one = ad.affine(x1, w, b)  # deferred, 1 row
+        many = ad.affine(x, w, b)  # a weight gradient product over 3 rows
+        one = ad.affine(x1, w, b)  # a second product, over 1 row
         dense = add(matmul(one, w), ad.take_rows(w, [1]))  # dense (2, 4) gradients
         return add(tsum(mul(many, many)), tsum(mul(dense, dense)))
 
@@ -735,6 +735,37 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     for got, want in zip(*grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
+
+
+def test_frozen_weight_gets_no_gradient_and_costs_no_product(monkeypatch):
+    products = []
+    evaluate = ad.WeightGrad.evaluate
+    monkeypatch.setattr(ad.WeightGrad, "evaluate", lambda self: products.append(self) or evaluate(self))
+    x, b = rnd((3, 4), seed=31), rnd((2,), seed=32)
+    for trainable in (False, True):
+        w = ad.Tensor(rnd((2, 4), seed=33).data, requires_grad=trainable)
+        products.clear()
+        x.zero_grad(), b.zero_grad()
+        with ad.Tape() as tape:
+            out = ad.affine(x, w, b)
+            tape.backward(tsum(mul(out, out)))
+        assert len(products) == int(trainable)
+        assert (w.grad is not None) == trainable
+        assert x.grad is not None and b.grad is not None
+
+
+def test_take_rows_of_one_id_gives_exactly_the_adjoint_row():
+    m = rnd((4, 3), seed=34)
+    picked_row = ad.Tensor([[0.5, -2.0, 3.25]])
+    want = np.zeros((4, 3))
+    want[2] = picked_row.data[0]
+    with ad.Tape() as tape:
+        tape.backward(tsum(mul(ad.take_rows(m, [2]), picked_row)))  # into a leaf's .grad
+    assert np.array_equal(m.grad, want)
+    with ad.Tape() as tape:
+        squashed = ad.tanh(m)  # into an adjoint the walk owns
+        tape.backward(tsum(mul(ad.take_rows(squashed, [2]), picked_row)))
+    assert np.array_equal(squashed.grad, want)
 
 
 def test_row_gradient_scatters_into_a_copy_of_a_shared_adjoint():

@@ -534,6 +534,16 @@ def test_multi_skips_constraint_already_emitted():
     assert result.tokens == (5, 6)
 
 
+def test_multi_checks_a_block_before_skipping_it():
+    # pass 1 outputs (5, UNK): an empty block or a reserved id would be "found" in it
+    model = chain_model(fwd_succ={5: UNK_ID, UNK_ID: EOS_ID}, bwd_succ={5: BOS_ID})
+    assert decode_multi([4, 5], [[5]], model, beam_size=BEAM, max_decode_len=MAX_LEN).tokens == (5, UNK_ID)
+    with pytest.raises(ContractError):
+        decode_multi([4, 5], [[5], []], model, beam_size=BEAM, max_decode_len=MAX_LEN)
+    with pytest.raises(ConstraintError, match="reserved"):
+        decode_multi([4, 5], [[5], [UNK_ID]], model, beam_size=BEAM, max_decode_len=MAX_LEN)
+
+
 def test_multi_two_passes_rewrites_with_second_constraint():
     # pass 1 output (5, 6); pass 2 must contain 7: backward 7->6->5->BOS, forward 7->EOS
     model = chain_model(

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run against the package as it is."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,27 @@ def test_ab_interleaved_times_the_checkout_against_itself(tmp_path):
     assert "3 units, equal outputs" in proc.stdout
     assert "total-time ratio new/old" in proc.stdout and "median per-unit ratio new/old" in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ab_interleaved_times_taped_training_pairs_against_itself(tmp_path):
+    proc = run_script(
+        "ab_interleaved.py", str(ROOT), str(ROOT), "--workload", "train", "--seed", "2", "--units", "3",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "train, seed 2, 3 units, equal outputs" in proc.stdout
+    assert "total-time ratio new/old" in proc.stdout and "median per-unit ratio new/old" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ab_interleaved_train_refuses_a_gradient_that_differs_in_its_last_bits(tmp_path):
+    new = tmp_path / "new"
+    shutil.copytree(ROOT / "src" / "sentsimp", new / "src" / "sentsimp")
+    autodiff = new / "src" / "sentsimp" / "autodiff.py"
+    source = autodiff.read_text(encoding="utf-8")
+    product = "return np.dot(self.g.T, self.x)"
+    assert source.count(product) == 1
+    autodiff.write_text(source.replace(product, product + " * (1.0 + 2.0**-50)"), encoding="utf-8")
+    proc = run_script("ab_interleaved.py", str(ROOT), str(new), "--workload", "train", "--units", "1", cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "unit 0: outputs differ" in proc.stderr
