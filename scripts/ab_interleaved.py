@@ -19,11 +19,15 @@ preparation caches), or one taped training pair: `training_loss` and
 as `sentsimp train` makes it from OLD's configs/desk.cfg (E64/H128, its
 seed), whose parameters never change. Each unit runs on both sides in turn,
 the side that goes first flipping every unit, and the two outputs must be
-equal: a train unit's loss and every gradient byte for byte.
+equal: a train unit's loss and every gradient byte for byte; a simplify
+unit's output text, each pass's output ids, block position and stop reasons,
+and its constraint accounting (its trace but for the log-probs).
 
-Prints the total-time ratio NEW / OLD and the median per-unit ratio. Both
-sides share the process and its phases of host speed, which a comparison of
-separate processes does not.
+Prints the total-time ratio NEW / OLD and the median per-unit ratio, and for
+simplify the largest |log-prob difference| of any pass's stage, which a
+change in summation order can move in the last bits. Both sides share the
+process and its phases of host speed, which a comparison of separate
+processes does not.
 """
 
 import argparse
@@ -78,11 +82,27 @@ def score_side(pkg: dict, paths: dict):
 
 
 def simplify_side(pkg: dict, checkpoint: str, kb_path: str, lines):
+    """Set-up, then a unit function: line index -> the output text, the
+    trace and each pass's output ids."""
     pipeline = pkg["pipeline"]
     config = dataclasses.replace(pipeline.PipelineConfig(), checkpoint=checkpoint, kb=kb_path,
                                  beam=BEAM, max_constraints=MAX_CONSTRAINTS)
     pipe = pipeline.SimplifyPipeline.from_config(config)
-    return lambda n: pipe.simplify(lines[n % len(lines)].normal)[0]
+    results = []
+    decode_multi = pipeline.decode_multi
+
+    def recorded(*args, **kwargs):
+        results.append(decode_multi(*args, **kwargs))
+        return results[-1]
+
+    pipeline.decode_multi = recorded  # this copy of the package only
+
+    def unit(n: int):
+        results.clear()
+        text, trace = pipe.simplify(lines[n % len(lines)].normal)
+        return text, trace, [p.output for result in results for p in result.passes]
+
+    return unit
 
 
 def train_side(pkg: dict, paths: dict, config_path: str):
@@ -117,6 +137,20 @@ def digests(named_arrays) -> list:
     return [(name, None if a is None else hashlib.sha256(a.tobytes()).hexdigest()) for name, a in named_arrays]
 
 
+LOG_PROBS = ("backward_log_prob", "forward_log_prob")
+
+
+def without_log_probs(output) -> tuple:
+    """A simplify unit's output with its passes' log-probs left out."""
+    text, trace, ids = output
+    passes = [{k: v for k, v in p.items() if k not in LOG_PROBS} for p in trace["passes"]]
+    return text, {**trace, "passes": passes}, ids
+
+
+def log_probs(output) -> list:
+    return [p[k] for p in output[1]["passes"] for k in LOG_PROBS]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -134,7 +168,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(tmp))
         old, new = load_package(args.old, "ab_old", tmp), load_package(args.new, "ab_new", tmp)
         inputs = load_inputs(args.old, "ab_old")
-        comparable = digests if args.workload == "train" else (lambda output: output)
+        comparable = {"train": digests, "simplify": without_log_probs}.get(args.workload, lambda output: output)
         if args.workload == "score":
             rows = inputs.make_lines(args.seed, "score", SCORE_ROWS)
             paths = {name: str(tmp / name) for name in ("normal.txt", "simple.txt", "rules.tsv")}
@@ -157,6 +191,7 @@ def main(argv=None) -> int:
             sides = [simplify_side(pkg, args.checkpoint, kb_path, lines) for pkg in (old, new)]
 
         seconds = ([], [])
+        log_prob_delta = 0.0
         for n in range(args.units):
             outputs = [None, None]
             for side in ((0, 1) if n % 2 == 0 else (1, 0)):
@@ -166,6 +201,9 @@ def main(argv=None) -> int:
             old_output, new_output = comparable(outputs[0]), comparable(outputs[1])
             if old_output != new_output:
                 raise SystemExit(f"unit {n}: outputs differ\nold: {old_output}\nnew: {new_output}")
+            if args.workload == "simplify":
+                pairs = zip(log_probs(outputs[0]), log_probs(outputs[1]))
+                log_prob_delta = max([log_prob_delta, *(abs(a - b) for a, b in pairs)])
 
     total_old, total_new = sum(seconds[0]), sum(seconds[1])
     per_unit = statistics.median(b / a for a, b in zip(*seconds))
@@ -173,6 +211,8 @@ def main(argv=None) -> int:
     print(f"old {1e3 * total_old / args.units:.3f} ms/unit, new {1e3 * total_new / args.units:.3f} ms/unit")
     print(f"total-time ratio new/old {total_new / total_old:.4f}")
     print(f"median per-unit ratio new/old {per_unit:.4f}")
+    if args.workload == "simplify":
+        print(f"largest |log-prob difference| {log_prob_delta:.3g}")
     return 0
 
 

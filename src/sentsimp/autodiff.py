@@ -8,13 +8,14 @@ fused affine map `x @ w.T + b` on weights stored (out, in); then tanh, a
 fused row-wise softmax negative log-likelihood (and `log_softmax`, its
 plain-array helper, which decoding uses too), lookup of several rows at
 once, joining matrices side by side or on top of each other, and the mean
-of a matrix's rows or of each block's real rows. Two fused ops cover the
-model's recurrent work, each one op per recurrence with a hand-written
-backward pass through time and per-row length masks: `gru_scan` runs a
-whole GRU direction, and `decoder_scan` a whole decoder stage over given
-inputs (per step an additive-attention read, the GRU input product and
-the GRU update), so a recurrence costs one dispatch and one tape record
-however long it is. Gradients are recorded on an explicit :class:`Tape`
+of each block's real rows. Two fused ops cover the model's recurrent
+work, each one op per recurrence with a hand-written backward pass
+through time and per-row length masks: `gru_scan` runs a whole GRU
+direction, and `decoder_scan` a whole decoder stage over given inputs
+(per step an additive-attention read, the GRU input product and the GRU
+update) over one source block per row or one block that every row reads,
+so a recurrence costs one dispatch and one tape record however long it
+is. Gradients are recorded on an explicit :class:`Tape`
 that is rebuilt every forward pass, so variable-length sequences need no
 static graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding and validation execute; the scans
@@ -370,15 +371,14 @@ def _blocks(rows: int, lengths: Sequence[int], op: str) -> tuple[int, Array | No
     return n, np.arange(n)[None, :] < np.asarray(lengths)[:, None]
 
 
-def mean_rows(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """Arithmetic mean over the rows of a matrix, as one row (1, width).
-
-    With lengths, the rows are len(lengths) equal blocks of a padded batch,
-    and row b of the result (B, width) is the mean of the first lengths[b]
-    rows of block b."""
+def mean_rows(m: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Means of row blocks: the rows of m are len(lengths) equal blocks of a
+    padded batch, and row b of the result (B, width) is the mean of the
+    first lengths[b] rows of block b. A whole matrix's mean is the one
+    block [m.shape[0]]."""
     if m.ndim != 2:
         raise DimensionError(f"mean_rows: expected a matrix, got shape {m.shape}")
-    lengths = [m.shape[0]] if lengths is None else [int(k) for k in lengths]
+    lengths = [int(k) for k in lengths]
     n, real = _blocks(m.shape[0], lengths, "mean_rows")
     blocks = m.data.reshape(len(lengths), n, -1)
     counts = np.asarray(lengths, dtype=np.float64)[:, None]
@@ -512,7 +512,7 @@ def decoder_scan(
     u_zr: Tensor,
     u_h: Tensor,
     steps: Sequence[int],
-    source_lengths: Sequence[int] | None = None,
+    source_lengths: Sequence[int],
 ) -> tuple[Tensor, Array]:
     """A decoder stage over given inputs, fused into one op.
 
@@ -523,16 +523,19 @@ def decoder_scan(
     w (3dim, E + width) and b (3dim,), and the GRU update of `gru_scan`.
     The attention energies of a state s are v . tanh(keys[j] + s @ att_w.T)
     over the key rows j; their softmax weighs the annotation rows into the
-    context (width wide). With source_lengths None, keys (n, ·) and
-    annotations (n, width) belong to one source that every row reads;
-    otherwise they hold one block of n rows per row, of which row b reads
-    the first source_lengths[b]: the others get weight exactly 0.
+    context (width wide). keys and annotations hold one block of n rows per
+    source length, and there are B of them (a training batch: row b reads
+    block b) or one (a beam: every row reads block 0, by broadcasting, with
+    no copy). A row reads as many rows of its block as the block's length;
+    the others get weight exactly 0.
 
     Returns the rows [state; context] (B*T, dim + width), row b*T + t after
     step t, and the attention weights (B*T, n) as a plain array. Past its
     last step a row's state stays as it is. The backward pass runs through
-    time by hand; each weight gradient of a product is one `WeightGrad`,
-    all steps stacked. Non-finite energies raise NumericError.
+    time by hand, each row's source gradient in its own block, summed over
+    the rows of a shared block at the end; each weight gradient of a
+    product is one `WeightGrad`, all steps stacked. Non-finite energies
+    raise NumericError.
     """
     steps = [int(k) for k in steps]
     rows = len(steps)
@@ -552,18 +555,12 @@ def decoder_scan(
             f" {annotations.shape}, att_w {att_w.shape}, att_v {att_v.shape}, w {w.shape}, b {b.shape},"
             f" u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
         )
-    # one source read by every row, as in the beam: one context product per
-    # step serves all rows, cheaper than a copy of the source per row
-    shared = source_lengths is None
-    if shared:
-        n, pad = keys.shape[0], None
-        k, ann = keys.data[None, :, :], annotations.data
-    else:
-        if len(source_lengths) != rows:
-            raise DimensionError(f"decoder_scan: {len(source_lengths)} source lengths for {rows} rows")
-        n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder_scan")
-        pad = None if real is None else ~real
-        k, ann = keys.data.reshape(rows, n, -1), annotations.data.reshape(rows, n, width)
+    sources = len(source_lengths)
+    if sources not in (1, rows):
+        raise DimensionError(f"decoder_scan: {sources} source lengths for {rows} rows")
+    n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder_scan")
+    pad = None if real is None else ~real
+    k, ann = keys.data.reshape(sources, n, -1), annotations.data.reshape(sources, n, width)
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
     inputs = (e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h)
     keep = _recording(inputs)
@@ -575,7 +572,7 @@ def decoder_scan(
     for t in range(T):
         hidden = np.tanh(k + (s @ att_w.data.T)[:, None, :])
         alpha = _softmax(hidden @ att_v.data, "decoder_scan: attention energies contain non-finite values", pad)
-        context = alpha @ ann if shared else (alpha[:, None, :] @ ann)[:, 0]
+        context = (alpha[:, None, :] @ ann)[:, 0]
         x = np.concatenate([x_in[:, t], context], axis=1)
         row_live = None if live is None else live[:, t, None]
         s, step = _gru_update(s, x @ w.data.T + b.data, u_zr.data, u_h.data, row_live)
@@ -588,8 +585,8 @@ def decoder_scan(
     def back(g: Array):
         g = g.reshape(rows, T, d + width)
         d_e = np.zeros_like(x_in)
-        d_keys = np.zeros(k.shape)
-        d_ann = np.zeros(ann.shape)
+        d_keys = np.zeros((rows, n, keys.shape[1]))
+        d_ann = np.zeros((rows, n, width))
         d_v = np.zeros(att_v.shape)
         d_s = np.zeros((rows, d))
         rows_of = []
@@ -600,27 +597,20 @@ def decoder_scan(
             d_x = d_gx @ w.data
             d_e[:, t] = d_x[:, :emb]
             gc = g[:, t, d:] + d_x[:, emb:]  # the context's adjoint
-            if shared:
-                d_energy = _softmax_back(alpha, gc @ ann.T)
-            else:
-                d_energy = _softmax_back(alpha, (ann @ gc[:, :, None])[:, :, 0])
+            d_energy = _softmax_back(alpha, (ann @ gc[:, :, None])[:, :, 0])
             d_pre = d_energy[:, :, None] * att_v.data * (1.0 - hidden * hidden)
             d_query = d_pre.sum(axis=1)
             d_s = d_h + d_query @ att_w.data
-            if shared:
-                d_keys += d_pre.sum(axis=0)
-                d_ann += np.dot(alpha.T, gc)
-            else:
-                d_keys += d_pre
-                d_ann += alpha[:, :, None] * gc[:, None, :]
+            d_keys += d_pre
+            d_ann += alpha[:, :, None] * gc[:, None, :]
             d_v += d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1)
             rows_of.append((d_query, step[0], d_gx, x, d_zr, d_cand, step[2]))
         d_query, h0, d_gx, x, d_zr, d_cand, rh = (np.concatenate(part) for part in zip(*rows_of))
         return (
             d_e.reshape(e.shape),
             d_s,
-            d_keys.reshape(keys.shape),
-            d_ann.reshape(annotations.shape),
+            d_keys.reshape(sources, -1, n, keys.shape[1]).sum(axis=1).reshape(keys.shape),
+            d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
             WeightGrad(d_query, h0),
             d_v,
             WeightGrad(d_gx, x),

@@ -19,8 +19,8 @@ stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,12 +37,12 @@ from .model import (
     output_logits,
 )
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A partial decode: generated tokens, their summed log-prob, its row
     of decoder state (dim,) after the last consumed token, and why it
     stopped: None while live, "boundary" when it emitted the boundary
-    token, "length_cap" when it ran out of token budget."""
+    token, "length_cap" when it ran out of token budget. A named tuple,
+    which a beam step builds several times cheaper than a dataclass."""
 
     tokens: tuple[int, ...]
     log_prob: float
@@ -185,7 +185,7 @@ def beam_search(
                 greedy = []
         if not active and not greedy:
             break
-    finished.extend(replace(hyp, stop="length_cap") for hyp in active + greedy)
+    finished.extend(hyp._replace(stop="length_cap") for hyp in active + greedy)
     return min(finished, key=_rank_key)
 
 
@@ -203,18 +203,21 @@ def _search(
     are teacher-forced in one `decode_step` (no search, no scoring, so no
     logits), and the last one seeds the beam search, which runs until
     boundary_id or max_new new tokens, one `decode_step` per iteration.
-    Every step of the stage shares one set of attention keys.
+    Every step of the stage reads the one source block, so it shares one
+    set of attention keys.
     """
     annotations, h_mean = encoded
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     dim = state.shape[1]
+    source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        _, out = decode_step([given[:-1]], state, annotations, keys, params)
+        _, out = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
         state = Tensor(out.data[-1:, :dim])
 
     def step(prev_tokens: list[int], states: Tensor):
-        e_prev, out = decode_step([[tok] for tok in prev_tokens], states, annotations, keys, params)
+        tokens = [[tok] for tok in prev_tokens]
+        e_prev, out = decode_step(tokens, states, annotations, keys, params, source_lengths)
         return Tensor(out.data[:, :dim]), log_softmax(output_logits(e_prev, out, params).data)
 
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)

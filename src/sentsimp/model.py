@@ -226,7 +226,7 @@ def decode_step(
     annotations: Tensor,
     keys: Tensor,
     params: DecoderParams,
-    source_lengths: Sequence[int] | None = None,
+    source_lengths: Sequence[int],
 ) -> tuple[Tensor, Tensor]:
     """Decoder updates of B rows over given tokens: row b starts in state
     s_prev[b] (B, dim) and consumes tokens[b] in order, one step each, as
@@ -236,9 +236,9 @@ def decode_step(
     which only a step whose prediction is scored needs. A shorter row keeps
     its last state over the rest.
 
-    keys are `attention_keys(annotations, params)`. The annotations are one
-    source's, read by every row, or, with source_lengths, an `encode` batch
-    of B sources, one per row.
+    keys are `attention_keys(annotations, params)`. The annotations are an
+    `encode` batch of the sources of source_lengths: B sources, one per
+    row, or one source that every row reads.
     """
     ids, lengths = _joined(tokens)
     e_prev = ad.take_rows(params.embedding, ids)

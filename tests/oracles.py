@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
@@ -281,7 +280,7 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
             break
         if finished and finished[0].log_prob > active[0].log_prob:
             return finished[0]
-    finished.extend(replace(hyp, stop="length_cap") for hyp in active)
+    finished.extend(hyp._replace(stop="length_cap") for hyp in active)
     return min(finished, key=rank)
 
 
@@ -747,7 +746,7 @@ def encode_per_step(source, params):
     fwd = run_gru(ad.affine(embedded, params.fwd.w, params.fwd.b), params.fwd, range(n))
     bwd = run_gru(ad.affine(embedded, params.bwd.w, params.bwd.b), params.bwd, range(n - 1, -1, -1))
     annotations = ad.concat([fwd, bwd])
-    return annotations, ad.mean_rows(annotations)
+    return annotations, ad.mean_rows(annotations, [n])
 
 
 def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params):

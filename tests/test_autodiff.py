@@ -279,7 +279,7 @@ def test_concat_stack_mean_take_rows_affine_values():
     assert ad.concat([a, b]).tolist() == [[1.0, 2.0, 3.0]]
     m = ad.stack([ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0, 4.0]])])
     assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert ad.mean_rows(m).tolist() == [[2.0, 3.0]]
+    assert ad.mean_rows(m, [2]).tolist() == [[2.0, 3.0]]
     # a bias vector is added to every row
     assert ad.affine(m, ad.Tensor(np.eye(2)), ad.Tensor([10.0, 20.0])).tolist() == [[11.0, 22.0], [13.0, 24.0]]
     assert ad.take_rows(m, [1]).tolist() == [[3.0, 4.0]]
@@ -298,7 +298,7 @@ def test_row_ops_reject_bad_shapes_and_ids():
         lambda: ad.concat([]),
         lambda: ad.stack([vector]),
         lambda: ad.take_rows(vector, [0]),
-        lambda: ad.mean_rows(vector),
+        lambda: ad.mean_rows(vector, [2]),
     ):
         with pytest.raises(DimensionError):
             bad()
@@ -330,7 +330,7 @@ def test_structural_gradients():
     def loss():
         rows = ad.affine(m, ad.Tensor(np.eye(4)), v)
         picked = ad.take_rows(rows, [0])
-        mixed = ad.concat([picked, segment(ad.mean_rows(rows), 1, 3), w])
+        mixed = ad.concat([picked, segment(ad.mean_rows(rows, [3]), 1, 3), w])
         both = ad.stack([mixed, ad.concat([ad.take_rows(rows, [2]), segment(mixed, 0, 5)])])
         return tsum(mul(both, both))
 
@@ -563,10 +563,7 @@ def test_decoder_scan_equals_per_step_oracle(shared):
     oracle bit for bit, every gradient within 1e-12 of its largest entry."""
     inputs = decoder_scan_inputs(1, 4, 3, shared, seed=110)
     weights = ad.Tensor(np.random.default_rng(111).uniform(-1, 1, size=(4, 8)))
-    source_lengths = None if shared else [3]
-    got, got_grads = values_and_gradients(
-        lambda *a: ad.decoder_scan(*a, [4], source_lengths)[0], inputs, weights
-    )
+    got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, [4], [3])[0], inputs, weights)
     want, want_grads = values_and_gradients(decoder_scan_per_step, inputs, weights)
     assert np.array_equal(got, want)
     assert_grads_close(got_grads, want_grads)
@@ -585,7 +582,7 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
         one, one_alpha = ad.decoder_scan(
             ad.Tensor(e.data[b * T : b * T + k]), ad.Tensor(s0.data[b : b + 1]),
             ad.Tensor(keys.data[b * n : b * n + m]), ad.Tensor(annotations.data[b * n : b * n + m]),
-            *weights, [k],
+            *weights, [k], [m],
         )
         assert np.allclose(out[b, :k], one.data, rtol=0, atol=1e-12)
         assert np.allclose(alpha[b, :k, :m], one_alpha, rtol=0, atol=1e-12)
@@ -594,13 +591,37 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
         assert np.array_equal(out[b, k:, :3], np.tile(out[b, k - 1, :3], (T - k, 1)))
 
 
+def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
+    """Rows of 2, 4 and 1 steps that all read one source of 2 of 3 rows,
+    against the source copied once per row: the rows [state; context] and
+    the attention weights within 1e-15; the keys and annotations gradients
+    the copies' summed over the rows, and every other gradient the copies',
+    within 1e-12 of its largest entry."""
+    steps, n, T = [2, 4, 1], 3, 4
+    inputs = decoder_scan_inputs(3, T, n, True, seed=180)
+    copies = list(inputs)
+    for i in (2, 3):  # keys, annotations
+        copies[i] = ad.Tensor(np.tile(inputs[i].data, (3, 1)), requires_grad=True)
+    weights = ad.Tensor(np.random.default_rng(181).uniform(-1, 1, size=(3 * T, 8)))
+    got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2])[0], inputs, weights)
+    want, want_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2, 2, 2])[0], copies, weights)
+    got_alpha = ad.decoder_scan(*inputs, steps, [2])[1]
+    want_alpha = ad.decoder_scan(*copies, steps, [2, 2, 2])[1]
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got_alpha - want_alpha)) <= 1e-15
+    assert np.all(got_alpha[:, 2] == 0.0)
+    for i in (2, 3):
+        want_grads[i] = want_grads[i].reshape(3, n, -1).sum(axis=0)
+    assert_grads_close(got_grads, want_grads)
+
+
 @pytest.mark.parametrize(
     "steps, source_lengths",
-    [([3], None), ([3, 3], None), ([3, 3], [3, 3]), ([3, 1, 2], [3, 1, 2])],
+    [([3], [3]), ([3, 3], [3]), ([3, 3], [3, 3]), ([3, 1, 2], [3, 1, 2])],
     ids=["one-row", "shared-source", "source-per-row", "masked"],
 )
 def test_decoder_scan_gradcheck(steps, source_lengths):
-    inputs = decoder_scan_inputs(len(steps), max(steps), 3, source_lengths is None, seed=130)
+    inputs = decoder_scan_inputs(len(steps), max(steps), 3, len(source_lengths) == 1, seed=130)
     weights = ad.Tensor(np.random.default_rng(131).uniform(-1, 1, size=(len(steps) * max(steps), 8)))
 
     def loss():
@@ -613,16 +634,19 @@ def test_decoder_scan_rejects_a_nan_energy():
     inputs = decoder_scan_inputs(2, 2, 3, True, seed=140)
     inputs[2].data[1, 0] = np.nan  # a key
     with pytest.raises(NumericError):
-        ad.decoder_scan(*inputs, [2, 2])
+        ad.decoder_scan(*inputs, [2, 2], [3])
 
 
 @pytest.mark.parametrize(
     "steps, source_lengths, error",
-    [([2], None, DimensionError), ([2, 2, 2], None, DimensionError), ([2, 0], None, ContractError),
-     ([2, 2], [3], DimensionError), ([2, 2], [3, 4], ContractError), ([2, 3], None, DimensionError)],
+    [([2], [3], DimensionError), ([2, 2, 2], [3], DimensionError), ([2, 0], [3], ContractError),
+     ([2, 2], [2, 2, 2], DimensionError), ([2, 2], [3, 4], ContractError), ([2, 3], [3], DimensionError)],
 )
 def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths, error):
-    inputs = decoder_scan_inputs(2, 2, 3, source_lengths is None, seed=150)
+    """Wrong step counts or source lengths. Two rows with three lengths:
+    the six key rows split into three blocks of 2, which each length fits,
+    but a source count must be 1 or the row count."""
+    inputs = decoder_scan_inputs(2, 2, 3, len(source_lengths) == 1, seed=150)
     with pytest.raises(error):
         ad.decoder_scan(*inputs, steps, source_lengths)
 

@@ -32,6 +32,7 @@ from oracles import (
     gru_step,
     gru_step_composed,
     gru_step_loops,
+    matmul,
     mul,
     segment,
     softmax,
@@ -244,7 +245,7 @@ def attend(s, annotations, keys, dec):
     rows = s.shape[0]
     out, alpha = ad.decoder_scan(
         ad.take_rows(dec.embedding, [4] * rows), s, keys, annotations, dec.att_w, dec.att_v,
-        dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows,
+        dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows, [annotations.shape[0]],
     )
     return ad.Tensor(out.data[:, s.shape[1] :]), alpha
 
@@ -300,7 +301,7 @@ def step_with_logits(tokens, s_prev, annotations, keys, dec):
     """One `decode_step` of B rows, one token each, and `output_logits` of
     its rows, as the beam steps: the new states (B, dim) and the logits
     (B, V)."""
-    e_prev, out = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec)
+    e_prev, out = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
     return segment(out, 0, s_prev.shape[1]), output_logits(e_prev, out, dec)
 
 
@@ -346,7 +347,7 @@ def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([[5, 7, 4]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     tokens = [6, 4, 8]
-    e_prev, out = decode_step([tokens], s0, H, attention_keys(H, dec), dec)
+    e_prev, out = decode_step([tokens], s0, H, attention_keys(H, dec), dec, [H.shape[0]])
     dist = softmax(output_logits(e_prev, out, dec)).data
     state = s0.data[0].tolist()
     for t, tok in enumerate(tokens):
@@ -362,15 +363,15 @@ def test_decode_step_over_given_tokens_equals_one_token_calls(model):
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     keys = attention_keys(H, dec)
     s0 = init_decoder_state(h_mean, dec)
-    _, out = decode_step([[7, 4, 8]], s0, H, keys, dec)
+    _, out = decode_step([[7, 4, 8]], s0, H, keys, dec, [3])
     state = s0
     for t, tok in enumerate([7, 4, 8]):
-        _, one = decode_step([[tok]], state, H, keys, dec)
+        _, one = decode_step([[tok]], state, H, keys, dec, [3])
         assert np.array_equal(out.data[t], one.data[0])
         state = ad.Tensor(one.data[:, :3])
     rows = ad.stack([s0, state])
-    _, ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec)
-    _, five = decode_step([[5]], state, H, keys, dec)
+    _, ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec, [3])
+    _, five = decode_step([[5]], state, H, keys, dec, [3])
     assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
     assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
     assert np.array_equal(ragged.data[4:, :3], np.tile(ragged.data[3, :3], (2, 1)))
@@ -426,9 +427,12 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
 
 def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec):
     """One-token `decode_step`'s rows [state; context], with the GRU step
-    and the attention read composed of primitive ops."""
+    and the attention read composed of primitive ops. Each row's context is
+    its own one-row product, as in `decoder_scan`, where every row reads
+    its source block by broadcasting."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
-    context, _ = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
+    _, alpha = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
+    context = ad.stack([matmul(ad.take_rows(alpha, [b]), annotations) for b in range(alpha.shape[0])])
     gx = ad.affine(ad.concat([e_prev, context]), dec.gru.w, dec.gru.b)
     return ad.concat([gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h), context])
 
@@ -443,8 +447,8 @@ def test_decode_step_equals_composed_oracle(model, rows):
     leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
     runs = []
 
-    def one_token_step(tokens, *args):
-        return decode_step([[tok] for tok in tokens], *args)[1]
+    def one_token_step(tokens, s_prev, annotations, keys, dec):
+        return decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])[1]
 
     for step in (one_token_step, decode_step_composed):
         for t in leaves:
@@ -471,7 +475,7 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
     monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
     for width in (1, 3):
         calls.clear()
-        e_prev, out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec)
+        e_prev, out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec, [H.shape[0]])
         assert len(calls) == 2
         assert e_prev.shape == (rows * width, 2) and out.shape == (rows * width, 9)
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sentsimp.cli import main
 from sentsimp.metrics import MetricReport
+from sentsimp.toydata import build_toy_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +60,30 @@ def test_ab_interleaved_times_taped_training_pairs_against_itself(tmp_path):
     assert "train, seed 2, 3 units, equal outputs" in proc.stdout
     assert "total-time ratio new/old" in proc.stdout and "median per-unit ratio new/old" in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ab_interleaved_simplifies_held_out_lines_against_itself(tmp_path):
+    """A tiny checkpoint trained on the toy corpus, then four lines at beam
+    5 (two with a constraint) on both sides: equal texts, pass ids, positions, stops and constraint
+    accounting, and a log-prob difference of 0 between two equal trees."""
+    data = build_toy_corpus(40, seed=3)
+    src, tgt, kb = tmp_path / "normal.txt", tmp_path / "simple.txt", tmp_path / "rules.tsv"
+    data.write(str(src), str(tgt), str(kb))
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("embed_dim = 4\nhidden_dim = 4\nepochs = 1\nbatch_size = 8\nseed = 5\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    argv = ["train", "--config", str(cfg), "--source", str(src), "--target", str(tgt), "--kb", str(kb)]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    proc = run_script(
+        "ab_interleaved.py", str(ROOT), str(ROOT), "--workload", "simplify", "--seed", "2", "--units", "4",
+        "--checkpoint", str(out_dir / "epoch0001.ckpt"), cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "simplify, seed 2, 4 units, equal outputs" in proc.stdout
+    assert "largest |log-prob difference| 0" in proc.stdout.splitlines()
+    assert list(cwd.iterdir()) == []
 
 
 def test_ab_interleaved_train_refuses_a_gradient_that_differs_in_its_last_bits(tmp_path):
