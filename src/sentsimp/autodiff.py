@@ -10,12 +10,17 @@ plain-array helper, which decoding uses too), lookup of several rows at
 once, joining matrices side by side or on top of each other, and the mean
 of each block's real rows. Two fused ops cover the model's recurrent
 work, each one op per recurrence with a hand-written backward pass
-through time and per-row length masks: `gru_scan` runs a whole GRU
-direction, and `decoder_scan` a whole decoder stage over given inputs
-(per step an additive-attention read, the GRU input product and the GRU
+through time and per-row length masks: `gru_scan` runs a whole
+bidirectional GRU, both directions advanced by one stacked update per
+step, and `decoder_scan` a whole decoder stage over given inputs (per
+step an additive-attention read, the GRU input product and the GRU
 update) over one source block per row or one block that every row reads,
 so a recurrence costs one dispatch and one tape record however long it
-is. Gradients are recorded on an explicit :class:`Tape`
+is. Inside their time loops the scans do only the recurrent work: what
+does not depend on the step (the decoder's context weights applied to
+the source rows, the annotations' and embeddings' gradients) is one
+product per call, before or after the loop. Gradients are recorded on an
+explicit :class:`Tape`
 that is rebuilt every forward pass, so variable-length sequences need no
 static graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding and validation execute; the scans
@@ -285,11 +290,11 @@ def tanh(a: Tensor) -> Tensor:
 def _softmax(x: Array, non_finite: str, pad: Array | None = None) -> Array:
     """Row-wise softmax of finite x; entries where pad is True get weight
     exactly 0 (each row needs one entry that is not a pad)."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(non_finite)
     if pad is not None:
         x = np.where(pad, -np.inf, x)
-    exps = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    exps = np.exp(x - x.max(axis=-1, keepdims=True))
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
@@ -303,7 +308,7 @@ def log_softmax(x: Array) -> Array:
 
     Finite wherever the logits are, even where softmax underflows to zero.
     """
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -316,7 +321,7 @@ def nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """
     if logits.ndim != 2 or logits.shape[1] < 1:
         raise DimensionError(f"nll: expected non-empty rows, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits.data)):
+    if not np.isfinite(logits.data).all():
         raise NumericError("nll: logits contain non-finite values")
     t = [int(i) for i in targets]
     if not t or len(t) != logits.shape[0]:
@@ -414,16 +419,17 @@ def _recording(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def _gru_update(h0: Array, gx: Array, u_zr: Array, u_h: Array, live: Array | None):
-    """One GRU update of the states h0 (B, dim) by the input
-    pre-activations gx (B, 3dim): h = (1 - z) * h0 + z * tanh(gx_h +
+    """One GRU update of the states h0 (..., B, dim) by the input
+    pre-activations gx (..., B, 3dim): h = (1 - z) * h0 + z * tanh(gx_h +
     (r * h0) @ u_h.T), with the gates [z, r] = sigmoid(gx_zr + h0 @ u_zr.T).
-    Rows where live (B, 1) is False keep h0. Returns the new states and
-    what `_gru_update_back` needs."""
-    d = h0.shape[1]
-    zr = _sigmoid(h0 @ u_zr.T + gx[:, : 2 * d])
-    z = zr[:, :d]
-    rh = zr[:, d:] * h0
-    h_tilde = np.tanh(rh @ u_h.T + gx[:, 2 * d :])
+    The weights are one matrix each, or one per leading index of h0 (a stack
+    of GRUs stepped together). Rows where live (..., B, 1) is False keep h0.
+    Returns the new states and what `_gru_update_back` needs."""
+    d = h0.shape[-1]
+    zr = _sigmoid(h0 @ u_zr.swapaxes(-1, -2) + gx[..., : 2 * d])
+    z = zr[..., :d]
+    rh = zr[..., d:] * h0
+    h_tilde = np.tanh(rh @ u_h.swapaxes(-1, -2) + gx[..., 2 * d :])
     h = (1.0 - z) * h0 + z * h_tilde
     if live is not None:
         h = np.where(live, h, h0)
@@ -432,15 +438,15 @@ def _gru_update(h0: Array, gx: Array, u_zr: Array, u_h: Array, live: Array | Non
 
 def _gru_update_back(g: Array, saved: tuple, u_zr: Array, u_h: Array) -> tuple[Array, Array, Array]:
     """For the adjoint g of a `_gru_update`'s new states: the adjoints of
-    its gate pre-activations d_zr (B, 2dim) and candidate pre-activations
-    d_cand (B, dim), the rows of the weight gradients of u_zr (on h0) and
-    u_h (on r * h0), and the adjoint of h0."""
+    its gate pre-activations d_zr (..., B, 2dim) and candidate
+    pre-activations d_cand (..., B, dim), the rows of the weight gradients
+    of u_zr (on h0) and u_h (on r * h0), and the adjoint of h0."""
     h0, zr, rh, h_tilde, live = saved
-    d = h0.shape[1]
-    z, r = zr[:, :d], zr[:, d:]
+    d = h0.shape[-1]
+    z, r = zr[..., :d], zr[..., d:]
     d_cand = g * z * (1.0 - h_tilde * h_tilde)
     d_rh = d_cand @ u_h
-    d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
+    d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=-1) * zr * (1.0 - zr)
     d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr
     if live is not None:  # a row that kept its state passes its adjoint through
         d_cand = np.where(live, d_cand, 0.0)
@@ -449,55 +455,90 @@ def _gru_update_back(g: Array, saved: tuple, u_zr: Array, u_h: Array) -> tuple[A
     return d_zr, d_cand, d_h
 
 
-def gru_scan(gx: Tensor, u_zr: Tensor, u_h: Tensor, lengths: Sequence[int], reverse: bool) -> Tensor:
-    """A whole GRU direction over a padded batch, fused into one op.
+def gru_scan(
+    fwd_gx: Tensor,
+    fwd_u_zr: Tensor,
+    fwd_u_h: Tensor,
+    bwd_gx: Tensor,
+    bwd_u_zr: Tensor,
+    bwd_u_h: Tensor,
+    lengths: Sequence[int],
+) -> Tensor:
+    """A bidirectional GRU over a padded batch, both directions fused into
+    one op.
 
-    gx (B*n, 3dim) holds the input pre-activations of the gates, in the
-    order update, reset, candidate, for B rows of n steps each, row b in
-    block b*n .. b*n + n - 1; u_zr is (2dim, dim) and u_h (dim, dim). Every
-    row starts from a zero state and steps left to right, or right to left
-    when reverse; a step is the GRU update
-    h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @ u_h.T), with the
-    gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T). Row b reads only its
-    first lengths[b] steps: on the others its state stays as it is, so
-    right to left it is still zero when it reaches its last real step.
-    Returns the states (B*n, dim), each in the row of the step that made
-    it. The backward pass runs through time by hand; the weight gradients
-    are one `WeightGrad` each, all steps stacked.
+    fwd_gx and bwd_gx (B*n, 3dim) hold each direction's input
+    pre-activations of the gates, in the order update, reset, candidate,
+    for B rows of n steps each, row b in block b*n .. b*n + n - 1; each
+    u_zr is (2dim, dim) and each u_h (dim, dim). A step of a direction is
+    the GRU update h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @
+    u_h.T), with the gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T), from
+    a zero state. Per call the two directions' recurrent weights are
+    stacked; per step i one update advances both, stacked (2, B, .): the
+    forward direction reads position i and the backward one position
+    n - 1 - i. Row b reads only its first lengths[b] positions: on the
+    others its states stay as they are, so the backward direction is still
+    zero when it reaches the row's last real position.
+
+    Returns the annotations (B*n, 2dim): the row of position t joins the
+    forward state after reading t to the backward state after reading it
+    from the other end. The backward pass runs through time by hand; each
+    weight gradient is one `WeightGrad`, all of its direction's steps
+    stacked.
     """
-    if gx.ndim != 2 or u_h.ndim != 2:
-        raise DimensionError(f"gru_scan: expected matrices, got gx {gx.shape} and u_h {u_h.shape}")
-    d = u_h.shape[0]
-    if gx.shape[1] != 3 * d or u_zr.shape != (2 * d, d) or u_h.shape != (d, d):
-        raise DimensionError(f"gru_scan: gx {gx.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree")
+    inputs = (fwd_gx, fwd_u_zr, fwd_u_h, bwd_gx, bwd_u_zr, bwd_u_h)
+    if fwd_u_h.ndim != 2:
+        raise DimensionError(f"gru_scan: expected a matrix u_h, got shape {fwd_u_h.shape}")
+    d = fwd_u_h.shape[0]
+    if (
+        fwd_gx.ndim != 2 or fwd_gx.shape[1] != 3 * d or bwd_gx.shape != fwd_gx.shape
+        or {fwd_u_zr.shape, bwd_u_zr.shape} != {(2 * d, d)} or {fwd_u_h.shape, bwd_u_h.shape} != {(d, d)}
+    ):
+        raise DimensionError(
+            f"gru_scan: gx {fwd_gx.shape} and {bwd_gx.shape}, u_zr {fwd_u_zr.shape} and"
+            f" {bwd_u_zr.shape}, u_h {fwd_u_h.shape} and {bwd_u_h.shape} disagree"
+        )
     lengths = [int(k) for k in lengths]
-    n, real = _blocks(gx.shape[0], lengths, "gru_scan")
+    n, real = _blocks(fwd_gx.shape[0], lengths, "gru_scan")
     rows = len(lengths)
-    x = gx.data.reshape(rows, n, 3 * d)
-    keep = _recording((gx, u_zr, u_h))
+    x_f, x_b = fwd_gx.data.reshape(rows, n, 3 * d), bwd_gx.data.reshape(rows, n, 3 * d)
+    u_zr = np.stack([fwd_u_zr.data, bwd_u_zr.data])
+    u_h = np.stack([fwd_u_h.data, bwd_u_h.data])
+    live = None if real is None else np.stack([real, real[:, ::-1]])[..., None]  # (2, B, n, 1), by step
+    keep = _recording(inputs)
     saved = []
-    states = np.empty((rows, n, d))
-    h = np.zeros((rows, d))
-    for t in range(n - 1, -1, -1) if reverse else range(n):
-        h, step = _gru_update(h, x[:, t], u_zr.data, u_h.data, None if real is None else real[:, t, None])
-        states[:, t] = h
+    out = np.empty((rows, n, 2 * d))
+    h = np.zeros((2, rows, d))
+    gx = np.empty((2, rows, 3 * d))
+    for i in range(n):
+        j = n - 1 - i
+        gx[0], gx[1] = x_f[:, i], x_b[:, j]
+        h, step = _gru_update(h, gx, u_zr, u_h, None if live is None else live[:, :, i])
+        out[:, i, :d], out[:, j, d:] = h
         if keep:
-            saved.append((t, step))
+            saved.append(step)
 
     def back(g: Array):
-        g = g.reshape(rows, n, d)
-        d_gx = np.zeros_like(x)
-        d_h = np.zeros((rows, d))
+        g = g.reshape(rows, n, 2 * d)
+        d_f, d_b = np.empty_like(x_f), np.empty_like(x_b)
+        d_h = np.zeros((2, rows, d))
+        g_step = np.empty((2, rows, d))
         rows_of = []
-        for t, step in reversed(saved):
-            d_zr, d_cand, d_h = _gru_update_back(g[:, t] + d_h, step, u_zr.data, u_h.data)
-            d_gx[:, t, : 2 * d] = d_zr
-            d_gx[:, t, 2 * d :] = d_cand
+        for i in range(n - 1, -1, -1):
+            j = n - 1 - i
+            step = saved[i]
+            g_step[0], g_step[1] = g[:, i, :d], g[:, j, d:]
+            d_zr, d_cand, d_h = _gru_update_back(g_step + d_h, step, u_zr, u_h)
+            d_f[:, i, : 2 * d], d_b[:, j, : 2 * d] = d_zr
+            d_f[:, i, 2 * d :], d_b[:, j, 2 * d :] = d_cand
             rows_of.append((d_zr, step[0], d_cand, step[2]))
-        d_zr, h0, d_cand, rh = (np.concatenate(part) for part in zip(*rows_of))
-        return d_gx.reshape(gx.shape), WeightGrad(d_zr, h0), WeightGrad(d_cand, rh)
+        d_zr, h0, d_cand, rh = (np.concatenate(part, axis=1) for part in zip(*rows_of))
+        return (
+            d_f.reshape(fwd_gx.shape), WeightGrad(d_zr[0], h0[0]), WeightGrad(d_cand[0], rh[0]),
+            d_b.reshape(bwd_gx.shape), WeightGrad(d_zr[1], h0[1]), WeightGrad(d_cand[1], rh[1]),
+        )
 
-    return _emit(states.reshape(rows * n, d), (gx, u_zr, u_h), back)
+    return _emit(out.reshape(rows * n, 2 * d), inputs, back)
 
 
 def decoder_scan(
@@ -522,20 +563,30 @@ def decoder_scan(
     the state before it, the GRU input product on [embedding; context] with
     w (3dim, E + width) and b (3dim,), and the GRU update of `gru_scan`.
     The attention energies of a state s are v . tanh(keys[j] + s @ att_w.T)
-    over the key rows j; their softmax weighs the annotation rows into the
-    context (width wide). keys and annotations hold one block of n rows per
-    source length, and there are B of them (a training batch: row b reads
-    block b) or one (a beam: every row reads block 0, by broadcasting, with
-    no copy). A row reads as many rows of its block as the block's length;
-    the others get weight exactly 0.
+    over the key rows j; their softmax alpha weighs the annotation rows
+    into the context (width wide). keys and annotations hold one block of n
+    rows per source length, and there are B of them (a training batch: row
+    b reads block b) or one (a beam: every row reads block 0, by
+    broadcasting, with no copy). A row reads as many rows of its block as
+    the block's length; the others get weight exactly 0.
+
+    Only the recurrence runs per step. Once per call, the context weights
+    w_c = w[:, E:] map the annotation rows, ann_c = annotations @ w_c.T, so
+    a step takes the context half of its GRU input product as alpha @ ann_c
+    (equal to context @ w_c.T) and adds it to the embedding half
+    e @ w[:, :E].T + b. The backward pass runs through time by hand; per
+    step it takes the energies' adjoint from the context's adjoint and,
+    through ann_c, from the GRU input's. After the loop, one product each
+    gives the contexts' adjoints (the output's plus the GRU input's through
+    w_c), the annotations' gradient (alpha.T @ those adjoints, summed over
+    the rows of a shared block) and the embeddings' gradient; each weight
+    gradient of a product is one `WeightGrad`, all steps stacked, w's on the
+    rows [embedding; context].
 
     Returns the rows [state; context] (B*T, dim + width), row b*T + t after
     step t, and the attention weights (B*T, n) as a plain array. Past its
-    last step a row's state stays as it is. The backward pass runs through
-    time by hand, each row's source gradient in its own block, summed over
-    the rows of a shared block at the end; each weight gradient of a
-    product is one `WeightGrad`, all steps stacked. Non-finite energies
-    raise NumericError.
+    last step a row's state stays as it is. Non-finite energies raise
+    NumericError.
     """
     steps = [int(k) for k in steps]
     rows = len(steps)
@@ -561,6 +612,8 @@ def decoder_scan(
     n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder_scan")
     pad = None if real is None else ~real
     k, ann = keys.data.reshape(sources, n, -1), annotations.data.reshape(sources, n, width)
+    w_e, w_c = w.data[:, :emb], w.data[:, emb:]
+    ann_c = (annotations.data @ w_c.T).reshape(sources, n, 3 * d)
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
     inputs = (e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h)
     keep = _recording(inputs)
@@ -572,51 +625,53 @@ def decoder_scan(
     for t in range(T):
         hidden = np.tanh(k + (s @ att_w.data.T)[:, None, :])
         alpha = _softmax(hidden @ att_v.data, "decoder_scan: attention energies contain non-finite values", pad)
-        context = (alpha[:, None, :] @ ann)[:, 0]
-        x = np.concatenate([x_in[:, t], context], axis=1)
-        row_live = None if live is None else live[:, t, None]
-        s, step = _gru_update(s, x @ w.data.T + b.data, u_zr.data, u_h.data, row_live)
+        a = alpha[:, None, :]
+        context = (a @ ann)[:, 0]
+        gx = x_in[:, t] @ w_e.T + b.data + (a @ ann_c)[:, 0]
+        s, step = _gru_update(s, gx, u_zr.data, u_h.data, None if live is None else live[:, t, None])
         out[:, t, :d] = s
         out[:, t, d:] = context
         alphas[:, t] = alpha
         if keep:
-            saved.append((x, hidden, alpha, step))
+            saved.append((hidden, step))
 
     def back(g: Array):
         g = g.reshape(rows, T, d + width)
-        d_e = np.zeros_like(x_in)
+        d_gx = np.empty((rows, T, 3 * d))
+        d_query = np.empty((rows, T, att_w.shape[0]))
         d_keys = np.zeros((rows, n, keys.shape[1]))
-        d_ann = np.zeros((rows, n, width))
         d_v = np.zeros(att_v.shape)
         d_s = np.zeros((rows, d))
-        rows_of = []
         for t in range(T - 1, -1, -1):
-            x, hidden, alpha, step = saved[t]
+            hidden, step = saved[t]
             d_zr, d_cand, d_h = _gru_update_back(g[:, t, :d] + d_s, step, u_zr.data, u_h.data)
-            d_gx = np.concatenate([d_zr, d_cand], axis=1)
-            d_x = d_gx @ w.data
-            d_e[:, t] = d_x[:, :emb]
-            gc = g[:, t, d:] + d_x[:, emb:]  # the context's adjoint
-            d_energy = _softmax_back(alpha, (ann @ gc[:, :, None])[:, :, 0])
+            d_gx[:, t, : 2 * d] = d_zr
+            d_gx[:, t, 2 * d :] = d_cand
+            # the energies reach the output's context and, through ann_c, the GRU input
+            d_alpha = (ann @ g[:, t, d:, None] + ann_c @ d_gx[:, t, :, None])[:, :, 0]
+            d_energy = _softmax_back(alphas[:, t], d_alpha)
             d_pre = d_energy[:, :, None] * att_v.data * (1.0 - hidden * hidden)
-            d_query = d_pre.sum(axis=1)
-            d_s = d_h + d_query @ att_w.data
+            d_query[:, t] = q = d_pre.sum(axis=1)
+            d_s = d_h + q @ att_w.data
             d_keys += d_pre
-            d_ann += alpha[:, :, None] * gc[:, None, :]
             d_v += d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1)
-            rows_of.append((d_query, step[0], d_gx, x, d_zr, d_cand, step[2]))
-        d_query, h0, d_gx, x, d_zr, d_cand, rh = (np.concatenate(part) for part in zip(*rows_of))
+        d_gx = d_gx.reshape(rows * T, 3 * d)
+        g_ctx = g[:, :, d:] + (d_gx @ w_c).reshape(rows, T, width)  # the contexts' adjoints
+        d_ann = alphas.transpose(0, 2, 1) @ g_ctx
+        x = np.concatenate([x_in, out[:, :, d:]], axis=2).reshape(rows * T, emb + width)
+        h0 = np.concatenate([s0.data[:, None], out[:, :-1, :d]], axis=1).reshape(rows * T, d)
+        rh = np.stack([step[2] for _, step in saved], axis=1).reshape(rows * T, d)
         return (
-            d_e.reshape(e.shape),
+            (d_gx @ w_e).reshape(e.shape),
             d_s,
             d_keys.reshape(sources, -1, n, keys.shape[1]).sum(axis=1).reshape(keys.shape),
             d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
-            WeightGrad(d_query, h0),
+            WeightGrad(d_query.reshape(rows * T, -1), h0),
             d_v,
             WeightGrad(d_gx, x),
             d_gx.sum(axis=0),
-            WeightGrad(d_zr, h0),
-            WeightGrad(d_cand, rh),
+            WeightGrad(d_gx[:, : 2 * d], h0),
+            WeightGrad(d_gx[:, 2 * d :], rh),
         )
 
     return _emit(out.reshape(rows * T, d + width), inputs, back), alphas.reshape(rows * T, n)

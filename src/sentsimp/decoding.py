@@ -108,8 +108,8 @@ def _expand(
     descending log-prob order: a boundary token's goes to finished, the
     others are returned. states and log_probs hold one row per hypothesis."""
     rows = np.arange(len(hyps))[:, None]
-    top = np.argpartition(-log_probs, width - 1, axis=1)[:, :width]
-    top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
+    top = (-log_probs).argpartition(width - 1, axis=1)[:, :width]
+    top = top[rows, (-log_probs[rows, top]).argsort(axis=1, kind="stable")]
     candidates: list[Hypothesis] = []
     for hyp, state, toks, tok_log_probs in zip(hyps, states, top.tolist(), log_probs[rows, top].tolist()):
         for tok, log_p in zip(toks, tok_log_probs):
@@ -163,7 +163,7 @@ def beam_search(
         rows = active + greedy
         prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in rows]
         new_states, log_probs = step_fn(prev, Tensor(np.stack([hyp.state for hyp in rows])))
-        if not np.all(np.isfinite(log_probs)):
+        if not np.isfinite(log_probs).all():
             raise NumericError("beam search: a step's log-probabilities are not all finite")
         n = len(active)
         if greedy:

@@ -14,14 +14,17 @@ pairs with the same calls. Weights are stored (out, in) and applied as
 `x @ w.T + b`.
 
 There is one GRU cell with its gate weights fused, and each recurrence is
-one autodiff op with a hand-written backward pass through time: the
-encoder runs `autodiff.gru_scan` once per direction over the input
-pre-activations of a whole batch, computed in one product, and a decoder
-runs `autodiff.decoder_scan`, whose steps each read attention, take the
-GRU input product of the previous token's embedding joined to the
-context, and update the state. Attention keys, the attention bias
-included, depend only on the annotations, so each decoder stage computes
-them once, as one `affine` map in `attention_keys`. A decoder stage is two
+one autodiff op with a hand-written backward pass through time. Per
+call, the encoder computes each direction's input pre-activations of a
+whole batch in one product, and one `autodiff.gru_scan` steps both
+directions together. A decoder runs `autodiff.decoder_scan`: per call it
+applies the GRU's context weights to the annotation rows once, and per
+step it reads attention, takes the GRU input product of the previous
+token's embedding plus the attention-weighted sum of those mapped rows
+(the context's share of the product), and updates the state. Attention
+keys, the attention bias included, depend only on the annotations, so
+each decoder stage computes them once, as one `affine` map in
+`attention_keys`. A decoder stage is two
 functions: `decode_step` runs T given steps of every row (the beam passes
 one token per row, teacher forcing a stage's whole given sequence), and
 `output_logits` projects the rows of the steps it is given onto the
@@ -190,21 +193,24 @@ def encode(sources: Sequence[Sequence[int]], params: EncoderParams) -> tuple[Ten
     longest, n tokens: source b owns annotation rows b*n .. b*n + n - 1
     (B*n x 2dim), of which the first len(sources[b]) are real.
 
-    Real row b*n + t concatenates the left-to-right state after reading
-    token t with the right-to-left state after reading it from the other
-    end; both directions start from zero states and skip the pads. Row b
-    of the mean (B x 2dim) averages source b's real rows. The sources are
-    looked up in one embedding op, each direction's input pre-activations
-    are one (B*n x 3dim) product, and its recurrence is one `gru_scan`.
+    Real row b*n + t joins the left-to-right state after reading token t
+    to the right-to-left state after reading it from the other end; both
+    directions start from zero states and skip the pads. Row b of the mean
+    (B x 2dim) averages source b's real rows. Per call, the sources are
+    looked up in one embedding op and each direction's input
+    pre-activations are one (B*n x 3dim) product; one `gru_scan` then
+    steps both directions, one stacked update per position, and returns
+    the annotation rows as they are.
     """
     ids, lengths = _joined(sources)
     if not lengths or min(lengths) == 0:
         raise ContractError("cannot encode an empty source")
     embedded = ad.take_rows(params.embedding, ids)
     fwd, bwd = params.fwd, params.bwd
-    fwd_states = ad.gru_scan(ad.affine(embedded, fwd.w, fwd.b), fwd.u_zr, fwd.u_h, lengths, reverse=False)
-    bwd_states = ad.gru_scan(ad.affine(embedded, bwd.w, bwd.b), bwd.u_zr, bwd.u_h, lengths, reverse=True)
-    annotations = ad.concat([fwd_states, bwd_states])
+    annotations = ad.gru_scan(
+        ad.affine(embedded, fwd.w, fwd.b), fwd.u_zr, fwd.u_h,
+        ad.affine(embedded, bwd.w, bwd.b), bwd.u_zr, bwd.u_h, lengths,
+    )
     return annotations, ad.mean_rows(annotations, lengths)
 
 

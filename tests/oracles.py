@@ -749,15 +749,36 @@ def encode_per_step(source, params):
     return annotations, ad.mean_rows(annotations, [n])
 
 
-def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params):
+def read_and_gru_input(e_prev, s_prev, keys, annotations, att_w, att_v, w, b, concat=False):
+    """The attention read of the states s_prev (B, dim) and the GRU input
+    pre-activations (B, 3dim) of [e_prev; context] under w (3dim, E + width)
+    and b; returns the contexts and the pre-activations.
+
+    By default they are associated as `autodiff.decoder_scan` associates
+    them: the context weights w[:, E:] map the annotation rows first, and a
+    second `attention` read of those mapped rows, with the same weights,
+    is the context half, added to the embedding half e_prev @ w[:, :E].T + b.
+    With concat, as an earlier design did: e_prev and the context joined
+    and multiplied by the whole w."""
+    context, _ = attention(s_prev, keys, annotations, att_w, att_v)
+    if concat:
+        return context, ad.affine(ad.concat([e_prev, context]), w, b)
+    emb = e_prev.shape[1]
+    mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), ad.zeros((w.shape[0],)))
+    gx_context, _ = attention(s_prev, keys, mapped, att_w, att_v)
+    return context, add(ad.affine(e_prev, segment(w, 0, emb), b), gx_context)
+
+
+def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params, concat=False):
     """Reference version of an earlier design: one decoder update of B rows
     sharing one source's annotations, row b consuming prev_tokens[b] in
-    state s_prev[b], as five ops (lookup, `attention`, concat, input
-    product, `gru_step`). Returns the previous tokens' embeddings (B, E),
-    the new states (B, dim) and the attention contexts (B, 2dim)."""
+    state s_prev[b], as a lookup, `read_and_gru_input` and `gru_step`.
+    Returns the previous tokens' embeddings (B, E), the new states (B, dim)
+    and the attention contexts (B, 2dim)."""
     e_prev = ad.take_rows(params.embedding, prev_tokens)
-    context, _ = attention(s_prev, keys, annotations, params.att_w, params.att_v)
-    gx = ad.affine(ad.concat([e_prev, context]), params.gru.w, params.gru.b)
+    context, gx = read_and_gru_input(
+        e_prev, s_prev, keys, annotations, params.att_w, params.att_v, params.gru.w, params.gru.b, concat
+    )
     return e_prev, gru_step(gx, s_prev, params.gru.u_zr, params.gru.u_h), context
 
 
@@ -771,10 +792,11 @@ def decode_step_with_logits(prev_tokens, s_prev, annotations, keys, params):
 # ---------------------------------------------------------------- per-pair training losses
 
 
-def _per_step_stages(pair, position, model):
+def _per_step_stages(pair, position, model, concat):
     """Per stage of one pair: its decoder, its per-step feature rows
-    [embedding; state; context] from one-row `decode_step_per_step` calls,
-    and the first scored step; plus the targets of the scored steps."""
+    [embedding; state; context] from one-row `decode_step_per_step` calls
+    (with concat, in the earlier design's association), and the first
+    scored step; plus the targets of the scored steps."""
     annotations, h_mean = encode_per_step(pair.source, model.encoder)
     target = pair.target
     backward_inputs = [target[i] for i in range(position - 1, -1, -1)]
@@ -787,18 +809,19 @@ def _per_step_stages(pair, position, model):
         state = init_decoder_state(h_mean, params)
         rows = []
         for prev in inputs:
-            e_prev, state, context = decode_step_per_step([prev], state, annotations, keys, params)
+            e_prev, state, context = decode_step_per_step([prev], state, annotations, keys, params, concat)
             rows.append(ad.concat([e_prev, state, context]))
         stages.append((params, rows, scored_from))
     return stages, backward_inputs[1:] + [BOS_ID, *target[position:], EOS_ID]
 
 
-def training_loss_per_step(pair, position, model):
+def training_loss_per_step(pair, position, model, concat=False):
     """Reference version of an earlier design: `training.training_loss` of
     one pair with the encoder and both decoder stages stepped one token at
-    a time by the per-step ops. As in training, each stage projects its
+    a time by the per-step ops (`decode_step_per_step`, with concat in the
+    earlier design's association). As in training, each stage projects its
     scored rows onto the vocabulary in one product."""
-    stages, targets = _per_step_stages(pair, position, model)
+    stages, targets = _per_step_stages(pair, position, model, concat)
     logits = [ad.affine(ad.stack(rows[scored_from:]), p.out_w, p.out_b) for p, rows, scored_from in stages]
     return ad.nll(ad.stack(logits), targets)
 
@@ -837,15 +860,16 @@ def training_loss_all_logits(pairs, positions, model):
     return ad.nll(ad.stack([backward, forward]), targets)
 
 
-def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h):
+def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h, concat=False):
     """Reference version of an earlier design: `autodiff.decoder_scan` of
-    one row over one source's keys and annotations, as one `attention`, one
-    input product and one `gru_step` per row of e; returns the rows
-    [state; context] (T, dim + width)."""
+    one row over one source's keys and annotations, as one
+    `read_and_gru_input` (with concat, in the earlier design's association)
+    and one `gru_step` per row of e; returns the rows [state; context]
+    (T, dim + width)."""
     s = s0
     rows = []
     for t in range(e.shape[0]):
-        context, _ = attention(s, keys, annotations, att_w, att_v)
-        s = gru_step(ad.affine(ad.concat([ad.take_rows(e, [t]), context]), w, b), s, u_zr, u_h)
+        context, gx = read_and_gru_input(ad.take_rows(e, [t]), s, keys, annotations, att_w, att_v, w, b, concat)
+        s = gru_step(gx, s, u_zr, u_h)
         rows.append(ad.concat([s, context]))
     return ad.stack(rows)

@@ -486,60 +486,75 @@ def assert_grads_close(got, want, rel=1e-12):
 
 
 def gru_scan_inputs(rows, n, seed):
-    """gx (rows*n, 9), u_zr (6, 3), u_h (3, 3): dim 3."""
-    return [rnd(shape, seed=seed + i) for i, shape in enumerate([(rows * n, 9), (6, 3), (3, 3)])]
+    """Per direction, forward then backward, gx (rows*n, 9), u_zr (6, 3)
+    and u_h (3, 3): dim 3."""
+    return [rnd(shape, seed=seed + i) for i, shape in enumerate([(rows * n, 9), (6, 3), (3, 3)] * 2)]
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
-def test_gru_scan_equals_per_step_oracle(reverse):
-    """One row: the states of the per-step oracle bit for bit, every
-    gradient within 1e-12 of its largest entry."""
+DIRECTIONS = pytest.mark.parametrize("half", [0, 1], ids=["left-to-right", "right-to-left"])
+
+
+@DIRECTIONS
+def test_gru_scan_equals_per_step_oracle(half):
+    """One row: a direction's half of the annotations is the states of the
+    per-step oracle reading the row in that direction's order, bit for bit,
+    and the gradients of the direction's inputs are the oracle's within
+    1e-12 of their largest entry."""
     inputs = gru_scan_inputs(1, 5, seed=90)
-    weights = ad.Tensor(np.random.default_rng(93).uniform(-1, 1, size=(5, 3)))
-    order = range(4, -1, -1) if reverse else range(5)
-    got, got_grads = values_and_gradients(lambda *a: ad.gru_scan(*a, [5], reverse), inputs, weights)
+    weights = np.random.default_rng(93).uniform(-1, 1, size=(5, 6))
+    mine = slice(3 * half, 3 * half + 3)  # the direction's three inputs, and its three state columns
+    order = range(4, -1, -1) if half else range(5)
+    got, got_grads = values_and_gradients(lambda *a: ad.gru_scan(*a, [5]), inputs, ad.Tensor(weights))
     want, want_grads = values_and_gradients(
-        lambda gx, u_zr, u_h: run_gru(gx, SimpleNamespace(u_zr=u_zr, u_h=u_h), order), inputs, weights
+        lambda gx, u_zr, u_h: run_gru(gx, SimpleNamespace(u_zr=u_zr, u_h=u_h), order),
+        inputs[mine], ad.Tensor(weights[:, mine]),
     )
-    assert np.array_equal(got, want)
-    assert_grads_close(got_grads, want_grads)
+    assert np.array_equal(got[:, mine], want)
+    assert_grads_close(got_grads[mine], want_grads)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
-def test_gru_scan_rows_of_a_padded_batch_equal_one_row_scans(reverse):
-    """Each row of a padded batch has the states and the gradients of its
-    own scan; its pad steps change nothing: left to right they hold its
-    last state, right to left its zero start."""
+@DIRECTIONS
+def test_gru_scan_rows_of_a_padded_batch_equal_one_row_scans(half):
+    """Each row of a padded batch has a direction's states and input
+    gradients of its own scan; its pad steps change nothing: left to right
+    they hold its last state, right to left its zero start."""
     lengths, n = [3, 5, 1], 5
-    gx, u_zr, u_h = gru_scan_inputs(3, n, seed=94)
-    weights = np.random.default_rng(97).uniform(-1, 1, size=(3, n, 3))
+    inputs = gru_scan_inputs(3, n, seed=94)
+    weights = np.random.default_rng(97).uniform(-1, 1, size=(3, n, 6))
     weights[np.arange(n)[None, :] >= np.array(lengths)[:, None]] = 0.0  # no loss on pad steps
+    mine = slice(3 * half, 3 * half + 3)  # the direction's three inputs, and its three state columns
     batch, batch_grads = values_and_gradients(
-        lambda *a: ad.gru_scan(*a, lengths, reverse), [gx, u_zr, u_h], ad.Tensor(weights.reshape(-1, 3))
+        lambda *a: ad.gru_scan(*a, lengths), inputs, ad.Tensor(weights.reshape(-1, 6))
     )
-    batch = batch.reshape(3, n, 3)
-    summed = [np.zeros_like(u_zr.data), np.zeros_like(u_h.data)]
+    batch = batch.reshape(3, n, 6)[:, :, mine]
+    d_gx, *d_weights = batch_grads[mine]
+    summed = [np.zeros_like(d) for d in d_weights]
     for b, k in enumerate(lengths):
-        row = ad.Tensor(gx.data[b * n : b * n + k], requires_grad=True)
-        one, (d_row, *d_weights) = values_and_gradients(
-            lambda *a: ad.gru_scan(*a, [k], reverse), [row, u_zr, u_h], ad.Tensor(weights[b, :k])
-        )
-        assert np.allclose(batch[b, :k], one, rtol=0, atol=1e-12)
-        assert np.array_equal(batch[b, k:], np.zeros((n - k, 3)) if reverse else np.tile(batch[b, k - 1], (n - k, 1)))
-        assert np.allclose(batch_grads[0][b * n : b * n + k], d_row, rtol=0, atol=1e-12)
-        assert not np.any(batch_grads[0][b * n + k : (b + 1) * n])
-        summed = [acc + d for acc, d in zip(summed, d_weights)]
-    assert_grads_close(batch_grads[1:], summed)
+        row = [ad.Tensor(t.data[b * n : b * n + k], requires_grad=True) for t in inputs[0::3]]
+        row_inputs = [row[0], *inputs[1:3], row[1], *inputs[4:6]]
+        one, one_grads = values_and_gradients(lambda *a: ad.gru_scan(*a, [k]), row_inputs, ad.Tensor(weights[b, :k]))
+        d_row, *d_row_weights = one_grads[mine]
+        assert np.allclose(batch[b, :k], one[:, mine], rtol=0, atol=1e-12)
+        assert np.array_equal(batch[b, k:], np.zeros((n - k, 3)) if half else np.tile(batch[b, k - 1], (n - k, 1)))
+        assert np.allclose(d_gx[b * n : b * n + k], d_row, rtol=0, atol=1e-12)
+        assert not np.any(d_gx[b * n + k : (b + 1) * n])
+        summed = [acc + d for acc, d in zip(summed, d_row_weights)]
+    assert_grads_close(d_weights, summed)
 
 
 @pytest.mark.parametrize("lengths", [[4], [4, 4], [4, 2, 1]], ids=["one-row", "rows", "masked"])
-@pytest.mark.parametrize("reverse", [False, True], ids=["left-to-right", "right-to-left"])
-def test_gru_scan_gradcheck(lengths, reverse):
+@DIRECTIONS
+def test_gru_scan_gradcheck(lengths, half):
+    """The loss reads one direction's half of the annotations, so a wrong
+    gradient shows in the case of its direction; the other direction's
+    inputs get gradient 0."""
     inputs = gru_scan_inputs(len(lengths), 4, seed=100)
-    weights = ad.Tensor(np.random.default_rng(103).uniform(-1, 1, size=(4 * len(lengths), 3)))
+    weights = np.zeros((4 * len(lengths), 6))
+    weights[:, 3 * half : 3 * half + 3] = np.random.default_rng(103).uniform(-1, 1, size=(4 * len(lengths), 3))
+    weights = ad.Tensor(weights)
 
     def loss():
-        return tsum(mul(ad.gru_scan(*inputs, lengths, reverse), weights))
+        return tsum(mul(ad.gru_scan(*inputs, lengths), weights))
 
     assert check_gradients(loss, inputs) < 1e-4
 
@@ -559,14 +574,48 @@ def decoder_scan_inputs(rows, steps, n, shared, seed):
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "source-per-row"])
 def test_decoder_scan_equals_per_step_oracle(shared):
-    """One row over 4 steps: the rows [state; context] of the per-step
-    oracle bit for bit, every gradient within 1e-12 of its largest entry."""
-    inputs = decoder_scan_inputs(1, 4, 3, shared, seed=110)
-    weights = ad.Tensor(np.random.default_rng(111).uniform(-1, 1, size=(4, 8)))
-    got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, [4], [3])[0], inputs, weights)
-    want, want_grads = values_and_gradients(decoder_scan_per_step, inputs, weights)
-    assert np.array_equal(got, want)
-    assert_grads_close(got_grads, want_grads)
+    """Rows of 4, 2 and 3 steps that all read one source of 2 of 3 rows,
+    or each its own source of 3, 2 and 1 of 3 rows, against one run of the
+    per-step oracle per row. A one-row scan of each row gives the oracle's
+    rows [state; context] bit for bit, and its gradients within 1e-12 of
+    their largest entry. The rows of the batch are the oracle's within
+    1e-15, as a product over several rows may round apart from a one-row
+    product, and the batch's gradients are the sums of the oracle runs',
+    within 1e-12. The earlier design's oracle, which multiplies
+    [embedding; context] by the whole GRU input weight, agrees with the
+    one-row scans within 1e-15: the scan adds the two halves of that
+    product apart."""
+    steps, n, T = [4, 2, 3], 3, 4
+    source_lengths = [2] if shared else [3, 2, 1]
+    inputs = decoder_scan_inputs(3, T, n, shared, seed=110)
+    weights = np.random.default_rng(111).uniform(-1, 1, size=(3, T, 8))
+    weights[np.arange(T)[None, :] >= np.array(steps)[:, None]] = 0.0  # no loss past a row's last step
+    got, got_grads = values_and_gradients(
+        lambda *a: ad.decoder_scan(*a, steps, source_lengths)[0], inputs, ad.Tensor(weights.reshape(-1, 8))
+    )
+    got = got.reshape(3, T, 8)
+    e, s0, keys, annotations, *rest = inputs
+    summed = [np.zeros_like(t.data) for t in inputs]
+    for b, k in enumerate(steps):
+        block = 0 if shared else b
+        m = source_lengths[block]
+        real = slice(block * n, block * n + m)
+        row = [ad.Tensor(x, requires_grad=True) for x in (
+            e.data[b * T : b * T + k], s0.data[b : b + 1], keys.data[real], annotations.data[real]
+        )]
+        row_weights = ad.Tensor(weights[b, :k])
+        one, one_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, [k], [m])[0], row + rest, row_weights)
+        want, want_grads = values_and_gradients(decoder_scan_per_step, row + rest, row_weights)
+        earlier = decoder_scan_per_step(*row, *rest, concat=True).data
+        assert np.array_equal(one, want)
+        assert_grads_close(one_grads, want_grads)
+        assert np.max(np.abs(one - earlier)) <= 1e-15
+        assert np.max(np.abs(got[b, :k] - want)) <= 1e-15
+        for acc, g, where in zip(summed, want_grads, (slice(b * T, b * T + k), slice(b, b + 1), real, real)):
+            acc[where] += g
+        for acc, g in zip(summed[4:], want_grads[4:]):
+            acc += g
+    assert_grads_close(got_grads, summed)
 
 
 def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
@@ -651,13 +700,21 @@ def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths
         ad.decoder_scan(*inputs, steps, source_lengths)
 
 
+@pytest.mark.parametrize("position, shape", [(0, (4, 6)), (1, (3, 3)), (2, (6, 3)), (3, (2, 9)), (4, (6, 2)), (5, (2, 2))])
+def test_gru_scan_rejects_mismatched_shapes(position, shape):
+    inputs = gru_scan_inputs(2, 2, seed=165)
+    inputs[position] = rnd(shape)
+    with pytest.raises(DimensionError):
+        ad.gru_scan(*inputs, [2, 2])
+
+
 @pytest.mark.parametrize(
     "lengths, error", [([1, 1, 1], DimensionError), ([2, 0], ContractError), ([3, 2], ContractError)]
 )
 def test_gru_scan_rejects_lengths_that_do_not_fit(lengths, error):
-    gx, u_zr, u_h = gru_scan_inputs(2, 2, seed=160)
+    inputs = gru_scan_inputs(2, 2, seed=160)
     with pytest.raises(error):
-        ad.gru_scan(gx, u_zr, u_h, lengths, False)
+        ad.gru_scan(*inputs, lengths)
 
 
 def test_mean_rows_of_a_padded_batch_averages_each_blocks_real_rows():

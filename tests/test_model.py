@@ -425,20 +425,36 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
 
 
-def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec):
+def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, concat=False):
     """One-token `decode_step`'s rows [state; context], with the GRU step
-    and the attention read composed of primitive ops. Each row's context is
-    its own one-row product, as in `decoder_scan`, where every row reads
-    its source block by broadcasting."""
+    and the attention read composed of primitive ops. Each row's read of
+    the source is its own one-row product, as in `decoder_scan`, where
+    every row reads its source block by broadcasting. The GRU input is
+    associated as in `decoder_scan`: the embedding half e_prev @ w[:, :E].T
+    + b plus each row's read of the annotations mapped by the context
+    weights w[:, E:]. With concat it is associated as an earlier design
+    did: [embedding; context] through the whole w."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
     _, alpha = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
-    context = ad.stack([matmul(ad.take_rows(alpha, [b]), annotations) for b in range(alpha.shape[0])])
-    gx = ad.affine(ad.concat([e_prev, context]), dec.gru.w, dec.gru.b)
+
+    def read(rows):
+        return ad.stack([matmul(ad.take_rows(alpha, [b]), rows) for b in range(alpha.shape[0])])
+
+    context = read(annotations)
+    w, emb = dec.gru.w, e_prev.shape[1]
+    if concat:
+        gx = ad.affine(ad.concat([e_prev, context]), w, dec.gru.b)
+    else:
+        mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), ad.zeros((w.shape[0],)))
+        gx = add(ad.affine(e_prev, segment(w, 0, emb), dec.gru.b), read(mapped))
     return ad.concat([gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h), context])
 
 
 @pytest.mark.parametrize("rows", [1, 4])
 def test_decode_step_equals_composed_oracle(model, rows):
+    """The rows [state; context] of the composed oracle bit for bit, and
+    every gradient within 1e-12 of its largest entry; the earlier design's
+    concat-form composition within 1e-15, its gradients within 1e-12."""
     dec = model.forward_decoder
     _, states, tokens = batch_inputs(model, seed=12, rows=rows)
     states.requires_grad = True
@@ -450,17 +466,22 @@ def test_decode_step_equals_composed_oracle(model, rows):
     def one_token_step(tokens, s_prev, annotations, keys, dec):
         return decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])[1]
 
-    for step in (one_token_step, decode_step_composed):
+    def concat_composed(*args):
+        return decode_step_composed(*args, concat=True)
+
+    for step in (one_token_step, decode_step_composed, concat_composed):
         for t in leaves:
             t.zero_grad()
         with ad.Tape() as tape:
             s1 = step(tokens, states, annotations, attention_keys(annotations, dec), dec)
             tape.backward(tsum(mul(s1, weights)))
         runs.append((s1.data, [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]))
-    (got, got_grads), (want, want_grads) = runs
+    (got, got_grads), (want, want_grads), (earlier, earlier_grads) = runs
     assert np.array_equal(got, want)
-    for g, w in zip(got_grads, want_grads):
+    assert np.max(np.abs(got - earlier)) <= 1e-15
+    for g, w, x in zip(got_grads, want_grads, earlier_grads):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        assert np.max(np.abs(g - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("rows", [1, 4])
