@@ -27,8 +27,18 @@ Prints the total-time ratio NEW / OLD and the median per-unit ratio, and for
 simplify the largest |log-prob difference| of any pass's stage, which a
 change in summation order can move in the last bits. Both sides share the
 process and its phases of host speed, which a comparison of separate
-processes does not.
+processes does not. BLAS runs on one thread, as in perfbench, whatever the
+caller's environment says; the script prints that setting on a line of its
+own.
 """
+
+import os
+
+# Set before numpy is imported, as perfbench/run.py does: the matrices are
+# small, and more BLAS threads only add noise.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREADS:
+    os.environ[_var] = "1"
 
 import argparse
 import dataclasses
@@ -208,6 +218,7 @@ def main(argv=None) -> int:
     total_old, total_new = sum(seconds[0]), sum(seconds[1])
     per_unit = statistics.median(b / a for a, b in zip(*seconds))
     print(f"{args.workload}, seed {args.seed}, {args.units} units, equal outputs")
+    print("BLAS threads " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREADS))
     print(f"old {1e3 * total_old / args.units:.3f} ms/unit, new {1e3 * total_new / args.units:.3f} ms/unit")
     print(f"total-time ratio new/old {total_new / total_old:.4f}")
     print(f"median per-unit ratio new/old {per_unit:.4f}")

@@ -26,18 +26,20 @@ static graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding and validation execute; the scans
 then keep no intermediates for a backward pass.
 
-The weight gradient of `affine` is the product `g.T @ x` of its output
-adjoint and its input rows. Its backward returns that product unevaluated,
-as a :class:`WeightGrad` (the scans return one per weight, every step's
+Every op states its backward pass as a function of its output's adjoint
+g that returns, per input, None, a :class:`RowGrad`, or a new array: one
+that shares memory with no other array it returns, with g, and with no
+tensor's data (see :func:`_emit`). A weight gradient is the one product
+`g.T @ x` of the output adjoint and the input rows (a scan's, every step's
 rows stacked, so a recurrence's weight costs one matrix product, not one
-outer product per step). :meth:`Tape.backward` evaluates it where the walk
-receives it, and only for a tensor that takes a gradient, so a frozen
-weight costs no product. The gradient of `take_rows` stays sparse: its
+outer product per step). The gradient of `take_rows` stays sparse: its
 backward returns the adjoint rows and their ids as a :class:`RowGrad`, which
 :meth:`Tape.backward` scatters into the input's gradient, so an embedding
 lookup or a one-row read costs the rows it touched, not a zero matrix the
-size of the whole input. Each leaf's gradient is its own array, so scaling
-one in place (as gradient clipping does) never changes another.
+size of the whole input. Because no array reaches the walk twice,
+:meth:`Tape.backward` sums every gradient in place and makes no copy, and
+each leaf's gradient is its own array, so scaling one in place (as
+gradient clipping does) never changes another.
 
 Tensors with computed values are treated as immutable and may be shared
 across threads; a tape is single-threaded (one tape per worker).
@@ -122,18 +124,9 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor._wrap(np.zeros(shape, dtype=np.float64), requires_grad)
 
 
-@dataclass(slots=True)
-class WeightGrad:
-    """The weight gradient `g.T @ x` of an `affine` map, left unevaluated:
-    its output adjoint g (B, out) and its input rows x (B, in). `evaluate`
-    returns a fresh array, which no other tensor holds."""
-
-    g: Array
-    x: Array
-
-    def evaluate(self) -> Array:
-        # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
-        return np.dot(self.g.T, self.x)
+def _weight_grad(g: Array, x: Array) -> Array:
+    # np.dot reaches BLAS for a one-row g, where @ takes a slow loop
+    return np.dot(g.T, x)
 
 
 @dataclass(slots=True)
@@ -181,18 +174,13 @@ class Tape:
         """Add d loss / d t to `t.grad` for every requires_grad tensor t that
         the loss depends on through this tape.
 
-        A tensor that some record produced (an intermediate) gets its
-        adjoint summed as the walk goes. A leaf (no record produced it, e.g. a
-        parameter) adds each gradient into its own `.grad` array, which no
-        other tensor shares. A :class:`WeightGrad` is evaluated as soon as the
-        walk receives it, unless it goes to a leaf without `requires_grad`;
-        the product is fresh, so a leaf with no `.grad` yet takes it as it
-        is, while a dense gradient is copied first. A :class:`RowGrad` is
-        scattered in place, into a leaf's `.grad` or into an adjoint the walk
-        owns: an adjoint received from another record may be a view (a join
-        passes slices of its own) or shared with another input, so it is
-        copied before the first scatter and the first dense sum into it makes
-        a new array. Only the walk's own adjoints take sums in place.
+        Each input's gradient has one slot: a leaf's (no record produced it,
+        e.g. a parameter) is its `.grad`, an intermediate's the walk's
+        adjoint for it. An empty slot takes the first array as it comes, and
+        later arrays are added into it in place; a :class:`RowGrad` is
+        scattered into the slot, which starts as zeros. No copy is needed,
+        since every array a backward function returns is its own (see
+        :func:`_emit`). A leaf without `requires_grad` gets nothing.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -200,8 +188,6 @@ class Tape:
             raise ContractError("loss was not recorded on this tape")
 
         adjoints: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        owned: set[int] = set()  # adjoints that are the walk's own arrays
-
         for out, inputs, backward_fn in reversed(self._records):
             out_adj = adjoints.pop(id(out), None)
             if out_adj is None:
@@ -214,38 +200,35 @@ class Tape:
                 leaf = key not in self._output_ids
                 if leaf and not inp.requires_grad:
                     continue
-                kind = type(grad)
-                if kind is WeightGrad:
-                    grad = grad.evaluate()
-                if not leaf:
-                    adj = adjoints.get(key)
-                    if kind is RowGrad:
-                        if key not in owned:
-                            adj = adjoints[key] = np.zeros_like(inp.data) if adj is None else adj.copy()
-                            owned.add(key)
-                        grad.scatter_into(adj)
-                    elif adj is None:
-                        adjoints[key] = grad
-                    elif key in owned:
-                        adj += grad
-                    else:
-                        adjoints[key] = adj + grad
-                        owned.add(key)
-                elif kind is RowGrad:
-                    if inp.grad is None:
-                        inp.grad = np.zeros_like(inp.data)
-                    grad.scatter_into(inp.grad)
-                elif inp.grad is None:
-                    inp.grad = grad if kind is WeightGrad else np.array(grad, dtype=np.float64)
+                slot = inp.grad if leaf else adjoints.get(key)
+                if type(grad) is RowGrad:
+                    if slot is None:
+                        slot = np.zeros_like(inp.data)
+                    grad.scatter_into(slot)
+                elif slot is None:
+                    slot = grad
                 else:
-                    inp.grad += grad
+                    slot += grad
+                if leaf:
+                    inp.grad = slot
+                else:
+                    adjoints[key] = slot
 
 
 def _emit(
     data: Array,
     inputs: tuple[Tensor, ...],
-    backward_fn: Callable[[Array], Sequence[Array | WeightGrad | None]],
+    backward_fn: Callable[[Array], Sequence[Array | RowGrad | None]],
 ) -> Tensor:
+    """The tensor of an op's output data, recorded on the active tape when
+    an input requires a gradient.
+
+    backward_fn maps the output's adjoint g to one item per input: None (no
+    gradient), a :class:`RowGrad` (whose rows the walk only reads), or a new
+    array, which shares memory with no other array it returns, with g, and
+    with no tensor's data. :meth:`Tape.backward` sums into such an array in
+    place, so every op must keep this rule.
+    """
     requires = any(t.requires_grad for t in inputs)
     out = Tensor._wrap(data, requires)
     if requires:
@@ -266,7 +249,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"affine: bias {b.shape} does not fit output width {w.shape[0]}")
 
     def back(g: Array):
-        return g @ w.data, WeightGrad(g, x.data), g.sum(axis=0)
+        return g @ w.data, _weight_grad(g, x.data), g.sum(axis=0)
 
     return _emit(x.data @ w.data.T + b.data, (x, w, b), back)
 
@@ -347,7 +330,7 @@ def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
     blocks = [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
 
     def back(g: Array):
-        return tuple(g[block] if axis == 0 else g[:, block] for block in blocks)
+        return tuple((g[block] if axis == 0 else g[:, block]).copy() for block in blocks)
 
     return _emit(np.concatenate([p.data for p in parts], axis=axis), parts, back)
 
@@ -483,7 +466,7 @@ def gru_scan(
     Returns the annotations (B*n, 2dim): the row of position t joins the
     forward state after reading t to the backward state after reading it
     from the other end. The backward pass runs through time by hand; each
-    weight gradient is one `WeightGrad`, all of its direction's steps
+    weight gradient is one product `g.T @ x`, all of its direction's steps
     stacked.
     """
     inputs = (fwd_gx, fwd_u_zr, fwd_u_h, bwd_gx, bwd_u_zr, bwd_u_h)
@@ -534,8 +517,8 @@ def gru_scan(
             rows_of.append((d_zr, step[0], d_cand, step[2]))
         d_zr, h0, d_cand, rh = (np.concatenate(part, axis=1) for part in zip(*rows_of))
         return (
-            d_f.reshape(fwd_gx.shape), WeightGrad(d_zr[0], h0[0]), WeightGrad(d_cand[0], rh[0]),
-            d_b.reshape(bwd_gx.shape), WeightGrad(d_zr[1], h0[1]), WeightGrad(d_cand[1], rh[1]),
+            d_f.reshape(fwd_gx.shape), _weight_grad(d_zr[0], h0[0]), _weight_grad(d_cand[0], rh[0]),
+            d_b.reshape(bwd_gx.shape), _weight_grad(d_zr[1], h0[1]), _weight_grad(d_cand[1], rh[1]),
         )
 
     return _emit(out.reshape(rows * n, 2 * d), inputs, back)
@@ -579,9 +562,9 @@ def decoder_scan(
     through ann_c, from the GRU input's. After the loop, one product each
     gives the contexts' adjoints (the output's plus the GRU input's through
     w_c), the annotations' gradient (alpha.T @ those adjoints, summed over
-    the rows of a shared block) and the embeddings' gradient; each weight
-    gradient of a product is one `WeightGrad`, all steps stacked, w's on the
-    rows [embedding; context].
+    the rows of a shared block) and the embeddings' gradient; the gradient
+    of each weight in a product is one product `g.T @ x`, all steps
+    stacked, w's on the rows [embedding; context].
 
     Returns the rows [state; context] (B*T, dim + width), row b*T + t after
     step t, and the attention weights (B*T, n) as a plain array. Past its
@@ -666,12 +649,12 @@ def decoder_scan(
             d_s,
             d_keys.reshape(sources, -1, n, keys.shape[1]).sum(axis=1).reshape(keys.shape),
             d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
-            WeightGrad(d_query.reshape(rows * T, -1), h0),
+            _weight_grad(d_query.reshape(rows * T, -1), h0),
             d_v,
-            WeightGrad(d_gx, x),
+            _weight_grad(d_gx, x),
             d_gx.sum(axis=0),
-            WeightGrad(d_gx[:, : 2 * d], h0),
-            WeightGrad(d_gx[:, 2 * d :], rh),
+            _weight_grad(d_gx[:, : 2 * d], h0),
+            _weight_grad(d_gx[:, 2 * d :], rh),
         )
 
     return _emit(out.reshape(rows * T, d + width), inputs, back), alphas.reshape(rows * T, n)

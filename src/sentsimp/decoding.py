@@ -151,8 +151,6 @@ def beam_search(
     """
     if beam_size < 1:
         raise ContractError(f"beam size must be at least 1, got {beam_size}")
-    if max_new <= 0:
-        return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
 
     active = [Hypothesis((), 0.0, init_state.data[0])]
     greedy = active[:] if beam_size > 1 else []  # holds the greedy hypothesis while live

@@ -499,12 +499,11 @@ def top_k_tokens(sequences, k):
 
 
 def backward_dense(tape, loss):
-    """Reference version of an earlier design: `Tape.backward` with every
-    gradient evaluated where its record is walked, an `affine` weight
-    gradient as one outer product and a `take_rows` gradient as a zero
-    matrix the size of its input with the rows added in, and summed into one
-    dense adjoint per tensor, one full-size add at a time; leaves take their
-    sums at the end."""
+    """Reference version of an earlier design: `Tape.backward` with a
+    `take_rows` gradient as a zero matrix the size of its input with the
+    rows added in, and every gradient summed into one dense adjoint per
+    tensor, one new full-size array per add; leaves take their sums at the
+    end."""
     adjoints = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
     for out, inputs, backward_fn in reversed(tape._records):
@@ -515,9 +514,7 @@ def backward_dense(tape, loss):
         for inp, grad in zip(inputs, backward_fn(out_adj)):
             if grad is None or not (inp.requires_grad or id(inp) in tape._output_ids):
                 continue
-            if isinstance(grad, ad.WeightGrad):
-                grad = grad.evaluate()
-            elif isinstance(grad, ad.RowGrad):
+            if isinstance(grad, ad.RowGrad):
                 rows = grad
                 grad = np.zeros_like(inp.data)
                 np.add.at(grad, rows.ids, rows.g)
@@ -549,7 +546,7 @@ def add(a, b):
     """Entrywise sum."""
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ: {a.shape} vs {b.shape}")
-    return ad._emit(a.data + b.data, (a, b), lambda g: (g, g))
+    return ad._emit(a.data + b.data, (a, b), lambda g: (g.copy(), g.copy()))
 
 
 def mul(a, b):
@@ -657,8 +654,7 @@ def gru_step(gx, h_prev, u_zr, u_h):
     update and reset gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T).
 
     gx (B, 3dim) holds the input pre-activations of the gates in the order
-    update, reset, candidate; u_zr is (2dim, dim) and u_h (dim, dim). The
-    weight gradients are `WeightGrad`s, like those of `affine`.
+    update, reset, candidate; u_zr is (2dim, dim) and u_h (dim, dim).
     """
     if h_prev.ndim != 2 or gx.ndim != 2:
         raise DimensionError(f"gru_step: expected matrices, got gx {gx.shape} and h_prev {h_prev.shape}")
@@ -678,7 +674,7 @@ def gru_step(gx, h_prev, u_zr, u_h):
         d_rh = d_cand @ u_h.data
         d_zr = np.concatenate([g * h_tilde - g * h0, d_rh * h0], axis=1) * zr * (1.0 - zr)
         d_h = g * (1.0 - z) + d_rh * r + d_zr @ u_zr.data
-        return np.concatenate([d_zr, d_cand], axis=1), d_h, ad.WeightGrad(d_zr, h0), ad.WeightGrad(d_cand, rh)
+        return np.concatenate([d_zr, d_cand], axis=1), d_h, np.dot(d_zr.T, h0), np.dot(d_cand.T, rh)
 
     return ad._emit((1.0 - z) * h0 + z * h_tilde, (gx, h_prev, u_zr, u_h), back)
 
@@ -716,7 +712,7 @@ def attention(s, keys, annotations, w, v):
             d_query @ w.data,
             d_pre.sum(axis=0),
             np.dot(alpha.T, g),
-            ad.WeightGrad(d_query, s.data),
+            np.dot(d_query.T, s.data),
             d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1),
         )
 

@@ -818,19 +818,14 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
 
 
-def test_frozen_weight_gets_no_gradient_and_costs_no_product(monkeypatch):
-    products = []
-    evaluate = ad.WeightGrad.evaluate
-    monkeypatch.setattr(ad.WeightGrad, "evaluate", lambda self: products.append(self) or evaluate(self))
+def test_frozen_weight_gets_no_gradient():
     x, b = rnd((3, 4), seed=31), rnd((2,), seed=32)
     for trainable in (False, True):
         w = ad.Tensor(rnd((2, 4), seed=33).data, requires_grad=trainable)
-        products.clear()
         x.zero_grad(), b.zero_grad()
         with ad.Tape() as tape:
             out = ad.affine(x, w, b)
             tape.backward(tsum(mul(out, out)))
-        assert len(products) == int(trainable)
         assert (w.grad is not None) == trainable
         assert x.grad is not None and b.grad is not None
 
@@ -856,7 +851,7 @@ def test_row_gradient_scatters_into_a_copy_of_a_shared_adjoint():
     def loss():
         a, b = ad.tanh(x), ad.tanh(y)
         picked = ad.take_rows(a, [2, 0, 2])
-        both = add(a, b)  # walked first: a and b receive one shared adjoint
+        both = add(a, b)  # walked first: a's adjoint is dense when the row gradient arrives
         return add(tsum(mul(both, weights)), tsum(mul(picked, picked)))
 
     grads = []
@@ -874,11 +869,73 @@ def test_affine_with_a_computed_weight_gradcheck():
     x, x1, w, b = rnd((3, 4), seed=25), rnd((1, 4), seed=26), rnd((2, 4), seed=27), rnd((2,), seed=28)
 
     def loss():
-        squashed = ad.tanh(w)  # not a leaf: its weight gradients are evaluated at once
+        squashed = ad.tanh(w)  # not a leaf: its weight gradients sum into the walk's adjoint
         many, one = ad.affine(x, squashed, b), ad.affine(x1, squashed, b)
         return add(tsum(mul(many, many)), tsum(mul(one, one)))
 
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
+
+
+def backward_contract_cases():
+    """(op, input shapes), named, for every op in sentsimp.autodiff and in
+    the test oracles; an op maps the input tensors to its output tensor."""
+    cases = [
+        ("affine", ad.affine, [(3, 4), (2, 4), (2,)]),
+        ("tanh", ad.tanh, [(3, 4)]),
+        ("nll", lambda a: ad.nll(a, [0, 2, 4]), [(3, 5)]),
+        ("concat", lambda a, b: ad.concat([a, b]), [(3, 2), (3, 4)]),
+        ("stack", lambda a, b: ad.stack([a, b]), [(2, 3), (3, 3)]),
+        ("mean_rows-full", lambda m: ad.mean_rows(m, [3, 3]), [(6, 3)]),
+        ("mean_rows-padded", lambda m: ad.mean_rows(m, [3, 1]), [(6, 3)]),
+        ("take_rows", lambda m: ad.take_rows(m, [2, 0, 2]), [(4, 3)]),
+        ("gru_scan-full", lambda *a: ad.gru_scan(*a, [3, 3]), [(6, 9), (6, 3), (3, 3)] * 2),
+        ("gru_scan-masked", lambda *a: ad.gru_scan(*a, [3, 2]), [(6, 9), (6, 3), (3, 3)] * 2),
+        (
+            "decoder_scan-shared-block",
+            lambda *a: ad.decoder_scan(*a, [3, 2], [2])[0],
+            [t.shape for t in decoder_scan_inputs(2, 3, 3, True, seed=0)],
+        ),
+        (
+            "decoder_scan-block-per-row",
+            lambda *a: ad.decoder_scan(*a, [3, 2], [3, 2])[0],
+            [t.shape for t in decoder_scan_inputs(2, 3, 3, False, seed=0)],
+        ),
+        ("matmul", matmul, [(3, 4), (4, 2)]),
+        ("add", add, [(3, 4), (3, 4)]),
+        ("mul", mul, [(3, 4), (3, 4)]),
+        ("one_minus", one_minus, [(3, 4)]),
+        ("sigmoid", sigmoid, [(3, 4)]),
+        ("softmax", softmax, [(3, 4)]),
+        ("tsum", tsum, [(3, 4)]),
+        ("segment", lambda m: segment(m, 1, 3), [(3, 4)]),
+        ("attention_energies", attention_energies, [(4, 3), (2, 3), (3,)]),
+        ("gru_step", gru_step, [(2, 9), (2, 3), (6, 3), (3, 3)]),
+        ("attention", lambda *a: attention(*a)[0], [(2, 3), (4, 5), (4, 6), (5, 3), (5,)]),
+    ]
+    return [pytest.param(op, shapes, id=name) for name, op, shapes in cases]
+
+
+@pytest.mark.parametrize("op, shapes", backward_contract_cases())
+def test_backward_returns_arrays_that_nothing_else_holds(op, shapes):
+    """The contract that lets Tape.backward sum in place: a backward
+    function returns, per input, None, a RowGrad, or an array that shares
+    memory with no other array it returns, with the adjoint, with any
+    input's data and with the output's data."""
+    inputs = [rnd(shape, seed=140 + i) for i, shape in enumerate(shapes)]
+    with ad.Tape() as tape:
+        out = op(*inputs)
+    recorded, recorded_inputs, backward_fn = tape._records[-1]
+    assert recorded is out and list(recorded_inputs) == inputs
+    g = np.random.default_rng(141).uniform(-1.0, 1.0, size=out.shape)
+    grads = list(backward_fn(g))
+    assert len(grads) == len(inputs)
+    for grad in grads:
+        assert grad is None or isinstance(grad, (ad.RowGrad, np.ndarray)), type(grad)
+    arrays = [grad for grad in grads if isinstance(grad, np.ndarray)]
+    held = [g, out.data] + [t.data for t in inputs]
+    for i, grad in enumerate(arrays):
+        for other in held + arrays[:i] + arrays[i + 1 :]:
+            assert not np.shares_memory(grad, other)
 
 
 def test_ops_record_on_the_innermost_tape_only():

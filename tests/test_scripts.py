@@ -13,8 +13,8 @@ from sentsimp.toydata import build_toy_corpus
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, cwd, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
@@ -41,12 +41,15 @@ def test_run_toy_experiment_prints_the_metric_table(tmp_path):
 
 
 def test_ab_interleaved_times_the_checkout_against_itself(tmp_path):
+    """On one BLAS thread, whatever the caller's environment asks for."""
     proc = run_script(
         "ab_interleaved.py", str(ROOT), str(ROOT), "--workload", "score", "--seed", "2", "--units", "3",
-        cwd=tmp_path,
+        cwd=tmp_path, OPENBLAS_NUM_THREADS="4",
     )
     assert proc.returncode == 0, proc.stderr
     assert "3 units, equal outputs" in proc.stdout
+    blas = "BLAS threads OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"
+    assert blas in proc.stdout.splitlines()
     assert "total-time ratio new/old" in proc.stdout and "median per-unit ratio new/old" in proc.stdout
     assert list(tmp_path.iterdir()) == []
 
@@ -91,7 +94,7 @@ def test_ab_interleaved_train_refuses_a_gradient_that_differs_in_its_last_bits(t
     shutil.copytree(ROOT / "src" / "sentsimp", new / "src" / "sentsimp")
     autodiff = new / "src" / "sentsimp" / "autodiff.py"
     source = autodiff.read_text(encoding="utf-8")
-    product = "return np.dot(self.g.T, self.x)"
+    product = "return np.dot(g.T, x)"
     assert source.count(product) == 1
     autodiff.write_text(source.replace(product, product + " * (1.0 + 2.0**-50)"), encoding="utf-8")
     proc = run_script("ab_interleaved.py", str(ROOT), str(new), "--workload", "train", "--units", "1", cwd=tmp_path)
