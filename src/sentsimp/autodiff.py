@@ -7,21 +7,22 @@ with the sequences' lengths beside it. There is one weight product, the
 fused affine map `x @ w.T + b` on weights stored (out, in); then tanh, a
 fused row-wise softmax negative log-likelihood (and `log_softmax`, its
 plain-array helper, which decoding uses too), lookup of several rows at
-once, joining matrices side by side or on top of each other, and the mean
-of each block's real rows. Two fused ops cover the model's recurrent
-work, each one op per recurrence with a hand-written backward pass
-through time and per-row length masks: `gru_scan` runs a whole
-bidirectional GRU, both directions advanced by one stacked update per
-step, and `decoder_scan` a whole decoder stage over given inputs (per
-step an additive-attention read, the GRU input product and the GRU
-update) over one source block per row or one block that every row reads,
-so a recurrence costs one dispatch and one tape record however long it
-is. Inside their time loops the scans do only the recurrent work: what
-does not depend on the step (the decoder's context weights applied to
-the source rows, the annotations' and embeddings' gradients) is one
-product per call, before or after the loop. Gradients are recorded on an
-explicit :class:`Tape`
-that is rebuilt every forward pass, so variable-length sequences need no
+once, stacking matrices on top of each other, and the mean of each
+block's real rows. Two fused ops cover the model's recurrent work, each
+one op per recurrence with a hand-written backward pass through time and
+per-row length masks: `gru_scan` runs a whole bidirectional GRU, both
+directions advanced by one stacked update per step, and `decoder_scan` a
+whole decoder stage over given inputs (per step an additive-attention
+read, the GRU input product and the GRU update) over one source block per
+row or one block that every row reads, so a recurrence costs one
+dispatch and one tape record however long it is. A decoder step's output
+row is [embedding; state; context], the input of the model's output
+layer, so that layer is one affine map. Inside their time loops the scans
+do only the recurrent work: what does not depend on the step (the
+decoder's context weights applied to the source rows, the annotations'
+and embeddings' gradients) is one product per call, before or after the
+loop. Gradients are recorded on an explicit :class:`Tape` that is
+rebuilt every forward pass, so variable-length sequences need no
 static graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding and validation execute; the scans
 then keep no intermediates for a backward pass.
@@ -77,9 +78,11 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A dense float64 array plus gradient bookkeeping.
 
-    `grad` is populated by :meth:`Tape.backward` for every tensor with
-    `requires_grad` reachable from the loss; repeated backward calls
-    accumulate until :meth:`zero_grad`.
+    `grad` is populated by :meth:`Tape.backward` for every leaf (a tensor
+    that no recorded op produced, such as a parameter) with `requires_grad`
+    that the loss depends on; repeated backward calls accumulate until
+    :meth:`zero_grad`. An op's output gets no `grad`: the walk frees its
+    adjoint once it has passed it on to the op's inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -110,18 +113,11 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def tolist(self):
-        return self.data.tolist()
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=np.float64), requires_grad)
 
 
 def _weight_grad(g: Array, x: Array) -> Array:
@@ -148,7 +144,7 @@ class Tape:
     Use as a context manager; ops executed inside record themselves when any
     input requires a gradient. `backward(loss)` walks the record in exact
     reverse execution order and accumulates gradients into `.grad` of every
-    requires_grad tensor reachable from the loss.
+    requires_grad leaf reachable from the loss.
     """
 
     def __init__(self):
@@ -171,7 +167,7 @@ class Tape:
         self._output_ids.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
-        """Add d loss / d t to `t.grad` for every requires_grad tensor t that
+        """Add d loss / d t to `t.grad` for every requires_grad leaf t that
         the loss depends on through this tape.
 
         Each input's gradient has one slot: a leaf's (no record produced it,
@@ -192,7 +188,6 @@ class Tape:
             out_adj = adjoints.pop(id(out), None)
             if out_adj is None:
                 continue
-            out.grad = out_adj if out.grad is None else out.grad + out_adj
             for inp, grad in zip(inputs, backward_fn(out_adj)):
                 if grad is None:
                     continue
@@ -322,27 +317,17 @@ def nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return _emit(np.asarray(-log_probs[rows, t].sum()), (logits,), back)
 
 
-def _join(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = tuple(parts)
-    if not parts or any(p.ndim != 2 for p in parts) or len({p.shape[1 - axis] for p in parts}) != 1:
-        raise DimensionError(f"cannot join {[p.shape for p in parts]} along axis {axis}")
-    stops = list(itertools.accumulate(p.shape[axis] for p in parts))
-    blocks = [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
-
-    def back(g: Array):
-        return tuple((g[block] if axis == 0 else g[:, block]).copy() for block in blocks)
-
-    return _emit(np.concatenate([p.data for p in parts], axis=axis), parts, back)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join matrices with one row count side by side (along the last axis)."""
-    return _join(parts, 1)
-
-
 def stack(blocks: Sequence[Tensor]) -> Tensor:
     """Stack matrices with one width on top of each other (along the first axis)."""
-    return _join(blocks, 0)
+    blocks = tuple(blocks)
+    if not blocks or any(p.ndim != 2 for p in blocks) or len({p.shape[1] for p in blocks}) != 1:
+        raise DimensionError(f"stack: cannot stack {[p.shape for p in blocks]}")
+    stops = list(itertools.accumulate(p.shape[0] for p in blocks))
+
+    def back(g: Array):
+        return tuple(g[lo:hi].copy() for lo, hi in zip([0] + stops[:-1], stops))
+
+    return _emit(np.concatenate([p.data for p in blocks]), blocks, back)
 
 
 def _blocks(rows: int, lengths: Sequence[int], op: str) -> tuple[int, Array | None]:
@@ -541,10 +526,11 @@ def decoder_scan(
     """A decoder stage over given inputs, fused into one op.
 
     Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
-    step t reads e[b*T + t], the embedding of the row's t-th given token,
-    where T is the longest row. A step is one additive-attention read by
-    the state before it, the GRU input product on [embedding; context] with
-    w (3dim, E + width) and b (3dim,), and the GRU update of `gru_scan`.
+    step t reads e[b*T + t] (E wide), the embedding of the row's t-th
+    given token, where T is the longest row. A step is one
+    additive-attention read by the state before it, the GRU input product
+    on [embedding; context] with w (3dim, E + width) and b (3dim,), and the
+    GRU update of `gru_scan`.
     The attention energies of a state s are v . tanh(keys[j] + s @ att_w.T)
     over the key rows j; their softmax alpha weighs the annotation rows
     into the context (width wide). keys and annotations hold one block of n
@@ -562,14 +548,16 @@ def decoder_scan(
     through ann_c, from the GRU input's. After the loop, one product each
     gives the contexts' adjoints (the output's plus the GRU input's through
     w_c), the annotations' gradient (alpha.T @ those adjoints, summed over
-    the rows of a shared block) and the embeddings' gradient; the gradient
-    of each weight in a product is one product `g.T @ x`, all steps
-    stacked, w's on the rows [embedding; context].
+    the rows of a shared block) and the embeddings' gradient (the GRU
+    input's share plus the adjoint of the output's embedding columns); the
+    gradient of each weight in a product is one product `g.T @ x`, all
+    steps stacked, w's on the rows [embedding; context].
 
-    Returns the rows [state; context] (B*T, dim + width), row b*T + t after
-    step t, and the attention weights (B*T, n) as a plain array. Past its
-    last step a row's state stays as it is. Non-finite energies raise
-    NumericError.
+    Returns the rows [embedding; state; context] (B*T, E + dim + width),
+    row b*T + t holding step t's input row e[b*T + t] as given and the
+    state and context after the step, and the attention weights (B*T, n)
+    as a plain array. Past its last step a row's state stays as it is.
+    Non-finite energies raise NumericError.
     """
     steps = [int(k) for k in steps]
     rows = len(steps)
@@ -602,7 +590,9 @@ def decoder_scan(
     keep = _recording(inputs)
     saved = []
     x_in = e.data.reshape(rows, T, emb)
-    out = np.empty((rows, T, d + width))
+    state_cols, context_cols = slice(emb, emb + d), slice(emb + d, None)
+    out = np.empty((rows, T, emb + d + width))
+    out[:, :, :emb] = x_in
     alphas = np.empty((rows, T, n))
     s = s0.data
     for t in range(T):
@@ -612,14 +602,15 @@ def decoder_scan(
         context = (a @ ann)[:, 0]
         gx = x_in[:, t] @ w_e.T + b.data + (a @ ann_c)[:, 0]
         s, step = _gru_update(s, gx, u_zr.data, u_h.data, None if live is None else live[:, t, None])
-        out[:, t, :d] = s
-        out[:, t, d:] = context
+        out[:, t, state_cols] = s
+        out[:, t, context_cols] = context
         alphas[:, t] = alpha
         if keep:
             saved.append((hidden, step))
 
     def back(g: Array):
-        g = g.reshape(rows, T, d + width)
+        g = g.reshape(rows, T, emb + d + width)
+        g_state, g_context = g[:, :, state_cols], g[:, :, context_cols]
         d_gx = np.empty((rows, T, 3 * d))
         d_query = np.empty((rows, T, att_w.shape[0]))
         d_keys = np.zeros((rows, n, keys.shape[1]))
@@ -627,11 +618,11 @@ def decoder_scan(
         d_s = np.zeros((rows, d))
         for t in range(T - 1, -1, -1):
             hidden, step = saved[t]
-            d_zr, d_cand, d_h = _gru_update_back(g[:, t, :d] + d_s, step, u_zr.data, u_h.data)
+            d_zr, d_cand, d_h = _gru_update_back(g_state[:, t] + d_s, step, u_zr.data, u_h.data)
             d_gx[:, t, : 2 * d] = d_zr
             d_gx[:, t, 2 * d :] = d_cand
             # the energies reach the output's context and, through ann_c, the GRU input
-            d_alpha = (ann @ g[:, t, d:, None] + ann_c @ d_gx[:, t, :, None])[:, :, 0]
+            d_alpha = (ann @ g_context[:, t, :, None] + ann_c @ d_gx[:, t, :, None])[:, :, 0]
             d_energy = _softmax_back(alphas[:, t], d_alpha)
             d_pre = d_energy[:, :, None] * att_v.data * (1.0 - hidden * hidden)
             d_query[:, t] = q = d_pre.sum(axis=1)
@@ -639,13 +630,15 @@ def decoder_scan(
             d_keys += d_pre
             d_v += d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1)
         d_gx = d_gx.reshape(rows * T, 3 * d)
-        g_ctx = g[:, :, d:] + (d_gx @ w_c).reshape(rows, T, width)  # the contexts' adjoints
+        g_ctx = g_context + (d_gx @ w_c).reshape(rows, T, width)  # the contexts' adjoints
         d_ann = alphas.transpose(0, 2, 1) @ g_ctx
-        x = np.concatenate([x_in, out[:, :, d:]], axis=2).reshape(rows * T, emb + width)
-        h0 = np.concatenate([s0.data[:, None], out[:, :-1, :d]], axis=1).reshape(rows * T, d)
+        x = np.concatenate([x_in, out[:, :, context_cols]], axis=2).reshape(rows * T, emb + width)
+        h0 = np.concatenate([s0.data[:, None], out[:, :-1, state_cols]], axis=1).reshape(rows * T, d)
+        d_e = d_gx @ w_e  # the GRU input's share; the output's embedding columns add theirs
+        d_e += g[:, :, :emb].reshape(d_e.shape)
         rh = np.stack([step[2] for _, step in saved], axis=1).reshape(rows * T, d)
         return (
-            (d_gx @ w_e).reshape(e.shape),
+            d_e,
             d_s,
             d_keys.reshape(sources, -1, n, keys.shape[1]).sum(axis=1).reshape(keys.shape),
             d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
@@ -657,4 +650,4 @@ def decoder_scan(
             _weight_grad(d_gx[:, 2 * d :], rh),
         )
 
-    return _emit(out.reshape(rows * T, d + width), inputs, back), alphas.reshape(rows * T, n)
+    return _emit(out.reshape(rows * T, emb + d + width), inputs, back), alphas.reshape(rows * T, n)

@@ -207,16 +207,17 @@ def _search(
     annotations, h_mean = encoded
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
-    dim = state.shape[1]
+    emb = params.embedding.shape[1]
+    state_cols = slice(emb, emb + state.shape[1])
     source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        _, out = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
-        state = Tensor(out.data[-1:, :dim])
+        rows = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
+        state = Tensor(rows.data[-1:, state_cols])
 
     def step(prev_tokens: list[int], states: Tensor):
         tokens = [[tok] for tok in prev_tokens]
-        e_prev, out = decode_step(tokens, states, annotations, keys, params, source_lengths)
-        return Tensor(out.data[:, :dim]), log_softmax(output_logits(e_prev, out, params).data)
+        rows = decode_step(tokens, states, annotations, keys, params, source_lengths)
+        return Tensor(rows.data[:, state_cols]), log_softmax(output_logits(rows, params).data)
 
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 

@@ -24,13 +24,15 @@ token's embedding plus the attention-weighted sum of those mapped rows
 (the context's share of the product), and updates the state. Attention
 keys, the attention bias included, depend only on the annotations, so
 each decoder stage computes them once, as one `affine` map in
-`attention_keys`. A decoder stage is two
-functions: `decode_step` runs T given steps of every row (the beam passes
-one token per row, teacher forcing a stage's whole given sequence), and
-`output_logits` projects the rows of the steps it is given onto the
-vocabulary, so a teacher-forced step whose prediction nothing scores
-skips that product. The model holds no decoding setting: the beam width
-and the length cap belong to `decoding.decode_multi`.
+`attention_keys`. A decoder stage is two functions: `decode_step` runs T
+given steps of every row (the beam passes one token per row, teacher
+forcing a stage's whole given sequence) and returns one row [previous
+token's embedding; state; context] per step, the output layer's input
+(Bahdanau et al. 2015, appendix A.2.2); and `output_logits`, one affine
+map, projects the rows of the steps it is given onto the vocabulary, so
+a teacher-forced step whose prediction nothing scores skips that
+product. The model holds no decoding setting: the beam width and the
+length cap belong to `decoding.decode_multi`.
 """
 
 from __future__ import annotations
@@ -233,34 +235,33 @@ def decode_step(
     keys: Tensor,
     params: DecoderParams,
     source_lengths: Sequence[int],
-) -> tuple[Tensor, Tensor]:
+) -> Tensor:
     """Decoder updates of B rows over given tokens: row b starts in state
     s_prev[b] (B, dim) and consumes tokens[b] in order, one step each, as
-    one `autodiff.decoder_scan`. With T the longest row, returns the
-    consumed tokens' embeddings (B*T, E) and the rows [state; context]
-    (B*T, 3dim), row b*T + t after token t: the inputs of `output_logits`,
-    which only a step whose prediction is scored needs. A shorter row keeps
-    its last state over the rest.
+    one `autodiff.decoder_scan`. With T the longest row, returns the rows
+    [embedding; state; context] (B*T, E + 3dim), row b*T + t holding the
+    embedding of token t and the state and context after it: the input of
+    `output_logits`, which only a step whose prediction is scored needs.
+    The state is columns E .. E + dim. A shorter row keeps its last state
+    over the rest.
 
     keys are `attention_keys(annotations, params)`. The annotations are an
     `encode` batch of the sources of source_lengths: B sources, one per
     row, or one source that every row reads.
     """
     ids, lengths = _joined(tokens)
-    e_prev = ad.take_rows(params.embedding, ids)
     gru = params.gru
-    out, _ = ad.decoder_scan(
-        e_prev, s_prev, keys, annotations, params.att_w, params.att_v,
+    return ad.decoder_scan(
+        ad.take_rows(params.embedding, ids), s_prev, keys, annotations, params.att_w, params.att_v,
         gru.w, gru.b, gru.u_zr, gru.u_h, lengths, source_lengths,
-    )
-    return e_prev, out
+    )[0]
 
 
-def output_logits(e_prev: Tensor, out: Tensor, params: DecoderParams) -> Tensor:
-    """Next-token logits (B, V) of rows of a `decode_step`: embeddings
-    e_prev and [state; context] rows out. Each row's next-token
-    distribution is the softmax of its logits."""
-    return ad.affine(ad.concat([e_prev, out]), params.out_w, params.out_b)
+def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
+    """Next-token logits (B, V) of rows [embedding; state; context] of a
+    `decode_step`. Each row's next-token distribution is the softmax of its
+    logits."""
+    return ad.affine(rows, params.out_w, params.out_b)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,9 @@ def adadelta_step(
     rho: float,
     eps: float,
 ) -> None:
-    """One accumulate/update/accumulate cycle; a missing grad counts as zero."""
+    """One accumulate/update/accumulate cycle; every parameter has a grad."""
     for name, param in named_params:
-        grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+        grad = param.grad
         if not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         sq = state.avg_sq_grad[name]
@@ -79,14 +79,12 @@ def clip_gradients(params: Sequence[Tensor], clip_norm: float) -> float:
     """
     total = 0.0
     for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+        total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
     if clip_norm > 0.0 and norm > clip_norm:
         factor = clip_norm / norm
         for p in params:
-            if p.grad is not None:
-                p.grad *= factor
+            p.grad *= factor
     return norm
 
 
@@ -138,7 +136,8 @@ def training_loss(
     at the constraint token. Forward: teacher-force BOS..target[s-1] without
     loss, then predict the remaining tokens and EOS. The batch is padded:
     one `encode`, and per decoder stage one `decode_step` over every row's
-    inputs and one `output_logits` over the scored steps only.
+    inputs, one lookup of the scored steps' rows and one `output_logits`
+    over them.
     """
     if len(pairs) != len(positions):
         raise ContractError(f"{len(pairs)} pairs but {len(positions)} constraint positions")
@@ -152,11 +151,10 @@ def training_loss(
     def stage_logits(params, inputs, scored_from):
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
-        _, out = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        rows = decode_step(inputs, state, annotations, keys, params, source_lengths)
         steps = max(len(row) for row in inputs)
-        scored = [(b * steps + t, row[t]) for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
-        e_prev = ad.take_rows(params.embedding, [tok for _, tok in scored])
-        return output_logits(e_prev, ad.take_rows(out, [i for i, _ in scored]), params)
+        scored = [b * steps + t for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
+        return output_logits(ad.take_rows(rows, scored), params)
 
     # backward: inputs target[s-1], target[s-2], ..., target[0]; every step scored
     backward_inputs = [pair.target[position - 1 :: -1] for pair, position in zip(pairs, positions)]
@@ -276,8 +274,7 @@ def train(
                 epoch_tokens += loss_token_count(pair)
             inv = 1.0 / len(batch)
             for p in params:
-                if p.grad is not None:
-                    p.grad *= inv
+                p.grad *= inv
             clip_gradients(params, config.clip_norm)
             adadelta_step(named, state, config.rho, config.eps)
         model.zero_grad()

@@ -5,14 +5,16 @@ directly from the defining formulas, and share no code with the package
 under test. The exceptions are marked as reference versions of an earlier
 design: they keep a replaced algorithm, built from the package's own
 primitives, so that its replacement can be checked against it. The
-autodiff ops that only the tests use (matrix and entrywise products,
-sigmoid, softmax, sums, column segments and attention energies, and the
-per-step GRU update and attention read that the fused scans replaced) live
-here too, recorded on the package's tape through `autodiff._emit`.
+autodiff ops that only the tests use (zeros, matrix and entrywise
+products, sigmoid, softmax, sums, column segments, joining matrices side
+by side and attention energies, and the per-step GRU update and attention
+read that the fused scans replaced) live here too, recorded on the
+package's tape through `autodiff._emit`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -600,6 +602,23 @@ def segment(m, start, stop):
     return ad._emit(m.data[:, start:stop].copy(), (m,), back)
 
 
+def zeros(shape, requires_grad=False):
+    return ad.Tensor(np.zeros(shape), requires_grad)
+
+
+def concat(parts):
+    """Join matrices with one row count side by side (along the last axis)."""
+    parts = tuple(parts)
+    if not parts or any(p.ndim != 2 for p in parts) or len({p.shape[0] for p in parts}) != 1:
+        raise DimensionError(f"concat: cannot join {[p.shape for p in parts]}")
+    stops = list(itertools.accumulate(p.shape[1] for p in parts))
+
+    def back(g):
+        return tuple(g[:, lo:hi].copy() for lo, hi in zip([0] + stops[:-1], stops))
+
+    return ad._emit(np.concatenate([p.data for p in parts], axis=1), parts, back)
+
+
 def attention_energies(keys, query, v):
     """Additive-attention energies (B, n): v . tanh(keys[j] + query[b]) for
     every query row b and key row j."""
@@ -628,9 +647,9 @@ def gru_step_composed(gx, h_prev, u_zr, u_h):
     plus its segment of gx, the gate nonlinearities and the elementwise
     update), each with its own backward."""
     d = h_prev.shape[1]
-    zr = sigmoid(add(ad.affine(h_prev, u_zr, ad.zeros((2 * d,))), segment(gx, 0, 2 * d)))
+    zr = sigmoid(add(ad.affine(h_prev, u_zr, zeros((2 * d,))), segment(gx, 0, 2 * d)))
     z, r = segment(zr, 0, d), segment(zr, d, 2 * d)
-    h_tilde = ad.tanh(add(ad.affine(mul(r, h_prev), u_h, ad.zeros((d,))), segment(gx, 2 * d, 3 * d)))
+    h_tilde = ad.tanh(add(ad.affine(mul(r, h_prev), u_h, zeros((d,))), segment(gx, 2 * d, 3 * d)))
     return add(mul(one_minus(z), h_prev), mul(z, h_tilde))
 
 
@@ -639,7 +658,7 @@ def attention_composed(s, keys, annotations, w, v):
     of 4 primitive ops (the bias-free query affine map, the energies, the
     softmax and the context product). Returns the context rows and alpha as
     tensors."""
-    query = ad.affine(s, w, ad.zeros((w.shape[0],)))
+    query = ad.affine(s, w, zeros((w.shape[0],)))
     alpha = softmax(attention_energies(keys, query, v))
     return matmul(alpha, annotations), alpha
 
@@ -726,7 +745,7 @@ def run_gru(gx, p, order):
     """Reference version of an earlier design: the states (n, dim) of one
     GRU that reads the rows of gx in the given order from a zero state, one
     `gru_step` per row; row t is its state after reading row t."""
-    h = ad.zeros((1, p.u_h.shape[0]))
+    h = zeros((1, p.u_h.shape[0]))
     states = {}
     for t in order:
         h = states[t] = gru_step(ad.take_rows(gx, [t]), h, p.u_zr, p.u_h)
@@ -741,11 +760,11 @@ def encode_per_step(source, params):
     n = len(source)
     fwd = run_gru(ad.affine(embedded, params.fwd.w, params.fwd.b), params.fwd, range(n))
     bwd = run_gru(ad.affine(embedded, params.bwd.w, params.bwd.b), params.bwd, range(n - 1, -1, -1))
-    annotations = ad.concat([fwd, bwd])
+    annotations = concat([fwd, bwd])
     return annotations, ad.mean_rows(annotations, [n])
 
 
-def read_and_gru_input(e_prev, s_prev, keys, annotations, att_w, att_v, w, b, concat=False):
+def read_and_gru_input(e_prev, s_prev, keys, annotations, att_w, att_v, w, b, whole_w=False):
     """The attention read of the states s_prev (B, dim) and the GRU input
     pre-activations (B, 3dim) of [e_prev; context] under w (3dim, E + width)
     and b; returns the contexts and the pre-activations.
@@ -754,18 +773,18 @@ def read_and_gru_input(e_prev, s_prev, keys, annotations, att_w, att_v, w, b, co
     them: the context weights w[:, E:] map the annotation rows first, and a
     second `attention` read of those mapped rows, with the same weights,
     is the context half, added to the embedding half e_prev @ w[:, :E].T + b.
-    With concat, as an earlier design did: e_prev and the context joined
+    With whole_w, as an earlier design did: e_prev and the context joined
     and multiplied by the whole w."""
     context, _ = attention(s_prev, keys, annotations, att_w, att_v)
-    if concat:
-        return context, ad.affine(ad.concat([e_prev, context]), w, b)
+    if whole_w:
+        return context, ad.affine(concat([e_prev, context]), w, b)
     emb = e_prev.shape[1]
-    mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), ad.zeros((w.shape[0],)))
+    mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), zeros((w.shape[0],)))
     gx_context, _ = attention(s_prev, keys, mapped, att_w, att_v)
     return context, add(ad.affine(e_prev, segment(w, 0, emb), b), gx_context)
 
 
-def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params, concat=False):
+def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params, whole_w=False):
     """Reference version of an earlier design: one decoder update of B rows
     sharing one source's annotations, row b consuming prev_tokens[b] in
     state s_prev[b], as a lookup, `read_and_gru_input` and `gru_step`.
@@ -773,7 +792,7 @@ def decode_step_per_step(prev_tokens, s_prev, annotations, keys, params, concat=
     and the attention contexts (B, 2dim)."""
     e_prev = ad.take_rows(params.embedding, prev_tokens)
     context, gx = read_and_gru_input(
-        e_prev, s_prev, keys, annotations, params.att_w, params.att_v, params.gru.w, params.gru.b, concat
+        e_prev, s_prev, keys, annotations, params.att_w, params.att_v, params.gru.w, params.gru.b, whole_w
     )
     return e_prev, gru_step(gx, s_prev, params.gru.u_zr, params.gru.u_h), context
 
@@ -782,16 +801,16 @@ def decode_step_with_logits(prev_tokens, s_prev, annotations, keys, params):
     """New states and next-token logits of one per-step decoder update:
     `decode_step_per_step` followed by `model.output_logits`."""
     e_prev, s, context = decode_step_per_step(prev_tokens, s_prev, annotations, keys, params)
-    return s, output_logits(e_prev, ad.concat([s, context]), params)
+    return s, output_logits(concat([e_prev, s, context]), params)
 
 
 # ---------------------------------------------------------------- per-pair training losses
 
 
-def _per_step_stages(pair, position, model, concat):
+def _per_step_stages(pair, position, model, whole_w):
     """Per stage of one pair: its decoder, its per-step feature rows
     [embedding; state; context] from one-row `decode_step_per_step` calls
-    (with concat, in the earlier design's association), and the first
+    (with whole_w, in the earlier design's association), and the first
     scored step; plus the targets of the scored steps."""
     annotations, h_mean = encode_per_step(pair.source, model.encoder)
     target = pair.target
@@ -805,19 +824,19 @@ def _per_step_stages(pair, position, model, concat):
         state = init_decoder_state(h_mean, params)
         rows = []
         for prev in inputs:
-            e_prev, state, context = decode_step_per_step([prev], state, annotations, keys, params, concat)
-            rows.append(ad.concat([e_prev, state, context]))
+            e_prev, state, context = decode_step_per_step([prev], state, annotations, keys, params, whole_w)
+            rows.append(concat([e_prev, state, context]))
         stages.append((params, rows, scored_from))
     return stages, backward_inputs[1:] + [BOS_ID, *target[position:], EOS_ID]
 
 
-def training_loss_per_step(pair, position, model, concat=False):
+def training_loss_per_step(pair, position, model, whole_w=False):
     """Reference version of an earlier design: `training.training_loss` of
     one pair with the encoder and both decoder stages stepped one token at
-    a time by the per-step ops (`decode_step_per_step`, with concat in the
-    earlier design's association). As in training, each stage projects its
-    scored rows onto the vocabulary in one product."""
-    stages, targets = _per_step_stages(pair, position, model, concat)
+    a time by the per-step ops (`decode_step_per_step`, with whole_w in
+    the earlier design's association). As in training, each stage
+    projects its scored rows onto the vocabulary in one product."""
+    stages, targets = _per_step_stages(pair, position, model, whole_w)
     logits = [ad.affine(ad.stack(rows[scored_from:]), p.out_w, p.out_b) for p, rows, scored_from in stages]
     return ad.nll(ad.stack(logits), targets)
 
@@ -835,17 +854,16 @@ def training_loss_all_logits(pairs, positions, model):
     def stage_logits(params, inputs, scored_from):
         keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
-        _, out = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        rows = decode_step(inputs, state, annotations, keys, params, source_lengths)
         steps = max(len(row) for row in inputs)
-        every = [[(b * steps + t, row[t]) for t in range(len(row))] for b, row in enumerate(inputs)]
+        every = [[b * steps + t for t in range(len(row))] for b, row in enumerate(inputs)]
         logits = []
-        for rows in (
-            [step for b, row in enumerate(every) for step in row[: scored_from[b]]],
-            [step for b, row in enumerate(every) for step in row[scored_from[b] :]],
+        for picked in (
+            [i for b, row in enumerate(every) for i in row[: scored_from[b]]],
+            [i for b, row in enumerate(every) for i in row[scored_from[b] :]],
         ):
-            if rows:
-                e_prev = ad.take_rows(params.embedding, [tok for _, tok in rows])
-                logits.append(output_logits(e_prev, ad.take_rows(out, [i for i, _ in rows]), params))
+            if picked:
+                logits.append(output_logits(ad.take_rows(rows, picked), params))
         return logits[-1]
 
     backward_inputs = [pair.target[position - 1 :: -1] for pair, position in zip(pairs, positions)]
@@ -856,16 +874,17 @@ def training_loss_all_logits(pairs, positions, model):
     return ad.nll(ad.stack([backward, forward]), targets)
 
 
-def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h, concat=False):
+def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h, whole_w=False):
     """Reference version of an earlier design: `autodiff.decoder_scan` of
     one row over one source's keys and annotations, as one
-    `read_and_gru_input` (with concat, in the earlier design's association)
-    and one `gru_step` per row of e; returns the rows [state; context]
-    (T, dim + width)."""
+    `read_and_gru_input` (with whole_w, in the earlier design's
+    association) and one `gru_step` per row of e; returns the rows
+    [embedding; state; context] (T, E + dim + width)."""
     s = s0
     rows = []
     for t in range(e.shape[0]):
-        context, gx = read_and_gru_input(ad.take_rows(e, [t]), s, keys, annotations, att_w, att_v, w, b, concat)
+        e_t = ad.take_rows(e, [t])
+        context, gx = read_and_gru_input(e_t, s, keys, annotations, att_w, att_v, w, b, whole_w)
         s = gru_step(gx, s, u_zr, u_h)
-        rows.append(ad.concat([s, context]))
+        rows.append(concat([e_t, s, context]))
     return ad.stack(rows)

@@ -16,6 +16,7 @@ from oracles import (
     decode_step_with_logits,
     exhaustive_best,
     softmax,
+    zeros,
 )
 
 CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
@@ -83,13 +84,13 @@ def stages(trace):
 
 
 def test_beam_zero_budget_returns_empty():
-    hyp = beam_search(None, ad.zeros((1, 3)), 4, EOS_ID, beam_size=3, max_new=0)
+    hyp = beam_search(None, zeros((1, 3)), 4, EOS_ID, beam_size=3, max_new=0)
     assert hyp.tokens == () and hyp.stop == "length_cap" and hyp.log_prob == 0.0
 
 
 def test_beam_rejects_bad_size():
     with pytest.raises(ContractError):
-        beam_search(None, ad.zeros((1, 3)), 4, EOS_ID, beam_size=0, max_new=3)
+        beam_search(None, zeros((1, 3)), 4, EOS_ID, beam_size=0, max_new=3)
 
 
 def test_decode_multi_rejects_beam_zero():
@@ -320,7 +321,7 @@ def test_greedy_row_below_the_best_finished_is_dropped_with_the_beam():
         return {0: 0.90, 3: 0.05, 4: 0.05} if prev == 2 else {1: 0.34, 3: 0.33, 4: 0.33}
 
     widths = []
-    args = (table_stepper(dist, 6, widths), ad.zeros((1, 1)), 5, 0, 2, 5)
+    args = (table_stepper(dist, 6, widths), zeros((1, 1)), 5, 0, 2, 5)
     got = beam_search(*args)
     assert widths == [2, 3]
     want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])
@@ -347,7 +348,7 @@ def test_greedy_row_outlives_every_beam_row_and_wins(last, max_new, tokens, stop
         return {1: 0.99} if depth == 2 else last
 
     widths = []
-    args = (table_stepper(dist, 6, widths), ad.zeros((1, 1)), 5, 0, 2, max_new)
+    args = (table_stepper(dist, 6, widths), zeros((1, 1)), 5, 0, 2, max_new)
     got = beam_search(*args)
     assert widths == [2, 3, 3, 1]
     want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sentsimp import autodiff as ad
-from sentsimp.corpus import Vocabulary
+from sentsimp.corpus import PAD_ID, Vocabulary
 from sentsimp.errors import CheckpointError, ContractError
 from sentsimp.lexsub import FrequencyTable
 from sentsimp.model import (
@@ -27,6 +27,7 @@ from oracles import (
     add,
     attention_composed,
     attention_loops,
+    concat,
     decoder_step_loops,
     encode_loops,
     gru_step,
@@ -37,9 +38,12 @@ from oracles import (
     segment,
     softmax,
     tsum,
+    zeros,
 )
 
 TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
+# the columns of a `decode_step` row [embedding; state; context] under TINY
+EMBEDDING, STATE, CONTEXT = slice(0, 2), slice(2, 5), slice(5, 11)
 
 
 @pytest.fixture
@@ -54,7 +58,7 @@ def gru_as_dict(gru):
     return {
         "w_z": w[:d].tolist(), "u_z": u_zr[:d].tolist(), "b_z": b[:d].tolist(),
         "w_r": w[d : 2 * d].tolist(), "u_r": u_zr[d:].tolist(), "b_r": b[d : 2 * d].tolist(),
-        "w_h": w[2 * d :].tolist(), "u_h": gru.u_h.tolist(), "b_h": b[2 * d :].tolist(),
+        "w_h": w[2 * d :].tolist(), "u_h": gru.u_h.data.tolist(), "b_h": b[2 * d :].tolist(),
     }
 
 
@@ -70,9 +74,9 @@ def decoder_as_dict(dec):
         out[f"c_{name}"] = w[:, e:].tolist()
         out[f"u_{name}"] = gates[f"u_{gate}"]
         out[f"b_{name}"] = gates[f"b_{gate}"]
-    out["att"] = {"w": dec.att_w.tolist(), "u": dec.att_u.tolist(), "b": dec.att_b.tolist(), "v": dec.att_v.tolist()}
-    out["out_w"] = dec.out_w.tolist()
-    out["out_b"] = dec.out_b.tolist()
+    out["att"] = {name: getattr(dec, f"att_{name}").data.tolist() for name in ("w", "u", "b", "v")}
+    out["out_w"] = dec.out_w.data.tolist()
+    out["out_b"] = dec.out_b.data.tolist()
     return out
 
 
@@ -190,7 +194,7 @@ def test_encode_matches_scalar_loop_oracle(model):
     H, h_mean = encode([source], model.encoder)
     ann, mean = encode_loops(
         source,
-        model.encoder.embedding.tolist(),
+        model.encoder.embedding.data.tolist(),
         gru_as_dict(model.encoder.fwd),
         gru_as_dict(model.encoder.bwd),
     )
@@ -204,7 +208,7 @@ def test_encode_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([source], model.encoder)
     ann, mean = encode_loops(
         source,
-        model.encoder.embedding.tolist(),
+        model.encoder.embedding.data.tolist(),
         gru_as_dict(model.encoder.fwd),
         gru_as_dict(model.encoder.bwd),
     )
@@ -247,7 +251,7 @@ def attend(s, annotations, keys, dec):
         ad.take_rows(dec.embedding, [4] * rows), s, keys, annotations, dec.att_w, dec.att_v,
         dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows, [annotations.shape[0]],
     )
-    return ad.Tensor(out.data[:, s.shape[1] :]), alpha
+    return ad.Tensor(out.data[:, CONTEXT]), alpha
 
 
 def test_attend_identical_annotations_uniform(model):
@@ -277,7 +281,7 @@ def test_attend_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     dec.att_b.data[...] = rng.uniform(-1, 1, size=3)  # a bias the zero init would hide
     context, alpha = attend(s, H, attention_keys(H, dec), dec)
-    ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.tolist(), decoder_as_dict(model.forward_decoder)["att"])
+    ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.data.tolist(), decoder_as_dict(model.forward_decoder)["att"])
     assert np.allclose(alpha, alpha_o, atol=1e-12)
     assert np.allclose(context.data, ctx_o, atol=1e-12)
 
@@ -301,8 +305,8 @@ def step_with_logits(tokens, s_prev, annotations, keys, dec):
     """One `decode_step` of B rows, one token each, and `output_logits` of
     its rows, as the beam steps: the new states (B, dim) and the logits
     (B, V)."""
-    e_prev, out = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
-    return segment(out, 0, s_prev.shape[1]), output_logits(e_prev, out, dec)
+    rows = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
+    return segment(rows, STATE.start, STATE.stop), output_logits(rows, dec)
 
 
 def test_decode_step_zero_weights_uniform_dist(model):
@@ -333,8 +337,8 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     H, h_mean = encode([[5, 7]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     s1, logits = step_with_logits([6], s0, H, attention_keys(H, dec), dec)
-    prev_emb = dec.embedding.tolist()[6]
-    s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.tolist(), decoder_as_dict(dec))
+    prev_emb = dec.embedding.data.tolist()[6]
+    s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.data.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
     assert np.allclose(softmax(logits).data, dist_o, atol=1e-12)
 
@@ -347,12 +351,13 @@ def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([[5, 7, 4]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     tokens = [6, 4, 8]
-    e_prev, out = decode_step([tokens], s0, H, attention_keys(H, dec), dec, [H.shape[0]])
-    dist = softmax(output_logits(e_prev, out, dec)).data
+    rows = decode_step([tokens], s0, H, attention_keys(H, dec), dec, [H.shape[0]])
+    dist = softmax(output_logits(rows, dec)).data
     state = s0.data[0].tolist()
     for t, tok in enumerate(tokens):
-        state, dist_o, _ = decoder_step_loops(dec.embedding.tolist()[tok], state, H.tolist(), decoder_as_dict(dec))
-        assert np.allclose(out.data[t, :3], state, atol=1e-12)
+        emb = dec.embedding.data[tok].tolist()
+        state, dist_o, _ = decoder_step_loops(emb, state, H.data.tolist(), decoder_as_dict(dec))
+        assert np.allclose(rows.data[t, STATE], state, atol=1e-12)
         assert np.allclose(dist[t], dist_o, atol=1e-12)
 
 
@@ -363,18 +368,36 @@ def test_decode_step_over_given_tokens_equals_one_token_calls(model):
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     keys = attention_keys(H, dec)
     s0 = init_decoder_state(h_mean, dec)
-    _, out = decode_step([[7, 4, 8]], s0, H, keys, dec, [3])
+    out = decode_step([[7, 4, 8]], s0, H, keys, dec, [3])
     state = s0
     for t, tok in enumerate([7, 4, 8]):
-        _, one = decode_step([[tok]], state, H, keys, dec, [3])
+        one = decode_step([[tok]], state, H, keys, dec, [3])
         assert np.array_equal(out.data[t], one.data[0])
-        state = ad.Tensor(one.data[:, :3])
+        state = ad.Tensor(one.data[:, STATE])
     rows = ad.stack([s0, state])
-    _, ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec, [3])
-    _, five = decode_step([[5]], state, H, keys, dec, [3])
+    ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec, [3])
+    five = decode_step([[5]], state, H, keys, dec, [3])
     assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
     assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
-    assert np.array_equal(ragged.data[4:, :3], np.tile(ragged.data[3, :3], (2, 1)))
+    assert np.array_equal(ragged.data[4:, STATE], np.tile(ragged.data[3, STATE], (2, 1)))
+
+
+def test_decode_step_rows_are_the_output_layers_input(model):
+    """Rows of 3 and 1 given tokens: the first E columns of each step's row
+    are the embedding of the token it consumed (the pad id past a row's
+    last token) bit for bit, and `output_logits` of the rows is the output
+    layer's affine map of [embedding; state; context] joined by the
+    oracle, bit for bit."""
+    draw_biases(model, seed=31)
+    dec = model.backward_decoder
+    H, h_mean = encode([[4, 6, 5]], model.encoder)
+    s0 = init_decoder_state(h_mean, dec)
+    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), H, attention_keys(H, dec), dec, [3])
+    ids = [7, 4, 8, 5, PAD_ID, PAD_ID]
+    assert np.array_equal(rows.data[:, EMBEDDING], dec.embedding.data[ids])
+    state, context = ad.Tensor(rows.data[:, STATE]), ad.Tensor(rows.data[:, CONTEXT])
+    joined = concat([ad.take_rows(dec.embedding, ids), state, context])
+    assert np.array_equal(output_logits(rows, dec).data, ad.affine(joined, dec.out_w, dec.out_b).data)
 
 
 def batch_inputs(model, seed=4, rows=4):
@@ -409,7 +432,7 @@ def test_attend_rows_equal_one_row_calls_and_oracle(model):
         ctx_one, alpha_one = attend(ad.take_rows(states, [b]), H, keys, dec)
         assert np.allclose(context.data[b], ctx_one.data[0], rtol=0, atol=1e-12)
         assert np.allclose(alpha[b], alpha_one[0], rtol=0, atol=1e-12)
-        ctx_o, alpha_o = attention_loops(states.data[b].tolist(), H.tolist(), att)
+        ctx_o, alpha_o = attention_loops(states.data[b].tolist(), H.data.tolist(), att)
         assert np.allclose(alpha[b], alpha_o, atol=1e-12)
         assert np.allclose(context.data[b], ctx_o, atol=1e-12)
 
@@ -425,14 +448,14 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
 
 
-def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, concat=False):
-    """One-token `decode_step`'s rows [state; context], with the GRU step
+def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, whole_w=False):
+    """One-token `decode_step`'s rows [embedding; state; context], with the GRU step
     and the attention read composed of primitive ops. Each row's read of
     the source is its own one-row product, as in `decoder_scan`, where
     every row reads its source block by broadcasting. The GRU input is
     associated as in `decoder_scan`: the embedding half e_prev @ w[:, :E].T
     + b plus each row's read of the annotations mapped by the context
-    weights w[:, E:]. With concat it is associated as an earlier design
+    weights w[:, E:]. With whole_w it is associated as an earlier design
     did: [embedding; context] through the whole w."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
     _, alpha = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
@@ -442,34 +465,34 @@ def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, concat=Fal
 
     context = read(annotations)
     w, emb = dec.gru.w, e_prev.shape[1]
-    if concat:
-        gx = ad.affine(ad.concat([e_prev, context]), w, dec.gru.b)
+    if whole_w:
+        gx = ad.affine(concat([e_prev, context]), w, dec.gru.b)
     else:
-        mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), ad.zeros((w.shape[0],)))
+        mapped = ad.affine(annotations, segment(w, emb, w.shape[1]), zeros((w.shape[0],)))
         gx = add(ad.affine(e_prev, segment(w, 0, emb), dec.gru.b), read(mapped))
-    return ad.concat([gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h), context])
+    return concat([e_prev, gru_step_composed(gx, s_prev, dec.gru.u_zr, dec.gru.u_h), context])
 
 
 @pytest.mark.parametrize("rows", [1, 4])
 def test_decode_step_equals_composed_oracle(model, rows):
-    """The rows [state; context] of the composed oracle bit for bit, and
+    """The rows [embedding; state; context] of the composed oracle bit for bit, and
     every gradient within 1e-12 of its largest entry; the earlier design's
     concat-form composition within 1e-15, its gradients within 1e-12."""
     dec = model.forward_decoder
     _, states, tokens = batch_inputs(model, seed=12, rows=rows)
     states.requires_grad = True
     annotations = ad.Tensor(np.random.default_rng(12).uniform(-1, 1, size=(4, 6)), requires_grad=True)
-    weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 9)))
+    weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 11)))
     leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
     runs = []
 
     def one_token_step(tokens, s_prev, annotations, keys, dec):
-        return decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])[1]
+        return decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
 
-    def concat_composed(*args):
-        return decode_step_composed(*args, concat=True)
+    def whole_w_composed(*args):
+        return decode_step_composed(*args, whole_w=True)
 
-    for step in (one_token_step, decode_step_composed, concat_composed):
+    for step in (one_token_step, decode_step_composed, whole_w_composed):
         for t in leaves:
             t.zero_grad()
         with ad.Tape() as tape:
@@ -496,9 +519,9 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
     monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
     for width in (1, 3):
         calls.clear()
-        e_prev, out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec, [H.shape[0]])
+        out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec, [H.shape[0]])
         assert len(calls) == 2
-        assert e_prev.shape == (rows * width, 2) and out.shape == (rows * width, 9)
+        assert out.shape == (rows * width, 11)
 
 
 def test_decode_step_rows_gradcheck(model):
@@ -520,7 +543,7 @@ def test_decode_step_rows_gradcheck(model):
 
 def test_init_state_zero_cases(model):
     dec = model.forward_decoder
-    assert np.array_equal(init_decoder_state(ad.zeros((1, 6)), dec).data, np.zeros((1, 3)))
+    assert np.array_equal(init_decoder_state(zeros((1, 6)), dec).data, np.zeros((1, 3)))
     dec.init_w.data[...] = 0.0
     dec.init_b.data[...] = 0.0
     H, h_mean = encode([[4, 8]], model.encoder)

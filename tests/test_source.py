@@ -68,3 +68,45 @@ def test_package_module_breaks_lines_only_through_split_lines(path):
     """str.splitlines also breaks at U+2028, a form feed and other
     characters; every reader uses `corpus.split_lines` instead."""
     assert splitlines_calls(path.read_text(encoding="utf-8")) == []
+
+
+def autodiff_reads(source):
+    """Names that source takes from `sentsimp.autodiff`: those its imports
+    name, and the attributes it reads of a name bound to the module."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "sentsimp.autodiff"):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "sentsimp"):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "autodiff"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names if alias.name == "sentsimp.autodiff" and alias.asname}
+    reads = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
+    return names | {n.attr for n in reads if n.value.id in modules}
+
+
+def test_autodiff_read_finder_sees_imports_and_module_attributes():
+    source = (
+        "from . import autodiff as ad\nfrom .autodiff import Tensor, log_softmax\n"
+        "import sentsimp.autodiff as sa\nfrom . import corpus\n"
+        "def f(x):\n    return ad.affine(x, sa.tanh(x), corpus.stack) + ad.take_rows\n"
+        "doc = 'ad.nll'\n"
+    )
+    assert autodiff_reads(source) == {"Tensor", "log_softmax", "affine", "tanh", "take_rows"}
+
+
+# perfbench's tracer reads it, to tell a taped call from an untaped one
+NOT_CALLED_IN_THE_PACKAGE = {"active_tape"}
+
+
+def test_every_public_autodiff_function_is_read_by_another_package_module():
+    """An op that only the tests use belongs in the test oracles."""
+    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+    public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "autodiff.py":
+            read |= autodiff_reads(path.read_text(encoding="utf-8"))
+    assert NOT_CALLED_IN_THE_PACKAGE <= public - read
+    assert sorted(public - read - NOT_CALLED_IN_THE_PACKAGE) == []

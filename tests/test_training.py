@@ -243,19 +243,19 @@ def scalar_loop_loss(model, pair, s):
 
     ann, mean = encode_loops(
         list(pair.source),
-        model.encoder.embedding.tolist(),
+        model.encoder.embedding.data.tolist(),
         gru_as_dict(model.encoder.fwd),
         gru_as_dict(model.encoder.bwd),
     )
 
     def run_decoder(dec, inputs, targets, score_from):
         p = decoder_as_dict(dec)
-        init_w, init_b = dec.init_w.tolist(), dec.init_b.tolist()
+        init_w, init_b = dec.init_w.data.tolist(), dec.init_b.data.tolist()
         state = [
             math.tanh(sum(wij * mj for wij, mj in zip(row, mean)) + b)
             for row, b in zip(init_w, init_b)
         ]
-        emb = dec.embedding.tolist()
+        emb = dec.embedding.data.tolist()
         total = 0.0
         for step, (prev, tgt) in enumerate(zip(inputs, targets)):
             state, dist, _ = decoder_step_loops(emb[prev], state, ann, p)
@@ -294,7 +294,7 @@ def test_training_loss_computes_logits_only_for_scored_steps(monkeypatch):
     real = training_module.output_logits
 
     def counting(*args):
-        calls.append(args[1].shape[0])
+        calls.append(args[0].shape[0])
         return real(*args)
 
     monkeypatch.setattr(training_module, "output_logits", counting)
@@ -412,7 +412,7 @@ def test_training_loss_equals_per_step_oracle_with_biases(dims):
         got, got_grads = loss_and_gradients(model, lambda: training_loss([pair], [position], model))
         want, want_grads = loss_and_gradients(model, lambda: training_loss_per_step(pair, position, model))
         earlier, earlier_grads = loss_and_gradients(
-            model, lambda: training_loss_per_step(pair, position, model, concat=True)
+            model, lambda: training_loss_per_step(pair, position, model, whole_w=True)
         )
         assert got == want
         assert got == pytest.approx(earlier, rel=1e-14, abs=0)
@@ -494,15 +494,15 @@ def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
     """Ops recorded for one pair, whatever its source length n, target
     length m and constraint position: the encoder records 5 (the lookup,
     two input products, one `gru_scan` and the mean); each decoder
-    stage 9 (keys, the two ops of the initial state,
-    the lookup of its inputs and one `decoder_scan`, then the lookups of
-    the scored steps' embeddings and rows, a concat and one output
-    product); one stack and one nll score the logit rows of both stages."""
+    stage 7 (keys, the two ops of the initial state, the lookup of its
+    inputs and one `decoder_scan`, then one lookup of the scored steps'
+    rows [embedding; state; context] and one output product); one stack
+    and one nll score the logit rows of both stages."""
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
     with Tape() as tape:
         training_loss([pair], [position], model)
-    assert len(tape) == 5 + 2 * 9 + 2
+    assert len(tape) == 5 + 2 * 7 + 2
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
