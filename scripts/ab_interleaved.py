@@ -4,7 +4,7 @@
     python3 scripts/ab_interleaved.py OLD NEW --workload score --seed 1 --units 400
     python3 scripts/ab_interleaved.py OLD NEW --workload simplify --seed 1 --units 300 \\
         --checkpoint path/to/epoch0003.ckpt
-    python3 scripts/ab_interleaved.py OLD NEW --workload train --seed 1 --units 480
+    python3 scripts/ab_interleaved.py OLD NEW --workload train --seed 1 --units 480 [--grad-rtol R]
 
 OLD and NEW are checkout roots. Each one's src/sentsimp is copied into a
 temporary directory under its own package name, so both load side by side.
@@ -21,7 +21,11 @@ seed), whose parameters never change. Each unit runs on both sides in turn,
 the side that goes first flipping every unit, and the two outputs must be
 equal: a train unit's loss and every gradient byte for byte; a simplify
 unit's output text, each pass's output ids, block position and stop reasons,
-and its constraint accounting (its trace but for the log-probs).
+and its constraint accounting (its trace but for the log-probs). A change
+that only rounds apart can still be timed on train: with --grad-rtol R > 0,
+a unit passes when its loss and each gradient lie within R times that
+array's largest |entry| on OLD's side of OLD's array, and the script prints
+the largest such relative deviation it saw.
 
 Prints the total-time ratio NEW / OLD and the median per-unit ratio, and for
 simplify the largest |log-prob difference| of any pass's stage, which a
@@ -51,6 +55,8 @@ import tempfile
 import time
 import types
 from pathlib import Path
+
+import numpy as np
 
 SCORE_ROWS, KB_RULES, BLOCK_ROWS = 2000, 4000, 50  # perfbench's score sizes
 BEAM, MAX_CONSTRAINTS = 5, 3  # perfbench's simplify-beam5 settings
@@ -142,6 +148,21 @@ def train_side(pkg: dict, paths: dict, config_path: str):
     return unit
 
 
+def gradient_deviation(old, new) -> float:
+    """The largest |new - old| over a train unit's loss and gradients, each
+    relative to its array's largest |entry| in old (inf where the names,
+    shapes or missing gradients disagree, or an array of zeros moved)."""
+    worst = 0.0
+    for (name, a), (new_name, b) in zip(old, new, strict=True):
+        if name != new_name or (a is None) != (b is None) or a is not None and a.shape != b.shape:
+            return float("inf")
+        if a is None:
+            continue
+        scale, moved = float(np.max(np.abs(a))), float(np.max(np.abs(b - a)))
+        worst = max(worst, moved / scale if scale else (0.0 if moved == 0.0 else float("inf")))
+    return worst
+
+
 def digests(named_arrays) -> list:
     """A train unit's output as the SHA-256 of each array's bytes."""
     return [(name, None if a is None else hashlib.sha256(a.tobytes()).hexdigest()) for name, a in named_arrays]
@@ -169,9 +190,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--units", type=int, default=200)
     parser.add_argument("--checkpoint", help="checkpoint for --workload simplify")
+    parser.add_argument("--grad-rtol", type=float, default=0.0,
+                        help="for --workload train: accept a loss and gradients within this share of each"
+                             " array's largest |entry| (default 0: byte equality)")
     args = parser.parse_args(argv)
     if args.workload == "simplify" and not args.checkpoint:
         parser.error("--workload simplify needs --checkpoint")
+    if not args.grad_rtol >= 0.0 or args.grad_rtol and args.workload != "train":
+        parser.error("--grad-rtol takes a share of at least 0, and only with --workload train")
+    rounding = args.grad_rtol > 0.0
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
@@ -201,13 +228,19 @@ def main(argv=None) -> int:
             sides = [simplify_side(pkg, args.checkpoint, kb_path, lines) for pkg in (old, new)]
 
         seconds = ([], [])
-        log_prob_delta = 0.0
+        log_prob_delta = deviation = 0.0
         for n in range(args.units):
             outputs = [None, None]
             for side in ((0, 1) if n % 2 == 0 else (1, 0)):
                 t0 = time.perf_counter()
                 outputs[side] = sides[side](n)
                 seconds[side].append(time.perf_counter() - t0)
+            if rounding:
+                unit_deviation = gradient_deviation(outputs[0], outputs[1])
+                if unit_deviation > args.grad_rtol:
+                    raise SystemExit(f"unit {n}: outputs differ by {unit_deviation:.3g}, above --grad-rtol")
+                deviation = max(deviation, unit_deviation)
+                continue
             old_output, new_output = comparable(outputs[0]), comparable(outputs[1])
             if old_output != new_output:
                 raise SystemExit(f"unit {n}: outputs differ\nold: {old_output}\nnew: {new_output}")
@@ -217,13 +250,16 @@ def main(argv=None) -> int:
 
     total_old, total_new = sum(seconds[0]), sum(seconds[1])
     per_unit = statistics.median(b / a for a, b in zip(*seconds))
-    print(f"{args.workload}, seed {args.seed}, {args.units} units, equal outputs")
+    agreement = f"outputs within --grad-rtol {args.grad_rtol:g}" if rounding else "equal outputs"
+    print(f"{args.workload}, seed {args.seed}, {args.units} units, {agreement}")
     print("BLAS threads " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREADS))
     print(f"old {1e3 * total_old / args.units:.3f} ms/unit, new {1e3 * total_new / args.units:.3f} ms/unit")
     print(f"total-time ratio new/old {total_new / total_old:.4f}")
     print(f"median per-unit ratio new/old {per_unit:.4f}")
     if args.workload == "simplify":
         print(f"largest |log-prob difference| {log_prob_delta:.3g}")
+    if rounding:
+        print(f"largest deviation of a loss or gradient, relative to its largest |entry|, {deviation:.3g}")
     return 0
 
 

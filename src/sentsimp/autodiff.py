@@ -18,10 +18,14 @@ row or one block that every row reads, so a recurrence costs one
 dispatch and one tape record however long it is. A decoder step's output
 row is [embedding; state; context], the input of the model's output
 layer, so that layer is one affine map. Inside their time loops the scans
-do only the recurrent work: what does not depend on the step (the
-decoder's context weights applied to the source rows, the annotations'
-and embeddings' gradients) is one product per call, before or after the
-loop. Gradients are recorded on an explicit :class:`Tape` that is
+do only the recurrent work: what does not depend on the step (each
+direction's inputs in step order, the decoder's context weights applied
+to the source rows, the annotations' and embeddings' gradients) is done
+once per call, before or after the loop. A :class:`DecoderStage` holds
+what a decoder stage prepares once, its shape checks passed, and its
+`step` is the body of `decoder_scan`'s loop on plain arrays, so the beam
+runs the same step once per iteration with no op around it. Gradients
+are recorded on an explicit :class:`Tape` that is
 rebuilt every forward pass, so variable-length sequences need no
 static graph. With no tape active the same functions run as plain numpy
 computations, which is how decoding and validation execute; the scans
@@ -442,17 +446,18 @@ def gru_scan(
     the GRU update h = (1 - z) * h_prev + z * tanh(gx_h + (r * h_prev) @
     u_h.T), with the gates [z, r] = sigmoid(gx_zr + h_prev @ u_zr.T), from
     a zero state. Per call the two directions' recurrent weights are
-    stacked; per step i one update advances both, stacked (2, B, .): the
+    stacked, and so are their inputs, in step order; per step i one update
+    advances both, stacked (2, B, .), into one buffer of states: the
     forward direction reads position i and the backward one position
     n - 1 - i. Row b reads only its first lengths[b] positions: on the
     others its states stay as they are, so the backward direction is still
     zero when it reaches the row's last real position.
 
-    Returns the annotations (B*n, 2dim): the row of position t joins the
-    forward state after reading t to the backward state after reading it
-    from the other end. The backward pass runs through time by hand; each
-    weight gradient is one product `g.T @ x`, all of its direction's steps
-    stacked.
+    Returns the annotations (B*n, 2dim), laid out after the loop: the row
+    of position t joins the forward state after reading t to the backward
+    state after reading it from the other end. The backward pass runs
+    through time by hand; each weight gradient is one product `g.T @ x`,
+    all of its direction's steps stacked.
     """
     inputs = (fwd_gx, fwd_u_zr, fwd_u_h, bwd_gx, bwd_u_zr, bwd_u_h)
     if fwd_u_h.ndim != 2:
@@ -475,16 +480,21 @@ def gru_scan(
     live = None if real is None else np.stack([real, real[:, ::-1]])[..., None]  # (2, B, n, 1), by step
     keep = _recording(inputs)
     saved = []
-    out = np.empty((rows, n, 2 * d))
+    # per step i, both directions' inputs side by side: the forward one's
+    # position i and the backward one's position n - 1 - i
+    gx = np.empty((n, 2, rows, 3 * d))
+    gx[:, 0] = x_f.transpose(1, 0, 2)
+    gx[:, 1] = x_b[:, ::-1].transpose(1, 0, 2)
+    states = np.empty((n, 2, rows, d))
     h = np.zeros((2, rows, d))
-    gx = np.empty((2, rows, 3 * d))
     for i in range(n):
-        j = n - 1 - i
-        gx[0], gx[1] = x_f[:, i], x_b[:, j]
-        h, step = _gru_update(h, gx, u_zr, u_h, None if live is None else live[:, :, i])
-        out[:, i, :d], out[:, j, d:] = h
+        h, step = _gru_update(h, gx[i], u_zr, u_h, None if live is None else live[:, :, i])
+        states[i] = h
         if keep:
             saved.append(step)
+    out = np.empty((rows, n, 2 * d))
+    out[:, :, :d] = states[:, 0].transpose(1, 0, 2)
+    out[:, :, d:] = states[::-1, 1].transpose(1, 0, 2)
 
     def back(g: Array):
         g = g.reshape(rows, n, 2 * d)
@@ -509,6 +519,71 @@ def gru_scan(
     return _emit(out.reshape(rows * n, 2 * d), inputs, back)
 
 
+class DecoderStage:
+    """A decoder stage prepared once over its source, for `step` to run
+    only the recurrence.
+
+    keys (m, k) and annotations (m, width) hold one block of n = m / S
+    rows for each of the S source lengths; the B rows of a step read block
+    b each (S = B) or all read block 0 (S = 1), by broadcasting, with no
+    copy. A row
+    reads as many rows of its block as the block's length; the others get
+    weight exactly 0. The GRU input weight w (3dim, E + width) is split at
+    E: the embedding half w[:, :E] and the context half w_c = w[:, E:],
+    which maps the annotation rows once, ann_c = annotations @ w_c.T. b is
+    (3dim,), att_w (k, dim), att_v (k,), u_zr (2dim, dim) and u_h (dim, dim).
+    Every argument is a plain array, kept as given: a caller that changes
+    one afterwards must build a new stage.
+    """
+
+    __slots__ = ("dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t", "att_v",
+                 "w_e_t", "b", "u_zr", "u_h")
+
+    def __init__(self, keys: Array, annotations: Array, att_w: Array, att_v: Array, w: Array, b: Array,
+                 u_zr: Array, u_h: Array, source_lengths: Sequence[int]):
+        d = u_h.shape[0] if u_h.ndim == 2 else 0
+        width = annotations.shape[-1] if annotations.ndim else 0
+        emb = w.shape[1] - width if w.ndim == 2 else -1
+        if (
+            u_h.shape != (d, d) or u_zr.shape != (2 * d, d) or emb < 0 or w.shape[0] != 3 * d or b.shape != (3 * d,)
+            or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],)
+            or keys.ndim != 2 or annotations.ndim != 2 or keys.shape != (annotations.shape[0], att_w.shape[0])
+        ):
+            raise DimensionError(
+                f"decoder stage: keys {keys.shape}, annotations {annotations.shape}, att_w {att_w.shape},"
+                f" att_v {att_v.shape}, w {w.shape}, b {b.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
+            )
+        sources = len(source_lengths)
+        n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder stage")
+        self.dim, self.emb, self.width, self.sources = d, emb, width, sources
+        self.pad = None if real is None else ~real
+        self.keys = keys.reshape(sources, n, -1)
+        self.ann = annotations.reshape(sources, n, width)
+        self.ann_c = (annotations @ w[:, emb:].T).reshape(sources, n, 3 * d)
+        self.att_w_t, self.att_v = att_w.T, att_v
+        self.w_e_t, self.b, self.u_zr, self.u_h = w[:, :emb].T, b, u_zr, u_h
+
+    def step(self, s: Array, x: Array, live: Array | None):
+        """One step of B rows from states s (B, dim) on input rows x (B, E):
+        the additive-attention read by s, the GRU input x @ w[:, :E].T + b +
+        alpha @ ann_c, and the GRU update of `gru_scan`. Rows where live
+        (B, 1) is False keep their state. The attention energies of a state
+        are v . tanh(keys[j] + s @ att_w.T) over the key rows j; their
+        softmax alpha weighs the annotation rows into the context.
+
+        Returns the new states (B, dim), the contexts (B, width), alpha
+        (B, n) and what the backward pass of `decoder_scan` needs.
+        Non-finite energies raise NumericError.
+        """
+        hidden = np.tanh(self.keys + (s @ self.att_w_t)[:, None, :])
+        alpha = _softmax(hidden @ self.att_v, "decoder stage: attention energies contain non-finite values", self.pad)
+        a = alpha[:, None, :]
+        context = (a @ self.ann)[:, 0]
+        gx = x @ self.w_e_t + self.b + (a @ self.ann_c)[:, 0]
+        s, saved = _gru_update(s, gx, self.u_zr, self.u_h, live)
+        return s, context, alpha, (hidden, saved)
+
+
 def decoder_scan(
     e: Tensor,
     s0: Tensor,
@@ -527,31 +602,28 @@ def decoder_scan(
 
     Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
     step t reads e[b*T + t] (E wide), the embedding of the row's t-th
-    given token, where T is the longest row. A step is one
-    additive-attention read by the state before it, the GRU input product
-    on [embedding; context] with w (3dim, E + width) and b (3dim,), and the
-    GRU update of `gru_scan`.
-    The attention energies of a state s are v . tanh(keys[j] + s @ att_w.T)
-    over the key rows j; their softmax alpha weighs the annotation rows
-    into the context (width wide). keys and annotations hold one block of n
-    rows per source length, and there are B of them (a training batch: row
-    b reads block b) or one (a beam: every row reads block 0, by
-    broadcasting, with no copy). A row reads as many rows of its block as
-    the block's length; the others get weight exactly 0.
+    given token, where T is the longest row. The keys, annotations and
+    weights make one :class:`DecoderStage`, whose `step` runs each step:
+    the additive-attention read by the state before it, the GRU input
+    product on [embedding; context] with w (3dim, E + width) and b (3dim,),
+    and the GRU update of `gru_scan`. keys and annotations hold one block
+    per source length, and there are B of them (a training batch: row b
+    reads block b) or one (a beam: every row reads block 0).
 
-    Only the recurrence runs per step. Once per call, the context weights
-    w_c = w[:, E:] map the annotation rows, ann_c = annotations @ w_c.T, so
-    a step takes the context half of its GRU input product as alpha @ ann_c
-    (equal to context @ w_c.T) and adds it to the embedding half
-    e @ w[:, :E].T + b. The backward pass runs through time by hand; per
-    step it takes the energies' adjoint from the context's adjoint and,
-    through ann_c, from the GRU input's. After the loop, one product each
-    gives the contexts' adjoints (the output's plus the GRU input's through
-    w_c), the annotations' gradient (alpha.T @ those adjoints, summed over
-    the rows of a shared block) and the embeddings' gradient (the GRU
-    input's share plus the adjoint of the output's embedding columns); the
-    gradient of each weight in a product is one product `g.T @ x`, all
-    steps stacked, w's on the rows [embedding; context].
+    Only the recurrence runs per step: the stage maps the annotation rows
+    through the context weights w_c = w[:, E:] once per call, ann_c =
+    annotations @ w_c.T, so a step takes the context half of its GRU input
+    product as alpha @ ann_c (equal to context @ w_c.T) and adds it to the
+    embedding half e @ w[:, :E].T + b. The backward pass runs through time
+    by hand; per step it takes the energies' adjoint from the context's
+    adjoint and, through ann_c, from the GRU input's. After the loop, one
+    product each gives the contexts' adjoints (the output's plus the GRU
+    input's through w_c), the annotations' gradient (alpha.T @ those
+    adjoints, summed over the rows of a shared block) and the embeddings'
+    gradient (the GRU input's share plus the adjoint of the output's
+    embedding columns); the gradient of each weight in a product is one
+    product `g.T @ x`, all steps stacked, w's on the rows [embedding;
+    context].
 
     Returns the rows [embedding; state; context] (B*T, E + dim + width),
     row b*T + t holding step t's input row e[b*T + t] as given and the
@@ -566,25 +638,16 @@ def decoder_scan(
     T = max(steps)
     if s0.ndim != 2 or e.ndim != 2 or s0.shape[0] != rows or e.shape[0] != rows * T:
         raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit steps {steps}")
-    d, width, emb = s0.shape[1], annotations.shape[-1], e.shape[1]
-    if (
-        u_zr.shape != (2 * d, d) or u_h.shape != (d, d) or w.shape != (3 * d, emb + width) or b.shape != (3 * d,)
-        or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],)
-        or keys.ndim != 2 or annotations.ndim != 2 or keys.shape != (annotations.shape[0], att_w.shape[0])
-    ):
-        raise DimensionError(
-            f"decoder_scan: states {s0.shape}, inputs {e.shape}, keys {keys.shape}, annotations"
-            f" {annotations.shape}, att_w {att_w.shape}, att_v {att_v.shape}, w {w.shape}, b {b.shape},"
-            f" u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
-        )
-    sources = len(source_lengths)
+    stage = DecoderStage(keys.data, annotations.data, att_w.data, att_v.data, w.data, b.data, u_zr.data,
+                         u_h.data, source_lengths)
+    d, width, emb, sources = stage.dim, stage.width, stage.emb, stage.sources
+    if s0.shape[1] != d or e.shape[1] != emb:
+        raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit w {w.shape}")
     if sources not in (1, rows):
         raise DimensionError(f"decoder_scan: {sources} source lengths for {rows} rows")
-    n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder_scan")
-    pad = None if real is None else ~real
-    k, ann = keys.data.reshape(sources, n, -1), annotations.data.reshape(sources, n, width)
+    n = stage.keys.shape[1]
+    ann, ann_c = stage.ann, stage.ann_c
     w_e, w_c = w.data[:, :emb], w.data[:, emb:]
-    ann_c = (annotations.data @ w_c.T).reshape(sources, n, 3 * d)
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
     inputs = (e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h)
     keep = _recording(inputs)
@@ -596,17 +659,12 @@ def decoder_scan(
     alphas = np.empty((rows, T, n))
     s = s0.data
     for t in range(T):
-        hidden = np.tanh(k + (s @ att_w.data.T)[:, None, :])
-        alpha = _softmax(hidden @ att_v.data, "decoder_scan: attention energies contain non-finite values", pad)
-        a = alpha[:, None, :]
-        context = (a @ ann)[:, 0]
-        gx = x_in[:, t] @ w_e.T + b.data + (a @ ann_c)[:, 0]
-        s, step = _gru_update(s, gx, u_zr.data, u_h.data, None if live is None else live[:, t, None])
+        s, context, alpha, step = stage.step(s, x_in[:, t], None if live is None else live[:, t, None])
         out[:, t, state_cols] = s
         out[:, t, context_cols] = context
         alphas[:, t] = alpha
         if keep:
-            saved.append((hidden, step))
+            saved.append(step)
 
     def back(g: Array):
         g = g.reshape(rows, T, emb + d + width)

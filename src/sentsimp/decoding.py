@@ -11,10 +11,12 @@ each pass's output as the next pass's source.
 
 Beam search keeps one decoder-state row per hypothesis and advances every
 live hypothesis with one batched step per iteration (the batched-beam
-layout of Post & Vilar 2018). A beam wider than 1 carries its greedy
-hypothesis as one more row of that step. Only the beam's steps compute
-output logits, not the teacher-forced ones; each search records why it
-stopped.
+layout of Post & Vilar 2018): one `model.beam_step` on plain arrays over
+a decoder stage prepared once per search. A beam wider than 1 carries its
+greedy hypothesis as one more row of that step. Only the beam's steps
+compute output logits, not the teacher-forced ones; candidates are ranked
+as plain tuples, and only the survivors become hypotheses. Each search
+records why it stopped.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax
+from .autodiff import Tensor
 from .corpus import BOS_ID, EOS_ID, NUM_SPECIALS, find_block
 from .errors import ConstraintError, ContractError, NumericError
 from .model import (
     DecoderParams,
     Seq2SeqModel,
     attention_keys,
+    beam_step,
     decode_step,
+    decoder_stage,
     encode,
     init_decoder_state,
-    output_logits,
 )
 
 class Hypothesis(NamedTuple):
@@ -101,24 +104,36 @@ def _expand(
     states: np.ndarray,
     log_probs: np.ndarray,
     width: int,
+    keep: int,
     boundary_id: int,
     finished: list[Hypothesis],
 ) -> list[Hypothesis]:
-    """Continuations of each hypothesis by its row's width best tokens, in
-    descending log-prob order: a boundary token's goes to finished, the
-    others are returned. states and log_probs hold one row per hypothesis."""
+    """The keep best continuations of the hypotheses, each by one of its
+    row's width best tokens, in rank order; a boundary token's goes to
+    finished instead. states and log_probs hold one row per hypothesis.
+
+    A candidate is the plain tuple (-score, length, tokens, row, state),
+    whose built-in order is `_rank_key`'s: no two candidates share their
+    tokens, so row and state never decide. Only the survivors become a
+    `Hypothesis`."""
     rows = np.arange(len(hyps))[:, None]
-    top = (-log_probs).argpartition(width - 1, axis=1)[:, :width]
-    top = top[rows, (-log_probs[rows, top]).argsort(axis=1, kind="stable")]
-    candidates: list[Hypothesis] = []
-    for hyp, state, toks, tok_log_probs in zip(hyps, states, top.tolist(), log_probs[rows, top].tolist()):
+    neg = -log_probs
+    top = neg.argpartition(width - 1, axis=1)[:, :width]
+    if width > 1:
+        top = top[rows, neg[rows, top].argsort(axis=1, kind="stable")]
+    candidates = []
+    for row, (hyp, state, toks, tok_log_probs) in enumerate(
+        zip(hyps, states, top.tolist(), log_probs[rows, top].tolist())
+    ):
+        length = len(hyp.tokens) + 1
         for tok, log_p in zip(toks, tok_log_probs):
             score = hyp.log_prob + log_p
             if tok == boundary_id:
                 finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
             else:
-                candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
-    return candidates
+                candidates.append((-score, length, hyp.tokens + (tok,), row, state))
+    candidates.sort()
+    return [Hypothesis(tokens, -neg_score, state) for neg_score, _, tokens, _, state in candidates[:keep]]
 
 
 def beam_search(
@@ -148,6 +163,10 @@ def beam_search(
     pruned its prefix. It finishes like any other, so widening the beam can
     never fall below the beam-1 score (plain beam search does not guarantee
     that: the greedy prefix can be pruned mid-way).
+
+    Per iteration the continuations are ranked as plain tuples, in the
+    order of `_rank_key`, and a `Hypothesis` is built only for the at most
+    beam_size survivors and for each boundary finish.
     """
     if beam_size < 1:
         raise ContractError(f"beam size must be at least 1, got {beam_size}")
@@ -160,18 +179,16 @@ def beam_search(
     for _ in range(max_new):
         rows = active + greedy
         prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in rows]
-        new_states, log_probs = step_fn(prev, Tensor(np.stack([hyp.state for hyp in rows])))
+        new_states, log_probs = step_fn(prev, Tensor([hyp.state for hyp in rows]))
         if not np.isfinite(log_probs).all():
             raise NumericError("beam search: a step's log-probabilities are not all finite")
         n = len(active)
         if greedy:
-            greedy = _expand(greedy, new_states.data[n:], log_probs[n:], 1, boundary_id, finished)
+            greedy = _expand(greedy, new_states.data[n:], log_probs[n:], 1, 1, boundary_id, finished)
         # beam 1 is the greedy argmax chain; wider beams expand one extra
         # slot per hypothesis so a boundary token cannot crowd out content
         width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
-        candidates = _expand(active, new_states.data[:n], log_probs[:n], width, boundary_id, finished)
-        candidates.sort(key=_rank_key)
-        active = candidates[:beam_size]
+        active = _expand(active, new_states.data[:n], log_probs[:n], width, beam_size, boundary_id, finished)
         if finished:
             # log-probs only decrease, so a live hypothesis scoring below the
             # best finished one can never win: once the best active one
@@ -200,24 +217,23 @@ def _search(
     The state starts from the mean annotation; all given tokens but the last
     are teacher-forced in one `decode_step` (no search, no scoring, so no
     logits), and the last one seeds the beam search, which runs until
-    boundary_id or max_new new tokens, one `decode_step` per iteration.
-    Every step of the stage reads the one source block, so it shares one
-    set of attention keys.
+    boundary_id or max_new new tokens. Every step of the stage reads the
+    one source block, so it shares one set of attention keys, and the beam
+    one `decoder_stage`, prepared once: each iteration is one `beam_step`
+    on plain arrays.
     """
     annotations, h_mean = encoded
     keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
-    emb = params.embedding.shape[1]
-    state_cols = slice(emb, emb + state.shape[1])
-    source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
-        state = Tensor(rows.data[-1:, state_cols])
+        rows = decode_step([given[:-1]], state, annotations, keys, params, [annotations.shape[0]])
+        emb = params.embedding.shape[1]
+        state = Tensor(rows.data[-1:, emb : emb + state.shape[1]])
+    stage = decoder_stage(annotations, keys, params)
 
     def step(prev_tokens: list[int], states: Tensor):
-        tokens = [[tok] for tok in prev_tokens]
-        rows = decode_step(tokens, states, annotations, keys, params, source_lengths)
-        return Tensor(rows.data[:, state_cols]), log_softmax(output_logits(rows, params).data)
+        new_states, log_probs = beam_step(stage, prev_tokens, states.data, params)
+        return Tensor(new_states), log_probs
 
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 

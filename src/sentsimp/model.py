@@ -7,7 +7,7 @@ initialized from the mean encoder annotation through a tanh map.
 
 Every layer works on rows: a state, a context or a distribution is a
 (B, width) matrix with one example or hypothesis per row, so beam search
-advances all of its live hypotheses with one `decode_step` call. A batch
+advances all of its live hypotheses with one `beam_step` call. A batch
 of sequences is padded: source b owns block b of the annotation rows, and
 each row carries its own length, so training and validation score several
 pairs with the same calls. Weights are stored (out, in) and applied as
@@ -24,15 +24,19 @@ token's embedding plus the attention-weighted sum of those mapped rows
 (the context's share of the product), and updates the state. Attention
 keys, the attention bias included, depend only on the annotations, so
 each decoder stage computes them once, as one `affine` map in
-`attention_keys`. A decoder stage is two functions: `decode_step` runs T
-given steps of every row (the beam passes one token per row, teacher
+`attention_keys`. `decode_step` runs T given steps of every row (teacher
 forcing a stage's whole given sequence) and returns one row [previous
 token's embedding; state; context] per step, the output layer's input
-(Bahdanau et al. 2015, appendix A.2.2); and `output_logits`, one affine
-map, projects the rows of the steps it is given onto the vocabulary, so
-a teacher-forced step whose prediction nothing scores skips that
-product. The model holds no decoding setting: the beam width and the
-length cap belong to `decoding.decode_multi`.
+(Bahdanau et al. 2015, appendix A.2.2); `output_logits`, one affine map,
+projects the rows of the steps it is given onto the vocabulary, so a
+teacher-forced step whose prediction nothing scores skips that product.
+The beam steps on plain arrays instead: `decoder_stage` prepares a
+stage over its one source once, and each `beam_step` runs only the
+recurrence of that stage's step on one token per row, then the output
+layer and the log-softmax, bit for bit what `decode_step` and
+`output_logits` give, with no op dispatched. The model holds no
+decoding setting: the beam width and the length cap belong to
+`decoding.decode_multi`.
 """
 
 from __future__ import annotations
@@ -262,6 +266,40 @@ def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
     `decode_step`. Each row's next-token distribution is the softmax of its
     logits."""
     return ad.affine(rows, params.out_w, params.out_b)
+
+
+def decoder_stage(annotations: Tensor, keys: Tensor, params: DecoderParams) -> ad.DecoderStage:
+    """The stage of params's decoder over one `encode`d source, prepared
+    once for `beam_step`: every row of every step reads that source's
+    annotations (n x 2dim) and their keys, `attention_keys(annotations,
+    params)`."""
+    gru = params.gru
+    return ad.DecoderStage(
+        keys.data, annotations.data, params.att_w.data, params.att_v.data,
+        gru.w.data, gru.b.data, gru.u_zr.data, gru.u_h.data, [annotations.shape[0]],
+    )
+
+
+def beam_step(
+    stage: ad.DecoderStage, prev_tokens: Sequence[int], states: np.ndarray, params: DecoderParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder step of B beam rows on plain arrays: row b consumes
+    prev_tokens[b] in state states[b] (B, dim), and the step's rows
+    [embedding; state; context] go through the output layer, as
+    `output_logits` computes it, and `autodiff.log_softmax`.
+
+    Returns the new states (B, dim) and the next-token log-probabilities
+    (B, V), bit for bit those of a one-token-per-row `decode_step` and
+    `output_logits` over the stage's source, with no op dispatched and
+    nothing recorded on a tape. stage is `decoder_stage` of params.
+    """
+    vocab = params.embedding.shape[0]
+    if not prev_tokens or min(prev_tokens) < 0 or max(prev_tokens) >= vocab:
+        raise ContractError(f"beam_step: token ids {list(prev_tokens)} empty or out of range for {vocab} rows")
+    x = params.embedding.data[prev_tokens]
+    s, context, _, _ = stage.step(states, x, None)
+    rows = np.concatenate([x, s, context], axis=1)
+    return s, ad.log_softmax(rows @ params.out_w.data.T + params.out_b.data)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
-from sentsimp.decoding import Hypothesis
+from sentsimp.decoding import Hypothesis, beam_search
 from sentsimp.errors import DimensionError, NumericError
 from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
 
@@ -284,6 +284,49 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
             return finished[0]
     finished.extend(hyp._replace(stop="length_cap") for hyp in active)
     return min(finished, key=rank)
+
+
+def expand_and_rank(hyps, states, log_probs, width, keep, boundary_id, finished):
+    """Reference version of an earlier design: `decoding._expand`, which
+    built a `Hypothesis` for every continuation of each hypothesis by its
+    row's width best tokens (a boundary token's into finished), then sorted
+    them by the rank key (-log_prob, length, tokens) and kept the keep
+    best."""
+    rows = np.arange(len(hyps))[:, None]
+    top = (-log_probs).argpartition(width - 1, axis=1)[:, :width]
+    top = top[rows, (-log_probs[rows, top]).argsort(axis=1, kind="stable")]
+    candidates = []
+    for hyp, state, toks, tok_log_probs in zip(hyps, states, top.tolist(), log_probs[rows, top].tolist()):
+        for tok, log_p in zip(toks, tok_log_probs):
+            score = hyp.log_prob + log_p
+            if tok == boundary_id:
+                finished.append(Hypothesis(hyp.tokens, score, state, stop="boundary"))
+            else:
+                candidates.append(Hypothesis(hyp.tokens + (tok,), score, state))
+    candidates.sort(key=lambda hyp: (-hyp.log_prob, len(hyp.tokens), hyp.tokens))
+    return candidates[:keep]
+
+
+def search_by_decode_step(encoded, params, given, boundary_id, max_new, beam_size):
+    """Reference version of an earlier design: `decoding._search` with a
+    beam step of one `decode_step` over one token per row, then
+    `output_logits` and `autodiff.log_softmax`, each step going through
+    the ops and building its decoder stage afresh."""
+    annotations, h_mean = encoded
+    keys = attention_keys(annotations, params)
+    state = init_decoder_state(h_mean, params)
+    emb = params.embedding.shape[1]
+    state_cols = slice(emb, emb + state.shape[1])
+    source_lengths = [annotations.shape[0]]
+    if len(given) > 1:
+        rows = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
+        state = ad.Tensor(rows.data[-1:, state_cols])
+
+    def step(prev_tokens, states):
+        rows = decode_step([[tok] for tok in prev_tokens], states, annotations, keys, params, source_lengths)
+        return ad.Tensor(rows.data[:, state_cols]), ad.log_softmax(output_logits(rows, params).data)
+
+    return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 
 
 # ---------------------------------------------------------------- tokenization

@@ -619,6 +619,30 @@ def test_decoder_scan_equals_per_step_oracle(shared):
     assert_grads_close(got_grads, summed)
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4, 5), (16, 32, 32, 64)], ids=["test-dims", "E16-H32"])
+@pytest.mark.parametrize("rows, source_length", [(1, 4), (5, 3)])
+def test_decoder_stage_step_equals_one_token_scan_rows(dims, rows, source_length):
+    """A stage's `step` on B rows that all read one block of 4 rows (of
+    which source_length are real), with no live mask, against the rows
+    [embedding; state; context] and the attention weights of a
+    one-token-per-row `decoder_scan` over the same block: bit for bit."""
+    emb, d, k, width = dims
+    rng = np.random.default_rng(190)
+    e, s0 = rng.uniform(-1, 1, size=(rows, emb)), rng.uniform(-1, 1, size=(rows, d))
+    keys, annotations = rng.uniform(-1, 1, size=(4, k)), rng.uniform(-1, 1, size=(4, width))
+    weights = [rng.uniform(-1, 1, size=shape) for shape in
+               ((k, d), (k,), (3 * d, emb + width), (3 * d,), (2 * d, d), (d, d))]
+    out, alpha = ad.decoder_scan(
+        *(ad.Tensor(x) for x in (e, s0, keys, annotations, *weights)), [1] * rows, [source_length]
+    )
+    stage = ad.DecoderStage(keys, annotations, *weights, [source_length])
+    s, context, got_alpha, _ = stage.step(s0, e, None)
+    assert np.array_equal(s, out.data[:, emb : emb + d])
+    assert np.array_equal(context, out.data[:, emb + d :])
+    assert np.array_equal(got_alpha, alpha)
+    assert np.all(got_alpha[:, source_length:] == 0.0)
+
+
 def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
     """Rows of 2, 4 and 1 steps over sources of 3, 1 and 2 of 3 rows: each
     has the rows [embedding; state; context] and attention weights of its

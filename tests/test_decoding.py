@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, UNK_ID
-from sentsimp.decoding import DecodeResult, PassTrace, _search, beam_search, decode_multi
+from sentsimp.decoding import DecodeResult, Hypothesis, PassTrace, _expand, _search, beam_search, decode_multi
 from sentsimp.errors import ConstraintError, ContractError, NumericError
 from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, encode, init_decoder_state
 
@@ -15,6 +17,8 @@ from oracles import (
     decode_step_per_step,
     decode_step_with_logits,
     exhaustive_best,
+    expand_and_rank,
+    search_by_decode_step,
     softmax,
     zeros,
 )
@@ -376,9 +380,16 @@ def test_beam_steps_every_live_hypothesis_in_one_call():
 
 
 def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
+    """Each `_search` prepares one decoder stage for its beam, and each
+    beam iteration is one `beam_step`: one output-layer product and one
+    log-softmax. The teacher-forced steps are one `decode_step` per stage
+    with tokens to force, and no logits."""
+    import sentsimp.autodiff as autodiff
     import sentsimp.decoding as decoding
+    import sentsimp.model as model
 
-    calls = {"decode_step": 0, "output_logits": 0, "beam_step": 0}
+    calls = dict.fromkeys(("_search", "decoder_stage", "beam_step", "decode_step", "output_logits",
+                           "log_softmax", "beam_iteration"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -390,19 +401,80 @@ def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
     real_beam_search = decoding.beam_search
 
     def beam_search_counting_steps(step_fn, *args, **kwargs):
-        return real_beam_search(counted("beam_step", step_fn), *args, **kwargs)
+        return real_beam_search(counted("beam_iteration", step_fn), *args, **kwargs)
 
-    for name in ("decode_step", "output_logits"):
+    for name in ("_search", "decoder_stage", "beam_step", "decode_step"):
         monkeypatch.setattr(decoding, name, counted(name, getattr(decoding, name)))
+    monkeypatch.setattr(model, "output_logits", counted("output_logits", model.output_logits))
+    monkeypatch.setattr(autodiff, "log_softmax", counted("log_softmax", autodiff.log_softmax))
     monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
     result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
+    assert calls["_search"] == calls["decoder_stage"] == 2 * len(result.passes)
+    assert calls["beam_step"] == calls["log_softmax"] == calls["beam_iteration"] > 0
+    assert calls["output_logits"] == 0
     # one teacher-forced call per stage with tokens to force: the backward
     # stage's block but its last token (none for a one-token block), the
     # forward stage's BOS and realized prefix but its last token
-    forced = sum((len(t.constraint) > 1) + 1 for t in result.passes)
-    assert calls["output_logits"] == calls["beam_step"] > 0
-    assert calls["decode_step"] == calls["beam_step"] + forced
+    assert calls["decode_step"] == sum((len(t.constraint) > 1) + 1 for t in result.passes)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_equals_decode_step_oracle(seed):
+    """`_search`, whose beam steps a prepared stage on plain arrays, against
+    the earlier design's search, whose beam step is one `decode_step`, then
+    `output_logits` and `log_softmax`: equal tokens, stop and log-prob, at
+    beams 1 to 6, for both decoders, with and without a teacher-forced
+    prefix."""
+    cfg = ModelConfig(vocab_size=12, embed_dim=3, hidden_dim=4)
+    model = Seq2SeqModel.create(cfg, seed=seed)
+    source = [4 + (seed + i) % 8 for i in range(3 + seed % 3)]
+    encoded = encode([source], model.encoder)
+    token = 4 + seed % 8
+    searches = (
+        (model.backward_decoder, (token,), BOS_ID),
+        (model.backward_decoder, (5, token), BOS_ID),
+        (model.forward_decoder, (BOS_ID,), EOS_ID),
+        (model.forward_decoder, (BOS_ID, 5, token), EOS_ID),
+    )
+    for params, given, boundary in searches:
+        for beam in range(1, 7):
+            got = _search(encoded, params, given, boundary, 7, beam)
+            want = search_by_decode_step(encoded, params, given, boundary, 7, beam)
+            assert (got.tokens, got.stop, got.log_prob) == (want.tokens, want.stop, want.log_prob)
+            assert np.array_equal(got.state, want.state)
+
+
+_QUARTERS = st.integers(-12, 0).map(lambda k: k / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_expand_ranks_ties_as_the_hypothesis_sort_oracle(data):
+    """Log-prob tables and scores in quarters, so that many continuations
+    tie: `_expand`'s tuple order keeps the survivors, their order and the
+    finished list of the earlier design's sort of `Hypothesis` objects."""
+    rows = data.draw(st.integers(1, 6), label="rows")
+    vocab = data.draw(st.integers(1, 8), label="vocab")
+    width = data.draw(st.integers(1, min(7, vocab)), label="width")
+    keep = data.draw(st.integers(1, 6), label="keep")
+    boundary = data.draw(st.integers(0, vocab - 1), label="boundary")
+    token_lists = st.lists(st.integers(0, 9), max_size=3).map(tuple)
+    tokens = data.draw(st.lists(token_lists, min_size=rows, max_size=rows, unique=True), label="tokens")
+    scores = data.draw(st.lists(_QUARTERS, min_size=rows, max_size=rows), label="scores")
+    table = data.draw(st.lists(st.lists(_QUARTERS, min_size=vocab, max_size=vocab), min_size=rows, max_size=rows))
+    hyps = [Hypothesis(t, score, None) for t, score in zip(tokens, scores)]
+    states = np.arange(rows, dtype=float)[:, None]  # a state names its row
+    log_probs = np.array(table)
+    got_finished, want_finished = [], []
+    got = _expand(hyps, states, log_probs, width, keep, boundary, got_finished)
+    want = expand_and_rank(hyps, states, log_probs, width, keep, boundary, want_finished)
+
+    def fields(found):
+        return [(h.tokens, h.log_prob, h.stop, float(h.state[0])) for h in found]
+
+    assert fields(got) == fields(want)
+    assert fields(got_finished) == fields(want_finished)
 
 
 def test_beam_search_raises_on_nonfinite_log_probs():

@@ -13,7 +13,9 @@ from sentsimp.model import (
     ModelConfig,
     Seq2SeqModel,
     attention_keys,
+    beam_step,
     decode_step,
+    decoder_stage,
     encode,
     init_decoder_state,
     load_checkpoint,
@@ -522,6 +524,37 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
         out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec, [H.shape[0]])
         assert len(calls) == 2
         assert out.shape == (rows * width, 11)
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(vocab_size=53, embed_dim=16, hidden_dim=32)], ids=["tiny", "E16-H32"])
+@pytest.mark.parametrize("side", ["forward", "backward"])
+def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
+    """`beam_step` on a `decoder_stage` against a one-token-per-row
+    `decode_step`, then `output_logits` and `log_softmax`, for 1 to 6 rows:
+    the new states and the log-probabilities bit for bit."""
+    net = Seq2SeqModel.create(cfg, seed=7)
+    dec = getattr(net, f"{side}_decoder")
+    H, _ = encode([[4, 6, 5, 8, 7]], net.encoder)
+    keys = attention_keys(H, dec)
+    stage = decoder_stage(H, keys, dec)
+    rng = np.random.default_rng(15)
+    state_cols = slice(cfg.embed_dim, cfg.embed_dim + cfg.hidden_dim)
+    for rows in range(1, 7):
+        states = rng.uniform(-1, 1, size=(rows, cfg.hidden_dim))
+        tokens = [int(t) for t in rng.integers(0, cfg.vocab_size, size=rows)]
+        got_states, got_log_probs = beam_step(stage, tokens, states, dec)
+        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), H, keys, dec, [H.shape[0]])
+        assert np.array_equal(got_states, out.data[:, state_cols])
+        assert np.array_equal(got_log_probs, ad.log_softmax(output_logits(out, dec).data))
+
+
+def test_beam_step_rejects_token_ids_out_of_range(model):
+    dec = model.forward_decoder
+    H, states, _ = batch_inputs(model, rows=2)
+    stage = decoder_stage(H, attention_keys(H, dec), dec)
+    for tokens in ([], [4, TINY.vocab_size], [-1, 4]):
+        with pytest.raises(ContractError):
+            beam_step(stage, tokens, states.data[: len(tokens)], dec)
 
 
 def test_decode_step_rows_gradcheck(model):

@@ -90,6 +90,8 @@ def test_ab_interleaved_simplifies_held_out_lines_against_itself(tmp_path):
 
 
 def test_ab_interleaved_train_refuses_a_gradient_that_differs_in_its_last_bits(tmp_path):
+    """Every weight gradient scaled by 1 + 2**-50: refused at the default
+    --grad-rtol 0, accepted at 1e-12 with the deviation printed."""
     new = tmp_path / "new"
     shutil.copytree(ROOT / "src" / "sentsimp", new / "src" / "sentsimp")
     autodiff = new / "src" / "sentsimp" / "autodiff.py"
@@ -100,3 +102,11 @@ def test_ab_interleaved_train_refuses_a_gradient_that_differs_in_its_last_bits(t
     proc = run_script("ab_interleaved.py", str(ROOT), str(new), "--workload", "train", "--units", "1", cwd=tmp_path)
     assert proc.returncode != 0
     assert "unit 0: outputs differ" in proc.stderr
+    proc = run_script(
+        "ab_interleaved.py", str(ROOT), str(new), "--workload", "train", "--units", "1", "--grad-rtol", "1e-12",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "train, seed 1, 1 units, outputs within --grad-rtol 1e-12" in proc.stdout
+    deviation = [line for line in proc.stdout.splitlines() if line.startswith("largest deviation")]
+    assert len(deviation) == 1 and 0.0 < float(deviation[0].split()[-1]) <= 1e-12
