@@ -14,14 +14,17 @@ work. A unit is a block of score rows (lexical substitution over a large KB,
 then evaluate_corpus, as in perfbench's score workload), one held-out line
 simplified at beam 5 with up to 3 constraints (simplify needs a checkpoint
 that both trees can load, such as the one perfbench's simplify-beam5
-preparation caches), or one taped training pair: `training_loss` and
-`Tape.backward` on perfbench's train-desk pairs, each side with a model made
-as `sentsimp train` makes it from OLD's configs/desk.cfg (E64/H128, its
-seed), whose parameters never change. Each unit runs on both sides in turn,
-the side that goes first flipping every unit, and the two outputs must be
-equal: a train unit's loss and every gradient byte for byte; a simplify
-unit's output text, each pass's output ids, block position and stop reasons,
-and its constraint accounting (its trace but for the log-probs). A change
+preparation caches: `python3 perfbench/run.py --workload simplify-beam5
+--seed 1 --seconds 5` leaves it at
+`.perfbench_work/cache/simplify-1-<key>/epoch0003.ckpt`), or one taped
+training pair: `training_loss` and `Tape.backward` on perfbench's
+train-desk pairs, each side with a model made as `sentsimp train` makes it
+from OLD's configs/desk.cfg (E64/H128, its seed), whose parameters never
+change. Each unit runs on both sides in turn, the side that goes first
+flipping every unit, and the two outputs must be equal: a train unit's loss
+and every gradient byte for byte; a simplify unit's output text, each
+pass's output ids, block position and stop reasons, and its constraint
+accounting (its trace but for the log-probs). A change
 that only rounds apart can still be timed on train: with --grad-rtol R > 0,
 a unit passes when its loss and each gradient lie within R times that
 array's largest |entry| on OLD's side of OLD's array, and the script prints

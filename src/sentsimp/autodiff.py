@@ -19,17 +19,18 @@ dispatch and one tape record however long it is. A decoder step's output
 row is [embedding; state; context], the input of the model's output
 layer, so that layer is one affine map. Inside their time loops the scans
 do only the recurrent work: what does not depend on the step (each
-direction's inputs in step order, the decoder's context weights applied
-to the source rows, the annotations' and embeddings' gradients) is done
-once per call, before or after the loop. A :class:`DecoderStage` holds
-what a decoder stage prepares once, its shape checks passed, and its
-`step` is the body of `decoder_scan`'s loop on plain arrays, so the beam
-runs the same step once per iteration with no op around it. Gradients
-are recorded on an explicit :class:`Tape` that is
-rebuilt every forward pass, so variable-length sequences need no
-static graph. With no tape active the same functions run as plain numpy
-computations, which is how decoding and validation execute; the scans
-then keep no intermediates for a backward pass.
+direction's inputs in step order, the decoder's attention keys and
+context weights applied to the source rows, the annotations' and
+embeddings' gradients) is done once per call, before or after the loop.
+A :class:`DecoderStage` holds what a decoder stage prepares once over its
+source, its shape checks passed, and its `step` is the body of
+`decoder_scan`'s loop on plain arrays, so the beam runs the same step
+once per iteration with no op around it. Gradients are recorded on an
+explicit :class:`Tape` that is rebuilt every forward pass, so
+variable-length sequences need no static graph. With no tape active the
+same functions run as plain numpy computations, which is how decoding
+and validation execute; the scans then keep no intermediates for a
+backward pass.
 
 Every op states its backward pass as a function of its output's adjoint
 g that returns, per input, None, a :class:`RowGrad`, or a new array: one
@@ -523,41 +524,40 @@ class DecoderStage:
     """A decoder stage prepared once over its source, for `step` to run
     only the recurrence.
 
-    keys (m, k) and annotations (m, width) hold one block of n = m / S
-    rows for each of the S source lengths; the B rows of a step read block
-    b each (S = B) or all read block 0 (S = 1), by broadcasting, with no
-    copy. A row
+    annotations (m, width) hold one block of n = m / S rows for each of
+    the S source lengths; the B rows of a step read block b each (S = B)
+    or all read block 0 (S = 1), by broadcasting, with no copy. A row
     reads as many rows of its block as the block's length; the others get
-    weight exactly 0. The GRU input weight w (3dim, E + width) is split at
-    E: the embedding half w[:, :E] and the context half w_c = w[:, E:],
-    which maps the annotation rows once, ann_c = annotations @ w_c.T. b is
-    (3dim,), att_w (k, dim), att_v (k,), u_zr (2dim, dim) and u_h (dim, dim).
-    Every argument is a plain array, kept as given: a caller that changes
-    one afterwards must build a new stage.
+    weight exactly 0. The stage maps the annotation rows once into the
+    attention keys, annotations @ att_u.T + att_b (U_a h_j + b_a), and
+    through the context half w_c = w[:, E:] of the GRU input weight w
+    (3dim, E + width), ann_c = annotations @ w_c.T. att_u is (k, width),
+    att_b and att_v (k,), att_w (k, dim), b (3dim,), u_zr (2dim, dim) and
+    u_h (dim, dim). Every argument is a plain array, kept as given: a
+    caller that changes one afterwards must build a new stage.
     """
 
     __slots__ = ("dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t", "att_v",
                  "w_e_t", "b", "u_zr", "u_h")
 
-    def __init__(self, keys: Array, annotations: Array, att_w: Array, att_v: Array, w: Array, b: Array,
-                 u_zr: Array, u_h: Array, source_lengths: Sequence[int]):
+    def __init__(self, annotations: Array, att_u: Array, att_b: Array, att_w: Array, att_v: Array, w: Array,
+                 b: Array, u_zr: Array, u_h: Array, source_lengths: Sequence[int]):
         d = u_h.shape[0] if u_h.ndim == 2 else 0
         width = annotations.shape[-1] if annotations.ndim else 0
         emb = w.shape[1] - width if w.ndim == 2 else -1
         if (
             u_h.shape != (d, d) or u_zr.shape != (2 * d, d) or emb < 0 or w.shape[0] != 3 * d or b.shape != (3 * d,)
-            or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],)
-            or keys.ndim != 2 or annotations.ndim != 2 or keys.shape != (annotations.shape[0], att_w.shape[0])
+            or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],) or annotations.ndim != 2
+            or att_u.shape != (att_w.shape[0], width) or att_b.shape != (att_w.shape[0],)
         ):
-            raise DimensionError(
-                f"decoder stage: keys {keys.shape}, annotations {annotations.shape}, att_w {att_w.shape},"
-                f" att_v {att_v.shape}, w {w.shape}, b {b.shape}, u_zr {u_zr.shape} and u_h {u_h.shape} disagree"
-            )
+            shapes = (annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h)
+            raise DimensionError(f"decoder stage: annotations, att_u, att_b, att_w, att_v, w, b, u_zr and u_h"
+                                 f" {[x.shape for x in shapes]} disagree")
         sources = len(source_lengths)
-        n, real = _blocks(keys.shape[0], [int(x) for x in source_lengths], "decoder stage")
+        n, real = _blocks(annotations.shape[0], [int(x) for x in source_lengths], "decoder stage")
         self.dim, self.emb, self.width, self.sources = d, emb, width, sources
         self.pad = None if real is None else ~real
-        self.keys = keys.reshape(sources, n, -1)
+        self.keys = (annotations @ att_u.T + att_b).reshape(sources, n, -1)
         self.ann = annotations.reshape(sources, n, width)
         self.ann_c = (annotations @ w[:, emb:].T).reshape(sources, n, 3 * d)
         self.att_w_t, self.att_v = att_w.T, att_v
@@ -587,8 +587,9 @@ class DecoderStage:
 def decoder_scan(
     e: Tensor,
     s0: Tensor,
-    keys: Tensor,
     annotations: Tensor,
+    att_u: Tensor,
+    att_b: Tensor,
     att_w: Tensor,
     att_v: Tensor,
     w: Tensor,
@@ -602,28 +603,30 @@ def decoder_scan(
 
     Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
     step t reads e[b*T + t] (E wide), the embedding of the row's t-th
-    given token, where T is the longest row. The keys, annotations and
-    weights make one :class:`DecoderStage`, whose `step` runs each step:
-    the additive-attention read by the state before it, the GRU input
-    product on [embedding; context] with w (3dim, E + width) and b (3dim,),
-    and the GRU update of `gru_scan`. keys and annotations hold one block
-    per source length, and there are B of them (a training batch: row b
-    reads block b) or one (a beam: every row reads block 0).
+    given token, where T is the longest row. The annotations and weights
+    make one :class:`DecoderStage`, whose `step` runs each step: the
+    additive-attention read by the state before it, the GRU input product
+    on [embedding; context] with w (3dim, E + width) and b (3dim,), and the
+    GRU update of `gru_scan`. The annotations hold one block per source
+    length, and there are B of them (a training batch: row b reads block b)
+    or one (a beam: every row reads block 0).
 
-    Only the recurrence runs per step: the stage maps the annotation rows
-    through the context weights w_c = w[:, E:] once per call, ann_c =
-    annotations @ w_c.T, so a step takes the context half of its GRU input
-    product as alpha @ ann_c (equal to context @ w_c.T) and adds it to the
-    embedding half e @ w[:, :E].T + b. The backward pass runs through time
-    by hand; per step it takes the energies' adjoint from the context's
-    adjoint and, through ann_c, from the GRU input's. After the loop, one
-    product each gives the contexts' adjoints (the output's plus the GRU
-    input's through w_c), the annotations' gradient (alpha.T @ those
-    adjoints, summed over the rows of a shared block) and the embeddings'
-    gradient (the GRU input's share plus the adjoint of the output's
-    embedding columns); the gradient of each weight in a product is one
-    product `g.T @ x`, all steps stacked, w's on the rows [embedding;
-    context].
+    Only the recurrence runs per step: per call the stage maps the
+    annotation rows once into the attention keys and through the context
+    weights w_c = w[:, E:], ann_c = annotations @ w_c.T, so a step takes
+    the context half of its GRU input product as alpha @ ann_c (equal to
+    context @ w_c.T) and adds it to the embedding half e @ w[:, :E].T + b.
+    The backward pass runs through time by hand; per step it takes the
+    energies' adjoint from the context's adjoint and, through ann_c, from
+    the GRU input's. After the loop, one product each gives the contexts'
+    adjoints (the output's plus the GRU input's through w_c), the
+    annotations' gradient (alpha.T @ those adjoints, summed over the rows
+    of a shared block; the keys add theirs) and the embeddings' gradient
+    (the GRU input's share plus the adjoint of the output's embedding
+    columns); the gradient of each weight in a product is one product
+    `g.T @ x`, all steps stacked, w's on the rows [embedding; context].
+    The annotations are listed twice among the op's inputs, as the memory
+    and as the keys' input, so the walk adds those two shares one at a time.
 
     Returns the rows [embedding; state; context] (B*T, E + dim + width),
     row b*T + t holding step t's input row e[b*T + t] as given and the
@@ -638,18 +641,18 @@ def decoder_scan(
     T = max(steps)
     if s0.ndim != 2 or e.ndim != 2 or s0.shape[0] != rows or e.shape[0] != rows * T:
         raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit steps {steps}")
-    stage = DecoderStage(keys.data, annotations.data, att_w.data, att_v.data, w.data, b.data, u_zr.data,
-                         u_h.data, source_lengths)
+    stage = DecoderStage(annotations.data, att_u.data, att_b.data, att_w.data, att_v.data, w.data, b.data,
+                         u_zr.data, u_h.data, source_lengths)
     d, width, emb, sources = stage.dim, stage.width, stage.emb, stage.sources
     if s0.shape[1] != d or e.shape[1] != emb:
         raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit w {w.shape}")
     if sources not in (1, rows):
         raise DimensionError(f"decoder_scan: {sources} source lengths for {rows} rows")
-    n = stage.keys.shape[1]
+    n, k = stage.keys.shape[1:]
     ann, ann_c = stage.ann, stage.ann_c
     w_e, w_c = w.data[:, :emb], w.data[:, emb:]
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
-    inputs = (e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h)
+    inputs = (e, s0, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, annotations)
     keep = _recording(inputs)
     saved = []
     x_in = e.data.reshape(rows, T, emb)
@@ -670,8 +673,8 @@ def decoder_scan(
         g = g.reshape(rows, T, emb + d + width)
         g_state, g_context = g[:, :, state_cols], g[:, :, context_cols]
         d_gx = np.empty((rows, T, 3 * d))
-        d_query = np.empty((rows, T, att_w.shape[0]))
-        d_keys = np.zeros((rows, n, keys.shape[1]))
+        d_query = np.empty((rows, T, k))
+        d_keys = np.zeros((rows, n, k))
         d_v = np.zeros(att_v.shape)
         d_s = np.zeros((rows, d))
         for t in range(T - 1, -1, -1):
@@ -688,6 +691,7 @@ def decoder_scan(
             d_keys += d_pre
             d_v += d_energy.reshape(-1) @ hidden.reshape(d_energy.size, -1)
         d_gx = d_gx.reshape(rows * T, 3 * d)
+        d_keys = d_keys.reshape(sources, -1, n, k).sum(axis=1).reshape(sources * n, k)
         g_ctx = g_context + (d_gx @ w_c).reshape(rows, T, width)  # the contexts' adjoints
         d_ann = alphas.transpose(0, 2, 1) @ g_ctx
         x = np.concatenate([x_in, out[:, :, context_cols]], axis=2).reshape(rows * T, emb + width)
@@ -698,14 +702,16 @@ def decoder_scan(
         return (
             d_e,
             d_s,
-            d_keys.reshape(sources, -1, n, keys.shape[1]).sum(axis=1).reshape(keys.shape),
             d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
+            _weight_grad(d_keys, annotations.data),
+            d_keys.sum(axis=0),
             _weight_grad(d_query.reshape(rows * T, -1), h0),
             d_v,
             _weight_grad(d_gx, x),
             d_gx.sum(axis=0),
             _weight_grad(d_gx[:, : 2 * d], h0),
             _weight_grad(d_gx[:, 2 * d :], rh),
+            d_keys @ att_u.data,
         )
 
     return _emit(out.reshape(rows * T, emb + d + width), inputs, back), alphas.reshape(rows * T, n)

@@ -9,19 +9,21 @@ a construction invariant rather than a search outcome. Each pass encodes its
 source once for both stages; multiple constraints are handled by re-encoding
 each pass's output as the next pass's source.
 
-Beam search keeps one decoder-state row per hypothesis and advances every
-live hypothesis with one batched step per iteration (the batched-beam
-layout of Post & Vilar 2018): one `model.beam_step` on plain arrays over
-a decoder stage prepared once per search. A beam wider than 1 carries its
-greedy hypothesis as one more row of that step. Only the beam's steps
-compute output logits, not the teacher-forced ones; candidates are ranked
-as plain tuples, and only the survivors become hypotheses. Each search
-records why it stopped.
+Beam search keeps one decoder-state row per hypothesis, a plain array,
+and advances every live hypothesis with one batched step per iteration
+(the batched-beam layout of Post & Vilar 2018): one `model.beam_step` on
+plain arrays over a decoder stage, attention keys included, prepared
+once per search, so the beam loop builds no tensor. A beam wider than 1
+carries its greedy hypothesis as one more row of that step. Only the
+beam's steps compute output logits, not the teacher-forced ones;
+candidates are ranked as plain tuples, and only the survivors become
+hypotheses. Each search records why it stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +34,6 @@ from .errors import ConstraintError, ContractError, NumericError
 from .model import (
     DecoderParams,
     Seq2SeqModel,
-    attention_keys,
     beam_step,
     decode_step,
     decoder_stage,
@@ -138,7 +139,7 @@ def _expand(
 
 def beam_search(
     step_fn,
-    init_state: Tensor,
+    init_state: np.ndarray,
     seed_token: int,
     boundary_id: int,
     beam_size: int,
@@ -146,12 +147,12 @@ def beam_search(
 ) -> Hypothesis:
     """Breadth-limited best-first search over token continuations.
 
-    init_state is the one-row start state (1, dim). step_fn(prev_tokens,
-    states) -> (new_states, log_probs) advances every live hypothesis at
-    once: prev_tokens lists each one's last token (the seed token before
-    any is generated), states stacks their state rows into a (B, dim)
-    tensor, and it returns the new states (B, dim) as a tensor and the
-    next-token log-probabilities (B, V) as an array, row b for hypothesis b.
+    init_state is the start state (dim,). step_fn(prev_tokens, states) ->
+    (new_states, log_probs) advances every live hypothesis at once:
+    prev_tokens lists each one's last token (the seed token before any is
+    generated), states stacks their state rows into a (B, dim) array, and
+    it returns the new states (B, dim) and the next-token
+    log-probabilities (B, V), plain arrays, row b for hypothesis b.
     Non-finite log-probabilities raise NumericError. A hypothesis finishes
     when it emits boundary_id (scored, stop "boundary") or reaches max_new
     generated tokens (unscored, stop "length_cap"). Hypotheses rank by
@@ -171,7 +172,7 @@ def beam_search(
     if beam_size < 1:
         raise ContractError(f"beam size must be at least 1, got {beam_size}")
 
-    active = [Hypothesis((), 0.0, init_state.data[0])]
+    active = [Hypothesis((), 0.0, init_state)]
     greedy = active[:] if beam_size > 1 else []  # holds the greedy hypothesis while live
     # each stepped row adds at most one boundary hypothesis, so this pool
     # stays small enough to keep whole: no finished hypothesis is dropped
@@ -179,16 +180,16 @@ def beam_search(
     for _ in range(max_new):
         rows = active + greedy
         prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in rows]
-        new_states, log_probs = step_fn(prev, Tensor([hyp.state for hyp in rows]))
+        new_states, log_probs = step_fn(prev, np.array([hyp.state for hyp in rows]))
         if not np.isfinite(log_probs).all():
             raise NumericError("beam search: a step's log-probabilities are not all finite")
         n = len(active)
         if greedy:
-            greedy = _expand(greedy, new_states.data[n:], log_probs[n:], 1, 1, boundary_id, finished)
+            greedy = _expand(greedy, new_states[n:], log_probs[n:], 1, 1, boundary_id, finished)
         # beam 1 is the greedy argmax chain; wider beams expand one extra
         # slot per hypothesis so a boundary token cannot crowd out content
         width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
-        active = _expand(active, new_states.data[:n], log_probs[:n], width, beam_size, boundary_id, finished)
+        active = _expand(active, new_states[:n], log_probs[:n], width, beam_size, boundary_id, finished)
         if finished:
             # log-probs only decrease, so a live hypothesis scoring below the
             # best finished one can never win: once the best active one
@@ -217,24 +218,20 @@ def _search(
     The state starts from the mean annotation; all given tokens but the last
     are teacher-forced in one `decode_step` (no search, no scoring, so no
     logits), and the last one seeds the beam search, which runs until
-    boundary_id or max_new new tokens. Every step of the stage reads the
-    one source block, so it shares one set of attention keys, and the beam
-    one `decoder_stage`, prepared once: each iteration is one `beam_step`
-    on plain arrays.
+    boundary_id or max_new new tokens. Every beam step reads the one
+    source block, so the beam shares one `decoder_stage`, prepared once,
+    attention keys included: each iteration is one `beam_step` on plain
+    arrays. A teacher-forced `decode_step` maps the source into its own
+    keys.
     """
     annotations, h_mean = encoded
-    keys = attention_keys(annotations, params)
-    state = init_decoder_state(h_mean, params)
+    s0 = init_decoder_state(h_mean, params)
+    state = s0.data[0]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], state, annotations, keys, params, [annotations.shape[0]])
+        rows = decode_step([given[:-1]], s0, annotations, params, [annotations.shape[0]])
         emb = params.embedding.shape[1]
-        state = Tensor(rows.data[-1:, emb : emb + state.shape[1]])
-    stage = decoder_stage(annotations, keys, params)
-
-    def step(prev_tokens: list[int], states: Tensor):
-        new_states, log_probs = beam_step(stage, prev_tokens, states.data, params)
-        return Tensor(new_states), log_probs
-
+        state = rows.data[-1, emb : emb + state.shape[0]]
+    step = partial(beam_step, decoder_stage(annotations, params), params=params)
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 
 

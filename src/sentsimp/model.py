@@ -18,20 +18,20 @@ one autodiff op with a hand-written backward pass through time. Per
 call, the encoder computes each direction's input pre-activations of a
 whole batch in one product, and one `autodiff.gru_scan` steps both
 directions together. A decoder runs `autodiff.decoder_scan`: per call it
-applies the GRU's context weights to the annotation rows once, and per
-step it reads attention, takes the GRU input product of the previous
-token's embedding plus the attention-weighted sum of those mapped rows
-(the context's share of the product), and updates the state. Attention
-keys, the attention bias included, depend only on the annotations, so
-each decoder stage computes them once, as one `affine` map in
-`attention_keys`. `decode_step` runs T given steps of every row (teacher
-forcing a stage's whole given sequence) and returns one row [previous
-token's embedding; state; context] per step, the output layer's input
-(Bahdanau et al. 2015, appendix A.2.2); `output_logits`, one affine map,
-projects the rows of the steps it is given onto the vocabulary, so a
-teacher-forced step whose prediction nothing scores skips that product.
-The beam steps on plain arrays instead: `decoder_stage` prepares a
-stage over its one source once, and each `beam_step` runs only the
+maps the annotation rows once into the attention keys (the attention
+bias included, since the keys depend only on the annotations) and
+through the GRU's context weights, and per step it reads attention,
+takes the GRU input product of the previous token's embedding plus the
+attention-weighted sum of the mapped rows (the context's share of the
+product), and updates the state. `decode_step` runs T given steps of
+every row (teacher forcing a stage's whole given sequence) and returns
+one row [previous token's embedding; state; context] per step, the
+output layer's input (Bahdanau et al. 2015, appendix A.2.2);
+`output_logits`, one affine map, projects the rows of the steps it is
+given onto the vocabulary, so a teacher-forced step whose prediction
+nothing scores skips that product. The beam steps on plain arrays
+instead: `decoder_stage` prepares a stage over its one source once,
+keys and mapped rows alike, and each `beam_step` runs only the
 recurrence of that stage's step on one token per row, then the output
 layer and the log-softmax, bit for bit what `decode_step` and
 `output_logits` give, with no op dispatched. The model holds no
@@ -225,18 +225,10 @@ def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
     return ad.tanh(ad.affine(h_mean, params.init_w, params.init_b))
 
 
-def attention_keys(annotations: Tensor, params: DecoderParams) -> Tensor:
-    """U_a h_j + b_a for every annotation row (n x dim). They are fixed for
-    a whole stage, so the attention bias is added here once, not to every
-    step's query."""
-    return ad.affine(annotations, params.att_u, params.att_b)
-
-
 def decode_step(
     tokens: Sequence[Sequence[int]],
     s_prev: Tensor,
     annotations: Tensor,
-    keys: Tensor,
     params: DecoderParams,
     source_lengths: Sequence[int],
 ) -> Tensor:
@@ -249,15 +241,15 @@ def decode_step(
     The state is columns E .. E + dim. A shorter row keeps its last state
     over the rest.
 
-    keys are `attention_keys(annotations, params)`. The annotations are an
-    `encode` batch of the sources of source_lengths: B sources, one per
-    row, or one source that every row reads.
+    The annotations are an `encode` batch of the sources of
+    source_lengths: B sources, one per row, or one source that every row
+    reads. The scan maps them into the attention keys once per call.
     """
     ids, lengths = _joined(tokens)
     gru = params.gru
     return ad.decoder_scan(
-        ad.take_rows(params.embedding, ids), s_prev, keys, annotations, params.att_w, params.att_v,
-        gru.w, gru.b, gru.u_zr, gru.u_h, lengths, source_lengths,
+        ad.take_rows(params.embedding, ids), s_prev, annotations, params.att_u, params.att_b, params.att_w,
+        params.att_v, gru.w, gru.b, gru.u_zr, gru.u_h, lengths, source_lengths,
     )[0]
 
 
@@ -268,14 +260,13 @@ def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
     return ad.affine(rows, params.out_w, params.out_b)
 
 
-def decoder_stage(annotations: Tensor, keys: Tensor, params: DecoderParams) -> ad.DecoderStage:
+def decoder_stage(annotations: Tensor, params: DecoderParams) -> ad.DecoderStage:
     """The stage of params's decoder over one `encode`d source, prepared
-    once for `beam_step`: every row of every step reads that source's
-    annotations (n x 2dim) and their keys, `attention_keys(annotations,
-    params)`."""
+    once for `beam_step`, attention keys included: every row of every step
+    reads that source's annotations (n x 2dim)."""
     gru = params.gru
     return ad.DecoderStage(
-        keys.data, annotations.data, params.att_w.data, params.att_v.data,
+        annotations.data, params.att_u.data, params.att_b.data, params.att_w.data, params.att_v.data,
         gru.w.data, gru.b.data, gru.u_zr.data, gru.u_h.data, [annotations.shape[0]],
     )
 

@@ -33,7 +33,6 @@ from .errors import ContractError, TrainingError
 from .lexsub import FrequencyTable, KnowledgeBase
 from .model import (
     Seq2SeqModel,
-    attention_keys,
     decode_step,
     encode,
     init_decoder_state,
@@ -149,9 +148,8 @@ def training_loss(
     annotations, h_mean = encode([pair.source for pair in pairs], model.encoder)
 
     def stage_logits(params, inputs, scored_from):
-        keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        rows = decode_step(inputs, state, annotations, params, source_lengths)
         steps = max(len(row) for row in inputs)
         scored = [b * steps + t for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
         return output_logits(ad.take_rows(rows, scored), params)

@@ -24,7 +24,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
 from sentsimp.decoding import Hypothesis, beam_search
 from sentsimp.errors import DimensionError, NumericError
-from sentsimp.model import attention_keys, decode_step, encode, init_decoder_state, output_logits
+from sentsimp.model import decode_step, encode, init_decoder_state, output_logits
 
 
 # ---------------------------------------------------------------- tensor math
@@ -248,8 +248,8 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
         return (-hyp.log_prob, len(hyp.tokens), hyp.tokens)
 
     if max_new <= 0:
-        return Hypothesis((), 0.0, init_state.data[0], stop="length_cap")
-    active = [Hypothesis((), 0.0, init_state.data[0])]
+        return Hypothesis((), 0.0, init_state, stop="length_cap")
+    active = [Hypothesis((), 0.0, init_state)]
     finished = []
     if beam_size > 1:
         finished.append(
@@ -257,7 +257,7 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
         )
     for _ in range(max_new):
         prev = [hyp.tokens[-1] if hyp.tokens else seed_token for hyp in active]
-        new_states, log_probs = step_fn(prev, ad.Tensor(np.stack([hyp.state for hyp in active])))
+        new_states, log_probs = step_fn(prev, np.stack([hyp.state for hyp in active]))
         if not np.all(np.isfinite(log_probs)):
             raise NumericError("beam search: a step's log-probabilities are not all finite")
         width = 1 if beam_size == 1 else min(beam_size + 1, log_probs.shape[1])
@@ -266,7 +266,7 @@ def beam_search_nested_greedy(step_fn, init_state, seed_token, boundary_id, beam
         top = top[rows, np.argsort(-log_probs[rows, top], axis=1, kind="stable")]
         candidates = []
         for hyp, state, toks, tok_log_probs in zip(
-            active, new_states.data, top.tolist(), log_probs[rows, top].tolist()
+            active, new_states, top.tolist(), log_probs[rows, top].tolist()
         ):
             for tok, log_p in zip(toks, tok_log_probs):
                 score = hyp.log_prob + log_p
@@ -313,20 +313,19 @@ def search_by_decode_step(encoded, params, given, boundary_id, max_new, beam_siz
     `output_logits` and `autodiff.log_softmax`, each step going through
     the ops and building its decoder stage afresh."""
     annotations, h_mean = encoded
-    keys = attention_keys(annotations, params)
     state = init_decoder_state(h_mean, params)
     emb = params.embedding.shape[1]
     state_cols = slice(emb, emb + state.shape[1])
     source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], state, annotations, keys, params, source_lengths)
+        rows = decode_step([given[:-1]], state, annotations, params, source_lengths)
         state = ad.Tensor(rows.data[-1:, state_cols])
 
     def step(prev_tokens, states):
-        rows = decode_step([[tok] for tok in prev_tokens], states, annotations, keys, params, source_lengths)
-        return ad.Tensor(rows.data[:, state_cols]), ad.log_softmax(output_logits(rows, params).data)
+        rows = decode_step([[tok] for tok in prev_tokens], ad.Tensor(states), annotations, params, source_lengths)
+        return rows.data[:, state_cols], ad.log_softmax(output_logits(rows, params).data)
 
-    return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
+    return beam_search(step, state.data[0], given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 
 
 # ---------------------------------------------------------------- tokenization
@@ -863,7 +862,7 @@ def _per_step_stages(pair, position, model, whole_w):
         (model.backward_decoder, backward_inputs, 0),
         (model.forward_decoder, [BOS_ID, *target], position),
     ):
-        keys = attention_keys(annotations, params)
+        keys = ad.affine(annotations, params.att_u, params.att_b)
         state = init_decoder_state(h_mean, params)
         rows = []
         for prev in inputs:
@@ -895,9 +894,8 @@ def training_loss_all_logits(pairs, positions, model):
     annotations, h_mean = encode([pair.source for pair in pairs], model.encoder)
 
     def stage_logits(params, inputs, scored_from):
-        keys = attention_keys(annotations, params)
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, annotations, keys, params, source_lengths)
+        rows = decode_step(inputs, state, annotations, params, source_lengths)
         steps = max(len(row) for row in inputs)
         every = [[b * steps + t for t in range(len(row))] for b, row in enumerate(inputs)]
         logits = []
@@ -917,12 +915,13 @@ def training_loss_all_logits(pairs, positions, model):
     return ad.nll(ad.stack([backward, forward]), targets)
 
 
-def decoder_scan_per_step(e, s0, keys, annotations, att_w, att_v, w, b, u_zr, u_h, whole_w=False):
+def decoder_scan_per_step(e, s0, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, whole_w=False):
     """Reference version of an earlier design: `autodiff.decoder_scan` of
-    one row over one source's keys and annotations, as one
-    `read_and_gru_input` (with whole_w, in the earlier design's
-    association) and one `gru_step` per row of e; returns the rows
-    [embedding; state; context] (T, E + dim + width)."""
+    one row over one source's annotations, as one `affine` map of them
+    into the attention keys, then one `read_and_gru_input` (with whole_w,
+    in the earlier design's association) and one `gru_step` per row of e;
+    returns the rows [embedding; state; context] (T, E + dim + width)."""
+    keys = ad.affine(annotations, att_u, att_b)
     s = s0
     rows = []
     for t in range(e.shape[0]):

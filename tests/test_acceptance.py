@@ -14,9 +14,9 @@ from sentsimp.corpus import BOS_ID, EOS_ID, CorpusSplit, SentencePair, build_voc
 from sentsimp.decoding import _search, decode_multi
 from sentsimp.lexsub import FrequencyTable, KnowledgeBase, ParaphraseRule
 from sentsimp.metrics import EvalTriple, bleu, evaluate_corpus, fk_grade, ibleu_from_bleu, sari
-from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, encode, init_decoder_state
 from sentsimp.pipeline import PipelineConfig
-from sentsimp.autodiff import Tape
+from sentsimp.autodiff import Tape, affine
 from sentsimp.training import select_training_constraint, train, training_loss
 from sentsimp.toydata import build_toy_corpus, toy_token_pairs
 
@@ -150,7 +150,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
         annotations, h_mean = encode([source], model.encoder)
 
         def stepper(params):
-            keys = attention_keys(annotations, params)
+            keys = affine(annotations, params.att_u, params.att_b)
 
             def step(prev, state):
                 new_state, logits = decode_step_with_logits([prev], state, annotations, keys, params)
@@ -168,7 +168,7 @@ def test_criterion_5_beam_equals_exhaustive_search():
 
         forward = _search(encoded, model.forward_decoder, (BOS_ID, 4), EOS_ID, 3, beam_size)
         state = init_decoder_state(h_mean, model.forward_decoder)
-        keys = attention_keys(annotations, model.forward_decoder)
+        keys = affine(annotations, model.forward_decoder.att_u, model.forward_decoder.att_b)
         _, state, _ = decode_step_per_step([BOS_ID], state, annotations, keys, model.forward_decoder)
         score, tokens = exhaustive_best(
             stepper(model.forward_decoder), state, 4, EOS_ID,

@@ -561,13 +561,14 @@ def test_gru_scan_gradcheck(lengths, half):
 
 
 def decoder_scan_inputs(rows, steps, n, shared, seed):
-    """e (rows*T, 2), s0 (rows, 3), keys (., 4), annotations (., 5),
-    att_w (4, 3), att_v (4,), w (9, 7), b (9,), u_zr (6, 3), u_h (3, 3):
-    the embedding, state, key and context widths all differ, and b is not
-    zero. Shared keys and annotations have n rows, per-row ones rows*n."""
+    """e (rows*T, 2), s0 (rows, 3), annotations (., 5), att_u (4, 5),
+    att_b (4,), att_w (4, 3), att_v (4,), w (9, 7), b (9,), u_zr (6, 3),
+    u_h (3, 3): the embedding, state, key and context widths all differ,
+    and neither b nor att_b is zero. Shared annotations have n rows,
+    per-row ones rows*n."""
     blocks = 1 if shared else rows
     shapes = [
-        (rows * steps, 2), (rows, 3), (blocks * n, 4), (blocks * n, 5),
+        (rows * steps, 2), (rows, 3), (blocks * n, 5), (4, 5), (4,),
         (4, 3), (4,), (9, 7), (9,), (6, 3), (3, 3),
     ]
     return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
@@ -595,14 +596,14 @@ def test_decoder_scan_equals_per_step_oracle(shared):
         lambda *a: ad.decoder_scan(*a, steps, source_lengths)[0], inputs, ad.Tensor(weights.reshape(-1, 10))
     )
     got = got.reshape(3, T, 10)
-    e, s0, keys, annotations, *rest = inputs
+    e, s0, annotations, *rest = inputs
     summed = [np.zeros_like(t.data) for t in inputs]
     for b, k in enumerate(steps):
         block = 0 if shared else b
         m = source_lengths[block]
         real = slice(block * n, block * n + m)
         row = [ad.Tensor(x, requires_grad=True) for x in (
-            e.data[b * T : b * T + k], s0.data[b : b + 1], keys.data[real], annotations.data[real]
+            e.data[b * T : b * T + k], s0.data[b : b + 1], annotations.data[real]
         )]
         row_weights = ad.Tensor(weights[b, :k])
         one, one_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, [k], [m])[0], row + rest, row_weights)
@@ -612,9 +613,9 @@ def test_decoder_scan_equals_per_step_oracle(shared):
         assert_grads_close(one_grads, want_grads)
         assert np.max(np.abs(one - earlier)) <= 1e-15
         assert np.max(np.abs(got[b, :k] - want)) <= 1e-15
-        for acc, g, where in zip(summed, want_grads, (slice(b * T, b * T + k), slice(b, b + 1), real, real)):
+        for acc, g, where in zip(summed, want_grads, (slice(b * T, b * T + k), slice(b, b + 1), real)):
             acc[where] += g
-        for acc, g in zip(summed[4:], want_grads[4:]):
+        for acc, g in zip(summed[3:], want_grads[3:]):
             acc += g
     assert_grads_close(got_grads, summed)
 
@@ -629,13 +630,13 @@ def test_decoder_stage_step_equals_one_token_scan_rows(dims, rows, source_length
     emb, d, k, width = dims
     rng = np.random.default_rng(190)
     e, s0 = rng.uniform(-1, 1, size=(rows, emb)), rng.uniform(-1, 1, size=(rows, d))
-    keys, annotations = rng.uniform(-1, 1, size=(4, k)), rng.uniform(-1, 1, size=(4, width))
+    annotations = rng.uniform(-1, 1, size=(4, width))
     weights = [rng.uniform(-1, 1, size=shape) for shape in
-               ((k, d), (k,), (3 * d, emb + width), (3 * d,), (2 * d, d), (d, d))]
+               ((k, width), (k,), (k, d), (k,), (3 * d, emb + width), (3 * d,), (2 * d, d), (d, d))]
     out, alpha = ad.decoder_scan(
-        *(ad.Tensor(x) for x in (e, s0, keys, annotations, *weights)), [1] * rows, [source_length]
+        *(ad.Tensor(x) for x in (e, s0, annotations, *weights)), [1] * rows, [source_length]
     )
-    stage = ad.DecoderStage(keys, annotations, *weights, [source_length])
+    stage = ad.DecoderStage(annotations, *weights, [source_length])
     s, context, got_alpha, _ = stage.step(s0, e, None)
     assert np.array_equal(s, out.data[:, emb : emb + d])
     assert np.array_equal(context, out.data[:, emb + d :])
@@ -650,15 +651,14 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
     state stays. Every row's embedding columns are its input row as given,
     past its last step too."""
     steps, source_lengths, n, T = [2, 4, 1], [3, 1, 2], 3, 4
-    e, s0, keys, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
-    out, alpha = ad.decoder_scan(e, s0, keys, annotations, *weights, steps, source_lengths)
+    e, s0, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
+    out, alpha = ad.decoder_scan(e, s0, annotations, *weights, steps, source_lengths)
     out, alpha = out.data.reshape(3, T, 10), alpha.reshape(3, T, n)
     assert np.array_equal(out[:, :, :2], e.data.reshape(3, T, 2))
     for b, (k, m) in enumerate(zip(steps, source_lengths)):
         one, one_alpha = ad.decoder_scan(
             ad.Tensor(e.data[b * T : b * T + k]), ad.Tensor(s0.data[b : b + 1]),
-            ad.Tensor(keys.data[b * n : b * n + m]), ad.Tensor(annotations.data[b * n : b * n + m]),
-            *weights, [k], [m],
+            ad.Tensor(annotations.data[b * n : b * n + m]), *weights, [k], [m],
         )
         assert np.allclose(out[b, :k], one.data, rtol=0, atol=1e-12)
         assert np.allclose(alpha[b, :k, :m], one_alpha, rtol=0, atol=1e-12)
@@ -670,14 +670,13 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
 def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
     """Rows of 2, 4 and 1 steps that all read one source of 2 of 3 rows,
     against the source copied once per row: the rows [embedding; state;
-    context] and the attention weights within 1e-15; the keys and annotations gradients
+    context] and the attention weights within 1e-15; the annotations' gradient
     the copies' summed over the rows, and every other gradient the copies',
     within 1e-12 of its largest entry."""
     steps, n, T = [2, 4, 1], 3, 4
     inputs = decoder_scan_inputs(3, T, n, True, seed=180)
     copies = list(inputs)
-    for i in (2, 3):  # keys, annotations
-        copies[i] = ad.Tensor(np.tile(inputs[i].data, (3, 1)), requires_grad=True)
+    copies[2] = ad.Tensor(np.tile(inputs[2].data, (3, 1)), requires_grad=True)
     weights = ad.Tensor(np.random.default_rng(181).uniform(-1, 1, size=(3 * T, 10)))
     got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2])[0], inputs, weights)
     want, want_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2, 2, 2])[0], copies, weights)
@@ -686,8 +685,7 @@ def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
     assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(got_alpha - want_alpha)) <= 1e-15
     assert np.all(got_alpha[:, 2] == 0.0)
-    for i in (2, 3):
-        want_grads[i] = want_grads[i].reshape(3, n, -1).sum(axis=0)
+    want_grads[2] = want_grads[2].reshape(3, n, -1).sum(axis=0)
     assert_grads_close(got_grads, want_grads)
 
 
@@ -708,7 +706,7 @@ def test_decoder_scan_gradcheck(steps, source_lengths):
 
 def test_decoder_scan_rejects_a_nan_energy():
     inputs = decoder_scan_inputs(2, 2, 3, True, seed=140)
-    inputs[2].data[1, 0] = np.nan  # a key
+    inputs[3].data[1, 0] = np.nan  # att_u: every row's key in one column
     with pytest.raises(NumericError):
         ad.decoder_scan(*inputs, [2, 2], [3])
 
@@ -720,11 +718,25 @@ def test_decoder_scan_rejects_a_nan_energy():
 )
 def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths, error):
     """Wrong step counts or source lengths. Two rows with three lengths:
-    the six key rows split into three blocks of 2, which each length fits,
-    but a source count must be 1 or the row count."""
+    the six annotation rows split into three blocks of 2, which each
+    length fits, but a source count must be 1 or the row count."""
     inputs = decoder_scan_inputs(2, 2, 3, len(source_lengths) == 1, seed=150)
     with pytest.raises(error):
         ad.decoder_scan(*inputs, steps, source_lengths)
+
+
+@pytest.mark.parametrize("position, shape", [(3, (4, 4)), (3, (5, 5)), (3, (4,)), (4, (5,)), (4, (4, 1))])
+def test_decoder_stage_and_scan_reject_a_mis_shaped_attention_key_map(position, shape):
+    """att_u (4, 5) maps an annotation row (5 wide) to a key as wide as
+    att_w's rows (4), and att_b (4,) is one bias per key column: a wrong
+    width, row count or rank of either raises in the stage and in the
+    scan."""
+    inputs = decoder_scan_inputs(2, 2, 3, True, seed=160)
+    inputs[position] = rnd(shape)
+    with pytest.raises(DimensionError):
+        ad.DecoderStage(*(t.data for t in inputs[2:]), [3])
+    with pytest.raises(DimensionError):
+        ad.decoder_scan(*inputs, [2, 2], [3])
 
 
 @pytest.mark.parametrize("position, shape", [(0, (4, 6)), (1, (3, 3)), (2, (6, 3)), (3, (2, 9)), (4, (6, 2)), (5, (2, 2))])
@@ -953,10 +965,11 @@ def test_backward_returns_arrays_that_nothing_else_holds(op, shapes):
     with ad.Tape() as tape:
         out = op(*inputs)
     recorded, recorded_inputs, backward_fn = tape._records[-1]
-    assert recorded is out and list(recorded_inputs) == inputs
+    # decoder_scan lists its annotations twice, as memory and as the keys' input
+    assert recorded is out and list(dict.fromkeys(recorded_inputs)) == inputs
     g = np.random.default_rng(141).uniform(-1.0, 1.0, size=out.shape)
     grads = list(backward_fn(g))
-    assert len(grads) == len(inputs)
+    assert len(grads) == len(recorded_inputs)
     for grad in grads:
         assert grad is None or isinstance(grad, (ad.RowGrad, np.ndarray)), type(grad)
     arrays = [grad for grad in grads if isinstance(grad, np.ndarray)]

@@ -9,7 +9,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, UNK_ID
 from sentsimp.decoding import DecodeResult, Hypothesis, PassTrace, _expand, _search, beam_search, decode_multi
 from sentsimp.errors import ConstraintError, ContractError, NumericError
-from sentsimp.model import ModelConfig, Seq2SeqModel, attention_keys, encode, init_decoder_state
+from sentsimp.model import ModelConfig, Seq2SeqModel, encode, init_decoder_state
 
 from oracles import (
     beam_search_nested_greedy,
@@ -20,7 +20,6 @@ from oracles import (
     expand_and_rank,
     search_by_decode_step,
     softmax,
-    zeros,
 )
 
 CFG = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
@@ -62,7 +61,7 @@ def greedy_rollout(source, prefix, model, boundary, max_new):
     """Independent argmax chain used to pin down beam-1 semantics."""
     annotations, h_mean = encode([source], model.encoder)
     params = model.forward_decoder if boundary == EOS_ID else model.backward_decoder
-    keys = attention_keys(annotations, params)
+    keys = ad.affine(annotations, params.att_u, params.att_b)
     state = init_decoder_state(h_mean, params)
     for tok in prefix[:-1]:
         _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
@@ -88,13 +87,13 @@ def stages(trace):
 
 
 def test_beam_zero_budget_returns_empty():
-    hyp = beam_search(None, zeros((1, 3)), 4, EOS_ID, beam_size=3, max_new=0)
+    hyp = beam_search(None, np.zeros(3), 4, EOS_ID, beam_size=3, max_new=0)
     assert hyp.tokens == () and hyp.stop == "length_cap" and hyp.log_prob == 0.0
 
 
 def test_beam_rejects_bad_size():
     with pytest.raises(ContractError):
-        beam_search(None, zeros((1, 3)), 4, EOS_ID, beam_size=0, max_new=3)
+        beam_search(None, np.zeros(3), 4, EOS_ID, beam_size=0, max_new=3)
 
 
 def test_decode_multi_rejects_beam_zero():
@@ -141,7 +140,7 @@ def test_hypothesis_log_probs_are_cumulative_and_nonincreasing():
         (model.backward_decoder, [4], backward, BOS_ID, trace.backward_log_prob),
         (model.forward_decoder, [BOS_ID, *prefix], forward, EOS_ID, trace.forward_log_prob),
     ):
-        keys = attention_keys(annotations, params)
+        keys = ad.affine(annotations, params.att_u, params.att_b)
         state = init_decoder_state(h_mean, params)
         for tok in given[:-1]:
             _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
@@ -184,7 +183,7 @@ def test_decode_determinism():
 
 def _oracle_setup(model, params, source, seed_tokens):
     annotations, h_mean = encode([source], model.encoder)
-    keys = attention_keys(annotations, params)
+    keys = ad.affine(annotations, params.att_u, params.att_b)
     state = init_decoder_state(h_mean, params)
     for tok in seed_tokens[:-1]:
         _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
@@ -227,7 +226,7 @@ def _one_row_stepper(model, params, source, given):
     """(step_fn over one hypothesis, initial state) for a stage, as the
     per-hypothesis oracle steps it: one-row per-step decoder updates."""
     annotations, h_mean = encode([source], model.encoder)
-    keys = attention_keys(annotations, params)
+    keys = ad.affine(annotations, params.att_u, params.att_b)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
         _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
@@ -262,18 +261,18 @@ def test_batched_beam_matches_per_hypothesis_oracle(seed):
 
 def _batched_stepper(model, params, source, given):
     """(step_fn over stacked hypotheses, initial state) for a stage, as
-    `_search` builds them."""
+    `_search` builds them, on plain arrays."""
     annotations, h_mean = encode([source], model.encoder)
-    keys = attention_keys(annotations, params)
+    keys = ad.affine(annotations, params.att_u, params.att_b)
     state = init_decoder_state(h_mean, params)
     for tok in given[:-1]:
         _, state, _ = decode_step_per_step([tok], state, annotations, keys, params)
 
     def step_fn(prev_tokens, states):
-        new_states, logits = decode_step_with_logits(prev_tokens, states, annotations, keys, params)
-        return new_states, ad.log_softmax(logits.data)
+        new_states, logits = decode_step_with_logits(prev_tokens, ad.Tensor(states), annotations, keys, params)
+        return new_states.data, ad.log_softmax(logits.data)
 
-    return step_fn, state
+    return step_fn, state.data[0]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -306,12 +305,12 @@ def table_stepper(dist, vocab_size, widths):
     def step_fn(prev_tokens, states):
         widths.append(len(prev_tokens))
         rows = []
-        for depth, prev in zip(states.data[:, 0].astype(int), prev_tokens):
+        for depth, prev in zip(states[:, 0].astype(int), prev_tokens):
             probs = np.full(vocab_size, 1e-6)
             for tok, p in dist(depth, prev).items():
                 probs[tok] = p
             rows.append(np.log(probs / probs.sum()))
-        return ad.Tensor(states.data + 1.0), np.array(rows)
+        return states + 1.0, np.array(rows)
 
     return step_fn
 
@@ -325,7 +324,7 @@ def test_greedy_row_below_the_best_finished_is_dropped_with_the_beam():
         return {0: 0.90, 3: 0.05, 4: 0.05} if prev == 2 else {1: 0.34, 3: 0.33, 4: 0.33}
 
     widths = []
-    args = (table_stepper(dist, 6, widths), zeros((1, 1)), 5, 0, 2, 5)
+    args = (table_stepper(dist, 6, widths), np.zeros(1), 5, 0, 2, 5)
     got = beam_search(*args)
     assert widths == [2, 3]
     want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])
@@ -352,7 +351,7 @@ def test_greedy_row_outlives_every_beam_row_and_wins(last, max_new, tokens, stop
         return {1: 0.99} if depth == 2 else last
 
     widths = []
-    args = (table_stepper(dist, 6, widths), zeros((1, 1)), 5, 0, 2, max_new)
+    args = (table_stepper(dist, 6, widths), np.zeros(1), 5, 0, 2, max_new)
     got = beam_search(*args)
     assert widths == [2, 3, 3, 1]
     want = beam_search_nested_greedy(table_stepper(dist, 6, []), *args[1:])
@@ -364,16 +363,16 @@ def test_beam_steps_every_live_hypothesis_in_one_call():
     model = random_model(5)
     annotations, h_mean = encode([[4, 5, 6]], model.encoder)
     params = model.forward_decoder
-    keys = attention_keys(annotations, params)
+    keys = ad.affine(annotations, params.att_u, params.att_b)
     widths = []
 
     def step(prev_tokens, states):
-        assert states.shape == (len(prev_tokens), CFG.hidden_dim)
+        assert isinstance(states, np.ndarray) and states.shape == (len(prev_tokens), CFG.hidden_dim)
         widths.append(len(prev_tokens))
-        new_states, logits = decode_step_with_logits(prev_tokens, states, annotations, keys, params)
-        return new_states, ad.log_softmax(logits.data)
+        new_states, logits = decode_step_with_logits(prev_tokens, ad.Tensor(states), annotations, keys, params)
+        return new_states.data, ad.log_softmax(logits.data)
 
-    beam_search(step, init_decoder_state(h_mean, params), BOS_ID, EOS_ID, beam_size=4, max_new=5)
+    beam_search(step, init_decoder_state(h_mean, params).data[0], BOS_ID, EOS_ID, beam_size=4, max_new=5)
     # at most max_new = 5 iterations, one call each; a call steps the live
     # beam rows plus the greedy row while that is live
     assert len(widths) <= 5 and max(widths) == 4 + 1

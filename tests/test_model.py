@@ -12,7 +12,6 @@ from sentsimp.model import (
     Checkpoint,
     ModelConfig,
     Seq2SeqModel,
-    attention_keys,
     beam_step,
     decode_step,
     decoder_stage,
@@ -245,12 +244,12 @@ def test_encoder_gates_stay_in_range(model):
 # ---------------------------------------------------------------- attention
 
 
-def attend(s, annotations, keys, dec):
+def attend(s, annotations, dec):
     """The attention read of the states s (B, dim) that the first step of a
     `decoder_scan` makes: the contexts (B, 2dim) and the weights (B, n)."""
     rows = s.shape[0]
     out, alpha = ad.decoder_scan(
-        ad.take_rows(dec.embedding, [4] * rows), s, keys, annotations, dec.att_w, dec.att_v,
+        ad.take_rows(dec.embedding, [4] * rows), s, annotations, dec.att_u, dec.att_b, dec.att_w, dec.att_v,
         dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows, [annotations.shape[0]],
     )
     return ad.Tensor(out.data[:, CONTEXT]), alpha
@@ -261,7 +260,7 @@ def test_attend_identical_annotations_uniform(model):
     row = np.linspace(-0.5, 0.5, 6)
     H = ad.Tensor(np.tile(row, (4, 1)))
     s = ad.Tensor(np.zeros((1, 3)))
-    context, alpha = attend(s, H, attention_keys(H, dec), dec)
+    context, alpha = attend(s, H, dec)
     assert isinstance(alpha, np.ndarray)
     assert np.allclose(alpha, 0.25, atol=1e-12)
     assert np.allclose(context.data, row, atol=1e-12)
@@ -271,7 +270,7 @@ def test_attend_single_annotation(model):
     H, _ = encode([[5]], model.encoder)
     s = ad.Tensor(np.zeros((1, 3)))
     dec = model.backward_decoder
-    context, alpha = attend(s, H, attention_keys(H, dec), dec)
+    context, alpha = attend(s, H, dec)
     assert alpha.tolist() == [[1.0]]
     assert np.allclose(context.data, H.data[0], atol=1e-15)
 
@@ -282,7 +281,7 @@ def test_attend_matches_scalar_loop_oracle(model):
     s = ad.Tensor(rng.uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
     dec.att_b.data[...] = rng.uniform(-1, 1, size=3)  # a bias the zero init would hide
-    context, alpha = attend(s, H, attention_keys(H, dec), dec)
+    context, alpha = attend(s, H, dec)
     ctx_o, alpha_o = attention_loops(s.data[0].tolist(), H.data.tolist(), decoder_as_dict(model.forward_decoder)["att"])
     assert np.allclose(alpha, alpha_o, atol=1e-12)
     assert np.allclose(context.data, ctx_o, atol=1e-12)
@@ -292,10 +291,10 @@ def test_attend_permutation_covariant(model):
     H, _ = encode([[4, 5, 6, 7]], model.encoder)
     s = ad.Tensor(np.random.default_rng(9).uniform(-1, 1, size=(1, 3)))
     dec = model.forward_decoder
-    context, alpha = attend(s, H, attention_keys(H, dec), dec)
+    context, alpha = attend(s, H, dec)
     perm = [2, 0, 3, 1]
     H_perm = ad.Tensor(H.data[perm])
-    context_p, alpha_p = attend(s, H_perm, attention_keys(H_perm, dec), dec)
+    context_p, alpha_p = attend(s, H_perm, dec)
     assert np.allclose(alpha_p, alpha[:, perm], atol=1e-12)
     assert np.allclose(context_p.data, context.data, atol=1e-12)
 
@@ -303,11 +302,11 @@ def test_attend_permutation_covariant(model):
 # ---------------------------------------------------------------- decode_step
 
 
-def step_with_logits(tokens, s_prev, annotations, keys, dec):
+def step_with_logits(tokens, s_prev, annotations, dec):
     """One `decode_step` of B rows, one token each, and `output_logits` of
     its rows, as the beam steps: the new states (B, dim) and the logits
     (B, V)."""
-    rows = decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
+    rows = decode_step([[tok] for tok in tokens], s_prev, annotations, dec, [annotations.shape[0]])
     return segment(rows, STATE.start, STATE.stop), output_logits(rows, dec)
 
 
@@ -317,17 +316,16 @@ def test_decode_step_zero_weights_uniform_dist(model):
     H, h_mean = encode([[4, 5]], model.encoder)
     dec = model.forward_decoder
     s0 = init_decoder_state(h_mean, dec)
-    _, logits = step_with_logits([4], s0, H, attention_keys(H, dec), dec)
+    _, logits = step_with_logits([4], s0, H, dec)
     assert np.allclose(softmax(logits).data, 1.0 / TINY.vocab_size, atol=1e-15)
 
 
 def test_decode_step_dist_sums_to_one(model):
     H, h_mean = encode([[4, 5, 6]], model.encoder)
     dec = model.backward_decoder
-    keys = attention_keys(H, dec)
     s = init_decoder_state(h_mean, dec)
     for tok in (4, 7, 8):
-        s, logits = step_with_logits([tok], s, H, keys, dec)
+        s, logits = step_with_logits([tok], s, H, dec)
         dist = softmax(logits)
         assert abs(dist.data.sum() - 1.0) <= 1e-12
         assert np.all(dist.data > 0)
@@ -338,7 +336,7 @@ def test_decode_step_matches_scalar_loop_oracle(model):
     dec = model.forward_decoder
     H, h_mean = encode([[5, 7]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    s1, logits = step_with_logits([6], s0, H, attention_keys(H, dec), dec)
+    s1, logits = step_with_logits([6], s0, H, dec)
     prev_emb = dec.embedding.data.tolist()[6]
     s_o, dist_o, _ = decoder_step_loops(prev_emb, s0.data[0].tolist(), H.data.tolist(), decoder_as_dict(dec))
     assert np.allclose(s1.data, s_o, atol=1e-12)
@@ -353,7 +351,7 @@ def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([[5, 7, 4]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     tokens = [6, 4, 8]
-    rows = decode_step([tokens], s0, H, attention_keys(H, dec), dec, [H.shape[0]])
+    rows = decode_step([tokens], s0, H, dec, [H.shape[0]])
     dist = softmax(output_logits(rows, dec)).data
     state = s0.data[0].tolist()
     for t, tok in enumerate(tokens):
@@ -368,17 +366,16 @@ def test_decode_step_over_given_tokens_equals_one_token_calls(model):
     contexts of one-token calls, and the shorter row keeps its last state."""
     dec = model.forward_decoder
     H, h_mean = encode([[4, 6, 5]], model.encoder)
-    keys = attention_keys(H, dec)
     s0 = init_decoder_state(h_mean, dec)
-    out = decode_step([[7, 4, 8]], s0, H, keys, dec, [3])
+    out = decode_step([[7, 4, 8]], s0, H, dec, [3])
     state = s0
     for t, tok in enumerate([7, 4, 8]):
-        one = decode_step([[tok]], state, H, keys, dec, [3])
+        one = decode_step([[tok]], state, H, dec, [3])
         assert np.array_equal(out.data[t], one.data[0])
         state = ad.Tensor(one.data[:, STATE])
     rows = ad.stack([s0, state])
-    ragged = decode_step([[7, 4, 8], [5]], rows, H, keys, dec, [3])
-    five = decode_step([[5]], state, H, keys, dec, [3])
+    ragged = decode_step([[7, 4, 8], [5]], rows, H, dec, [3])
+    five = decode_step([[5]], state, H, dec, [3])
     assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
     assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
     assert np.array_equal(ragged.data[4:, STATE], np.tile(ragged.data[3, STATE], (2, 1)))
@@ -394,7 +391,7 @@ def test_decode_step_rows_are_the_output_layers_input(model):
     dec = model.backward_decoder
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), H, attention_keys(H, dec), dec, [3])
+    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), H, dec, [3])
     ids = [7, 4, 8, 5, PAD_ID, PAD_ID]
     assert np.array_equal(rows.data[:, EMBEDDING], dec.embedding.data[ids])
     state, context = ad.Tensor(rows.data[:, STATE]), ad.Tensor(rows.data[:, CONTEXT])
@@ -414,11 +411,10 @@ def batch_inputs(model, seed=4, rows=4):
 def test_decode_step_rows_equal_one_row_calls(model, side):
     dec = getattr(model, f"{side}_decoder")
     H, states, tokens = batch_inputs(model)
-    keys = attention_keys(H, dec)
-    s_all, logits_all = step_with_logits(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, keys, dec)
+    s_all, logits_all = step_with_logits(tokens + [tokens[0]], ad.stack([states, ad.take_rows(states, [0])]), H, dec)
     assert s_all.shape == (5, 3) and logits_all.shape == (5, TINY.vocab_size)
     for b, tok in enumerate(tokens):
-        s_one, logits_one = step_with_logits([tok], ad.take_rows(states, [b]), H, keys, dec)
+        s_one, logits_one = step_with_logits([tok], ad.take_rows(states, [b]), H, dec)
         assert np.allclose(s_all.data[b], s_one.data[0], rtol=0, atol=1e-12)
         assert np.allclose(logits_all.data[b], logits_one.data[0], rtol=0, atol=1e-12)
     assert np.allclose(s_all.data[4], s_all.data[0], rtol=0, atol=1e-12)  # a repeated row
@@ -427,11 +423,10 @@ def test_decode_step_rows_equal_one_row_calls(model, side):
 def test_attend_rows_equal_one_row_calls_and_oracle(model):
     dec = model.backward_decoder
     H, states, _ = batch_inputs(model, seed=6)
-    keys = attention_keys(H, dec)
-    context, alpha = attend(states, H, keys, dec)
+    context, alpha = attend(states, H, dec)
     att = decoder_as_dict(dec)["att"]
     for b in range(states.shape[0]):
-        ctx_one, alpha_one = attend(ad.take_rows(states, [b]), H, keys, dec)
+        ctx_one, alpha_one = attend(ad.take_rows(states, [b]), H, dec)
         assert np.allclose(context.data[b], ctx_one.data[0], rtol=0, atol=1e-12)
         assert np.allclose(alpha[b], alpha_one[0], rtol=0, atol=1e-12)
         ctx_o, alpha_o = attention_loops(states.data[b].tolist(), H.data.tolist(), att)
@@ -450,7 +445,7 @@ def test_gru_step_rows_match_scalar_loop_oracle(model):
         assert np.allclose(h.data[b], want, rtol=0, atol=1e-12)
 
 
-def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, whole_w=False):
+def decode_step_composed(prev_tokens, s_prev, annotations, dec, whole_w=False):
     """One-token `decode_step`'s rows [embedding; state; context], with the GRU step
     and the attention read composed of primitive ops. Each row's read of
     the source is its own one-row product, as in `decoder_scan`, where
@@ -458,8 +453,10 @@ def decode_step_composed(prev_tokens, s_prev, annotations, keys, dec, whole_w=Fa
     associated as in `decoder_scan`: the embedding half e_prev @ w[:, :E].T
     + b plus each row's read of the annotations mapped by the context
     weights w[:, E:]. With whole_w it is associated as an earlier design
-    did: [embedding; context] through the whole w."""
+    did: [embedding; context] through the whole w. The attention keys are
+    one `affine` map of the annotations."""
     e_prev = ad.take_rows(dec.embedding, prev_tokens)
+    keys = ad.affine(annotations, dec.att_u, dec.att_b)
     _, alpha = attention_composed(s_prev, keys, annotations, dec.att_w, dec.att_v)
 
     def read(rows):
@@ -488,8 +485,8 @@ def test_decode_step_equals_composed_oracle(model, rows):
     leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
     runs = []
 
-    def one_token_step(tokens, s_prev, annotations, keys, dec):
-        return decode_step([[tok] for tok in tokens], s_prev, annotations, keys, dec, [annotations.shape[0]])
+    def one_token_step(tokens, s_prev, annotations, dec):
+        return decode_step([[tok] for tok in tokens], s_prev, annotations, dec, [annotations.shape[0]])
 
     def whole_w_composed(*args):
         return decode_step_composed(*args, whole_w=True)
@@ -498,7 +495,7 @@ def test_decode_step_equals_composed_oracle(model, rows):
         for t in leaves:
             t.zero_grad()
         with ad.Tape() as tape:
-            s1 = step(tokens, states, annotations, attention_keys(annotations, dec), dec)
+            s1 = step(tokens, states, annotations, dec)
             tape.backward(tsum(mul(s1, weights)))
         runs.append((s1.data, [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]))
     (got, got_grads), (want, want_grads), (earlier, earlier_grads) = runs
@@ -515,13 +512,12 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
     for three: a split of the scan fails this."""
     dec = model.backward_decoder
     H, states, tokens = batch_inputs(model, seed=14, rows=rows)
-    keys = attention_keys(H, dec)
     calls = []
     real = ad._emit
     monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
     for width in (1, 3):
         calls.clear()
-        out = decode_step([[tok] * width for tok in tokens], states, H, keys, dec, [H.shape[0]])
+        out = decode_step([[tok] * width for tok in tokens], states, H, dec, [H.shape[0]])
         assert len(calls) == 2
         assert out.shape == (rows * width, 11)
 
@@ -535,15 +531,14 @@ def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
     net = Seq2SeqModel.create(cfg, seed=7)
     dec = getattr(net, f"{side}_decoder")
     H, _ = encode([[4, 6, 5, 8, 7]], net.encoder)
-    keys = attention_keys(H, dec)
-    stage = decoder_stage(H, keys, dec)
+    stage = decoder_stage(H, dec)
     rng = np.random.default_rng(15)
     state_cols = slice(cfg.embed_dim, cfg.embed_dim + cfg.hidden_dim)
     for rows in range(1, 7):
         states = rng.uniform(-1, 1, size=(rows, cfg.hidden_dim))
         tokens = [int(t) for t in rng.integers(0, cfg.vocab_size, size=rows)]
         got_states, got_log_probs = beam_step(stage, tokens, states, dec)
-        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), H, keys, dec, [H.shape[0]])
+        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), H, dec, [H.shape[0]])
         assert np.array_equal(got_states, out.data[:, state_cols])
         assert np.array_equal(got_log_probs, ad.log_softmax(output_logits(out, dec).data))
 
@@ -551,7 +546,7 @@ def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
 def test_beam_step_rejects_token_ids_out_of_range(model):
     dec = model.forward_decoder
     H, states, _ = batch_inputs(model, rows=2)
-    stage = decoder_stage(H, attention_keys(H, dec), dec)
+    stage = decoder_stage(H, dec)
     for tokens in ([], [4, TINY.vocab_size], [-1, 4]):
         with pytest.raises(ContractError):
             beam_step(stage, tokens, states.data[: len(tokens)], dec)
@@ -563,7 +558,7 @@ def test_decode_step_rows_gradcheck(model):
     states.requires_grad = True
 
     def loss():
-        s1, logits = step_with_logits(tokens, states, H, attention_keys(H, dec), dec)
+        s1, logits = step_with_logits(tokens, states, H, dec)
         return add(ad.nll(logits, [5, 6, 5]), tsum(mul(s1, s1)))
 
     params = [states, dec.embedding, dec.gru.w, dec.gru.u_zr, dec.gru.u_h, dec.gru.b,
@@ -604,7 +599,7 @@ def test_encode_decode_composite_gradcheck(model):
         H, h_mean = encode([source], model.encoder)
         dec = model.forward_decoder
         s0 = init_decoder_state(h_mean, dec)
-        s1, logits = step_with_logits([4], s0, H, attention_keys(H, dec), dec)
+        s1, logits = step_with_logits([4], s0, H, dec)
         return ad.nll(logits, [6])
 
     # full parameter sweep is covered by the acceptance suite; here spot-check
@@ -647,8 +642,8 @@ def test_checkpoint_identical_forward_values(tmp_path, model):
     H2, m2 = encode([[4, 5, 6]], loaded.encoder)
     assert np.array_equal(H1.data, H2.data)
     f1, f2 = model.forward_decoder, loaded.forward_decoder
-    s1, d1 = step_with_logits([4], init_decoder_state(m1, f1), H1, attention_keys(H1, f1), f1)
-    s2, d2 = step_with_logits([4], init_decoder_state(m2, f2), H2, attention_keys(H2, f2), f2)
+    s1, d1 = step_with_logits([4], init_decoder_state(m1, f1), H1, f1)
+    s2, d2 = step_with_logits([4], init_decoder_state(m2, f2), H2, f2)
     assert np.array_equal(d1.data, d2.data)
 
 

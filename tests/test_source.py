@@ -70,18 +70,18 @@ def test_package_module_breaks_lines_only_through_split_lines(path):
     assert splitlines_calls(path.read_text(encoding="utf-8")) == []
 
 
-def autodiff_reads(source):
-    """Names that source takes from `sentsimp.autodiff`: those its imports
+def module_reads(source, module):
+    """Names that source takes from `sentsimp.<module>`: those its imports
     name, and the attributes it reads of a name bound to the module."""
     tree = ast.parse(source)
     modules, names = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "sentsimp.autodiff"):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"sentsimp.{module}"):
             names |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module in (None, "sentsimp"):
-            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "autodiff"}
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == module}
         elif isinstance(node, ast.Import):
-            modules |= {alias.asname for alias in node.names if alias.name == "sentsimp.autodiff" and alias.asname}
+            modules |= {alias.asname for alias in node.names if alias.name == f"sentsimp.{module}" and alias.asname}
     reads = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
     return names | {n.attr for n in reads if n.value.id in modules}
 
@@ -93,20 +93,27 @@ def test_autodiff_read_finder_sees_imports_and_module_attributes():
         "def f(x):\n    return ad.affine(x, sa.tanh(x), corpus.stack) + ad.take_rows\n"
         "doc = 'ad.nll'\n"
     )
-    assert autodiff_reads(source) == {"Tensor", "log_softmax", "affine", "tanh", "take_rows"}
+    assert module_reads(source, "autodiff") == {"Tensor", "log_softmax", "affine", "tanh", "take_rows"}
+    assert module_reads(source, "corpus") == {"stack"}
 
 
-# perfbench's tracer reads it, to tell a taped call from an untaped one
-NOT_CALLED_IN_THE_PACKAGE = {"active_tape"}
-
-
-def test_every_public_autodiff_function_is_read_by_another_package_module():
-    """An op that only the tests use belongs in the test oracles."""
-    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+def public_functions_no_other_module_reads(module):
+    """The public module-level functions of `sentsimp.<module>` that no
+    other module of the package reads. One that only the tests use
+    belongs in the test oracles."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
     read = set()
     for path in SRC.glob("*.py"):
-        if path.name != "autodiff.py":
-            read |= autodiff_reads(path.read_text(encoding="utf-8"))
-    assert NOT_CALLED_IN_THE_PACKAGE <= public - read
-    assert sorted(public - read - NOT_CALLED_IN_THE_PACKAGE) == []
+        if path.name != f"{module}.py":
+            read |= module_reads(path.read_text(encoding="utf-8"), module)
+    return public - read
+
+
+def test_every_public_autodiff_function_is_read_by_another_package_module():
+    # perfbench's tracer reads active_tape, to tell a taped call from an untaped one
+    assert sorted(public_functions_no_other_module_reads("autodiff")) == ["active_tape"]
+
+
+def test_every_public_model_function_is_read_by_another_package_module():
+    assert sorted(public_functions_no_other_module_reads("model")) == []

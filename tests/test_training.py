@@ -494,15 +494,15 @@ def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
     """Ops recorded for one pair, whatever its source length n, target
     length m and constraint position: the encoder records 5 (the lookup,
     two input products, one `gru_scan` and the mean); each decoder
-    stage 7 (keys, the two ops of the initial state, the lookup of its
-    inputs and one `decoder_scan`, then one lookup of the scored steps'
-    rows [embedding; state; context] and one output product); one stack
-    and one nll score the logit rows of both stages."""
+    stage 6 (the two ops of the initial state, the lookup of its inputs
+    and one `decoder_scan`, then one lookup of the scored steps' rows
+    [embedding; state; context] and one output product); one stack and
+    one nll score the logit rows of both stages."""
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
     with Tape() as tape:
         training_loss([pair], [position], model)
-    assert len(tape) == 5 + 2 * 7 + 2
+    assert len(tape) == 5 + 2 * 6 + 2
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
