@@ -27,10 +27,12 @@ source, its shape checks passed, and its `step` is the body of
 `decoder_scan`'s loop on plain arrays, so the beam runs the same step
 once per iteration with no op around it. Gradients are recorded on an
 explicit :class:`Tape` that is rebuilt every forward pass, so
-variable-length sequences need no static graph. With no tape active the
-same functions run as plain numpy computations, which is how decoding
-and validation execute; the scans then keep no intermediates for a
-backward pass.
+variable-length sequences need no static graph. An open tape records
+every op run under it, and its backward pass gives a gradient to every
+leaf the loss reaches; there is no per-tensor switch. With no tape open
+the same functions run as plain numpy computations, which is how
+decoding and validation execute; the scans then keep no intermediates
+for a backward pass.
 
 Every op states its backward pass as a function of its output's adjoint
 g that returns, per input, None, a :class:`RowGrad`, or a new array: one
@@ -81,27 +83,25 @@ def active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping.
+    """A dense float64 array plus its gradient.
 
     `grad` is populated by :meth:`Tape.backward` for every leaf (a tensor
-    that no recorded op produced, such as a parameter) with `requires_grad`
-    that the loss depends on; repeated backward calls accumulate until
-    :meth:`zero_grad`. An op's output gets no `grad`: the walk frees its
-    adjoint once it has passed it on to the op's inputs.
+    that no recorded op produced, such as a parameter) that the loss
+    depends on; repeated backward calls accumulate until :meth:`zero_grad`.
+    An op's output gets no `grad`: the walk frees its adjoint once it has
+    passed it on to the op's inputs.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.array(data, dtype=np.float64, order="C")
-        self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
 
     @classmethod
-    def _wrap(cls, data: Array, requires_grad: bool) -> "Tensor":
+    def _wrap(cls, data: Array) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = requires_grad
         out.grad = None
         return out
 
@@ -122,7 +122,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _weight_grad(g: Array, x: Array) -> Array:
@@ -146,10 +146,9 @@ class RowGrad:
 class Tape:
     """Ordered record of executed operations, for reverse-order traversal.
 
-    Use as a context manager; ops executed inside record themselves when any
-    input requires a gradient. `backward(loss)` walks the record in exact
-    reverse execution order and accumulates gradients into `.grad` of every
-    requires_grad leaf reachable from the loss.
+    Use as a context manager; every op executed inside records itself.
+    `backward(loss)` walks the record in exact reverse execution order and
+    accumulates gradients into `.grad` of every leaf reachable from the loss.
     """
 
     def __init__(self):
@@ -172,8 +171,8 @@ class Tape:
         self._output_ids.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
-        """Add d loss / d t to `t.grad` for every requires_grad leaf t that
-        the loss depends on through this tape.
+        """Add d loss / d t to `t.grad` for every leaf t that the loss
+        depends on through this tape.
 
         Each input's gradient has one slot: a leaf's (no record produced it,
         e.g. a parameter) is its `.grad`, an intermediate's the walk's
@@ -181,7 +180,7 @@ class Tape:
         later arrays are added into it in place; a :class:`RowGrad` is
         scattered into the slot, which starts as zeros. No copy is needed,
         since every array a backward function returns is its own (see
-        :func:`_emit`). A leaf without `requires_grad` gets nothing.
+        :func:`_emit`).
         """
         if loss.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -198,8 +197,6 @@ class Tape:
                     continue
                 key = id(inp)
                 leaf = key not in self._output_ids
-                if leaf and not inp.requires_grad:
-                    continue
                 slot = inp.grad if leaf else adjoints.get(key)
                 if type(grad) is RowGrad:
                     if slot is None:
@@ -220,8 +217,8 @@ def _emit(
     inputs: tuple[Tensor, ...],
     backward_fn: Callable[[Array], Sequence[Array | RowGrad | None]],
 ) -> Tensor:
-    """The tensor of an op's output data, recorded on the active tape when
-    an input requires a gradient.
+    """The tensor of an op's output data, recorded on the active tape if
+    one is open.
 
     backward_fn maps the output's adjoint g to one item per input: None (no
     gradient), a :class:`RowGrad` (whose rows the walk only reads), or a new
@@ -229,14 +226,12 @@ def _emit(
     with no tensor's data. :meth:`Tape.backward` sums into such an array in
     place, so every op must keep this rule.
     """
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(data, requires)
-    if requires:
-        # the stack itself, not active_tape(): this runs for every op, and
-        # decoding runs every op with no tape open
-        tapes = _STACKS.tapes
-        if tapes:
-            tapes[-1]._record(out, inputs, backward_fn)
+    out = Tensor._wrap(data)
+    # the stack itself, not active_tape(): this runs for every op, and
+    # decoding runs every op with no tape open
+    tapes = _STACKS.tapes
+    if tapes:
+        tapes[-1]._record(out, inputs, backward_fn)
     return out
 
 
@@ -384,13 +379,6 @@ def take_rows(m: Tensor, ids: Sequence[int]) -> Tensor:
     return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
 
 
-
-def _recording(inputs: tuple[Tensor, ...]) -> bool:
-    """Whether `_emit` will record an op on these inputs, so that its
-    backward pass needs the forward pass's intermediates."""
-    return bool(_STACKS.tapes) and any(t.requires_grad for t in inputs)
-
-
 def _gru_update(h0: Array, gx: Array, u_zr: Array, u_h: Array, live: Array | None):
     """One GRU update of the states h0 (..., B, dim) by the input
     pre-activations gx (..., B, 3dim): h = (1 - z) * h0 + z * tanh(gx_h +
@@ -479,7 +467,7 @@ def gru_scan(
     u_zr = np.stack([fwd_u_zr.data, bwd_u_zr.data])
     u_h = np.stack([fwd_u_h.data, bwd_u_h.data])
     live = None if real is None else np.stack([real, real[:, ::-1]])[..., None]  # (2, B, n, 1), by step
-    keep = _recording(inputs)
+    keep = bool(_STACKS.tapes)  # an open tape records this op, whose backward needs the steps
     saved = []
     # per step i, both directions' inputs side by side: the forward one's
     # position i and the backward one's position n - 1 - i
@@ -653,7 +641,7 @@ def decoder_scan(
     w_e, w_c = w.data[:, :emb], w.data[:, emb:]
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
     inputs = (e, s0, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, annotations)
-    keep = _recording(inputs)
+    keep = bool(_STACKS.tapes)  # an open tape records this op, whose backward needs the steps
     saved = []
     x_in = e.data.reshape(rows, T, emb)
     state_cols, context_cols = slice(emb, emb + d), slice(emb + d, None)

@@ -112,8 +112,6 @@ class Vocabulary:
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
     """Keep the (max_size - 4) most frequent tokens; ties break lexicographically."""
-    if max_size <= NUM_SPECIALS:
-        raise ContractError(f"max_size must exceed {NUM_SPECIALS}, got {max_size}")
     counts: dict[str, int] = {}
     for seq in corpus:
         for tok in seq:

@@ -106,10 +106,6 @@ def _draw(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
 
-def _param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
 def _gru_params(rng, dim: int, emb: int, ctx: int = 0) -> GruParams:
     """Draws the input weights, the recurrent weights, then (for a decoder)
     the ctx-wide context weights, each stacked over the three gates."""
@@ -118,26 +114,26 @@ def _gru_params(rng, dim: int, emb: int, ctx: int = 0) -> GruParams:
     if ctx:
         w = np.hstack([w, _draw(rng, (3 * dim, ctx))])
     return GruParams(
-        w=_param(w),
-        u_zr=_param(u[: 2 * dim]),
-        u_h=_param(u[2 * dim :]),
-        b=_param(np.zeros(3 * dim)),
+        w=Tensor(w),
+        u_zr=Tensor(u[: 2 * dim]),
+        u_h=Tensor(u[2 * dim :]),
+        b=Tensor(np.zeros(3 * dim)),
     )
 
 
 def _decoder_params(rng, cfg: ModelConfig) -> DecoderParams:
     v, e, d = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
     return DecoderParams(
-        embedding=_param(_draw(rng, (v, e))),
+        embedding=Tensor(_draw(rng, (v, e))),
         gru=_gru_params(rng, d, e, ctx=2 * d),
-        att_w=_param(_draw(rng, (d, d))),
-        att_u=_param(_draw(rng, (d, 2 * d))),
-        att_v=_param(_draw(rng, (d,))),
-        att_b=_param(np.zeros(d)),
-        init_w=_param(_draw(rng, (d, 2 * d))),
-        init_b=_param(np.zeros(d)),
-        out_w=_param(_draw(rng, (v, e + 3 * d))),
-        out_b=_param(np.zeros(v)),
+        att_w=Tensor(_draw(rng, (d, d))),
+        att_u=Tensor(_draw(rng, (d, 2 * d))),
+        att_v=Tensor(_draw(rng, (d,))),
+        att_b=Tensor(np.zeros(d)),
+        init_w=Tensor(_draw(rng, (d, 2 * d))),
+        init_b=Tensor(np.zeros(d)),
+        out_w=Tensor(_draw(rng, (v, e + 3 * d))),
+        out_b=Tensor(np.zeros(v)),
     )
 
 
@@ -162,7 +158,7 @@ class Seq2SeqModel:
         rng = np.random.default_rng(seed)
         d, e = config.hidden_dim, config.embed_dim
         encoder = EncoderParams(
-            embedding=_param(_draw(rng, (config.vocab_size, e))),
+            embedding=Tensor(_draw(rng, (config.vocab_size, e))),
             fwd=_gru_params(rng, d, e),
             bwd=_gru_params(rng, d, e),
         )

@@ -556,7 +556,7 @@ def backward_dense(tape, loss):
             continue
         out.grad = out_adj if out.grad is None else out.grad + out_adj
         for inp, grad in zip(inputs, backward_fn(out_adj)):
-            if grad is None or not (inp.requires_grad or id(inp) in tape._output_ids):
+            if grad is None:
                 continue
             if isinstance(grad, ad.RowGrad):
                 rows = grad
@@ -570,8 +570,7 @@ def backward_dense(tape, loss):
                 holders[key] = inp
     for key, adj in adjoints.items():
         leaf = holders[key]
-        if leaf.requires_grad:
-            leaf.grad = adj if leaf.grad is None else leaf.grad + adj
+        leaf.grad = adj if leaf.grad is None else leaf.grad + adj
 
 
 # ---------------------------------------------------------------- test-only autodiff ops
@@ -644,8 +643,8 @@ def segment(m, start, stop):
     return ad._emit(m.data[:, start:stop].copy(), (m,), back)
 
 
-def zeros(shape, requires_grad=False):
-    return ad.Tensor(np.zeros(shape), requires_grad)
+def zeros(shape):
+    return ad.Tensor(np.zeros(shape))
 
 
 def concat(parts):

@@ -35,7 +35,7 @@ from oracles import (
 
 def rnd(shape, seed=0):
     rng = np.random.default_rng(seed)
-    return ad.Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+    return ad.Tensor(rng.uniform(-1.0, 1.0, size=shape))
 
 
 # ---------------------------------------------------------------- matmul
@@ -531,7 +531,7 @@ def test_gru_scan_rows_of_a_padded_batch_equal_one_row_scans(half):
     d_gx, *d_weights = batch_grads[mine]
     summed = [np.zeros_like(d) for d in d_weights]
     for b, k in enumerate(lengths):
-        row = [ad.Tensor(t.data[b * n : b * n + k], requires_grad=True) for t in inputs[0::3]]
+        row = [ad.Tensor(t.data[b * n : b * n + k]) for t in inputs[0::3]]
         row_inputs = [row[0], *inputs[1:3], row[1], *inputs[4:6]]
         one, one_grads = values_and_gradients(lambda *a: ad.gru_scan(*a, [k]), row_inputs, ad.Tensor(weights[b, :k]))
         d_row, *d_row_weights = one_grads[mine]
@@ -602,7 +602,7 @@ def test_decoder_scan_equals_per_step_oracle(shared):
         block = 0 if shared else b
         m = source_lengths[block]
         real = slice(block * n, block * n + m)
-        row = [ad.Tensor(x, requires_grad=True) for x in (
+        row = [ad.Tensor(x) for x in (
             e.data[b * T : b * T + k], s0.data[b : b + 1], annotations.data[real]
         )]
         row_weights = ad.Tensor(weights[b, :k])
@@ -676,7 +676,7 @@ def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
     steps, n, T = [2, 4, 1], 3, 4
     inputs = decoder_scan_inputs(3, T, n, True, seed=180)
     copies = list(inputs)
-    copies[2] = ad.Tensor(np.tile(inputs[2].data, (3, 1)), requires_grad=True)
+    copies[2] = ad.Tensor(np.tile(inputs[2].data, (3, 1)))
     weights = ad.Tensor(np.random.default_rng(181).uniform(-1, 1, size=(3 * T, 10)))
     got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2])[0], inputs, weights)
     want, want_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2, 2, 2])[0], copies, weights)
@@ -774,7 +774,7 @@ def test_mean_rows_of_a_padded_batch_averages_each_blocks_real_rows():
 
 
 def test_backward_quadratic():
-    w = ad.Tensor([1.0, 2.0], requires_grad=True)
+    w = ad.Tensor([1.0, 2.0])
     with ad.Tape() as tape:
         loss = tsum(mul(w, w))
         tape.backward(loss)
@@ -782,7 +782,7 @@ def test_backward_quadratic():
 
 
 def test_backward_sigmoid_prime_at_zero():
-    w = ad.Tensor(0.0, requires_grad=True)
+    w = ad.Tensor(0.0)
     with ad.Tape() as tape:
         loss = sigmoid(w)
         tape.backward(loss)
@@ -790,7 +790,7 @@ def test_backward_sigmoid_prime_at_zero():
 
 
 def test_backward_rejects_non_scalar_loss():
-    w = ad.Tensor([1.0, 2.0], requires_grad=True)
+    w = ad.Tensor([1.0, 2.0])
     with ad.Tape() as tape:
         out = mul(w, w)
         with pytest.raises(ContractError):
@@ -798,7 +798,7 @@ def test_backward_rejects_non_scalar_loss():
 
 
 def test_backward_rejects_off_tape_loss():
-    w = ad.Tensor([1.0], requires_grad=True)
+    w = ad.Tensor([1.0])
     loss = tsum(mul(w, w))  # built with no tape active
     with ad.Tape() as tape:
         with pytest.raises(ContractError):
@@ -806,7 +806,7 @@ def test_backward_rejects_off_tape_loss():
 
 
 def test_repeated_backward_accumulates_until_cleared():
-    w = ad.Tensor([3.0], requires_grad=True)
+    w = ad.Tensor([3.0])
     with ad.Tape() as tape:
         loss = tsum(mul(w, w))
         tape.backward(loss)
@@ -817,7 +817,7 @@ def test_repeated_backward_accumulates_until_cleared():
 
 
 def test_fanout_accumulates_within_one_backward():
-    w = ad.Tensor([2.0], requires_grad=True)
+    w = ad.Tensor([2.0])
     with ad.Tape() as tape:
         y = mul(w, w)
         loss = tsum(add(y, y))  # d/dw of 2*w^2 = 4w
@@ -826,8 +826,8 @@ def test_fanout_accumulates_within_one_backward():
 
 
 def test_leaf_gradients_never_share_an_array():
-    a = ad.Tensor([1.0, 2.0], requires_grad=True)
-    b = ad.Tensor([3.0, 4.0], requires_grad=True)
+    a = ad.Tensor([1.0, 2.0])
+    b = ad.Tensor([3.0, 4.0])
     with ad.Tape() as tape:
         tape.backward(tsum(add(a, b)))
     assert a.grad is not b.grad
@@ -857,16 +857,21 @@ def test_leaf_with_deferred_and_dense_gradients_matches_dense_oracle():
     assert check_gradients(loss, [x, x1, w, b]) < 1e-4
 
 
-def test_frozen_weight_gets_no_gradient():
-    x, b = rnd((3, 4), seed=31), rnd((2,), seed=32)
-    for trainable in (False, True):
-        w = ad.Tensor(rnd((2, 4), seed=33).data, requires_grad=trainable)
-        x.zero_grad(), b.zero_grad()
-        with ad.Tape() as tape:
-            out = ad.affine(x, w, b)
-            tape.backward(tsum(mul(out, out)))
-        assert (w.grad is not None) == trainable
-        assert x.grad is not None and b.grad is not None
+def test_every_leaf_the_loss_reaches_gets_a_gradient():
+    """Every op run under an open tape is recorded, whatever its inputs, and
+    the walk gives `.grad` to each leaf the loss reaches and to no other."""
+    x, b, w, aside = rnd((3, 4), seed=31), rnd((2,), seed=32), rnd((2, 4), seed=33), rnd((2,), seed=34)
+    with ad.Tape() as tape:
+        out = ad.affine(x, w, b)
+        assert len(tape) == 1
+        mul(aside, aside)  # recorded, but the loss does not read it
+        assert len(tape) == 2
+        tape.backward(tsum(mul(out, out)))
+    g = out.data + out.data  # the adjoint of out, summed as the walk sums it
+    assert np.array_equal(x.grad, g @ w.data)
+    assert np.array_equal(w.grad, np.dot(g.T, x.data))
+    assert np.array_equal(b.grad, g.sum(axis=0))
+    assert aside.grad is None
 
 
 def test_take_rows_of_one_id_gives_exactly_the_adjoint_row():
@@ -980,7 +985,7 @@ def test_backward_returns_arrays_that_nothing_else_holds(op, shapes):
 
 
 def test_ops_record_on_the_innermost_tape_only():
-    w = ad.Tensor([1.0], requires_grad=True)
+    w = ad.Tensor([1.0])
     with ad.Tape() as outer:
         mul(w, w)
         with ad.Tape() as inner:
@@ -992,23 +997,22 @@ def test_ops_record_on_the_innermost_tape_only():
 
 
 def test_no_tape_means_no_recording():
-    w = ad.Tensor([1.0], requires_grad=True)
-    out = mul(w, w)
-    assert out.requires_grad
+    w = ad.Tensor([1.0])
+    mul(w, w)
     with ad.Tape() as tape:
         pass
     assert len(tape) == 0
 
 
 def test_only_leaves_get_grads():
-    """An op's output, though it requires a gradient, gets no `.grad`: the
-    walk frees its adjoint once passed on. The leaf below it gets its own."""
-    w = ad.Tensor([1.0, 2.0], requires_grad=True)
+    """An op's output gets no `.grad`: the walk frees its adjoint once
+    passed on. The leaf below it gets its own."""
+    w = ad.Tensor([1.0, 2.0])
     with ad.Tape() as tape:
         mid = mul(w, w)
         loss = tsum(mid)
         tape.backward(loss)
-    assert mid.requires_grad and mid.grad is None and loss.grad is None
+    assert mid.grad is None and loss.grad is None
     assert w.grad.tolist() == [2.0, 4.0]
 
 
@@ -1017,7 +1021,7 @@ def test_composite_gru_like_gradcheck():
     rng = np.random.default_rng(11)
     dim, emb = 3, 2
     params = {
-        name: ad.Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True)
+        name: ad.Tensor(rng.uniform(-0.5, 0.5, size=shape))
         for name, shape in [
             ("w_z", (emb, dim)), ("u_z", (dim, dim)), ("b_z", (1, dim)),
             ("w_r", (emb, dim)), ("u_r", (dim, dim)), ("b_r", (1, dim)),
@@ -1044,8 +1048,8 @@ def test_composite_gru_like_gradcheck():
 def test_tape_replay_determinism():
     def run():
         rng = np.random.default_rng(42)
-        x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
-        v = ad.Tensor(rng.uniform(-1, 1, size=(4, 1)), requires_grad=True)
+        x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)))
+        v = ad.Tensor(rng.uniform(-1, 1, size=(4, 1)))
         with ad.Tape() as tape:
             out = tsum(sigmoid(matmul(x, ad.tanh(v))))
             tape.backward(out)
@@ -1058,7 +1062,7 @@ def test_tape_replay_determinism():
 
 
 def test_finite_difference_harness_on_known_gradient():
-    w = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    w = ad.Tensor([1.0, -2.0, 0.5])
 
     def f():
         return tsum(mul(w, w))

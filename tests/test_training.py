@@ -29,7 +29,7 @@ TINY = ModelConfig(vocab_size=9, embed_dim=2, hidden_dim=3)
 
 
 def named_tensor(name, values):
-    t = Tensor(values, requires_grad=True)
+    t = Tensor(values)
     return name, t
 
 
