@@ -17,22 +17,22 @@ read, the GRU input product and the GRU update) over one source block per
 row or one block that every row reads, so a recurrence costs one
 dispatch and one tape record however long it is. A decoder step's output
 row is [embedding; state; context], the input of the model's output
-layer, so that layer is one affine map. Inside their time loops the scans
-do only the recurrent work: what does not depend on the step (each
-direction's inputs in step order, the decoder's attention keys and
-context weights applied to the source rows, the annotations' and
-embeddings' gradients) is done once per call, before or after the loop.
-A :class:`DecoderStage` holds what a decoder stage prepares once over its
-source, its shape checks passed, and its `step` is the body of
-`decoder_scan`'s loop on plain arrays, so the beam runs the same step
-once per iteration with no op around it. Gradients are recorded on an
-explicit :class:`Tape` that is rebuilt every forward pass, so
-variable-length sequences need no static graph. An open tape records
-every op run under it, and its backward pass gives a gradient to every
-leaf the loss reaches; there is no per-tensor switch. With no tape open
-the same functions run as plain numpy computations, which is how
-decoding and validation execute; the scans then keep no intermediates
-for a backward pass.
+layer, so that layer is one affine map. The encoder's inputs are put in
+step order once per call, before its loop. A :class:`DecoderStage` holds
+what a decoder prepares once over its source, its shape checks passed:
+the attention keys and the context weights applied to the source rows.
+Its `step` is the body of `decoder_scan`'s loop on plain arrays, so the
+beam runs the same step once per iteration with no op around it; per
+step it also takes the embedding half of the GRU input product, one
+product on that step's input rows. The scans' backward passes form the
+annotations' and embeddings' gradients once, after their loops.
+Gradients are recorded on an explicit :class:`Tape` that is rebuilt
+every forward pass, so variable-length sequences need no static graph.
+An open tape records every op run under it, and its backward pass gives
+a gradient to every leaf the loss reaches; there is no per-tensor
+switch. With no tape open the same functions run as plain numpy
+computations, which is how decoding and validation execute; the scans
+then keep no intermediates for a backward pass.
 
 Every op states its backward pass as a function of its output's adjoint
 g that returns, per input, None, a :class:`RowGrad`, or a new array: one
@@ -521,15 +521,20 @@ class DecoderStage:
     through the context half w_c = w[:, E:] of the GRU input weight w
     (3dim, E + width), ann_c = annotations @ w_c.T. att_u is (k, width),
     att_b and att_v (k,), att_w (k, dim), b (3dim,), u_zr (2dim, dim) and
-    u_h (dim, dim). Every argument is a plain array, kept as given: a
-    caller that changes one afterwards must build a new stage.
+    u_h (dim, dim). The arguments are Tensors, kept in that order as
+    `tensors` for `decoder_scan`'s inputs and backward pass; the stage
+    reads their data once, here. It is valid until that data changes (an
+    optimizer step updates it in place), so a stage serves one loss or one
+    search.
     """
 
-    __slots__ = ("dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t", "att_v",
+    __slots__ = ("tensors", "dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t", "att_v",
                  "w_e_t", "b", "u_zr", "u_h")
 
-    def __init__(self, annotations: Array, att_u: Array, att_b: Array, att_w: Array, att_v: Array, w: Array,
-                 b: Array, u_zr: Array, u_h: Array, source_lengths: Sequence[int]):
+    def __init__(self, annotations: Tensor, att_u: Tensor, att_b: Tensor, att_w: Tensor, att_v: Tensor, w: Tensor,
+                 b: Tensor, u_zr: Tensor, u_h: Tensor, source_lengths: Sequence[int]):
+        self.tensors = (annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h)
+        annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = (t.data for t in self.tensors)
         d = u_h.shape[0] if u_h.ndim == 2 else 0
         width = annotations.shape[-1] if annotations.ndim else 0
         emb = w.shape[1] - width if w.ndim == 2 else -1
@@ -538,9 +543,8 @@ class DecoderStage:
             or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],) or annotations.ndim != 2
             or att_u.shape != (att_w.shape[0], width) or att_b.shape != (att_w.shape[0],)
         ):
-            shapes = (annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h)
             raise DimensionError(f"decoder stage: annotations, att_u, att_b, att_w, att_v, w, b, u_zr and u_h"
-                                 f" {[x.shape for x in shapes]} disagree")
+                                 f" {[t.shape for t in self.tensors]} disagree")
         sources = len(source_lengths)
         n, real = _blocks(annotations.shape[0], [int(x) for x in source_lengths], "decoder stage")
         self.dim, self.emb, self.width, self.sources = d, emb, width, sources
@@ -572,38 +576,23 @@ class DecoderStage:
         return s, context, alpha, (hidden, saved)
 
 
-def decoder_scan(
-    e: Tensor,
-    s0: Tensor,
-    annotations: Tensor,
-    att_u: Tensor,
-    att_b: Tensor,
-    att_w: Tensor,
-    att_v: Tensor,
-    w: Tensor,
-    b: Tensor,
-    u_zr: Tensor,
-    u_h: Tensor,
-    steps: Sequence[int],
-    source_lengths: Sequence[int],
-) -> tuple[Tensor, Array]:
+def decoder_scan(e: Tensor, s0: Tensor, stage: DecoderStage, steps: Sequence[int]) -> tuple[Tensor, Array]:
     """A decoder stage over given inputs, fused into one op.
 
     Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
     step t reads e[b*T + t] (E wide), the embedding of the row's t-th
-    given token, where T is the longest row. The annotations and weights
-    make one :class:`DecoderStage`, whose `step` runs each step: the
-    additive-attention read by the state before it, the GRU input product
-    on [embedding; context] with w (3dim, E + width) and b (3dim,), and the
-    GRU update of `gru_scan`. The annotations hold one block per source
-    length, and there are B of them (a training batch: row b reads block b)
-    or one (a beam: every row reads block 0).
+    given token, where T is the longest row. The stage's `step` runs each
+    step: the additive-attention read by the state before it, the GRU
+    input product on [embedding; context] with w (3dim, E + width) and b
+    (3dim,), and the GRU update of `gru_scan`. The stage holds one
+    annotation block per source length, and there are B of them (a
+    training batch: row b reads block b) or one (a beam: every row reads
+    block 0). It has mapped the annotation rows once into the attention
+    keys and through the context weights w_c = w[:, E:], ann_c =
+    annotations @ w_c.T, so a step takes the context half of its GRU input
+    product as alpha @ ann_c (equal to context @ w_c.T) and adds it to the
+    embedding half e @ w[:, :E].T + b.
 
-    Only the recurrence runs per step: per call the stage maps the
-    annotation rows once into the attention keys and through the context
-    weights w_c = w[:, E:], ann_c = annotations @ w_c.T, so a step takes
-    the context half of its GRU input product as alpha @ ann_c (equal to
-    context @ w_c.T) and adds it to the embedding half e @ w[:, :E].T + b.
     The backward pass runs through time by hand; per step it takes the
     energies' adjoint from the context's adjoint and, through ann_c, from
     the GRU input's. After the loop, one product each gives the contexts'
@@ -613,8 +602,9 @@ def decoder_scan(
     (the GRU input's share plus the adjoint of the output's embedding
     columns); the gradient of each weight in a product is one product
     `g.T @ x`, all steps stacked, w's on the rows [embedding; context].
-    The annotations are listed twice among the op's inputs, as the memory
-    and as the keys' input, so the walk adds those two shares one at a time.
+    The op's inputs are e, s0 and the stage's tensors, with the
+    annotations listed once more at the end, as the keys' input, so the
+    walk adds their two shares one at a time.
 
     Returns the rows [embedding; state; context] (B*T, E + dim + width),
     row b*T + t holding step t's input row e[b*T + t] as given and the
@@ -629,8 +619,7 @@ def decoder_scan(
     T = max(steps)
     if s0.ndim != 2 or e.ndim != 2 or s0.shape[0] != rows or e.shape[0] != rows * T:
         raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit steps {steps}")
-    stage = DecoderStage(annotations.data, att_u.data, att_b.data, att_w.data, att_v.data, w.data, b.data,
-                         u_zr.data, u_h.data, source_lengths)
+    annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = stage.tensors
     d, width, emb, sources = stage.dim, stage.width, stage.emb, stage.sources
     if s0.shape[1] != d or e.shape[1] != emb:
         raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit w {w.shape}")
@@ -640,7 +629,7 @@ def decoder_scan(
     ann, ann_c = stage.ann, stage.ann_c
     w_e, w_c = w.data[:, :emb], w.data[:, emb:]
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
-    inputs = (e, s0, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, annotations)
+    inputs = (e, s0, *stage.tensors, annotations)
     keep = bool(_STACKS.tapes)  # an open tape records this op, whose backward needs the steps
     saved = []
     x_in = e.data.reshape(rows, T, emb)

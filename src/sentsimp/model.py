@@ -17,24 +17,24 @@ There is one GRU cell with its gate weights fused, and each recurrence is
 one autodiff op with a hand-written backward pass through time. Per
 call, the encoder computes each direction's input pre-activations of a
 whole batch in one product, and one `autodiff.gru_scan` steps both
-directions together. A decoder runs `autodiff.decoder_scan`: per call it
-maps the annotation rows once into the attention keys (the attention
-bias included, since the keys depend only on the annotations) and
-through the GRU's context weights, and per step it reads attention,
-takes the GRU input product of the previous token's embedding plus the
-attention-weighted sum of the mapped rows (the context's share of the
-product), and updates the state. `decode_step` runs T given steps of
-every row (teacher forcing a stage's whole given sequence) and returns
-one row [previous token's embedding; state; context] per step, the
-output layer's input (Bahdanau et al. 2015, appendix A.2.2);
-`output_logits`, one affine map, projects the rows of the steps it is
-given onto the vocabulary, so a teacher-forced step whose prediction
-nothing scores skips that product. The beam steps on plain arrays
-instead: `decoder_stage` prepares a stage over its one source once,
-keys and mapped rows alike, and each `beam_step` runs only the
-recurrence of that stage's step on one token per row, then the output
-layer and the log-softmax, bit for bit what `decode_step` and
-`output_logits` give, with no op dispatched. The model holds no
+directions together. A decoder runs on a `decoder_stage`, prepared once
+over its annotations: it maps the annotation rows into the attention
+keys (the attention bias included, since the keys depend only on the
+annotations) and through the GRU's context weights. Per step the stage
+reads attention, takes the GRU input product of the previous token's
+embedding plus the attention-weighted sum of the mapped rows (the
+context's share of the product), and updates the state. `decode_step`
+runs T given steps of every row as one `autodiff.decoder_scan` (teacher
+forcing a stage's whole given sequence) and returns one row [previous
+token's embedding; state; context] per step, the output layer's input
+(Bahdanau et al. 2015, appendix A.2.2); `output_logits`, one affine map,
+projects the rows of the steps it is given onto the vocabulary, so a
+teacher-forced step whose prediction nothing scores skips that product.
+Each `beam_step` runs the same stage's step on plain arrays, one token
+per row, then the output layer and the log-softmax, bit for bit what
+`decode_step` and `output_logits` give, with no op dispatched. A stage
+reads the parameters' data once, and Adadelta updates that data in
+place, so a stage serves one loss or one search. The model holds no
 decoding setting: the beam width and the length cap belong to
 `decoding.decode_multi`.
 """
@@ -221,32 +221,33 @@ def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
     return ad.tanh(ad.affine(h_mean, params.init_w, params.init_b))
 
 
+def decoder_stage(annotations: Tensor, params: DecoderParams, source_lengths: Sequence[int]) -> ad.DecoderStage:
+    """The stage of params's decoder over an `encode` batch of the sources
+    of source_lengths: B sources, one per row of a `decode_step`, or one
+    source that every row reads, as in a beam. It maps the annotations
+    into the attention keys once, for every `decode_step` and `beam_step`
+    run on it until an optimizer step changes the parameters."""
+    gru = params.gru
+    return ad.DecoderStage(
+        annotations, params.att_u, params.att_b, params.att_w, params.att_v, gru.w, gru.b, gru.u_zr, gru.u_h,
+        source_lengths,
+    )
+
+
 def decode_step(
-    tokens: Sequence[Sequence[int]],
-    s_prev: Tensor,
-    annotations: Tensor,
-    params: DecoderParams,
-    source_lengths: Sequence[int],
+    tokens: Sequence[Sequence[int]], s_prev: Tensor, stage: ad.DecoderStage, params: DecoderParams
 ) -> Tensor:
     """Decoder updates of B rows over given tokens: row b starts in state
     s_prev[b] (B, dim) and consumes tokens[b] in order, one step each, as
-    one `autodiff.decoder_scan`. With T the longest row, returns the rows
-    [embedding; state; context] (B*T, E + 3dim), row b*T + t holding the
-    embedding of token t and the state and context after it: the input of
-    `output_logits`, which only a step whose prediction is scored needs.
-    The state is columns E .. E + dim. A shorter row keeps its last state
-    over the rest.
-
-    The annotations are an `encode` batch of the sources of
-    source_lengths: B sources, one per row, or one source that every row
-    reads. The scan maps them into the attention keys once per call.
+    one `autodiff.decoder_scan` on stage, a `decoder_stage` of params.
+    With T the longest row, returns the rows [embedding; state; context]
+    (B*T, E + 3dim), row b*T + t holding the embedding of token t and the
+    state and context after it: the input of `output_logits`, which only
+    a step whose prediction is scored needs. The state is columns E .. E +
+    dim. A shorter row keeps its last state over the rest.
     """
     ids, lengths = _joined(tokens)
-    gru = params.gru
-    return ad.decoder_scan(
-        ad.take_rows(params.embedding, ids), s_prev, annotations, params.att_u, params.att_b, params.att_w,
-        params.att_v, gru.w, gru.b, gru.u_zr, gru.u_h, lengths, source_lengths,
-    )[0]
+    return ad.decoder_scan(ad.take_rows(params.embedding, ids), s_prev, stage, lengths)[0]
 
 
 def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
@@ -254,17 +255,6 @@ def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
     `decode_step`. Each row's next-token distribution is the softmax of its
     logits."""
     return ad.affine(rows, params.out_w, params.out_b)
-
-
-def decoder_stage(annotations: Tensor, params: DecoderParams) -> ad.DecoderStage:
-    """The stage of params's decoder over one `encode`d source, prepared
-    once for `beam_step`, attention keys included: every row of every step
-    reads that source's annotations (n x 2dim)."""
-    gru = params.gru
-    return ad.DecoderStage(
-        annotations.data, params.att_u.data, params.att_b.data, params.att_w.data, params.att_v.data,
-        gru.w.data, gru.b.data, gru.u_zr.data, gru.u_h.data, [annotations.shape[0]],
-    )
 
 
 def beam_step(

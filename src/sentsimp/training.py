@@ -34,6 +34,7 @@ from .lexsub import FrequencyTable, KnowledgeBase
 from .model import (
     Seq2SeqModel,
     decode_step,
+    decoder_stage,
     encode,
     init_decoder_state,
     output_logits,
@@ -56,11 +57,13 @@ def adadelta_step(
     rho: float,
     eps: float,
 ) -> None:
-    """One accumulate/update/accumulate cycle; every parameter has a grad."""
+    """One accumulate/update/accumulate cycle; every parameter has a grad.
+    A non-finite gradient raises TrainingError before anything changes."""
+    for name, param in named_params:
+        if not np.all(np.isfinite(param.grad)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
     for name, param in named_params:
         grad = param.grad
-        if not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
         sq = state.avg_sq_grad[name]
         sq *= rho
         sq += (1.0 - rho) * grad * grad
@@ -134,9 +137,9 @@ def training_loss(
     Backward: predict target[s-2]..target[0] then BOS from inputs starting
     at the constraint token. Forward: teacher-force BOS..target[s-1] without
     loss, then predict the remaining tokens and EOS. The batch is padded:
-    one `encode`, and per decoder stage one `decode_step` over every row's
-    inputs, one lookup of the scored steps' rows and one `output_logits`
-    over them.
+    one `encode`, and per decoder stage one `decoder_stage`, one
+    `decode_step` on it over every row's inputs, one lookup of the scored
+    steps' rows and one `output_logits` over them.
     """
     if len(pairs) != len(positions):
         raise ContractError(f"{len(pairs)} pairs but {len(positions)} constraint positions")
@@ -149,7 +152,7 @@ def training_loss(
 
     def stage_logits(params, inputs, scored_from):
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, annotations, params, source_lengths)
+        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths), params)
         steps = max(len(row) for row in inputs)
         scored = [b * steps + t for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
         return output_logits(ad.take_rows(rows, scored), params)

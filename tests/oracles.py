@@ -24,7 +24,7 @@ from sentsimp import autodiff as ad
 from sentsimp.corpus import BOS_ID, EOS_ID, PUNCTUATION, find_block
 from sentsimp.decoding import Hypothesis, beam_search
 from sentsimp.errors import DimensionError, NumericError
-from sentsimp.model import decode_step, encode, init_decoder_state, output_logits
+from sentsimp.model import decode_step, decoder_stage, encode, init_decoder_state, output_logits
 
 
 # ---------------------------------------------------------------- tensor math
@@ -318,11 +318,12 @@ def search_by_decode_step(encoded, params, given, boundary_id, max_new, beam_siz
     state_cols = slice(emb, emb + state.shape[1])
     source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], state, annotations, params, source_lengths)
+        rows = decode_step([given[:-1]], state, decoder_stage(annotations, params, source_lengths), params)
         state = ad.Tensor(rows.data[-1:, state_cols])
 
     def step(prev_tokens, states):
-        rows = decode_step([[tok] for tok in prev_tokens], ad.Tensor(states), annotations, params, source_lengths)
+        stage = decoder_stage(annotations, params, source_lengths)
+        rows = decode_step([[tok] for tok in prev_tokens], ad.Tensor(states), stage, params)
         return rows.data[:, state_cols], ad.log_softmax(output_logits(rows, params).data)
 
     return beam_search(step, state.data[0], given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
@@ -894,7 +895,7 @@ def training_loss_all_logits(pairs, positions, model):
 
     def stage_logits(params, inputs, scored_from):
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, annotations, params, source_lengths)
+        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths), params)
         steps = max(len(row) for row in inputs)
         every = [[b * steps + t for t in range(len(row))] for b, row in enumerate(inputs)]
         logits = []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sentsimp import autodiff as ad
 from sentsimp.errors import ContractError, DimensionError, NumericError
+from sentsimp.model import decoder_stage
 
 from gradcheck import check_gradients, finite_difference, max_relative_error
 from oracles import (
@@ -574,6 +575,13 @@ def decoder_scan_inputs(rows, steps, n, shared, seed):
     return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
 
 
+def scan(e, s0, *tensors, steps, source_lengths):
+    """`decoder_scan` of e and s0 on a stage built here from the
+    annotations and weights, so that a check which changes their data
+    between calls reaches the stage."""
+    return ad.decoder_scan(e, s0, ad.DecoderStage(*tensors, source_lengths), steps)
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "source-per-row"])
 def test_decoder_scan_equals_per_step_oracle(shared):
     """Rows of 4, 2 and 3 steps that all read one source of 2 of 3 rows,
@@ -593,7 +601,7 @@ def test_decoder_scan_equals_per_step_oracle(shared):
     weights = np.random.default_rng(111).uniform(-1, 1, size=(3, T, 10))
     weights[np.arange(T)[None, :] >= np.array(steps)[:, None]] = 0.0  # no loss past a row's last step
     got, got_grads = values_and_gradients(
-        lambda *a: ad.decoder_scan(*a, steps, source_lengths)[0], inputs, ad.Tensor(weights.reshape(-1, 10))
+        lambda *a: scan(*a, steps=steps, source_lengths=source_lengths)[0], inputs, ad.Tensor(weights.reshape(-1, 10))
     )
     got = got.reshape(3, T, 10)
     e, s0, annotations, *rest = inputs
@@ -606,7 +614,9 @@ def test_decoder_scan_equals_per_step_oracle(shared):
             e.data[b * T : b * T + k], s0.data[b : b + 1], annotations.data[real]
         )]
         row_weights = ad.Tensor(weights[b, :k])
-        one, one_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, [k], [m])[0], row + rest, row_weights)
+        one, one_grads = values_and_gradients(
+            lambda *a: scan(*a, steps=[k], source_lengths=[m])[0], row + rest, row_weights
+        )
         want, want_grads = values_and_gradients(decoder_scan_per_step, row + rest, row_weights)
         earlier = decoder_scan_per_step(*row, *rest, whole_w=True).data
         assert np.array_equal(one, want)
@@ -633,10 +643,8 @@ def test_decoder_stage_step_equals_one_token_scan_rows(dims, rows, source_length
     annotations = rng.uniform(-1, 1, size=(4, width))
     weights = [rng.uniform(-1, 1, size=shape) for shape in
                ((k, width), (k,), (k, d), (k,), (3 * d, emb + width), (3 * d,), (2 * d, d), (d, d))]
-    out, alpha = ad.decoder_scan(
-        *(ad.Tensor(x) for x in (e, s0, annotations, *weights)), [1] * rows, [source_length]
-    )
-    stage = ad.DecoderStage(annotations, *weights, [source_length])
+    stage = ad.DecoderStage(*(ad.Tensor(x) for x in (annotations, *weights)), [source_length])
+    out, alpha = ad.decoder_scan(ad.Tensor(e), ad.Tensor(s0), stage, [1] * rows)
     s, context, got_alpha, _ = stage.step(s0, e, None)
     assert np.array_equal(s, out.data[:, emb : emb + d])
     assert np.array_equal(context, out.data[:, emb + d :])
@@ -652,13 +660,13 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
     past its last step too."""
     steps, source_lengths, n, T = [2, 4, 1], [3, 1, 2], 3, 4
     e, s0, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
-    out, alpha = ad.decoder_scan(e, s0, annotations, *weights, steps, source_lengths)
+    out, alpha = scan(e, s0, annotations, *weights, steps=steps, source_lengths=source_lengths)
     out, alpha = out.data.reshape(3, T, 10), alpha.reshape(3, T, n)
     assert np.array_equal(out[:, :, :2], e.data.reshape(3, T, 2))
     for b, (k, m) in enumerate(zip(steps, source_lengths)):
-        one, one_alpha = ad.decoder_scan(
+        one, one_alpha = scan(
             ad.Tensor(e.data[b * T : b * T + k]), ad.Tensor(s0.data[b : b + 1]),
-            ad.Tensor(annotations.data[b * n : b * n + m]), *weights, [k], [m],
+            ad.Tensor(annotations.data[b * n : b * n + m]), *weights, steps=[k], source_lengths=[m],
         )
         assert np.allclose(out[b, :k], one.data, rtol=0, atol=1e-12)
         assert np.allclose(alpha[b, :k, :m], one_alpha, rtol=0, atol=1e-12)
@@ -678,10 +686,14 @@ def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
     copies = list(inputs)
     copies[2] = ad.Tensor(np.tile(inputs[2].data, (3, 1)))
     weights = ad.Tensor(np.random.default_rng(181).uniform(-1, 1, size=(3 * T, 10)))
-    got, got_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2])[0], inputs, weights)
-    want, want_grads = values_and_gradients(lambda *a: ad.decoder_scan(*a, steps, [2, 2, 2])[0], copies, weights)
-    got_alpha = ad.decoder_scan(*inputs, steps, [2])[1]
-    want_alpha = ad.decoder_scan(*copies, steps, [2, 2, 2])[1]
+    got, got_grads = values_and_gradients(
+        lambda *a: scan(*a, steps=steps, source_lengths=[2])[0], inputs, weights
+    )
+    want, want_grads = values_and_gradients(
+        lambda *a: scan(*a, steps=steps, source_lengths=[2, 2, 2])[0], copies, weights
+    )
+    got_alpha = scan(*inputs, steps=steps, source_lengths=[2])[1]
+    want_alpha = scan(*copies, steps=steps, source_lengths=[2, 2, 2])[1]
     assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(got_alpha - want_alpha)) <= 1e-15
     assert np.all(got_alpha[:, 2] == 0.0)
@@ -699,7 +711,7 @@ def test_decoder_scan_gradcheck(steps, source_lengths):
     weights = ad.Tensor(np.random.default_rng(131).uniform(-1, 1, size=(len(steps) * max(steps), 10)))
 
     def loss():
-        return tsum(mul(ad.decoder_scan(*inputs, steps, source_lengths)[0], weights))
+        return tsum(mul(scan(*inputs, steps=steps, source_lengths=source_lengths)[0], weights))
 
     assert check_gradients(loss, inputs) < 1e-4
 
@@ -708,7 +720,7 @@ def test_decoder_scan_rejects_a_nan_energy():
     inputs = decoder_scan_inputs(2, 2, 3, True, seed=140)
     inputs[3].data[1, 0] = np.nan  # att_u: every row's key in one column
     with pytest.raises(NumericError):
-        ad.decoder_scan(*inputs, [2, 2], [3])
+        scan(*inputs, steps=[2, 2], source_lengths=[3])
 
 
 @pytest.mark.parametrize(
@@ -719,24 +731,30 @@ def test_decoder_scan_rejects_a_nan_energy():
 def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths, error):
     """Wrong step counts or source lengths. Two rows with three lengths:
     the six annotation rows split into three blocks of 2, which each
-    length fits, but a source count must be 1 or the row count."""
+    length fits, but a source count must be 1 or the row count. Lengths
+    that do not split the annotations fail in the stage, so it is built
+    inside the check."""
     inputs = decoder_scan_inputs(2, 2, 3, len(source_lengths) == 1, seed=150)
     with pytest.raises(error):
-        ad.decoder_scan(*inputs, steps, source_lengths)
+        scan(*inputs, steps=steps, source_lengths=source_lengths)
 
 
 @pytest.mark.parametrize("position, shape", [(3, (4, 4)), (3, (5, 5)), (3, (4,)), (4, (5,)), (4, (4, 1))])
 def test_decoder_stage_and_scan_reject_a_mis_shaped_attention_key_map(position, shape):
     """att_u (4, 5) maps an annotation row (5 wide) to a key as wide as
     att_w's rows (4), and att_b (4,) is one bias per key column: a wrong
-    width, row count or rank of either raises in the stage and in the
-    scan."""
+    width, row count or rank of either raises in `DecoderStage` and in
+    `model.decoder_stage`, the stage's one builder, which is also the only
+    way a scan gets its weights."""
     inputs = decoder_scan_inputs(2, 2, 3, True, seed=160)
     inputs[position] = rnd(shape)
+    annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = inputs[2:]
     with pytest.raises(DimensionError):
-        ad.DecoderStage(*(t.data for t in inputs[2:]), [3])
+        ad.DecoderStage(*inputs[2:], [3])
+    params = SimpleNamespace(att_u=att_u, att_b=att_b, att_w=att_w, att_v=att_v,
+                             gru=SimpleNamespace(w=w, b=b, u_zr=u_zr, u_h=u_h))
     with pytest.raises(DimensionError):
-        ad.decoder_scan(*inputs, [2, 2], [3])
+        decoder_stage(annotations, params, [3])
 
 
 @pytest.mark.parametrize("position, shape", [(0, (4, 6)), (1, (3, 3)), (2, (6, 3)), (3, (2, 9)), (4, (6, 2)), (5, (2, 2))])
@@ -937,12 +955,12 @@ def backward_contract_cases():
         ("gru_scan-masked", lambda *a: ad.gru_scan(*a, [3, 2]), [(6, 9), (6, 3), (3, 3)] * 2),
         (
             "decoder_scan-shared-block",
-            lambda *a: ad.decoder_scan(*a, [3, 2], [2])[0],
+            lambda *a: scan(*a, steps=[3, 2], source_lengths=[2])[0],
             [t.shape for t in decoder_scan_inputs(2, 3, 3, True, seed=0)],
         ),
         (
             "decoder_scan-block-per-row",
-            lambda *a: ad.decoder_scan(*a, [3, 2], [3, 2])[0],
+            lambda *a: scan(*a, steps=[3, 2], source_lengths=[3, 2])[0],
             [t.shape for t in decoder_scan_inputs(2, 3, 3, False, seed=0)],
         ),
         ("matmul", matmul, [(3, 4), (4, 2)]),

@@ -379,16 +379,17 @@ def test_beam_steps_every_live_hypothesis_in_one_call():
 
 
 def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
-    """Each `_search` prepares one decoder stage for its beam, and each
-    beam iteration is one `beam_step`: one output-layer product and one
-    log-softmax. The teacher-forced steps are one `decode_step` per stage
-    with tokens to force, and no logits."""
+    """Each `_search` prepares one decoder stage, which its teacher-forced
+    prefix and its beam share: `autodiff.DecoderStage` is built once per
+    search. Each beam iteration is one `beam_step`: one output-layer
+    product and one log-softmax. The teacher-forced steps are one
+    `decode_step` per stage with tokens to force, and no logits."""
     import sentsimp.autodiff as autodiff
     import sentsimp.decoding as decoding
     import sentsimp.model as model
 
     calls = dict.fromkeys(("_search", "decoder_stage", "beam_step", "decode_step", "output_logits",
-                           "log_softmax", "beam_iteration"), 0)
+                           "log_softmax", "beam_iteration", "DecoderStage"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -406,10 +407,11 @@ def test_decode_multi_computes_logits_once_per_beam_iteration(monkeypatch):
         monkeypatch.setattr(decoding, name, counted(name, getattr(decoding, name)))
     monkeypatch.setattr(model, "output_logits", counted("output_logits", model.output_logits))
     monkeypatch.setattr(autodiff, "log_softmax", counted("log_softmax", autodiff.log_softmax))
+    monkeypatch.setattr(autodiff, "DecoderStage", counted("DecoderStage", autodiff.DecoderStage))
     monkeypatch.setattr(decoding, "beam_search", beam_search_counting_steps)
     result = decode_multi([4, 5, 6, 7], [[5, 6], [8]], random_model(8), beam_size=BEAM, max_decode_len=MAX_LEN)
     assert len(result.passes) == 2
-    assert calls["_search"] == calls["decoder_stage"] == 2 * len(result.passes)
+    assert calls["_search"] == calls["decoder_stage"] == calls["DecoderStage"] == 2 * len(result.passes)
     assert calls["beam_step"] == calls["log_softmax"] == calls["beam_iteration"] > 0
     assert calls["output_logits"] == 0
     # one teacher-forced call per stage with tokens to force: the backward

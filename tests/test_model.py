@@ -247,10 +247,8 @@ def attend(s, annotations, dec):
     """The attention read of the states s (B, dim) that the first step of a
     `decoder_scan` makes: the contexts (B, 2dim) and the weights (B, n)."""
     rows = s.shape[0]
-    out, alpha = ad.decoder_scan(
-        ad.take_rows(dec.embedding, [4] * rows), s, annotations, dec.att_u, dec.att_b, dec.att_w, dec.att_v,
-        dec.gru.w, dec.gru.b, dec.gru.u_zr, dec.gru.u_h, [1] * rows, [annotations.shape[0]],
-    )
+    stage = decoder_stage(annotations, dec, [annotations.shape[0]])
+    out, alpha = ad.decoder_scan(ad.take_rows(dec.embedding, [4] * rows), s, stage, [1] * rows)
     return ad.Tensor(out.data[:, CONTEXT]), alpha
 
 
@@ -304,8 +302,9 @@ def test_attend_permutation_covariant(model):
 def step_with_logits(tokens, s_prev, annotations, dec):
     """One `decode_step` of B rows, one token each, and `output_logits` of
     its rows, as the beam steps: the new states (B, dim) and the logits
-    (B, V)."""
-    rows = decode_step([[tok] for tok in tokens], s_prev, annotations, dec, [annotations.shape[0]])
+    (B, V). The stage is built here, so a gradient check that changes the
+    annotations or the weights between calls reaches it."""
+    rows = decode_step([[tok] for tok in tokens], s_prev, decoder_stage(annotations, dec, [annotations.shape[0]]), dec)
     return segment(rows, STATE.start, STATE.stop), output_logits(rows, dec)
 
 
@@ -350,7 +349,7 @@ def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([[5, 7, 4]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     tokens = [6, 4, 8]
-    rows = decode_step([tokens], s0, H, dec, [H.shape[0]])
+    rows = decode_step([tokens], s0, decoder_stage(H, dec, [H.shape[0]]), dec)
     dist = softmax(output_logits(rows, dec)).data
     state = s0.data[0].tolist()
     for t, tok in enumerate(tokens):
@@ -366,15 +365,16 @@ def test_decode_step_over_given_tokens_equals_one_token_calls(model):
     dec = model.forward_decoder
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    out = decode_step([[7, 4, 8]], s0, H, dec, [3])
+    stage = decoder_stage(H, dec, [3])
+    out = decode_step([[7, 4, 8]], s0, stage, dec)
     state = s0
     for t, tok in enumerate([7, 4, 8]):
-        one = decode_step([[tok]], state, H, dec, [3])
+        one = decode_step([[tok]], state, stage, dec)
         assert np.array_equal(out.data[t], one.data[0])
         state = ad.Tensor(one.data[:, STATE])
     rows = ad.stack([s0, state])
-    ragged = decode_step([[7, 4, 8], [5]], rows, H, dec, [3])
-    five = decode_step([[5]], state, H, dec, [3])
+    ragged = decode_step([[7, 4, 8], [5]], rows, stage, dec)
+    five = decode_step([[5]], state, stage, dec)
     assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
     assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
     assert np.array_equal(ragged.data[4:, STATE], np.tile(ragged.data[3, STATE], (2, 1)))
@@ -390,7 +390,7 @@ def test_decode_step_rows_are_the_output_layers_input(model):
     dec = model.backward_decoder
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), H, dec, [3])
+    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), decoder_stage(H, dec, [3]), dec)
     ids = [7, 4, 8, 5, PAD_ID, PAD_ID]
     assert np.array_equal(rows.data[:, EMBEDDING], dec.embedding.data[ids])
     state, context = ad.Tensor(rows.data[:, STATE]), ad.Tensor(rows.data[:, CONTEXT])
@@ -484,7 +484,8 @@ def test_decode_step_equals_composed_oracle(model, rows):
     runs = []
 
     def one_token_step(tokens, s_prev, annotations, dec):
-        return decode_step([[tok] for tok in tokens], s_prev, annotations, dec, [annotations.shape[0]])
+        stage = decoder_stage(annotations, dec, [annotations.shape[0]])
+        return decode_step([[tok] for tok in tokens], s_prev, stage, dec)
 
     def whole_w_composed(*args):
         return decode_step_composed(*args, whole_w=True)
@@ -513,9 +514,11 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
     calls = []
     real = ad._emit
     monkeypatch.setattr(ad, "_emit", lambda *args: calls.append(None) or real(*args))
+    stage = decoder_stage(H, dec, [H.shape[0]])
+    assert not calls
     for width in (1, 3):
         calls.clear()
-        out = decode_step([[tok] * width for tok in tokens], states, H, dec, [H.shape[0]])
+        out = decode_step([[tok] * width for tok in tokens], states, stage, dec)
         assert len(calls) == 2
         assert out.shape == (rows * width, 11)
 
@@ -524,19 +527,20 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
 @pytest.mark.parametrize("side", ["forward", "backward"])
 def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
     """`beam_step` on a `decoder_stage` against a one-token-per-row
-    `decode_step`, then `output_logits` and `log_softmax`, for 1 to 6 rows:
-    the new states and the log-probabilities bit for bit."""
+    `decode_step` on the same stage, then `output_logits` and
+    `log_softmax`, for 1 to 6 rows: the new states and the
+    log-probabilities bit for bit."""
     net = Seq2SeqModel.create(cfg, seed=7)
     dec = getattr(net, f"{side}_decoder")
     H, _ = encode([[4, 6, 5, 8, 7]], net.encoder)
-    stage = decoder_stage(H, dec)
+    stage = decoder_stage(H, dec, [H.shape[0]])
     rng = np.random.default_rng(15)
     state_cols = slice(cfg.embed_dim, cfg.embed_dim + cfg.hidden_dim)
     for rows in range(1, 7):
         states = rng.uniform(-1, 1, size=(rows, cfg.hidden_dim))
         tokens = [int(t) for t in rng.integers(0, cfg.vocab_size, size=rows)]
         got_states, got_log_probs = beam_step(stage, tokens, states, dec)
-        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), H, dec, [H.shape[0]])
+        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), stage, dec)
         assert np.array_equal(got_states, out.data[:, state_cols])
         assert np.array_equal(got_log_probs, ad.log_softmax(output_logits(out, dec).data))
 
@@ -544,7 +548,7 @@ def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
 def test_beam_step_rejects_token_ids_out_of_range(model):
     dec = model.forward_decoder
     H, states, _ = batch_inputs(model, rows=2)
-    stage = decoder_stage(H, dec)
+    stage = decoder_stage(H, dec, [H.shape[0]])
     for tokens in ([], [4, TINY.vocab_size], [-1, 4]):
         with pytest.raises(ContractError):
             beam_step(stage, tokens, states.data[: len(tokens)], dec)

@@ -122,3 +122,44 @@ def test_every_public_model_function_is_read_by_another_package_module():
 @pytest.mark.parametrize("module", ["corpus", "lexsub", "pipeline"])
 def test_every_public_function_is_read_by_another_package_module(module):
     assert sorted(public_functions_no_other_module_reads(module)) == []
+
+
+def callers_of(source, name):
+    """For each call `name(...)` or `x.name(...)` in source, the dotted name
+    of the functions and classes around it ("" at module level)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if func.id == name if isinstance(func, ast.Name) else getattr(func, "attr", None) == name:
+                    found.append(".".join(where))
+            visit(child, where)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_caller_finder_names_the_enclosing_function():
+    source = (
+        "x = A()\n"
+        "class K:\n    def m(self):\n        return ad.A(f(A))\n"
+        "def g():\n    def h():\n        return A\n    return 'A()', B(A())\n"
+    )
+    assert callers_of(source, "A") == ["", "K.m", "g"]
+
+
+def test_decoder_stage_is_built_only_by_model_decoder_stage():
+    """`model.decoder_stage` is the one place that prepares a decoder
+    stage; training, the teacher-forced prefix and the beam take theirs
+    from it, so a loss or a search prepares its source once per decoder."""
+    sites = [
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in callers_of(path.read_text(encoding="utf-8"), "DecoderStage")
+    ]
+    assert sites == ["model.decoder_stage"]

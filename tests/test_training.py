@@ -87,6 +87,27 @@ def test_adadelta_rejects_nonfinite_gradient():
     assert "bad_param" in str(err.value)
 
 
+def test_adadelta_refused_step_changes_nothing():
+    """A non-finite gradient of a later parameter is refused before an
+    earlier parameter is updated: every parameter and both accumulators
+    stay byte for byte as they were."""
+    named = [named_tensor("a", [1.0, -0.5]), named_tensor("b", [2.0])]
+    (_, a), (_, b) = named
+    state = AdadeltaState(named)
+    a.grad, b.grad = np.array([0.5, -0.25]), np.array([0.75])
+    adadelta_step(named, state, 0.95, 1e-6)  # accumulators away from zero
+
+    def snapshot():
+        accumulators = (state.avg_sq_grad, state.avg_sq_update)
+        return [t.data.tobytes() for _, t in named] + [acc[name].tobytes() for acc in accumulators for name, _ in named]
+
+    before = snapshot()
+    a.grad, b.grad = np.array([0.5, -0.25]), np.array([np.nan])
+    with pytest.raises(TrainingError, match="'b'"):
+        adadelta_step(named, state, 0.95, 1e-6)
+    assert snapshot() == before
+
+
 def test_clip_gradients_global_norm():
     _, a = named_tensor("a", [3.0, 0.0])
     _, b = named_tensor("b", [0.0, 4.0])
@@ -305,6 +326,27 @@ def test_training_loss_computes_logits_only_for_scored_steps(monkeypatch):
             training_loss([pair_of([4, 5], target)], [position], model)
             # one call per stage: m + 1 scored rows in all
             assert calls == [position, len(target) + 1 - position], (target, position)
+
+
+def test_training_loss_builds_one_stage_per_decoder(monkeypatch):
+    """One `training_loss` builds exactly two decoder stages, the backward
+    decoder's and then the forward decoder's, each over the batch's
+    annotations."""
+    import sentsimp.autodiff as autodiff
+
+    built = []
+    real = autodiff.DecoderStage
+
+    def building(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(autodiff, "DecoderStage", building)
+    model = Seq2SeqModel.create(TINY, seed=2)
+    training_loss([pair_of([4, 5], [6, 7, 8]), pair_of([6], [5, 4])], [2, 1], model)
+    assert len(built) == 2
+    for stage, dec in zip(built, (model.backward_decoder, model.forward_decoder)):
+        assert stage.tensors[1] is dec.att_u and stage.sources == 2
 
 
 def loss_and_gradients(model, loss_fn):
