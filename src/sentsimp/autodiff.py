@@ -12,20 +12,20 @@ block's real rows. Two fused ops cover the model's recurrent work, each
 one op per recurrence with a hand-written backward pass through time and
 per-row length masks: `gru_scan` runs a whole bidirectional GRU, both
 directions advanced by one stacked update per step, and `decoder_scan` a
-whole decoder stage over given inputs (per step an additive-attention
+whole decoder stage over given tokens (per step an additive-attention
 read, the GRU input product and the GRU update) over one source block per
 row or one block that every row reads, so a recurrence costs one
 dispatch and one tape record however long it is. A decoder step's output
 row is [embedding; state; context], the input of the model's output
 layer, so that layer is one affine map. The encoder's inputs are put in
 step order once per call, before its loop. A :class:`DecoderStage` holds
-what a decoder prepares once over its source, its shape checks passed:
+a decoder's embedding, whose rows `decoder_scan` and the beam look up by
+token id through it, and what the decoder prepares once over its source:
 the attention keys and the context weights applied to the source rows.
 Its `step` is the body of `decoder_scan`'s loop on plain arrays, so the
 beam runs the same step once per iteration with no op around it; per
-step it also takes the embedding half of the GRU input product, one
-product on that step's input rows. The scans' backward passes form the
-annotations' and embeddings' gradients once, after their loops.
+step it also takes the embedding half of the GRU input product. The
+scans form the annotations' and embedding rows' gradients after the loops.
 Gradients are recorded on an explicit :class:`Tape` that is rebuilt
 every forward pass, so variable-length sequences need no static graph.
 An open tape records every op run under it, and its backward pass gives
@@ -40,11 +40,11 @@ that shares memory with no other array it returns, with g, and with no
 tensor's data (see :func:`_emit`). A weight gradient is the one product
 `g.T @ x` of the output adjoint and the input rows (a scan's, every step's
 rows stacked, so a recurrence's weight costs one matrix product, not one
-outer product per step). The gradient of `take_rows` stays sparse: its
-backward returns the adjoint rows and their ids as a :class:`RowGrad`, which
-:meth:`Tape.backward` scatters into the input's gradient, so an embedding
-lookup or a one-row read costs the rows it touched, not a zero matrix the
-size of the whole input. Because no array reaches the walk twice,
+outer product per step). A lookup's gradient stays sparse: `take_rows`,
+and `decoder_scan` for its embedding, return the adjoint rows and their
+ids as a :class:`RowGrad`, which :meth:`Tape.backward` scatters into the
+input's gradient, so a lookup costs the rows it touched, not a zero matrix
+the size of the whole input. Because no array reaches the walk twice,
 :meth:`Tape.backward` sums every gradient in place and makes no copy, and
 each leaf's gradient is its own array, so scaling one in place (as
 gradient clipping does) never changes another.
@@ -512,10 +512,11 @@ class DecoderStage:
     """A decoder stage prepared once over its source, for `step` to run
     only the recurrence.
 
-    annotations (m, width) hold one block of n = m / S rows for each of
-    the S source lengths; the B rows of a step read block b each (S = B)
-    or all read block 0 (S = 1), by broadcasting, with no copy. A row
-    reads as many rows of its block as the block's length; the others get
+    embedding (V, E) holds the decoder's input rows, which `lookup` reads
+    by token id. annotations (m, width) hold one block of n = m / S rows
+    for each of the S source lengths; the B rows of a step read block b
+    each (S = B) or all read block 0 (S = 1), by broadcasting. A row reads
+    as many rows of its block as the block's length; the others get
     weight exactly 0. The stage maps the annotation rows once into the
     attention keys, annotations @ att_u.T + att_b (U_a h_j + b_a), and
     through the context half w_c = w[:, E:] of the GRU input weight w
@@ -523,18 +524,17 @@ class DecoderStage:
     att_b and att_v (k,), att_w (k, dim), b (3dim,), u_zr (2dim, dim) and
     u_h (dim, dim). The arguments are Tensors, kept in that order as
     `tensors` for `decoder_scan`'s inputs and backward pass; the stage
-    reads their data once, here. It is valid until that data changes (an
-    optimizer step updates it in place), so a stage serves one loss or one
-    search.
+    reads their data once, here, and is valid until that data changes (an
+    optimizer step does so in place): it serves one loss or one search.
     """
 
-    __slots__ = ("tensors", "dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t", "att_v",
-                 "w_e_t", "b", "u_zr", "u_h")
+    __slots__ = ("tensors", "embedding", "dim", "emb", "width", "sources", "pad", "keys", "ann", "ann_c", "att_w_t",
+                 "att_v", "w_e_t", "b", "u_zr", "u_h")
 
-    def __init__(self, annotations: Tensor, att_u: Tensor, att_b: Tensor, att_w: Tensor, att_v: Tensor, w: Tensor,
-                 b: Tensor, u_zr: Tensor, u_h: Tensor, source_lengths: Sequence[int]):
-        self.tensors = (annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h)
-        annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = (t.data for t in self.tensors)
+    def __init__(self, embedding: Tensor, annotations: Tensor, att_u: Tensor, att_b: Tensor, att_w: Tensor,
+                 att_v: Tensor, w: Tensor, b: Tensor, u_zr: Tensor, u_h: Tensor, source_lengths: Sequence[int]):
+        self.tensors = (embedding, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h)
+        embedding, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = (t.data for t in self.tensors)
         d = u_h.shape[0] if u_h.ndim == 2 else 0
         width = annotations.shape[-1] if annotations.ndim else 0
         emb = w.shape[1] - width if w.ndim == 2 else -1
@@ -542,18 +542,25 @@ class DecoderStage:
             u_h.shape != (d, d) or u_zr.shape != (2 * d, d) or emb < 0 or w.shape[0] != 3 * d or b.shape != (3 * d,)
             or att_w.ndim != 2 or att_w.shape[1] != d or att_v.shape != (att_w.shape[0],) or annotations.ndim != 2
             or att_u.shape != (att_w.shape[0], width) or att_b.shape != (att_w.shape[0],)
+            or embedding.ndim != 2 or embedding.shape[1] != emb
         ):
-            raise DimensionError(f"decoder stage: annotations, att_u, att_b, att_w, att_v, w, b, u_zr and u_h"
-                                 f" {[t.shape for t in self.tensors]} disagree")
+            raise DimensionError(f"decoder stage: embedding, annotations, att_u, att_b, att_w, att_v, w, b, u_zr and"
+                                 f" u_h {[t.shape for t in self.tensors]} disagree")
         sources = len(source_lengths)
         n, real = _blocks(annotations.shape[0], [int(x) for x in source_lengths], "decoder stage")
-        self.dim, self.emb, self.width, self.sources = d, emb, width, sources
+        self.embedding, self.dim, self.emb, self.width, self.sources = embedding, d, emb, width, sources
         self.pad = None if real is None else ~real
         self.keys = (annotations @ att_u.T + att_b).reshape(sources, n, -1)
         self.ann = annotations.reshape(sources, n, width)
         self.ann_c = (annotations @ w[:, emb:].T).reshape(sources, n, 3 * d)
         self.att_w_t, self.att_v = att_w.T, att_v
         self.w_e_t, self.b, self.u_zr, self.u_h = w[:, :emb].T, b, u_zr, u_h
+
+    def lookup(self, ids: list[int]) -> Array:
+        """The embedding rows of token ids, in order; no ids, or one out of range, raise ContractError."""
+        if not ids or min(ids) < 0 or max(ids) >= len(self.embedding):
+            raise ContractError(f"decoder stage: token ids {ids} empty or out of range for {len(self.embedding)} rows")
+        return self.embedding[ids]
 
     def step(self, s: Array, x: Array, live: Array | None):
         """One step of B rows from states s (B, dim) on input rows x (B, E):
@@ -576,38 +583,38 @@ class DecoderStage:
         return s, context, alpha, (hidden, saved)
 
 
-def decoder_scan(e: Tensor, s0: Tensor, stage: DecoderStage, steps: Sequence[int]) -> tuple[Tensor, Array]:
-    """A decoder stage over given inputs, fused into one op.
+def decoder_scan(ids: Sequence[int], s0: Tensor, stage: DecoderStage, steps: Sequence[int]) -> tuple[Tensor, Array]:
+    """A decoder stage over given tokens, fused into one op.
 
     Row b of B starts in state s0[b] (B, dim) and takes steps[b] steps;
-    step t reads e[b*T + t] (E wide), the embedding of the row's t-th
-    given token, where T is the longest row. The stage's `step` runs each
-    step: the additive-attention read by the state before it, the GRU
-    input product on [embedding; context] with w (3dim, E + width) and b
-    (3dim,), and the GRU update of `gru_scan`. The stage holds one
-    annotation block per source length, and there are B of them (a
-    training batch: row b reads block b) or one (a beam: every row reads
-    block 0). It has mapped the annotation rows once into the attention
-    keys and through the context weights w_c = w[:, E:], ann_c =
-    annotations @ w_c.T, so a step takes the context half of its GRU input
-    product as alpha @ ann_c (equal to context @ w_c.T) and adds it to the
-    embedding half e @ w[:, :E].T + b.
+    step t reads e[b*T + t], the stage's embedding row (E wide) of token
+    ids[b*T + t], where T is the longest row; the stage looks up all of
+    them once. Its `step` runs each step: the additive-attention read by
+    the state before it, the GRU input product on [embedding; context]
+    with w (3dim, E + width) and b (3dim,), and the GRU update of
+    `gru_scan`. The stage holds one annotation block per source length,
+    and there are B of them (a training batch: row b reads block b) or one
+    (a beam: every row reads block 0). It has mapped the annotation rows
+    once into the attention keys and through the context weights w_c =
+    w[:, E:], ann_c = annotations @ w_c.T, so a step adds the context half
+    of its GRU input product, alpha @ ann_c (equal to context @ w_c.T), to
+    the embedding half e @ w[:, :E].T + b.
 
     The backward pass runs through time by hand; per step it takes the
     energies' adjoint from the context's adjoint and, through ann_c, from
     the GRU input's. After the loop, one product each gives the contexts'
     adjoints (the output's plus the GRU input's through w_c), the
     annotations' gradient (alpha.T @ those adjoints, summed over the rows
-    of a shared block; the keys add theirs) and the embeddings' gradient
-    (the GRU input's share plus the adjoint of the output's embedding
-    columns); the gradient of each weight in a product is one product
-    `g.T @ x`, all steps stacked, w's on the rows [embedding; context].
-    The op's inputs are e, s0 and the stage's tensors, with the
-    annotations listed once more at the end, as the keys' input, so the
-    walk adds their two shares one at a time.
+    of a shared block; the keys add theirs) and the rows e's gradient (the
+    GRU input's share plus the adjoint of the output's embedding columns),
+    which the embedding gets as a `RowGrad` over ids; each weight in a
+    product gets one product `g.T @ x`, all steps stacked, w's on the rows
+    [embedding; context]. The op's inputs are s0 and the stage's tensors,
+    with the annotations listed once more at the end, as the keys' input,
+    so the walk adds their two shares one at a time.
 
     Returns the rows [embedding; state; context] (B*T, E + dim + width),
-    row b*T + t holding step t's input row e[b*T + t] as given and the
+    row b*T + t holding step t's embedding row e[b*T + t] and the
     state and context after the step, and the attention weights (B*T, n)
     as a plain array. Past its last step a row's state stays as it is.
     Non-finite energies raise NumericError.
@@ -617,22 +624,22 @@ def decoder_scan(e: Tensor, s0: Tensor, stage: DecoderStage, steps: Sequence[int
     if not steps or min(steps) < 1:
         raise ContractError(f"decoder_scan: step counts {steps} empty or below 1")
     T = max(steps)
-    if s0.ndim != 2 or e.ndim != 2 or s0.shape[0] != rows or e.shape[0] != rows * T:
-        raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit steps {steps}")
-    annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = stage.tensors
+    ids = [int(i) for i in ids]
+    x_in = stage.lookup(ids)  # numpy would wrap a negative id, so the lookup checks the range
+    _, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = stage.tensors
     d, width, emb, sources = stage.dim, stage.width, stage.emb, stage.sources
-    if s0.shape[1] != d or e.shape[1] != emb:
-        raise DimensionError(f"decoder_scan: inputs {e.shape} and states {s0.shape} do not fit w {w.shape}")
+    if s0.shape != (rows, d) or len(ids) != rows * T:
+        raise DimensionError(f"decoder_scan: {len(ids)} ids and states {s0.shape} do not fit steps {steps} and dim {d}")
     if sources not in (1, rows):
         raise DimensionError(f"decoder_scan: {sources} source lengths for {rows} rows")
     n, k = stage.keys.shape[1:]
     ann, ann_c = stage.ann, stage.ann_c
     w_e, w_c = w.data[:, :emb], w.data[:, emb:]
     live = None if min(steps) == T else np.arange(T)[None, :] < np.asarray(steps)[:, None]
-    inputs = (e, s0, *stage.tensors, annotations)
+    inputs = (s0, *stage.tensors, annotations)
     keep = bool(_STACKS.tapes)  # an open tape records this op, whose backward needs the steps
     saved = []
-    x_in = e.data.reshape(rows, T, emb)
+    x_in = x_in.reshape(rows, T, emb)
     state_cols, context_cols = slice(emb, emb + d), slice(emb + d, None)
     out = np.empty((rows, T, emb + d + width))
     out[:, :, :emb] = x_in
@@ -677,8 +684,8 @@ def decoder_scan(e: Tensor, s0: Tensor, stage: DecoderStage, steps: Sequence[int
         d_e += g[:, :, :emb].reshape(d_e.shape)
         rh = np.stack([step[2] for _, step in saved], axis=1).reshape(rows * T, d)
         return (
-            d_e,
             d_s,
+            RowGrad(ids, d_e),
             d_ann.reshape(sources, -1, n, width).sum(axis=1).reshape(annotations.shape),
             _weight_grad(d_keys, annotations.data),
             d_keys.sum(axis=0),

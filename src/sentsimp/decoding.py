@@ -12,13 +12,13 @@ each pass's output as the next pass's source.
 Beam search keeps one decoder-state row per hypothesis, a plain array,
 and advances every live hypothesis with one batched step per iteration
 (the batched-beam layout of Post & Vilar 2018): one `model.beam_step` on
-plain arrays over a decoder stage, attention keys included, prepared
-once per search for the teacher-forced prefix and the beam alike, so the
-beam loop builds no tensor. A beam wider than 1 carries its greedy
-hypothesis as one more row of that step. Only the beam's steps compute
-output logits, not the teacher-forced ones; candidates are ranked as
-plain tuples, and only the survivors become hypotheses. Each search
-records why it stopped.
+plain arrays over a decoder stage, which holds the decoder's embedding
+and attention keys, prepared once per search for the teacher-forced
+prefix and the beam alike, so the beam loop builds no tensor. A beam
+wider than 1 carries its greedy hypothesis as one more row of that step.
+Only the beam's steps compute output logits, not the teacher-forced
+ones; candidates are ranked as plain tuples, and only the survivors
+become hypotheses. Each search records why it stopped.
 """
 
 from __future__ import annotations
@@ -220,17 +220,16 @@ def _search(
     are teacher-forced in one `decode_step` (no search, no scoring, so no
     logits), and the last one seeds the beam search, which runs until
     boundary_id or max_new new tokens. Both run on one `decoder_stage` of
-    the source, prepared once per search, attention keys included: each
-    beam iteration is one `beam_step` on plain arrays.
+    the source, prepared once per search, which looks up their tokens'
+    embedding rows: each beam iteration is one `beam_step` on plain arrays.
     """
     annotations, h_mean = encoded
     stage = decoder_stage(annotations, params, [annotations.shape[0]])
     s0 = init_decoder_state(h_mean, params)
     state = s0.data[0]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], s0, stage, params)
-        emb = params.embedding.shape[1]
-        state = rows.data[-1, emb : emb + state.shape[0]]
+        rows = decode_step([given[:-1]], s0, stage)
+        state = rows.data[-1, stage.emb : stage.emb + stage.dim]
     step = partial(beam_step, stage, params=params)
     return beam_search(step, state, given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
 

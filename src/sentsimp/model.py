@@ -14,29 +14,29 @@ pairs with the same calls. Weights are stored (out, in) and applied as
 `x @ w.T + b`.
 
 There is one GRU cell with its gate weights fused, and each recurrence is
-one autodiff op with a hand-written backward pass through time. Per
-call, the encoder computes each direction's input pre-activations of a
-whole batch in one product, and one `autodiff.gru_scan` steps both
-directions together. A decoder runs on a `decoder_stage`, prepared once
-over its annotations: it maps the annotation rows into the attention
-keys (the attention bias included, since the keys depend only on the
-annotations) and through the GRU's context weights. Per step the stage
-reads attention, takes the GRU input product of the previous token's
-embedding plus the attention-weighted sum of the mapped rows (the
-context's share of the product), and updates the state. `decode_step`
-runs T given steps of every row as one `autodiff.decoder_scan` (teacher
-forcing a stage's whole given sequence) and returns one row [previous
-token's embedding; state; context] per step, the output layer's input
-(Bahdanau et al. 2015, appendix A.2.2); `output_logits`, one affine map,
-projects the rows of the steps it is given onto the vocabulary, so a
-teacher-forced step whose prediction nothing scores skips that product.
-Each `beam_step` runs the same stage's step on plain arrays, one token
-per row, then the output layer and the log-softmax, bit for bit what
-`decode_step` and `output_logits` give, with no op dispatched. A stage
-reads the parameters' data once, and Adadelta updates that data in
-place, so a stage serves one loss or one search. The model holds no
-decoding setting: the beam width and the length cap belong to
-`decoding.decode_multi`.
+one autodiff op with a hand-written backward pass through time. Per call,
+the encoder computes each direction's input pre-activations of a whole
+batch in one product, and one `autodiff.gru_scan` steps both directions
+together. A decoder runs on a `decoder_stage`, which holds the decoder's
+embedding and is prepared once over its annotations: it maps the
+annotation rows into the attention keys (the attention bias included, as
+the keys depend only on them) and through the GRU's context weights. Per
+step the stage reads attention, takes the GRU input product of the
+previous token's embedding row, which it looks up, plus the
+attention-weighted sum of the mapped rows, and updates the state.
+`decode_step` runs T given steps of every row on a stage alone, as one
+`autodiff.decoder_scan` (teacher forcing its whole given sequence) and
+returns one row [previous token's embedding; state; context] per step,
+the output layer's input (Bahdanau et al. 2015, appendix A.2.2);
+`output_logits`, one affine map, projects the rows of the steps it is
+given onto the vocabulary, so a teacher-forced step whose prediction
+nothing scores skips that product. Each `beam_step` runs the same stage's
+step on plain arrays, one token per row, then the stage's decoder's
+output layer and the log-softmax, bit for bit what `decode_step` and
+`output_logits` give, with no op dispatched. A stage reads the
+parameters' data once, and Adadelta updates that data in place, so a
+stage serves one loss or one search. The model holds no decoding setting:
+the beam width and the length cap belong to `decoding.decode_multi`.
 """
 
 from __future__ import annotations
@@ -222,32 +222,30 @@ def init_decoder_state(h_mean: Tensor, params: DecoderParams) -> Tensor:
 
 
 def decoder_stage(annotations: Tensor, params: DecoderParams, source_lengths: Sequence[int]) -> ad.DecoderStage:
-    """The stage of params's decoder over an `encode` batch of the sources
-    of source_lengths: B sources, one per row of a `decode_step`, or one
-    source that every row reads, as in a beam. It maps the annotations
-    into the attention keys once, for every `decode_step` and `beam_step`
-    run on it until an optimizer step changes the parameters."""
+    """The stage of params's decoder, its embedding included, over an
+    `encode` batch of the sources of source_lengths: B sources, one per
+    row of a `decode_step`, or one that every row reads, as in a beam. It
+    maps the annotations into the attention keys once, for every
+    `decode_step` and `beam_step` run on it until an optimizer step."""
     gru = params.gru
     return ad.DecoderStage(
-        annotations, params.att_u, params.att_b, params.att_w, params.att_v, gru.w, gru.b, gru.u_zr, gru.u_h,
-        source_lengths,
+        params.embedding, annotations, params.att_u, params.att_b, params.att_w, params.att_v, gru.w, gru.b,
+        gru.u_zr, gru.u_h, source_lengths,
     )
 
 
-def decode_step(
-    tokens: Sequence[Sequence[int]], s_prev: Tensor, stage: ad.DecoderStage, params: DecoderParams
-) -> Tensor:
+def decode_step(tokens: Sequence[Sequence[int]], s_prev: Tensor, stage: ad.DecoderStage) -> Tensor:
     """Decoder updates of B rows over given tokens: row b starts in state
     s_prev[b] (B, dim) and consumes tokens[b] in order, one step each, as
-    one `autodiff.decoder_scan` on stage, a `decoder_stage` of params.
-    With T the longest row, returns the rows [embedding; state; context]
-    (B*T, E + 3dim), row b*T + t holding the embedding of token t and the
-    state and context after it: the input of `output_logits`, which only
-    a step whose prediction is scored needs. The state is columns E .. E +
-    dim. A shorter row keeps its last state over the rest.
+    one `autodiff.decoder_scan` on stage, which looks the tokens up in its
+    decoder's embedding. With T the longest row, returns the rows
+    [embedding; state; context] (B*T, E + 3dim), row b*T + t holding the
+    embedding of token t and the state and context after it: the input of
+    `output_logits`, which only a scored step needs. The state is columns
+    E .. E + dim. A shorter row keeps its last state over the rest.
     """
     ids, lengths = _joined(tokens)
-    return ad.decoder_scan(ad.take_rows(params.embedding, ids), s_prev, stage, lengths)[0]
+    return ad.decoder_scan(ids, s_prev, stage, lengths)[0]
 
 
 def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
@@ -258,22 +256,21 @@ def output_logits(rows: Tensor, params: DecoderParams) -> Tensor:
 
 
 def beam_step(
-    stage: ad.DecoderStage, prev_tokens: Sequence[int], states: np.ndarray, params: DecoderParams
+    stage: ad.DecoderStage, prev_tokens: list[int], states: np.ndarray, params: DecoderParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder step of B beam rows on plain arrays: row b consumes
     prev_tokens[b] in state states[b] (B, dim), and the step's rows
-    [embedding; state; context] go through the output layer, as
-    `output_logits` computes it, and `autodiff.log_softmax`.
+    [embedding; state; context] go through params's output layer, as
+    `output_logits` computes it, and `autodiff.log_softmax`. params must
+    be the decoder of stage, a `decoder_stage`: others raise ContractError.
 
     Returns the new states (B, dim) and the next-token log-probabilities
     (B, V), bit for bit those of a one-token-per-row `decode_step` and
-    `output_logits` over the stage's source, with no op dispatched and
-    nothing recorded on a tape. stage is `decoder_stage` of params.
+    `output_logits` over the stage's source, with no op dispatched.
     """
-    vocab = params.embedding.shape[0]
-    if not prev_tokens or min(prev_tokens) < 0 or max(prev_tokens) >= vocab:
-        raise ContractError(f"beam_step: token ids {list(prev_tokens)} empty or out of range for {vocab} rows")
-    x = params.embedding.data[prev_tokens]
+    if stage.tensors[0] is not params.embedding:
+        raise ContractError("beam_step: params are not the decoder of the stage")
+    x = stage.lookup(prev_tokens)
     s, context, _, _ = stage.step(states, x, None)
     rows = np.concatenate([x, s, context], axis=1)
     return s, ad.log_softmax(rows @ params.out_w.data.T + params.out_b.data)

@@ -5,14 +5,14 @@ Each pair contributes the negative log-likelihood of its backward sequence
 sentence-start boundary) plus its forward sequence (tokens after the
 constraint plus end-of-sentence, with the prefix teacher-forced).
 `training_loss` scores a padded batch of pairs: one encode, one
-`decode_step` per decoder stage over all of its given tokens, and one
-`output_logits` per stage over the steps that predict a scored token
-only; the logit rows of both stages are scored by one fused
-`autodiff.nll` over their stack, which stays finite when a target's
-probability underflows. Training records one tape per pair, and a batch
-is a gradient-accumulation group; the validation pass runs the same loss
-untaped over padded batches of similar lengths. The optimizer step is
-Adadelta with a global-norm gradient clip.
+`decode_step` per decoder stage over all of its given tokens, whose
+embedding rows the stage looks up, and one `output_logits` per stage over
+the steps that predict a scored token only; the logit rows of both stages
+are scored by one fused `autodiff.nll` over their stack, which stays
+finite when a target's probability underflows. Training records one tape
+per pair, and a batch is a gradient-accumulation group; the validation
+pass runs the same loss untaped over padded batches of similar lengths.
+The optimizer step is Adadelta with a global-norm gradient clip.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def training_loss(
     at the constraint token. Forward: teacher-force BOS..target[s-1] without
     loss, then predict the remaining tokens and EOS. The batch is padded:
     one `encode`, and per decoder stage one `decoder_stage`, one
-    `decode_step` on it over every row's inputs, one lookup of the scored
-    steps' rows and one `output_logits` over them.
+    `decode_step` on it over every row's input tokens, one `take_rows` of
+    the scored steps' rows and one `output_logits` over them.
     """
     if len(pairs) != len(positions):
         raise ContractError(f"{len(pairs)} pairs but {len(positions)} constraint positions")
@@ -152,7 +152,7 @@ def training_loss(
 
     def stage_logits(params, inputs, scored_from):
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths), params)
+        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths))
         steps = max(len(row) for row in inputs)
         scored = [b * steps + t for b, row in enumerate(inputs) for t in range(scored_from[b], len(row))]
         return output_logits(ad.take_rows(rows, scored), params)

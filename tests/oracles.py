@@ -318,12 +318,12 @@ def search_by_decode_step(encoded, params, given, boundary_id, max_new, beam_siz
     state_cols = slice(emb, emb + state.shape[1])
     source_lengths = [annotations.shape[0]]
     if len(given) > 1:
-        rows = decode_step([given[:-1]], state, decoder_stage(annotations, params, source_lengths), params)
+        rows = decode_step([given[:-1]], state, decoder_stage(annotations, params, source_lengths))
         state = ad.Tensor(rows.data[-1:, state_cols])
 
     def step(prev_tokens, states):
         stage = decoder_stage(annotations, params, source_lengths)
-        rows = decode_step([[tok] for tok in prev_tokens], ad.Tensor(states), stage, params)
+        rows = decode_step([[tok] for tok in prev_tokens], ad.Tensor(states), stage)
         return rows.data[:, state_cols], ad.log_softmax(output_logits(rows, params).data)
 
     return beam_search(step, state.data[0], given[-1], boundary_id, beam_size=beam_size, max_new=max_new)
@@ -895,7 +895,7 @@ def training_loss_all_logits(pairs, positions, model):
 
     def stage_logits(params, inputs, scored_from):
         state = init_decoder_state(h_mean, params)
-        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths), params)
+        rows = decode_step(inputs, state, decoder_stage(annotations, params, source_lengths))
         steps = max(len(row) for row in inputs)
         every = [[b * steps + t for t in range(len(row))] for b, row in enumerate(inputs)]
         logits = []
@@ -915,12 +915,13 @@ def training_loss_all_logits(pairs, positions, model):
     return ad.nll(ad.stack([backward, forward]), targets)
 
 
-def decoder_scan_per_step(e, s0, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, whole_w=False):
+def decoder_scan_per_step(s0, e, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h, whole_w=False):
     """Reference version of an earlier design: `autodiff.decoder_scan` of
-    one row over one source's annotations, as one `affine` map of them
-    into the attention keys, then one `read_and_gru_input` (with whole_w,
-    in the earlier design's association) and one `gru_step` per row of e;
-    returns the rows [embedding; state; context] (T, E + dim + width)."""
+    one row over one source's annotations, reading the rows of e in order,
+    as one `affine` map of the annotations into the attention keys, then
+    one `read_and_gru_input` (with whole_w, in the earlier design's
+    association) and one `gru_step` per row of e; returns the rows
+    [embedding; state; context] (T, E + dim + width)."""
     keys = ad.affine(annotations, att_u, att_b)
     s = s0
     rows = []

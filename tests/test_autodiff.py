@@ -562,24 +562,26 @@ def test_gru_scan_gradcheck(lengths, half):
 
 
 def decoder_scan_inputs(rows, steps, n, shared, seed):
-    """e (rows*T, 2), s0 (rows, 3), annotations (., 5), att_u (4, 5),
-    att_b (4,), att_w (4, 3), att_v (4,), w (9, 7), b (9,), u_zr (6, 3),
-    u_h (3, 3): the embedding, state, key and context widths all differ,
-    and neither b nor att_b is zero. Shared annotations have n rows,
-    per-row ones rows*n."""
+    """s0 (rows, 3), embedding (rows*T, 2), annotations (., 5), att_u
+    (4, 5), att_b (4,), att_w (4, 3), att_v (4,), w (9, 7), b (9,), u_zr
+    (6, 3), u_h (3, 3), in the order of `decoder_scan`'s inputs: the
+    embedding, state, key and context widths all differ, and neither b nor
+    att_b is zero. Shared annotations have n rows, per-row ones rows*n."""
     blocks = 1 if shared else rows
     shapes = [
-        (rows * steps, 2), (rows, 3), (blocks * n, 5), (4, 5), (4,),
+        (rows, 3), (rows * steps, 2), (blocks * n, 5), (4, 5), (4,),
         (4, 3), (4,), (9, 7), (9,), (6, 3), (3, 3),
     ]
     return [rnd(shape, seed=seed + i) for i, shape in enumerate(shapes)]
 
 
-def scan(e, s0, *tensors, steps, source_lengths):
-    """`decoder_scan` of e and s0 on a stage built here from the
-    annotations and weights, so that a check which changes their data
-    between calls reaches the stage."""
-    return ad.decoder_scan(e, s0, ad.DecoderStage(*tensors, source_lengths), steps)
+def scan(s0, *tensors, steps, source_lengths, ids=None):
+    """`decoder_scan` from s0 on a stage built here from the embedding,
+    the annotations and the weights, so that a check which changes their
+    data between calls reaches the stage. Unless ids are given, the scan
+    reads every embedding row once, in order."""
+    ids = range(tensors[0].shape[0]) if ids is None else ids
+    return ad.decoder_scan(ids, s0, ad.DecoderStage(*tensors, source_lengths), steps)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "source-per-row"])
@@ -604,14 +606,14 @@ def test_decoder_scan_equals_per_step_oracle(shared):
         lambda *a: scan(*a, steps=steps, source_lengths=source_lengths)[0], inputs, ad.Tensor(weights.reshape(-1, 10))
     )
     got = got.reshape(3, T, 10)
-    e, s0, annotations, *rest = inputs
+    s0, e, annotations, *rest = inputs
     summed = [np.zeros_like(t.data) for t in inputs]
     for b, k in enumerate(steps):
         block = 0 if shared else b
         m = source_lengths[block]
         real = slice(block * n, block * n + m)
         row = [ad.Tensor(x) for x in (
-            e.data[b * T : b * T + k], s0.data[b : b + 1], annotations.data[real]
+            s0.data[b : b + 1], e.data[b * T : b * T + k], annotations.data[real]
         )]
         row_weights = ad.Tensor(weights[b, :k])
         one, one_grads = values_and_gradients(
@@ -623,7 +625,7 @@ def test_decoder_scan_equals_per_step_oracle(shared):
         assert_grads_close(one_grads, want_grads)
         assert np.max(np.abs(one - earlier)) <= 1e-15
         assert np.max(np.abs(got[b, :k] - want)) <= 1e-15
-        for acc, g, where in zip(summed, want_grads, (slice(b * T, b * T + k), slice(b, b + 1), real)):
+        for acc, g, where in zip(summed, want_grads, (slice(b, b + 1), slice(b * T, b * T + k), real)):
             acc[where] += g
         for acc, g in zip(summed[3:], want_grads[3:]):
             acc += g
@@ -643,8 +645,8 @@ def test_decoder_stage_step_equals_one_token_scan_rows(dims, rows, source_length
     annotations = rng.uniform(-1, 1, size=(4, width))
     weights = [rng.uniform(-1, 1, size=shape) for shape in
                ((k, width), (k,), (k, d), (k,), (3 * d, emb + width), (3 * d,), (2 * d, d), (d, d))]
-    stage = ad.DecoderStage(*(ad.Tensor(x) for x in (annotations, *weights)), [source_length])
-    out, alpha = ad.decoder_scan(ad.Tensor(e), ad.Tensor(s0), stage, [1] * rows)
+    stage = ad.DecoderStage(*(ad.Tensor(x) for x in (e, annotations, *weights)), [source_length])
+    out, alpha = ad.decoder_scan(range(rows), ad.Tensor(s0), stage, [1] * rows)
     s, context, got_alpha, _ = stage.step(s0, e, None)
     assert np.array_equal(s, out.data[:, emb : emb + d])
     assert np.array_equal(context, out.data[:, emb + d :])
@@ -659,13 +661,13 @@ def test_decoder_scan_rows_of_a_padded_batch_equal_one_row_scans():
     state stays. Every row's embedding columns are its input row as given,
     past its last step too."""
     steps, source_lengths, n, T = [2, 4, 1], [3, 1, 2], 3, 4
-    e, s0, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
-    out, alpha = scan(e, s0, annotations, *weights, steps=steps, source_lengths=source_lengths)
+    s0, e, annotations, *weights = decoder_scan_inputs(3, T, n, False, seed=120)
+    out, alpha = scan(s0, e, annotations, *weights, steps=steps, source_lengths=source_lengths)
     out, alpha = out.data.reshape(3, T, 10), alpha.reshape(3, T, n)
     assert np.array_equal(out[:, :, :2], e.data.reshape(3, T, 2))
     for b, (k, m) in enumerate(zip(steps, source_lengths)):
         one, one_alpha = scan(
-            ad.Tensor(e.data[b * T : b * T + k]), ad.Tensor(s0.data[b : b + 1]),
+            ad.Tensor(s0.data[b : b + 1]), ad.Tensor(e.data[b * T : b * T + k]),
             ad.Tensor(annotations.data[b * n : b * n + m]), *weights, steps=[k], source_lengths=[m],
         )
         assert np.allclose(out[b, :k], one.data, rtol=0, atol=1e-12)
@@ -707,11 +709,15 @@ def test_decoder_scan_one_block_read_by_every_row_equals_a_copy_per_row():
     ids=["one-row", "shared-source", "source-per-row", "masked"],
 )
 def test_decoder_scan_gradcheck(steps, source_lengths):
+    """Step i of the B*T reads embedding row i // 2: a row read twice gets
+    both steps' gradients summed, and a row of the upper half, never read,
+    gets none."""
     inputs = decoder_scan_inputs(len(steps), max(steps), 3, len(source_lengths) == 1, seed=130)
     weights = ad.Tensor(np.random.default_rng(131).uniform(-1, 1, size=(len(steps) * max(steps), 10)))
+    ids = [i // 2 for i in range(len(steps) * max(steps))]
 
     def loss():
-        return tsum(mul(scan(*inputs, steps=steps, source_lengths=source_lengths)[0], weights))
+        return tsum(mul(scan(*inputs, steps=steps, source_lengths=source_lengths, ids=ids)[0], weights))
 
     assert check_gradients(loss, inputs) < 1e-4
 
@@ -739,19 +745,37 @@ def test_decoder_scan_rejects_mismatched_steps_and_lengths(steps, source_lengths
         scan(*inputs, steps=steps, source_lengths=source_lengths)
 
 
-@pytest.mark.parametrize("position, shape", [(3, (4, 4)), (3, (5, 5)), (3, (4,)), (4, (5,)), (4, (4, 1))])
+@pytest.mark.parametrize(
+    "ids, error",
+    [([], ContractError), ([0, 1, -1, 2], ContractError), ([0, 1, 4, 2], ContractError),
+     ([0, 1, 2], DimensionError), ([0, 1, 2, 3, 0], DimensionError)],
+    ids=["empty", "negative", "past-the-embedding", "too-few", "too-many"],
+)
+def test_decoder_scan_rejects_token_ids_that_do_not_fit(ids, error):
+    """Two rows of two steps read four ids from an embedding of four rows:
+    no ids, or an id outside 0..3, raise ContractError (numpy would wrap a
+    negative one), and a count other than four DimensionError."""
+    inputs = decoder_scan_inputs(2, 2, 3, True, seed=155)
+    with pytest.raises(error):
+        scan(*inputs, steps=[2, 2], source_lengths=[3], ids=ids)
+
+
+@pytest.mark.parametrize(
+    "position, shape", [(3, (4, 4)), (3, (5, 5)), (3, (4,)), (4, (5,)), (4, (4, 1)), (1, (4, 3)), (1, (4,))]
+)
 def test_decoder_stage_and_scan_reject_a_mis_shaped_attention_key_map(position, shape):
     """att_u (4, 5) maps an annotation row (5 wide) to a key as wide as
     att_w's rows (4), and att_b (4,) is one bias per key column: a wrong
     width, row count or rank of either raises in `DecoderStage` and in
     `model.decoder_stage`, the stage's one builder, which is also the only
-    way a scan gets its weights."""
+    way a scan gets its weights. So does an embedding whose rows are not
+    as wide as w's embedding columns (2), or that is not a matrix."""
     inputs = decoder_scan_inputs(2, 2, 3, True, seed=160)
     inputs[position] = rnd(shape)
-    annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = inputs[2:]
+    embedding, annotations, att_u, att_b, att_w, att_v, w, b, u_zr, u_h = inputs[1:]
     with pytest.raises(DimensionError):
-        ad.DecoderStage(*inputs[2:], [3])
-    params = SimpleNamespace(att_u=att_u, att_b=att_b, att_w=att_w, att_v=att_v,
+        ad.DecoderStage(*inputs[1:], [3])
+    params = SimpleNamespace(embedding=embedding, att_u=att_u, att_b=att_b, att_w=att_w, att_v=att_v,
                              gru=SimpleNamespace(w=w, b=b, u_zr=u_zr, u_h=u_h))
     with pytest.raises(DimensionError):
         decoder_stage(annotations, params, [3])

@@ -248,7 +248,7 @@ def attend(s, annotations, dec):
     `decoder_scan` makes: the contexts (B, 2dim) and the weights (B, n)."""
     rows = s.shape[0]
     stage = decoder_stage(annotations, dec, [annotations.shape[0]])
-    out, alpha = ad.decoder_scan(ad.take_rows(dec.embedding, [4] * rows), s, stage, [1] * rows)
+    out, alpha = ad.decoder_scan([4] * rows, s, stage, [1] * rows)
     return ad.Tensor(out.data[:, CONTEXT]), alpha
 
 
@@ -304,7 +304,7 @@ def step_with_logits(tokens, s_prev, annotations, dec):
     its rows, as the beam steps: the new states (B, dim) and the logits
     (B, V). The stage is built here, so a gradient check that changes the
     annotations or the weights between calls reaches it."""
-    rows = decode_step([[tok] for tok in tokens], s_prev, decoder_stage(annotations, dec, [annotations.shape[0]]), dec)
+    rows = decode_step([[tok] for tok in tokens], s_prev, decoder_stage(annotations, dec, [annotations.shape[0]]))
     return segment(rows, STATE.start, STATE.stop), output_logits(rows, dec)
 
 
@@ -349,7 +349,7 @@ def test_decode_step_matches_scalar_loop_oracle_with_biases(model):
     H, h_mean = encode([[5, 7, 4]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     tokens = [6, 4, 8]
-    rows = decode_step([tokens], s0, decoder_stage(H, dec, [H.shape[0]]), dec)
+    rows = decode_step([tokens], s0, decoder_stage(H, dec, [H.shape[0]]))
     dist = softmax(output_logits(rows, dec)).data
     state = s0.data[0].tolist()
     for t, tok in enumerate(tokens):
@@ -366,15 +366,15 @@ def test_decode_step_over_given_tokens_equals_one_token_calls(model):
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
     stage = decoder_stage(H, dec, [3])
-    out = decode_step([[7, 4, 8]], s0, stage, dec)
+    out = decode_step([[7, 4, 8]], s0, stage)
     state = s0
     for t, tok in enumerate([7, 4, 8]):
-        one = decode_step([[tok]], state, stage, dec)
+        one = decode_step([[tok]], state, stage)
         assert np.array_equal(out.data[t], one.data[0])
         state = ad.Tensor(one.data[:, STATE])
     rows = ad.stack([s0, state])
-    ragged = decode_step([[7, 4, 8], [5]], rows, stage, dec)
-    five = decode_step([[5]], state, stage, dec)
+    ragged = decode_step([[7, 4, 8], [5]], rows, stage)
+    five = decode_step([[5]], state, stage)
     assert np.allclose(ragged.data[:3], out.data, rtol=0, atol=1e-12)
     assert np.allclose(ragged.data[3], five.data[0], rtol=0, atol=1e-12)
     assert np.array_equal(ragged.data[4:, STATE], np.tile(ragged.data[3, STATE], (2, 1)))
@@ -390,7 +390,7 @@ def test_decode_step_rows_are_the_output_layers_input(model):
     dec = model.backward_decoder
     H, h_mean = encode([[4, 6, 5]], model.encoder)
     s0 = init_decoder_state(h_mean, dec)
-    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), decoder_stage(H, dec, [3]), dec)
+    rows = decode_step([[7, 4, 8], [5]], ad.stack([s0, s0]), decoder_stage(H, dec, [3]))
     ids = [7, 4, 8, 5, PAD_ID, PAD_ID]
     assert np.array_equal(rows.data[:, EMBEDDING], dec.embedding.data[ids])
     state, context = ad.Tensor(rows.data[:, STATE]), ad.Tensor(rows.data[:, CONTEXT])
@@ -485,7 +485,7 @@ def test_decode_step_equals_composed_oracle(model, rows):
 
     def one_token_step(tokens, s_prev, annotations, dec):
         stage = decoder_stage(annotations, dec, [annotations.shape[0]])
-        return decode_step([[tok] for tok in tokens], s_prev, stage, dec)
+        return decode_step([[tok] for tok in tokens], s_prev, stage)
 
     def whole_w_composed(*args):
         return decode_step_composed(*args, whole_w=True)
@@ -506,9 +506,10 @@ def test_decode_step_equals_composed_oracle(model, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 4])
-def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
-    """An embedding lookup and one `decoder_scan`, for one token per row as
-    for three: a split of the scan fails this."""
+def test_untaped_decode_step_dispatches_one_op(model, monkeypatch, rows):
+    """One `decoder_scan`, which looks up its own tokens, for one token per
+    row as for three: a split of the scan, or a lookup outside it, fails
+    this."""
     dec = model.backward_decoder
     H, states, tokens = batch_inputs(model, seed=14, rows=rows)
     calls = []
@@ -518,8 +519,8 @@ def test_untaped_decode_step_dispatches_two_ops(model, monkeypatch, rows):
     assert not calls
     for width in (1, 3):
         calls.clear()
-        out = decode_step([[tok] * width for tok in tokens], states, stage, dec)
-        assert len(calls) == 2
+        out = decode_step([[tok] * width for tok in tokens], states, stage)
+        assert len(calls) == 1
         assert out.shape == (rows * width, 11)
 
 
@@ -540,7 +541,7 @@ def test_beam_step_equals_decode_step_and_output_logits(cfg, side):
         states = rng.uniform(-1, 1, size=(rows, cfg.hidden_dim))
         tokens = [int(t) for t in rng.integers(0, cfg.vocab_size, size=rows)]
         got_states, got_log_probs = beam_step(stage, tokens, states, dec)
-        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), stage, dec)
+        out = decode_step([[tok] for tok in tokens], ad.Tensor(states), stage)
         assert np.array_equal(got_states, out.data[:, state_cols])
         assert np.array_equal(got_log_probs, ad.log_softmax(output_logits(out, dec).data))
 
@@ -552,6 +553,17 @@ def test_beam_step_rejects_token_ids_out_of_range(model):
     for tokens in ([], [4, TINY.vocab_size], [-1, 4]):
         with pytest.raises(ContractError):
             beam_step(stage, tokens, states.data[: len(tokens)], dec)
+
+
+def test_beam_step_rejects_another_decoders_params(model):
+    """The stage carries its decoder's embedding, attention and GRU, and
+    beam_step's params give the output layer: the backward decoder's
+    output layer on a forward decoder's stage is refused, not mixed."""
+    H, states, _ = batch_inputs(model, rows=2)
+    stage = decoder_stage(H, model.forward_decoder, [H.shape[0]])
+    with pytest.raises(ContractError):
+        beam_step(stage, [4, 5], states.data, model.backward_decoder)
+    assert beam_step(stage, [4, 5], states.data, model.forward_decoder)[1].shape == (2, TINY.vocab_size)
 
 
 def test_decode_step_rows_gradcheck(model):

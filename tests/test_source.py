@@ -163,3 +163,16 @@ def test_decoder_stage_is_built_only_by_model_decoder_stage():
         for where in callers_of(path.read_text(encoding="utf-8"), "DecoderStage")
     ]
     assert sites == ["model.decoder_stage"]
+
+
+def test_take_rows_looks_up_only_the_source_and_the_scored_rows():
+    """The encoder looks up its source's embedding rows, and a training loss
+    picks the decoder rows whose predictions it scores. A decoder's input
+    rows come from its stage's own lookup inside `decoder_scan`, so a step
+    cannot read one decoder's embedding on another decoder's stage."""
+    sites = [
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in callers_of(path.read_text(encoding="utf-8"), "take_rows")
+    ]
+    assert sites == ["model.encode", "training.training_loss.stage_logits"]

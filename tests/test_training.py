@@ -346,7 +346,7 @@ def test_training_loss_builds_one_stage_per_decoder(monkeypatch):
     training_loss([pair_of([4, 5], [6, 7, 8]), pair_of([6], [5, 4])], [2, 1], model)
     assert len(built) == 2
     for stage, dec in zip(built, (model.backward_decoder, model.forward_decoder)):
-        assert stage.tensors[1] is dec.att_u and stage.sources == 2
+        assert stage.tensors[0] is dec.embedding and stage.tensors[2] is dec.att_u and stage.sources == 2
 
 
 def loss_and_gradients(model, loss_fn):
@@ -536,15 +536,15 @@ def test_tape_length_of_one_pair_is_a_closed_form(n, m, position):
     """Ops recorded for one pair, whatever its source length n, target
     length m and constraint position: the encoder records 5 (the lookup,
     two input products, one `gru_scan` and the mean); each decoder
-    stage 6 (the two ops of the initial state, the lookup of its inputs
-    and one `decoder_scan`, then one lookup of the scored steps' rows
+    stage 5 (the two ops of the initial state, one `decoder_scan`, which
+    looks up its own inputs, then one lookup of the scored steps' rows
     [embedding; state; context] and one output product); one stack and
     one nll score the logit rows of both stages."""
     model = Seq2SeqModel.create(TINY, seed=3)
     pair = pair_of([4 + i % 5 for i in range(n)], [4 + i % 5 for i in range(m)])
     with Tape() as tape:
         training_loss([pair], [position], model)
-    assert len(tape) == 5 + 2 * 6 + 2
+    assert len(tape) == 5 + 2 * 5 + 2
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(16, 32), (64, 128)])
